@@ -4,8 +4,8 @@ The ⊙ operator (Section 5.2) predicts how concurrently executing
 access patterns share a cache.  Applied *between* queries, it lets a
 scheduler decide which queries may co-run: this bench drives a
 join-dominated, memory-bound workload (hash tables comparable to the
-scaled L2) through the :mod:`repro.service` executor under three
-policies and shows
+scaled L2) through the :mod:`repro.service` executor under its three
+batch-formation modes and shows
 
 * **throughput vs batch size** for the naive max-parallel policy —
   packing more thrashing queries per batch stops paying, and
@@ -18,14 +18,7 @@ Honours the shared ``--quick`` / ``REPRO_BENCH_QUICK`` knob (reduced
 scale and query count; same assertions).
 """
 
-from repro.service import (
-    FifoSerialPolicy,
-    InterferenceAwarePolicy,
-    InterferenceModel,
-    MaxParallelPolicy,
-    ServiceExecutor,
-    WorkloadGenerator,
-)
+from repro.service import ServiceExecutor, WorkloadGenerator
 from repro.session import Session
 
 #: Relative tolerance of the existing model-vs-simulator agreement
@@ -34,8 +27,9 @@ from repro.session import Session
 MODEL_TOLERANCE = 0.35
 
 
-def _run(session, policy, workload):
-    return ServiceExecutor(session, policy).run(workload)
+def _run(session, mode, max_batch, workload):
+    return ServiceExecutor(session, mode=mode,
+                           max_batch=max_batch).run(workload)
 
 
 def test_concurrent_workload_scheduling(quick, save_result):
@@ -56,7 +50,7 @@ def test_concurrent_workload_scheduling(quick, save_result):
     lines.append("  naive max-parallel, throughput vs batch size:")
     naive_reports = {}
     for batch_size in (1, 2, 4, 6):
-        report = _run(session, MaxParallelPolicy(batch_size), workload)
+        report = _run(session, "max-parallel", batch_size, workload)
         naive_reports[batch_size] = report
         lines.append(
             f"    batch {batch_size}:  makespan "
@@ -65,10 +59,9 @@ def test_concurrent_workload_scheduling(quick, save_result):
             f"p95 {report.p95_latency_ns / 1e6:>8.2f} ms")
 
     # -- policy comparison ---------------------------------------------
-    serial = _run(session, FifoSerialPolicy(), workload)
+    serial = _run(session, "fifo-serial", 4, workload)
     naive = naive_reports[4]
-    aware = _run(session, InterferenceAwarePolicy(
-        InterferenceModel(session.hierarchy), max_batch=4), workload)
+    aware = _run(session, "interference-aware", 4, workload)
 
     lines.append("  policy comparison (batch cap 4):")
     for report in (serial, naive, aware):

@@ -83,10 +83,11 @@ def test_plan_cache_hit_skips_enumeration(benchmark, save_result):
 def test_prepared_reexecution_reuses_plan(save_result):
     s = _session()
     stmt = s.prepare("aggregate(join(orders, customers), groups=%d)" % N)
-    out, cold_snap = stmt.execute_measured()
-    assert len(out.values) == N
+    cold = stmt.execute_measured()
+    assert len(cold.column.values) == N
+    cold_snap = cold.counters
     planned_before = stmt.planned
-    out, warm_snap = stmt.execute_measured(cold=False)
+    warm_snap = stmt.execute_measured(cold=False).counters
     # re-execution reuses the compiled plan (no second compilation)
     assert stmt.planned is planned_before
     assert s.plan_cache.stats()["misses"] == 1

@@ -2,7 +2,7 @@
 
 Builds a shared catalog, generates a deterministic join-dominated query
 stream from four clients, and runs it through the
-:mod:`repro.service` executor under three policies:
+:mod:`repro.service` executor under its three batch-formation modes:
 
 * **fifo-serial** — one query at a time (no interference, no overlap),
 * **max-parallel** — pack every batch to the concurrency cap, blind to
@@ -12,7 +12,7 @@ stream from four clients, and runs it through the
   co-runner only while the predicted batch makespan stays below
   queueing it.
 
-Prints each policy's simulated makespan/latency/throughput report and
+Prints each mode's simulated makespan/latency/throughput report and
 a per-batch look at how the ⊙ prediction tracks the interleaved-replay
 measurement, plus a direct co-run prediction for two thrashing joins.
 
@@ -20,14 +20,7 @@ Run:  PYTHONPATH=src python examples/serve_workload.py
 """
 
 from repro import Session
-from repro.service import (
-    FifoSerialPolicy,
-    InterferenceAwarePolicy,
-    InterferenceModel,
-    MaxParallelPolicy,
-    ServiceExecutor,
-    WorkloadGenerator,
-)
+from repro.service import InterferenceModel, ServiceExecutor, WorkloadGenerator
 
 
 def main() -> None:
@@ -50,14 +43,10 @@ def main() -> None:
     print(f"  ⊙ co-run memory time {prediction.batch_memory_ns / 1e3:8.1f} us"
           f"  -> predicted slowdown {prediction.slowdown:.2f}x\n")
 
-    # -- the three policies on the same stream --------------------------
-    policies = (
-        FifoSerialPolicy(),
-        MaxParallelPolicy(max_batch=4),
-        InterferenceAwarePolicy(interference, max_batch=4),
-    )
-    for policy in policies:
-        report = ServiceExecutor(session, policy).run(workload)
+    # -- the three modes on the same stream -----------------------------
+    for mode in ("fifo-serial", "max-parallel", "interference-aware"):
+        report = ServiceExecutor(session, mode=mode,
+                                 max_batch=4).run(workload)
         print(report.render())
         print()
 

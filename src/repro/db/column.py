@@ -10,9 +10,7 @@ true access trace.
 Since the vectorized execution engine, integer columns are *really*
 contiguous: values live in an :class:`IntVector` — a 64-bit
 :class:`array.array` subclass — so chunked kernels iterate machine
-integers in one flat buffer instead of a list of boxed objects, and the
-optional numpy fast path (:func:`as_numpy`, gated by the
-``REPRO_NUMPY`` environment flag) can view the same bytes zero-copy.
+integers in one flat buffer instead of a list of boxed objects.
 Columns holding non-integer values (the ``(outer, inner)`` pair outputs
 of joins and aggregates) transparently fall back to a plain list.
 
@@ -23,14 +21,13 @@ predicted costs are connected.
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Iterable, Sequence
 
 from ..core.regions import DataRegion
 from ..simulator.memory import MemorySystem
 
-__all__ = ["Column", "IntVector", "Table", "as_numpy"]
+__all__ = ["Column", "IntVector", "Table"]
 
 
 class IntVector(array):
@@ -61,25 +58,6 @@ class IntVector(array):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"IntVector({self.tolist()!r})"
-
-
-def as_numpy(vector):
-    """A zero-copy ``int64`` numpy view of an :class:`IntVector`.
-
-    Returns ``None`` unless the ``REPRO_NUMPY`` environment flag is set
-    *and* numpy is importable *and* ``vector`` is contiguous integer
-    storage — the library itself has no runtime dependencies, so numpy
-    only ever accelerates, never gates, execution.
-    """
-    if not os.environ.get("REPRO_NUMPY"):
-        return None
-    if not isinstance(vector, array) or vector.typecode != "q" or not len(vector):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is optional
-        return None
-    return numpy.frombuffer(vector, dtype=numpy.int64)
 
 
 class Column:

@@ -44,7 +44,7 @@ from ..core.algorithms import (
     spill_run_count,
 )
 from ..core.regions import DataRegion
-from .column import Column, as_numpy
+from .column import Column
 from .context import Database
 from .hashtable import ENTRY_WIDTH, SimHashTable, _EMPTY
 from .join import OUTPUT_WIDTH
@@ -123,13 +123,7 @@ def scan_v(db: Database, col: Column, used_bytes: int | None = None) -> int:
     db.mem.access_range(col.address, u, col.width, col.n)
     # (a + v0) & m ... folded item-wise equals the masked total: & is
     # mod 2**32 on Python ints, and mod distributes over the sum.
-    values = col.values
-    view = as_numpy(values)
-    if view is not None:
-        # uint64 wrap-around then the 32-bit mask: 2**32 divides 2**64,
-        # so the double reduction equals the arbitrary-precision sum.
-        return int(view.sum(dtype="uint64")) & 0xFFFFFFFF
-    return sum(values) & 0xFFFFFFFF
+    return sum(col.values) & 0xFFFFFFFF
 
 
 def select_v(db: Database, col: Column, predicate,

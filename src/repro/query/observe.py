@@ -23,9 +23,7 @@ bare tuples:
   :meth:`PlanNode.execute <repro.query.PlanNode.execute>` in simulator
   snapshot deltas — every query becomes a paper-style model-vs-measured
   experiment at operator granularity.  Per-operator *exclusive* deltas
-  sum exactly to the whole-plan counters.  Legacy tuple unpacking
-  (``column, counters = result``) still works via :meth:`__iter__`,
-  with a :class:`DeprecationWarning`.
+  sum exactly to the whole-plan counters.
 
 The module is deliberately independent of the optimizer: plans are
 duck-typed (``root``/``walk``/``pattern``/``estimate``), signatures are
@@ -35,7 +33,6 @@ passed in by callers that know them.
 from __future__ import annotations
 
 import time
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
@@ -452,9 +449,7 @@ class MeasuredResult(QueryResult):
     """A :class:`QueryResult` with measured counters attached.
 
     ``counters`` is the whole-plan delta; ``operators`` the per-operator
-    exclusive attribution in execution (post-order) order.  Iterating
-    yields ``(column, counters)`` for backward-compatible tuple
-    unpacking — deprecated; read :attr:`column` and :attr:`counters`.
+    exclusive attribution in execution (post-order) order.
     """
 
     def __init__(self, column: Column, explanation: Explanation,
@@ -465,23 +460,6 @@ class MeasuredResult(QueryResult):
                          simulated_ns=counters.elapsed_ns)
         self.counters = counters
         self.operators = operators
-
-    def __iter__(self) -> Iterator:
-        """Legacy ``column, counters = result`` unpacking.
-
-        .. deprecated:: 1.2
-           ``execute_measured`` used to return a bare
-           ``(Column, CounterSnapshot)`` tuple; unpacking keeps working
-           for one release.  Migrate to the named attributes
-           ``result.column`` and ``result.counters`` (and gain
-           ``result.operators`` / ``result.explanation``).
-        """
-        warnings.warn(
-            "tuple unpacking of a MeasuredResult is deprecated; use "
-            ".column and .counters (per-operator attribution is in "
-            ".operators)", DeprecationWarning, stacklevel=2)
-        yield self.column
-        yield self.counters
 
     @property
     def measured_ns(self) -> float:

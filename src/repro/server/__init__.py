@@ -9,7 +9,7 @@ watch the tail.  Everything runs on the simulated clock, so serving
 experiments are deterministic and replayable.
 """
 
-from .admission import ADMISSION_MODES, AdmissionController, ServerTask
+from .admission import AdmissionController
 from .arrivals import ArrivalProcess, BurstArrivals, PoissonArrivals
 from .server import QueryServer, ServerResponse, ServingReport
 from .slo import (
@@ -29,8 +29,6 @@ __all__ = [
     "TenantQuota",
     "TENANT_ADDRESS_STRIDE",
     "AdmissionController",
-    "ServerTask",
-    "ADMISSION_MODES",
     "ArrivalProcess",
     "PoissonArrivals",
     "BurstArrivals",

@@ -10,101 +10,39 @@ when the queue is full a light tenant's arrival displaces the newest
 queued query of the *heaviest* tenant instead of being shed — one
 tenant flooding the server cannot starve the others out of the queue.
 
-**What runs next?**  Batch formation follows the PR 3 admission rule,
-driven by the ⊙ :class:`~repro.service.InterferenceModel`: grow the
-batch with the candidate that increases the predicted makespan least,
-and admit a candidate only while
-
-    makespan(batch ∪ {c})  ≤  makespan(batch) + slack · solo(c)
-
-i.e. co-running ``c`` is predicted to cost no more than queueing it
-behind the batch.  Only queries that have *arrived* by the decision
+**What runs next?**  Batch formation is the serving core's one rule
+(:class:`~repro.service.BatchFormer` — the very former the closed-loop
+executor and the what-if sweep run); the controller supplies what is
+the server's own.  Only queries that have *arrived* by the decision
 time are candidates (open-loop semantics: the scheduler cannot see the
-future), and batch seeds rotate round-robin over tenants so no tenant
-waits forever behind a chattier one.  Two degenerate modes —
-``"fifo-serial"`` (singletons) and ``"max-parallel"`` (pack to the cap
-in arrival order, contention-blind) — are the baselines the serving
-benchmark compares against.
+future), and ⊙-guided batches seed round-robin over tenants so no
+tenant waits forever behind a chattier one; the two baseline modes
+stay tenant-blind (arrival order only).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..query.physical import QueryPlan
+from ..service.core import Batch, BatchFormer, Task
 from ..service.interference import InterferenceModel
 from .tenant import TenantQuota
 
-__all__ = ["ServerTask", "AdmissionController", "ADMISSION_MODES"]
-
-#: Recognized batch-formation modes.
-ADMISSION_MODES = ("interference-aware", "max-parallel", "fifo-serial")
+__all__ = ["AdmissionController"]
 
 
-@dataclass
-class ServerTask:
-    """One compiled query waiting in the server's run queue."""
-
-    qid: int
-    tenant: str
-    kind: str
-    text: str
-    arrival_ns: float
-    plan: QueryPlan
-    #: Predicted standalone (cold, whole-cache) memory time.
-    solo_memory_ns: float
-    #: Calibrated pure-CPU time (Eq. 6.1).
-    cpu_ns: float
-    cache_hit: bool
-    signature: str = ""
-    #: Fingerprint of the tenant profile the plan was compiled (and
-    #: priced) under — response provenance across recalibrations.
-    fingerprint: str = ""
-    #: Resolution slot the server attaches (an asyncio future-like);
-    #: the controller never touches it.
-    handle: object = field(default=None, repr=False, compare=False)
-    #: Wall-clock (``perf_counter_ns``) stamps around the compile, set
-    #: by the server's compile worker; the controller never reads them.
-    compile_wall_start_ns: int = 0
-    compile_wall_end_ns: int = 0
-
-    @property
-    def solo_total_ns(self) -> float:
-        """Standalone completion time (Eq. 6.1: memory + CPU)."""
-        return self.solo_memory_ns + self.cpu_ns
-
-    @property
-    def compile_wall_ns(self) -> int:
-        """Wall-clock nanoseconds the compile took."""
-        return self.compile_wall_end_ns - self.compile_wall_start_ns
-
-
-class AdmissionController:
-    """Bounded, tenant-fair run queue with ⊙-guided batch formation."""
+class AdmissionController(BatchFormer):
+    """The batch former behind a bounded, tenant-fair run queue."""
 
     def __init__(self, interference: InterferenceModel,
                  mode: str = "interference-aware", max_queue: int = 64,
                  max_batch: int = 4, slack: float = 1.0,
                  lookahead: int = 8) -> None:
-        if mode not in ADMISSION_MODES:
-            raise ValueError(f"unknown admission mode {mode!r} "
-                             f"(expected one of {ADMISSION_MODES})")
+        super().__init__(interference, mode=mode, max_batch=max_batch,
+                         slack=slack, lookahead=lookahead)
         if max_queue < 1:
             raise ValueError("max_queue must be positive")
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
-        if slack <= 0:
-            raise ValueError("slack must be positive")
-        if lookahead < 1:
-            raise ValueError("lookahead must be positive")
-        self.interference = interference
-        self.mode = mode
         self.max_queue = max_queue
-        self.max_batch = max_batch
-        self.slack = slack
-        self.lookahead = lookahead
         #: Arrival-ordered run queue.
-        self.queue: list[ServerTask] = []
+        self.queue: list[Task] = []
         #: Round-robin seed order over tenant names (least recently
         #: seeded first).
         self._rr: list[str] = []
@@ -113,8 +51,7 @@ class AdmissionController:
     def occupancy(self, tenant: str) -> int:
         return sum(1 for t in self.queue if t.tenant == tenant)
 
-    def offer(self, task: ServerTask, quota: TenantQuota
-              ) -> list[ServerTask]:
+    def offer(self, task: Task, quota: TenantQuota) -> list[Task]:
         """Try to queue ``task``; returns the tasks shed by the
         attempt — ``[task]`` itself when it was refused, ``[victim]``
         when it displaced a heavier tenant's entry, ``[]`` when it
@@ -152,13 +89,9 @@ class AdmissionController:
         return len(self.queue)
 
     # -- batch side ----------------------------------------------------
-    def _makespan(self, batch: list[ServerTask]) -> float:
-        return self.interference.co_run(
-            [t.plan for t in batch]).makespan_ns
-
-    def _seed(self, arrived: list[ServerTask]) -> ServerTask:
-        """The next batch's seed: the longest-waiting query of the
-        least recently seeded tenant that has anything waiting."""
+    def _seed(self, arrived: list[Task]) -> Task:
+        """The next ⊙-guided batch's seed: the longest-waiting query of
+        the least recently seeded tenant that has anything waiting."""
         for name in self._rr:
             for task in arrived:
                 if task.tenant == name:
@@ -167,35 +100,15 @@ class AdmissionController:
                     return task
         return arrived[0]
 
-    def next_batch(self, now_ns: float) -> list[ServerTask]:
+    def next_batch(self, now_ns: float) -> Batch:
         """Form (and dequeue) the next co-run batch among the queries
-        that have arrived by ``now_ns``; ``[]`` when none have."""
+        that have arrived by ``now_ns``; empty when none have."""
         arrived = [t for t in self.queue if t.arrival_ns <= now_ns]
         if not arrived:
-            return []
-        if self.mode == "fifo-serial":
-            batch = [arrived[0]]
-        elif self.mode == "max-parallel":
-            batch = arrived[:self.max_batch]
-        else:
-            batch = [self._seed(arrived)]
-            candidates = [t for t in arrived if t is not batch[0]]
-            current = self._makespan(batch)
-            while len(batch) < self.max_batch and candidates:
-                best_index = None
-                best_makespan = None
-                for i, candidate in enumerate(
-                        candidates[:self.lookahead]):
-                    predicted = self._makespan(batch + [candidate])
-                    limit = current + self.slack * candidate.solo_total_ns
-                    if predicted > limit:
-                        continue  # rejected: queueing it is cheaper
-                    if best_makespan is None or predicted < best_makespan:
-                        best_index, best_makespan = i, predicted
-                if best_index is None:
-                    break
-                batch.append(candidates.pop(best_index))
-                current = best_makespan
+            return Batch()
+        seed = (self._seed(arrived) if self.mode == "interference-aware"
+                else arrived[0])
+        batch = self.form(seed, [t for t in arrived if t is not seed])
         for task in batch:
             self.queue.remove(task)
         return batch

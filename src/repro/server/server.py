@@ -20,12 +20,15 @@ started, and a decision at simulated time *t* waits for every compile
 whose query arrived by *t*), so a serving run is deterministic in
 ``(workload, seeds, policy)`` no matter how the pool's threads race.
 
-Execution reuses the PR 3 machinery verbatim: each member's access
-trace is recorded against its tenant's engine, shifted into the
-tenant's private slice of the address space (tenants do not share
-tables), and the batch replays round-robin-interleaved through one
-cold :class:`~repro.simulator.MemorySystem` — the measured counterpart
-of the ⊙ prediction the admission controller trusted.
+Compiling, batch formation, and settlement are the serving core's
+(:mod:`repro.service.core`) and execution is
+:func:`~repro.service.executor.execute_batch` — the same pieces the
+closed-loop executor drives: each member's access trace is recorded
+against its tenant's engine, shifted into the tenant's private slice
+of the address space (tenants do not share tables), and the batch
+replays round-robin-interleaved through one cold
+:class:`~repro.simulator.MemorySystem` — the measured counterpart of
+the ⊙ prediction the admission controller trusted.
 """
 
 from __future__ import annotations
@@ -40,19 +43,13 @@ from ..calibrator.autotune import LatencyGrid, Recalibration, Recalibrator
 from ..hardware.hierarchy import MemoryHierarchy
 from ..hardware.profiles import origin2000_scaled
 from ..obs import Tracer
-from ..query.optimizer import PlannerConfig, plan_signature
-from ..service.executor import (
-    DEFAULT_QUANTUM,
-    BatchReplay,
-    TraceRecorder,
-    _restored_columns,
-    measure_solo,
-    replay_interleaved,
-)
+from ..query.optimizer import PlannerConfig
+from ..service.core import Batch, Task, compile_task, settle
+from ..service.executor import DEFAULT_QUANTUM, BatchReplay, execute_batch
 from ..service.interference import InterferenceModel
 from ..service.metrics import BatchMetrics, percentile
 from ..service.workload import WorkloadQuery
-from .admission import AdmissionController, ServerTask
+from .admission import AdmissionController
 from .slo import DEFAULT_WINDOW_NS, SloTarget, SloTracker
 from .tenant import Tenant, TenantQuota
 
@@ -351,10 +348,9 @@ class QueryServer:
         self._wake: asyncio.Event | None = None
         self._idle: asyncio.Event | None = None
         self._compiling: dict[int, float] = {}  # qid -> arrival_ns
-        self._staged: list[ServerTask] = []  # compiled, not yet admitted
+        self._staged: list[Task] = []  # compiled, not yet admitted
         self._outstanding = 0
         self._machine_lock = threading.Lock()
-        self._model_lock = threading.Lock()
         # observability (all no-ops when tracer is None)
         self.tracer = tracer
         if tracer is not None:
@@ -515,7 +511,9 @@ class QueryServer:
         self._idle.clear()
         self._compiling[qid] = arrival
         compile_future = loop.run_in_executor(
-            self._pool, self._compile, owner, qid, kind, text, arrival)
+            self._pool, self._compile, owner,
+            WorkloadQuery(qid=qid, client=owner.index, kind=kind,
+                          text=text, arrival_ns=arrival))
 
         def _compiled(done: asyncio.Future) -> None:
             del self._compiling[qid]
@@ -573,79 +571,36 @@ class QueryServer:
         return sorted(responses, key=lambda r: r.qid)
 
     # -- worker-side stages --------------------------------------------
-    def _compile(self, tenant: Tenant, qid: int, kind: str, text: str,
-                 arrival_ns: float) -> ServerTask:
+    def _compile(self, tenant: Tenant, query: WorkloadQuery) -> Task:
         """Worker thread: compile through the tenant's (thread-safe)
         plan cache and price the standalone run."""
-        wall_start = time.perf_counter_ns()
-        session = tenant.worker_session()
-        planned = session.compile(text)
-        plan = planned.plan
-        with self._model_lock:
-            memory, cpu = self.interference.standalone(plan)
-        return ServerTask(qid=qid, tenant=tenant.name, kind=kind,
-                          text=text, arrival_ns=arrival_ns, plan=plan,
-                          solo_memory_ns=memory, cpu_ns=cpu,
-                          cache_hit=session.last_compile_cached,
-                          signature=plan_signature(plan.root),
-                          fingerprint=session.fingerprint,
-                          compile_wall_start_ns=wall_start,
-                          compile_wall_end_ns=time.perf_counter_ns())
+        return compile_task(tenant.worker_session(), self.interference,
+                            query, tenant=tenant.name)
 
-    def _execute_batch(self, batch: list[ServerTask], start_ns: float):
-        """Worker thread: record each member's trace against its
-        tenant's engine (shifted into the tenant's address slice) and
-        replay the batch interleaved through one cold memory system on
-        the server's machine.
+    def _execute_batch(self, batch: Batch):
+        """Worker thread: measure the batch on the server's machine,
+        each member recorded against its tenant's engine and shifted
+        into the tenant's address slice.
 
         With a tracer attached, a *solo* batch takes the typed
-        measured path instead — one execution against a fresh cold
-        memory system, which yields the identical counters a
-        single-trace replay would (the out-of-core suite proves
-        replay == execution) *plus* per-operator attribution for
+        measured path, which adds per-operator attribution for
         operator spans and drift monitoring.  Responses are identical
         either way; only the observability gains detail.
         """
         wall_start = time.perf_counter_ns()
-        measured = None
+        members = []
+        for task in batch:
+            tenant = self.tenants[task.tenant]
+            members.append((tenant.session, task.plan,
+                            tenant.address_offset))
         with self._machine_lock:
-            if self.tracer is not None and len(batch) == 1:
-                tenant = self.tenants[batch[0].tenant]
-                measured = measure_solo(tenant.session, batch[0].plan)
-                elapsed = measured.counters.elapsed_ns
-                replay = BatchReplay(total_ns=elapsed,
-                                     memory_ns=(elapsed,),
-                                     finish_ns=(elapsed,),
-                                     counters=measured.counters)
-                rows = [len(measured.column.values)]
-            else:
-                traces, rows = [], []
-                for task in batch:
-                    tenant = self.tenants[task.tenant]
-                    db = tenant.db
-                    recorder = TraceRecorder()
-                    real = db.mem
-                    with _restored_columns(db):
-                        db.mem = recorder
-                        try:
-                            with db.execution_scope(
-                                    tenant.session.config.execution):
-                                result = task.plan.execute(db)
-                        finally:
-                            db.mem = real
-                    rows.append(len(result.values))
-                    offset = tenant.address_offset
-                    traces.append(
-                        [("range", e[1] + offset, e[2], e[3], e[4])
-                         if e[0] == "range" else (e[0] + offset, e[1])
-                         for e in recorder.trace] if offset
-                        else recorder.trace)
-                replay = replay_interleaved(self.hierarchy, traces,
-                                            quantum=self.quantum)
+            replay, rows, measured = execute_batch(
+                members, self.hierarchy, self.quantum,
+                attribute=self.tracer is not None)
         return replay, rows, measured, wall_start, time.perf_counter_ns()
 
     # -- dispatcher ----------------------------------------------------
-    def _shed(self, task: ServerTask, at_ns: float) -> None:
+    def _shed(self, task: Task, at_ns: float) -> None:
         """Refuse ``task`` at simulated time ``at_ns`` (its own arrival
         when it never got in, the displacement time for a victim)."""
         tenant = self.tenants[task.tenant]
@@ -701,7 +656,7 @@ class QueryServer:
                 self._shed(victim,
                            victim.arrival_ns if victim is task else now_ns)
 
-    def _trace_batch(self, batch: list[ServerTask], now: float,
+    def _trace_batch(self, batch: list[Task], now: float,
                      index: int, finishes: list[float],
                      makespan: float, replay: BatchReplay, measured,
                      wall0: int, wall1: int) -> None:
@@ -785,7 +740,7 @@ class QueryServer:
                 self._m_level_misses.inc(level.rand_misses,
                                          level=level.name, kind="rand")
 
-    def _maybe_recalibrate(self, task: ServerTask, tenant: Tenant,
+    def _maybe_recalibrate(self, task: Task, tenant: Tenant,
                            measured, events, at_ns: float) -> None:
         """The dispatcher-side response hook: fold the solo-batch
         measurement into the tenant's recalibrator and run it when
@@ -832,21 +787,13 @@ class QueryServer:
                 if not batch:
                     # everything due was shed; jump to the next arrival
                     continue
-                prediction = self.interference.co_run(
-                    [t.plan for t in batch])
                 replay, rows, measured, wall0, wall1 = \
                     await loop.run_in_executor(
-                        self._pool, self._execute_batch, batch, now)
-                finishes = []
+                        self._pool, self._execute_batch, batch)
                 index = self._batch_index
                 self._batch_index += 1
-                for i, task in enumerate(batch):
-                    # done once its accesses have drained *and* its own
-                    # CPU work fits after/between them
-                    finish = max(replay.finish_ns[i],
-                                 replay.memory_ns[i] + task.cpu_ns)
-                    finishes.append(finish)
-                makespan = max(max(finishes), replay.total_ns)
+                finishes, metrics = settle(index, batch, replay)
+                makespan = metrics.measured_makespan_ns
                 for task, finish, nrows in zip(batch, finishes, rows):
                     tenant = self.tenants[task.tenant]
                     tenant.completed += 1
@@ -867,12 +814,7 @@ class QueryServer:
                             and not task.handle.done():
                         task.handle.set_result(response)
                     self._resolve_bookkeeping()
-                self._batches.append(BatchMetrics(
-                    index=index, size=len(batch),
-                    predicted_memory_ns=prediction.batch_memory_ns,
-                    measured_memory_ns=replay.total_ns,
-                    predicted_makespan_ns=prediction.makespan_ns,
-                    measured_makespan_ns=makespan))
+                self._batches.append(metrics)
                 self._clock = now + makespan
                 if self.tracer is not None:
                     self._trace_batch(batch, now, index, finishes,
@@ -941,7 +883,7 @@ class QueryServer:
             owner.session, [(r.kind, r.text) for r in served],
             clients=clients if clients is not None
             else max(1, len(self.tenants)))
-        sweep = WhatIfSweep(space, workload, policy=self.admission.mode,
+        sweep = WhatIfSweep(space, workload, mode=self.admission.mode,
                             slack=self.admission.slack,
                             lookahead=self.admission.lookahead,
                             quantum=self.quantum)

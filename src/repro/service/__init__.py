@@ -6,33 +6,27 @@ proportionally to the patterns' footprints.  PR 1 applied it *within*
 one query (pipelined producer/consumer edges); this subsystem applies
 it *between* queries: composing the whole-plan patterns of queries that
 are to run concurrently under one ``⊙`` predicts the batch's contention
-slowdown — and a scheduler that trusts the prediction can decide which
-queries may share the machine.
+slowdown — and a batch former that trusts the prediction can decide
+which queries may share the machine.
 
 * :mod:`repro.service.workload` — deterministic seeded multi-client
   query streams over a shared :class:`~repro.session.Session` catalog,
 * :mod:`repro.service.interference` — the ⊙ co-run cost model
   (:class:`InterferenceModel`, :class:`CoRunPrediction`),
-* :mod:`repro.service.scheduler` — admission control and batch
-  selection (:class:`FifoSerialPolicy`, :class:`MaxParallelPolicy`,
-  :class:`InterferenceAwarePolicy`),
-* :mod:`repro.service.executor` — the simulated-time multi-client
-  executor (record each plan's access trace, replay co-run batches
-  interleaved through one shared memory system),
+* :mod:`repro.service.core` — the serving core every driver shares:
+  the :class:`Task` type, :func:`compile_task`, the ⊙ admission rule
+  (:class:`BatchFormer`, one of :data:`MODES`), and :func:`settle`,
+* :mod:`repro.service.executor` — the measured side (record each
+  plan's access trace, replay co-run batches interleaved through one
+  shared memory system) and the closed-loop :class:`ServiceExecutor`,
 * :mod:`repro.service.metrics` — per-query/per-batch metrics and the
   rendered :class:`WorkloadReport`.
 """
 
+from .core import MODES, Batch, BatchFormer, Task, compile_task, settle
 from .executor import ServiceExecutor, TraceRecorder, replay_interleaved
 from .interference import CoRunPrediction, InterferenceModel
 from .metrics import BatchMetrics, QueryMetrics, WorkloadReport, percentile
-from .scheduler import (
-    FifoSerialPolicy,
-    InterferenceAwarePolicy,
-    MaxParallelPolicy,
-    SchedulePolicy,
-    Task,
-)
 from .workload import (
     WorkloadGenerator,
     WorkloadQuery,
@@ -47,11 +41,12 @@ __all__ = [
     "stamp_arrivals",
     "InterferenceModel",
     "CoRunPrediction",
-    "SchedulePolicy",
-    "FifoSerialPolicy",
-    "MaxParallelPolicy",
-    "InterferenceAwarePolicy",
+    "MODES",
     "Task",
+    "compile_task",
+    "Batch",
+    "BatchFormer",
+    "settle",
     "ServiceExecutor",
     "TraceRecorder",
     "replay_interleaved",

@@ -37,13 +37,13 @@ from ..query.physical import QueryPlan
 from ..session import Session
 from ..simulator.counters import CounterSnapshot
 from ..simulator.memory import MemorySystem
+from .core import BatchFormer, compile_task, settle
 from .interference import InterferenceModel
 from .metrics import BatchMetrics, QueryMetrics, WorkloadReport
-from .scheduler import SchedulePolicy, Task
 from .workload import WorkloadQuery
 
 __all__ = ["TraceRecorder", "record_trace", "replay_interleaved",
-           "trace_length", "measure_solo", "BatchReplay",
+           "trace_length", "measure_solo", "execute_batch", "BatchReplay",
            "ServiceExecutor"]
 
 
@@ -107,19 +107,30 @@ def _restored_columns(db: Database):
             column.values = values
 
 
-def record_trace(db: Database, plan: QueryPlan) -> list[tuple]:
-    """Execute ``plan`` against ``db`` with a recording memory system
-    and return its access trace.  Base columns are restored afterwards,
-    so every batch member records against the same base state."""
+def record_trace(session: Session, plan: QueryPlan,
+                 offset: int = 0) -> tuple[list[tuple], int]:
+    """Execute ``plan`` on ``session``'s engine (under the session's
+    execution mode) with a recording memory system; returns its access
+    trace, every address shifted by ``offset`` (a tenant's private
+    slice of the address space), and the result cardinality.  Base
+    columns are restored afterwards, so every batch member records
+    against the same base state."""
+    db = session.db
     recorder = TraceRecorder()
     real = db.mem
     with _restored_columns(db):
         db.mem = recorder
         try:
-            plan.execute(db)
+            with db.execution_scope(session.config.execution):
+                rows = len(plan.execute(db).values)
         finally:
             db.mem = real
-    return recorder.trace
+    trace = recorder.trace
+    if offset:
+        trace = [("range", e[1] + offset, e[2], e[3], e[4])
+                 if e[0] == "range" else (e[0] + offset, e[1])
+                 for e in trace]
+    return trace, rows
 
 
 @dataclass(frozen=True)
@@ -236,8 +247,39 @@ def measure_solo(session: Session, plan: QueryPlan) -> MeasuredResult:
         db.mem = real
 
 
+def execute_batch(members: Sequence[tuple[Session, QueryPlan, int]],
+                  hierarchy: MemoryHierarchy, quantum: int, *,
+                  attribute: bool
+                  ) -> tuple[BatchReplay, list[int], MeasuredResult | None]:
+    """Measure one co-run batch of ``(session, plan, address offset)``
+    members on ``hierarchy``: record every member's trace, replay them
+    interleaved through one cold memory system.  Returns the replay,
+    the members' result cardinalities, and — for a solo batch when
+    ``attribute`` is set — the typed measurement.
+
+    A solo member needs no interleaving, so with ``attribute`` it runs
+    through :func:`measure_solo` instead, which yields the identical
+    cold-cache counters a single-trace replay would (the out-of-core
+    suite proves replay == execution) *plus* per-operator
+    predicted-vs-measured attribution."""
+    if attribute and len(members) == 1:
+        session, plan, _ = members[0]
+        measured = measure_solo(session, plan)
+        elapsed = measured.measured_ns
+        return (BatchReplay(total_ns=elapsed, memory_ns=(elapsed,),
+                            finish_ns=(elapsed,),
+                            counters=measured.counters),
+                [len(measured.column.values)], measured)
+    recorded = [record_trace(*member) for member in members]
+    replay = replay_interleaved(hierarchy, [trace for trace, _ in recorded],
+                                quantum=quantum)
+    return replay, [rows for _, rows in recorded], None
+
+
 class ServiceExecutor:
-    """Drives a workload through compile → schedule → co-run replay.
+    """The closed-loop driver over the serving core: every query is
+    present at simulated time zero; compile → form batches (seeding
+    with the queue head) → measure each batch → settle.
 
     Parameters
     ----------
@@ -246,104 +288,57 @@ class ServiceExecutor:
         cache.  Each client gets its own :meth:`~Session.spawn`-ed
         session over the same engine and cache, so compile provenance
         (hit/miss) is tracked per client while plans are shared.
-    policy:
-        The scheduling policy (see :mod:`repro.service.scheduler`).
+    mode / max_batch / slack / lookahead:
+        Batch-formation knobs (:class:`~repro.service.BatchFormer`).
     quantum:
         Time-slice length of the interleaved replay (accesses per
         co-runner per turn; see :data:`DEFAULT_QUANTUM`).
     """
 
-    def __init__(self, session: Session, policy: SchedulePolicy,
+    def __init__(self, session: Session, *,
+                 mode: str = "interference-aware", max_batch: int = 4,
+                 slack: float = 1.0, lookahead: int = 8,
                  quantum: int = DEFAULT_QUANTUM) -> None:
         self.session = session
-        self.policy = policy
         self.quantum = quantum
-        self.interference = InterferenceModel(session.hierarchy)
+        self.former = BatchFormer(
+            InterferenceModel(session.hierarchy), mode=mode,
+            max_batch=max_batch, slack=slack, lookahead=lookahead)
         self._clients: dict[int, Session] = {}
 
-    # ------------------------------------------------------------------
     def _client_session(self, client: int) -> Session:
         if client not in self._clients:
             self._clients[client] = self.session.spawn()
         return self._clients[client]
 
-    def admit(self, queries: Sequence[WorkloadQuery]) -> list[Task]:
-        """Compile every queued query through its client's session (all
-        sharing one plan cache) into scheduler tasks."""
-        tasks: list[Task] = []
-        for wq in queries:
-            client = self._client_session(wq.client)
-            planned = client.compile(wq.text)
-            plan = planned.plan
-            memory, cpu = self.interference.standalone(plan)
-            tasks.append(Task(query=wq, plan=plan,
-                              solo_memory_ns=memory, cpu_ns=cpu,
-                              cache_hit=client.last_compile_cached,
-                              signature=plan_signature(plan.root)))
-        return tasks
-
     def run(self, queries: Sequence[WorkloadQuery]) -> WorkloadReport:
-        """Admit, schedule, and execute ``queries``; returns the full
+        """Compile, batch, and execute ``queries``; returns the full
         simulated-time report."""
-        if self.interference.hierarchy is not self.session.hierarchy:
-            # the shared engine's profile changed since construction
-            self.interference = InterferenceModel(self.session.hierarchy)
-        tasks = self.admit(queries)
-        batches = self.policy.batches(tasks)
-        scheduled = sorted(t.query.qid for b in batches for t in b)
-        if scheduled != sorted(t.query.qid for t in tasks):
-            raise ValueError(
-                f"policy {self.policy.name!r} lost or duplicated queries")
-
-        db = self.session.db
+        former = self.former
+        hierarchy = self.session.hierarchy
+        if former.interference.hierarchy is not hierarchy:
+            # the shared engine's profile changed since the last run
+            former.interference = InterferenceModel(hierarchy)
+        tasks = [compile_task(self._client_session(q.client),
+                              former.interference, q) for q in queries]
         clock = 0.0
         query_metrics: list[QueryMetrics] = []
         batch_metrics: list[BatchMetrics] = []
-        for index, batch in enumerate(batches):
-            prediction = self.interference.co_run([t.plan for t in batch])
-            if len(batch) == 1:
-                # A solo member needs no interleaving: run it through
-                # the typed measured path, which yields the identical
-                # cold-cache counters a single-trace replay would (the
-                # out-of-core suite proves replay == execution) *plus*
-                # per-operator predicted-vs-measured attribution.
-                measured = measure_solo(self.session, batch[0].plan)
-                memory_ns = (measured.measured_ns,)
-                finish_ns = (measured.measured_ns,)
-                total_ns = measured.measured_ns
-                operators = (measured.operators,)
-            else:
-                with db.execution_scope(self.session.config.execution):
-                    traces = [record_trace(db, t.plan) for t in batch]
-                replay = replay_interleaved(self.session.hierarchy, traces,
-                                            quantum=self.quantum)
-                memory_ns = replay.memory_ns
-                finish_ns = replay.finish_ns
-                total_ns = replay.total_ns
-                operators = (None,) * len(batch)
-            finishes = []
-            for t, mem_ns, mem_finish, ops in zip(batch, memory_ns,
-                                                  finish_ns, operators):
-                # A member is done once its accesses have drained *and*
-                # its own CPU work fits after/between them.
-                finish = max(mem_finish, mem_ns + t.cpu_ns)
-                finishes.append(finish)
+        for index, batch in enumerate(former.drain(tasks)):
+            replay, _, measured = execute_batch(
+                [(self.session, t.plan, 0) for t in batch], hierarchy,
+                self.quantum, attribute=True)
+            finishes, metrics = settle(index, batch, replay)
+            operators = None if measured is None else measured.operators
+            for t, mem_ns, finish in zip(batch, replay.memory_ns, finishes):
                 query_metrics.append(QueryMetrics(
-                    qid=t.query.qid, client=t.query.client,
-                    kind=t.query.kind, signature=t.signature,
-                    batch_index=index, cache_hit=t.cache_hit,
-                    start_ns=clock, finish_ns=clock + finish,
-                    memory_ns=mem_ns, cpu_ns=t.cpu_ns,
-                    operators=ops))
-            makespan = max(max(finishes), total_ns)
-            batch_metrics.append(BatchMetrics(
-                index=index, size=len(batch),
-                predicted_memory_ns=prediction.batch_memory_ns,
-                measured_memory_ns=total_ns,
-                predicted_makespan_ns=prediction.makespan_ns,
-                measured_makespan_ns=makespan))
-            clock += makespan
+                    qid=t.qid, client=t.client, kind=t.kind,
+                    signature=t.signature, batch_index=index,
+                    cache_hit=t.cache_hit, start_ns=clock,
+                    finish_ns=clock + finish, memory_ns=mem_ns,
+                    cpu_ns=t.cpu_ns, operators=operators))
+            batch_metrics.append(metrics)
+            clock += metrics.measured_makespan_ns
         query_metrics.sort(key=lambda m: m.qid)
-        return WorkloadReport(self.policy.name, query_metrics,
-                              batch_metrics,
+        return WorkloadReport(former.mode, query_metrics, batch_metrics,
                               fingerprint=self.session.fingerprint)

@@ -26,6 +26,7 @@ wins over serial execution.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,8 +98,11 @@ class InterferenceModel:
         # Standalone estimates memoized per plan: the scheduler prices
         # O(queue · batch · lookahead) candidate batches over the same
         # few plans, and a plan's solo cost never changes.  The plan is
-        # kept in the value so its id() stays unambiguous.
+        # kept in the value so its id() stays unambiguous.  A server's
+        # compile workers price concurrently, so a miss computes under
+        # the lock; hits (every co_run lookup) stay lock-free.
         self._solo: dict[int, tuple[QueryPlan, float, float]] = {}
+        self._solo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _pattern(self, plan: QueryPlan):
@@ -118,11 +122,12 @@ class InterferenceModel:
         cached = self._solo.get(key)
         if cached is not None:
             return cached[1], cached[2]
-        pattern = self._pattern(plan)
-        memory = (0.0 if pattern is None
-                  else self.model.estimate(pattern).memory_ns)
-        cpu = self.cpu_time_ns(plan)
-        self._solo[key] = (plan, memory, cpu)
+        with self._solo_lock:
+            pattern = self._pattern(plan)
+            memory = (0.0 if pattern is None
+                      else self.model.estimate(pattern).memory_ns)
+            cpu = self.cpu_time_ns(plan)
+            self._solo[key] = (plan, memory, cpu)
         return memory, cpu
 
     def co_run(self, plans: Sequence[QueryPlan]) -> CoRunPrediction:

@@ -103,13 +103,6 @@ class QueryBuilder:
         :class:`~repro.query.Explanation`."""
         return self.session.explain_query(self)
 
-    def explain(self) -> str:
-        """Per-operator cost/pattern breakdown of the chosen plan.
-
-        .. deprecated:: 1.2
-           Use :meth:`explain_query` (typed; ``.to_text()`` renders)."""
-        return self.session.explain(self)
-
     def execute(self, restore: bool = False) -> "Column":
         """Compile (cached) and run the chosen plan."""
         return self.session.execute(self, restore=restore)
@@ -121,8 +114,7 @@ class QueryBuilder:
 
     def execute_measured(self, cold: bool = True, restore: bool = False):
         """Compile (cached), run, and measure; returns a typed
-        :class:`~repro.query.MeasuredResult` (legacy
-        ``(result, counters)`` unpacking still supported)."""
+        :class:`~repro.query.MeasuredResult`."""
         return self.session.execute_measured(self, cold=cold,
                                              restore=restore)
 

@@ -14,7 +14,6 @@ every cached plan without any explicit invalidation walk.
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Hashable
 
@@ -254,22 +253,6 @@ class PreparedStatement:
                                    pipeline=self.session.config.pipeline,
                                    cache_hit=self._reused())
 
-    def explain(self) -> str:
-        """Per-operator cost/pattern breakdown of the chosen plan.
-
-        .. deprecated:: 1.2
-           Returns an opaque string; use :meth:`explain_query` for the
-           typed tree (``explain_query().to_text()`` renders it —
-           note the typed path also reports reuse provenance).
-        """
-        warnings.warn(
-            "PreparedStatement.explain() returning a bare string is "
-            "deprecated; use explain_query() for the typed Explanation",
-            DeprecationWarning, stacklevel=2)
-        planned = self._revalidate()
-        return planned.plan.explain(
-            self.session.model, pipeline=self.session.config.pipeline)
-
     def summary(self, limit: int = 8) -> str:
         """The enumerated candidates, cheapest first."""
         return self._revalidate().summary(limit)
@@ -301,14 +284,7 @@ class PreparedStatement:
                          ) -> MeasuredResult:
         """Run and measure the chosen plan, returning a typed
         :class:`~repro.query.MeasuredResult` with per-operator
-        predicted-vs-measured attribution.
-
-        .. deprecated:: 1.2
-           This method used to return a bare
-           ``(Column, CounterSnapshot)`` tuple; unpacking still works
-           for one release (with a :class:`DeprecationWarning`) —
-           migrate to ``result.column`` / ``result.counters``.
-        """
+        predicted-vs-measured attribution."""
         planned = self._revalidate()
         explanation = planned.explanation(
             self.session.model, pipeline=self.session.config.pipeline,

@@ -20,7 +20,6 @@ identical physical plans and share plan-cache entries.
 from __future__ import annotations
 
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Callable, Sequence
@@ -384,13 +383,6 @@ class Session:
         column, the whole-plan counter delta, and per-operator measured
         attribution next to the model's per-operator predictions —
         every query is a paper-style model-vs-measured experiment.
-
-        .. deprecated:: 1.2
-           This method used to return a bare
-           ``(Column, CounterSnapshot)`` tuple.  Unpacking the result
-           still works for one release (with a
-           :class:`DeprecationWarning`); migrate to ``result.column``
-           and ``result.counters``.
         """
         planned = self.compile(q)
         cache_hit = self.last_compile_cached
@@ -423,21 +415,6 @@ class Session:
         return planned.explanation(self.model,
                                    pipeline=self.config.pipeline,
                                    cache_hit=self.last_compile_cached)
-
-    def explain(self, q) -> str:
-        """Per-operator cost/pattern breakdown of the chosen plan,
-        marked with the compile's plan-cache provenance (hit/miss).
-
-        .. deprecated:: 1.2
-           Returns an opaque string; use :meth:`explain_query` for the
-           typed tree (this is its ``to_text()``).
-        """
-        warnings.warn(
-            "Session.explain() returning a bare string is deprecated; "
-            "use explain_query(q) for the typed Explanation "
-            "(explain_query(q).to_text() is this string)",
-            DeprecationWarning, stacklevel=2)
-        return self.explain_query(q).to_text()
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, object]:

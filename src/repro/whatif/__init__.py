@@ -28,7 +28,6 @@ from .space import (
 )
 from .sweep import (
     MIXES,
-    SWEEP_POLICIES,
     CandidateOutcome,
     CapturedWorkload,
     GeneratedWorkload,
@@ -53,5 +52,4 @@ __all__ = [
     "Recommendation",
     "derive_admission_slack",
     "MIXES",
-    "SWEEP_POLICIES",
 ]

@@ -16,8 +16,9 @@ import argparse
 import json
 import sys
 
+from ..service.core import MODES
 from .space import TINY_POOL_BASE, ProfileSpace
-from .sweep import MIXES, SWEEP_POLICIES, GeneratedWorkload, WhatIfSweep
+from .sweep import MIXES, GeneratedWorkload, WhatIfSweep
 
 __all__ = ["main", "build_parser"]
 
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 = unbudgeted)")
 
     sweep = parser.add_argument_group("sweep")
-    sweep.add_argument("--policy", choices=SWEEP_POLICIES,
+    sweep.add_argument("--policy", choices=MODES,
                        default="interference-aware",
                        help="batch-formation policy (default: "
                             "interference-aware)")
@@ -113,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     workload = GeneratedWorkload(seed=args.seed, scale=args.scale,
                                  mix=args.mix, n_queries=args.queries,
                                  clients=args.clients)
-    sweep = WhatIfSweep(space, workload, policy=args.policy)
+    sweep = WhatIfSweep(space, workload, mode=args.policy)
     slo_ns = (args.slo_p95_ms * 1e6
               if args.slo_p95_ms is not None else None)
     report = sweep.run(slo_p95_ns=slo_ns, spot_check=args.spot_check)

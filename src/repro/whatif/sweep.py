@@ -8,8 +8,8 @@ candidate hardware — a bigger cache can change the chosen join), and
 prices the stream purely with the cost model:
 
 * standalone cost per query from the whole-plan pattern (Eq. 6.1),
-* co-run batches formed by the same ⊙-guided admission rule the
-  server uses (:class:`~repro.service.InterferenceAwarePolicy`),
+* co-run batches formed by the very :class:`~repro.service.BatchFormer`
+  the server's admission controller runs,
 * each batch priced by
   :meth:`~repro.core.CostModel.concurrent_estimates` through
   :meth:`~repro.service.InterferenceModel.co_run` (Eq. 5.3), with
@@ -37,17 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
-from ..query.optimizer import plan_signature
+from ..service.core import BatchFormer, compile_task
 from ..service.executor import DEFAULT_QUANTUM, ServiceExecutor
 from ..service.interference import InterferenceModel
 from ..service.metrics import percentile
-from ..service.scheduler import (
-    FifoSerialPolicy,
-    InterferenceAwarePolicy,
-    MaxParallelPolicy,
-    SchedulePolicy,
-    Task,
-)
 from ..service.workload import (
     CONTENTION_HEAVY_MIX,
     DEFAULT_MIX,
@@ -60,7 +53,7 @@ from .report import WhatIfReport
 from .space import Candidate, ProfileSpace
 
 __all__ = ["GeneratedWorkload", "CapturedWorkload", "CandidateOutcome",
-           "SpotCheck", "WhatIfSweep", "MIXES", "SWEEP_POLICIES"]
+           "SpotCheck", "WhatIfSweep", "MIXES"]
 
 #: Named mixes the CLI and generated workloads accept.
 MIXES: Mapping[str, Mapping[str, float]] = {
@@ -68,10 +61,6 @@ MIXES: Mapping[str, Mapping[str, float]] = {
     "contention-heavy": CONTENTION_HEAVY_MIX,
     "out-of-core": OUT_OF_CORE_MIX,
 }
-
-#: Batch-formation policies a sweep can price under (the server's
-#: admission modes).
-SWEEP_POLICIES = ("interference-aware", "max-parallel", "fifo-serial")
 
 
 class GeneratedWorkload:
@@ -291,26 +280,21 @@ class WhatIfSweep:
         The :class:`~repro.whatif.ProfileSpace` to expand.
     workload:
         A :class:`GeneratedWorkload` or :class:`CapturedWorkload`.
-    policy:
-        Batch-formation policy (:data:`SWEEP_POLICIES`); a candidate's
-        ``cores`` is the batch cap.
-    slack / lookahead:
-        Admission knobs for the interference-aware policy (the
-        server's defaults).
+    mode / slack / lookahead:
+        Batch-formation knobs (:class:`~repro.service.BatchFormer`,
+        the server's defaults, validated by the former when the first
+        candidate is priced); a candidate's ``cores`` is the batch cap.
     quantum:
         Interleaved-replay time slice for spot checks.
     """
 
     def __init__(self, space: ProfileSpace, workload, *,
-                 policy: str = "interference-aware", slack: float = 1.0,
+                 mode: str = "interference-aware", slack: float = 1.0,
                  lookahead: int = 8,
                  quantum: int = DEFAULT_QUANTUM) -> None:
-        if policy not in SWEEP_POLICIES:
-            raise ValueError(f"unknown policy {policy!r} "
-                             f"(expected one of {SWEEP_POLICIES})")
         self.space = space
         self.workload = workload
-        self.policy = policy
+        self.mode = mode
         self.slack = slack
         self.lookahead = lookahead
         self.quantum = quantum
@@ -319,46 +303,28 @@ class WhatIfSweep:
         self.candidates: dict[str, Candidate] = {}
 
     # ------------------------------------------------------------------
-    def _make_policy(self, candidate: Candidate,
-                     interference: InterferenceModel) -> SchedulePolicy:
-        if self.policy == "fifo-serial":
-            return FifoSerialPolicy()
-        if self.policy == "max-parallel":
-            return MaxParallelPolicy(max_batch=candidate.cores)
-        return InterferenceAwarePolicy(interference,
-                                       max_batch=candidate.cores,
-                                       slack=self.slack,
-                                       lookahead=self.lookahead)
-
-    def _admit(self, session: Session, queries: Sequence[WorkloadQuery],
-               interference: InterferenceModel) -> list[Task]:
-        tasks: list[Task] = []
-        for wq in queries:
-            planned = session.compile(wq.text)
-            plan = planned.plan
-            memory, cpu = interference.standalone(plan)
-            tasks.append(Task(query=wq, plan=plan, solo_memory_ns=memory,
-                              cpu_ns=cpu,
-                              cache_hit=session.last_compile_cached,
-                              signature=plan_signature(plan.root)))
-        return tasks
+    def _admission(self, cores: int) -> dict:
+        """The batch-formation knobs on a ``cores``-wide candidate."""
+        return dict(mode=self.mode, max_batch=cores, slack=self.slack,
+                    lookahead=self.lookahead)
 
     def price(self, candidate: Candidate) -> CandidateOutcome:
         """Predict the workload's serving behaviour on ``candidate``
         with pure model arithmetic (no execution, no simulator)."""
         session, queries = self.workload.realize(candidate)
         interference = InterferenceModel(session.hierarchy)
-        tasks = self._admit(session, queries, interference)
-        policy = self._make_policy(candidate, interference)
-        batches = policy.batches(tasks)
+        former = BatchFormer(interference,
+                             **self._admission(candidate.cores))
+        batches = former.drain(
+            [compile_task(session, interference, q) for q in queries])
         clock = 0.0
         latencies: list[float] = []
         inflation = 0.0
         co_run = 0
         for batch in batches:
-            plans = [t.plan for t in batch]
-            makespan = interference.co_run(plans).makespan_ns
+            makespan = batch.prediction.makespan_ns
             if len(batch) > 1:
+                plans = [t.plan for t in batch]
                 co_run += 1
                 previous = interference.co_run(plans[:1]).makespan_ns
                 for size in range(2, len(plans) + 1):
@@ -395,9 +361,8 @@ class WhatIfSweep:
         the measured counterpart of the ⊙ prediction) and compare the
         headline numbers."""
         session, queries = self.workload.realize(candidate)
-        interference = InterferenceModel(session.hierarchy)
         executor = ServiceExecutor(
-            session, self._make_policy(candidate, interference),
+            session, **self._admission(candidate.cores),
             quantum=self.quantum)
         report = executor.run(queries)
         measured_makespan = report.makespan_ns
@@ -431,7 +396,7 @@ class WhatIfSweep:
         baseline = self.price(expansion.baseline)
         outcomes = [self.price(c) for c in expansion.candidates]
         report = WhatIfReport(
-            space=self.space.name, policy=self.policy,
+            space=self.space.name, policy=self.mode,
             workload=self.workload.to_json(), baseline=baseline,
             candidates=outcomes, skipped=list(expansion.skipped))
         if slo_p95_ns is not None:

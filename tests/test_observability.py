@@ -7,8 +7,6 @@
   state-threaded per-operator model predictions inside the established
   0.35 band on the seeded template-plan sweep (pure-memory and
   disk-extended profiles),
-* the deprecation shims (string ``explain()``, tuple-unpacked
-  ``execute_measured()``),
 * the :meth:`Session.stats` cache-provenance surface, and
 * the bench JSON schema (``BENCH_*.json``) builders and validator.
 """
@@ -21,7 +19,7 @@ from repro import Session
 from repro.db import random_permutation
 from repro.hardware import disk_extended_scaled, origin2000_scaled
 from repro.query import Explanation, MeasuredResult, QueryResult
-from repro.service import FifoSerialPolicy, MaxParallelPolicy, ServiceExecutor
+from repro.service import ServiceExecutor
 from repro.service.workload import WorkloadGenerator
 from repro.validation import (
     ExperimentResult,
@@ -283,35 +281,6 @@ class TestQueryResultSurface:
         assert stmt.explain_query().cache_hit is True
 
 
-class TestDeprecationShims:
-    @pytest.fixture
-    def session(self, scaled):
-        s = Session(scaled)
-        s.create_table("orders", random_permutation(256, seed=1))
-        return s
-
-    def test_string_explain_warns_and_matches_typed(self, session):
-        with pytest.deprecated_call(match="explain_query"):
-            text = session.explain("sort(orders)")
-        typed = session.explain_query("sort(orders)").to_text()
-        # identical rendering up to the (per-compile) provenance line
-        assert text.splitlines()[:-1] == typed.splitlines()[:-1]
-        assert text.splitlines()[-1] == "  plan cache: miss"
-        assert typed.splitlines()[-1] == "  plan cache: hit"
-
-    def test_tuple_unpacking_warns_and_matches(self, session):
-        measured = session.execute_measured("sort(orders)", restore=True)
-        with pytest.deprecated_call(match="tuple unpacking"):
-            column, counters = measured
-        assert column is measured.column
-        assert counters is measured.counters
-
-    def test_prepared_explain_warns(self, session):
-        stmt = session.prepare("sort(orders)")
-        with pytest.deprecated_call(match="explain_query"):
-            stmt.explain()
-
-
 class TestStatsSurface:
     def test_session_local_counters_and_provenance(self, scaled):
         s = Session(scaled)
@@ -344,7 +313,7 @@ class TestServiceAttribution:
 
     def test_singleton_batches_carry_operator_attribution(self, session):
         gen = WorkloadGenerator(session=session, seed=5, scale=256)
-        report = ServiceExecutor(session, FifoSerialPolicy()).run(
+        report = ServiceExecutor(session, mode="fifo-serial").run(
             gen.generate(4, clients=2))
         for q in report.queries:
             assert q.operators is not None
@@ -356,7 +325,7 @@ class TestServiceAttribution:
 
     def test_co_run_members_have_no_operator_scope(self, session):
         gen = WorkloadGenerator(session=session, seed=6, scale=256)
-        report = ServiceExecutor(session, MaxParallelPolicy(4)).run(
+        report = ServiceExecutor(session, mode="max-parallel").run(
             gen.generate(4, clients=2))
         co_run = [q for q in report.queries
                   if report.batches[q.batch_index].size > 1]

@@ -477,7 +477,7 @@ class TestOutOfCoreAcceptance:
         addresses, hence slightly different line/page alignments), so
         the comparison is close, not bit-exact."""
         plan = session.compile(self.QUERY).plan
-        trace = record_trace(session.db, plan)
+        trace, _ = record_trace(session, plan)
         replayed = MemorySystem(disk).replay(trace)
         direct = session.execute_measured(self.QUERY, restore=True).counters
         assert replayed.misses("BufferPool") == pytest.approx(
@@ -500,9 +500,9 @@ class TestOutOfCoreAcceptance:
                                             ScanNode(customers),
                                             memory_budget=self.BUDGET))
         t_plain = MemorySystem(disk).replay(
-            record_trace(db, plain)).elapsed_ns
+            record_trace(session, plain)[0]).elapsed_ns
         t_grace = MemorySystem(disk).replay(
-            record_trace(db, grace)).elapsed_ns
+            record_trace(session, grace)[0]).elapsed_ns
         assert t_grace < t_plain
         # and the model predicts the same ordering
         model = CostModel(disk)
@@ -545,15 +545,11 @@ class TestOutOfCoreService:
             [q.text for q in queries]
 
     def test_service_executes_out_of_core_batches(self):
-        from repro.service import (InterferenceAwarePolicy, InterferenceModel,
-                                   ServiceExecutor, WorkloadGenerator)
+        from repro.service import ServiceExecutor, WorkloadGenerator
         gen = WorkloadGenerator.out_of_core(seed=7, scale=512,
                                             memory_budget=1024)
         workload = gen.generate(4, clients=2)
-        im = InterferenceModel(gen.session.hierarchy)
-        report = ServiceExecutor(
-            gen.session, InterferenceAwarePolicy(im, max_batch=2)
-        ).run(workload)
+        report = ServiceExecutor(gen.session, max_batch=2).run(workload)
         assert len(report.queries) == 4
         assert report.makespan_ns > 0
 

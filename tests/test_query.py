@@ -226,17 +226,6 @@ class TestCostDerivation:
         with pytest.raises(ValueError):
             SelectNode(ScanNode(col), lambda v: True, selectivity=0.0)
 
-    def test_plan_shim_module_still_imports(self):
-        with pytest.warns(DeprecationWarning,
-                          match="repro.query.physical"):
-            from repro.query.plan import HashJoinNode as shim_hash
-        assert shim_hash is HashJoinNode
-
-    def test_plan_shim_rejects_unknown_names(self):
-        import repro.query.plan as shim
-        with pytest.raises(AttributeError):
-            shim.NoSuchNode
-
     def test_hash_regions_follow_engine_capacity_policy(self, db):
         """The plan layer's hash regions match what the engine actually
         allocates (one shared capacity-rounding policy)."""

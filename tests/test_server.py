@@ -4,6 +4,7 @@ loop end to end (including its determinism on the simulated clock)."""
 
 import asyncio
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,6 @@ from repro.server import (
     BurstArrivals,
     PoissonArrivals,
     QueryServer,
-    ServerTask,
     SlidingWindow,
     SloTarget,
     SloTracker,
@@ -21,7 +21,7 @@ from repro.server import (
     Tenant,
     TenantQuota,
 )
-from repro.service import InterferenceModel, WorkloadGenerator
+from repro.service import InterferenceModel, WorkloadGenerator, compile_task
 from repro.service.workload import WorkloadQuery
 from repro.session import Session
 
@@ -170,23 +170,15 @@ def admission_setup():
     gen = WorkloadGenerator(session=session, seed=5, scale=256)
     queries = gen.generate(10, clients=2)
     model = InterferenceModel(session.hierarchy)
-    tasks = []
-    for i, query in enumerate(queries):
-        plan = session.compile(query.text).plan
-        memory, cpu = model.standalone(plan)
-        tasks.append(ServerTask(
-            qid=i, tenant="a" if i % 2 == 0 else "b", kind=query.kind,
-            text=query.text, arrival_ns=float(i), plan=plan,
-            solo_memory_ns=memory, cpu_ns=cpu, cache_hit=False))
+    tasks = [compile_task(session, model,
+                          replace(query, qid=i, arrival_ns=float(i)),
+                          tenant="a" if i % 2 == 0 else "b")
+             for i, query in enumerate(queries)]
     return model, tasks
 
 
 def _task_like(task, *, qid, tenant, arrival_ns=0.0):
-    return ServerTask(qid=qid, tenant=tenant, kind=task.kind,
-                      text=task.text, arrival_ns=arrival_ns,
-                      plan=task.plan,
-                      solo_memory_ns=task.solo_memory_ns,
-                      cpu_ns=task.cpu_ns, cache_hit=True)
+    return replace(task, qid=qid, tenant=tenant, arrival_ns=arrival_ns)
 
 
 class TestAdmissionController:

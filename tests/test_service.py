@@ -1,20 +1,25 @@
 """The concurrent workload service: generator, interference model,
-schedulers, executor, metrics — plus the session hooks it rides on
+batch former, executor, metrics — plus the session hooks it rides on
 (spawned client sessions, plan-cache provenance)."""
+
+import asyncio
 
 import pytest
 
 from repro.query.physical import QueryPlan
 from repro.core import Conc, Seq, footprint_lines
+from repro.hardware import parametric_profile
+from repro.server import QueryServer, TenantQuota
 from repro.service import (
-    FifoSerialPolicy,
-    InterferenceAwarePolicy,
+    MODES,
+    BatchFormer,
     InterferenceModel,
-    MaxParallelPolicy,
     ServiceExecutor,
     WorkloadGenerator,
+    compile_task,
     percentile,
 )
+from repro.whatif import ProfileSpace
 from repro.service.executor import record_trace, replay_interleaved
 from repro.service.workload import (
     WorkloadQuery,
@@ -187,53 +192,149 @@ class TestSchedulers:
     @pytest.fixture(scope="class")
     def tasks(self, small_service):
         session, gen = small_service
-        executor = ServiceExecutor(session, FifoSerialPolicy())
-        return executor, executor.admit(gen.generate(10, clients=2))
+        model = InterferenceModel(session.hierarchy)
+        return model, [compile_task(session, model, q)
+                       for q in gen.generate(10, clients=2)]
 
     def test_fifo_serial_is_singletons(self, tasks):
-        _, ts = tasks
-        batches = FifoSerialPolicy().batches(ts)
+        model, ts = tasks
+        batches = BatchFormer(model, mode="fifo-serial").drain(ts)
         assert [len(b) for b in batches] == [1] * len(ts)
-        assert [b[0].query.qid for b in batches] == list(range(len(ts)))
+        assert [b[0].qid for b in batches] == list(range(len(ts)))
 
     def test_max_parallel_chunks_arrival_order(self, tasks):
-        _, ts = tasks
-        batches = MaxParallelPolicy(max_batch=4).batches(ts)
+        model, ts = tasks
+        batches = BatchFormer(model, mode="max-parallel",
+                              max_batch=4).drain(ts)
         assert [len(b) for b in batches] == [4, 4, 2]
-        flat = [t.query.qid for b in batches for t in b]
+        flat = [t.qid for b in batches for t in b]
         assert flat == list(range(len(ts)))
 
     def test_interference_aware_schedules_everything_once(self, tasks):
-        executor, ts = tasks
-        policy = InterferenceAwarePolicy(executor.interference,
-                                         max_batch=4)
-        batches = policy.batches(ts)
-        scheduled = sorted(t.query.qid for b in batches for t in b)
-        assert scheduled == list(range(len(ts)))
-        assert all(1 <= len(b) <= 4 for b in batches)
+        """Every mode dequeues exactly what it returns: each query is
+        scheduled exactly once, and the handed-back prediction is the
+        batch's own ⊙ price."""
+        model, ts = tasks
+        for mode in MODES:
+            batches = BatchFormer(model, mode=mode, max_batch=4).drain(ts)
+            scheduled = sorted(t.qid for b in batches for t in b)
+            assert scheduled == list(range(len(ts)))
+            assert all(1 <= len(b) <= 4 for b in batches)
+            for batch in batches:
+                assert (batch.prediction
+                        == model.co_run([t.plan for t in batch]))
 
     def test_admission_never_predicts_worse_than_serial(self, tasks):
         """The admission rule guarantees every batch's predicted
         makespan is bounded by the sum of its members' standalone
         times (slack=1): co-scheduling never *predictably* loses to
         FIFO-serial."""
-        executor, ts = tasks
-        policy = InterferenceAwarePolicy(executor.interference,
-                                         max_batch=4, slack=1.0)
-        for batch in policy.batches(ts):
-            predicted = executor.interference.co_run(
-                [t.plan for t in batch]).makespan_ns
+        model, ts = tasks
+        former = BatchFormer(model, max_batch=4, slack=1.0)
+        for batch in former.drain(ts):
             serial = sum(t.solo_total_ns for t in batch)
-            assert predicted <= serial * (1 + 1e-9)
+            assert batch.prediction.makespan_ns <= serial * (1 + 1e-9)
 
-    def test_parameter_validation(self, tasks):
-        executor, _ = tasks
-        with pytest.raises(ValueError):
-            MaxParallelPolicy(max_batch=0)
-        with pytest.raises(ValueError):
-            InterferenceAwarePolicy(executor.interference, slack=0.0)
-        with pytest.raises(ValueError):
-            InterferenceAwarePolicy(executor.interference, lookahead=0)
+    def test_parameter_validation(self, tasks, small_service):
+        model, _ = tasks
+        session, _ = small_service
+        for build in (lambda **kw: BatchFormer(model, **kw),
+                      lambda **kw: ServiceExecutor(session, **kw)):
+            with pytest.raises(ValueError, match="unknown admission mode"):
+                build(mode="yolo")
+            with pytest.raises(ValueError, match="max_batch"):
+                build(mode="max-parallel", max_batch=0)
+            with pytest.raises(ValueError, match="slack"):
+                build(slack=0.0)
+            with pytest.raises(ValueError, match="lookahead"):
+                build(lookahead=0)
+
+
+def _serve_closed(stream, mode, seed, scale):
+    """A single-tenant server fed ``stream`` with everything arrived at
+    simulated time zero."""
+    async def main():
+        server = QueryServer(mode=mode, max_batch=4, max_queue=256)
+        tenant = server.add_tenant("acme", TenantQuota(max_queued=256))
+        WorkloadGenerator.contention_heavy(session=tenant.session,
+                                           seed=seed, scale=scale)
+        async with server:
+            await server.serve(stream)
+            await server.drain()
+        return server
+
+    return asyncio.run(main())
+
+
+class TestOneServingCore:
+    """The closed-loop executor, the server, and the what-if sweep are
+    drivers over one core — so on the same all-arrived single-tenant
+    stream they must agree batch for batch."""
+
+    SEED, SCALE, QUERIES = 3, 256, 12
+
+    def _stream(self, session):
+        gen = WorkloadGenerator.contention_heavy(session=session,
+                                                 seed=self.SEED,
+                                                 scale=self.SCALE)
+        stream = gen.generate(self.QUERIES, clients=4)
+        assert all(q.arrival_ns == 0.0 for q in stream)
+        return stream
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_server_forms_the_executors_batches(self, mode):
+        session = Session()
+        stream = self._stream(session)
+        closed = ServiceExecutor(session, mode=mode, max_batch=4).run(stream)
+        served = _serve_closed(stream, mode, self.SEED, self.SCALE).report()
+
+        def members(index, rows):
+            return sorted(r.qid for r in rows if r.batch_index == index)
+
+        assert len(served.batches) == len(closed.batches)
+        for ours, theirs in zip(closed.batches, served.batches):
+            assert (members(ours.index, closed.queries)
+                    == members(theirs.index, served.responses))
+            assert ours == theirs  # ⊙ prediction and measurement alike
+        assert served.makespan_ns == closed.makespan_ns
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_whatif_prices_the_batches_the_server_formed(self, mode):
+        stream = self._stream(Session())
+        server = _serve_closed(stream, mode, self.SEED, self.SCALE)
+        served = server.report()
+        # capacity_plan = WhatIfSweep.price under the server's own knobs;
+        # the baseline row is the live profile
+        live = server.capacity_plan(ProfileSpace({"cores": [4]})).baseline
+        assert live.fingerprint == served.fingerprint
+        assert live.batches == len(served.batches)
+        assert live.co_run_batches == sum(b.size > 1
+                                          for b in served.batches)
+        assert live.makespan_ns == served.predicted_makespan_ns
+
+    def test_reused_executor_follows_a_profile_switch(self):
+        """One model per executor: after ``set_hierarchy`` a reused
+        executor must form (and measure) exactly what a freshly built
+        one does — batch formation may not keep pricing on the stale
+        profile."""
+        def build():
+            session = Session()
+            return session, self._stream(session)
+
+        slow = parametric_profile(mem_ns=1600.0)
+        session, stream = build()
+        reused = ServiceExecutor(session, max_batch=4)
+        reused.run(stream)
+        session.set_hierarchy(slow)
+        after_switch = reused.run(stream)
+
+        session, stream = build()
+        session.set_hierarchy(slow)
+        fresh = ServiceExecutor(session, max_batch=4).run(stream)
+        assert ([b.size for b in after_switch.batches]
+                == [b.size for b in fresh.batches])
+        assert ([b.predicted_makespan_ns for b in after_switch.batches]
+                == [b.predicted_makespan_ns for b in fresh.batches])
 
 
 class TestExecutor:
@@ -241,8 +342,8 @@ class TestExecutor:
         session, _ = small_service
         plan = session.compile("sort(orders)").plan
         before = list(session.db.column("orders").values)
-        trace = record_trace(session.db, plan)
-        assert len(trace) > 0
+        trace, rows = record_trace(session, plan)
+        assert len(trace) > 0 and rows == len(before)
         assert session.db.column("orders").values == before
         # and the real memory system is back in place
         assert session.db.mem.__class__.__name__ == "MemorySystem"
@@ -255,7 +356,7 @@ class TestExecutor:
     def test_end_to_end_report(self, small_service):
         session, gen = small_service
         workload = gen.generate(8, clients=2)
-        report = ServiceExecutor(session, MaxParallelPolicy(4)).run(workload)
+        report = ServiceExecutor(session, mode="max-parallel").run(workload)
         assert len(report.queries) == 8
         assert [q.qid for q in report.queries] == list(range(8))
         assert sum(b.size for b in report.batches) == 8
@@ -279,10 +380,8 @@ class TestExecutor:
         gen = WorkloadGenerator.contention_heavy(session=session, seed=7,
                                                  scale=512)
         workload = gen.generate(8, clients=2)
-        naive = ServiceExecutor(session, MaxParallelPolicy(4)).run(workload)
-        aware_policy = InterferenceAwarePolicy(
-            InterferenceModel(session.hierarchy), max_batch=4)
-        aware = ServiceExecutor(session, aware_policy).run(workload)
+        naive = ServiceExecutor(session, mode="max-parallel").run(workload)
+        aware = ServiceExecutor(session).run(workload)
         assert aware.makespan_ns < naive.makespan_ns
         assert naive.mean_contention_error < 0.35
         assert aware.mean_contention_error < 0.35
@@ -318,7 +417,7 @@ class TestMetrics:
 
     def test_report_exposes_p99(self, small_service):
         session, gen = small_service
-        report = ServiceExecutor(session, MaxParallelPolicy(4)).run(
+        report = ServiceExecutor(session, mode="max-parallel").run(
             gen.generate(8, clients=2))
         assert report.p95_latency_ns <= report.p99_latency_ns
         assert report.p99_latency_ns <= report.makespan_ns * (1 + 1e-9)

@@ -257,7 +257,7 @@ class TestPreparedStatements:
         assert isinstance(stmt, PreparedStatement)
         out = stmt.execute()
         assert len(out.values) == GROUPS
-        text = stmt.explain()
+        text = stmt.explain_query().to_text()
         assert "T_mem" in text and "plan (post-order):" in text
         assert "candidate plans" in stmt.summary()
 
@@ -273,8 +273,8 @@ class TestPreparedStatements:
         """``cold=False`` must not reset: the global counters keep
         accumulating across prepared re-executions."""
         stmt = session.prepare("filter(orders, even, sel=0.5)")
-        _, cold = stmt.execute_measured()
-        _, warm = stmt.execute_measured(cold=False)
+        cold = stmt.execute_measured().counters
+        warm = stmt.execute_measured(cold=False).counters
         assert (session.db.mem.accesses
                 == cold.accesses + warm.accesses)
 

@@ -30,7 +30,6 @@ from repro.db import (
     IntVector,
     Partitions,
     SimHashTable,
-    as_numpy,
     external_merge_sort,
     grace_hash_join,
     grouped_keys,
@@ -202,17 +201,6 @@ class TestStorage:
         col.write(db.mem, 1, (4, 5))
         assert type(col.values) is list
         assert col.values[1] == (4, 5)
-
-    def test_as_numpy_is_gated_by_env_flag(self, scaled, monkeypatch):
-        vec = IntVector([1, 2, 3])
-        monkeypatch.delenv("REPRO_NUMPY", raising=False)
-        assert as_numpy(vec) is None
-        monkeypatch.setenv("REPRO_NUMPY", "1")
-        view = as_numpy(vec)
-        if view is not None:  # numpy present: zero-copy, right values
-            assert list(view) == [1, 2, 3]
-        assert as_numpy([1, 2, 3]) is None
-        assert as_numpy(IntVector([])) is None
 
     def test_execution_scope_validates_and_restores(self, scaled):
         db = Database(scaled)
@@ -394,10 +382,9 @@ class TestServiceTraces:
         plan_s = self._plan(scalar_session, "filter(orders, even, sel=0.5)")
         plan_v = self._plan(vector_session, "filter(orders, even, sel=0.5)")
         db = scalar_session.db
-        with db.execution_scope("scalar"):
-            trace_scalar = record_trace(db, plan_s)
-        with db.execution_scope("vectorized"):
-            trace_vector = record_trace(db, plan_v)
+        trace_scalar, rows_scalar = record_trace(scalar_session, plan_s)
+        trace_vector, rows_vector = record_trace(vector_session, plan_v)
+        assert rows_vector == rows_scalar > 0
         assert len(trace_vector) < len(trace_scalar)  # genuinely coalesced
         assert trace_length(trace_vector) == trace_length(trace_scalar)
         assert any(entry[0] == "range" for entry in trace_vector)
@@ -428,7 +415,6 @@ class TestServiceTraces:
 
     def test_service_workload_identical_across_modes(self):
         from repro.service import ServiceExecutor, WorkloadQuery
-        from repro.service.scheduler import MaxParallelPolicy
         queries = [
             WorkloadQuery(qid=0, client=0, kind="q",
                           text="filter(orders, even, sel=0.5)"),
@@ -439,7 +425,8 @@ class TestServiceTraces:
         reports = {}
         for mode in ("scalar", "vectorized"):
             session = self._service_session(mode)
-            executor = ServiceExecutor(session, MaxParallelPolicy(max_batch=2))
+            executor = ServiceExecutor(session, mode="max-parallel",
+                                       max_batch=2)
             report = executor.run(queries)
             reports[mode] = [(m.qid, m.memory_ns, m.finish_ns)
                              for m in report.queries]

@@ -155,9 +155,9 @@ class TestProfileSpace:
 
 class TestSweep:
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
+        with pytest.raises(ValueError, match="mode"):
             WhatIfSweep(ProfileSpace({"cores": [2]}), small_workload(),
-                        policy="greedy")
+                        mode="greedy").run()
 
     def test_unknown_mix_rejected(self):
         with pytest.raises(ValueError, match="mix"):
@@ -215,7 +215,7 @@ class TestSweep:
     def test_fifo_serial_never_co_runs(self):
         space = ProfileSpace({"cores": [4]})
         report = WhatIfSweep(space, small_workload(),
-                             policy="fifo-serial").run()
+                             mode="fifo-serial").run()
         assert all(o.co_run_batches == 0 for o in report.outcomes())
         assert all(o.max_admission_inflation == 0.0
                    for o in report.outcomes())
@@ -452,18 +452,14 @@ class TestServerCapacityPlan:
         assert report.to_json()["fingerprint"] == report.fingerprint
 
     def test_workload_report_carries_fingerprint(self):
-        from repro.service import (
-            FifoSerialPolicy,
-            ServiceExecutor,
-            WorkloadGenerator,
-        )
+        from repro.service import ServiceExecutor, WorkloadGenerator
         from repro.session import Session
 
         session = Session()
         gen = WorkloadGenerator.contention_heavy(session=session,
                                                  seed=7, scale=128)
         queries = gen.generate(4, clients=2)
-        report = ServiceExecutor(session, FifoSerialPolicy()).run(queries)
+        report = ServiceExecutor(session, mode="fifo-serial").run(queries)
         assert report.fingerprint == session.fingerprint
         assert report.to_json()["fingerprint"] == session.fingerprint
 
