@@ -39,7 +39,7 @@ from .hardware import (
 )
 from .simulator import MemorySystem
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 
 def __getattr__(name):

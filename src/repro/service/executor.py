@@ -172,52 +172,12 @@ def replay_interleaved(hierarchy: MemoryHierarchy,
     co-runner advances at the same access rate while all compete for
     the same caches.  Shorter traces drop out as they finish, leaving
     the remainder more of the cache — the same asymmetry the footprint
-    division models.
+    division models.  The loop itself is the simulator's
+    (:meth:`MemorySystem.replay_interleaved
+    <repro.simulator.MemorySystem.replay_interleaved>`).
     """
-    if quantum < 1:
-        raise ValueError("quantum must be positive")
     mem = MemorySystem(hierarchy)
-    n = len(traces)
-    memory = [0.0] * n
-    finish = [0.0] * n
-    # Per-trace cursor: (entry index, accesses already replayed out of
-    # the current entry).  A coalesced range entry stands for `count`
-    # accesses, and a quantum boundary may split it mid-run — the
-    # remainder replays as access_range(addr + done * stride, ...),
-    # which is access-for-access identical to finishing the loop.
-    positions: list[tuple[int, int]] = [(0, 0)] * n
-    active = [i for i in range(n) if trace_length(traces[i]) > 0]
-    while active:
-        still_active = []
-        for i in active:
-            trace = traces[i]
-            entry_index, done = positions[i]
-            budget = quantum
-            before = mem.elapsed_ns
-            while budget > 0 and entry_index < len(trace):
-                entry = trace[entry_index]
-                if entry[0] == "range":
-                    _, addr, nbytes, stride, count = entry
-                    take = min(count - done, budget)
-                    mem.access_range(addr + done * stride, nbytes,
-                                     stride, take)
-                    budget -= take
-                    done += take
-                    if done == count:
-                        entry_index += 1
-                        done = 0
-                else:
-                    addr, nbytes = entry
-                    mem.access(addr, nbytes)
-                    budget -= 1
-                    entry_index += 1
-            memory[i] += mem.elapsed_ns - before
-            positions[i] = (entry_index, done)
-            if entry_index < len(trace):
-                still_active.append(i)
-            else:
-                finish[i] = mem.elapsed_ns
-        active = still_active
+    memory, finish = mem.replay_interleaved(traces, quantum)
     return BatchReplay(total_ns=mem.elapsed_ns,
                        memory_ns=tuple(memory),
                        finish_ns=tuple(finish),

@@ -83,6 +83,22 @@ class CoRunPrediction:
         return self.serial_memory_ns + sum(self.cpu_ns)
 
 
+#: Entries each pricing memo of an :class:`InterferenceModel` holds
+#: before it drops its oldest — a long-lived server prices an unbounded
+#: stream of plans, a memo entry keeps its plans alive, and one batch
+#: formation re-prices the same few compositions within a window far
+#: shorter than this.
+MEMO_ENTRIES = 4096
+
+
+def _remember(memo: dict, key, value) -> None:
+    """Insert into a pricing memo, dropping its oldest entry when full
+    (call with the model's lock held)."""
+    if len(memo) >= MEMO_ENTRIES:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
 class InterferenceModel:
     """Prices co-run batches of physical plans by external ⊙
     composition.
@@ -95,14 +111,19 @@ class InterferenceModel:
     def __init__(self, hierarchy: MemoryHierarchy) -> None:
         self.hierarchy = hierarchy
         self.model = CostModel(hierarchy)
-        # Standalone estimates memoized per plan: the scheduler prices
+        # Both prices are memoized: the batch former prices
         # O(queue · batch · lookahead) candidate batches over the same
-        # few plans, and a plan's solo cost never changes.  The plan is
-        # kept in the value so its id() stays unambiguous.  A server's
-        # compile workers price concurrently, so a miss computes under
-        # the lock; hits (every co_run lookup) stay lock-free.
+        # few plans, and neither a plan's solo cost nor a composition's
+        # ⊙ cost ever changes.  Keys are plan ids — for a composition
+        # the *ordered* tuple, since member order fixes both the result
+        # tuples and the float summation order — and every value holds
+        # its plans so the ids stay unambiguous.  A server's compile
+        # workers price concurrently with its dispatcher, so the memos
+        # change only under the lock; hits stay lock-free.
         self._solo: dict[int, tuple[QueryPlan, float, float]] = {}
-        self._solo_lock = threading.Lock()
+        self._co_runs: dict[tuple[int, ...],
+                            tuple[tuple[QueryPlan, ...], CoRunPrediction]] = {}
+        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _pattern(self, plan: QueryPlan):
@@ -122,18 +143,29 @@ class InterferenceModel:
         cached = self._solo.get(key)
         if cached is not None:
             return cached[1], cached[2]
-        with self._solo_lock:
+        with self._memo_lock:
             pattern = self._pattern(plan)
             memory = (0.0 if pattern is None
                       else self.model.estimate(pattern).memory_ns)
             cpu = self.cpu_time_ns(plan)
-            self._solo[key] = (plan, memory, cpu)
+            _remember(self._solo, key, (plan, memory, cpu))
         return memory, cpu
 
     def co_run(self, plans: Sequence[QueryPlan]) -> CoRunPrediction:
-        """Predict the contention of running ``plans`` concurrently."""
+        """Predict the contention of running ``plans`` concurrently
+        (memoized per ordered composition)."""
         if not plans:
             raise ValueError("a co-run batch needs at least one plan")
+        key = tuple(map(id, plans))
+        cached = self._co_runs.get(key)
+        if cached is not None:
+            return cached[1]
+        prediction = self._compose(plans)
+        with self._memo_lock:
+            _remember(self._co_runs, key, (tuple(plans), prediction))
+        return prediction
+
+    def _compose(self, plans: Sequence[QueryPlan]) -> CoRunPrediction:
         patterns = [self._pattern(p) for p in plans]
         standalone = [self.standalone(p) for p in plans]
         cpu = tuple(c for _, c in standalone)

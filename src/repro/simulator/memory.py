@@ -19,7 +19,8 @@ counters (see DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Iterable
+import sys
+from typing import Iterable, Sequence
 
 from ..hardware.hierarchy import MemoryHierarchy
 from .bufferpool import BufferPoolSim
@@ -540,21 +541,262 @@ class MemorySystem:
 
         ``trace`` yields ``(addr, nbytes)`` or ``(addr, nbytes, write)``
         tuples, or range-coalesced ``("range", addr, nbytes, stride,
-        count, write)`` entries — the formats
+        count)`` / ``("range", addr, nbytes, stride, count, write)``
+        entries — the forms without ``write`` (a read) are what
         :class:`repro.service.TraceRecorder` produces.  Replaying a
-        plan's trace against a :func:`~repro.hardware.disk_extended`
-        hierarchy is how the out-of-core tests measure real pool misses
-        for accesses that were recorded once, profile-independently.
+        plan's trace against a
+        :func:`~repro.hardware.disk_extended` hierarchy is how the
+        out-of-core tests measure real pool misses for accesses that
+        were recorded once, profile-independently.
         """
         before = self.snapshot()
-        access = self.access
-        access_range = self.access_range
-        for entry in trace:
-            if entry[0] == "range":
-                access_range(*entry[1:])
-            else:
-                access(*entry)
+        if not isinstance(trace, (list, tuple)):
+            trace = list(trace)
+        # One trace has nobody to alternate with: a single unbounded turn.
+        self.replay_interleaved([trace], sys.maxsize)
         return self.snapshot() - before
+
+    def replay_interleaved(self, traces: Sequence[Sequence[tuple]],
+                           quantum: int) -> tuple[list[float], list[float]]:
+        """Replay ``traces`` round-robin, ``quantum`` accesses per trace
+        per turn, on top of the current cache state — the one replay
+        engine (:meth:`replay` and
+        :func:`repro.service.replay_interleaved` are its callers).
+
+        Returns ``(memory_ns, finish_ns)`` per trace: the latency its
+        own accesses were charged, and the elapsed time on this system's
+        clock at which it ran out of entries.  A trace takes turns while
+        it has entries left; a coalesced range entry stands for ``count``
+        accesses and may be split by a turn boundary (the remainder
+        replays as ``access_range(addr + done * stride, ...)``).
+
+        Access for access this is :meth:`access` / :meth:`access_range`
+        — every counter and ``elapsed_ns`` bit for bit, the same
+        ``ValueError`` for a bad entry — but an entry confined to one L1
+        line (nearly all of a recorded trace) runs through the cascade
+        inlined here, with hits counted in locals and flushed once per
+        turn.  Each access still adds its latencies TLB → L1 → outwards
+        into its own sum before one addition to the clock: summing a
+        turn first would change the float result.
+        """
+        if quantum < 1:
+            raise ValueError("quantum must be positive")
+        memory = [0.0] * len(traces)
+        finish = [0.0] * len(traces)
+        access_one = self._access_one
+        access_range = self.access_range
+        l1_sim, l1_line, l1_seq, l1_rand = self._level_chain[0]
+        outer = []
+        inner_size = l1_line
+        for sim, line_size, seq_lat, rand_lat in self._level_chain[1:]:
+            outer.append((sim, line_size // inner_size, seq_lat, rand_lat,
+                          sim._sets, sim._num_sets, sim._ways,
+                          sim._recent_miss_lines,
+                          isinstance(sim, BufferPoolSim)))
+            inner_size = line_size
+        l1_sets = l1_sim._sets
+        l1_nsets = l1_sim._num_sets
+        l1_ways = l1_sim._ways
+        l1_recent = l1_sim._recent_miss_lines
+        l1_pool = isinstance(l1_sim, BufferPoolSim)
+        window = STREAM_WINDOW
+        tlbs = self.tlbs
+        tlb = tlbs[0] if tlbs else None
+        if tlb is not None:
+            page = tlb._line_size
+            t_sets = tlb._sets
+            t_nsets = tlb._num_sets
+            t_ways = tlb._ways
+            t_recent = tlb._recent_miss_lines
+            t_rand = tlb.level.rand_miss_latency_ns
+        # Several TLBs, or pages smaller than an L1 line: a one-line
+        # access may span pages, so every entry takes the general engine.
+        general = len(tlbs) > 1 or (tlb is not None
+                                    and (page < l1_line or page % l1_line))
+        clock = self.elapsed_ns
+        # (trace number, trace, next entry, accesses done of a range entry)
+        cursors = [(i, trace, 0, 0) for i, trace in enumerate(traces)
+                   if len(trace)]
+        while cursors:
+            unfinished = []
+            for i, trace, index, done in cursors:
+                length = len(trace)
+                budget = quantum
+                before = clock
+                l1_hits = t_hits = 0
+                while budget > 0 and index < length:
+                    # A run of plain entries, up to the next range entry.
+                    # Within it the previous one-line access leaves its
+                    # line and page the MRU entries of their sets, so
+                    # touching them again changes no LRU or EDO state.
+                    last_line = last_page = -1
+                    start = index
+                    for entry in trace[index:index + budget]:
+                        if len(entry) == 2:
+                            addr, nbytes = entry
+                            write = False
+                        elif len(entry) == 3:
+                            addr, nbytes, write = entry
+                        else:
+                            break
+                        index += 1
+                        if addr < 0:
+                            raise ValueError("negative address")
+                        if nbytes <= 0:
+                            raise ValueError("nbytes must be positive")
+                        line = addr // l1_line
+                        if general or addr + nbytes > (line + 1) * l1_line:
+                            # Line-spanning access: full engine (cascade
+                            # dedup), on the system's own clock.
+                            self.elapsed_ns = clock
+                            access_one(addr, nbytes, write)
+                            clock = self.elapsed_ns
+                            last_line = last_page = -1
+                            continue
+                        if line == last_line:
+                            l1_hits += 1
+                            t_hits += 1
+                            if write and l1_pool:
+                                l1_sim._note_write(line)
+                            continue
+                        last_line = line
+                        elapsed = 0.0
+                        if tlb is not None:
+                            # Inlined CacheSim.probe for the one page (a
+                            # TLB is a plain CacheSim: no write hooks).
+                            p = addr // page
+                            if p == last_page:
+                                t_hits += 1
+                            else:
+                                last_page = p
+                                s = t_sets[p % t_nsets]
+                                if p in s:
+                                    del s[p]
+                                    s[p] = None
+                                    t_hits += 1
+                                else:
+                                    if len(s) >= t_ways:
+                                        del s[next(iter(s))]
+                                    s[p] = None
+                                    if p - 1 in t_recent:
+                                        del t_recent[p - 1]
+                                        t_recent[p] = None
+                                        tlb.seq_misses += 1
+                                    elif p + 1 in t_recent:
+                                        del t_recent[p + 1]
+                                        t_recent[p] = None
+                                        tlb.seq_misses += 1
+                                    else:
+                                        if len(t_recent) >= window:
+                                            del t_recent[next(iter(t_recent))]
+                                        t_recent[p] = None
+                                        tlb.rand_misses += 1
+                                    # Every TLB miss pays the random (walk)
+                                    # latency; seq/rand only classifies.
+                                    elapsed += t_rand
+                        # Inlined CacheSim.probe for the one L1 line.
+                        s = l1_sets[line % l1_nsets]
+                        if line in s:
+                            del s[line]
+                            s[line] = None
+                            l1_hits += 1
+                            if write and l1_pool:
+                                l1_sim._note_write(line)
+                        else:
+                            if len(s) >= l1_ways:
+                                victim = next(iter(s))
+                                del s[victim]
+                                if l1_pool:
+                                    l1_sim._note_evict(victim)
+                            s[line] = None
+                            if write and l1_pool:
+                                l1_sim._note_write(line)
+                            if line - 1 in l1_recent:
+                                del l1_recent[line - 1]
+                                l1_recent[line] = None
+                                l1_sim.seq_misses += 1
+                                elapsed += l1_seq
+                            elif line + 1 in l1_recent:
+                                del l1_recent[line + 1]
+                                l1_recent[line] = None
+                                l1_sim.seq_misses += 1
+                                elapsed += l1_seq
+                            else:
+                                if len(l1_recent) >= window:
+                                    del l1_recent[next(iter(l1_recent))]
+                                l1_recent[line] = None
+                                l1_sim.rand_misses += 1
+                                elapsed += l1_rand
+                            # Cascade the missed line outwards (a single
+                            # line: no dedup needed).
+                            for (sim, ratio, seq_lat, rand_lat, sets, nsets,
+                                 ways, recent, pool) in outer:
+                                line //= ratio
+                                s = sets[line % nsets]
+                                if line in s:
+                                    del s[line]
+                                    s[line] = None
+                                    sim.hits += 1
+                                    if write and pool:
+                                        sim._note_write(line)
+                                    break
+                                if len(s) >= ways:
+                                    victim = next(iter(s))
+                                    del s[victim]
+                                    if pool:
+                                        sim._note_evict(victim)
+                                s[line] = None
+                                if write and pool:
+                                    sim._note_write(line)
+                                if line - 1 in recent:
+                                    del recent[line - 1]
+                                    recent[line] = None
+                                    sim.seq_misses += 1
+                                    elapsed += seq_lat
+                                elif line + 1 in recent:
+                                    del recent[line + 1]
+                                    recent[line] = None
+                                    sim.seq_misses += 1
+                                    elapsed += seq_lat
+                                else:
+                                    if len(recent) >= window:
+                                        del recent[next(iter(recent))]
+                                    recent[line] = None
+                                    sim.rand_misses += 1
+                                    elapsed += rand_lat
+                        if elapsed:
+                            clock += elapsed
+                    budget -= index - start
+                    self.accesses += index - start
+                    if budget > 0 and index < length:
+                        # The run stopped at a range entry.
+                        entry = trace[index]
+                        if len(entry) == 5:
+                            _, addr, nbytes, stride, count = entry
+                            write = False
+                        else:
+                            _, addr, nbytes, stride, count, write = entry
+                        take = min(count - done, budget)
+                        self.elapsed_ns = clock
+                        access_range(addr + done * stride, nbytes, stride,
+                                     take, write)
+                        clock = self.elapsed_ns
+                        budget -= take
+                        done += take
+                        if done == count:
+                            index += 1
+                            done = 0
+                l1_sim.hits += l1_hits
+                if tlb is not None:
+                    tlb.hits += t_hits
+                memory[i] += clock - before
+                if index < length:
+                    unfinished.append((i, trace, index, done))
+                else:
+                    finish[i] = clock
+            cursors = unfinished
+        self.elapsed_ns = clock
+        return memory, finish
 
     # ------------------------------------------------------------------
     def reset(self) -> None:

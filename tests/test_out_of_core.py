@@ -50,7 +50,7 @@ from repro.query.physical import (
     GraceHashJoinNode,
     SpillingAggregateNode,
 )
-from repro.service.executor import record_trace
+from repro.service.executor import record_trace, replay_interleaved
 from repro.simulator import BufferPoolSim, MemorySystem
 
 #: The repo's established model-vs-simulator relative tolerance.
@@ -189,6 +189,33 @@ class TestBufferPoolSim:
         mem = MemorySystem(disk)
         mem.replay([(0, 8, True), (8, 8, False)])
         assert mem.pool.dirty_pages == 1
+
+    def test_interleaved_replay_forwards_the_write_flag(self, disk):
+        """Write-carrying entries (3- and 6-field) through the
+        interleaved replay dirty and write back the same pool pages as
+        the one-trace replay and as direct execution."""
+        pages = 2 * disk.buffer_pool.num_lines  # sweep twice the pool
+        page = disk.buffer_pool.line_size
+        trace = [(i * page, 8, True) for i in range(pages)] \
+            + [("range", 0, 8, page, pages, True), (0, 8), (8, 8, False)]
+        direct = MemorySystem(disk)
+        for i in range(pages):
+            direct.write(i * page, 8)
+        direct.access_range(0, 8, page, pages, write=True)
+        direct.read(0, 8)
+        direct.read(8, 8)
+        assert direct.pool.write_backs >= pages
+        solo = MemorySystem(disk)
+        solo.replay(trace)
+        interleaved = MemorySystem(disk)
+        interleaved.replay_interleaved([trace], quantum=7)
+        for mem in (solo, interleaved):
+            assert mem.pool.write_backs == direct.pool.write_backs
+            assert mem.pool.dirty_pages == direct.pool.dirty_pages
+            assert mem.snapshot() == direct.snapshot()
+        # the service entry point used to crash unpacking these entries
+        assert replay_interleaved(disk, [trace], quantum=7).counters \
+            == direct.snapshot()
 
 
 # ----------------------------------------------------------------------

@@ -187,6 +187,90 @@ class TestInterferenceModel:
         with pytest.raises(ValueError, match="at least one plan"):
             InterferenceModel(session.hierarchy).co_run([])
 
+    def test_co_run_memo_is_keyed_by_member_order(self, plans):
+        session, (a, b, _) = plans
+        model = InterferenceModel(session.hierarchy)
+        ab, ba = model.co_run([a, b]), model.co_run([b, a])
+        assert model.co_run([a, b]) is ab  # served from the memo
+        assert model.co_run((b, a)) is ba
+        assert ab is not ba  # two entries, each aligned with its members
+        solo = {id(p): model.standalone(p) for p in (a, b)}
+        for members, pred in (((a, b), ab), ((b, a), ba)):
+            assert pred.solo_memory_ns == tuple(solo[id(p)][0]
+                                                for p in members)
+            assert pred.cpu_ns == tuple(solo[id(p)][1] for p in members)
+        assert ab.memory_ns != ab.solo_memory_ns  # really contended
+
+    def test_pricing_memos_are_bounded_and_recompute_equal(
+            self, plans, monkeypatch):
+        from repro.service import interference
+        monkeypatch.setattr(interference, "MEMO_ENTRIES", 2)
+        session, (a, b, c) = plans
+        model = InterferenceModel(session.hierarchy)
+        first = model.co_run([a, b])
+        model.co_run([b, c])
+        model.co_run([c, a])  # full: drops the oldest, (a, b)
+        assert len(model._co_runs) == len(model._solo) == 2
+        assert tuple(map(id, (a, b))) not in model._co_runs
+        again = model.co_run([a, b])
+        assert again is not first and again == first
+        unbounded = InterferenceModel(session.hierarchy)
+        for batch in ([a, b], [b, c], [c, a], [a, b, c]):
+            assert model.co_run(batch) == unbounded.co_run(batch)
+            for plan in batch:
+                assert model.standalone(plan) == unbounded.standalone(plan)
+
+    def test_concurrent_pricing_returns_each_batch_its_own_prediction(
+            self, small_service, monkeypatch):
+        """Two threads compile and price different batches through one
+        model whose memos churn (the ``test_plan_cache_threads``
+        pattern): every prediction must be the one a private,
+        single-threaded model gives for that very batch."""
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+        from repro.service import interference
+        monkeypatch.setattr(interference, "MEMO_ENTRIES", 3)
+        root, _ = small_service
+        texts = ["join(orders, customers)", "join(customers, parts)",
+                 "filter(orders, even, sel=0.5)", "sort(orders)"]
+        shared = InterferenceModel(root.hierarchy)
+        batches = {0: [[0, 1], [1, 0], [0, 2], [2, 3, 0]],
+                   1: [[1, 2], [3, 1], [2, 1], [1, 3, 2]]}
+        barrier = threading.Barrier(2)
+
+        def price(worker):
+            session = root.spawn()
+            barrier.wait(timeout=30)
+            out = []
+            for _ in range(25):
+                for batch in batches[worker]:
+                    tasks = [compile_task(
+                        session, shared,
+                        WorkloadQuery(qid=i, client=worker, kind="q",
+                                      text=texts[i])) for i in batch]
+                    out.append((batch, tasks, shared.co_run(
+                        [t.plan for t in tasks])))
+            return out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                results = [f.result(timeout=120) for f in
+                           [pool.submit(price, w) for w in (0, 1)]]
+        finally:
+            sys.setswitchinterval(interval)
+        private = InterferenceModel(root.hierarchy)
+        for rows in results:
+            assert len(rows) == 100
+            for batch, tasks, prediction in rows:
+                assert prediction == private.co_run([t.plan for t in tasks])
+                for task in tasks:
+                    assert (task.solo_memory_ns, task.cpu_ns) \
+                        == private.standalone(task.plan)
+        assert len(shared._co_runs) <= 3 and len(shared._solo) <= 3
+
 
 class TestSchedulers:
     @pytest.fixture(scope="class")

@@ -19,6 +19,7 @@ stream, never the stream itself.  These tests pin that contract:
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -50,12 +51,14 @@ from repro.db import (
     spilling_hash_aggregate,
 )
 from repro.hardware import (
+    CacheLevel,
     disk_extended_scaled,
     origin2000_scaled,
     tiny_test_machine,
 )
 from repro.query import PlannerConfig
 from repro.service.executor import (
+    BatchReplay,
     TraceRecorder,
     record_trace,
     replay_interleaved,
@@ -64,7 +67,7 @@ from repro.service.executor import (
 from repro.simulator.memory import MemorySystem
 
 try:
-    from hypothesis import given, strategies as st
+    from hypothesis import given, settings, strategies as st
     HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover - hypothesis is a dev dependency
     HAVE_HYPOTHESIS = False
@@ -301,10 +304,150 @@ class TestModePlumbing:
         assert vectorized.compile_hits == 1
 
 
+def _tlb(name, entries, page):
+    return CacheLevel(name=name, capacity=entries * page, line_size=page,
+                      associativity=0, seq_miss_latency_ns=30.0,
+                      rand_miss_latency_ns=30.0, is_tlb=True)
+
+
+def _replay_geometries():
+    """The machines the replay engine must be exact on: its inlined
+    lane (one TLB or none, with and without a pool level, a pool as the
+    only level) and the general lane (two TLBs; pages smaller than an
+    L1 line)."""
+    tiny = tiny_test_machine()
+    pool = disk_extended_scaled()
+    return [
+        origin2000_scaled(),
+        pool,
+        replace(tiny, name="no TLB", tlbs=()),
+        replace(tiny, name="two TLBs",
+                tlbs=(_tlb("TLB1", 4, 128), _tlb("TLB2", 8, 256))),
+        replace(tiny, name="page below the L1 line",
+                tlbs=(_tlb("TLB", 8, 8),)),
+        replace(tiny, name="pool only", levels=pool.levels[-1:], tlbs=()),
+        # latencies that do not add exactly: the order of the float
+        # additions shows in the last bits
+        tiny.scaled_latencies({"L1": (0.1, 0.3), "L2": (1 / 3, 1 / 7),
+                               "TLB": (1 / 9, 1 / 9)}),
+    ]
+
+
+REPLAY_GEOMETRIES = _replay_geometries()
+
+
+def reference_replay(hierarchy, traces, quantum):
+    """The interleaved replay spelled out access by access over the
+    general event engine: what ``MemorySystem.replay_interleaved`` must
+    equal bit for bit."""
+    mem = MemorySystem(hierarchy)
+    memory = [0.0] * len(traces)
+    finish = [0.0] * len(traces)
+    cursors = {i: (0, 0) for i, trace in enumerate(traces) if trace}
+    while cursors:
+        for i, (index, done) in list(cursors.items()):
+            trace = traces[i]
+            budget = quantum
+            before = mem.elapsed_ns
+            while budget > 0 and index < len(trace):
+                entry = trace[index]
+                if entry[0] == "range":
+                    addr, nbytes, stride, count = entry[1:5]
+                    write = entry[5] if len(entry) > 5 else False
+                else:
+                    addr, nbytes = entry[:2]
+                    stride, count = 0, 1
+                    write = entry[2] if len(entry) > 2 else False
+                take = min(count - done, budget)
+                for k in range(done, done + take):
+                    mem.accesses += 1
+                    mem._access_one(addr + k * stride, nbytes, write)
+                budget -= take
+                done += take
+                if done == count:
+                    index += 1
+                    done = 0
+            memory[i] += mem.elapsed_ns - before
+            if index < len(trace):
+                cursors[i] = (index, done)
+            else:
+                finish[i] = mem.elapsed_ns
+                del cursors[i]
+    return mem, memory, finish
+
+
+def random_traces(rng):
+    """Up to four traces of every entry form over one address space —
+    small enough that entries keep revisiting (and evicting) the lines,
+    sets and pages their neighbours just touched, which uniform
+    addresses almost never do."""
+    space = rng.choice([256, 2048, 1 << 14])
+
+    def entry():
+        addr = rng.randrange(space)
+        nbytes = rng.choice([1, 4, 8, 8, 8, 16, 17, 33, 40])
+        form = rng.random()
+        if form < 0.45:
+            return (addr, nbytes)
+        if form < 0.8:
+            return (addr, nbytes, rng.random() < 0.5)
+        stride = rng.choice([-48, -8, -3, 0, 1, 4, 8, 8, 16, 32, 48])
+        count = rng.randrange(40)
+        # a backward walk starts high enough to stay in the address space
+        addr += max(0, -(count - 1) * stride)
+        coalesced = ("range", addr, nbytes, stride, count)
+        return coalesced if rng.random() < 0.5 \
+            else coalesced + (rng.random() < 0.5,)
+
+    return [[entry() for _ in range(rng.randrange(120))]
+            for _ in range(rng.randrange(5))]
+
+
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
 class TestAccessRangeProperties:
-    """``access_range`` / ``batch()`` ≡ the per-item ``access`` loop for
-    arbitrary geometry, on a hierarchy with TLBs and a buffer pool."""
+    """``access_range`` / ``batch()`` / the interleaved replay engine ≡
+    the per-item ``access`` loop for arbitrary geometry, on hierarchies
+    with TLBs and a buffer pool."""
+
+    @settings(max_examples=250)
+    @given(geometry=st.sampled_from(REPLAY_GEOMETRIES),
+           rng=st.randoms(use_true_random=True),
+           quantum=st.sampled_from([1, 2, 3, 7, 64, 10**6]))
+    def test_interleaved_replay_equals_access_loop(self, geometry, rng,
+                                                   quantum):
+        traces = random_traces(rng)
+        reference, memory, finish = reference_replay(geometry, traces,
+                                                     quantum)
+        mem = MemorySystem(geometry)
+        assert mem.replay_interleaved(traces, quantum) == (memory, finish)
+        assert repr(mem.snapshot()) == repr(reference.snapshot())
+        assert mem.elapsed_ns == reference.elapsed_ns
+        if mem.pool is not None:
+            assert (mem.pool.write_backs, mem.pool.dirty_pages) == \
+                (reference.pool.write_backs, reference.pool.dirty_pages)
+        # the service entry point is the same loop on a cold machine,
+        # and the one-trace call the same loop with nobody to yield to
+        served = replay_interleaved(geometry, traces, quantum=quantum)
+        assert served == BatchReplay(
+            total_ns=reference.elapsed_ns, memory_ns=tuple(memory),
+            finish_ns=tuple(finish), counters=reference.snapshot())
+        for trace in traces:
+            alone = reference_replay(geometry, [trace], 1)[0].snapshot()
+            assert MemorySystem(geometry).replay(iter(trace)) == alone
+
+    @pytest.mark.parametrize("geometry", [REPLAY_GEOMETRIES[0],
+                                          REPLAY_GEOMETRIES[3]],
+                             ids=lambda h: h.name)
+    @pytest.mark.parametrize("entry", [
+        (-8, 8), (-1, 8, True), (64, 0), (64, -8, False),
+        ("range", -16, 8, 8, 4), ("range", 16, 8, -8, 4, True),
+        ("range", 64, 0, 8, 4), ("range", 64, 8, 8, -1)])
+    def test_replay_rejects_bad_entries(self, geometry, entry):
+        for trace in ([entry], [(0, 8), ("range", 0, 8, 8, 3), entry]):
+            with pytest.raises(ValueError):
+                MemorySystem(geometry).replay(trace)
+            with pytest.raises(ValueError):
+                replay_interleaved(geometry, [[(0, 8)], trace], quantum=2)
 
     @given(addr=st.integers(min_value=0, max_value=1 << 16),
            nbytes=st.integers(min_value=1, max_value=96),
