@@ -1,24 +1,35 @@
-"""Hand-rolled schemas for the observability artifacts.
+"""One schema checker; every artifact shape is data.
 
-Same discipline as :mod:`repro.validation.bench_schema` (the toolchain
-carries no ``jsonschema``): each validator returns a list of
-human-readable problems, empty when the payload conforms.  Covered
-artifacts:
+The toolchain carries no ``jsonschema``, so the repo checks its own
+JSON artifacts — in the paper's manner: a shape is *described* (as an
+operator is by its access pattern) and one generic engine derives every
+verdict.  :func:`check` walks a spec next to a payload and returns the
+human-readable problems, each naming the offending field by path
+(``candidates[0].cores``); empty when the payload conforms.  A spec is
+plain data, rejected by :func:`spec` where it is defined if ill-formed:
 
-* Chrome ``trace_event`` JSON (:func:`validate_chrome_trace`) — the
-  subset the :class:`~repro.obs.Tracer` emits: ``M`` metadata, ``X``
-  complete events, ``i`` instants, with consistent pids/tids.
-* The metrics scrape (:func:`validate_metrics_json`) — typed families
-  with labeled series.
-* JSONL event-log entries (:func:`validate_event`) — span and drift
-  records.
-* Recalibration sidecar manifests (:func:`validate_manifest`) — the
-  Tracekit-style record a published profile carries
-  (:func:`repro.calibrator.build_manifest`).
-* What-if capacity-planning reports (:func:`validate_whatif_report`)
-  — the :meth:`~repro.whatif.WhatIfReport.to_json` shape: baseline,
-  candidates with deltas and optional spot checks, frontier labels,
-  and the recommendation when one was asked for.
+``"number"``, ``"int"``, each also with ``>=0`` / ``>0`` / ``>=1``
+    numbers with bounds (a ``bool`` is never a number or an int),
+``"str"``, ``"str+"``, ``"number|str"``, ``"bool"``, ``"any"``
+    a string, a non-empty one, a number or a label, a boolean, and
+    anything at all (the key only has to be present),
+``{"key": spec, "key?": spec}``
+    an object: a plain key is required, a ``?`` key may be absent or
+    null, keys the spec does not name are ignored,
+``("object", {...}, rule, ...)``
+    an object with cross-field hooks ``rule(data, where)`` yielding
+    problems — the few checks that relate one field to another,
+``("one_of", value, ...)``
+    a constant or an enumeration,
+``("list", spec)``, ``("list+", spec)``, ``("tuple", spec, ...)``
+    a list, a non-empty list, a fixed-length list,
+``("map", spec)``
+    an object with arbitrary string keys,
+``("union", {field: {tag: object spec}})``
+    an object whose shape depends on the value of one field.
+
+The bench payload is stated in :mod:`repro.validation.bench_schema`,
+every other artifact below.
 """
 
 from __future__ import annotations
@@ -39,516 +50,232 @@ __all__ = [
 ]
 
 
-def _is_number(value) -> bool:
+# ----------------------------------------------------------------------
+# the engine
+# ----------------------------------------------------------------------
+
+def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return is_number(value) and isinstance(value, int)
+
+
+#: Scalar token -> (accepts, how a problem words what it wanted).
+_SCALARS = {
+    "any": (lambda v: True, "anything"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str+": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "number": (is_number, "a number"),
+    "number>=0": (lambda v: is_number(v) and v >= 0, "a non-negative number"),
+    "number>0": (lambda v: is_number(v) and v > 0, "a positive number"),
+    "number|str": (lambda v: is_number(v) or isinstance(v, str),
+                   "a number or a label"),
+    "int": (_is_int, "an int"),
+    "int>=0": (lambda v: _is_int(v) and v >= 0, "a non-negative int"),
+    "int>=1": (lambda v: _is_int(v) and v >= 1, "a positive int"),
+}
+
+#: How a problem words the list it wanted, per list kind.
+_LISTS = {"list": "a list", "list+": "a non-empty list",
+          "tuple": "a list of {} entries"}
+_KINDS = {*_LISTS, "object", "one_of", "map", "union"}
+
+
+def spec(node):
+    """``node`` itself, once every token in it is known — a misspelt
+    spec fails where it is defined, not on the first payload."""
+    if isinstance(node, str) and node in _SCALARS:
+        parts = ()
+    elif isinstance(node, dict):
+        parts = node.values()
+    elif isinstance(node, tuple) and node and node[0] in _KINDS:
+        # one_of carries values, not specs; an object's rules are code
+        parts = () if node[0] == "one_of" else [
+            part for part in node[1:] if not callable(part)]
+    else:
+        raise ValueError(f"unknown spec token {node!r}")
+    for part in parts:
+        spec(part)
+    return node
+
+
+def check(spec, data, where: str = "") -> list[str]:
+    """All violations of ``spec`` by ``data`` (empty == conforms);
+    ``where`` is the path prefix problems are reported under."""
+    if isinstance(spec, str):
+        accepts, wanted = _SCALARS[spec]
+        return [] if accepts(data) else [f"{where} must be {wanted}"]
+    kind, *args = ("object", spec) if isinstance(spec, dict) else spec
+    if kind == "one_of":
+        wanted = " or ".join(map(repr, args))
+        return [] if data in args else [
+            f"{where} must be {wanted}, got {data!r}"]
+    if kind in _LISTS:
+        if not isinstance(data, list) or (kind == "list+" and not data) \
+                or (kind == "tuple" and len(data) != len(args)):
+            return [f"{where} must be {_LISTS[kind].format(len(args))}"]
+        items = args if kind == "tuple" else args * len(data)
+        return [problem for index, pair in enumerate(zip(items, data))
+                for problem in check(*pair, f"{where}[{index}]")]
+    if not isinstance(data, dict):
+        return [f"{where or 'payload'} must be an object"]
+    prefix = f"{where}." if where else ""
+    if kind == "map":
+        return [problem for key, entry in data.items()
+                for problem in check("str", key, f"{where} key {key!r}")
+                + check(args[0], entry, f"{prefix}{key}")]
+    if kind == "union":
+        (field, variants), = args[0].items()
+        tag = data.get(field)
+        if not isinstance(tag, str) or tag not in variants:
+            return check(("one_of", *variants), tag, prefix + field)
+        # a top-level union reports under its tag ("span.sid must be ...")
+        return check(variants[tag], data, where or tag)
+    fields, *rules = args
+    problems = []
+    for key, field in fields.items():
+        name = key.removesuffix("?")
+        if data.get(name) is None and name != key:
+            continue  # an optional key, absent or null
+        if name in data:
+            problems += check(field, data[name], prefix + name)
+        else:
+            problems.append(f"{prefix}{name} is missing")
+    for rule in rules:
+        problems += rule(data, where)
+    return problems
+
+
+def check_file(path, validate, parse=json.loads) -> list[str]:
+    """Read ``path``, ``parse`` its text and ``validate`` the result —
+    or report the file ``unreadable``."""
+    try:
+        data = parse(pathlib.Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        return [f"unreadable: {exc}"]
+    return validate(data)
+
+
+def _entries(data, key):
+    """``(path, entry)`` of each entry of the list under ``key`` — for
+    rule hooks, which also see payloads the spec has rejected."""
+    entries = data.get(key)
+    return [(f"{key}[{index}]", entry) for index, entry in enumerate(
+        entries if isinstance(entries, list) else ())]
 
 
 # ----------------------------------------------------------------------
 # Chrome trace
 # ----------------------------------------------------------------------
 
+_TIMED_EVENT = {"pid": "number", "name": "str+", "ts": "number"}
+_TRACE_EVENT = ("union", {"ph": {
+    "M": {"pid": "number", "args": {}, "name": (
+        "one_of", "process_name", "thread_name", "thread_sort_index")},
+    "X": {**_TIMED_EVENT, "dur": "number>=0"},
+    "i": {**_TIMED_EVENT, "s": ("one_of", "t", "p", "g")},
+}})
+
+
+def _tracks_are_declared(trace, where):
+    """A complete or instant event may only use a pid that a metadata
+    event named and a (pid, tid) that thread metadata declared,
+    *earlier* in the list."""
+    processes, threads = [], []
+    for path, event in _entries(trace, "traceEvents"):
+        if check(_TRACE_EVENT, event):
+            continue  # malformed, and reported as such by the spec
+        pid, tid = event["pid"], event.get("tid")
+        if event["ph"] == "M":
+            processes.append(pid)
+            if event["name"] != "process_name":
+                threads.append((pid, tid))
+            continue
+        if pid not in processes:
+            yield f"{path}: pid {pid} has no process_name"
+        if (pid, tid) not in threads:
+            yield f"{path}: tid {tid!r} undeclared for pid {pid}"
+
+
+CHROME_TRACE = spec(("object", {"traceEvents": ("list+", _TRACE_EVENT)},
+                     _tracks_are_declared))
+
+
 def validate_chrome_trace(data) -> list[str]:
     """All schema violations of one Chrome trace payload."""
-    if not isinstance(data, dict):
-        return ["trace is not a JSON object"]
-    problems: list[str] = []
-    events = data.get("traceEvents")
-    if not isinstance(events, list) or not events:
-        return ["traceEvents must be a non-empty list"]
-    declared: set[tuple[int, int]] = set()
-    processes: set[int] = set()
-    for index, event in enumerate(events):
-        where = f"traceEvents[{index}]"
-        if not isinstance(event, dict):
-            problems.append(f"{where} is not an object")
-            continue
-        ph = event.get("ph")
-        if ph not in ("M", "X", "i"):
-            problems.append(f"{where}.ph must be M, X, or i, got {ph!r}")
-            continue
-        if not _is_number(event.get("pid")):
-            problems.append(f"{where}.pid must be a number")
-            continue
-        if ph == "M":
-            name = event.get("name")
-            if name not in ("process_name", "thread_name",
-                            "thread_sort_index"):
-                problems.append(f"{where}: unknown metadata {name!r}")
-            if not isinstance(event.get("args"), dict):
-                problems.append(f"{where}.args must be an object")
-            processes.add(event["pid"])
-            if name in ("thread_name", "thread_sort_index"):
-                declared.add((event["pid"], event.get("tid")))
-            continue
-        # X / i events
-        if not isinstance(event.get("name"), str) or not event["name"]:
-            problems.append(f"{where}.name must be a non-empty string")
-        if not _is_number(event.get("ts")):
-            problems.append(f"{where}.ts must be a number")
-        if event["pid"] not in processes:
-            problems.append(
-                f"{where}: pid {event['pid']} has no process_name")
-        if (event["pid"], event.get("tid")) not in declared:
-            problems.append(
-                f"{where}: tid {event.get('tid')!r} undeclared for "
-                f"pid {event['pid']}")
-        if ph == "X":
-            duration = event.get("dur")
-            if not _is_number(duration) or duration < 0:
-                problems.append(
-                    f"{where}.dur must be a non-negative number")
-        else:  # instant
-            if event.get("s") not in ("t", "p", "g"):
-                problems.append(f"{where}.s must be t, p, or g")
-    return problems
+    return check(CHROME_TRACE, data)
 
 
 def validate_trace_file(path) -> list[str]:
-    try:
-        data = json.loads(pathlib.Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        return [f"unreadable: {exc}"]
-    return validate_chrome_trace(data)
+    return check_file(path, validate_chrome_trace)
 
 
 # ----------------------------------------------------------------------
 # metrics scrape
 # ----------------------------------------------------------------------
 
+def _family(**series):
+    return {"name": "str+",
+            "series": ("list", {"labels": ("map", "str"), **series})}
+
+
+_VALUE_FAMILY = _family(value="number")
+
+METRICS = spec({
+    "kind": ("one_of", "metrics"),
+    "families": ("list", ("union", {"type": {
+        "counter": _VALUE_FAMILY,
+        "gauge": _VALUE_FAMILY,
+        "histogram": _family(count="int>=0", sum="number",
+                             buckets=("list", ("tuple", "str", "int"))),
+    }})),
+})
+
+
 def validate_metrics_json(data) -> list[str]:
     """All schema violations of one metrics scrape
     (:meth:`~repro.obs.MetricsRegistry.to_json`)."""
-    if not isinstance(data, dict):
-        return ["scrape is not a JSON object"]
-    problems: list[str] = []
-    if data.get("kind") != "metrics":
-        problems.append(
-            f"kind must be 'metrics', got {data.get('kind')!r}")
-    families = data.get("families")
-    if not isinstance(families, list):
-        return problems + ["families must be a list"]
-    for f_index, family in enumerate(families):
-        where = f"families[{f_index}]"
-        if not isinstance(family, dict):
-            problems.append(f"{where} is not an object")
-            continue
-        if not isinstance(family.get("name"), str) or not family["name"]:
-            problems.append(f"{where}.name must be a non-empty string")
-        kind = family.get("type")
-        if kind not in ("counter", "gauge", "histogram"):
-            problems.append(
-                f"{where}.type must be counter/gauge/histogram, "
-                f"got {kind!r}")
-            continue
-        series = family.get("series")
-        if not isinstance(series, list):
-            problems.append(f"{where}.series must be a list")
-            continue
-        for s_index, entry in enumerate(series):
-            s_where = f"{where}.series[{s_index}]"
-            if not isinstance(entry, dict):
-                problems.append(f"{s_where} is not an object")
-                continue
-            labels = entry.get("labels")
-            if not isinstance(labels, dict) or not all(
-                    isinstance(k, str) and isinstance(v, str)
-                    for k, v in labels.items()):
-                problems.append(
-                    f"{s_where}.labels must map strings to strings")
-            if kind == "histogram":
-                if not isinstance(entry.get("count"), int) \
-                        or entry["count"] < 0:
-                    problems.append(
-                        f"{s_where}.count must be a non-negative int")
-                if not _is_number(entry.get("sum")):
-                    problems.append(f"{s_where}.sum must be a number")
-                buckets = entry.get("buckets")
-                if not isinstance(buckets, list) or not all(
-                        isinstance(b, list) and len(b) == 2
-                        and isinstance(b[0], str) and isinstance(b[1], int)
-                        for b in buckets):
-                    problems.append(
-                        f"{s_where}.buckets must be [le, count] pairs")
-            else:
-                if not _is_number(entry.get("value")):
-                    problems.append(f"{s_where}.value must be a number")
-    return problems
+    return check(METRICS, data)
 
 
 # ----------------------------------------------------------------------
 # event log
 # ----------------------------------------------------------------------
 
+def _span_has_a_clock(span, where):
+    start, end = span.get("sim_start_ns"), span.get("sim_end_ns")
+    if start is None and span.get("wall_start_ns") is None:
+        yield f"{where} must carry at least one clock"
+    if is_number(start) and is_number(end) and end < start:
+        yield f"{where} simulated interval ends before start"
+
+
+_DRIFT_EVENT = {
+    "operator": "str", "fingerprint": "str", "count": "int>=1",
+    "at_ns": "number", "ewma": "number", "sample_error": "number",
+    "band": "number",
+}
+
+EVENT = spec(("union", {"kind": {
+    "span": ("object", {
+        "sid": "int>=0", "name": "str+", "track": "str+", "attrs": {},
+        "sim_start_ns?": "number", "sim_end_ns?": "number",
+        "wall_start_ns?": "number", "wall_end_ns?": "number",
+    }, _span_has_a_clock),
+    "drift": _DRIFT_EVENT,
+}}))
+
+
 def validate_event(data) -> list[str]:
     """All schema violations of one JSONL event-log entry (a span or a
     drift event)."""
-    if not isinstance(data, dict):
-        return ["event is not a JSON object"]
-    kind = data.get("kind")
-    problems: list[str] = []
-    if kind == "span":
-        if not isinstance(data.get("sid"), int) or data["sid"] < 0:
-            problems.append("span.sid must be a non-negative int")
-        for key in ("name", "track"):
-            if not isinstance(data.get(key), str) or not data[key]:
-                problems.append(f"span.{key} must be a non-empty string")
-        for key in ("sim_start_ns", "sim_end_ns", "wall_start_ns",
-                    "wall_end_ns"):
-            value = data.get(key)
-            if value is not None and not _is_number(value):
-                problems.append(f"span.{key} must be a number or null")
-        if data.get("sim_start_ns") is None \
-                and data.get("wall_start_ns") is None:
-            problems.append("span must carry at least one clock")
-        start, end = data.get("sim_start_ns"), data.get("sim_end_ns")
-        if _is_number(start) and _is_number(end) and end < start:
-            problems.append("span simulated interval ends before start")
-        if not isinstance(data.get("attrs"), dict):
-            problems.append("span.attrs must be an object")
-    elif kind == "drift":
-        for key in ("operator", "fingerprint"):
-            if not isinstance(data.get(key), str):
-                problems.append(f"drift.{key} must be a string")
-        for key in ("at_ns", "ewma", "sample_error", "band"):
-            if not _is_number(data.get(key)):
-                problems.append(f"drift.{key} must be a number")
-        if not isinstance(data.get("count"), int) or data.get(
-                "count", 0) < 1:
-            problems.append("drift.count must be a positive int")
-    else:
-        problems.append(
-            f"event kind must be 'span' or 'drift', got {kind!r}")
-    return problems
+    return check(EVENT, data)
 
 
-# ----------------------------------------------------------------------
-# recalibration sidecar manifest
-# ----------------------------------------------------------------------
-
-def _validate_profile_dict(data, where: str) -> list[str]:
-    if not isinstance(data, dict):
-        return [f"{where} is not an object"]
-    problems = []
-    levels = data.get("levels")
-    if not isinstance(levels, list) or not levels:
-        problems.append(f"{where}.levels must be a non-empty list")
-    if not isinstance(data.get("name"), str) or not data["name"]:
-        problems.append(f"{where}.name must be a non-empty string")
-    return problems
-
-
-def validate_manifest(data) -> list[str]:
-    """All schema violations of one recalibration sidecar manifest
-    (:func:`repro.calibrator.build_manifest`)."""
-    if not isinstance(data, dict):
-        return ["manifest is not a JSON object"]
-    problems: list[str] = []
-    if data.get("kind") != "recalibration_manifest":
-        problems.append("kind must be 'recalibration_manifest', "
-                        f"got {data.get('kind')!r}")
-    if data.get("schema_version") != 1:
-        problems.append("schema_version must be 1, "
-                        f"got {data.get('schema_version')!r}")
-    published = data.get("published")
-    if not isinstance(published, bool):
-        problems.append("published must be a boolean")
-        published = False
-    profile = data.get("profile")
-    if not isinstance(profile, dict):
-        problems.append("profile must be an object")
-    else:
-        for side in ("before", "after"):
-            problems.extend(_validate_profile_dict(profile.get(side),
-                                                   f"profile.{side}"))
-    fingerprint = data.get("fingerprint")
-    if not isinstance(fingerprint, dict):
-        problems.append("fingerprint must be an object")
-    else:
-        for side in ("before", "after"):
-            value = fingerprint.get(side)
-            if not isinstance(value, str) or not value:
-                problems.append(
-                    f"fingerprint.{side} must be a non-empty string")
-        if published and fingerprint.get("before") == fingerprint.get(
-                "after"):
-            problems.append(
-                "published manifest must change the fingerprint")
-    search = data.get("search")
-    if not isinstance(search, dict):
-        problems.append("search must be an object")
-    else:
-        grid = search.get("grid")
-        if not isinstance(grid, list) or not grid or not all(
-                _is_number(m) and m > 0 for m in grid):
-            problems.append(
-                "search.grid must be a non-empty list of positive "
-                "numbers")
-        for key in ("max_passes", "passes", "evaluations"):
-            value = search.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 0:
-                problems.append(
-                    f"search.{key} must be a non-negative int")
-        multipliers = search.get("multipliers")
-        if not isinstance(multipliers, dict) or not all(
-                isinstance(name, str)
-                and isinstance(pair, list) and len(pair) == 2
-                and all(_is_number(m) and m > 0 for m in pair)
-                for name, pair in multipliers.items()):
-            problems.append(
-                "search.multipliers must map level names to "
-                "[seq, rand] positive pairs")
-    error = data.get("error")
-    if not isinstance(error, dict):
-        problems.append("error must be an object")
-    else:
-        if not _is_number(error.get("band")) or error["band"] <= 0:
-            problems.append("error.band must be a positive number")
-        for key in ("before", "after"):
-            value = error.get(key)
-            if not _is_number(value) or value < 0:
-                problems.append(
-                    f"error.{key} must be a non-negative number")
-        if published and _is_number(error.get("before")) \
-                and _is_number(error.get("after")) \
-                and error["after"] > error["before"]:
-            problems.append(
-                "published manifest must not increase the error")
-        samples = error.get("samples")
-        if not isinstance(samples, list):
-            problems.append("error.samples must be a list")
-        else:
-            for index, entry in enumerate(samples):
-                where = f"error.samples[{index}]"
-                if not isinstance(entry, dict):
-                    problems.append(f"{where} is not an object")
-                    continue
-                if not isinstance(entry.get("label"), str) \
-                        or not entry["label"]:
-                    problems.append(
-                        f"{where}.label must be a non-empty string")
-                for key in ("before", "after"):
-                    if not _is_number(entry.get(key)) or entry[key] < 0:
-                        problems.append(
-                            f"{where}.{key} must be a non-negative "
-                            "number")
-    events = data.get("events")
-    if not isinstance(events, list):
-        problems.append("events must be a list")
-    else:
-        for index, event in enumerate(events):
-            where = f"events[{index}]"
-            if not isinstance(event, dict) \
-                    or event.get("kind") != "drift":
-                problems.append(f"{where} must be a drift event")
-                continue
-            problems.extend(f"{where}: {problem}"
-                            for problem in validate_event(event))
-    return problems
-
-
-def validate_manifest_file(path) -> list[str]:
-    try:
-        data = json.loads(pathlib.Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        return [f"unreadable: {exc}"]
-    return validate_manifest(data)
-
-
-# ----------------------------------------------------------------------
-# what-if capacity-planning report
-# ----------------------------------------------------------------------
-
-def _validate_outcome(data, where: str, *,
-                      spot_checked: bool = True) -> list[str]:
-    """One priced candidate row (:class:`repro.whatif.CandidateOutcome`)."""
-    if not isinstance(data, dict):
-        return [f"{where} is not an object"]
-    problems: list[str] = []
-    if not isinstance(data.get("label"), str) or not data["label"]:
-        problems.append(f"{where}.label must be a non-empty string")
-    if not isinstance(data.get("params"), dict):
-        problems.append(f"{where}.params must be an object")
-    if not isinstance(data.get("fingerprint"), str) \
-            or not data["fingerprint"]:
-        problems.append(f"{where}.fingerprint must be a non-empty string")
-    if not _is_number(data.get("cost_proxy")) or data["cost_proxy"] <= 0:
-        problems.append(f"{where}.cost_proxy must be a positive number")
-    if not isinstance(data.get("cores"), int) \
-            or isinstance(data.get("cores"), bool) or data["cores"] < 1:
-        problems.append(f"{where}.cores must be a positive int")
-    budget = data.get("memory_budget")
-    if budget is not None and (not isinstance(budget, int)
-                               or isinstance(budget, bool) or budget < 1):
-        problems.append(
-            f"{where}.memory_budget must be a positive int or null")
-    predicted = data.get("predicted")
-    if not isinstance(predicted, dict):
-        problems.append(f"{where}.predicted must be an object")
-    else:
-        for key in ("makespan_ns", "p50_ns", "p95_ns", "throughput_qps"):
-            value = predicted.get(key)
-            if not _is_number(value) or value < 0:
-                problems.append(
-                    f"{where}.predicted.{key} must be a non-negative "
-                    "number")
-        if _is_number(predicted.get("p50_ns")) \
-                and _is_number(predicted.get("p95_ns")) \
-                and predicted["p95_ns"] < predicted["p50_ns"]:
-            problems.append(f"{where}.predicted p95 below p50")
-    for key in ("batches", "co_run_batches"):
-        value = data.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) \
-                or value < 0:
-            problems.append(f"{where}.{key} must be a non-negative int")
-    if not _is_number(data.get("max_admission_inflation")) \
-            or data["max_admission_inflation"] < 0:
-        problems.append(
-            f"{where}.max_admission_inflation must be a non-negative "
-            "number")
-    spot = data.get("spot_check")
-    if spot is not None:
-        if not spot_checked:
-            problems.append(f"{where}.spot_check unexpected here")
-        elif not isinstance(spot, dict):
-            problems.append(f"{where}.spot_check must be an object or null")
-        else:
-            for key in ("measured_makespan_ns", "measured_p50_ns",
-                        "measured_p95_ns", "measured_throughput_qps",
-                        "makespan_error", "p95_error",
-                        "mean_contention_error"):
-                value = spot.get(key)
-                if not _is_number(value) or value < 0:
-                    problems.append(
-                        f"{where}.spot_check.{key} must be a "
-                        "non-negative number")
-    return problems
-
-
-def validate_whatif_report(data) -> list[str]:
-    """All schema violations of one what-if report
-    (:meth:`repro.whatif.WhatIfReport.to_json`)."""
-    if not isinstance(data, dict):
-        return ["report is not a JSON object"]
-    problems: list[str] = []
-    if data.get("kind") != "whatif_report":
-        problems.append(
-            f"kind must be 'whatif_report', got {data.get('kind')!r}")
-    if data.get("schema_version") != 1:
-        problems.append("schema_version must be 1, "
-                        f"got {data.get('schema_version')!r}")
-    for key in ("space", "policy"):
-        if not isinstance(data.get(key), str) or not data[key]:
-            problems.append(f"{key} must be a non-empty string")
-    workload = data.get("workload")
-    if not isinstance(workload, dict):
-        problems.append("workload must be an object")
-    else:
-        if workload.get("source") not in ("generated", "captured"):
-            problems.append("workload.source must be 'generated' or "
-                            f"'captured', got {workload.get('source')!r}")
-        for key in ("queries", "clients"):
-            value = workload.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 1:
-                problems.append(f"workload.{key} must be a positive int")
-    problems.extend(_validate_outcome(data.get("baseline"), "baseline"))
-    labels: set[str] = set()
-    baseline = data.get("baseline")
-    if isinstance(baseline, dict) and isinstance(baseline.get("label"),
-                                                 str):
-        labels.add(baseline["label"])
-    candidates = data.get("candidates")
-    if not isinstance(candidates, list) or not candidates:
-        problems.append("candidates must be a non-empty list")
-        candidates = []
-    for index, row in enumerate(candidates):
-        where = f"candidates[{index}]"
-        problems.extend(_validate_outcome(row, where))
-        if not isinstance(row, dict):
-            continue
-        if isinstance(row.get("label"), str):
-            if row["label"] in labels:
-                problems.append(f"{where}: duplicate label "
-                                f"{row['label']!r}")
-            labels.add(row["label"])
-        delta = row.get("delta")
-        if not isinstance(delta, dict) or not all(
-                _is_number(delta.get(key))
-                for key in ("makespan", "p95", "throughput", "cost")):
-            problems.append(
-                f"{where}.delta must carry numeric "
-                "makespan/p95/throughput/cost")
-        if not isinstance(row.get("on_frontier"), bool):
-            problems.append(f"{where}.on_frontier must be a boolean")
-    skipped = data.get("skipped")
-    if not isinstance(skipped, list):
-        problems.append("skipped must be a list")
-    else:
-        for index, entry in enumerate(skipped):
-            where = f"skipped[{index}]"
-            if not isinstance(entry, dict) \
-                    or not isinstance(entry.get("params"), dict) \
-                    or not isinstance(entry.get("reason"), str) \
-                    or not entry["reason"]:
-                problems.append(
-                    f"{where} must carry params (object) and a "
-                    "non-empty reason")
-    frontier = data.get("frontier")
-    if not isinstance(frontier, list) or not frontier:
-        problems.append("frontier must be a non-empty list")
-    else:
-        for index, label in enumerate(frontier):
-            if not isinstance(label, str) or label not in labels:
-                problems.append(
-                    f"frontier[{index}] must name a priced candidate, "
-                    f"got {label!r}")
-    recommendation = data.get("recommendation")
-    if recommendation is not None:
-        if not isinstance(recommendation, dict):
-            problems.append("recommendation must be an object or null")
-        else:
-            question = recommendation.get("question")
-            if not isinstance(question, dict) \
-                    or not _is_number(question.get("p95_ns")) \
-                    or question["p95_ns"] <= 0:
-                problems.append(
-                    "recommendation.question must carry a positive "
-                    "p95_ns")
-            label = recommendation.get("label")
-            if not isinstance(label, str) or label not in labels:
-                problems.append(
-                    "recommendation.label must name a priced candidate, "
-                    f"got {label!r}")
-            for key in ("cost_proxy", "predicted_p95_ns",
-                        "predicted_makespan_ns", "admission_slack"):
-                value = recommendation.get(key)
-                if not _is_number(value) or value <= 0:
-                    problems.append(
-                        f"recommendation.{key} must be a positive number")
-            for key in ("candidates_considered", "candidates_meeting"):
-                value = recommendation.get(key)
-                if not isinstance(value, int) or isinstance(value, bool) \
-                        or value < 1:
-                    problems.append(
-                        f"recommendation.{key} must be a positive int")
-    return problems
-
-
-def validate_whatif_report_file(path) -> list[str]:
-    try:
-        data = json.loads(pathlib.Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        return [f"unreadable: {exc}"]
-    return validate_whatif_report(data)
-
-
-def validate_events_file(path) -> list[str]:
-    """Validate every line of a JSONL event log."""
-    try:
-        lines = pathlib.Path(path).read_text().splitlines()
-    except OSError as exc:
-        return [f"unreadable: {exc}"]
+def _validate_event_lines(lines) -> list[str]:
     problems: list[str] = []
     for number, line in enumerate(lines, start=1):
         if not line.strip():
@@ -562,3 +289,134 @@ def validate_events_file(path) -> list[str]:
         problems.extend(f"line {number}: {problem}"
                         for problem in validate_event(data))
     return problems
+
+
+def validate_events_file(path) -> list[str]:
+    """Validate every line of a JSONL event log."""
+    return check_file(path, _validate_event_lines, parse=str.splitlines)
+
+
+# ----------------------------------------------------------------------
+# recalibration sidecar manifest
+# ----------------------------------------------------------------------
+
+_PROFILE = {"name": "str+", "levels": ("list+", "any")}
+_FINGERPRINTS = {"before": "str+", "after": "str+"}
+_ERRORS = {"before": "number>=0", "after": "number>=0"}
+
+
+def _published_is_an_improvement(manifest, where):
+    """A published recalibration swapped the profile for a better one."""
+    if manifest.get("published") is not True:
+        return
+    fingerprint, error = manifest.get("fingerprint"), manifest.get("error")
+    if not check(_FINGERPRINTS, fingerprint) \
+            and fingerprint["before"] == fingerprint["after"]:
+        yield "published manifest must change the fingerprint"
+    if not check(_ERRORS, error) and error["after"] > error["before"]:
+        yield "published manifest must not increase the error"
+
+
+MANIFEST = spec(("object", {
+    "kind": ("one_of", "recalibration_manifest"),
+    "schema_version": ("one_of", 1),
+    "published": "bool",
+    "profile": {"before": _PROFILE, "after": _PROFILE},
+    "fingerprint": _FINGERPRINTS,
+    "search": {
+        "grid": ("list+", "number>0"),
+        "max_passes": "int>=0", "passes": "int>=0", "evaluations": "int>=0",
+        # level name -> [sequential, random] latency multiplier
+        "multipliers": ("map", ("tuple", "number>0", "number>0")),
+    },
+    "error": {"band": "number>0", **_ERRORS,
+              "samples": ("list", {"label": "str+", **_ERRORS})},
+    "events": ("list", ("union", {"kind": {"drift": _DRIFT_EVENT}})),
+}, _published_is_an_improvement))
+
+
+def validate_manifest(data) -> list[str]:
+    """All schema violations of one recalibration sidecar manifest
+    (:func:`repro.calibrator.build_manifest`)."""
+    return check(MANIFEST, data)
+
+
+def validate_manifest_file(path) -> list[str]:
+    return check_file(path, validate_manifest)
+
+
+# ----------------------------------------------------------------------
+# what-if capacity-planning report
+# ----------------------------------------------------------------------
+
+def _p95_covers_p50(predicted, where):
+    p50, p95 = predicted.get("p50_ns"), predicted.get("p95_ns")
+    if is_number(p50) and is_number(p95) and p95 < p50:
+        yield f"{where} p95 below p50"
+
+
+def _labels_resolve(report, where):
+    """Priced rows carry distinct labels; the frontier and the
+    recommendation name priced rows."""
+    labels = []
+    for path, row in [("baseline", report.get("baseline")),
+                      *_entries(report, "candidates")]:
+        if not check({"label": "str"}, row):
+            if row["label"] in labels:
+                yield f"{path}: duplicate label {row['label']!r}"
+            labels.append(row["label"])
+    chosen = report.get("recommendation")
+    for path, label in [*_entries(report, "frontier"),
+                        ("recommendation.label", chosen.get("label")
+                         if isinstance(chosen, dict) else None)]:
+        if isinstance(label, str) and label not in labels:
+            yield f"{path} must name a priced candidate, got {label!r}"
+
+
+#: One priced row (:class:`repro.whatif.CandidateOutcome`).
+_OUTCOME = {
+    "label": "str+", "params": {}, "fingerprint": "str+",
+    "cost_proxy": "number>0", "cores": "int>=1", "memory_budget?": "int>=1",
+    "predicted": ("object", {
+        "makespan_ns": "number>=0", "p50_ns": "number>=0",
+        "p95_ns": "number>=0", "throughput_qps": "number>=0",
+    }, _p95_covers_p50),
+    "batches": "int>=0", "co_run_batches": "int>=0",
+    "max_admission_inflation": "number>=0",
+    "spot_check?": dict.fromkeys(
+        ("measured_makespan_ns", "measured_p50_ns", "measured_p95_ns",
+         "measured_throughput_qps", "makespan_error", "p95_error",
+         "mean_contention_error"), "number>=0"),
+}
+
+WHATIF_REPORT = spec(("object", {
+    "kind": ("one_of", "whatif_report"),
+    "schema_version": ("one_of", 1),
+    "space": "str+", "policy": "str+",
+    "workload": {"source": ("one_of", "generated", "captured"),
+                 "queries": "int>=1", "clients": "int>=1"},
+    "baseline": _OUTCOME,
+    "candidates": ("list+", {
+        **_OUTCOME, "on_frontier": "bool",
+        "delta": dict.fromkeys(("makespan", "p95", "throughput", "cost"),
+                               "number"),
+    }),
+    "skipped": ("list", {"params": {}, "reason": "str+"}),
+    "frontier": ("list+", "str"),
+    "recommendation?": {
+        "question": {"p95_ns": "number>0"}, "label": "str",
+        "cost_proxy": "number>0", "predicted_p95_ns": "number>0",
+        "predicted_makespan_ns": "number>0", "admission_slack": "number>0",
+        "candidates_considered": "int>=1", "candidates_meeting": "int>=1",
+    },
+}, _labels_resolve))
+
+
+def validate_whatif_report(data) -> list[str]:
+    """All schema violations of one what-if report
+    (:meth:`repro.whatif.WhatIfReport.to_json`)."""
+    return check(WHATIF_REPORT, data)
+
+
+def validate_whatif_report_file(path) -> list[str]:
+    return check_file(path, validate_whatif_report)

@@ -549,8 +549,9 @@ def execute_result(db: Database, plan: "QueryPlan",
                    explanation: Explanation,
                    restoring=None) -> QueryResult:
     """Execute ``plan`` and wrap it as a :class:`QueryResult` with
-    wall/simulated timing — the one assembly behind ``Session.run`` and
-    ``PreparedStatement.run`` (provenance rides on ``explanation``).
+    wall/simulated timing — the assembly behind ``Session.run``, which
+    prepared statements go through too (provenance rides on
+    ``explanation``).
     ``restoring`` is an optional context manager held around the
     execution (column snapshot/restore)."""
     start = time.perf_counter()

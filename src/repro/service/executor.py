@@ -29,7 +29,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..db.context import Database
 from ..hardware.hierarchy import MemoryHierarchy
 from ..query.observe import MeasuredResult, measure_plan
 from ..query.optimizer import plan_signature
@@ -95,36 +94,31 @@ def trace_length(trace: Sequence[tuple]) -> int:
 
 
 @contextmanager
-def _restored_columns(db: Database):
-    """Snapshot/restore registered columns' values (in-place sorts must
-    not leak between recordings; the copy is Python-level and invisible
-    to the simulated trace)."""
-    saved = {column: list(column.values) for column in db.catalog.values()}
+def _engine_on(session: Session, mem):
+    """``session``'s engine with ``mem`` standing in for its memory
+    system (whose clock and cache state stay untouched), under the
+    session's execution mode; base columns are restored afterwards
+    (in-place sorts must not leak into the next run)."""
+    db = session.db
+    real, db.mem = db.mem, mem
     try:
-        yield
+        with session._restoring(True), \
+                db.execution_scope(session.config.execution):
+            yield db
     finally:
-        for column, values in saved.items():
-            column.values = values
+        db.mem = real
 
 
 def record_trace(session: Session, plan: QueryPlan,
                  offset: int = 0) -> tuple[list[tuple], int]:
-    """Execute ``plan`` on ``session``'s engine (under the session's
-    execution mode) with a recording memory system; returns its access
-    trace, every address shifted by ``offset`` (a tenant's private
-    slice of the address space), and the result cardinality.  Base
-    columns are restored afterwards, so every batch member records
-    against the same base state."""
-    db = session.db
+    """Execute ``plan`` on ``session``'s engine with a recording memory
+    system; returns its access trace, every address shifted by
+    ``offset`` (a tenant's private slice of the address space), and
+    the result cardinality.  Every batch member records against the
+    same base state."""
     recorder = TraceRecorder()
-    real = db.mem
-    with _restored_columns(db):
-        db.mem = recorder
-        try:
-            with db.execution_scope(session.config.execution):
-                rows = len(plan.execute(db).values)
-        finally:
-            db.mem = real
+    with _engine_on(session, recorder) as db:
+        rows = len(plan.execute(db).values)
     trace = recorder.trace
     if offset:
         trace = [("range", e[1] + offset, e[2], e[3], e[4])
@@ -184,27 +178,19 @@ def replay_interleaved(hierarchy: MemoryHierarchy,
                        counters=mem.snapshot())
 
 
-def measure_solo(session: Session, plan: QueryPlan) -> MeasuredResult:
-    """One plan's cold typed measurement over ``session``'s engine.
-
-    Runs against a *fresh* memory system swapped in for the duration
-    (the engine's own clock and cache state stay untouched, exactly as
-    trace recording + replay guarantee), with base columns restored so
-    later runs observe the same base state — the solo-batch path both
-    the offline executor and the query server use."""
-    db = session.db
-    real = db.mem
-    db.mem = MemorySystem(session.hierarchy)
-    try:
-        with _restored_columns(db), \
-                db.execution_scope(session.config.execution):
-            return measure_plan(db, plan, session.model,
-                                pipeline=session.config.pipeline,
-                                cold=False,  # the swapped-in system
-                                             # is already cold
-                                signature=plan_signature(plan.root))
-    finally:
-        db.mem = real
+def measure_solo(session: Session, plan: QueryPlan,
+                 hierarchy: MemoryHierarchy) -> MeasuredResult:
+    """One plan's cold typed measurement over ``session``'s engine, on
+    a fresh memory system for the machine ``hierarchy`` — the one a
+    co-run batch is replayed on, which after a recalibration is *not*
+    the session's model profile (predictions come from
+    ``session.model``; the measurement must not).  The solo-batch path
+    both the offline executor and the query server use."""
+    with _engine_on(session, MemorySystem(hierarchy)) as db:
+        return measure_plan(db, plan, session.model,
+                            pipeline=session.config.pipeline,
+                            cold=False,  # the fresh system is cold
+                            signature=plan_signature(plan.root))
 
 
 def execute_batch(members: Sequence[tuple[Session, QueryPlan, int]],
@@ -224,7 +210,7 @@ def execute_batch(members: Sequence[tuple[Session, QueryPlan, int]],
     predicted-vs-measured attribution."""
     if attribute and len(members) == 1:
         session, plan, _ = members[0]
-        measured = measure_solo(session, plan)
+        measured = measure_solo(session, plan, hierarchy)
         elapsed = measured.measured_ns
         return (BatchReplay(total_ns=elapsed, memory_ns=(elapsed,),
                             finish_ns=(elapsed,),

@@ -19,13 +19,7 @@ from typing import TYPE_CHECKING, Callable, Hashable
 
 from ..db.column import Column
 from ..query.logical import LogicalOp
-from ..query.observe import (
-    Explanation,
-    MeasuredResult,
-    QueryResult,
-    capture_measured,
-    execute_result,
-)
+from ..query.observe import Explanation, MeasuredResult, QueryResult
 from ..query.optimizer import PlannedQuery
 
 if TYPE_CHECKING:
@@ -196,12 +190,14 @@ class PlanCache:
 class PreparedStatement:
     """A compiled query handle bound to a :class:`Session`.
 
-    Holds the logical tree and its compiled plan; :meth:`execute`,
-    :meth:`execute_measured` and :meth:`explain` re-validate the
-    session's profile fingerprint first and transparently recompile
-    (through the session's plan cache) if the profile changed since
-    compilation — a prepared statement never runs a plan priced for a
-    profile the session no longer uses.
+    Holds the logical tree and its compiled plan.  Every use
+    re-validates the session's profile fingerprint first and
+    transparently recompiles (through the session's plan cache) if the
+    profile changed since compilation — a prepared statement never runs
+    a plan priced for a profile the session no longer uses.  Running
+    and explaining are the session's own entry points handed this
+    statement (:meth:`Session.compile` revalidates it), so a prepared
+    run is traced and observed exactly like an ad-hoc one.
     """
 
     def __init__(self, session: "Session", logical: LogicalOp,
@@ -210,90 +206,64 @@ class PreparedStatement:
         self.logical = logical
         self._planned = planned
         self._fingerprint = fingerprint
-        self._recompiled = False
 
     # ------------------------------------------------------------------
+    def revalidate(self) -> tuple[PlannedQuery, bool]:
+        """The compilation valid for the session's current profile, and
+        whether the existing one was reused (the prepared analogue of a
+        plan-cache hit) rather than recompiled."""
+        current = self.session.fingerprint
+        reused = current == self._fingerprint
+        if not reused:
+            self._planned = self.session.compile(self.logical)
+            self._fingerprint = current
+        return self._planned, reused
+
     @property
     def planned(self) -> PlannedQuery:
         """The compiled candidate set (revalidated against the current
         profile)."""
-        return self._revalidate()
+        return self.revalidate()[0]
 
     @property
     def plan(self):
         """The chosen physical :class:`~repro.query.QueryPlan`."""
-        return self._revalidate().plan
+        return self.planned.plan
 
     @property
     def fingerprint(self) -> str:
         """Profile fingerprint the current compilation is valid for."""
         return self._fingerprint
 
-    def _revalidate(self) -> PlannedQuery:
-        current = self.session.fingerprint
-        if current != self._fingerprint:
-            self._planned = self.session.compile(self.logical)
-            self._fingerprint = current
-            self._recompiled = True
-        return self._planned
-
-    def _reused(self) -> bool:
-        """Whether the last revalidation reused the existing
-        compilation (the prepared analogue of a plan-cache hit)."""
-        reused = not getattr(self, "_recompiled", False)
-        self._recompiled = False
-        return reused
-
     # ------------------------------------------------------------------
     def explain_query(self) -> Explanation:
         """The chosen plan's typed
         :class:`~repro.query.Explanation` (signature included)."""
-        planned = self._revalidate()
-        return planned.explanation(self.session.model,
-                                   pipeline=self.session.config.pipeline,
-                                   cache_hit=self._reused())
+        return self.session.explain_query(self)
 
     def summary(self, limit: int = 8) -> str:
         """The enumerated candidates, cheapest first."""
-        return self._revalidate().summary(limit)
+        return self.planned.summary(limit)
 
     def execute(self, restore: bool = False) -> Column:
         """Run the chosen plan against the session's database
         (``restore=True`` puts registered columns back afterwards — see
         :class:`~repro.session.Session` on in-place execution)."""
-        plan = self._revalidate().plan
-        session = self.session
-        with session._restoring(restore), \
-                session.db.execution_scope(session.config.execution):
-            return session.db.execute(plan)
+        return self.session.execute(self, restore=restore)
 
     def run(self, restore: bool = False) -> QueryResult:
         """Run the chosen plan, returning a typed
         :class:`~repro.query.QueryResult` (column, explanation,
         reuse provenance, wall/simulated time)."""
-        planned = self._revalidate()
-        session = self.session
-        explanation = planned.explanation(session.model,
-                                          pipeline=session.config.pipeline,
-                                          cache_hit=self._reused())
-        with session.db.execution_scope(session.config.execution):
-            return execute_result(session.db, planned.plan, explanation,
-                                  restoring=session._restoring(restore))
+        return self.session.run(self, restore=restore)
 
     def execute_measured(self, cold: bool = True, restore: bool = False
                          ) -> MeasuredResult:
         """Run and measure the chosen plan, returning a typed
         :class:`~repro.query.MeasuredResult` with per-operator
         predicted-vs-measured attribution."""
-        planned = self._revalidate()
-        explanation = planned.explanation(
-            self.session.model, pipeline=self.session.config.pipeline,
-            cache_hit=self._reused())
-        with self.session._restoring(restore), \
-                self.session.db.execution_scope(
-                    self.session.config.execution):
-            return capture_measured(self.session.db, planned.plan,
-                                    explanation, cold=cold)
+        return self.session.execute_measured(self, cold=cold,
+                                             restore=restore)
 
     def __repr__(self) -> str:
         return (f"PreparedStatement({self._planned.best.signature}, "

@@ -51,7 +51,8 @@ class Session:
     """A database session: catalog, compilation, caching, execution.
 
     Every query method accepts a :class:`~repro.session.QueryBuilder`,
-    a bare :class:`~repro.query.logical.LogicalOp` tree, or query text.
+    a bare :class:`~repro.query.logical.LogicalOp` tree, query text, or
+    a :class:`~repro.session.PreparedStatement` of this session.
 
     Like the engine it wraps, execution is *in place*: sort-based
     operators in a chosen plan reorder the shared base columns they
@@ -293,7 +294,12 @@ class Session:
         """Enumerate/rank plans through the profile-keyed plan cache.
 
         Sets :attr:`last_compile_cached` to whether the plan came from
-        the cache (hit) or was enumerated by this call (miss).
+        the cache (hit) or was enumerated by this call (miss).  One of
+        this session's :class:`PreparedStatement` handles is
+        revalidated instead, and counts as a hit exactly when its
+        compilation was reused — which is how every ``execute*`` /
+        ``run`` / ``explain_query`` entry point serves a prepared
+        statement.
 
         Safe to call from concurrent spawned sessions sharing one
         :class:`PlanCache`: the cache's per-key compile gating
@@ -302,6 +308,9 @@ class Session:
         published plan.  Per-session state (provenance flag, hit/miss
         counters) is only ever touched by the session's own thread —
         the one-session-per-client spawn discipline."""
+        if isinstance(q, PreparedStatement):
+            planned, self.last_compile_cached = q.revalidate()
+            return planned
         wall_start = time.perf_counter_ns()
         self._sync_profile()
         logical = self.as_logical(q)
@@ -341,12 +350,17 @@ class Session:
         (plans may sort shared base columns in place).  If the plan's
         *result* aliases a base column (a bare sort of a table), the
         restored values win — restore is meant for queries producing
-        derived output columns."""
+        derived output columns.  The one snapshot/restore in the
+        codebase: trace recording and solo measurement
+        (:mod:`repro.service.executor`) hold it too, and a raising
+        kernel still restores."""
         saved = ({column: list(column.values)
                   for column in self.db.catalog.values()} if restore else {})
-        yield
-        for column, values in saved.items():
-            column.values = values
+        try:
+            yield
+        finally:
+            for column, values in saved.items():
+                column.values = values
 
     def execute(self, q, restore: bool = False) -> Column:
         """Compile (cached) and run the chosen plan.  ``restore=True``

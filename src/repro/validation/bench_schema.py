@@ -21,16 +21,18 @@ trajectory:
   band its healthy rows tightly instead of inflating the tolerance to
   cover a documented model gap.
 
-Validation is hand-rolled (the toolchain carries no ``jsonschema``):
-:func:`validate_bench_payload` returns a list of human-readable
-problems, empty when the payload conforms.  CI runs
-``benchmarks/schema_check.py``, which applies it to every emitted file.
+The shape is stated as data (:data:`BENCH`) for the repo's one schema
+checker, :func:`repro.obs.schema.check`; :func:`validate_bench_payload`
+returns a list of human-readable problems, empty when the payload
+conforms.  CI runs ``benchmarks/schema_check.py``, which applies it to
+every emitted file.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
+
+from ..obs.schema import check, check_file, spec
 
 __all__ = [
     "validate_bench_payload",
@@ -42,82 +44,34 @@ __all__ = [
 ]
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _one_point_per_size(payload, where):
+    series, sizes = payload.get("series"), payload.get("sizes")
+    if isinstance(series, list) and isinstance(sizes, list) \
+            and series and sizes and len(series) != len(sizes):
+        yield f"series has {len(series)} entries for {len(sizes)} sizes"
+
+
+_POINT = {"size": "any", "error": "number>=0"}
+
+BENCH = spec(("object", {
+    "kind": ("one_of", "bench"),
+    "bench": "str+",
+    "sizes": ("list+", "number|str"),
+    "series": ("list+", {**_POINT, "predicted_ns": "number>=0",
+                         "measured_ns": "number>=0"}),
+    "band": {"tolerance": "number>0", "max_error?": "number"},
+    "known_gaps?": ("list", {**_POINT, "reason": "str+"}),
+}, _one_point_per_size))
 
 
 def validate_bench_payload(data) -> list[str]:
     """All schema violations of one bench payload (empty == valid)."""
-    if not isinstance(data, dict):
-        return ["payload is not a JSON object"]
-    problems: list[str] = []
-    if data.get("kind") != "bench":
-        problems.append(f"kind must be 'bench', got {data.get('kind')!r}")
-    if not isinstance(data.get("bench"), str) or not data.get("bench"):
-        problems.append("bench must be a non-empty string")
-    sizes = data.get("sizes")
-    if not isinstance(sizes, list) or not sizes:
-        problems.append("sizes must be a non-empty list")
-    elif not all(_is_number(s) or isinstance(s, str) for s in sizes):
-        problems.append("sizes entries must be numbers or labels")
-    series = data.get("series")
-    if not isinstance(series, list) or not series:
-        problems.append("series must be a non-empty list")
-        series = []
-    for index, entry in enumerate(series):
-        if not isinstance(entry, dict):
-            problems.append(f"series[{index}] is not an object")
-            continue
-        if "size" not in entry:
-            problems.append(f"series[{index}] lacks 'size'")
-        for key in ("predicted_ns", "measured_ns", "error"):
-            value = entry.get(key)
-            if not _is_number(value) or value < 0:
-                problems.append(
-                    f"series[{index}].{key} must be a non-negative "
-                    f"number, got {value!r}")
-    if isinstance(series, list) and isinstance(sizes, list) \
-            and series and sizes and len(series) != len(sizes):
-        problems.append(
-            f"series has {len(series)} entries for {len(sizes)} sizes")
-    band = data.get("band")
-    if not isinstance(band, dict):
-        problems.append("band must be an object")
-    else:
-        if not _is_number(band.get("tolerance")) or band["tolerance"] <= 0:
-            problems.append("band.tolerance must be a positive number")
-        max_error = band.get("max_error")
-        if max_error is not None and not _is_number(max_error):
-            problems.append("band.max_error must be a number or null")
-    gaps = data.get("known_gaps")
-    if gaps is not None:
-        if not isinstance(gaps, list):
-            problems.append("known_gaps must be a list")
-        else:
-            for index, gap in enumerate(gaps):
-                where = f"known_gaps[{index}]"
-                if not isinstance(gap, dict):
-                    problems.append(f"{where} is not an object")
-                    continue
-                if "size" not in gap:
-                    problems.append(f"{where} lacks 'size'")
-                if not _is_number(gap.get("error")) or gap["error"] < 0:
-                    problems.append(
-                        f"{where}.error must be a non-negative number")
-                if not isinstance(gap.get("reason"), str) \
-                        or not gap["reason"]:
-                    problems.append(
-                        f"{where}.reason must be a non-empty string")
-    return problems
+    return check(BENCH, data)
 
 
 def validate_bench_file(path) -> list[str]:
     """Schema violations of one ``BENCH_*.json`` file."""
-    try:
-        data = json.loads(pathlib.Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        return [f"unreadable: {exc}"]
-    return validate_bench_payload(data)
+    return check_file(path, validate_bench_payload)
 
 
 def validate_results_dir(directory) -> dict[str, list[str]]:
@@ -135,6 +89,24 @@ def validate_results_dir(directory) -> dict[str, list[str]]:
 # payload builders
 # ----------------------------------------------------------------------
 
+def _payload(name: str, series: list, tolerance: float, banded=None,
+             **extra) -> dict:
+    """The shape every builder emits: one size per series point, and
+    ``band.max_error`` the worst error among the ``banded`` points (all
+    of them unless told otherwise)."""
+    errors = [point["error"]
+              for point in (series if banded is None else banded)]
+    return {
+        "kind": "bench",
+        "bench": name,
+        "sizes": [point["size"] for point in series],
+        "series": series,
+        "band": {"tolerance": tolerance,
+                 "max_error": max(errors) if errors else None},
+        **extra,
+    }
+
+
 def payload_from_results(name: str, entries, tolerance: float,
                          include_results: bool = True,
                          known_gaps=None) -> dict:
@@ -151,7 +123,7 @@ def payload_from_results(name: str, entries, tolerance: float,
     declared, pinned way to keep a documented model gap out of the
     bench's accuracy band."""
     known_gaps = dict(known_gaps or {})
-    series, gaps = [], []
+    series = []
     for size, measured in entries:
         point = {
             "size": size,
@@ -162,22 +134,13 @@ def payload_from_results(name: str, entries, tolerance: float,
         if include_results:
             point["result"] = measured.to_json()
         series.append(point)
-        if size in known_gaps:
-            gaps.append({"size": size, "error": measured.error,
-                         "reason": known_gaps[size]})
-    errors = [point["error"] for point in series
-              if point["size"] not in known_gaps]
-    payload = {
-        "kind": "bench",
-        "bench": name,
-        "sizes": [size for size, _ in entries],
-        "series": series,
-        "band": {"tolerance": tolerance,
-                 "max_error": max(errors) if errors else None},
-    }
-    if gaps:
-        payload["known_gaps"] = gaps
-    return payload
+    gaps = [{"size": point["size"], "error": point["error"],
+             "reason": known_gaps[point["size"]]}
+            for point in series if point["size"] in known_gaps]
+    return _payload(
+        name, series, tolerance,
+        banded=[p for p in series if p["size"] not in known_gaps],
+        **({"known_gaps": gaps} if gaps else {}))
 
 
 def payload_from_serving(name: str, entries, tolerance: float,
@@ -210,15 +173,7 @@ def payload_from_serving(name: str, entries, tolerance: float,
             "shed": len(report.shed),
             "detail": detail,
         })
-    errors = [point["error"] for point in series]
-    return {
-        "kind": "bench",
-        "bench": name,
-        "sizes": [size for size, _ in entries],
-        "series": series,
-        "band": {"tolerance": tolerance,
-                 "max_error": max(errors) if errors else None},
-    }
+    return _payload(name, series, tolerance)
 
 
 def payload_from_experiment(name: str, result, tolerance: float) -> dict:
@@ -230,21 +185,11 @@ def payload_from_experiment(name: str, result, tolerance: float) -> dict:
     for row in result.rows:
         predicted = row.predicted.get("time_us", 0.0) * 1e3
         measured = row.measured.get("time_us", 0.0) * 1e3
-        error = (abs(predicted - measured) / measured
-                 if measured > 0 else 0.0)
         series.append({
             "size": row.x_label,
             "predicted_ns": predicted,
             "measured_ns": measured,
-            "error": error,
+            "error": (abs(predicted - measured) / measured
+                      if measured > 0 else 0.0),
         })
-    errors = [point["error"] for point in series]
-    return {
-        "kind": "bench",
-        "bench": name,
-        "sizes": [row.x_label for row in result.rows],
-        "series": series,
-        "band": {"tolerance": tolerance,
-                 "max_error": max(errors) if errors else None},
-        "detail": result.to_json(),
-    }
+    return _payload(name, series, tolerance, detail=result.to_json())

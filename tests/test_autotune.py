@@ -418,15 +418,16 @@ class TestRecalibrator:
 # drift → response through the served loop
 # ----------------------------------------------------------------------
 
-def _recalibrating_run(n=1024, queries=5):
+def _recalibrating_run(n=1024, queries=5, traced=True):
     """A one-tenant fifo-serial server over the known-gap join
-    workload with online recalibration enabled; returns everything the
-    assertions need."""
+    workload with online recalibration enabled (``traced=False``: the
+    same stream with no tracer, hence no recalibration); returns
+    everything the assertions need."""
 
     async def main():
-        tracer = Tracer()
+        tracer = Tracer() if traced else None
         server = QueryServer(mode="fifo-serial", max_workers=1,
-                             tracer=tracer, recalibration=True)
+                             tracer=tracer, recalibration=traced)
         tenant = server.add_tenant("acme")
         tenant.session.create_table("orders",
                                     random_permutation(n, seed=1))
@@ -489,6 +490,20 @@ class TestServedRecalibration:
             [r.fingerprint for r in second[3]]
         assert manifest_dumps(first[0].recalibrations[0].manifest) == \
             manifest_dumps(second[0].recalibrations[0].manifest)
+
+    def test_a_published_profile_does_not_change_the_measuring_machine(
+            self):
+        """Recalibration swaps the tenant's *model* profile; batches
+        are still measured on the server's machine, traced (typed solo
+        path) or not (record + replay)."""
+        traced, _, _, traced_responses, _ = _recalibrating_run()
+        plain, _, _, plain_responses, _ = _recalibrating_run(traced=False)
+        assert len(traced.recalibrations) == 1
+        assert traced.recalibrations[0].published
+        assert [b.measured_memory_ns for b in traced.report().batches] \
+            == [b.measured_memory_ns for b in plain.report().batches]
+        assert [r.finish_ns for r in traced_responses] \
+            == [r.finish_ns for r in plain_responses]
 
     def test_recalibration_requires_a_tracer(self):
         with pytest.raises(ValueError, match="tracer"):

@@ -163,15 +163,6 @@ class TestMetricsRegistry:
             .observe(5.0, tenant="a")
         assert validate_metrics_json(registry.to_json()) == []
 
-    def test_validator_rejects_malformed(self):
-        assert validate_metrics_json([]) != []
-        assert validate_metrics_json({"kind": "metrics",
-                                      "families": [{}]}) != []
-        bad = {"kind": "metrics",
-               "families": [{"name": "x", "type": "counter",
-                             "series": [{"labels": {}, "value": "no"}]}]}
-        assert any("value" in p for p in validate_metrics_json(bad))
-
 
 # ---------------------------------------------------------------------
 # drift monitor

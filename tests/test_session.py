@@ -302,6 +302,58 @@ class TestPreparedStatements:
         assert session.plan_cache.stats()["hits"] == 1
 
 
+    def test_a_prepared_run_is_observed_like_an_ad_hoc_one(self, scaled):
+        """``execute_measured`` feeds the tracer and the measurement
+        observers (the recalibrator's sample stream) through either
+        entry point."""
+        from repro.obs import Tracer
+
+        def spans_and_samples(run):
+            s = Session(scaled, tracer=Tracer())
+            s.create_table("orders", random_permutation(128, seed=1))
+            seen = []
+            s.attach_measurement_observer(seen.append)
+            run(s, "sort(orders)")
+            return [span.name for span in s.tracer.spans], seen
+
+        ad_hoc, seen = spans_and_samples(
+            lambda s, q: s.execute_measured(q, restore=True))
+        prepared, seen_prepared = spans_and_samples(
+            lambda s, q: s.prepare(q).execute_measured(restore=True))
+        assert len(seen) == len(seen_prepared) == 1
+        assert "compile" in ad_hoc and len(ad_hoc) > 1
+        assert prepared == ad_hoc
+
+
+class TestRestoreSurvivesARaisingKernel:
+    """``restore=True`` puts base columns back even when the plan dies
+    half way (here: after an in-place sort, inside the filter)."""
+
+    @pytest.mark.parametrize("prepared", [False, True],
+                             ids=["ad-hoc", "prepared"])
+    @pytest.mark.parametrize("method",
+                             ["execute", "run", "execute_measured"])
+    def test_base_columns_are_put_back(self, scaled, method, prepared):
+        s = Session(scaled)
+        s.create_table("t", random_permutation(64, seed=3))
+        s.create_table("u", random_permutation(32, seed=4))
+
+        def boom(value):
+            raise RuntimeError("boom")
+
+        s.predicate("boom", boom)
+        query = "filter(sort(t), boom, sel=0.5)"
+        target = s.prepare(query) if prepared else s
+        args = () if prepared else (query,)
+        before = {name: list(column.values)
+                  for name, column in s.db.catalog.items()}
+        assert before["t"] != sorted(before["t"])
+        with pytest.raises(RuntimeError, match="boom"):
+            getattr(target, method)(*args, restore=True)
+        assert {name: list(column.values)
+                for name, column in s.db.catalog.items()} == before
+
+
 class TestPlanCache:
     def test_lru_eviction(self):
         cache = PlanCache(max_entries=2)
