@@ -6,6 +6,13 @@ describing the algorithm's data access in a pattern language"
 operator, returning the compound pattern whose cost function the
 :class:`~repro.core.cost.CostModel` then derives automatically.
 
+It is also the **operator catalog** (bottom of the file): one
+:class:`Algorithm` entry per implementation the engine can run, holding
+its ordered phases *and* its Eq. 6.1 CPU cycle count side by side.  The
+advisors (:mod:`repro.optimizer`) and the plan nodes
+(:mod:`repro.query.physical`) both price an operator by reading its
+entry, so neither restates a formula.
+
 Conventions (matching the paper's Table 2):
 
 * ``U`` — (left/outer) input region, ``V`` — right/inner input region,
@@ -20,6 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .cost import CostEstimate, CostModel
+from .cpu import cpu_cycles, sort_depth
 from .patterns import (
     BI,
     RANDOM,
@@ -33,6 +42,7 @@ from .patterns import (
     RTrav,
     Seq,
     STrav,
+    seq,
 )
 from .regions import DataRegion
 
@@ -41,6 +51,7 @@ __all__ = [
     "select_pattern",
     "project_pattern",
     "hash_table_region",
+    "group_table_region",
     "hash_capacity",
     "hash_build_pattern",
     "hash_probe_pattern",
@@ -49,6 +60,7 @@ __all__ = [
     "nested_loop_join_pattern",
     "partition_pattern",
     "partitioned_hash_join_pattern",
+    "partitioned_hash_join_phases",
     "quick_sort_pattern",
     "sort_aggregate_pattern",
     "hash_aggregate_pattern",
@@ -57,6 +69,8 @@ __all__ = [
     "merge_union_pattern",
     "spill_run_count",
     "spill_partition_count",
+    "grace_partition_count",
+    "spilling_aggregate_partition_count",
     "partition_capacity",
     "external_merge_sort_phases",
     "external_merge_sort_pattern",
@@ -67,6 +81,19 @@ __all__ = [
     "TABLE2",
     "Table2Row",
     "DEFAULT_HASH_MAX_LOAD",
+    "Algorithm",
+    "SELECT",
+    "PROJECT",
+    "QUICK_SORT",
+    "EXTERNAL_MERGE_SORT",
+    "MERGE_JOIN",
+    "HASH_JOIN",
+    "NESTED_LOOP_JOIN",
+    "PARTITIONED_HASH_JOIN",
+    "GRACE_HASH_JOIN",
+    "HASH_AGGREGATE",
+    "SORT_AGGREGATE",
+    "SPILLING_HASH_AGGREGATE",
 ]
 
 #: Default bytes per hash-table entry (key + payload/oid).
@@ -170,6 +197,17 @@ def hash_table_region(V: DataRegion,
     return DataRegion(name=name or f"H({V.name})", n=n, w=entry_width)
 
 
+def group_table_region(groups: int,
+                       entry_width: int = DEFAULT_HASH_ENTRY_WIDTH
+                       ) -> DataRegion:
+    """The group table ``G`` a hash aggregate over ``groups`` distinct
+    keys allocates (engine capacity rounding, like every hash region the
+    catalog prices)."""
+    return hash_table_region(
+        DataRegion("G", n=max(1, groups), w=entry_width), entry_width,
+        max_load=DEFAULT_HASH_MAX_LOAD, name="G")
+
+
 def hash_build_pattern(V: DataRegion, H: DataRegion) -> Pattern:
     """Hash-table build: sequential input, random writes into ``H``.
 
@@ -257,6 +295,24 @@ def partitioned_hash_join_pattern(
     return Seq.of(*joins)
 
 
+def partitioned_hash_join_phases(U: DataRegion, V: DataRegion,
+                                 W: DataRegion, m: int
+                                 ) -> tuple[Pattern, Pattern, Pattern]:
+    """The three phases of the in-memory partitioned hash join —
+    (partition ``U``, partition ``V``, per-cluster joins) — with ``m``
+    clusters of exactly ``n/m`` items each and one capacity-rounded hash
+    table per inner cluster.  The cache-targeted twin of
+    :func:`grace_hash_join_phases`."""
+    PU = DataRegion(f"P({U.name})", n=U.n, w=U.w)
+    PV = DataRegion(f"P({V.name})", n=V.n, w=V.w)
+    V_parts = PV.split(m)
+    H_regions = tuple(hash_table_region(v, max_load=DEFAULT_HASH_MAX_LOAD)
+                      for v in V_parts)
+    joins = partitioned_hash_join_pattern(PU.split(m), V_parts, W.split(m),
+                                          H_regions=H_regions)
+    return (partition_pattern(U, PU, m), partition_pattern(V, PV, m), joins)
+
+
 # ----------------------------------------------------------------------
 # Out-of-core (spilling) variants — paper Section 7.
 #
@@ -306,6 +362,27 @@ def spill_partition_count(table_bytes: int, memory_budget: int) -> int:
     return m
 
 
+def grace_partition_count(U: DataRegion, V: DataRegion, memory_budget: int,
+                          entry_width: int = DEFAULT_HASH_ENTRY_WIDTH) -> int:
+    """The grace hash join's fan-out: the spill policy applied to the
+    build table on ``V``, clamped by the *input* sizes only, exactly
+    like the engine — a selective join's small output must not collapse
+    the fan-out.  ``1`` means the table fits (no spill)."""
+    H = hash_table_region(V, entry_width, max_load=DEFAULT_HASH_MAX_LOAD)
+    return min(spill_partition_count(H.size, memory_budget), U.n, V.n)
+
+
+def spilling_aggregate_partition_count(
+        U: DataRegion, W: DataRegion, groups: int, memory_budget: int,
+        entry_width: int = DEFAULT_HASH_ENTRY_WIDTH) -> int:
+    """The spilling hash aggregate's fan-out: the spill policy applied
+    to the group table, clamped by the input, group and output counts.
+    ``1`` means the table fits (no spill)."""
+    G = group_table_region(groups, entry_width)
+    return min(spill_partition_count(G.size, memory_budget),
+               U.n, max(1, groups), W.n)
+
+
 def _output_parts(W: DataRegion, m: int) -> tuple[DataRegion, ...]:
     """``m`` per-partition output sub-regions of ``W``.  Identical to
     ``W.split(m)`` when the output has at least ``m`` items; a smaller
@@ -344,29 +421,23 @@ def external_merge_sort_pattern(U: DataRegion, W: DataRegion,
     with ``r = ceil(||U|| / M)`` runs.  Degenerates to plain
     :func:`quick_sort_pattern` when ``U`` fits the budget.
     """
-    run_sorts, merge = external_merge_sort_phases(U, W, memory_budget,
-                                                 stop_bytes)
-    if len(run_sorts) == 1:
-        return run_sorts[0]
-    return Seq.of(*run_sorts, merge)
+    return EXTERNAL_MERGE_SORT.pattern(U, W, memory_budget, stop_bytes)
 
 
 def grace_hash_join_phases(U: DataRegion, V: DataRegion, W: DataRegion,
                            memory_budget: int,
                            entry_width: int = DEFAULT_HASH_ENTRY_WIDTH
-                           ) -> "tuple[Pattern, Pattern, Pattern] | None":
+                           ) -> tuple[Pattern, ...]:
     """The three phases of a grace hash join — (partition ``U``,
-    partition ``V``, per-partition joins) — or ``None`` when the build
-    table already fits ``memory_budget`` (no spill).  Exposed separately
+    partition ``V``, per-partition joins) — or, when the build table
+    already fits ``memory_budget`` (no spill), the plain
+    :func:`hash_join_pattern` as its single phase.  Exposed separately
     so pipelined plan composition can ``⊙``-overlap each input with its
     partition pass only."""
-    H_full = hash_table_region(V, entry_width, max_load=DEFAULT_HASH_MAX_LOAD)
-    m = spill_partition_count(H_full.size, memory_budget)
-    # Clamped by the *input* sizes only, exactly like the engine — a
-    # selective join's small output must not collapse the fan-out.
-    m = min(m, U.n, V.n)
+    m = grace_partition_count(U, V, memory_budget, entry_width)
     if m <= 1:
-        return None
+        H = hash_table_region(V, entry_width, max_load=DEFAULT_HASH_MAX_LOAD)
+        return (hash_join_pattern(U, V, W, entry_width, H=H),)
     # Price what the engine allocates: partition buffers carry binomial
     # slack (partition_capacity), and every per-partition hash table is
     # sized uniformly from that *planned* capacity — not the actual
@@ -405,31 +476,24 @@ def grace_hash_join_pattern(U: DataRegion, V: DataRegion, W: DataRegion,
     chosen by the budget rather than a cache capacity.  Degenerates to
     plain :func:`hash_join_pattern` when the whole table fits.
     """
-    phases = grace_hash_join_phases(U, V, W, memory_budget, entry_width)
-    if phases is None:
-        H = hash_table_region(V, entry_width, max_load=DEFAULT_HASH_MAX_LOAD)
-        return hash_join_pattern(U, V, W, entry_width, H=H)
-    part_U, part_V, joins = phases
-    return part_U + part_V + joins
+    return seq(*grace_hash_join_phases(U, V, W, memory_budget, entry_width))
 
 
 def spilling_hash_aggregate_phases(
         U: DataRegion, W: DataRegion, groups: int, memory_budget: int,
         entry_width: int = DEFAULT_HASH_ENTRY_WIDTH
-        ) -> "tuple[Pattern, Pattern] | None":
+        ) -> tuple[Pattern, ...]:
     """The two phases of a spilling hash aggregate — (partition the
-    input by key, ``⊕`` of the per-partition aggregates) — or ``None``
-    when the group table fits ``memory_budget`` (no spill).  Like the
+    input by key, ``⊕`` of the per-partition aggregates) — or, when the
+    group table fits ``memory_budget`` (no spill), the plain
+    :func:`hash_aggregate_pattern` as its single phase.  Like the
     engine, the partition buffers carry the shared
     :func:`partition_capacity` slack."""
-    groups = max(1, groups)
-    G_full = hash_table_region(DataRegion("G", n=groups, w=entry_width),
-                               entry_width, max_load=DEFAULT_HASH_MAX_LOAD,
-                               name="G")
-    m = spill_partition_count(G_full.size, memory_budget)
-    m = min(m, U.n, groups, W.n)
+    m = spilling_aggregate_partition_count(U, W, groups, memory_budget,
+                                           entry_width)
     if m <= 1:
-        return None
+        return (hash_aggregate_pattern(
+            U, group_table_region(groups, entry_width), W),)
     cap = partition_capacity(U.n, m)
     PU = DataRegion(f"P({U.name})", n=m * cap, w=U.w)
     U_parts = tuple(PU.subregion(f"P({U.name})[{j}]", n=max(1, U.n // m))
@@ -454,15 +518,8 @@ def spilling_hash_aggregate_pattern(U: DataRegion, W: DataRegion,
     ``partition(U,P,m) ⊕ ⊕_j hash_aggr(P_j, G_j, W_j)``.  Degenerates
     to plain :func:`hash_aggregate_pattern` when the table fits.
     """
-    phases = spilling_hash_aggregate_phases(U, W, groups, memory_budget,
-                                            entry_width)
-    if phases is None:
-        G_full = hash_table_region(
-            DataRegion("G", n=max(1, groups), w=entry_width),
-            entry_width, max_load=DEFAULT_HASH_MAX_LOAD, name="G")
-        return hash_aggregate_pattern(U, G_full, W)
-    partition_pass, aggregates = phases
-    return partition_pass + aggregates
+    return seq(*spilling_hash_aggregate_phases(U, W, groups, memory_budget,
+                                               entry_width))
 
 
 # ----------------------------------------------------------------------
@@ -569,3 +626,140 @@ def _table2() -> tuple[Table2Row, ...]:
 
 #: The rendered rows of paper Table 2 (algorithm, description, example).
 TABLE2: tuple[Table2Row, ...] = _table2()
+
+
+# ----------------------------------------------------------------------
+# The operator catalog (Section 6: phases in the pattern language plus
+# one calibrated T_cpu term per algorithm, Eq. 6.1).
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One implementation the engine can run, described once.
+
+    ``phases(*operands)`` are its ordered ``⊕`` phases in the pattern
+    language and ``cycles(*operands)`` its calibrated pure-CPU cycles;
+    both take the same operands — the input region(s) ``U``[, ``V``],
+    the output region ``W`` where there is one, then the algorithm's
+    parameters.  ``feeds`` names, per phase of a multi-phase run, the
+    inputs that phase drains (``0`` = ``U``, ``1`` = ``V``); a run of a
+    single phase drains every input.  The whole pattern and the cost
+    follow by composition, for an advisor scoring bare regions and for
+    a plan node pipelining its children into the right phase alike.
+    """
+
+    name: str
+    phases: Callable[..., tuple[Pattern, ...]]
+    cycles: Callable[..., float]
+    feeds: tuple[tuple[int, ...], ...] = ()
+
+    def pattern(self, *operands) -> Pattern:
+        """The whole algorithm: its phases, ``⊕``-sequenced."""
+        return seq(*self.phases(*operands))
+
+    def estimate(self, model: CostModel, *operands) -> CostEstimate:
+        """``T_mem + T_cpu`` of one standalone run on ``model``'s machine."""
+        return model.estimate(
+            self.pattern(*operands),
+            cpu_ns=model.hierarchy.nanoseconds(self.cycles(*operands)))
+
+
+def _external_merge_sort_phases(U, W, memory_budget, stop_bytes=None):
+    run_sorts, merge = external_merge_sort_phases(U, W, memory_budget,
+                                                 stop_bytes)
+    if len(run_sorts) == 1:
+        return run_sorts
+    return (seq(*run_sorts), merge)
+
+
+def _external_merge_sort_cycles(U, W, memory_budget, stop_bytes=None):
+    runs = spill_run_count(U, memory_budget)
+    cycles = cpu_cycles("sort", U.n * sort_depth(-(-U.n // runs)))
+    if runs > 1:
+        cycles += cpu_cycles("merge_pass", U.n)
+    return cycles
+
+
+def _hash_join_phases(U, V, W):
+    # the capacity-rounded table the engine actually builds
+    H = hash_table_region(V, max_load=DEFAULT_HASH_MAX_LOAD)
+    return (hash_build_pattern(V, H), hash_probe_pattern(U, H, W))
+
+
+def _spilling_hash_aggregate_cycles(U, W, groups, memory_budget):
+    cycles = cpu_cycles("hash_aggregate", U.n)
+    if spilling_aggregate_partition_count(U, W, groups, memory_budget) > 1:
+        cycles += cpu_cycles("partition_pass", U.n)
+    return cycles
+
+
+#: ``select(U, W)``
+SELECT = Algorithm(
+    "select",
+    lambda U, W: (select_pattern(U, W),),
+    lambda U, W: cpu_cycles("select", U.n))
+#: ``project(U, W, u)`` — ``u`` bytes of every input item are read
+PROJECT = Algorithm(
+    "project",
+    lambda U, W, u: (project_pattern(U, W, u),),
+    lambda U, W, u: cpu_cycles("project", U.n))
+#: ``quick_sort(U, stop_bytes)`` — in place
+QUICK_SORT = Algorithm(
+    "quick_sort",
+    lambda U, stop_bytes=None: (quick_sort_pattern(U, stop_bytes),),
+    lambda U, stop_bytes=None: cpu_cycles("sort", U.n * sort_depth(U.n)))
+#: ``external_merge_sort(U, W, memory_budget, stop_bytes)`` — sort the
+#: budget-sized runs (draining the input), then merge them
+EXTERNAL_MERGE_SORT = Algorithm(
+    "external_merge_sort",
+    _external_merge_sort_phases, _external_merge_sort_cycles,
+    feeds=((0,), ()))
+#: ``merge_join(U, V, W)`` — operands already sorted
+MERGE_JOIN = Algorithm(
+    "merge_join",
+    lambda U, V, W: (merge_join_pattern(U, V, W),),
+    lambda U, V, W: cpu_cycles("merge_join", U.n + V.n))
+#: ``hash_join(U, V, W)`` — build on the inner ``V``, probe with ``U``
+HASH_JOIN = Algorithm(
+    "hash_join",
+    _hash_join_phases,
+    lambda U, V, W: cpu_cycles("hash_join", U.n + V.n),
+    feeds=((1,), (0,)))
+#: ``nested_loop_join(U, V, W)`` — one comparison per (outer, inner) pair
+NESTED_LOOP_JOIN = Algorithm(
+    "nested_loop_join",
+    lambda U, V, W: (nested_loop_join_pattern(U, V, W),),
+    lambda U, V, W: cpu_cycles("nested_loop_join", U.n * V.n))
+#: ``partitioned_hash_join(U, V, W, m)`` — the constant includes the
+#: two partitioning passes
+PARTITIONED_HASH_JOIN = Algorithm(
+    "partitioned_hash_join",
+    partitioned_hash_join_phases,
+    lambda U, V, W, m: cpu_cycles("partitioned_hash_join", U.n + V.n),
+    feeds=((0,), (1,), ()))
+#: ``grace_hash_join(U, V, W, memory_budget)``
+GRACE_HASH_JOIN = Algorithm(
+    "grace_hash_join",
+    grace_hash_join_phases,
+    lambda U, V, W, memory_budget: cpu_cycles("partitioned_hash_join",
+                                              U.n + V.n),
+    feeds=((0,), (1,), ()))
+#: ``hash_aggregate(U, W, groups)`` — consume the input, emit the groups
+HASH_AGGREGATE = Algorithm(
+    "hash_aggregate",
+    lambda U, W, groups: hash_aggregate_phases(
+        U, group_table_region(groups), W),
+    lambda U, W, groups: cpu_cycles("hash_aggregate", U.n),
+    feeds=((0,), ()))
+#: ``sort_aggregate(U, W, stop_bytes)`` — quick-sort, then one grouping pass
+SORT_AGGREGATE = Algorithm(
+    "sort_aggregate",
+    lambda U, W, stop_bytes=None: (sort_aggregate_pattern(U, W, stop_bytes),),
+    lambda U, W, stop_bytes=None: (QUICK_SORT.cycles(U)
+                                   + cpu_cycles("aggregate_pass", U.n)))
+#: ``spilling_hash_aggregate(U, W, groups, memory_budget)`` — the
+#: partition pass is charged iff the group table spills
+SPILLING_HASH_AGGREGATE = Algorithm(
+    "spilling_hash_aggregate",
+    spilling_hash_aggregate_phases, _spilling_hash_aggregate_cycles,
+    feeds=((0,), ()))

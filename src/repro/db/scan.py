@@ -13,7 +13,7 @@ from typing import Callable
 from .column import Column
 from .context import Database
 
-__all__ = ["scan", "select", "project"]
+__all__ = ["scan", "select", "project", "project_node"]
 
 
 def scan(db: Database, col: Column, used_bytes: int | None = None) -> int:
@@ -69,4 +69,26 @@ def project(db: Database, col: Column, used_bytes: int,
     for i in range(col.n):
         mem.access(col.item_address(i), used_bytes)
         out.write(mem, i, col.values[i])
+    return out
+
+
+def project_node(db: Database, col: Column, output_name: str, width: int,
+                 used_bytes: int, recover=None) -> Column:
+    """The projection a plan's :class:`~repro.query.ProjectNode` runs:
+    like :func:`project` (same pattern), but every output item is
+    ``recover(row, value)`` — the plan's join-key recovery — when
+    ``recover`` is given, and an empty input still yields a (one-item
+    capacity, zero-row) column."""
+    if db.execution != "scalar":
+        from .vectorized import project_node_v
+        return project_node_v(db, col, output_name, width, used_bytes,
+                              recover)
+    mem = db.mem
+    out = db.allocate_column(output_name, n=max(1, col.n), width=width)
+    for row in range(col.n):
+        mem.access(col.item_address(row), used_bytes)
+        value = col.values[row]
+        out.write(mem, row,
+                  recover(row, value) if recover is not None else value)
+    out.values = out.values[:col.n]
     return out

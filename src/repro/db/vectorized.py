@@ -176,10 +176,10 @@ def project_v(db: Database, col: Column, used_bytes: int,
 
 def project_node_v(db: Database, source: Column, output_name: str,
                    width: int, used_bytes: int, recover) -> Column:
-    """Vectorized body of :meth:`ProjectNode._run
-    <repro.query.physical.ProjectNode>`: like :func:`project_v` but with
-    the plan node's key recovery (``recover(row, value)``, or ``None``
-    for raw values) applied per item."""
+    """Vectorized :func:`repro.db.scan.project_node`: like
+    :func:`project_v` but with the plan node's key recovery
+    (``recover(row, value)``, or ``None`` for raw values) applied per
+    item."""
     mem = db.mem
     out = db.allocate_column(output_name, n=max(1, source.n), width=width)
     fused = mem.batch()

@@ -16,36 +16,40 @@ signatures.  The logical component (cardinalities) is assumed perfect,
 as in the paper ("we assume a perfect oracle to predict the data
 volumes").
 
-Pure CPU cost is modelled per algorithm as calibrated cycles-per-item
-constants (Eq. 6.1), shared with the plan layer via
-:mod:`repro.core.cpu`; the defaults are deliberately coarse — the
-interesting crossovers are driven by the memory term.
+Every implementation is scored by reading its entry in the operator
+catalog (:class:`repro.core.Algorithm`): the entry's phases give the
+pattern, its Eq. 6.1 cycle count the pure-CPU term.  The plan layer
+(:mod:`repro.query.physical`) reads the same entries, so the formulas —
+not just the calibrated constants of :mod:`repro.core.cpu` — are shared;
+the defaults are deliberately coarse — the interesting crossovers are
+driven by the memory term.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..core.algorithms import (
     DEFAULT_HASH_MAX_LOAD,
-    external_merge_sort_pattern,
-    grace_hash_join_pattern,
-    hash_aggregate_pattern,
-    hash_join_pattern,
+    EXTERNAL_MERGE_SORT,
+    GRACE_HASH_JOIN,
+    HASH_AGGREGATE,
+    HASH_JOIN,
+    MERGE_JOIN,
+    NESTED_LOOP_JOIN,
+    PARTITIONED_HASH_JOIN,
+    QUICK_SORT,
+    SORT_AGGREGATE,
+    SPILLING_HASH_AGGREGATE,
+    Algorithm,
+    grace_partition_count,
+    group_table_region,
     hash_table_region,
-    merge_join_pattern,
-    nested_loop_join_pattern,
-    partition_pattern,
-    partitioned_hash_join_pattern,
-    quick_sort_pattern,
-    sort_aggregate_pattern,
     spill_partition_count,
-    spill_run_count,
-    spilling_hash_aggregate_pattern,
 )
 from ..core.cost import CostEstimate, CostModel
-from ..core.cpu import CPU_CYCLES_PER_ITEM, cpu_ns, sort_depth
+from ..core.cpu import CPU_CYCLES_PER_ITEM
+from ..core.patterns import seq
 from ..core.regions import DataRegion
 from ..hardware.hierarchy import MemoryHierarchy
 
@@ -131,6 +135,20 @@ class OperatorAdvisor:
     def _exceeds_budget(self, nbytes: int) -> bool:
         return self.memory_budget is not None and nbytes > self.memory_budget
 
+    def _budget(self, memory_budget: int | None) -> int:
+        """The budget a spilling variant is scored under: the explicit
+        one, else the advisor's (which must then be set)."""
+        budget = self.memory_budget if memory_budget is None else memory_budget
+        if budget is None:
+            raise ValueError(
+                "a spilling implementation needs a memory budget")
+        return budget
+
+    def _choice(self, algorithm: Algorithm, *operands) -> OperatorChoice:
+        """``algorithm`` scored on ``operands`` by its catalog entry."""
+        return OperatorChoice(self.operator, algorithm.name,
+                              algorithm.estimate(self.model, *operands))
+
 
 class JoinAdvisor(OperatorAdvisor):
     """Scores join implementations with the cost model.
@@ -154,53 +172,36 @@ class JoinAdvisor(OperatorAdvisor):
         self._min_capacity = self._min_cache_bytes()
 
     # ------------------------------------------------------------------
+    def _choice(self, algorithm: Algorithm, *operands) -> JoinChoice:
+        return JoinChoice(algorithm.name,
+                          algorithm.estimate(self.model, *operands))
+
     def merge_join_choice(self, U: DataRegion, V: DataRegion,
                           W: DataRegion) -> JoinChoice:
-        pattern = merge_join_pattern(U, V, W)
-        cpu = cpu_ns(self.hierarchy, "merge_join", U.n + V.n)
-        if not self.inputs_sorted:
-            pattern = (quick_sort_pattern(U, self._min_capacity)
-                       + quick_sort_pattern(V, self._min_capacity)
-                       + pattern)
-            depth = math.ceil(math.log2(max(2, max(U.n, V.n))))
-            cpu += cpu_ns(self.hierarchy, "sort", (U.n + V.n) * depth)
-        return JoinChoice("merge_join", self.model.estimate(pattern, cpu_ns=cpu))
+        if self.inputs_sorted:
+            return self._choice(MERGE_JOIN, U, V, W)
+        # sort-ahead: each input is charged its own quick-sort
+        sorts = [(U, self._min_capacity), (V, self._min_capacity)]
+        pattern = seq(*(QUICK_SORT.pattern(*sort) for sort in sorts),
+                      MERGE_JOIN.pattern(U, V, W))
+        cycles = (sum(QUICK_SORT.cycles(*sort) for sort in sorts)
+                  + MERGE_JOIN.cycles(U, V, W))
+        return JoinChoice(MERGE_JOIN.name, self.model.estimate(
+            pattern, cpu_ns=self.hierarchy.nanoseconds(cycles)))
 
     def hash_join_choice(self, U: DataRegion, V: DataRegion,
                          W: DataRegion) -> JoinChoice:
-        # Price the capacity-rounded table the engine actually builds,
-        # consistent with recommend_partitions and the plan layer.
-        H = hash_table_region(V, max_load=DEFAULT_HASH_MAX_LOAD)
-        pattern = hash_join_pattern(U, V, W, H=H)
-        cpu = cpu_ns(self.hierarchy, "hash_join", U.n + V.n)
-        return JoinChoice("hash_join", self.model.estimate(pattern, cpu_ns=cpu))
+        return self._choice(HASH_JOIN, U, V, W)
 
     def partitioned_hash_join_choice(self, U: DataRegion, V: DataRegion,
                                      W: DataRegion,
                                      m: int | None = None) -> JoinChoice:
         m = m or self.recommend_partitions(V)
-        out_U = DataRegion(f"P({U.name})", n=U.n, w=U.w)
-        out_V = DataRegion(f"P({V.name})", n=V.n, w=V.w)
-        V_parts = out_V.split(m)
-        H_regions = tuple(
-            hash_table_region(v, max_load=DEFAULT_HASH_MAX_LOAD)
-            for v in V_parts
-        )
-        pattern = (partition_pattern(U, out_U, m)
-                   + partition_pattern(V, out_V, m)
-                   + partitioned_hash_join_pattern(
-                       out_U.split(m), V_parts, W.split(m),
-                       H_regions=H_regions))
-        cpu = cpu_ns(self.hierarchy, "partitioned_hash_join", U.n + V.n)
-        return JoinChoice("partitioned_hash_join",
-                          self.model.estimate(pattern, cpu_ns=cpu))
+        return self._choice(PARTITIONED_HASH_JOIN, U, V, W, m)
 
     def nested_loop_join_choice(self, U: DataRegion, V: DataRegion,
                                 W: DataRegion) -> JoinChoice:
-        pattern = nested_loop_join_pattern(U, V, W)
-        cpu = cpu_ns(self.hierarchy, "nested_loop_join", U.n * V.n)
-        return JoinChoice("nested_loop_join",
-                          self.model.estimate(pattern, cpu_ns=cpu))
+        return self._choice(NESTED_LOOP_JOIN, U, V, W)
 
     def grace_hash_join_choice(self, U: DataRegion, V: DataRegion,
                                W: DataRegion,
@@ -208,13 +209,8 @@ class JoinAdvisor(OperatorAdvisor):
                                ) -> JoinChoice:
         """The spilling partitioned hash join under ``memory_budget``
         (defaults to the advisor's budget, which must then be set)."""
-        budget = self.memory_budget if memory_budget is None else memory_budget
-        if budget is None:
-            raise ValueError("grace hash join needs a memory budget")
-        pattern = grace_hash_join_pattern(U, V, W, budget)
-        cpu = cpu_ns(self.hierarchy, "partitioned_hash_join", U.n + V.n)
-        return JoinChoice("grace_hash_join",
-                          self.model.estimate(pattern, cpu_ns=cpu))
+        return self._choice(GRACE_HASH_JOIN, U, V, W,
+                            self._budget(memory_budget))
 
     # ------------------------------------------------------------------
     def recommend_partitions(self, V: DataRegion,
@@ -231,11 +227,20 @@ class JoinAdvisor(OperatorAdvisor):
         level = levels[-1] if target_level is None else self.hierarchy.level(target_level)
         table_bytes = hash_table_region(
             V, max_load=DEFAULT_HASH_MAX_LOAD).size
-        m = 1
-        while table_bytes / m > level.capacity:
-            m *= 2
+        m = spill_partition_count(table_bytes, level.capacity)
         max_m = max(1, min(lvl.num_lines for lvl in self.hierarchy.all_levels))
         return min(m, max_m)
+
+    def _grace_partitions(self, U: DataRegion, V: DataRegion) -> int | None:
+        """The one admissibility rule for the hash variants: ``None``
+        while the build table on ``V`` fits the budget (the in-memory
+        variants are admissible), else the grace fan-out that replaces
+        them (``1``: the clamped inputs cannot be partitioned)."""
+        table_bytes = hash_table_region(
+            V, max_load=DEFAULT_HASH_MAX_LOAD).size
+        if not self._exceeds_budget(table_bytes):
+            return None
+        return grace_partition_count(U, V, self.memory_budget)
 
     def candidate_specs(self, U: DataRegion, V: DataRegion,
                         include_nested_loop: bool = False) -> list[JoinSpec]:
@@ -250,43 +255,33 @@ class JoinAdvisor(OperatorAdvisor):
         fan-out injected from the shared spill policy.  Merge join
         stays admissible — its merge phase streams; the budget applies
         to any sort-ahead through the sort advisor instead."""
-        table_bytes = hash_table_region(
-            V, max_load=DEFAULT_HASH_MAX_LOAD).size
-        if self._exceeds_budget(table_bytes):
-            m = spill_partition_count(table_bytes, self.memory_budget)
-            m = min(m, U.n, V.n)
-            specs = [JoinSpec("merge_join")]
+        specs = [JoinSpec(MERGE_JOIN.name)]
+        m = self._grace_partitions(U, V)
+        if m is None:
+            specs.append(JoinSpec(HASH_JOIN.name))
+            m = self.recommend_partitions(V)
             if m > 1:
-                specs.append(JoinSpec("grace_hash_join", partitions=m))
-            if include_nested_loop:
-                specs.append(JoinSpec("nested_loop_join"))
-            return specs
-        specs = [JoinSpec("merge_join"), JoinSpec("hash_join")]
-        m = self.recommend_partitions(V)
-        if m > 1:
-            specs.append(JoinSpec("partitioned_hash_join", partitions=m))
+                specs.append(JoinSpec(PARTITIONED_HASH_JOIN.name,
+                                      partitions=m))
+        elif m > 1:
+            specs.append(JoinSpec(GRACE_HASH_JOIN.name, partitions=m))
         if include_nested_loop:
-            specs.append(JoinSpec("nested_loop_join"))
+            specs.append(JoinSpec(NESTED_LOOP_JOIN.name))
         return specs
 
     def rank(self, U: DataRegion, V: DataRegion, W: DataRegion,
              include_nested_loop: bool = False) -> list[JoinChoice]:
         """All admissible implementations, cheapest first (the choice
-        set mirrors :meth:`candidate_specs`)."""
-        table_bytes = hash_table_region(
-            V, max_load=DEFAULT_HASH_MAX_LOAD).size
-        if self._exceeds_budget(table_bytes):
-            choices = [self.merge_join_choice(U, V, W)]
-            m = min(spill_partition_count(table_bytes, self.memory_budget),
-                    U.n, V.n)
-            if m > 1:
-                choices.append(self.grace_hash_join_choice(U, V, W))
-        else:
-            choices = [
-                self.merge_join_choice(U, V, W),
-                self.hash_join_choice(U, V, W),
-                self.partitioned_hash_join_choice(U, V, W),
-            ]
+        set mirrors :meth:`candidate_specs`, except that the
+        partitioned join is scored even when its recommended fan-out
+        is 1)."""
+        choices = [self.merge_join_choice(U, V, W)]
+        m = self._grace_partitions(U, V)
+        if m is None:
+            choices += [self.hash_join_choice(U, V, W),
+                        self.partitioned_hash_join_choice(U, V, W)]
+        elif m > 1:
+            choices.append(self.grace_hash_join_choice(U, V, W))
         if include_nested_loop:
             choices.append(self.nested_loop_join_choice(U, V, W))
         return sorted(choices, key=lambda c: c.total_ns)
@@ -316,27 +311,14 @@ class SortAdvisor(OperatorAdvisor):
         return self._exceeds_budget(U.size)
 
     def quick_sort_choice(self, U: DataRegion) -> OperatorChoice:
-        pattern = quick_sort_pattern(U, stop_bytes=self.stop_bytes())
-        cpu = cpu_ns(self.hierarchy, "sort", U.n * sort_depth(U.n))
-        return OperatorChoice("sort", "quick_sort",
-                              self.model.estimate(pattern, cpu_ns=cpu))
+        return self._choice(QUICK_SORT, U, self.stop_bytes())
 
     def external_sort_choice(self, U: DataRegion,
                              memory_budget: int | None = None
                              ) -> OperatorChoice:
-        budget = self.memory_budget if memory_budget is None else memory_budget
-        if budget is None:
-            raise ValueError("external merge sort needs a memory budget")
         W = DataRegion(f"sort({U.name})", n=U.n, w=U.w)
-        pattern = external_merge_sort_pattern(U, W, budget,
-                                              stop_bytes=self.stop_bytes())
-        r = spill_run_count(U, budget)
-        run_n = -(-U.n // r)
-        cpu = cpu_ns(self.hierarchy, "sort", U.n * sort_depth(run_n))
-        if r > 1:
-            cpu += cpu_ns(self.hierarchy, "merge_pass", U.n)
-        return OperatorChoice("sort", "external_merge_sort",
-                              self.model.estimate(pattern, cpu_ns=cpu))
+        return self._choice(EXTERNAL_MERGE_SORT, U, W,
+                            self._budget(memory_budget), self.stop_bytes())
 
     def rank(self, U: DataRegion) -> list[OperatorChoice]:
         if self.needs_external(U):
@@ -356,70 +338,54 @@ class AggregateAdvisor(OperatorAdvisor):
         return DataRegion("agg", n=max(1, groups), w=16)
 
     def hash_choice(self, U: DataRegion, groups: int) -> OperatorChoice:
-        G = hash_table_region(DataRegion("G", n=max(1, groups), w=16),
-                              max_load=DEFAULT_HASH_MAX_LOAD, name="G")
-        pattern = hash_aggregate_pattern(U, G, self._output_region(groups))
-        cpu = cpu_ns(self.hierarchy, "hash_aggregate", U.n)
-        return OperatorChoice("aggregate", "hash_aggregate",
-                              self.model.estimate(pattern, cpu_ns=cpu))
+        return self._choice(HASH_AGGREGATE, U, self._output_region(groups),
+                            groups)
 
     def sort_choice(self, U: DataRegion, groups: int) -> OperatorChoice:
-        pattern = sort_aggregate_pattern(U, self._output_region(groups),
-                                         stop_bytes=self._min_cache_bytes())
-        cpu = (cpu_ns(self.hierarchy, "sort", U.n * sort_depth(U.n))
-               + cpu_ns(self.hierarchy, "aggregate_pass", U.n))
-        return OperatorChoice("aggregate", "sort_aggregate",
-                              self.model.estimate(pattern, cpu_ns=cpu))
+        return self._choice(SORT_AGGREGATE, U, self._output_region(groups),
+                            self._min_cache_bytes())
 
     def spilling_choice(self, U: DataRegion, groups: int,
                         memory_budget: int | None = None) -> OperatorChoice:
         """The partitioned (spilling) hash aggregate under
         ``memory_budget`` (defaults to the advisor's budget)."""
-        budget = self.memory_budget if memory_budget is None else memory_budget
-        if budget is None:
-            raise ValueError("a spilling aggregate needs a memory budget")
-        pattern = spilling_hash_aggregate_pattern(
-            U, self._output_region(groups), groups, budget)
-        cpu = cpu_ns(self.hierarchy, "hash_aggregate", U.n) + cpu_ns(
-            self.hierarchy, "partition_pass", U.n)
-        return OperatorChoice("aggregate", "spilling_hash_aggregate",
-                              self.model.estimate(pattern, cpu_ns=cpu))
+        return self._choice(SPILLING_HASH_AGGREGATE, U,
+                            self._output_region(groups), groups,
+                            self._budget(memory_budget))
 
-    def _group_table_bytes(self, groups: int) -> int:
-        return hash_table_region(
-            DataRegion("G", n=max(1, groups), w=16),
-            max_load=DEFAULT_HASH_MAX_LOAD, name="G").size
+    def _admissibility(self, U: DataRegion | None, groups: int | None,
+                       composite_input: bool) -> tuple[bool, bool]:
+        """The one admissibility rule, as (the hash aggregate must
+        spill, the sort aggregate is admissible): a group table beyond
+        the budget makes the in-memory hash aggregate inadmissible;
+        sort-based aggregation groups on the raw stored values, so it
+        is not applicable to composite (join-pair) inputs, and it is
+        inadmissible once the (materialized) input it sorts in place
+        exceeds the budget.  An unknown ``groups``/``U`` is taken to
+        fit."""
+        spills = groups is not None and self._exceeds_budget(
+            group_table_region(groups).size)
+        sortable = not composite_input and not (
+            U is not None and self._exceeds_budget(U.size))
+        return spills, sortable
 
     def candidate_specs(self, composite_input: bool = False,
                         U: DataRegion | None = None,
                         groups: int | None = None) -> list[str]:
-        """Implementation names to try.  Sort-based aggregation groups
-        on the raw stored values, so it is not applicable to composite
-        (join-pair) inputs.
-
-        With a memory budget set and ``groups`` given, a group table
-        beyond the budget makes the in-memory hash aggregate
-        inadmissible and offers the spilling variant; sort-based
-        aggregation is likewise inadmissible once the (materialized)
-        input it sorts in place exceeds the budget (``U`` given)."""
-        if (groups is not None
-                and self._exceeds_budget(self._group_table_bytes(groups))):
-            specs = ["spilling_hash_aggregate"]
-        else:
-            specs = ["hash_aggregate"]
-        if not composite_input and not (
-                U is not None and self._exceeds_budget(U.size)):
-            specs.append("sort_aggregate")
+        """Implementation names to try (see :meth:`_admissibility`)."""
+        spills, sortable = self._admissibility(U, groups, composite_input)
+        specs = [(SPILLING_HASH_AGGREGATE if spills else HASH_AGGREGATE).name]
+        if sortable:
+            specs.append(SORT_AGGREGATE.name)
         return specs
 
     def rank(self, U: DataRegion, groups: int,
              composite_input: bool = False) -> list[OperatorChoice]:
         """All admissible implementations, cheapest first."""
-        if self._exceeds_budget(self._group_table_bytes(groups)):
-            choices = [self.spilling_choice(U, groups)]
-        else:
-            choices = [self.hash_choice(U, groups)]
-        if not composite_input and not self._exceeds_budget(U.size):
+        spills, sortable = self._admissibility(U, groups, composite_input)
+        choices = [self.spilling_choice(U, groups) if spills
+                   else self.hash_choice(U, groups)]
+        if sortable:
             choices.append(self.sort_choice(U, groups))
         return sorted(choices, key=lambda c: c.total_ns)
 

@@ -60,6 +60,7 @@ from .physical import (
     SortAggregateNode,
     SortNode,
     SpillingAggregateNode,
+    implementation,
 )
 
 __all__ = [
@@ -383,6 +384,11 @@ class Optimizer:
                                       groups=op.groups, key_of=op.key_of)]
             out: list[PlanNode] = []
             specs = self._aggregate_advisor.candidate_specs
+            params = dict(
+                groups=op.groups, key_of=op.key_of,
+                stop_bytes=self._stop_bytes(),
+                memory_budget=self._effective_budget(
+                    self._aggregate_advisor))
             for alt in self._alternatives(op.child, use_dp):
                 if op.key_of is None and alt.produces_pairs:
                     # Group by the join key: narrow the pair output to
@@ -392,20 +398,9 @@ class Optimizer:
                 names = specs(composite_input=(alt.produces_pairs
                                                or op.key_of is not None),
                               U=alt.output_region(), groups=op.groups)
-                for name in names:
-                    if name == "hash_aggregate":
-                        out.append(AggregateNode(alt, groups=op.groups,
-                                                 key_of=op.key_of))
-                    elif name == "sort_aggregate":
-                        out.append(SortAggregateNode(
-                            alt, groups=op.groups,
-                            stop_bytes=self._stop_bytes()))
-                    elif name == "spilling_hash_aggregate":
-                        out.append(SpillingAggregateNode(
-                            alt, groups=op.groups,
-                            memory_budget=self._effective_budget(
-                                self._aggregate_advisor),
-                            key_of=op.key_of))
+                out.extend(implementation(name, (alt,), self._sorted_input,
+                                          **params)
+                           for name in names)
             return out
         if isinstance(op, Join):
             leaves = (self._flatten_join(op)
@@ -557,27 +552,21 @@ class Optimizer:
         left = self._key_input(left)
         right = self._key_input(right)
         U, V = left.output_region(), right.output_region()
+        budget = self._effective_budget(self._join_advisor)
         impls: list[PlanNode] = []
         for spec in self._join_advisor.candidate_specs(
                 U, V, include_nested_loop=self.config.include_nested_loop):
-            if spec.algorithm == "merge_join":
-                impls.append(MergeJoinNode(self._sorted_input(left),
-                                           self._sorted_input(right),
-                                           match_fraction))
-            elif spec.algorithm == "hash_join":
-                impls.append(HashJoinNode(left, right, match_fraction))
-            elif spec.algorithm == "partitioned_hash_join":
-                m = min(spec.partitions, U.n, V.n)
-                if m >= 2:
-                    impls.append(PartitionedHashJoinNode(
-                        left, right, match_fraction, partitions=m))
-            elif spec.algorithm == "grace_hash_join":
-                impls.append(GraceHashJoinNode(
-                    left, right, match_fraction,
-                    memory_budget=self._effective_budget(
-                        self._join_advisor)))
-            elif spec.algorithm == "nested_loop_join":
-                impls.append(NestedLoopJoinNode(left, right, match_fraction))
+            m = spec.partitions
+            if m is not None:
+                # an injected fan-out never exceeds the input sizes, and
+                # a partitioned join of fewer than two clusters is not one
+                m = min(m, U.n, V.n)
+                if m < 2:
+                    continue
+            impls.append(implementation(
+                spec.algorithm, (left, right), self._sorted_input,
+                match_fraction=match_fraction, partitions=m,
+                memory_budget=budget))
         return impls
 
 

@@ -4,16 +4,19 @@ A physical plan is a tree of operator nodes.  Each node knows
 
 * how to **execute** against the engine (producing real columns and a
   real access trace in the simulator), and
-* how to **describe** its data access as a pattern, given the regions
-  of its inputs — so the whole plan's cost function is derived
-  automatically by combining its operators' patterns.
+* which **catalog entry** (:class:`repro.core.Algorithm`) describes it,
+  and with which operands — the regions of its inputs and output plus
+  its parameters.  The node's access pattern, its phases and its
+  Eq. 6.1 CPU cycles are all read from that entry; no formula is
+  restated here, so a node and the advisor scoring the same algorithm
+  on bare regions cannot disagree.
 
 Composition follows the paper's Section 3.3 operators: a *materialized*
 edge (the consumer starts after the producer finished) combines the two
 patterns with sequential execution ``⊕``; a *pipelined* edge (the
 consumer processes items while the producer emits them) combines them
 with concurrent execution ``⊙``.  Whether an edge pipelines is derived
-from two properties:
+from two declared traits:
 
 * :attr:`PlanNode.is_pipelined` — the producer emits output items
   incrementally (a selection does; a sort only finishes all at once);
@@ -21,9 +24,11 @@ from two properties:
   a stream (a merge join does; a sort needs its input materialized).
 
 Multi-phase operators (hash join: build ⊕ probe; aggregation:
-consume ⊕ emit) pipeline each input edge into the correct *phase*: a
-streamed inner input overlaps the build, a streamed outer input overlaps
-the probe, and the output streams with the probe only.
+consume ⊕ emit) pipeline each input edge into the *phase* the catalog
+says drains it: a streamed inner input overlaps the build, a streamed
+outer input overlaps the probe, and the output streams with the probe
+only.  One :meth:`PlanNode.compose` implements that scheme for every
+operator.
 
 Cardinalities come from the logical cost component, which the paper
 assumes to be a perfect oracle; nodes take explicit selectivity/
@@ -37,27 +42,26 @@ from typing import Callable, Iterator
 
 from ..core.algorithms import (
     DEFAULT_HASH_MAX_LOAD,
-    external_merge_sort_phases,
-    grace_hash_join_phases,
-    hash_aggregate_phases,
-    hash_build_pattern,
-    hash_join_pattern,
-    hash_probe_pattern,
+    EXTERNAL_MERGE_SORT,
+    GRACE_HASH_JOIN,
+    HASH_AGGREGATE,
+    HASH_JOIN,
+    MERGE_JOIN,
+    NESTED_LOOP_JOIN,
+    PARTITIONED_HASH_JOIN,
+    PROJECT,
+    QUICK_SORT,
+    SELECT,
+    SORT_AGGREGATE,
+    SPILLING_HASH_AGGREGATE,
+    Algorithm,
+    grace_partition_count,
+    group_table_region,
     hash_table_region,
-    merge_join_pattern,
-    nested_loop_join_pattern,
-    partition_pattern,
-    partitioned_hash_join_pattern,
-    project_pattern,
-    quick_sort_pattern,
-    select_pattern,
-    sort_aggregate_pattern,
-    spill_partition_count,
     spill_run_count,
-    spilling_hash_aggregate_phases,
+    spilling_aggregate_partition_count,
 )
 from ..core.cost import CostEstimate, CostModel
-from ..core.cpu import cpu_cycles, sort_depth
 from ..core.patterns import Conc, Pattern, STrav, Seq, conc, seq
 from ..core.regions import DataRegion
 from ..db.aggregate import hash_aggregate, sort_aggregate
@@ -65,7 +69,7 @@ from ..db.column import Column
 from ..db.context import Database
 from ..db.join import OUTPUT_WIDTH, hash_join, merge_join, nested_loop_join
 from ..db.partition import join_partitions, partition
-from ..db.scan import select
+from ..db.scan import project_node, select
 from ..db.sort import quick_sort
 from ..db.spill import (
     GraceJoinResult,
@@ -93,34 +97,6 @@ __all__ = [
 ]
 
 
-# ``None``-skipping composition lives in the pattern language itself
-# (:func:`repro.core.seq` / :func:`repro.core.conc`); these aliases keep
-# the composition code below readable.
-_seq = seq
-_conc = conc
-
-
-def _compose_edge(child: "PlanNode", phase: Pattern | None,
-                  prefix_parts: list[Pattern], pipeline: bool,
-                  piped: bool = True) -> Pattern | None:
-    """Compose one child edge into a consumer ``phase``.
-
-    A pipelined edge contributes the child's prefix to ``prefix_parts``
-    and returns the phase ``⊙``-merged with the child's stream
-    (:func:`_merge_stream`); a materialized edge contributes the child's
-    whole pattern to ``prefix_parts`` and returns the phase unchanged.
-    """
-    c_prefix, c_stream = child.compose(pipeline)
-    if pipeline and piped and child.is_pipelined:
-        if c_prefix is not None:
-            prefix_parts.append(c_prefix)
-        return _merge_stream(c_stream, phase, child.output_region())
-    whole = _seq(c_prefix, c_stream)
-    if whole is not None:
-        prefix_parts.append(whole)
-    return phase
-
-
 def _merge_stream(stream: Pattern | None, phase: Pattern | None,
                   shared: DataRegion | None) -> Pattern | None:
     """``⊙``-merge a pipelined producer's ``stream`` into the consumer
@@ -143,12 +119,12 @@ def _merge_stream(stream: Pattern | None, phase: Pattern | None,
     cursors.
     """
     if stream is None or phase is None or shared is None:
-        return _conc(stream, phase)
+        return conc(stream, phase)
     stream_parts = stream.parts if isinstance(stream, Conc) else (stream,)
     producer = next(
         (p for p in stream_parts
          if isinstance(p, STrav) and p.region == shared), None)
-    merged = _conc(stream, phase)
+    merged = conc(stream, phase)
     if producer is None or not isinstance(merged, Conc):
         return merged
     parts = list(merged.parts)
@@ -161,19 +137,69 @@ def _merge_stream(stream: Pattern | None, phase: Pattern | None,
 
 
 class PlanNode:
-    """Base class of physical plan operators."""
+    """Base class of physical plan operators.
+
+    A concrete operator declares its constant traits as class
+    attributes and supplies :meth:`output_region`, :meth:`_operands`
+    and :meth:`_run`; everything priced is read from its catalog entry.
+    """
+
+    #: The catalog entry describing this operator's data access and CPU
+    #: work; ``None`` for nodes that perform no access of their own.
+    algorithm: Algorithm | None = None
+    #: Whether this operator emits output items incrementally while
+    #: consuming input (so a downstream streaming consumer can overlap
+    #: with it, ``⊙``).
+    is_pipelined = False
+    #: Per child: whether this operator drains that input as a stream
+    #: (rather than requiring it materialized first) — the value of
+    #: :meth:`pipelined_inputs`.
+    _streamed: tuple[bool, ...] = ()
+    #: Whether the output is ordered by join/sort key (for joins: the
+    #: key order of the would-be projected key column).
+    produces_sorted_output = False
+    #: Whether output values are (outer oid, inner oid) pairs (join
+    #: results) rather than plain keys.
+    produces_pairs = False
+    #: Whether the planner must order the inputs before this operator.
+    needs_sorted_inputs = False
+    #: Whether this operator runs an out-of-core variant (its working
+    #: structure exceeded the memory budget); surfaced by
+    #: :meth:`QueryPlan.explain`.
+    spills = False
 
     def output_region(self) -> DataRegion:
         """The (oracle-estimated) region this node produces."""
         raise NotImplementedError
 
+    def _operands(self) -> tuple:
+        """What :attr:`algorithm` is evaluated on: input region(s),
+        output region, parameters."""
+        raise NotImplementedError
+
+    def _phases(self) -> tuple[Pattern | None, ...]:
+        if self.algorithm is None:
+            return (None,)
+        return self.algorithm.phases(*self._operands())
+
     def pattern(self) -> Pattern | None:
         """This node's own data access pattern (excluding children).
         ``None`` for nodes that perform no access of their own."""
-        raise NotImplementedError
+        return seq(*self._phases())
+
+    def cpu_cycles(self) -> float:
+        """Calibrated pure-CPU cycles of this operator alone (Eq. 6.1)."""
+        if self.algorithm is None:
+            return 0.0
+        return self.algorithm.cycles(*self._operands())
 
     def children(self) -> tuple["PlanNode", ...]:
         return ()
+
+    def pipelined_inputs(self) -> tuple[bool, ...]:
+        """Per child: whether this operator drains that input as a
+        stream (rather than requiring it materialized first)."""
+        return self._streamed
 
     def execute(self, db: Database) -> Column:
         """Run this operator (children included) against ``db``.
@@ -200,39 +226,6 @@ class PlanNode:
     def label(self) -> str:
         return type(self).__name__
 
-    @property
-    def spills(self) -> bool:
-        """Whether this operator runs an out-of-core variant (its
-        working structure exceeded the memory budget); surfaced by
-        :meth:`QueryPlan.explain`."""
-        return False
-
-    # -- pipelining interface ------------------------------------------
-    @property
-    def is_pipelined(self) -> bool:
-        """Whether this operator emits output items incrementally while
-        consuming input (so a downstream streaming consumer can overlap
-        with it, ``⊙``)."""
-        return False
-
-    def pipelined_inputs(self) -> tuple[bool, ...]:
-        """Per child: whether this operator drains that input as a
-        stream (rather than requiring it materialized first)."""
-        return tuple(False for _ in self.children())
-
-    # -- plan-wide derived properties ----------------------------------
-    @property
-    def produces_sorted_output(self) -> bool:
-        """Whether the output is ordered by join/sort key (for joins:
-        the key order of the would-be projected key column)."""
-        return False
-
-    @property
-    def produces_pairs(self) -> bool:
-        """Whether output values are (outer oid, inner oid) pairs (join
-        results) rather than plain keys."""
-        return False
-
     def recover_key(self, row: int, value) -> int:
         """The join key of an output item (pair-producing sub-plans
         only; valid after :meth:`execute`).
@@ -242,10 +235,6 @@ class PlanNode:
         reorder rows (a selection or sort above a join delegates here
         with its own row numbers but unchanged values)."""
         raise NotImplementedError(f"{type(self).__name__} has no join keys")
-
-    def cpu_cycles(self) -> float:
-        """Calibrated pure-CPU cycles of this operator alone (Eq. 6.1)."""
-        return 0.0
 
     def walk(self) -> Iterator["PlanNode"]:
         """All nodes of this sub-plan, post-order."""
@@ -259,17 +248,36 @@ class PlanNode:
 
         ``prefix`` must complete before the first output item appears;
         ``stream`` is the work that runs while output streams (``None``
-        for blocking operators).  With ``pipeline=False`` every edge is
-        treated as materialized, reproducing pure-``⊕`` composition.
+        for blocking operators).
+
+        The operator's phases run in order, each fed by the children
+        its catalog entry names (a single phase by all of them): a
+        child streaming into a phase that drains it contributes its
+        prefix before the phase and its stream ``⊙``-merged into it;
+        any other child completes as a whole before the phase.  The
+        last phase is the stream iff the operator pipelines.  With
+        ``pipeline=False`` every edge is treated as materialized and
+        the operator as one phase, reproducing pure-``⊕`` composition.
         """
-        prefix_parts: list[Pattern] = []
-        work = self.pattern()
-        for child, edge_piped in zip(self.children(), self.pipelined_inputs()):
-            work = _compose_edge(child, work, prefix_parts, pipeline,
-                                 edge_piped)
+        children, streamed = self.children(), self.pipelined_inputs()
+        phases = self._phases() if pipeline else (self.pattern(),)
+        feeds = (self.algorithm.feeds if len(phases) > 1
+                 else (range(len(children)),))
+        parts: list[Pattern | None] = []
+        for phase, feed in zip(phases, feeds, strict=True):
+            for i in feed:
+                child = children[i]
+                c_prefix, c_stream = child.compose(pipeline)
+                if pipeline and streamed[i] and child.is_pipelined:
+                    parts.append(c_prefix)
+                    phase = _merge_stream(c_stream, phase,
+                                          child.output_region())
+                else:
+                    parts.append(seq(c_prefix, c_stream))
+            parts.append(phase)
         if pipeline and self.is_pipelined:
-            return _seq(*prefix_parts), work
-        return _seq(*prefix_parts, work), None
+            return seq(*parts[:-1]), parts[-1]
+        return seq(*parts), None
 
     def full_pattern(self, pipeline: bool = True) -> Pattern | None:
         """The whole sub-plan's pattern: pipelined producer/consumer
@@ -277,19 +285,27 @@ class PlanNode:
         ``⊕``-combined.  ``pipeline=False`` models every edge as
         materialization (the previous, conservative behaviour).
         ``None`` for access-free sub-plans (bare scans)."""
-        prefix, stream = self.compose(pipeline)
-        return _seq(prefix, stream)
+        return seq(*self.compose(pipeline))
+
+
+def _check_budget(memory_budget: int) -> None:
+    if memory_budget < 1:
+        raise ValueError("memory_budget must be positive")
 
 
 @dataclass
 class ScanNode(PlanNode):
-    """A base-table column (no access of its own: consumers read it).
-    ``sorted`` declares an existing physical order.  A region-only scan
-    (``column=None``) supports model-only planning and cannot execute."""
+    """A base-table column (no access of its own: the scan is folded
+    into the consuming operator's sequential input sweep, so a bare scan
+    costs nothing extra).  ``sorted`` declares an existing physical
+    order.  A region-only scan (``column=None``) supports model-only
+    planning and cannot execute."""
 
     column: Column | None = None
     region: DataRegion | None = None
     sorted: bool = False
+
+    is_pipelined = True
 
     def __post_init__(self) -> None:
         if (self.column is None) == (self.region is None):
@@ -297,15 +313,6 @@ class ScanNode(PlanNode):
 
     def output_region(self) -> DataRegion:
         return self.column.region() if self.column is not None else self.region
-
-    def pattern(self) -> Pattern | None:
-        # The scan itself is folded into the consuming operator's
-        # sequential input sweep; a bare scan costs nothing extra.
-        return None
-
-    @property
-    def is_pipelined(self) -> bool:
-        return True
 
     @property
     def produces_sorted_output(self) -> bool:
@@ -322,39 +329,19 @@ class ScanNode(PlanNode):
         return f"scan({self.output_region().name})"
 
 
-@dataclass
-class SelectNode(PlanNode):
-    """Filter; ``selectivity`` is the oracle's output fraction."""
+class _UnaryNode(PlanNode):
+    """Shared behaviour of the one-input operators."""
 
     child: PlanNode
-    predicate: Callable[[int], bool]
-    selectivity: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.selectivity <= 1.0:
-            raise ValueError("selectivity must be in (0, 1]")
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def output_region(self) -> DataRegion:
-        src = self.child.output_region()
-        n = max(1, int(src.n * self.selectivity))
-        return DataRegion(f"σ({src.name})", n=n, w=src.w)
 
-    def pattern(self) -> Pattern:
-        return select_pattern(self.child.output_region(), self.output_region())
-
-    @property
-    def is_pipelined(self) -> bool:
-        return True
-
-    def pipelined_inputs(self) -> tuple[bool, ...]:
-        return (True,)
-
-    @property
-    def produces_sorted_output(self) -> bool:
-        return self.child.produces_sorted_output
+class _RowPreservingNode(_UnaryNode):
+    """Unary operators that filter or reorder rows but keep their
+    values, so join-pair outputs (and their key recovery) pass
+    through."""
 
     @property
     def produces_pairs(self) -> bool:
@@ -363,8 +350,34 @@ class SelectNode(PlanNode):
     def recover_key(self, row: int, value) -> int:
         return self.child.recover_key(row, value)
 
-    def cpu_cycles(self) -> float:
-        return cpu_cycles("select", self.child.output_region().n)
+
+@dataclass
+class SelectNode(_RowPreservingNode):
+    """Filter; ``selectivity`` is the oracle's output fraction."""
+
+    child: PlanNode
+    predicate: Callable[[int], bool]
+    selectivity: float = 0.5
+
+    algorithm = SELECT
+    is_pipelined = True
+    _streamed = (True,)
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.selectivity <= 1.0:
+            raise ValueError("selectivity must be in (0, 1]")
+
+    def _operands(self) -> tuple:
+        src = self.child.output_region()
+        n = max(1, int(src.n * self.selectivity))
+        return src, DataRegion(f"σ({src.name})", n=n, w=src.w)
+
+    def output_region(self) -> DataRegion:
+        return self._operands()[1]
+
+    @property
+    def produces_sorted_output(self) -> bool:
+        return self.child.produces_sorted_output
 
     def _run(self, db: Database) -> Column:
         source = self.child.execute(db)
@@ -376,7 +389,7 @@ class SelectNode(PlanNode):
 
 
 @dataclass
-class ProjectNode(PlanNode):
+class ProjectNode(_UnaryNode):
     """Narrow a wide intermediate to its join-key column.
 
     The optimizer inserts this between two joins: join results store
@@ -389,90 +402,56 @@ class ProjectNode(PlanNode):
     child: PlanNode
     width: int = 8
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
+    algorithm = PROJECT
+    is_pipelined = True
+    _streamed = (True,)
+
+    def _operands(self) -> tuple:
+        src = self.child.output_region()
+        return (src, DataRegion(f"k({src.name})", n=src.n, w=self.width),
+                min(self.width, src.w))
 
     def output_region(self) -> DataRegion:
-        src = self.child.output_region()
-        return DataRegion(f"k({src.name})", n=src.n, w=self.width)
-
-    def _used_bytes(self) -> int:
-        return min(self.width, self.child.output_region().w)
-
-    def pattern(self) -> Pattern:
-        return project_pattern(self.child.output_region(),
-                               self.output_region(), u=self._used_bytes())
-
-    @property
-    def is_pipelined(self) -> bool:
-        return True
-
-    def pipelined_inputs(self) -> tuple[bool, ...]:
-        return (True,)
+        return self._operands()[1]
 
     @property
     def produces_sorted_output(self) -> bool:
         return self.child.produces_sorted_output
 
-    def cpu_cycles(self) -> float:
-        return cpu_cycles("project", self.child.output_region().n)
-
     def _run(self, db: Database) -> Column:
         source = self.child.execute(db)
-        u = min(self.width, source.width)
-        pairs = self.child.produces_pairs
-        if db.execution != "scalar":
-            from ..db.vectorized import project_node_v
-            return project_node_v(db, source, self.output_region().name,
-                                  self.width, u,
-                                  self.child.recover_key if pairs else None)
-        mem = db.mem
-        out = db.allocate_column(self.output_region().name,
-                                 n=max(1, source.n), width=self.width)
-        for row in range(source.n):
-            mem.access(source.item_address(row), u)
-            value = source.values[row]
-            key = self.child.recover_key(row, value) if pairs else value
-            out.write(mem, row, key)
-        out.values = out.values[:source.n]
-        return out
+        recover = self.child.recover_key if self.child.produces_pairs else None
+        return project_node(db, source, self.output_region().name,
+                            self.width, min(self.width, source.width),
+                            recover)
 
     def label(self) -> str:
         return "project(key)"
 
 
-@dataclass
-class SortNode(PlanNode):
-    """In-place quick-sort of the child's (materialized) output."""
+class _SortingNode(_RowPreservingNode):
+    """Shared behaviour of the two sorts: the input is materialized,
+    the output is the same items in key order."""
 
-    child: PlanNode
-    stop_bytes: int | None = None
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
+    produces_sorted_output = True
+    _streamed = (False,)
 
     def output_region(self) -> DataRegion:
         src = self.child.output_region()
         return DataRegion(f"sort({src.name})", n=src.n, w=src.w)
 
-    def pattern(self) -> Pattern:
-        return quick_sort_pattern(self.child.output_region(),
-                                  stop_bytes=self.stop_bytes)
 
-    @property
-    def produces_sorted_output(self) -> bool:
-        return True
+@dataclass
+class SortNode(_SortingNode):
+    """In-place quick-sort of the child's (materialized) output."""
 
-    @property
-    def produces_pairs(self) -> bool:
-        return self.child.produces_pairs
+    child: PlanNode
+    stop_bytes: int | None = None
 
-    def recover_key(self, row: int, value) -> int:
-        return self.child.recover_key(row, value)
+    algorithm = QUICK_SORT
 
-    def cpu_cycles(self) -> float:
-        n = self.child.output_region().n
-        return cpu_cycles("sort", n * sort_depth(n))
+    def _operands(self) -> tuple:
+        return self.child.output_region(), self.stop_bytes
 
     def _run(self, db: Database) -> Column:
         column = self.child.execute(db)
@@ -484,7 +463,7 @@ class SortNode(PlanNode):
 
 
 @dataclass
-class ExternalSortNode(PlanNode):
+class ExternalSortNode(_SortingNode):
     """External merge sort under a sort-area budget: quick-sort
     budget-sized runs in place, then merge the sorted runs into a fresh
     output column with one sequential cursor per run (the classic
@@ -495,52 +474,22 @@ class ExternalSortNode(PlanNode):
     memory_budget: int = 0
     stop_bytes: int | None = None
 
+    algorithm = EXTERNAL_MERGE_SORT
+
     def __post_init__(self) -> None:
-        if self.memory_budget < 1:
-            raise ValueError("memory_budget must be positive")
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def output_region(self) -> DataRegion:
-        src = self.child.output_region()
-        return DataRegion(f"sort({src.name})", n=src.n, w=src.w)
+        _check_budget(self.memory_budget)
 
     def runs(self) -> int:
         return spill_run_count(self.child.output_region(),
                                self.memory_budget)
 
-    def pattern(self) -> Pattern:
-        run_sorts, merge = external_merge_sort_phases(
-            self.child.output_region(), self.output_region(),
-            self.memory_budget, stop_bytes=self.stop_bytes)
-        if len(run_sorts) == 1:
-            return run_sorts[0]
-        return Seq.of(*run_sorts, merge)
+    def _operands(self) -> tuple:
+        return (self.child.output_region(), self.output_region(),
+                self.memory_budget, self.stop_bytes)
 
     @property
     def spills(self) -> bool:
         return self.runs() > 1
-
-    @property
-    def produces_sorted_output(self) -> bool:
-        return True
-
-    @property
-    def produces_pairs(self) -> bool:
-        return self.child.produces_pairs
-
-    def recover_key(self, row: int, value) -> int:
-        return self.child.recover_key(row, value)
-
-    def cpu_cycles(self) -> float:
-        n = self.child.output_region().n
-        r = self.runs()
-        run_n = -(-n // r)
-        cycles = cpu_cycles("sort", n * sort_depth(run_n))
-        if r > 1:
-            cycles += cpu_cycles("merge_pass", n)
-        return cycles
 
     def _run(self, db: Database) -> Column:
         column = self.child.execute(db)
@@ -552,36 +501,73 @@ class ExternalSortNode(PlanNode):
 
 
 class _JoinNode(PlanNode):
-    """Shared behaviour of the binary join operators."""
+    """Shared behaviour of the binary join operators.
+
+    Output values are (index, inner oid) pairs whose first component
+    indexes ``_keys`` — the join-key table :meth:`_run` leaves behind —
+    which keeps key recovery value-based (correct under filtering or
+    reordering above the join)."""
 
     left: PlanNode
     right: PlanNode
     match_fraction: float
 
+    produces_pairs = True
+    _streamed = (True, True)
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.match_fraction <= 1.0:
+            raise ValueError("match_fraction must be in (0, 1]")
+
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
 
-    def output_region(self) -> DataRegion:
+    def _operands(self) -> tuple:
         l, r = self.left.output_region(), self.right.output_region()
         n = max(1, int(min(l.n, r.n) * self.match_fraction))
-        return DataRegion(f"({l.name}⋈{r.name})", n=n, w=OUTPUT_WIDTH)
+        return l, r, DataRegion(f"({l.name}⋈{r.name})", n=n, w=OUTPUT_WIDTH)
 
-    @property
-    def produces_pairs(self) -> bool:
-        return True
+    def output_region(self) -> DataRegion:
+        return self._operands()[2]
 
     def recover_key(self, row: int, value) -> int:
-        outer = getattr(self, "_outer_values", None)
-        if outer is None:
+        keys = getattr(self, "_keys", None)
+        if keys is None:
             raise RuntimeError(
                 f"{type(self).__name__}.recover_key needs the join to have "
                 "executed first"
             )
-        return outer[value[0]]
+        return keys[value[0]]
 
-    def _check_match_fraction(self) -> None:
-        if not 0.0 < self.match_fraction <= 1.0:
-            raise ValueError("match_fraction must be in (0, 1]")
+    def _run(self, db: Database) -> Column:
+        """The unpartitioned joins: :attr:`_kernel` over both executed
+        inputs.  Those kernels emit (outer row, inner oid) pairs, so
+        the outer values are the key table."""
+        left = self.left.execute(db)
+        right = self.right.execute(db)
+        self._keys = left.values
+        return self._kernel(db, left, right,
+                            output_name=self.output_region().name,
+                            output_capacity=max(left.n, right.n, 1))
+
+    def _concatenate(self, db: Database, outputs, outer_clusters) -> Column:
+        """One column over the per-cluster join ``outputs``, its pairs
+        re-indexed to (global output row, local inner oid): the
+        cluster-local outer oid is ambiguous once clusters are
+        concatenated, and a global first component keeps key recovery
+        value-based.  The cluster outputs already live in simulated
+        memory (the ``W_j`` regions of the pattern); the combined column
+        is a zero-copy view for the consumer, so its creation is not
+        measured."""
+        values: list = []
+        keys: list[int] = []
+        for out_col, outer_cluster in zip(outputs, outer_clusters):
+            for pair in out_col.values:
+                keys.append(outer_cluster.values[pair[0]])
+                values.append((len(values), pair[1]))
+        self._keys = keys
+        return db.create_column(self.output_region().name, values,
+                                width=OUTPUT_WIDTH)
 
 
 @dataclass
@@ -592,37 +578,11 @@ class MergeJoinNode(_JoinNode):
     right: PlanNode
     match_fraction: float = 1.0
 
-    def __post_init__(self) -> None:
-        self._check_match_fraction()
-
-    def pattern(self) -> Pattern:
-        return merge_join_pattern(self.left.output_region(),
-                                  self.right.output_region(),
-                                  self.output_region())
-
-    @property
-    def is_pipelined(self) -> bool:
-        return True
-
-    def pipelined_inputs(self) -> tuple[bool, ...]:
-        return (True, True)
-
-    @property
-    def produces_sorted_output(self) -> bool:
-        return True
-
-    def cpu_cycles(self) -> float:
-        return cpu_cycles("merge_join", self.left.output_region().n
-                          + self.right.output_region().n)
-
-    def _run(self, db: Database) -> Column:
-        left = self.left.execute(db)
-        right = self.right.execute(db)
-        self._outer_values = left.values
-        capacity = max(left.n, right.n, 1)
-        return merge_join(db, left, right,
-                          output_name=self.output_region().name,
-                          output_capacity=capacity)
+    algorithm = MERGE_JOIN
+    is_pipelined = True
+    produces_sorted_output = True
+    needs_sorted_inputs = True
+    _kernel = staticmethod(merge_join)
 
     def label(self) -> str:
         return "merge_join"
@@ -642,57 +602,22 @@ class HashJoinNode(_JoinNode):
     right: PlanNode
     match_fraction: float = 1.0
 
-    def __post_init__(self) -> None:
-        self._check_match_fraction()
+    algorithm = HASH_JOIN
+    is_pipelined = True
 
     def _hash_region(self) -> DataRegion:
         return hash_table_region(self.right.output_region(),
                                  max_load=DEFAULT_HASH_MAX_LOAD)
-
-    def pattern(self) -> Pattern:
-        return hash_join_pattern(self.left.output_region(),
-                                 self.right.output_region(),
-                                 self.output_region(),
-                                 H=self._hash_region())
-
-    @property
-    def is_pipelined(self) -> bool:
-        return True
-
-    def pipelined_inputs(self) -> tuple[bool, ...]:
-        return (True, True)
 
     @property
     def produces_sorted_output(self) -> bool:
         # Output follows the outer (probe) order.
         return self.left.produces_sorted_output
 
-    def cpu_cycles(self) -> float:
-        return cpu_cycles("hash_join", self.left.output_region().n
-                          + self.right.output_region().n)
-
-    def compose(self, pipeline: bool = True) -> tuple[Pattern | None, Pattern | None]:
-        if not pipeline:
-            return super().compose(False)
-        H = self._hash_region()
-        build = hash_build_pattern(self.right.output_region(), H)
-        probe = hash_probe_pattern(self.left.output_region(), H,
-                                   self.output_region())
-        prefix_parts: list[Pattern] = []
-        prefix_parts.append(
-            _compose_edge(self.right, build, prefix_parts, True))
-        stream = _compose_edge(self.left, probe, prefix_parts, True)
-        return _seq(*prefix_parts), stream
-
-    def _run(self, db: Database) -> Column:
-        left = self.left.execute(db)
-        right = self.right.execute(db)
-        self._outer_values = left.values
-        capacity = max(left.n, right.n, 1)
-        out, _ = hash_join(db, left, right,
-                           output_name=self.output_region().name,
-                           output_capacity=capacity)
-        return out
+    @staticmethod
+    def _kernel(db: Database, left: Column, right: Column,
+                **output) -> Column:
+        return hash_join(db, left, right, **output)[0]
 
     def label(self) -> str:
         return "hash_join"
@@ -707,38 +632,14 @@ class NestedLoopJoinNode(_JoinNode):
     right: PlanNode
     match_fraction: float = 1.0
 
-    def __post_init__(self) -> None:
-        self._check_match_fraction()
-
-    def pattern(self) -> Pattern:
-        return nested_loop_join_pattern(self.left.output_region(),
-                                        self.right.output_region(),
-                                        self.output_region())
-
-    @property
-    def is_pipelined(self) -> bool:
-        return True
-
-    def pipelined_inputs(self) -> tuple[bool, ...]:
-        return (True, False)
+    algorithm = NESTED_LOOP_JOIN
+    is_pipelined = True
+    _streamed = (True, False)
+    _kernel = staticmethod(nested_loop_join)
 
     @property
     def produces_sorted_output(self) -> bool:
         return self.left.produces_sorted_output
-
-    def cpu_cycles(self) -> float:
-        return cpu_cycles("nested_loop_join",
-                          self.left.output_region().n
-                          * self.right.output_region().n)
-
-    def _run(self, db: Database) -> Column:
-        left = self.left.execute(db)
-        right = self.right.execute(db)
-        self._outer_values = left.values
-        capacity = max(left.n, right.n, 1)
-        return nested_loop_join(db, left, right,
-                                output_name=self.output_region().name,
-                                output_capacity=capacity)
 
     def label(self) -> str:
         return "nested_loop_join"
@@ -749,67 +650,30 @@ class PartitionedHashJoinNode(_JoinNode):
     """Partition both inputs into ``partitions`` clusters, then hash-join
     matching cluster pairs (paper Section 6.2, Figure 7e).  The partition
     count is injected by the optimizer (smallest count making each
-    per-cluster hash table cache-resident)."""
+    per-cluster hash table cache-resident).
+
+    Each partition pass streams its input; the join phase starts only
+    after both passes finished, so the node itself blocks."""
 
     left: PlanNode
     right: PlanNode
     match_fraction: float = 1.0
     partitions: int = 2
 
+    algorithm = PARTITIONED_HASH_JOIN
+
     def __post_init__(self) -> None:
-        self._check_match_fraction()
+        super().__post_init__()
         if self.partitions < 2:
             raise ValueError("partitioned hash join needs >= 2 partitions "
                              "(use HashJoinNode for m = 1)")
 
+    def _operands(self) -> tuple:
+        U, V, W = super()._operands()
+        return U, V, W, max(1, min(self.partitions, U.n, V.n, W.n))
+
     def _effective_partitions(self) -> int:
-        l, r = self.left.output_region(), self.right.output_region()
-        return max(1, min(self.partitions, l.n, r.n, self.output_region().n))
-
-    def _phase_patterns(self) -> tuple[Pattern, Pattern, Pattern]:
-        """(partition left, partition right, clustered joins)."""
-        U = self.left.output_region()
-        V = self.right.output_region()
-        W = self.output_region()
-        m = self._effective_partitions()
-        PU = DataRegion(f"P({U.name})", n=U.n, w=U.w)
-        PV = DataRegion(f"P({V.name})", n=V.n, w=V.w)
-        V_parts = PV.split(m)
-        H_regions = tuple(
-            hash_table_region(v, max_load=DEFAULT_HASH_MAX_LOAD)
-            for v in V_parts
-        )
-        joins = partitioned_hash_join_pattern(
-            PU.split(m), V_parts, W.split(m), H_regions=H_regions
-        )
-        return (partition_pattern(U, PU, m),
-                partition_pattern(V, PV, m),
-                joins)
-
-    def pattern(self) -> Pattern:
-        part_l, part_r, joins = self._phase_patterns()
-        return part_l + part_r + joins
-
-    def pipelined_inputs(self) -> tuple[bool, ...]:
-        # Each partition pass streams its input; the join phase starts
-        # only after both passes finished, so the node itself blocks.
-        return (True, True)
-
-    def cpu_cycles(self) -> float:
-        return cpu_cycles("partitioned_hash_join",
-                          self.left.output_region().n
-                          + self.right.output_region().n)
-
-    def compose(self, pipeline: bool = True) -> tuple[Pattern | None, Pattern | None]:
-        if not pipeline:
-            return super().compose(False)
-        part_l, part_r, joins = self._phase_patterns()
-        prefix_parts: list[Pattern] = []
-        for child, part_pass in ((self.left, part_l), (self.right, part_r)):
-            prefix_parts.append(
-                _compose_edge(child, part_pass, prefix_parts, True))
-        prefix_parts.append(joins)
-        return _seq(*prefix_parts), None
+        return self._operands()[3]
 
     def _run(self, db: Database) -> Column:
         left = self.left.execute(db)
@@ -823,25 +687,7 @@ class PartitionedHashJoinNode(_JoinNode):
             db, left_parts, right_parts,
             output_name=self.output_region().name,
         )
-        # Pairs are re-indexed to (global output row, local inner oid):
-        # the cluster-local outer oid is ambiguous once clusters are
-        # concatenated, and a global first component keeps key recovery
-        # value-based (correct under filtering/reordering above).
-        values: list = []
-        keys: list[int] = []
-        for out_col, outer_cluster in zip(outputs, left_parts.clusters):
-            for pair in out_col.values:
-                keys.append(outer_cluster.values[pair[0]])
-                values.append((len(values), pair[1]))
-        self._keys = keys
-        # The cluster outputs already live in simulated memory (the W_j
-        # regions of the pattern); this combined column is a zero-copy
-        # view for the consumer, so its creation is not measured.
-        return db.create_column(self.output_region().name, values,
-                                width=OUTPUT_WIDTH)
-
-    def recover_key(self, row: int, value) -> int:
-        return self._keys[value[0]]
+        return self._concatenate(db, outputs, left_parts.clusters)
 
     def label(self) -> str:
         return f"partitioned_hash_join(m={self.partitions})"
@@ -856,69 +702,30 @@ class GraceHashJoinNode(_JoinNode):
     *cache*-resident; this node picks it to make them fit the working
     memory the engine is allowed at all — the paper's Section 7
     unification makes the two the same decision at different levels of
-    the hierarchy."""
+    the hierarchy.  Blocks like its in-memory twin, also when the table
+    fits and the plain hash join runs as its single phase."""
 
     left: PlanNode
     right: PlanNode
     match_fraction: float = 1.0
     memory_budget: int = 0
 
+    algorithm = GRACE_HASH_JOIN
+
     def __post_init__(self) -> None:
-        self._check_match_fraction()
-        if self.memory_budget < 1:
-            raise ValueError("memory_budget must be positive")
+        super().__post_init__()
+        _check_budget(self.memory_budget)
 
     def effective_partitions(self) -> int:
-        # Clamped exactly like the engine (grace_hash_join): by the
-        # input sizes only — a selective join's small *output* must not
-        # collapse the model's fan-out while the engine still spills.
-        V = self.right.output_region()
-        H = hash_table_region(V, max_load=DEFAULT_HASH_MAX_LOAD)
-        m = spill_partition_count(H.size, self.memory_budget)
-        return max(1, min(m, self.left.output_region().n, V.n))
+        U, V, _, memory_budget = self._operands()
+        return grace_partition_count(U, V, memory_budget)
 
     @property
     def spills(self) -> bool:
         return self.effective_partitions() > 1
 
-    def _phases(self):
-        return grace_hash_join_phases(
-            self.left.output_region(), self.right.output_region(),
-            self.output_region(), self.memory_budget)
-
-    def pattern(self) -> Pattern:
-        phases = self._phases()
-        if phases is None:
-            V = self.right.output_region()
-            H = hash_table_region(V, max_load=DEFAULT_HASH_MAX_LOAD)
-            return hash_join_pattern(self.left.output_region(), V,
-                                     self.output_region(), H=H)
-        part_l, part_r, joins = phases
-        return part_l + part_r + joins
-
-    def pipelined_inputs(self) -> tuple[bool, ...]:
-        # Each partition pass streams its input; the join phase starts
-        # only after both passes finished, so the node itself blocks.
-        return (True, True)
-
-    def cpu_cycles(self) -> float:
-        return cpu_cycles("partitioned_hash_join",
-                          self.left.output_region().n
-                          + self.right.output_region().n)
-
-    def compose(self, pipeline: bool = True) -> tuple[Pattern | None, Pattern | None]:
-        if not pipeline:
-            return super().compose(False)
-        phases = self._phases()
-        if phases is None:
-            return super().compose(True)
-        part_l, part_r, joins = phases
-        prefix_parts: list[Pattern] = []
-        for child, part_pass in ((self.left, part_l), (self.right, part_r)):
-            prefix_parts.append(
-                _compose_edge(child, part_pass, prefix_parts, True))
-        prefix_parts.append(joins)
-        return _seq(*prefix_parts), None
+    def _operands(self) -> tuple:
+        return (*super()._operands(), self.memory_budget)
 
     def _run(self, db: Database) -> Column:
         left = self.left.execute(db)
@@ -927,38 +734,36 @@ class GraceHashJoinNode(_JoinNode):
                                  output_name=self.output_region().name)
         if not isinstance(result, GraceJoinResult):
             # No spill: the plain hash join ran; its pairs are
-            # (outer row, inner payload), so the outer values list is
-            # the key table (the _JoinNode convention).
-            out, _ = result
+            # (outer row, inner oid), so the outer values are the keys.
             self._keys = left.values
-            return out
-        # Re-index cluster-local pairs to (global output row, local
-        # inner oid), keeping key recovery value-based (same convention
-        # as PartitionedHashJoinNode).
-        values: list = []
-        keys: list[int] = []
-        for out_col, outer_cluster in zip(result.outputs,
-                                          result.outer_parts.clusters):
-            for pair in out_col.values:
-                keys.append(outer_cluster.values[pair[0]])
-                values.append((len(values), pair[1]))
-        self._keys = keys
-        return db.create_column(self.output_region().name, values,
-                                width=OUTPUT_WIDTH)
-
-    def recover_key(self, row: int, value) -> int:
-        return self._keys[value[0]]
+            return result[0]
+        return self._concatenate(db, result.outputs,
+                                 result.outer_parts.clusters)
 
     def label(self) -> str:
         return (f"grace_hash_join(m={self.effective_partitions()}, "
                 f"budget={self.memory_budget})")
 
 
+class _GroupingNode(_UnaryNode):
+    """Shared behaviour of the group-count operators; ``groups`` is the
+    oracle's group count."""
+
+    groups: int
+
+    def __post_init__(self) -> None:
+        if self.groups < 1:
+            raise ValueError("groups must be positive")
+
+    def output_region(self) -> DataRegion:
+        return DataRegion("agg", n=max(1, self.groups), w=16)
+
+
 @dataclass
-class AggregateNode(PlanNode):
-    """Hash-based group-count; ``groups`` is the oracle's group count.
-    ``key_of`` extracts the grouping key from a stored value (join
-    outputs store (outer oid, inner oid) pairs).
+class AggregateNode(_GroupingNode):
+    """Hash-based group-count.  ``key_of`` extracts the grouping key
+    from a stored value (join outputs store (outer oid, inner oid)
+    pairs).
 
     Two phases: *consume* drains the input (streamed if the child
     pipelines), *emit* sweeps the group table — so only the consume
@@ -969,46 +774,14 @@ class AggregateNode(PlanNode):
     groups: int = 64
     key_of: Callable | None = None
 
-    def __post_init__(self) -> None:
-        if self.groups < 1:
-            raise ValueError("groups must be positive")
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def output_region(self) -> DataRegion:
-        return DataRegion("agg", n=max(1, self.groups), w=16)
+    algorithm = HASH_AGGREGATE
+    _streamed = (True,)
 
     def _group_region(self) -> DataRegion:
-        return hash_table_region(
-            DataRegion("G", n=self.groups, w=16),
-            max_load=DEFAULT_HASH_MAX_LOAD, name="G",
-        )
+        return group_table_region(self.groups)
 
-    def _phases(self) -> tuple[Pattern, Pattern]:
-        return hash_aggregate_phases(self.child.output_region(),
-                                     self._group_region(),
-                                     self.output_region())
-
-    def pattern(self) -> Pattern:
-        consume, emit = self._phases()
-        return consume + emit
-
-    def pipelined_inputs(self) -> tuple[bool, ...]:
-        return (True,)
-
-    def cpu_cycles(self) -> float:
-        return cpu_cycles("hash_aggregate", self.child.output_region().n)
-
-    def compose(self, pipeline: bool = True) -> tuple[Pattern | None, Pattern | None]:
-        if not pipeline:
-            return super().compose(False)
-        consume, emit = self._phases()
-        prefix_parts: list[Pattern] = []
-        prefix_parts.append(
-            _compose_edge(self.child, consume, prefix_parts, True))
-        prefix_parts.append(emit)
-        return _seq(*prefix_parts), None
+    def _operands(self) -> tuple:
+        return self.child.output_region(), self.output_region(), self.groups
 
     def _run(self, db: Database) -> Column:
         source = self.child.execute(db)
@@ -1020,7 +793,7 @@ class AggregateNode(PlanNode):
 
 
 @dataclass
-class SortAggregateNode(PlanNode):
+class SortAggregateNode(_GroupingNode):
     """Sort-based group-count: quick-sort the (materialized) input in
     place, then one sequential grouping pass.  Only applicable when the
     raw values are the grouping keys (no ``key_of`` extraction)."""
@@ -1029,29 +802,13 @@ class SortAggregateNode(PlanNode):
     groups: int = 64
     stop_bytes: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.groups < 1:
-            raise ValueError("groups must be positive")
+    algorithm = SORT_AGGREGATE
+    produces_sorted_output = True
+    _streamed = (False,)
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def output_region(self) -> DataRegion:
-        return DataRegion("agg", n=max(1, self.groups), w=16)
-
-    def pattern(self) -> Pattern:
-        return sort_aggregate_pattern(self.child.output_region(),
-                                      self.output_region(),
-                                      stop_bytes=self.stop_bytes)
-
-    @property
-    def produces_sorted_output(self) -> bool:
-        return True
-
-    def cpu_cycles(self) -> float:
-        n = self.child.output_region().n
-        return (cpu_cycles("sort", n * sort_depth(n))
-                + cpu_cycles("aggregate_pass", n))
+    def _operands(self) -> tuple:
+        return (self.child.output_region(), self.output_region(),
+                self.stop_bytes)
 
     def _run(self, db: Database) -> Column:
         source = self.child.execute(db)
@@ -1062,7 +819,7 @@ class SortAggregateNode(PlanNode):
 
 
 @dataclass
-class SpillingAggregateNode(PlanNode):
+class SpillingAggregateNode(_GroupingNode):
     """Hash-based group-count under a group-table budget: partition the
     input by (extracted) grouping key until each per-partition group
     table fits ``memory_budget``, then hash-aggregate every partition.
@@ -1078,70 +835,24 @@ class SpillingAggregateNode(PlanNode):
     memory_budget: int = 0
     key_of: Callable | None = None
 
+    algorithm = SPILLING_HASH_AGGREGATE
+    _streamed = (True,)
+
     def __post_init__(self) -> None:
-        if self.groups < 1:
-            raise ValueError("groups must be positive")
-        if self.memory_budget < 1:
-            raise ValueError("memory_budget must be positive")
+        super().__post_init__()
+        _check_budget(self.memory_budget)
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def output_region(self) -> DataRegion:
-        return DataRegion("agg", n=max(1, self.groups), w=16)
-
-    def _phases(self):
-        return spilling_hash_aggregate_phases(
-            self.child.output_region(), self.output_region(),
-            self.groups, self.memory_budget)
-
-    def pattern(self) -> Pattern:
-        phases = self._phases()
-        if phases is None:
-            G = hash_table_region(
-                DataRegion("G", n=self.groups, w=16),
-                max_load=DEFAULT_HASH_MAX_LOAD, name="G")
-            consume, emit = hash_aggregate_phases(
-                self.child.output_region(), G, self.output_region())
-            return consume + emit
-        partition_pass, aggregates = phases
-        return partition_pass + aggregates
+    def _operands(self) -> tuple:
+        return (self.child.output_region(), self.output_region(),
+                self.groups, self.memory_budget)
 
     def effective_partitions(self) -> int:
-        """The spill fan-out, without building the phase patterns —
-        the same policy and clamps ``spilling_hash_aggregate_phases``
-        applies."""
-        G = hash_table_region(DataRegion("G", n=self.groups, w=16),
-                              max_load=DEFAULT_HASH_MAX_LOAD, name="G")
-        m = spill_partition_count(G.size, self.memory_budget)
-        return max(1, min(m, self.child.output_region().n, self.groups))
+        """The spill fan-out, without building the phase patterns."""
+        return spilling_aggregate_partition_count(*self._operands())
 
     @property
     def spills(self) -> bool:
         return self.effective_partitions() > 1
-
-    def pipelined_inputs(self) -> tuple[bool, ...]:
-        return (True,)
-
-    def cpu_cycles(self) -> float:
-        n = self.child.output_region().n
-        cycles = cpu_cycles("hash_aggregate", n)
-        if self.spills:
-            cycles += cpu_cycles("partition_pass", n)
-        return cycles
-
-    def compose(self, pipeline: bool = True) -> tuple[Pattern | None, Pattern | None]:
-        if not pipeline:
-            return super().compose(False)
-        phases = self._phases()
-        if phases is None:
-            return super().compose(True)
-        partition_pass, aggregates = phases
-        prefix_parts: list[Pattern] = []
-        prefix_parts.append(
-            _compose_edge(self.child, partition_pass, prefix_parts, True))
-        prefix_parts.append(aggregates)
-        return _seq(*prefix_parts), None
 
     def _run(self, db: Database) -> Column:
         source = self.child.execute(db)
@@ -1152,6 +863,31 @@ class SpillingAggregateNode(PlanNode):
     def label(self) -> str:
         return (f"spilling_aggregate(groups={self.groups}, "
                 f"budget={self.memory_budget})")
+
+
+#: Advisor spec name (``JoinSpec.algorithm`` / an aggregate spec string
+#: — the catalog names) → the node class implementing it.
+_IMPLEMENTATIONS: dict[str, type[PlanNode]] = {
+    cls.algorithm.name: cls
+    for cls in (MergeJoinNode, HashJoinNode, NestedLoopJoinNode,
+                PartitionedHashJoinNode, GraceHashJoinNode,
+                AggregateNode, SortAggregateNode, SpillingAggregateNode)
+}
+
+
+def implementation(name: str, inputs: tuple[PlanNode, ...],
+                   sort: Callable[[PlanNode], PlanNode],
+                   **params) -> PlanNode:
+    """The node implementing advisor spec ``name`` over ``inputs``.
+    ``params`` is everything the planner could inject (match fraction,
+    fan-out, budget, group count, …); each node class takes the ones it
+    has a field for.  ``sort`` orders the inputs of an implementation
+    that needs them sorted."""
+    cls = _IMPLEMENTATIONS[name]
+    if cls.needs_sorted_inputs:
+        inputs = tuple(sort(node) for node in inputs)
+    return cls(*inputs, **{key: value for key, value in params.items()
+                           if key in cls.__dataclass_fields__})
 
 
 class QueryPlan:
