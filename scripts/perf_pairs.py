@@ -11,7 +11,10 @@ pair to pair so a drift in host speed is charged to both.  Printed: one
 row per pair, each side's median and quartiles for every end-to-end
 metric, how many pairs the change won on ``wall_ops_per_s`` (ties count
 for neither), whether that median gain exceeds the parent's own
-interquartile spread, and whether the two ``sim_digest``s match.
+interquartile spread, each end-to-end metric's median move against
+the bound ``BENCHMARK.json`` declares for it (``within`` /
+``LEFT BOUND``), and whether the two ``sim_digest``s match.  The exit
+status is non-zero when a metric left its bound or the digests differ.
 
 A gain may be claimed when the change wins at least nine pairs in ten
 and the medians differ by more than the parent's spread; ``sim_*`` must
@@ -31,6 +34,7 @@ import sys
 import tempfile
 
 CLAIMED = "wall_ops_per_s"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_once(tree: pathlib.Path, args, out: pathlib.Path) -> dict:
@@ -48,6 +52,33 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4)
     return q1, median, q3
+
+
+def bound_verdicts(bounded: list[dict], medians: dict
+                   ) -> list[tuple[str, float, float, float, float, bool]]:
+    """Each bounded metric against its bound — ``wall_ops_per_s``
+    too: on a workload the change bypasses it is a no-regression metric
+    like the rest, and a gain reads as a negative move.
+
+    ``bounded`` is ``BENCHMARK.json``'s ``end_to_end`` list and
+    ``medians`` maps ``(metric, side)`` to that side's median.  A row is
+    ``(metric, parent median, change median, move, bound, within)``:
+    ``move`` is how far the change's median went the *wrong* way (down
+    for a higher-is-better metric), as a share of the parent's median,
+    so a negative move is an improvement."""
+    rows = []
+    for spec in bounded:
+        name = spec["name"]
+        if (name, "parent") not in medians:
+            continue
+        parent, change = medians[name, "parent"], medians[name, "change"]
+        worse = parent - change if spec["better"] == "higher" \
+            else change - parent
+        move = worse / abs(parent) if parent \
+            else float("inf") if worse > 0 else 0.0
+        rows.append((name, parent, change, move, spec["bound"],
+                     move <= spec["bound"]))
+    return rows
 
 
 def main(argv=None) -> int:
@@ -110,6 +141,20 @@ def main(argv=None) -> int:
     failed = {side: sum(run["failed"] for run in runs[side])
               for side in runs}
     print(f"failed ops: parent {failed['parent']}, change {failed['change']}")
+    reps = {side: sorted(run["reps"] for run in runs[side]) for side in runs}
+    print(f"reps per run (each run keeps its reps' reports, so "
+          f"peak_rss_mb grows with them): parent {reps['parent']}, "
+          f"change {reps['change']}")
+    bounded = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    verdicts = bound_verdicts(
+        bounded, {key: median for key, (_, median, _) in spreads.items()})
+    print("\nmedian moves against the BENCHMARK.json bounds "
+          "(+ is worse):")
+    for name, parent, change, move, bound, within in verdicts:
+        print(f"  {name:<22}{parent:>12.6g} -> {change:<12.6g}"
+              f"{move:>+8.1%}  (bound {bound:.0%})  "
+              f"{'within' if within else 'LEFT BOUND'}")
+    in_bounds = all(within for *_, within in verdicts)
     digests = {side: {run["sim_digest"] for run in runs[side]}
                for side in runs}
     same = digests["parent"] == digests["change"] \
@@ -117,7 +162,7 @@ def main(argv=None) -> int:
     print(f"sim_digest: {'equal' if same else 'DIFFERENT'} "
           f"(parent {sorted(digests['parent'])}, "
           f"change {sorted(digests['change'])})")
-    return 0 if same else 1
+    return 0 if same and in_bounds else 1
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ from .optimizer import (
     PlanCandidate,
     PlannedQuery,
     PlannerConfig,
-    plan_signature,
 )
 from .physical import (
     AggregateNode,
@@ -48,6 +47,7 @@ from .physical import (
     SortAggregateNode,
     SortNode,
     SpillingAggregateNode,
+    plan_signature,
 )
 
 __all__ = [

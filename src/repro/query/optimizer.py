@@ -47,19 +47,13 @@ from .logical import Aggregate, Filter, Join, LogicalOp, Relation, Sort
 from .physical import (
     AggregateNode,
     ExternalSortNode,
-    GraceHashJoinNode,
     HashJoinNode,
-    MergeJoinNode,
-    NestedLoopJoinNode,
-    PartitionedHashJoinNode,
     PlanNode,
     ProjectNode,
     QueryPlan,
     ScanNode,
     SelectNode,
-    SortAggregateNode,
     SortNode,
-    SpillingAggregateNode,
     implementation,
 )
 
@@ -68,7 +62,6 @@ __all__ = [
     "PlanCandidate",
     "PlannedQuery",
     "Optimizer",
-    "plan_signature",
 ]
 
 
@@ -109,40 +102,6 @@ class PlannerConfig:
     execution: str = "vectorized"
 
 
-def plan_signature(node: PlanNode) -> str:
-    """A compact one-line rendering of a physical plan's shape."""
-    if isinstance(node, ScanNode):
-        return node.output_region().name
-    if isinstance(node, SelectNode):
-        return f"σ({plan_signature(node.child)})"
-    if isinstance(node, ProjectNode):
-        return f"k({plan_signature(node.child)})"
-    if isinstance(node, SortNode):
-        return f"sort({plan_signature(node.child)})"
-    if isinstance(node, ExternalSortNode):
-        return f"xsort[r={node.runs()}]({plan_signature(node.child)})"
-    if isinstance(node, MergeJoinNode):
-        return f"mj({plan_signature(node.left)}, {plan_signature(node.right)})"
-    if isinstance(node, HashJoinNode):
-        return f"hj({plan_signature(node.left)}, {plan_signature(node.right)})"
-    if isinstance(node, NestedLoopJoinNode):
-        return f"nlj({plan_signature(node.left)}, {plan_signature(node.right)})"
-    if isinstance(node, PartitionedHashJoinNode):
-        return (f"phj[m={node.partitions}]({plan_signature(node.left)}, "
-                f"{plan_signature(node.right)})")
-    if isinstance(node, GraceHashJoinNode):
-        return (f"ghj[m={node.effective_partitions()}]"
-                f"({plan_signature(node.left)}, "
-                f"{plan_signature(node.right)})")
-    if isinstance(node, AggregateNode):
-        return f"agg({plan_signature(node.child)})"
-    if isinstance(node, SortAggregateNode):
-        return f"sort_agg({plan_signature(node.child)})"
-    if isinstance(node, SpillingAggregateNode):
-        return f"spill_agg({plan_signature(node.child)})"
-    return type(node).__name__
-
-
 @dataclass(frozen=True)
 class PlanCandidate:
     """One enumerated physical plan with its predicted cost."""
@@ -160,7 +119,7 @@ class PlanCandidate:
 
     @property
     def signature(self) -> str:
-        return plan_signature(self.plan.root)
+        return self.plan.signature
 
 
 class PlannedQuery:

@@ -38,6 +38,7 @@ cardinality hints for the same effect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 from ..core.algorithms import (
@@ -94,6 +95,7 @@ __all__ = [
     "SortAggregateNode",
     "SpillingAggregateNode",
     "QueryPlan",
+    "plan_signature",
 ]
 
 
@@ -890,12 +892,53 @@ def implementation(name: str, inputs: tuple[PlanNode, ...],
                            if key in cls.__dataclass_fields__})
 
 
+def plan_signature(node: PlanNode) -> str:
+    """A compact one-line rendering of a physical plan's shape."""
+    if isinstance(node, ScanNode):
+        return node.output_region().name
+    if isinstance(node, SelectNode):
+        return f"σ({plan_signature(node.child)})"
+    if isinstance(node, ProjectNode):
+        return f"k({plan_signature(node.child)})"
+    if isinstance(node, SortNode):
+        return f"sort({plan_signature(node.child)})"
+    if isinstance(node, ExternalSortNode):
+        return f"xsort[r={node.runs()}]({plan_signature(node.child)})"
+    if isinstance(node, MergeJoinNode):
+        return f"mj({plan_signature(node.left)}, {plan_signature(node.right)})"
+    if isinstance(node, HashJoinNode):
+        return f"hj({plan_signature(node.left)}, {plan_signature(node.right)})"
+    if isinstance(node, NestedLoopJoinNode):
+        return f"nlj({plan_signature(node.left)}, {plan_signature(node.right)})"
+    if isinstance(node, PartitionedHashJoinNode):
+        return (f"phj[m={node.partitions}]({plan_signature(node.left)}, "
+                f"{plan_signature(node.right)})")
+    if isinstance(node, GraceHashJoinNode):
+        return (f"ghj[m={node.effective_partitions()}]"
+                f"({plan_signature(node.left)}, "
+                f"{plan_signature(node.right)})")
+    if isinstance(node, AggregateNode):
+        return f"agg({plan_signature(node.child)})"
+    if isinstance(node, SortAggregateNode):
+        return f"sort_agg({plan_signature(node.child)})"
+    if isinstance(node, SpillingAggregateNode):
+        return f"spill_agg({plan_signature(node.child)})"
+    return type(node).__name__
+
+
 class QueryPlan:
     """A physical plan with derived whole-query costs."""
 
     def __init__(self, root: PlanNode) -> None:
         self.root = root
         self._patterns: dict[bool, Pattern] = {}
+
+    @cached_property
+    def signature(self) -> str:
+        """The plan's :func:`plan_signature`, rendered once — plan
+        trees are not mutated after construction, and a cached plan
+        serves thousands of queries that all report this string."""
+        return plan_signature(self.root)
 
     def pattern(self, pipeline: bool = True) -> Pattern:
         """The whole plan's access pattern.  ``pipeline=True`` combines

@@ -22,6 +22,8 @@ stay tenant-blind (arrival order only).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from ..service.core import Batch, BatchFormer, Task
 from ..service.interference import InterferenceModel
 from .tenant import TenantQuota
@@ -43,13 +45,16 @@ class AdmissionController(BatchFormer):
         self.max_queue = max_queue
         #: Arrival-ordered run queue.
         self.queue: list[Task] = []
+        #: Queued tasks per tenant — a running recount of ``queue``
+        #: that :meth:`offer` and :meth:`next_batch` keep in step.
+        self._occupancy: Counter[str] = Counter()
         #: Round-robin seed order over tenant names (least recently
         #: seeded first).
         self._rr: list[str] = []
 
     # -- queue side ----------------------------------------------------
     def occupancy(self, tenant: str) -> int:
-        return sum(1 for t in self.queue if t.tenant == tenant)
+        return self._occupancy[tenant]
 
     def offer(self, task: Task, quota: TenantQuota) -> list[Task]:
         """Try to queue ``task``; returns the tasks shed by the
@@ -62,12 +67,13 @@ class AdmissionController(BatchFormer):
             return [task]  # over its own quota: shed, nobody displaced
         if len(self.queue) < self.max_queue:
             self.queue.append(task)
+            self._occupancy[task.tenant] += 1
             return []
         # Queue full: a lighter tenant displaces the newest entry of
         # the heaviest one (never the other way round) — fairness means
-        # overload is charged to whoever causes it.
-        heaviest = max({t.tenant for t in self.queue},
-                       key=self.occupancy)
+        # overload is charged to whoever causes it.  Equally heavy
+        # tenants tie towards the one that queued here first.
+        heaviest = max(self._occupancy, key=self.occupancy)
         if (heaviest == task.tenant
                 or self.occupancy(task.tenant) + 1
                 >= self.occupancy(heaviest)):
@@ -76,6 +82,8 @@ class AdmissionController(BatchFormer):
                       if t.tenant == heaviest)
         self.queue.remove(victim)
         self.queue.append(task)
+        self._occupancy[heaviest] -= 1
+        self._occupancy[task.tenant] += 1
         return [victim]
 
     def earliest_arrival(self) -> float | None:
@@ -111,6 +119,7 @@ class AdmissionController(BatchFormer):
         batch = self.form(seed, [t for t in arrived if t is not seed])
         for task in batch:
             self.queue.remove(task)
+            self._occupancy[task.tenant] -= 1
         return batch
 
     def __repr__(self) -> str:

@@ -9,15 +9,25 @@ wait in the admission controller's bounded queue, and execute as
 ⊙-guided co-run batches on the one simulated machine.
 
 Two clocks run at once.  *Wall clock*: compiles genuinely run in
-parallel on the pool, batches execute in worker threads while the
-event loop keeps accepting traffic.  *Simulated clock*: the machine's
-time, advanced batch by batch — a batch starts at
-``max(machine-free, seed arrival)``, lasts its replayed makespan, and
-a query's reported latency is simulated ``finish − arrival``.  All
-scheduling decisions are functions of the simulated clock only (a
-batch never includes a query that had not arrived when the batch
-started, and a decision at simulated time *t* waits for every compile
-whose query arrived by *t*), so a serving run is deterministic in
+parallel on the pool, and the dispatcher is one function,
+:meth:`QueryServer._run`, that a pool worker runs *until it is
+blocked*: it forms a batch, executes it, settles it, and goes on to the
+next for as long as the simulated clock can advance, so the event loop
+pays one hand-off per decidable run, not one per batch.  Each batch's
+responses are posted back to the loop thread as soon as the batch is
+accounted (``call_soon_threadsafe``), so clients wake batch by batch
+while the run continues; the run returns — it never waits inside the
+worker — when a query due by its decision time is still compiling or
+nothing is staged or queued, and the next finished compile starts the
+next run.  *Simulated clock*: the machine's time, advanced batch by
+batch — a batch starts at ``max(machine-free, seed arrival)``, lasts
+its replayed makespan, and a query's reported latency is simulated
+``finish − arrival``.  All scheduling decisions are functions of the
+simulated clock only (compiled queries wait in a heap on
+``(arrival, qid)`` and are admitted in that order, a batch never
+includes a query that had not arrived when the batch started, and a
+decision at simulated time *t* waits for every compile whose query
+arrived by *t*), so a serving run is deterministic in
 ``(workload, seeds, policy)`` no matter how the pool's threads race.
 
 Compiling, batch formation, and settlement are the serving core's
@@ -38,6 +48,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from ..calibrator.autotune import LatencyGrid, Recalibration, Recalibrator
 from ..hardware.hierarchy import MemoryHierarchy
@@ -56,7 +67,7 @@ from .tenant import Tenant, TenantQuota
 __all__ = ["ServerResponse", "ServingReport", "QueryServer"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServerResponse:
     """One query's serving outcome on the simulated clock."""
 
@@ -294,6 +305,15 @@ class QueryServer:
         (:class:`~repro.calibrator.LatencyGrid`), minimum replay-sample
         depth before a response runs, and (optional) directory where
         published profiles and their sidecar manifests are written.
+
+    Who owns what (nothing else is locked): the *event-loop thread*
+    owns the response futures, ``_outstanding`` and ``_idle``; the
+    *run* (:meth:`_run`, one at a time, on a pool worker) owns the
+    simulated clock, the run queue, ``_responses``, ``_batches``, the
+    tenants' served/shed counters, the SLO tracker and the tracer, and
+    hands resolved futures to the loop thread; the staged heap and the
+    compiling set are shared between the two under ``_stage_lock``.
+    Read :meth:`report` after :meth:`drain`, when no run is in flight.
     """
 
     def __init__(self, hierarchy: MemoryHierarchy | None = None, *,
@@ -347,10 +367,16 @@ class QueryServer:
         self._dispatcher: asyncio.Task | None = None
         self._wake: asyncio.Event | None = None
         self._idle: asyncio.Event | None = None
-        self._compiling: dict[int, float] = {}  # qid -> arrival_ns
-        self._staged: list[Task] = []  # compiled, not yet admitted
+        self._stopping = False
         self._outstanding = 0
-        self._machine_lock = threading.Lock()
+        # shared between the loop thread and the run, under the lock:
+        self._stage_lock = threading.Lock()
+        #: Heap of ``(arrival_ns, qid, task)``: compiled, not admitted.
+        self._staged: list[tuple[float, int, Task]] = []
+        #: qids whose compile is in flight, and a heap of their
+        #: ``(arrival_ns, qid)`` that finished compiles leave lazily.
+        self._compiling: set[int] = set()
+        self._compiling_order: list[tuple[float, int]] = []
         # observability (all no-ops when tracer is None)
         self.tracer = tracer
         if tracer is not None:
@@ -455,13 +481,16 @@ class QueryServer:
         self._wake = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
+        self._stopping = False
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
         return self
 
     async def stop(self) -> None:
-        """Stop dispatching and release the pool (pending queries keep
-        their futures unresolved; call :meth:`drain` first for a clean
+        """Stop dispatching and release the pool: a run in flight
+        returns at its next batch boundary (pending queries keep their
+        futures unresolved; call :meth:`drain` first for a clean
         shutdown)."""
+        self._stopping = True
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             try:
@@ -496,7 +525,8 @@ class QueryServer:
         """Accept one query for ``tenant`` and return a future for its
         :class:`ServerResponse`.  ``arrival_ns`` places it on the
         simulated clock (defaults to the machine's current simulated
-        time — "it arrived just now")."""
+        time — "it arrived just now", which with a run in flight is
+        whichever batch boundary the run has reached)."""
         if self._pool is None or self._wake is None:
             raise RuntimeError("server not started (use `async with "
                                "QueryServer(...)` or await start())")
@@ -509,26 +539,29 @@ class QueryServer:
         response: asyncio.Future = loop.create_future()
         self._outstanding += 1
         self._idle.clear()
-        self._compiling[qid] = arrival
+        with self._stage_lock:
+            self._compiling.add(qid)
+            heappush(self._compiling_order, (arrival, qid))
         compile_future = loop.run_in_executor(
             self._pool, self._compile, owner,
             WorkloadQuery(qid=qid, client=owner.index, kind=kind,
                           text=text, arrival_ns=arrival))
 
         def _compiled(done: asyncio.Future) -> None:
-            del self._compiling[qid]
             try:
                 task = done.result()
             except BaseException as exc:  # bad query text, planner error
-                if not response.done():
-                    response.set_exception(exc)
-                self._resolve_bookkeeping()
-            else:
-                # Stage only: the admission (quota/shedding) decision is
-                # the dispatcher's, made on the simulated clock — queue
-                # state must not depend on how compile threads raced.
-                task.handle = response
-                self._staged.append(task)
+                task = None
+                self._deliver([(response, exc)])
+            with self._stage_lock:
+                self._compiling.remove(qid)
+                if task is not None:
+                    # Stage only: the admission (quota/shedding)
+                    # decision is the run's, made on the simulated
+                    # clock — queue state must not depend on how
+                    # compile threads raced.
+                    task.handle = response
+                    heappush(self._staged, (arrival, qid, task))
             self._wake.set()
 
         compile_future.add_done_callback(_compiled)
@@ -578,7 +611,7 @@ class QueryServer:
                             query, tenant=tenant.name)
 
     def _execute_batch(self, batch: Batch):
-        """Worker thread: measure the batch on the server's machine,
+        """The run: measure the batch on the server's machine,
         each member recorded against its tenant's engine and shifted
         into the tenant's address slice.
 
@@ -593,14 +626,26 @@ class QueryServer:
             tenant = self.tenants[task.tenant]
             members.append((tenant.session, task.plan,
                             tenant.address_offset))
-        with self._machine_lock:
-            replay, rows, measured = execute_batch(
-                members, self.hierarchy, self.quantum,
-                attribute=self.tracer is not None)
+        replay, rows, measured = execute_batch(
+            members, self.hierarchy, self.quantum,
+            attribute=self.tracer is not None)
         return replay, rows, measured, wall_start, time.perf_counter_ns()
 
     # -- dispatcher ----------------------------------------------------
-    def _shed(self, task: Task, at_ns: float) -> None:
+    def _deliver(self, posts: list) -> None:
+        """Loop thread: resolve ``(future, response or exception)``
+        pairs — what the run posts after every batch."""
+        for handle, outcome in posts:
+            if not handle.done():
+                if isinstance(outcome, BaseException):
+                    handle.set_exception(outcome)
+                else:
+                    handle.set_result(outcome)
+            self._outstanding -= 1
+        if self._outstanding == 0:
+            self._idle.set()
+
+    def _shed(self, task: Task, at_ns: float, posts: list) -> None:
         """Refuse ``task`` at simulated time ``at_ns`` (its own arrival
         when it never got in, the displacement time for a victim)."""
         tenant = self.tenants[task.tenant]
@@ -622,25 +667,40 @@ class QueryServer:
                 sim_start_ns=task.arrival_ns, sim_end_ns=at_ns,
                 kind=task.kind, outcome="shed",
                 signature=task.signature)
-        if task.handle is not None and not task.handle.done():
-            task.handle.set_result(response)
-        self._resolve_bookkeeping()
+        posts.append((task.handle, response))
 
-    def _resolve_bookkeeping(self) -> None:
-        self._outstanding -= 1
-        if self._outstanding == 0:
-            self._idle.set()
+    def _take_due(self) -> tuple[float, list[Task]] | None:
+        """The next decision: the simulated time it is made at — the
+        machine's clock, or the earliest waiting arrival when the
+        machine is idle — and the staged tasks that have arrived by
+        then, popped in ``(arrival_ns, qid)`` order.  ``None`` when
+        the clock cannot advance: nothing is staged or queued, or a
+        query that arrived by that time is still compiling (deciding
+        without it would race wall-clock threads)."""
+        earliest = self.admission.earliest_arrival()
+        with self._stage_lock:
+            staged, compiling = self._staged, self._compiling_order
+            if staged and (earliest is None or staged[0][0] < earliest):
+                earliest = staged[0][0]
+            if earliest is None:
+                return None
+            now = max(self._clock, earliest)
+            while compiling and compiling[0][1] not in self._compiling:
+                heappop(compiling)
+            if compiling and compiling[0][0] <= now:
+                return None
+            due = []
+            while staged and staged[0][0] <= now:
+                due.append(heappop(staged)[2])
+        return now, due
 
-    def _admit_due(self, now_ns: float) -> None:
-        """Move staged tasks that have arrived by ``now_ns`` into the
-        run queue, in arrival order — quota checks and shedding happen
+    def _admit_due(self, now_ns: float, due: list[Task],
+                   posts: list) -> None:
+        """Offer the tasks that have arrived by ``now_ns`` to the run
+        queue, in arrival order — quota checks and shedding happen
         here, on the simulated clock, so queue state is a function of
         the workload, never of compile-thread timing."""
-        due = sorted((t for t in self._staged
-                      if t.arrival_ns <= now_ns),
-                     key=lambda t: (t.arrival_ns, t.qid))
         for task in due:
-            self._staged.remove(task)
             quota = self.tenants[task.tenant].quota
             victims = self.admission.offer(task, quota)
             if self.tracer is not None:
@@ -654,14 +714,15 @@ class QueryServer:
                                               decision="displaced")
             for victim in victims:
                 self._shed(victim,
-                           victim.arrival_ns if victim is task else now_ns)
+                           victim.arrival_ns if victim is task else now_ns,
+                           posts)
 
     def _trace_batch(self, batch: list[Task], now: float,
                      index: int, finishes: list[float],
                      makespan: float, replay: BatchReplay, measured,
                      wall0: int, wall1: int) -> None:
         """Record one executed batch's spans and metrics.  Called from
-        the dispatcher only, after the simulated clock advanced —
+        the run only, after the simulated clock advanced —
         recording order (and therefore the simulated-clock export) is
         a function of the workload, never of thread timing."""
         tracer = self.tracer
@@ -742,12 +803,14 @@ class QueryServer:
 
     def _maybe_recalibrate(self, task: Task, tenant: Tenant,
                            measured, events, at_ns: float) -> None:
-        """The dispatcher-side response hook: fold the solo-batch
+        """The run's response hook: fold the solo-batch
         measurement into the tenant's recalibrator and run it when
         drift is pending.  Called from :meth:`_trace_batch` only — the
-        single simulated-clock decision point — so the profile swap
-        lands deterministically *between* batches, and every compile
-        after it prices (and fingerprints) against the new profile."""
+        single simulated-clock decision point, before the batch's
+        responses are posted — so the profile swap lands
+        deterministically *between* batches, and every compile a
+        response triggers prices (and fingerprints) against the new
+        profile."""
         recalibrator = self._recalibrators.get(task.tenant)
         if recalibrator is None:
             return
@@ -767,59 +830,71 @@ class QueryServer:
                 error_after=recalibration.outcome.error_after,
                 retired_plans=recalibration.retired_plans)
 
+    def _run(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Pool worker: decide, form, execute and account batch after
+        batch until the simulated clock cannot advance (see
+        :meth:`_take_due`) or the server is stopping, posting every
+        batch's resolved futures to the loop thread on the way.  Never
+        waits: a run blocked on a compile returns, and that compile's
+        completion starts the next one."""
+        posts: list = []
+        while not self._stopping:
+            decision = self._take_due()
+            if decision is None:
+                break
+            now, due = decision
+            self._admit_due(now, due, posts)
+            batch = self.admission.next_batch(now)
+            if batch:
+                self._serve_batch(batch, now, posts)
+            # else: everything due was shed; jump to the next arrival
+            if posts:
+                loop.call_soon_threadsafe(self._deliver, posts)
+                posts = []
+
+    def _serve_batch(self, batch: Batch, now: float, posts: list) -> None:
+        """Execute ``batch`` at simulated time ``now`` and account it:
+        responses, SLO windows, the clock, then spans and the
+        recalibration hook."""
+        try:
+            replay, rows, measured, wall0, wall1 = \
+                self._execute_batch(batch)
+        except Exception as exc:
+            # a failed batch fails its members, not the server; the
+            # machine's clock stays where it was
+            posts.extend((task.handle, exc) for task in batch)
+            return
+        index = self._batch_index
+        self._batch_index += 1
+        finishes, metrics = settle(index, batch, replay)
+        makespan = metrics.measured_makespan_ns
+        for task, finish, nrows in zip(batch, finishes, rows):
+            self.tenants[task.tenant].completed += 1
+            response = ServerResponse(
+                qid=task.qid, tenant=task.tenant, kind=task.kind,
+                text=task.text, outcome="ok",
+                arrival_ns=task.arrival_ns, start_ns=now,
+                finish_ns=now + finish, rows=nrows,
+                cache_hit=task.cache_hit, batch_index=index,
+                batch_size=len(batch), signature=task.signature,
+                fingerprint=task.fingerprint,
+                compile_wall_ns=task.compile_wall_ns)
+            self._responses.append(response)
+            self.slo.observe(task.tenant, response.finish_ns,
+                             response.latency_ns)
+            posts.append((task.handle, response))
+        self._batches.append(metrics)
+        self._clock = now + makespan
+        if self.tracer is not None:
+            self._trace_batch(batch, now, index, finishes, makespan,
+                              replay, measured, wall0, wall1)
+
     async def _dispatch_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
             await self._wake.wait()
             self._wake.clear()
-            while self._staged or self.admission.queue:
-                arrivals = [t.arrival_ns for t in self._staged]
-                queued_earliest = self.admission.earliest_arrival()
-                if queued_earliest is not None:
-                    arrivals.append(queued_earliest)
-                now = max(self._clock, min(arrivals))
-                if self._compiling and min(self._compiling.values()) <= now:
-                    # a query that arrived by `now` is still compiling:
-                    # deciding without it would race wall-clock threads
-                    break
-                self._admit_due(now)
-                batch = self.admission.next_batch(now)
-                if not batch:
-                    # everything due was shed; jump to the next arrival
-                    continue
-                replay, rows, measured, wall0, wall1 = \
-                    await loop.run_in_executor(
-                        self._pool, self._execute_batch, batch)
-                index = self._batch_index
-                self._batch_index += 1
-                finishes, metrics = settle(index, batch, replay)
-                makespan = metrics.measured_makespan_ns
-                for task, finish, nrows in zip(batch, finishes, rows):
-                    tenant = self.tenants[task.tenant]
-                    tenant.completed += 1
-                    response = ServerResponse(
-                        qid=task.qid, tenant=task.tenant,
-                        kind=task.kind, text=task.text, outcome="ok",
-                        arrival_ns=task.arrival_ns, start_ns=now,
-                        finish_ns=now + finish, rows=nrows,
-                        cache_hit=task.cache_hit, batch_index=index,
-                        batch_size=len(batch),
-                        signature=task.signature,
-                        fingerprint=task.fingerprint,
-                        compile_wall_ns=task.compile_wall_ns)
-                    self._responses.append(response)
-                    self.slo.observe(task.tenant, response.finish_ns,
-                                     response.latency_ns)
-                    if task.handle is not None \
-                            and not task.handle.done():
-                        task.handle.set_result(response)
-                    self._resolve_bookkeeping()
-                self._batches.append(metrics)
-                self._clock = now + makespan
-                if self.tracer is not None:
-                    self._trace_batch(batch, now, index, finishes,
-                                      makespan, replay, measured,
-                                      wall0, wall1)
+            await loop.run_in_executor(self._pool, self._run, loop)
 
     # -- reporting -----------------------------------------------------
     @property

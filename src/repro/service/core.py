@@ -37,7 +37,6 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from ..query.optimizer import plan_signature
 from ..query.physical import QueryPlan
 from ..session import Session
 from .interference import CoRunPrediction, InterferenceModel
@@ -107,7 +106,7 @@ def compile_task(session: Session, interference: InterferenceModel,
     return Task(qid=query.qid, kind=query.kind, text=query.text,
                 plan=plan, solo_memory_ns=memory, cpu_ns=cpu,
                 cache_hit=session.last_compile_cached,
-                signature=plan_signature(plan.root), client=query.client,
+                signature=plan.signature, client=query.client,
                 tenant=tenant, arrival_ns=query.arrival_ns,
                 fingerprint=session.fingerprint,
                 compile_wall_start_ns=wall_start,

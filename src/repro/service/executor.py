@@ -31,7 +31,6 @@ from typing import Sequence
 
 from ..hardware.hierarchy import MemoryHierarchy
 from ..query.observe import MeasuredResult, measure_plan
-from ..query.optimizer import plan_signature
 from ..query.physical import QueryPlan
 from ..session import Session
 from ..simulator.counters import CounterSnapshot
@@ -190,7 +189,7 @@ def measure_solo(session: Session, plan: QueryPlan,
         return measure_plan(db, plan, session.model,
                             pipeline=session.config.pipeline,
                             cold=False,  # the fresh system is cold
-                            signature=plan_signature(plan.root))
+                            signature=plan.signature)
 
 
 def execute_batch(members: Sequence[tuple[Session, QueryPlan, int]],

@@ -89,7 +89,7 @@ class QueryMetrics:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchMetrics:
     """One co-run batch: the ⊙ prediction next to the simulator's
     measurement."""

@@ -4,9 +4,11 @@ loop end to end (including its determinism on the simulated clock)."""
 
 import asyncio
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.hardware import tiny_test_machine
 from repro.server import (
@@ -255,6 +257,32 @@ class TestAdmissionController:
         # growing the batch obeyed: makespan(batch) ≤ Σ solo (slack=1)
         predicted = model.co_run([t.plan for t in batch]).makespan_ns
         assert predicted <= sum(t.solo_total_ns for t in batch) * 1.001
+
+    @given(ops=st.lists(st.sampled_from(["a", "b", "c", None]),
+                        max_size=60),
+           max_queue=st.integers(1, 6), max_queued=st.integers(1, 4),
+           mode=st.sampled_from(["interference-aware", "max-parallel",
+                                 "fifo-serial"]))
+    def test_occupancy_equals_a_recount_of_the_queue(
+            self, admission_setup, ops, max_queue, max_queued, mode):
+        """Any interleaving of offers (a tenant name) and dispatches
+        (``None``) leaves the per-tenant counts equal to a recount."""
+        model, tasks = admission_setup
+        ctrl = AdmissionController(model, mode=mode, max_queue=max_queue,
+                                   max_batch=2)
+        quota = TenantQuota(max_queued=max_queued)
+        for step, tenant in enumerate(ops):
+            if tenant is None:
+                ctrl.next_batch(float(step))
+            else:
+                ctrl.offer(_task_like(tasks[step % len(tasks)], qid=step,
+                                      tenant=tenant,
+                                      arrival_ns=float(step)), quota)
+            recount = Counter(task.tenant for task in ctrl.queue)
+            assert {name: ctrl.occupancy(name) for name in "abc"} == \
+                {name: recount[name] for name in "abc"}
+            assert len(ctrl.queue) <= max_queue
+            assert max(recount.values(), default=0) <= max_queued
 
     def test_round_robin_seed_rotates_tenants(self, admission_setup):
         model, tasks = admission_setup
