@@ -418,8 +418,7 @@ class Recalibrator:
     winner via :meth:`Session.set_hierarchy
     <repro.session.Session.set_hierarchy>` — which changes the profile
     fingerprint, so every cached plan stops matching; the loop
-    additionally retires them eagerly (``retire_plans=True``) so the
-    swap is observable through
+    additionally retires them eagerly so the swap is observable through
     :meth:`PlanCache.attach_observer
     <repro.session.PlanCache.attach_observer>`.  With ``manifest_dir``
     set, each published profile is saved as JSON with its sidecar
@@ -435,8 +434,7 @@ class Recalibrator:
                  band: float = DEFAULT_BAND,
                  monitor: DriftMonitor | None = None,
                  min_samples: int = 1, max_samples: int = 32,
-                 manifest_dir: str | pathlib.Path | None = None,
-                 retire_plans: bool = True) -> None:
+                 manifest_dir: str | pathlib.Path | None = None) -> None:
         if min_samples < 1:
             raise ValueError("min_samples must be positive")
         if max_samples < min_samples:
@@ -450,7 +448,6 @@ class Recalibrator:
         self.max_samples = max_samples
         self.manifest_dir = (pathlib.Path(manifest_dir)
                              if manifest_dir is not None else None)
-        self.retire_plans = retire_plans
         self._samples: "OrderedDict[str, CalibrationSample]" = OrderedDict()
         self._pending: list[DriftEvent] = []
         self.history: list[Recalibration] = []
@@ -529,8 +526,7 @@ class Recalibrator:
         profile_path = manifest_path = None
         if outcome.improved:
             self.session.set_hierarchy(after)
-            if self.retire_plans:
-                retired = self.session.plan_cache.clear()
+            retired = self.session.plan_cache.clear()
             if self.manifest_dir is not None:
                 self.manifest_dir.mkdir(parents=True, exist_ok=True)
                 profile_path = self.manifest_dir / (

@@ -157,12 +157,8 @@ class CostModel:
     def level_misses(self, pattern: Pattern, level: CacheLevel,
                      state: CacheState | None = None) -> MissPair:
         """Predicted misses of ``pattern`` on one level (Eq. 4.1 pair)."""
-        geo = LevelGeometry(
-            line_size=level.line_size,
-            capacity=float(level.capacity),
-            num_lines=float(level.num_lines),
-        )
-        pair, _ = self._evaluate(pattern, geo, state or CacheState.empty())
+        pair, _ = self._evaluate(pattern, LevelGeometry.of(level),
+                                 state or CacheState.empty())
         return pair
 
     def misses(self, pattern: Pattern) -> dict[str, MissPair]:
@@ -188,11 +184,7 @@ class CostModel:
         co-runners, this threads one cache through successors."""
         per_part_levels: list[list[LevelCost]] = [[] for _ in parts]
         for level in self.hierarchy.all_levels:
-            geo = LevelGeometry(
-                line_size=level.line_size,
-                capacity=float(level.capacity),
-                num_lines=float(level.num_lines),
-            )
+            geo = LevelGeometry.of(level)
             state = CacheState.empty()
             for i, part in enumerate(parts):
                 if part is None:
@@ -216,16 +208,10 @@ class CostModel:
         standalone, cost)."""
         per_part_levels: list[list[LevelCost]] = [[] for _ in parts]
         for level in self.hierarchy.all_levels:
-            geo = LevelGeometry(
-                line_size=level.line_size,
-                capacity=float(level.capacity),
-                num_lines=float(level.num_lines),
-            )
-            shares = cache_shares(parts, geo.line_size)
-            for i, (part, share) in enumerate(zip(parts, shares)):
-                part_geo = geo.scaled(max(share, 1e-9))
-                pair, _ = self._evaluate(part, part_geo, CacheState.empty())
-                per_part_levels[i].append(LevelCost(level=level, misses=pair))
+            shared = self._evaluate_shared(parts, LevelGeometry.of(level),
+                                           CacheState.empty())
+            for levels, (pair, _) in zip(per_part_levels, shared):
+                levels.append(LevelCost(level=level, misses=pair))
         return tuple(CostEstimate(levels=tuple(levels))
                      for levels in per_part_levels)
 
@@ -264,15 +250,21 @@ class CostModel:
                 pair = pair.scaled(1.0 - rho)
         return pair, CacheState.after_pattern(pattern.region, geo.capacity)
 
+    def _evaluate_shared(self, parts, geo: LevelGeometry, state: CacheState):
+        """Eq. 5.3: every part evaluated on its footprint's share of
+        the cache, all from the same initial ``state``."""
+        shares = cache_shares(parts, geo.line_size)
+        for part, fraction in zip(parts, shares):
+            yield self._evaluate(part, geo.scaled(max(fraction, 1e-9)), state)
+
     def _evaluate_concurrent(self, pattern: Conc, geo: LevelGeometry,
                              state: CacheState) -> tuple[MissPair, CacheState]:
-        """Eq. 5.3: divide the cache among parts by footprint."""
-        shares = cache_shares(pattern.parts, geo.line_size)
+        """The ⊙ compound: the shared parts' misses add up, their
+        resulting states merge."""
         total = MissPair()
         result_state = CacheState.empty()
-        for part, fraction in zip(pattern.parts, shares):
-            part_geo = geo.scaled(max(fraction, 1e-9))
-            pair, part_state = self._evaluate(part, part_geo, state)
+        for pair, part_state in self._evaluate_shared(pattern.parts, geo,
+                                                      state):
             total = total + pair
             result_state = result_state.merged(part_state)
         return total, result_state

@@ -101,6 +101,12 @@ class LevelGeometry:
         if self.num_lines <= 0:
             raise ValueError("num_lines must be positive")
 
+    @classmethod
+    def of(cls, level) -> "LevelGeometry":
+        """The whole, undivided geometry of a cache ``level``."""
+        return cls(level.line_size, float(level.capacity),
+                   float(level.num_lines))
+
     def scaled(self, fraction: float) -> "LevelGeometry":
         """This geometry with only ``fraction`` of capacity and lines
         (the ⊙ cache-sharing rule, Eq. 5.3)."""

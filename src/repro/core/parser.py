@@ -44,7 +44,7 @@ from .patterns import (
 )
 from .regions import DataRegion
 
-__all__ = ["parse_pattern", "PatternSyntaxError"]
+__all__ = ["parse_pattern", "PatternSyntaxError", "TokenStream"]
 
 
 class PatternSyntaxError(ValueError):
@@ -63,49 +63,56 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match:
-            raise PatternSyntaxError(
-                f"unexpected character {text[pos]!r} at offset {pos}")
-        pos = match.end()
-        kind = match.lastgroup
-        if kind != "space":
-            tokens.append((kind, match.group()))
-    tokens.append(("end", ""))
-    return tokens
+class TokenStream:
+    """Tokenized text and a cursor over it: the lexing skeleton of a
+    recursive-descent parser, shared with the query frontend
+    (:mod:`repro.session.frontend`).  ``token`` is one regex of named
+    alternatives, each a token kind (``space`` is skipped; ``end`` is
+    appended); ``error`` is the exception class every failure raises."""
 
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]],
-                 regions: dict[str, DataRegion]) -> None:
-        self.tokens = tokens
-        self.regions = regions
+    def __init__(self, text: str, token: re.Pattern,
+                 error: type[Exception]) -> None:
+        self.error = error
+        self.tokens: list[tuple[str, str]] = []
         self.pos = 0
+        pos = 0
+        while pos < len(text):
+            match = token.match(text, pos)
+            if not match:
+                raise error(
+                    f"unexpected character {text[pos]!r} at offset {pos}")
+            pos = match.end()
+            kind = match.lastgroup
+            if kind != "space":
+                self.tokens.append((kind, match.group()))
+        self.tokens.append(("end", ""))
 
-    # ------------------------------------------------------------------
     def peek(self) -> tuple[str, str]:
         return self.tokens[self.pos]
 
     def take(self, kind: str) -> str:
         actual_kind, value = self.tokens[self.pos]
         if actual_kind != kind:
-            raise PatternSyntaxError(
+            raise self.error(
                 f"expected {kind}, found {value!r} (token {self.pos})")
         self.pos += 1
         return value
 
-    # ------------------------------------------------------------------
-    def parse(self) -> Pattern:
-        pattern = self.sequence()
+    def parse(self, rule):
+        """``rule()``'s result, provided it consumed the whole text."""
+        result = rule()
         if self.peek()[0] != "end":
-            raise PatternSyntaxError(
+            raise self.error(
                 f"trailing input from token {self.pos}: {self.peek()[1]!r}")
-        return pattern
+        return result
 
+
+class _Parser(TokenStream):
+    def __init__(self, text: str, regions: dict[str, DataRegion]) -> None:
+        super().__init__(text, _TOKEN, PatternSyntaxError)
+        self.regions = regions
+
+    # ------------------------------------------------------------------
     def sequence(self) -> Pattern:
         parts = [self.concurrent()]
         while self.peek()[0] == "seq":
@@ -225,4 +232,5 @@ def parse_pattern(text: str, regions: dict[str, DataRegion]) -> Pattern:
     """Parse a pattern in the paper's notation against named regions."""
     if not text.strip():
         raise PatternSyntaxError("empty pattern")
-    return _Parser(_tokenize(text), regions).parse()
+    parser = _Parser(text, regions)
+    return parser.parse(parser.sequence)

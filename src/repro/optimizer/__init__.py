@@ -5,7 +5,6 @@ from .advisor import (
     AdvisorRegistry,
     AggregateAdvisor,
     JoinAdvisor,
-    JoinChoice,
     JoinSpec,
     OperatorAdvisor,
     OperatorChoice,
@@ -17,7 +16,6 @@ __all__ = [
     "OperatorAdvisor",
     "OperatorChoice",
     "JoinAdvisor",
-    "JoinChoice",
     "JoinSpec",
     "SortAdvisor",
     "AggregateAdvisor",

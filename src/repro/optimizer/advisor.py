@@ -56,7 +56,6 @@ from ..hardware.hierarchy import MemoryHierarchy
 __all__ = [
     "OperatorAdvisor",
     "OperatorChoice",
-    "JoinChoice",
     "JoinSpec",
     "JoinAdvisor",
     "SortAdvisor",
@@ -72,18 +71,6 @@ class OperatorChoice:
     """One scored implementation of some operator."""
 
     operator: str
-    algorithm: str
-    estimate: CostEstimate
-
-    @property
-    def total_ns(self) -> float:
-        return self.estimate.total_ns
-
-
-@dataclass(frozen=True)
-class JoinChoice:
-    """One scored join implementation."""
-
     algorithm: str
     estimate: CostEstimate
 
@@ -172,12 +159,8 @@ class JoinAdvisor(OperatorAdvisor):
         self._min_capacity = self._min_cache_bytes()
 
     # ------------------------------------------------------------------
-    def _choice(self, algorithm: Algorithm, *operands) -> JoinChoice:
-        return JoinChoice(algorithm.name,
-                          algorithm.estimate(self.model, *operands))
-
     def merge_join_choice(self, U: DataRegion, V: DataRegion,
-                          W: DataRegion) -> JoinChoice:
+                          W: DataRegion) -> OperatorChoice:
         if self.inputs_sorted:
             return self._choice(MERGE_JOIN, U, V, W)
         # sort-ahead: each input is charged its own quick-sort
@@ -186,27 +169,28 @@ class JoinAdvisor(OperatorAdvisor):
                       MERGE_JOIN.pattern(U, V, W))
         cycles = (sum(QUICK_SORT.cycles(*sort) for sort in sorts)
                   + MERGE_JOIN.cycles(U, V, W))
-        return JoinChoice(MERGE_JOIN.name, self.model.estimate(
-            pattern, cpu_ns=self.hierarchy.nanoseconds(cycles)))
+        estimate = self.model.estimate(
+            pattern, cpu_ns=self.hierarchy.nanoseconds(cycles))
+        return OperatorChoice(self.operator, MERGE_JOIN.name, estimate)
 
     def hash_join_choice(self, U: DataRegion, V: DataRegion,
-                         W: DataRegion) -> JoinChoice:
+                         W: DataRegion) -> OperatorChoice:
         return self._choice(HASH_JOIN, U, V, W)
 
     def partitioned_hash_join_choice(self, U: DataRegion, V: DataRegion,
                                      W: DataRegion,
-                                     m: int | None = None) -> JoinChoice:
+                                     m: int | None = None) -> OperatorChoice:
         m = m or self.recommend_partitions(V)
         return self._choice(PARTITIONED_HASH_JOIN, U, V, W, m)
 
     def nested_loop_join_choice(self, U: DataRegion, V: DataRegion,
-                                W: DataRegion) -> JoinChoice:
+                                W: DataRegion) -> OperatorChoice:
         return self._choice(NESTED_LOOP_JOIN, U, V, W)
 
     def grace_hash_join_choice(self, U: DataRegion, V: DataRegion,
                                W: DataRegion,
                                memory_budget: int | None = None
-                               ) -> JoinChoice:
+                               ) -> OperatorChoice:
         """The spilling partitioned hash join under ``memory_budget``
         (defaults to the advisor's budget, which must then be set)."""
         return self._choice(GRACE_HASH_JOIN, U, V, W,
@@ -270,7 +254,7 @@ class JoinAdvisor(OperatorAdvisor):
         return specs
 
     def rank(self, U: DataRegion, V: DataRegion, W: DataRegion,
-             include_nested_loop: bool = False) -> list[JoinChoice]:
+             include_nested_loop: bool = False) -> list[OperatorChoice]:
         """All admissible implementations, cheapest first (the choice
         set mirrors :meth:`candidate_specs`, except that the
         partitioned join is scored even when its recommended fan-out
@@ -287,7 +271,7 @@ class JoinAdvisor(OperatorAdvisor):
         return sorted(choices, key=lambda c: c.total_ns)
 
     def best(self, U: DataRegion, V: DataRegion, W: DataRegion,
-             include_nested_loop: bool = False) -> JoinChoice:
+             include_nested_loop: bool = False) -> OperatorChoice:
         """The cheapest implementation."""
         return self.rank(U, V, W, include_nested_loop)[0]
 

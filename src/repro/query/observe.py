@@ -219,10 +219,7 @@ class Explanation:
                 children=children,
             )
 
-        try:
-            total = plan.estimate(model, cpu_ns=0.0, pipeline=pipeline)
-        except ValueError:  # access-free plan (bare scan)
-            total = CostEstimate(levels=())
+        total = plan.estimate(model, cpu_ns=0.0, pipeline=pipeline)
         return cls(
             root=build(plan.root),
             memory_ns=total.memory_ns,

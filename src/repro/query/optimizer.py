@@ -75,7 +75,6 @@ class PlannerConfig:
     """
 
     include_nested_loop: bool = False
-    reorder_joins: bool = True
     pipeline: bool = True
     #: "auto" uses exhaustive whole-plan costing up to this many base
     #: relations and the subset DP beyond.  Candidate counts grow ~30x
@@ -312,12 +311,8 @@ class Optimizer:
 
     def _candidate(self, root: PlanNode) -> PlanCandidate:
         plan = QueryPlan(root)
-        try:
-            estimate = plan.estimate(self.model, pipeline=self.config.pipeline)
-        except ValueError:
-            # access-free plan (bare scan): nothing to cost
-            estimate = CostEstimate(levels=(), cpu_ns=0.0)
-        return PlanCandidate(plan=plan, estimate=estimate)
+        return PlanCandidate(plan=plan, estimate=plan.estimate(
+            self.model, pipeline=self.config.pipeline))
 
     # ------------------------------------------------------------------
     def _alternatives(self, op: LogicalOp, use_dp: bool) -> list[PlanNode]:
@@ -362,8 +357,7 @@ class Optimizer:
                            for name in names)
             return out
         if isinstance(op, Join):
-            leaves = (self._flatten_join(op)
-                      if self.config.reorder_joins else None)
+            leaves = self._flatten_join(op)
             if leaves is not None and len(leaves) >= 2:
                 if use_dp:
                     return self._dp_join_plans(leaves)
@@ -487,12 +481,8 @@ class Optimizer:
         return [node for _, node in best[indices].values()]
 
     def _standalone_cost(self, node: PlanNode) -> float:
-        pattern = node.full_pattern(self.config.pipeline)
-        memory = 0.0 if pattern is None else self.model.estimate(pattern).memory_ns
-        cpu = self.hierarchy.nanoseconds(
-            sum(n.cpu_cycles() for n in node.walk())
-        )
-        return memory + cpu
+        return QueryPlan(node).estimate(
+            self.model, pipeline=self.config.pipeline).total_ns
 
     # -- per-join implementation selection ------------------------------
     def _key_input(self, node: PlanNode) -> PlanNode:

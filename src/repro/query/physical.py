@@ -169,6 +169,9 @@ class PlanNode:
     #: structure exceeded the memory budget); surfaced by
     #: :meth:`QueryPlan.explain`.
     spills = False
+    #: This operator's name in :func:`plan_signature` (``None``: the
+    #: class name).
+    short: str | None = None
 
     def output_region(self) -> DataRegion:
         """The (oracle-estimated) region this node produces."""
@@ -227,6 +230,11 @@ class PlanNode:
 
     def label(self) -> str:
         return type(self).__name__
+
+    def signature_params(self) -> str:
+        """What :func:`plan_signature` brackets after :attr:`short`
+        (``""``: no bracket)."""
+        return ""
 
     def recover_key(self, row: int, value) -> int:
         """The join key of an output item (pair-producing sub-plans
@@ -330,6 +338,10 @@ class ScanNode(PlanNode):
     def label(self) -> str:
         return f"scan({self.output_region().name})"
 
+    @property
+    def short(self) -> str:
+        return self.output_region().name
+
 
 class _UnaryNode(PlanNode):
     """Shared behaviour of the one-input operators."""
@@ -362,6 +374,7 @@ class SelectNode(_RowPreservingNode):
     selectivity: float = 0.5
 
     algorithm = SELECT
+    short = "σ"
     is_pipelined = True
     _streamed = (True,)
 
@@ -405,6 +418,7 @@ class ProjectNode(_UnaryNode):
     width: int = 8
 
     algorithm = PROJECT
+    short = "k"
     is_pipelined = True
     _streamed = (True,)
 
@@ -451,6 +465,7 @@ class SortNode(_SortingNode):
     stop_bytes: int | None = None
 
     algorithm = QUICK_SORT
+    short = "sort"
 
     def _operands(self) -> tuple:
         return self.child.output_region(), self.stop_bytes
@@ -477,6 +492,7 @@ class ExternalSortNode(_SortingNode):
     stop_bytes: int | None = None
 
     algorithm = EXTERNAL_MERGE_SORT
+    short = "xsort"
 
     def __post_init__(self) -> None:
         _check_budget(self.memory_budget)
@@ -500,6 +516,9 @@ class ExternalSortNode(_SortingNode):
 
     def label(self) -> str:
         return f"external_sort(runs={self.runs()}, budget={self.memory_budget})"
+
+    def signature_params(self) -> str:
+        return f"r={self.runs()}"
 
 
 class _JoinNode(PlanNode):
@@ -581,6 +600,7 @@ class MergeJoinNode(_JoinNode):
     match_fraction: float = 1.0
 
     algorithm = MERGE_JOIN
+    short = "mj"
     is_pipelined = True
     produces_sorted_output = True
     needs_sorted_inputs = True
@@ -605,6 +625,7 @@ class HashJoinNode(_JoinNode):
     match_fraction: float = 1.0
 
     algorithm = HASH_JOIN
+    short = "hj"
     is_pipelined = True
 
     def _hash_region(self) -> DataRegion:
@@ -635,6 +656,7 @@ class NestedLoopJoinNode(_JoinNode):
     match_fraction: float = 1.0
 
     algorithm = NESTED_LOOP_JOIN
+    short = "nlj"
     is_pipelined = True
     _streamed = (True, False)
     _kernel = staticmethod(nested_loop_join)
@@ -663,6 +685,7 @@ class PartitionedHashJoinNode(_JoinNode):
     partitions: int = 2
 
     algorithm = PARTITIONED_HASH_JOIN
+    short = "phj"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -694,6 +717,9 @@ class PartitionedHashJoinNode(_JoinNode):
     def label(self) -> str:
         return f"partitioned_hash_join(m={self.partitions})"
 
+    def signature_params(self) -> str:
+        return f"m={self.partitions}"
+
 
 @dataclass
 class GraceHashJoinNode(_JoinNode):
@@ -713,6 +739,7 @@ class GraceHashJoinNode(_JoinNode):
     memory_budget: int = 0
 
     algorithm = GRACE_HASH_JOIN
+    short = "ghj"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -746,6 +773,9 @@ class GraceHashJoinNode(_JoinNode):
         return (f"grace_hash_join(m={self.effective_partitions()}, "
                 f"budget={self.memory_budget})")
 
+    def signature_params(self) -> str:
+        return f"m={self.effective_partitions()}"
+
 
 class _GroupingNode(_UnaryNode):
     """Shared behaviour of the group-count operators; ``groups`` is the
@@ -777,6 +807,7 @@ class AggregateNode(_GroupingNode):
     key_of: Callable | None = None
 
     algorithm = HASH_AGGREGATE
+    short = "agg"
     _streamed = (True,)
 
     def _group_region(self) -> DataRegion:
@@ -805,6 +836,7 @@ class SortAggregateNode(_GroupingNode):
     stop_bytes: int | None = None
 
     algorithm = SORT_AGGREGATE
+    short = "sort_agg"
     produces_sorted_output = True
     _streamed = (False,)
 
@@ -838,6 +870,7 @@ class SpillingAggregateNode(_GroupingNode):
     key_of: Callable | None = None
 
     algorithm = SPILLING_HASH_AGGREGATE
+    short = "spill_agg"
     _streamed = (True,)
 
     def __post_init__(self) -> None:
@@ -893,37 +926,17 @@ def implementation(name: str, inputs: tuple[PlanNode, ...],
 
 
 def plan_signature(node: PlanNode) -> str:
-    """A compact one-line rendering of a physical plan's shape."""
-    if isinstance(node, ScanNode):
-        return node.output_region().name
-    if isinstance(node, SelectNode):
-        return f"σ({plan_signature(node.child)})"
-    if isinstance(node, ProjectNode):
-        return f"k({plan_signature(node.child)})"
-    if isinstance(node, SortNode):
-        return f"sort({plan_signature(node.child)})"
-    if isinstance(node, ExternalSortNode):
-        return f"xsort[r={node.runs()}]({plan_signature(node.child)})"
-    if isinstance(node, MergeJoinNode):
-        return f"mj({plan_signature(node.left)}, {plan_signature(node.right)})"
-    if isinstance(node, HashJoinNode):
-        return f"hj({plan_signature(node.left)}, {plan_signature(node.right)})"
-    if isinstance(node, NestedLoopJoinNode):
-        return f"nlj({plan_signature(node.left)}, {plan_signature(node.right)})"
-    if isinstance(node, PartitionedHashJoinNode):
-        return (f"phj[m={node.partitions}]({plan_signature(node.left)}, "
-                f"{plan_signature(node.right)})")
-    if isinstance(node, GraceHashJoinNode):
-        return (f"ghj[m={node.effective_partitions()}]"
-                f"({plan_signature(node.left)}, "
-                f"{plan_signature(node.right)})")
-    if isinstance(node, AggregateNode):
-        return f"agg({plan_signature(node.child)})"
-    if isinstance(node, SortAggregateNode):
-        return f"sort_agg({plan_signature(node.child)})"
-    if isinstance(node, SpillingAggregateNode):
-        return f"spill_agg({plan_signature(node.child)})"
-    return type(node).__name__
+    """A compact one-line rendering of a physical plan's shape: per
+    node its :attr:`~PlanNode.short` name, its bracketed parameters if
+    it declares any, and its children in parentheses."""
+    head = node.short or type(node).__name__
+    params = node.signature_params()
+    if params:
+        head += f"[{params}]"
+    children = node.children()
+    if not children:
+        return head
+    return f"{head}({', '.join(map(plan_signature, children))})"
 
 
 class QueryPlan:
@@ -931,7 +944,7 @@ class QueryPlan:
 
     def __init__(self, root: PlanNode) -> None:
         self.root = root
-        self._patterns: dict[bool, Pattern] = {}
+        self._patterns: dict[bool, Pattern | None] = {}
 
     @cached_property
     def signature(self) -> str:
@@ -945,14 +958,18 @@ class QueryPlan:
         pipelined producer/consumer edges with ``⊙`` (Section 3.3);
         ``pipeline=False`` models every edge as materialization.
 
-        Derived once per mode and cached (plan trees are not mutated
-        after construction — the enumerator estimates many candidates)."""
+        Raises for an access-free plan (a bare scan)."""
+        pattern = self._full_pattern(pipeline)
+        if pattern is None:
+            raise ValueError("the plan performs no data access (bare scan)")
+        return pattern
+
+    def _full_pattern(self, pipeline: bool) -> Pattern | None:
+        """The root's full pattern, derived once per mode (plan trees
+        are not mutated after construction — the enumerator estimates
+        many candidates); ``None`` for an access-free plan."""
         if pipeline not in self._patterns:
-            pattern = self.root.full_pattern(pipeline)
-            if pattern is None:
-                raise ValueError(
-                    "the plan performs no data access (bare scan)")
-            self._patterns[pipeline] = pattern
+            self._patterns[pipeline] = self.root.full_pattern(pipeline)
         return self._patterns[pipeline]
 
     def pipeline_stages(self, pipeline: bool = True) -> tuple[Pattern, ...]:
@@ -979,10 +996,14 @@ class QueryPlan:
                  pipeline: bool = True) -> CostEstimate:
         """Whole-plan cost.  ``cpu_ns=None`` derives the CPU term from
         the shared per-operator calibration; pass an explicit value (or
-        ``0.0`` for memory cost only) to override."""
+        ``0.0`` for memory cost only) to override.  An access-free
+        plan (a bare scan) costs no memory time on any level."""
         if cpu_ns is None:
             cpu_ns = model.hierarchy.nanoseconds(self.cpu_cycles())
-        return model.estimate(self.pattern(pipeline), cpu_ns=cpu_ns)
+        pattern = self._full_pattern(pipeline)
+        if pattern is None:
+            return CostEstimate(levels=(), cpu_ns=cpu_ns)
+        return model.estimate(pattern, cpu_ns=cpu_ns)
 
     def execute(self, db: Database) -> Column:
         return self.root.execute(db)

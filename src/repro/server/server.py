@@ -49,6 +49,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from ..calibrator.autotune import LatencyGrid, Recalibration, Recalibrator
 from ..hardware.hierarchy import MemoryHierarchy
@@ -58,13 +59,14 @@ from ..query.optimizer import PlannerConfig
 from ..service.core import Batch, Task, compile_task, settle
 from ..service.executor import DEFAULT_QUANTUM, BatchReplay, execute_batch
 from ..service.interference import InterferenceModel
-from ..service.metrics import BatchMetrics, percentile
+from ..service.metrics import BatchMetrics, RunReport
 from ..service.workload import WorkloadQuery
 from .admission import AdmissionController
 from .slo import DEFAULT_WINDOW_NS, SloTarget, SloTracker
 from .tenant import Tenant, TenantQuota
 
-__all__ = ["ServerResponse", "ServingReport", "QueryServer"]
+__all__ = ["ServerResponse", "ServingReport", "QueryServer",
+           "MetricFamily", "METRIC_FAMILIES"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,6 +98,20 @@ class ServerResponse:
     #: before compiling finished mattering).  Compiles are free on the
     #: simulated clock — the machine's time never advances for them.
     compile_wall_ns: int | None = None
+
+    @classmethod
+    def of(cls, task: Task, outcome: str, start_ns: float,
+           finish_ns: float, **served) -> "ServerResponse":
+        """``task``'s response — the one place a task's fields are
+        copied out.  ``served`` is what only an executed query has:
+        ``rows``, ``batch_index``, ``batch_size``."""
+        return cls(qid=task.qid, tenant=task.tenant, kind=task.kind,
+                   text=task.text, outcome=outcome,
+                   arrival_ns=task.arrival_ns, start_ns=start_ns,
+                   finish_ns=finish_ns,
+                   cache_hit=task.cache_hit if outcome == "ok" else None,
+                   signature=task.signature, fingerprint=task.fingerprint,
+                   compile_wall_ns=task.compile_wall_ns, **served)
 
     @property
     def ok(self) -> bool:
@@ -133,7 +149,7 @@ class ServerResponse:
         }
 
 
-class ServingReport:
+class ServingReport(RunReport):
     """A serving run's full accounting: every response, every batch's
     ⊙ prediction next to its replay measurement, the SLO windows, and
     per-tenant counters."""
@@ -142,15 +158,11 @@ class ServingReport:
                  batches: list[BatchMetrics], slo: dict,
                  breaches: list, tenants: list[dict],
                  fingerprint: str = "") -> None:
-        self.policy = policy
+        super().__init__(policy, batches, fingerprint)
         self.responses = responses
-        self.batches = batches
         self.slo = slo
         self.breaches = breaches
         self.tenants = tenants
-        #: Profile fingerprint of the machine the server ran on — joins
-        #: this report to the what-if candidate that predicted it.
-        self.fingerprint = fingerprint
 
     # -- headline numbers ----------------------------------------------
     @property
@@ -160,6 +172,9 @@ class ServingReport:
     @property
     def shed(self) -> list[ServerResponse]:
         return [r for r in self.responses if not r.ok]
+
+    def latencies(self) -> list[float]:
+        return [r.latency_ns for r in self.completed]
 
     @property
     def makespan_ns(self) -> float:
@@ -172,38 +187,6 @@ class ServingReport:
         """Completions per simulated second over the whole run."""
         span = self.makespan_ns
         return len(self.completed) / (span / 1e9) if span > 0 else 0.0
-
-    def latency_percentile(self, q: float) -> float | None:
-        return percentile([r.latency_ns for r in self.completed], q,
-                          empty=None)
-
-    @property
-    def p50_latency_ns(self) -> float | None:
-        return self.latency_percentile(50.0)
-
-    @property
-    def p95_latency_ns(self) -> float | None:
-        return self.latency_percentile(95.0)
-
-    @property
-    def p99_latency_ns(self) -> float | None:
-        return self.latency_percentile(99.0)
-
-    @property
-    def predicted_makespan_ns(self) -> float:
-        """Σ of the ⊙-predicted batch makespans (busy time only)."""
-        return sum(b.predicted_makespan_ns for b in self.batches)
-
-    @property
-    def measured_makespan_ns(self) -> float:
-        """Σ of the replay-measured batch makespans."""
-        return sum(b.measured_makespan_ns for b in self.batches)
-
-    @property
-    def mean_contention_error(self) -> float:
-        """Mean relative ⊙-vs-replay error over co-run batches."""
-        shared = [b.contention_error for b in self.batches if b.size > 1]
-        return sum(shared) / len(shared) if shared else 0.0
 
     def to_json(self) -> dict:
         return {
@@ -257,6 +240,62 @@ class ServingReport:
                 f"completed={len(self.completed)}, "
                 f"shed={len(self.shed)}, "
                 f"qps={self.sustained_qps:.0f})")
+
+
+class MetricFamily(NamedTuple):
+    """One live metric family: what a
+    :class:`~repro.obs.MetricsRegistry` registers it with."""
+
+    #: The registry method: ``"counter"``, ``"gauge"``, ``"histogram"``.
+    kind: str
+    name: str
+    help: str
+    labels: tuple[str, ...] = ()
+    #: Histogram bucket bounds (``None``: the registry's default).
+    bounds: tuple[float, ...] | None = None
+
+
+#: Every family a traced server feeds, declared once: ``__init__``
+#: registers them in a loop and the README's table lists the same rows.
+METRIC_FAMILIES = (
+    MetricFamily("counter", "server_queries_total",
+                 "Queries resolved, by outcome.",
+                 ("tenant", "kind", "outcome")),
+    MetricFamily("histogram", "server_latency_ns",
+                 "Simulated completion latency of served queries.",
+                 ("tenant",)),
+    MetricFamily("histogram", "server_queue_wait_ns",
+                 "Simulated delay between arrival and batch start.",
+                 ("tenant",)),
+    MetricFamily("counter", "server_admission_total",
+                 "Admission-controller decisions.",
+                 ("tenant", "decision")),
+    MetricFamily("counter", "server_batches_total", "Batches executed.",
+                 ("policy",)),
+    MetricFamily("histogram", "server_batch_size", "Co-run batch sizes.",
+                 bounds=tuple(float(n) for n in range(1, 33))),
+    MetricFamily("gauge", "server_clock_ns",
+                 "The machine's simulated clock."),
+    MetricFamily("gauge", "server_queue_depth",
+                 "Run-queue depth after the last dispatch."),
+    MetricFamily("counter", "sim_level_hits_total",
+                 "Simulator per-level hits, sampled at batch boundaries.",
+                 ("level",)),
+    MetricFamily("counter", "sim_level_misses_total",
+                 "Simulator per-level misses, sampled at batch boundaries.",
+                 ("level", "kind")),
+    MetricFamily("counter", "plan_cache_hits_total", "Plan-cache hits.",
+                 ("tenant",)),
+    MetricFamily("counter", "plan_cache_misses_total",
+                 "Plan-cache misses.", ("tenant",)),
+    MetricFamily("counter", "plan_cache_retirements_total",
+                 "Plans retired from a tenant's cache (LRU eviction or "
+                 "a recalibration's explicit profile-swap clear).",
+                 ("tenant",)),
+    MetricFamily("counter", "server_recalibrations_total",
+                 "Profiles republished by the online recalibrator.",
+                 ("tenant",)),
+)
 
 
 class QueryServer:
@@ -314,6 +353,16 @@ class QueryServer:
     hands resolved futures to the loop thread; the staged heap and the
     compiling set are shared between the two under ``_stage_lock``.
     Read :meth:`report` after :meth:`drain`, when no run is in flight.
+
+    One door out: a served or shed query is accounted by
+    :meth:`_resolve` and nowhere else — tenant counter, report, SLO
+    windows, per-response metrics, the post to its future.  Two exits
+    still bypass it, *unaccounted*: a batch whose execution raised
+    (:meth:`_serve_batch` posts the exception to its members) and a
+    query whose compile raised (:meth:`submit_nowait` fails the future
+    from the loop thread) leave no :class:`ServerResponse`, balance no
+    tenant's ``submitted`` and bump no metric — the ``outcome="error"``
+    responses of ROADMAP item 2 go through the same door.
     """
 
     def __init__(self, hierarchy: MemoryHierarchy | None = None, *,
@@ -380,55 +429,13 @@ class QueryServer:
         # observability (all no-ops when tracer is None)
         self.tracer = tracer
         if tracer is not None:
-            m = tracer.metrics
-            self._m_queries = m.counter(
-                "server_queries_total",
-                "Queries resolved, by outcome.",
-                ("tenant", "kind", "outcome"))
-            self._m_latency = m.histogram(
-                "server_latency_ns",
-                "Simulated completion latency of served queries.",
-                ("tenant",))
-            self._m_queue_wait = m.histogram(
-                "server_queue_wait_ns",
-                "Simulated delay between arrival and batch start.",
-                ("tenant",))
-            self._m_admission = m.counter(
-                "server_admission_total",
-                "Admission-controller decisions.",
-                ("tenant", "decision"))
-            self._m_batches = m.counter(
-                "server_batches_total", "Batches executed.", ("policy",))
-            self._m_batch_size = m.histogram(
-                "server_batch_size", "Co-run batch sizes.",
-                bounds=tuple(float(n) for n in range(1, 33)))
-            self._m_clock = m.gauge(
-                "server_clock_ns", "The machine's simulated clock.")
-            self._m_depth = m.gauge(
-                "server_queue_depth",
-                "Run-queue depth after the last dispatch.")
-            self._m_level_hits = m.counter(
-                "sim_level_hits_total",
-                "Simulator per-level hits, sampled at batch "
-                "boundaries.", ("level",))
-            self._m_level_misses = m.counter(
-                "sim_level_misses_total",
-                "Simulator per-level misses, sampled at batch "
-                "boundaries.", ("level", "kind"))
-            self._m_cache_hits = m.counter(
-                "plan_cache_hits_total", "Plan-cache hits.", ("tenant",))
-            self._m_cache_misses = m.counter(
-                "plan_cache_misses_total", "Plan-cache misses.",
-                ("tenant",))
-            self._m_cache_retired = m.counter(
-                "plan_cache_retirements_total",
-                "Plans retired from a tenant's cache (LRU eviction or "
-                "a recalibration's explicit profile-swap clear).",
-                ("tenant",))
-            self._m_recalibrations = m.counter(
-                "server_recalibrations_total",
-                "Profiles republished by the online recalibrator.",
-                ("tenant",))
+            #: name -> registered family, for every ``METRIC_FAMILIES`` row
+            self._m = {
+                family.name: getattr(tracer.metrics, family.kind)(
+                    family.name, family.help, family.labels,
+                    **({} if family.bounds is None
+                       else {"bounds": family.bounds}))
+                for family in METRIC_FAMILIES}
 
     # -- tenants -------------------------------------------------------
     def add_tenant(self, name: str, quota: TenantQuota | None = None
@@ -443,9 +450,9 @@ class QueryServer:
                         config=self.config)
         self.tenants[name] = tenant
         if self.tracer is not None:
-            counters = {"hit": self._m_cache_hits,
-                        "miss": self._m_cache_misses,
-                        "retire": self._m_cache_retired}
+            counters = {"hit": self._m["plan_cache_hits_total"],
+                        "miss": self._m["plan_cache_misses_total"],
+                        "retire": self._m["plan_cache_retirements_total"]}
 
             def _cache_event(event: str, count: int = 1,
                              *, _tenant: str = name) -> None:
@@ -573,15 +580,10 @@ class QueryServer:
         return await self.submit_nowait(tenant, text, kind, arrival_ns)
 
     async def serve(self, queries: list[WorkloadQuery],
-                    tenant_for=None, realtime_factor: float | None = None
-                    ) -> list[ServerResponse]:
+                    tenant_for=None) -> list[ServerResponse]:
         """Serve a stamped workload stream and return the responses in
         qid order.  ``tenant_for`` maps a query to a tenant name
-        (default: clients dealt round-robin over registered tenants);
-        ``realtime_factor`` additionally paces submissions on the wall
-        clock (wall seconds per simulated second) — the simulated
-        accounting is identical either way, pacing just makes the
-        traffic observable."""
+        (default: clients dealt round-robin over registered tenants)."""
         if not self.tenants:
             raise RuntimeError("no tenants registered")
         names = [t.name for t in
@@ -589,18 +591,10 @@ class QueryServer:
         if tenant_for is None:
             def tenant_for(query):  # noqa: E306
                 return names[query.client % len(names)]
-        futures = []
-        previous_arrival = 0.0
-        for query in queries:
-            if realtime_factor is not None:
-                gap_ns = query.arrival_ns - previous_arrival
-                previous_arrival = query.arrival_ns
-                if gap_ns > 0:
-                    await asyncio.sleep(gap_ns / 1e9 * realtime_factor)
-            futures.append(self.submit_nowait(
-                tenant_for(query), query.text, kind=query.kind,
-                arrival_ns=query.arrival_ns))
-        responses = await asyncio.gather(*futures)
+        responses = await asyncio.gather(*(
+            self.submit_nowait(tenant_for(query), query.text,
+                               kind=query.kind, arrival_ns=query.arrival_ns)
+            for query in queries))
         return sorted(responses, key=lambda r: r.qid)
 
     # -- worker-side stages --------------------------------------------
@@ -645,29 +639,46 @@ class QueryServer:
         if self._outstanding == 0:
             self._idle.set()
 
+    def _resolve(self, task: Task, response: ServerResponse,
+                 posts: list) -> None:
+        """The one door out (see the class docstring): account
+        ``response`` — served or shed — and queue it for ``task``'s
+        future."""
+        tenant = self.tenants[task.tenant]
+        served = response.ok
+        if served:
+            tenant.completed += 1
+            self.slo.observe(task.tenant, response.finish_ns,
+                             response.latency_ns)
+        else:
+            tenant.shed += 1
+        self._responses.append(response)
+        if self.tracer is not None:
+            m = self._m
+            m["server_queries_total"].inc(
+                tenant=task.tenant, kind=task.kind,
+                outcome=response.outcome)
+            if served:
+                m["server_admission_total"].inc(tenant=task.tenant,
+                                                decision="admitted")
+                m["server_latency_ns"].observe(response.latency_ns,
+                                               tenant=task.tenant)
+                m["server_queue_wait_ns"].observe(response.wait_ns,
+                                                  tenant=task.tenant)
+        posts.append((task.handle, response))
+
     def _shed(self, task: Task, at_ns: float, posts: list) -> None:
         """Refuse ``task`` at simulated time ``at_ns`` (its own arrival
         when it never got in, the displacement time for a victim)."""
-        tenant = self.tenants[task.tenant]
-        tenant.shed += 1
-        response = ServerResponse(
-            qid=task.qid, tenant=task.tenant, kind=task.kind,
-            text=task.text, outcome="shed",
-            arrival_ns=task.arrival_ns, start_ns=at_ns,
-            finish_ns=at_ns, signature=task.signature,
-            fingerprint=task.fingerprint,
-            compile_wall_ns=task.compile_wall_ns)
-        self._responses.append(response)
         if self.tracer is not None:
-            self._m_queries.inc(tenant=task.tenant, kind=task.kind,
-                                outcome="shed")
             self.tracer.span(
                 "query", track=f"tenant:{task.tenant}",
                 category="query", qid=task.qid,
                 sim_start_ns=task.arrival_ns, sim_end_ns=at_ns,
                 kind=task.kind, outcome="shed",
                 signature=task.signature)
-        posts.append((task.handle, response))
+        self._resolve(task, ServerResponse.of(task, "shed", at_ns, at_ns),
+                      posts)
 
     def _take_due(self) -> tuple[float, list[Task]] | None:
         """The next decision: the simulated time it is made at — the
@@ -704,14 +715,14 @@ class QueryServer:
             quota = self.tenants[task.tenant].quota
             victims = self.admission.offer(task, quota)
             if self.tracer is not None:
+                decided = self._m["server_admission_total"]
                 refused = any(victim is task for victim in victims)
-                self._m_admission.inc(
-                    tenant=task.tenant,
-                    decision="shed" if refused else "queued")
+                decided.inc(tenant=task.tenant,
+                            decision="shed" if refused else "queued")
                 for victim in victims:
                     if victim is not task:
-                        self._m_admission.inc(tenant=victim.tenant,
-                                              decision="displaced")
+                        decided.inc(tenant=victim.tenant,
+                                    decision="displaced")
             for victim in victims:
                 self._shed(victim,
                            victim.arrival_ns if victim is task else now_ns,
@@ -781,25 +792,18 @@ class QueryServer:
                     memory_ns=replay.memory_ns[i], cpu_ns=task.cpu_ns)
             tracer.instant("respond", track=track, at_ns=finish_abs,
                            qid=task.qid, parent=root.sid)
-            self._m_queries.inc(tenant=task.tenant, kind=task.kind,
-                                outcome="ok")
-            self._m_admission.inc(tenant=task.tenant,
-                                  decision="admitted")
-            self._m_latency.observe(finish_abs - task.arrival_ns,
-                                    tenant=task.tenant)
-            self._m_queue_wait.observe(now - task.arrival_ns,
-                                       tenant=task.tenant)
-        self._m_batches.inc(policy=self.admission.mode)
-        self._m_batch_size.observe(float(len(batch)))
-        self._m_clock.set(self._clock)
-        self._m_depth.set(float(len(self.admission.queue)))
+        m = self._m
+        m["server_batches_total"].inc(policy=self.admission.mode)
+        m["server_batch_size"].observe(float(len(batch)))
+        m["server_clock_ns"].set(self._clock)
+        m["server_queue_depth"].set(float(len(self.admission.queue)))
         if replay.counters is not None:
             for level in replay.counters.levels:
-                self._m_level_hits.inc(level.hits, level=level.name)
-                self._m_level_misses.inc(level.seq_misses,
-                                         level=level.name, kind="seq")
-                self._m_level_misses.inc(level.rand_misses,
-                                         level=level.name, kind="rand")
+                m["sim_level_hits_total"].inc(level.hits, level=level.name)
+                m["sim_level_misses_total"].inc(
+                    level.seq_misses, level=level.name, kind="seq")
+                m["sim_level_misses_total"].inc(
+                    level.rand_misses, level=level.name, kind="rand")
 
     def _maybe_recalibrate(self, task: Task, tenant: Tenant,
                            measured, events, at_ns: float) -> None:
@@ -821,7 +825,7 @@ class QueryServer:
         self.recalibrations.append(recalibration)
         if recalibration.published:
             tenant.recalibrations += 1
-            self._m_recalibrations.inc(tenant=task.tenant)
+            self._m["server_recalibrations_total"].inc(tenant=task.tenant)
             self.tracer.instant(
                 "recalibrate", track=f"tenant:{task.tenant}",
                 at_ns=at_ns, category="recalibrate",
@@ -869,20 +873,9 @@ class QueryServer:
         finishes, metrics = settle(index, batch, replay)
         makespan = metrics.measured_makespan_ns
         for task, finish, nrows in zip(batch, finishes, rows):
-            self.tenants[task.tenant].completed += 1
-            response = ServerResponse(
-                qid=task.qid, tenant=task.tenant, kind=task.kind,
-                text=task.text, outcome="ok",
-                arrival_ns=task.arrival_ns, start_ns=now,
-                finish_ns=now + finish, rows=nrows,
-                cache_hit=task.cache_hit, batch_index=index,
-                batch_size=len(batch), signature=task.signature,
-                fingerprint=task.fingerprint,
-                compile_wall_ns=task.compile_wall_ns)
-            self._responses.append(response)
-            self.slo.observe(task.tenant, response.finish_ns,
-                             response.latency_ns)
-            posts.append((task.handle, response))
+            self._resolve(task, ServerResponse.of(
+                task, "ok", now, now + finish, rows=nrows,
+                batch_index=index, batch_size=len(batch)), posts)
         self._batches.append(metrics)
         self._clock = now + makespan
         if self.tracer is not None:

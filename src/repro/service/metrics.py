@@ -13,7 +13,8 @@ from typing import Sequence
 
 from ..query.observe import OperatorMeasurement
 
-__all__ = ["percentile", "QueryMetrics", "BatchMetrics", "WorkloadReport"]
+__all__ = ["percentile", "QueryMetrics", "BatchMetrics", "RunReport",
+           "WorkloadReport"]
 
 
 #: Sentinel distinguishing "no empty-sample default supplied" from an
@@ -121,7 +122,61 @@ class BatchMetrics:
         }
 
 
-class WorkloadReport:
+class RunReport:
+    """What every run report accounts the same way: one policy's
+    batches — each the ⊙ prediction next to its replay measurement —
+    and the latency distribution of the queries that completed.  A
+    subclass keeps its own per-query records and supplies
+    :meth:`latencies`."""
+
+    def __init__(self, policy: str, batches: list[BatchMetrics],
+                 fingerprint: str = "") -> None:
+        self.policy = policy
+        self.batches = batches
+        #: Profile fingerprint of the machine the run executed on —
+        #: joins this report to the what-if candidate that predicted it.
+        self.fingerprint = fingerprint
+
+    def latencies(self) -> list[float]:
+        """Simulated latency of every completed query."""
+        raise NotImplementedError
+
+    def latency_percentile(self, q: float) -> float | None:
+        """``None`` when nothing completed."""
+        return percentile(self.latencies(), q, empty=None)
+
+    @property
+    def p50_latency_ns(self) -> float | None:
+        return self.latency_percentile(50.0)
+
+    @property
+    def p95_latency_ns(self) -> float | None:
+        return self.latency_percentile(95.0)
+
+    @property
+    def p99_latency_ns(self) -> float | None:
+        return self.latency_percentile(99.0)
+
+    @property
+    def predicted_makespan_ns(self) -> float:
+        """Σ of the ⊙-predicted batch makespans (busy time only)."""
+        return sum(b.predicted_makespan_ns for b in self.batches)
+
+    @property
+    def measured_makespan_ns(self) -> float:
+        """Σ of the replay-measured batch makespans."""
+        return sum(b.measured_makespan_ns for b in self.batches)
+
+    @property
+    def mean_contention_error(self) -> float:
+        """Mean relative ⊙-vs-replay error over *co-run* batches
+        (singleton batches exercise the plain Section 4/5 model, which
+        the existing validation suites already cover)."""
+        shared = [b.contention_error for b in self.batches if b.size > 1]
+        return sum(shared) / len(shared) if shared else 0.0
+
+
+class WorkloadReport(RunReport):
     """The executor's result: every query, every batch, one policy."""
 
     def __init__(self, policy: str, queries: list[QueryMetrics],
@@ -129,12 +184,11 @@ class WorkloadReport:
                  fingerprint: str = "") -> None:
         if not queries:
             raise ValueError("a report needs at least one query")
-        self.policy = policy
+        super().__init__(policy, batches, fingerprint)
         self.queries = queries
-        self.batches = batches
-        #: Profile fingerprint of the machine the run executed on —
-        #: joins this report to the what-if candidate that predicted it.
-        self.fingerprint = fingerprint
+
+    def latencies(self) -> list[float]:
+        return [m.latency_ns for m in self.queries]
 
     # -- headline numbers ----------------------------------------------
     @property
@@ -148,34 +202,9 @@ class WorkloadReport:
         span = self.makespan_ns
         return len(self.queries) / (span / 1e9) if span > 0 else float("inf")
 
-    def latency_percentile(self, q: float) -> float:
-        return percentile([m.latency_ns for m in self.queries], q)
-
-    @property
-    def p50_latency_ns(self) -> float:
-        return self.latency_percentile(50.0)
-
-    @property
-    def p95_latency_ns(self) -> float:
-        return self.latency_percentile(95.0)
-
-    @property
-    def p99_latency_ns(self) -> float:
-        return self.latency_percentile(99.0)
-
     @property
     def cache_hits(self) -> int:
         return sum(1 for q in self.queries if q.cache_hit)
-
-    @property
-    def mean_contention_error(self) -> float:
-        """Mean relative ⊙-vs-simulator error over *co-run* batches
-        (singleton batches exercise the plain Section 4/5 model, which
-        the existing validation suites already cover)."""
-        shared = [b.contention_error for b in self.batches if b.size > 1]
-        if not shared:
-            return 0.0
-        return sum(shared) / len(shared)
 
     def to_json(self) -> dict:
         """The whole run as a JSON-serializable dict — built from the

@@ -1,10 +1,10 @@
 """Text frontend: a small query language over the logical algebra.
 
 The pattern language is executable as text (:mod:`repro.core.parser`);
-this module extends the same approach — a tokenizer and a recursive-
-descent parser resolving names against registries — to *queries*, so a
-query can live as a string in a configuration file or benchmark and
-still compile through the optimizer::
+this module extends the same approach — that module's token stream
+under a recursive-descent parser resolving names against registries —
+to *queries*, so a query can live as a string in a configuration file
+or benchmark and still compile through the optimizer::
 
     parse_query("aggregate(join(filter(orders, even, sel=0.5), "
                 "customers), groups=64)",
@@ -36,6 +36,7 @@ from __future__ import annotations
 import re
 from typing import Callable, Mapping
 
+from ..core.parser import TokenStream
 from ..query.logical import Aggregate, Filter, Join, LogicalOp, Sort
 
 __all__ = ["parse_query", "QuerySyntaxError"]
@@ -58,51 +59,14 @@ _TOKEN = re.compile(r"""
 _AGGREGATE_NAMES = ("aggregate", "agg", "group", "group_by")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match:
-            raise QuerySyntaxError(
-                f"unexpected character {text[pos]!r} at offset {pos}")
-        pos = match.end()
-        kind = match.lastgroup
-        if kind != "space":
-            tokens.append((kind, match.group()))
-    tokens.append(("end", ""))
-    return tokens
-
-
-class _QueryParser:
-    def __init__(self, tokens: list[tuple[str, str]],
-                 tables: Mapping[str, LogicalOp],
+class _QueryParser(TokenStream):
+    def __init__(self, text: str, tables: Mapping[str, LogicalOp],
                  functions: Mapping[str, Callable]) -> None:
-        self.tokens = tokens
+        super().__init__(text, _TOKEN, QuerySyntaxError)
         self.tables = tables
         self.functions = functions
-        self.pos = 0
 
     # ------------------------------------------------------------------
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.pos]
-
-    def take(self, kind: str) -> str:
-        actual_kind, value = self.tokens[self.pos]
-        if actual_kind != kind:
-            raise QuerySyntaxError(
-                f"expected {kind}, found {value!r} (token {self.pos})")
-        self.pos += 1
-        return value
-
-    # ------------------------------------------------------------------
-    def parse(self) -> LogicalOp:
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise QuerySyntaxError(
-                f"trailing input from token {self.pos}: {self.peek()[1]!r}")
-        return node
-
     def expr(self) -> LogicalOp:
         kind, value = self.peek()
         if kind != "word":
@@ -203,4 +167,5 @@ def parse_query(text: str, tables: Mapping[str, LogicalOp],
     predicate/key functions."""
     if not text.strip():
         raise QuerySyntaxError("empty query")
-    return _QueryParser(_tokenize(text), tables, functions or {}).parse()
+    parser = _QueryParser(text, tables, functions or {})
+    return parser.parse(parser.expr)

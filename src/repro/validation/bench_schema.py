@@ -143,8 +143,7 @@ def payload_from_results(name: str, entries, tolerance: float,
         **({"known_gaps": gaps} if gaps else {}))
 
 
-def payload_from_serving(name: str, entries, tolerance: float,
-                         include_responses: bool = False) -> dict:
+def payload_from_serving(name: str, entries, tolerance: float) -> dict:
     """A bench payload from serving runs.
 
     ``entries`` is a list of ``(size, ServingReport)`` pairs
@@ -153,13 +152,12 @@ def payload_from_serving(name: str, entries, tolerance: float,
     carries the ⊙-predicted vs replay-measured busy time (summed batch
     makespans) with the report's mean co-run contention error, plus the
     serving headline (sustained q/s, latency percentiles, shed count)
-    per point.  Responses are bulky and off by default; batches always
-    ride along (they are the predicted-vs-measured evidence)."""
+    per point.  Responses are bulky and left out; batches always ride
+    along (they are the predicted-vs-measured evidence)."""
     series = []
     for size, report in entries:
         detail = report.to_json()
-        if not include_responses:
-            detail.pop("responses")
+        detail.pop("responses")
         series.append({
             "size": size,
             "predicted_ns": report.predicted_makespan_ns,

@@ -64,8 +64,7 @@ def _predict_traversal(hierarchy: MemoryHierarchy, n: int, w: int, u: int,
     out: dict[str, float] = {}
     time_ns = 0.0
     for level in hierarchy.all_levels:
-        geo = LevelGeometry(level.line_size, float(level.capacity),
-                            float(level.num_lines))
+        geo = LevelGeometry.of(level)
         if randomized:
             count = rtrav_count(region, u, geo)
             time_ns += count * level.rand_miss_latency_ns

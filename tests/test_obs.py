@@ -6,6 +6,7 @@ tracing-off/-on response identity, and schema validation."""
 
 import asyncio
 import json
+import pathlib
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.obs import (
     validate_metrics_json,
 )
 from repro.server import PoissonArrivals, QueryServer, TenantQuota
+from repro.server.server import METRIC_FAMILIES
 from repro.service import WorkloadGenerator
 from repro.service.metrics import percentile
 from repro.session import Session
@@ -360,11 +362,9 @@ class TestTracedServer:
         tracer = Tracer()
         server, responses = _traced_run(tracer)
         exposition = tracer.metrics.expose()
-        for family in ("server_queries_total", "server_latency_ns",
-                       "server_admission_total", "plan_cache_hits_total",
-                       "plan_cache_misses_total", "sim_level_hits_total",
-                       "sim_level_misses_total", "server_batches_total"):
-            assert family in exposition, f"missing {family}"
+        for family in METRIC_FAMILIES:
+            assert f"# TYPE {family.name} {family.kind}" in exposition, \
+                f"missing {family.name}"
         queries = tracer.metrics.get("server_queries_total")
         served = sum(1 for r in responses if r.ok)
         total = sum(cell[0] for _, cell in queries.series())
@@ -373,6 +373,27 @@ class TestTracedServer:
                  if key[-1] == "ok")
         assert ok == served
         assert validate_metrics_json(tracer.metrics.to_json()) == []
+
+    def test_family_table_is_the_registry_and_the_readme_list(self):
+        """``METRIC_FAMILIES`` is the one declaration: a traced server
+        registers exactly its rows, and the README's table lists every
+        one of them."""
+        tracer = Tracer()
+        QueryServer(tracer=tracer)
+        names = [family.name for family in METRIC_FAMILIES]
+        assert len(names) == len(set(names))
+        assert sorted(names) == [entry["name"] for entry
+                                 in tracer.metrics.to_json()["families"]]
+        for family in METRIC_FAMILIES:
+            registered = tracer.metrics.get(family.name)
+            assert (registered.kind, registered.help,
+                    registered.labelnames) == \
+                (family.kind, family.help, family.labels)
+        readme = (pathlib.Path(__file__).parent.parent
+                  / "README.md").read_text()
+        for family in METRIC_FAMILIES:
+            assert f"| `{family.name}` | {family.kind} |" in readme, \
+                f"README's family table misses {family.name}"
 
     def test_event_log_writes_and_validates(self, tmp_path):
         tracer = Tracer()
