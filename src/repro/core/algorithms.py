@@ -181,9 +181,7 @@ def quick_sort_pattern(U: DataRegion, stop_bytes: int | None = None) -> Pattern:
 # Hash-based building blocks.
 # ----------------------------------------------------------------------
 
-def hash_table_region(V: DataRegion,
-                      entry_width: int = DEFAULT_HASH_ENTRY_WIDTH,
-                      max_load: float | None = None,
+def hash_table_region(V: DataRegion, max_load: float | None = None,
                       name: str | None = None) -> DataRegion:
     """The hash-table region ``H`` for an input ``V``.
 
@@ -194,17 +192,16 @@ def hash_table_region(V: DataRegion,
     the bound, matching what ``db.SimHashTable`` actually allocates.
     """
     n = V.n if max_load is None else hash_capacity(V.n, max_load)
-    return DataRegion(name=name or f"H({V.name})", n=n, w=entry_width)
+    return DataRegion(name=name or f"H({V.name})", n=n,
+                      w=DEFAULT_HASH_ENTRY_WIDTH)
 
 
-def group_table_region(groups: int,
-                       entry_width: int = DEFAULT_HASH_ENTRY_WIDTH
-                       ) -> DataRegion:
+def group_table_region(groups: int) -> DataRegion:
     """The group table ``G`` a hash aggregate over ``groups`` distinct
     keys allocates (engine capacity rounding, like every hash region the
     catalog prices)."""
     return hash_table_region(
-        DataRegion("G", n=max(1, groups), w=entry_width), entry_width,
+        DataRegion("G", n=max(1, groups), w=DEFAULT_HASH_ENTRY_WIDTH),
         max_load=DEFAULT_HASH_MAX_LOAD, name="G")
 
 
@@ -224,7 +221,6 @@ def hash_probe_pattern(U: DataRegion, H: DataRegion, W: DataRegion) -> Pattern:
 
 
 def hash_join_pattern(U: DataRegion, V: DataRegion, W: DataRegion,
-                      entry_width: int = DEFAULT_HASH_ENTRY_WIDTH,
                       H: DataRegion | None = None) -> Pattern:
     """Hash join (Section 6.2)::
 
@@ -234,7 +230,7 @@ def hash_join_pattern(U: DataRegion, V: DataRegion, W: DataRegion,
     builds a hash table on the inner input ``V``, then probes it with the
     outer input ``U``.
     """
-    H = H or hash_table_region(V, entry_width)
+    H = H or hash_table_region(V)
     return hash_build_pattern(V, H) + hash_probe_pattern(U, H, W)
 
 
@@ -274,7 +270,6 @@ def partitioned_hash_join_pattern(
         U_parts: tuple[DataRegion, ...],
         V_parts: tuple[DataRegion, ...],
         W_parts: tuple[DataRegion, ...],
-        entry_width: int = DEFAULT_HASH_ENTRY_WIDTH,
         H_regions: tuple[DataRegion, ...] | None = None) -> Pattern:
     """Partitioned hash join: a hash join per matching cluster pair::
 
@@ -288,8 +283,7 @@ def partitioned_hash_join_pattern(
     if H_regions is not None and len(H_regions) != len(U_parts):
         raise ValueError("H_regions count differs from partition count")
     joins = [
-        hash_join_pattern(u, v, w, entry_width,
-                          H=H_regions[j] if H_regions else None)
+        hash_join_pattern(u, v, w, H=H_regions[j] if H_regions else None)
         for j, (u, v, w) in enumerate(zip(U_parts, V_parts, W_parts))
     ]
     return Seq.of(*joins)
@@ -362,23 +356,23 @@ def spill_partition_count(table_bytes: int, memory_budget: int) -> int:
     return m
 
 
-def grace_partition_count(U: DataRegion, V: DataRegion, memory_budget: int,
-                          entry_width: int = DEFAULT_HASH_ENTRY_WIDTH) -> int:
+def grace_partition_count(U: DataRegion, V: DataRegion,
+                          memory_budget: int) -> int:
     """The grace hash join's fan-out: the spill policy applied to the
     build table on ``V``, clamped by the *input* sizes only, exactly
     like the engine — a selective join's small output must not collapse
     the fan-out.  ``1`` means the table fits (no spill)."""
-    H = hash_table_region(V, entry_width, max_load=DEFAULT_HASH_MAX_LOAD)
+    H = hash_table_region(V, max_load=DEFAULT_HASH_MAX_LOAD)
     return min(spill_partition_count(H.size, memory_budget), U.n, V.n)
 
 
 def spilling_aggregate_partition_count(
-        U: DataRegion, W: DataRegion, groups: int, memory_budget: int,
-        entry_width: int = DEFAULT_HASH_ENTRY_WIDTH) -> int:
+        U: DataRegion, W: DataRegion, groups: int,
+        memory_budget: int) -> int:
     """The spilling hash aggregate's fan-out: the spill policy applied
     to the group table, clamped by the input, group and output counts.
     ``1`` means the table fits (no spill)."""
-    G = group_table_region(groups, entry_width)
+    G = group_table_region(groups)
     return min(spill_partition_count(G.size, memory_budget),
                U.n, max(1, groups), W.n)
 
@@ -425,19 +419,17 @@ def external_merge_sort_pattern(U: DataRegion, W: DataRegion,
 
 
 def grace_hash_join_phases(U: DataRegion, V: DataRegion, W: DataRegion,
-                           memory_budget: int,
-                           entry_width: int = DEFAULT_HASH_ENTRY_WIDTH
-                           ) -> tuple[Pattern, ...]:
+                           memory_budget: int) -> tuple[Pattern, ...]:
     """The three phases of a grace hash join — (partition ``U``,
     partition ``V``, per-partition joins) — or, when the build table
     already fits ``memory_budget`` (no spill), the plain
     :func:`hash_join_pattern` as its single phase.  Exposed separately
     so pipelined plan composition can ``⊙``-overlap each input with its
     partition pass only."""
-    m = grace_partition_count(U, V, memory_budget, entry_width)
+    m = grace_partition_count(U, V, memory_budget)
     if m <= 1:
-        H = hash_table_region(V, entry_width, max_load=DEFAULT_HASH_MAX_LOAD)
-        return (hash_join_pattern(U, V, W, entry_width, H=H),)
+        H = hash_table_region(V, max_load=DEFAULT_HASH_MAX_LOAD)
+        return (hash_join_pattern(U, V, W, H=H),)
     # Price what the engine allocates: partition buffers carry binomial
     # slack (partition_capacity), and every per-partition hash table is
     # sized uniformly from that *planned* capacity — not the actual
@@ -455,20 +447,17 @@ def grace_hash_join_phases(U: DataRegion, V: DataRegion, W: DataRegion,
                     for j in range(m))
     H_regions = tuple(
         hash_table_region(DataRegion(f"V[{j}]", n=cap_V, w=V.w),
-                          entry_width, max_load=DEFAULT_HASH_MAX_LOAD,
-                          name=f"H[{j}]")
+                          max_load=DEFAULT_HASH_MAX_LOAD, name=f"H[{j}]")
         for j in range(m)
     )
     joins = partitioned_hash_join_pattern(U_parts, V_parts,
                                           _output_parts(W, m),
-                                          entry_width, H_regions=H_regions)
+                                          H_regions=H_regions)
     return (partition_pattern(U, PU, m), partition_pattern(V, PV, m), joins)
 
 
 def grace_hash_join_pattern(U: DataRegion, V: DataRegion, W: DataRegion,
-                            memory_budget: int,
-                            entry_width: int = DEFAULT_HASH_ENTRY_WIDTH
-                            ) -> Pattern:
+                            memory_budget: int) -> Pattern:
     """Grace (spilling partitioned) hash join under a build-table
     budget: partition both inputs until each per-partition hash table
     fits in ``memory_budget``, then hash-join matching partition pairs —
@@ -476,24 +465,21 @@ def grace_hash_join_pattern(U: DataRegion, V: DataRegion, W: DataRegion,
     chosen by the budget rather than a cache capacity.  Degenerates to
     plain :func:`hash_join_pattern` when the whole table fits.
     """
-    return seq(*grace_hash_join_phases(U, V, W, memory_budget, entry_width))
+    return seq(*grace_hash_join_phases(U, V, W, memory_budget))
 
 
 def spilling_hash_aggregate_phases(
-        U: DataRegion, W: DataRegion, groups: int, memory_budget: int,
-        entry_width: int = DEFAULT_HASH_ENTRY_WIDTH
-        ) -> tuple[Pattern, ...]:
+        U: DataRegion, W: DataRegion, groups: int,
+        memory_budget: int) -> tuple[Pattern, ...]:
     """The two phases of a spilling hash aggregate — (partition the
     input by key, ``⊕`` of the per-partition aggregates) — or, when the
     group table fits ``memory_budget`` (no spill), the plain
     :func:`hash_aggregate_pattern` as its single phase.  Like the
     engine, the partition buffers carry the shared
     :func:`partition_capacity` slack."""
-    m = spilling_aggregate_partition_count(U, W, groups, memory_budget,
-                                           entry_width)
+    m = spilling_aggregate_partition_count(U, W, groups, memory_budget)
     if m <= 1:
-        return (hash_aggregate_pattern(
-            U, group_table_region(groups, entry_width), W),)
+        return (hash_aggregate_pattern(U, group_table_region(groups), W),)
     cap = partition_capacity(U.n, m)
     PU = DataRegion(f"P({U.name})", n=m * cap, w=U.w)
     U_parts = tuple(PU.subregion(f"P({U.name})[{j}]", n=max(1, U.n // m))
@@ -502,24 +488,23 @@ def spilling_hash_aggregate_phases(
     passes = []
     for j, (part, w_part) in enumerate(zip(U_parts, W.split(m))):
         G_j = hash_table_region(
-            DataRegion(f"G[{j}]", n=per_part_groups, w=entry_width),
-            entry_width, max_load=DEFAULT_HASH_MAX_LOAD, name=f"G[{j}]")
+            DataRegion(f"G[{j}]", n=per_part_groups,
+                       w=DEFAULT_HASH_ENTRY_WIDTH),
+            max_load=DEFAULT_HASH_MAX_LOAD, name=f"G[{j}]")
         passes.append(hash_aggregate_pattern(part, G_j, w_part))
     return partition_pattern(U, PU, m), Seq.of(*passes)
 
 
 def spilling_hash_aggregate_pattern(U: DataRegion, W: DataRegion,
-                                    groups: int, memory_budget: int,
-                                    entry_width: int = DEFAULT_HASH_ENTRY_WIDTH
-                                    ) -> Pattern:
+                                    groups: int,
+                                    memory_budget: int) -> Pattern:
     """Hash aggregation under a group-table budget: partition the input
     by grouping key until each per-partition group table fits in
     ``memory_budget``, then hash-aggregate every partition —
     ``partition(U,P,m) ⊕ ⊕_j hash_aggr(P_j, G_j, W_j)``.  Degenerates
     to plain :func:`hash_aggregate_pattern` when the table fits.
     """
-    return seq(*spilling_hash_aggregate_phases(U, W, groups, memory_budget,
-                                               entry_width))
+    return seq(*spilling_hash_aggregate_phases(U, W, groups, memory_budget))
 
 
 # ----------------------------------------------------------------------

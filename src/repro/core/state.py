@@ -71,9 +71,6 @@ class CacheState:
                 best = max(best, rho * entry_region.size / region.size)
         return min(1.0, best)
 
-    def is_fully_cached(self, region: DataRegion) -> bool:
-        return self.cached_fraction(region) >= 1.0
-
     # ------------------------------------------------------------------
     @staticmethod
     def after_pattern(region: DataRegion, capacity: float) -> "CacheState":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..core.algorithms import hash_capacity
 from .column import Column
-from .context import Database
+from .context import Database, leaf_kernel
 from .hashtable import ENTRY_WIDTH, SimHashTable
 from .sort import quick_sort
 
@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 
+@leaf_kernel
 def hash_aggregate(db: Database, col: Column, groups_hint: int | None = None,
                    output_name: str = "agg", key_of=None) -> Column:
     """Group-count via a hash group table.
@@ -30,10 +31,6 @@ def hash_aggregate(db: Database, col: Column, groups_hint: int | None = None,
     extracts the integer grouping key from a stored value (e.g. the
     outer oid of a join-result pair); identity by default.
     """
-    if db.execution != "scalar":
-        from .vectorized import hash_aggregate_v
-        return hash_aggregate_v(db, col, groups_hint=groups_hint,
-                                output_name=output_name, key_of=key_of)
     mem = db.mem
     extract = key_of or (lambda value: value)
     hint = groups_hint or max(1, col.n)
@@ -73,12 +70,10 @@ def hash_aggregate(db: Database, col: Column, groups_hint: int | None = None,
     return out
 
 
+@leaf_kernel
 def sort_aggregate(db: Database, col: Column,
                    output_name: str = "agg") -> Column:
     """Group-count by sorting in place, then one sequential pass."""
-    if db.execution != "scalar":
-        from .vectorized import sort_aggregate_v
-        return sort_aggregate_v(db, col, output_name=output_name)
     mem = db.mem
     quick_sort(db, col)
     out = db.allocate_column(output_name, n=max(1, col.n), width=ENTRY_WIDTH,
@@ -103,13 +98,11 @@ def sort_aggregate(db: Database, col: Column,
     return out
 
 
+@leaf_kernel
 def hash_distinct(db: Database, col: Column,
                   output_name: str = "dist") -> Column:
     """Duplicate elimination via hashing: one random table hit per item,
     sequential output of first occurrences."""
-    if db.execution != "scalar":
-        from .vectorized import hash_distinct_v
-        return hash_distinct_v(db, col, output_name=output_name)
     mem = db.mem
     table = SimHashTable(db, n=max(1, col.n), name=f"D({col.name})")
     out = db.allocate_column(output_name, n=max(1, col.n), width=col.width)
@@ -124,12 +117,10 @@ def hash_distinct(db: Database, col: Column,
     return out
 
 
+@leaf_kernel
 def sort_distinct(db: Database, col: Column,
                   output_name: str = "dist") -> Column:
     """Duplicate elimination by sorting in place, then one pass."""
-    if db.execution != "scalar":
-        from .vectorized import sort_distinct_v
-        return sort_distinct_v(db, col, output_name=output_name)
     mem = db.mem
     quick_sort(db, col)
     out = db.allocate_column(output_name, n=max(1, col.n), width=col.width)

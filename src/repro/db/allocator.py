@@ -20,24 +20,22 @@ class Allocator:
     base:
         First address handed out.  Starting above zero avoids the
         (harmless but confusing) address-0 line.
-    default_alignment:
-        Alignment applied when an allocation does not request its own.
     """
 
-    def __init__(self, base: int = 4096, default_alignment: int = 8) -> None:
+    #: Alignment applied when an allocation does not request its own.
+    DEFAULT_ALIGNMENT = 8
+
+    def __init__(self, base: int = 4096) -> None:
         if base < 0:
             raise ValueError("base must be non-negative")
-        if default_alignment < 1:
-            raise ValueError("alignment must be positive")
         self._next = base
-        self._default_alignment = default_alignment
         self.allocations: list[tuple[int, int]] = []
 
     def allocate(self, nbytes: int, alignment: int | None = None) -> int:
         """Reserve ``nbytes`` and return the start address."""
         if nbytes <= 0:
             raise ValueError("nbytes must be positive")
-        align = self._default_alignment if alignment is None else alignment
+        align = self.DEFAULT_ALIGNMENT if alignment is None else alignment
         if align < 1:
             raise ValueError("alignment must be positive")
         addr = -(-self._next // align) * align

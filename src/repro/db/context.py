@@ -9,6 +9,7 @@ operator run, the software analogue of reading hardware counters).
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
@@ -18,7 +19,30 @@ from ..simulator.memory import MemorySystem
 from .allocator import Allocator
 from .column import Column
 
-__all__ = ["Database"]
+__all__ = ["Database", "leaf_kernel"]
+
+
+def leaf_kernel(scalar):
+    """The execution-mode switch, written once.
+
+    Decorates a scalar *leaf* kernel ``name(db, ...)`` — one whose own
+    loop issues the simulated accesses — so that a call while
+    ``db.execution`` is ``"vectorized"`` runs its chunked twin
+    ``repro.db.vectorized.name_v`` with the same arguments (twins keep
+    their scalar's signature).  Compositions of kernels are not
+    decorated: they are written once and reach the twins through the
+    leaves they call.
+    """
+    twin = scalar.__name__ + "_v"
+
+    @functools.wraps(scalar)
+    def kernel(db, *args, **kwargs):
+        if db.execution == "scalar":
+            return scalar(db, *args, **kwargs)
+        from . import vectorized  # imports the scalar modules: not at load
+        return getattr(vectorized, twin)(db, *args, **kwargs)
+
+    return kernel
 
 
 class Database:

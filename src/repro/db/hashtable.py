@@ -17,9 +17,9 @@ from __future__ import annotations
 from ..core.algorithms import hash_capacity
 from ..core.regions import DataRegion
 from .column import Column
-from .context import Database
+from .context import Database, leaf_kernel
 
-__all__ = ["SimHashTable", "ENTRY_WIDTH"]
+__all__ = ["SimHashTable", "ENTRY_WIDTH", "fill_table"]
 
 #: Bytes per slot: 8-byte key + 8-byte payload.
 ENTRY_WIDTH = 16
@@ -112,15 +112,19 @@ class SimHashTable:
     @classmethod
     def build(cls, db: Database, col: Column, max_load: float = 0.5,
               name: str = "H") -> "SimHashTable":
-        """Build a table over a column: sequential read of the input,
-        random writes into ``H`` — the ``build(V,H)`` pattern."""
-        if db.execution != "scalar":
-            from .vectorized import build_table_v
-            return build_table_v(db, col, max_load=max_load, name=name,
-                                 cls=cls)
+        """Build a table over a column: a table sized for it, filled
+        by :func:`fill_table`."""
         table = cls(db, n=max(1, col.n), max_load=max_load, name=name)
-        mem = db.mem
-        for i in range(col.n):
-            mem.access(col.item_address(i), col.width)
-            table.insert(col.values[i], i)
+        fill_table(db, table, col)
         return table
+
+
+@leaf_kernel
+def fill_table(db: Database, table: SimHashTable, col: Column) -> None:
+    """Insert every item of ``col`` into an existing table: sequential
+    read of the input, random writes into ``H`` — the ``build(V,H)``
+    pattern."""
+    mem = db.mem
+    for i in range(col.n):
+        mem.access(col.item_address(i), col.width)
+        table.insert(col.values[i], i)

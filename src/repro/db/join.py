@@ -19,7 +19,7 @@ model.
 from __future__ import annotations
 
 from .column import Column
-from .context import Database
+from .context import Database, leaf_kernel
 from .hashtable import SimHashTable
 
 __all__ = ["merge_join", "nested_loop_join", "hash_join", "OUTPUT_WIDTH"]
@@ -38,6 +38,7 @@ def _trim(col: Column, count: int) -> Column:
     return col
 
 
+@leaf_kernel
 def merge_join(db: Database, outer: Column, inner: Column,
                output_name: str = "W",
                output_capacity: int | None = None) -> Column:
@@ -46,10 +47,6 @@ def merge_join(db: Database, outer: Column, inner: Column,
     Handles duplicate keys on both sides (block-nested re-scan of the
     matching inner run, which stays cache-resident).
     """
-    if db.execution != "scalar":
-        from .vectorized import merge_join_v
-        return merge_join_v(db, outer, inner, output_name=output_name,
-                            output_capacity=output_capacity)
     mem = db.mem
     capacity = output_capacity or max(outer.n, inner.n)
     out = _output(db, output_name, capacity)
@@ -77,14 +74,11 @@ def merge_join(db: Database, outer: Column, inner: Column,
     return _trim(out, count)
 
 
+@leaf_kernel
 def nested_loop_join(db: Database, outer: Column, inner: Column,
                      output_name: str = "W",
                      output_capacity: int | None = None) -> Column:
     """Join by scanning the whole inner input once per outer item."""
-    if db.execution != "scalar":
-        from .vectorized import nested_loop_join_v
-        return nested_loop_join_v(db, outer, inner, output_name=output_name,
-                                  output_capacity=output_capacity)
     mem = db.mem
     capacity = output_capacity or max(outer.n, inner.n)
     out = _output(db, output_name, capacity)
@@ -109,11 +103,6 @@ def hash_join(db: Database, outer: Column, inner: Column,
     Returns the output column *and* the hash table (whose region the
     experiments need for model evaluation).
     """
-    if db.execution != "scalar":
-        from .vectorized import hash_join_v
-        return hash_join_v(db, outer, inner, output_name=output_name,
-                           output_capacity=output_capacity,
-                           max_load=max_load)
     table = SimHashTable.build(db, inner, max_load=max_load,
                                name=f"H({inner.name})")
     out = probe_join(db, outer, table, output_name=output_name,
@@ -121,14 +110,11 @@ def hash_join(db: Database, outer: Column, inner: Column,
     return out, table
 
 
+@leaf_kernel
 def probe_join(db: Database, outer: Column, table: SimHashTable,
                output_name: str = "W",
                output_capacity: int | None = None) -> Column:
     """The probe phase of a hash join, reusable for pre-built tables."""
-    if db.execution != "scalar":
-        from .vectorized import probe_join_v
-        return probe_join_v(db, outer, table, output_name=output_name,
-                            output_capacity=output_capacity)
     mem = db.mem
     capacity = output_capacity or max(outer.n, table.entries)
     out = _output(db, output_name, capacity)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from ..core.algorithms import partition_capacity
 from ..core.regions import DataRegion
 from .column import Column
-from .context import Database
+from .context import Database, leaf_kernel
 from .hashtable import SimHashTable
 from .join import OUTPUT_WIDTH, hash_join
 
@@ -51,6 +51,7 @@ class Partitions:
         return len(self.clusters)
 
 
+@leaf_kernel
 def partition(db: Database, col: Column, m: int,
               output_name: str | None = None,
               slack_sigmas: float = 6.0,
@@ -65,10 +66,6 @@ def partition(db: Database, col: Column, m: int,
     ``key_func(value, m)`` overrides the cluster function (multi-pass
     radix clustering feeds different hash digits to each pass).
     """
-    if db.execution != "scalar":
-        from .vectorized import partition_v
-        return partition_v(db, col, m, output_name=output_name,
-                           slack_sigmas=slack_sigmas, key_func=key_func)
     if m < 1:
         raise ValueError("m must be positive")
     if m > col.n:

@@ -11,17 +11,15 @@ from __future__ import annotations
 from typing import Callable
 
 from .column import Column
-from .context import Database
+from .context import Database, leaf_kernel
 
 __all__ = ["scan", "select", "project", "project_node"]
 
 
+@leaf_kernel
 def scan(db: Database, col: Column, used_bytes: int | None = None) -> int:
     """Sequential sweep over a column; returns a checksum so the work is
     observable.  Pattern: ``s_trav+(U[, u])``."""
-    if db.execution != "scalar":
-        from .vectorized import scan_v
-        return scan_v(db, col, used_bytes)
     mem = db.mem
     u = used_bytes or col.width
     if u > col.width:
@@ -33,13 +31,11 @@ def scan(db: Database, col: Column, used_bytes: int | None = None) -> int:
     return checksum
 
 
+@leaf_kernel
 def select(db: Database, col: Column, predicate: Callable[[int], bool],
            output_name: str = "sel") -> Column:
     """Filter a column; sequential input and output cursors.
     Pattern: ``s_trav+(U) ⊙ s_trav+(W)``."""
-    if db.execution != "scalar":
-        from .vectorized import select_v
-        return select_v(db, col, predicate, output_name=output_name)
     mem = db.mem
     out = db.allocate_column(output_name, n=max(1, col.n), width=col.width)
     count = 0
@@ -52,15 +48,12 @@ def select(db: Database, col: Column, predicate: Callable[[int], bool],
     return out
 
 
+@leaf_kernel
 def project(db: Database, col: Column, used_bytes: int,
             output_width: int | None = None,
             output_name: str = "prj") -> Column:
     """Copy ``used_bytes`` of every item to a narrower output column.
     Pattern: ``s_trav+(U, u) ⊙ s_trav+(W)``."""
-    if db.execution != "scalar":
-        from .vectorized import project_v
-        return project_v(db, col, used_bytes, output_width=output_width,
-                         output_name=output_name)
     if not 1 <= used_bytes <= col.width:
         raise ValueError("used_bytes must be within the item width")
     mem = db.mem
@@ -72,6 +65,7 @@ def project(db: Database, col: Column, used_bytes: int,
     return out
 
 
+@leaf_kernel
 def project_node(db: Database, col: Column, output_name: str, width: int,
                  used_bytes: int, recover=None) -> Column:
     """The projection a plan's :class:`~repro.query.ProjectNode` runs:
@@ -79,10 +73,6 @@ def project_node(db: Database, col: Column, output_name: str, width: int,
     ``recover(row, value)`` — the plan's join-key recovery — when
     ``recover`` is given, and an empty input still yields a (one-item
     capacity, zero-row) column."""
-    if db.execution != "scalar":
-        from .vectorized import project_node_v
-        return project_node_v(db, col, output_name, width, used_bytes,
-                              recover)
     mem = db.mem
     out = db.allocate_column(output_name, n=max(1, col.n), width=width)
     for row in range(col.n):

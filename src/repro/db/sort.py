@@ -11,7 +11,7 @@ compound pattern :func:`repro.core.quick_sort_pattern` describes.
 from __future__ import annotations
 
 from .column import Column
-from .context import Database
+from .context import Database, leaf_kernel
 
 __all__ = ["quick_sort", "is_sorted"]
 
@@ -21,11 +21,9 @@ __all__ = ["quick_sort", "is_sorted"]
 INSERTION_THRESHOLD = 8
 
 
+@leaf_kernel
 def quick_sort(db: Database, col: Column) -> None:
     """Sort a column in place (ascending)."""
-    if db.execution != "scalar":
-        from .vectorized import quick_sort_v
-        return quick_sort_v(db, col)
     mem = db.mem
     values = col.values
     width = col.width

@@ -35,8 +35,8 @@ from ..core.algorithms import (
 from ..core.regions import DataRegion
 from .aggregate import hash_aggregate
 from .column import Column
-from .context import Database
-from .hashtable import ENTRY_WIDTH, SimHashTable
+from .context import Database, leaf_kernel
+from .hashtable import ENTRY_WIDTH, SimHashTable, fill_table
 from .join import hash_join, probe_join
 from .partition import Partitions, partition, partition_key
 from .sort import quick_sort
@@ -58,16 +58,11 @@ def external_merge_sort(db: Database, col: Column, memory_budget: int,
     When the column fits the budget this *is* an in-place quick sort
     and ``col`` itself is returned.
     """
-    if db.execution != "scalar":
-        from .vectorized import external_merge_sort_v
-        return external_merge_sort_v(db, col, memory_budget,
-                                     output_name=output_name)
     region = col.region()
     r = spill_run_count(region, memory_budget)
     if r <= 1 or col.n <= 1:
         quick_sort(db, col)
         return col
-    mem = db.mem
     width = col.width
     run_items = -(-col.n // r)  # ceil
     bounds: list[tuple[int, int]] = []
@@ -83,6 +78,16 @@ def external_merge_sort(db: Database, col: Column, memory_budget: int,
 
     out = db.allocate_column(output_name or f"sort({col.name})",
                              n=col.n, width=width)
+    merge_runs(db, col, bounds, out)
+    return out
+
+
+@leaf_kernel
+def merge_runs(db: Database, col: Column, bounds: list[tuple[int, int]],
+               out: Column) -> None:
+    """The k-way merge of :func:`external_merge_sort`: the sorted runs
+    ``col[start:end]`` of ``bounds`` merged into ``out``."""
+    mem = db.mem
     # One sequential cursor per run; the global order follows the data.
     heads: list[tuple[int, int, int]] = []  # (value, run index, position)
     for j, (start, _) in enumerate(bounds):
@@ -98,7 +103,6 @@ def external_merge_sort(db: Database, col: Column, memory_budget: int,
             heads[index] = (col.read(mem, pos), j, pos)
         else:
             del heads[index]
-    return out
 
 
 def _partition_with_retry(db: Database, col: Column, m: int,
@@ -151,12 +155,7 @@ def grace_hash_join(db: Database, outer: Column, inner: Column,
     ``(output column, None)`` pair is returned; otherwise a
     :class:`GraceJoinResult`.
     """
-    if db.execution != "scalar":
-        from .vectorized import grace_hash_join_v
-        return grace_hash_join_v(db, outer, inner, memory_budget,
-                                 output_name=output_name, max_load=max_load)
-    table_bytes = hash_table_region(inner.region(), ENTRY_WIDTH,
-                                    max_load=max_load).size
+    table_bytes = hash_table_region(inner.region(), max_load=max_load).size
     m = spill_partition_count(table_bytes, memory_budget)
     m = max(1, min(m, outer.n, inner.n))
     if m <= 1:
@@ -171,16 +170,13 @@ def grace_hash_join(db: Database, outer: Column, inner: Column,
     # double a table whenever a cluster crosses a power-of-two
     # boundary, decoupling the execution from its pattern description.
     planned = partition_capacity(inner.n, m)
-    mem = db.mem
     outputs: list[Column] = []
     for j, (outer_col, inner_col) in enumerate(zip(outer_parts, inner_parts)):
         # max() only matters after a skew retry widened the buffers:
         # an overfull cluster still gets a table it fits in.
         table = SimHashTable(db, n=max(planned, inner_col.n),
                              max_load=max_load, name=f"H[{j}]")
-        for i in range(inner_col.n):
-            mem.access(inner_col.item_address(i), inner_col.width)
-            table.insert(inner_col.values[i], i)
+        fill_table(db, table, inner_col)
         outputs.append(probe_join(
             db, outer_col, table,
             output_name=f"{output_name}[{j}]",
@@ -202,15 +198,9 @@ def spilling_hash_aggregate(db: Database, col: Column, memory_budget: int,
     group count (in partition-then-table order rather than plain
     :func:`~repro.db.hash_aggregate`'s table order).
     """
-    if db.execution != "scalar":
-        from .vectorized import spilling_hash_aggregate_v
-        return spilling_hash_aggregate_v(db, col, memory_budget,
-                                         groups_hint=groups_hint,
-                                         output_name=output_name,
-                                         key_of=key_of)
     hint = groups_hint or max(1, col.n)
     table_bytes = hash_table_region(
-        DataRegion("G", n=hint, w=ENTRY_WIDTH), ENTRY_WIDTH,
+        DataRegion("G", n=hint, w=ENTRY_WIDTH),
         max_load=DEFAULT_HASH_MAX_LOAD, name="G").size
     m = spill_partition_count(table_bytes, memory_budget)
     m = max(1, min(m, col.n, hint))

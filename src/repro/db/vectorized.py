@@ -1,10 +1,11 @@
-"""Vectorized (chunked) twins of the scalar operator kernels.
+"""Vectorized (chunked) twins of the scalar leaf kernels.
 
-Every function here mirrors one scalar operator from this package —
-same simulated access sequence, same allocator calls in the same order,
-same result values, same exceptions — but issues the accesses through
-the simulator's batch layer instead of one :meth:`MemorySystem.access`
-call per item:
+Every function here mirrors one scalar *leaf* kernel of this package —
+a function whose own loop issues the simulated accesses — with the same
+signature, the same simulated access sequence, the same allocator calls
+in the same order, the same result values and the same exceptions, but
+issues the accesses through the simulator's batch layer instead of one
+:meth:`MemorySystem.access` call per item:
 
 * maximal sequential runs become one
   :meth:`~repro.simulator.MemorySystem.access_range` call (the
@@ -15,11 +16,15 @@ call per item:
   call-for-call identical to ``access`` with the cascade set-up hoisted
   out of the loop.
 
-The dispatch lives in the scalar operators: each checks
-``db.execution`` and forwards here when the engine runs vectorized
+The leaf rule: a twin exists only where the *loop* differs.  A kernel
+that merely composes other kernels (hash join = build ⊕ probe, grace
+hash join, spilling aggregate, the run sorts of an external merge
+sort) is written once, in its scalar module, and reaches these twins
+through the leaves it calls.  The mode switch is written once too:
+:func:`~repro.db.context.leaf_kernel` decorates each scalar leaf
+``name`` and forwards to ``name_v`` here while the engine runs
+vectorized
 (:meth:`Database.execution_scope <repro.db.Database.execution_scope>`).
-Kernels call each other's ``*_v`` twins directly so a composition
-(grace hash join, spilling aggregate) never re-dispatches per phase.
 
 The differential suite (``tests/test_vectorized.py``) asserts the
 equivalence that makes this refactor safe: identical result columns AND
@@ -35,21 +40,13 @@ event-engine call per probed slot (roughly halving the per-access cost)
 
 from __future__ import annotations
 
-from ..core.algorithms import (
-    DEFAULT_HASH_MAX_LOAD,
-    hash_capacity,
-    hash_table_region,
-    partition_capacity,
-    spill_partition_count,
-    spill_run_count,
-)
+from ..core.algorithms import hash_capacity, partition_capacity
 from ..core.regions import DataRegion
 from .column import Column
 from .context import Database
 from .hashtable import ENTRY_WIDTH, SimHashTable, _EMPTY
 from .join import OUTPUT_WIDTH
 from .partition import Partitions, partition_key
-from .spill import GraceJoinResult
 
 __all__ = [
     "scan_v",
@@ -57,10 +54,8 @@ __all__ = [
     "project_v",
     "project_node_v",
     "quick_sort_v",
-    "build_table_v",
     "fill_table_v",
     "probe_join_v",
-    "hash_join_v",
     "merge_join_v",
     "nested_loop_join_v",
     "hash_aggregate_v",
@@ -68,9 +63,7 @@ __all__ = [
     "hash_distinct_v",
     "sort_distinct_v",
     "partition_v",
-    "external_merge_sort_v",
-    "grace_hash_join_v",
-    "spilling_hash_aggregate_v",
+    "merge_runs_v",
 ]
 
 #: Sequential runs at least this long go through ``access_range``;
@@ -174,21 +167,21 @@ def project_v(db: Database, col: Column, used_bytes: int,
     return out
 
 
-def project_node_v(db: Database, source: Column, output_name: str,
-                   width: int, used_bytes: int, recover) -> Column:
+def project_node_v(db: Database, col: Column, output_name: str,
+                   width: int, used_bytes: int, recover=None) -> Column:
     """Vectorized :func:`repro.db.scan.project_node`: like
     :func:`project_v` but with the plan node's key recovery
     (``recover(row, value)``, or ``None`` for raw values) applied per
     item."""
     mem = db.mem
-    out = db.allocate_column(output_name, n=max(1, source.n), width=width)
+    out = db.allocate_column(output_name, n=max(1, col.n), width=width)
     fused = mem.batch()
-    values = source.values
-    in_addr = source.address
-    in_width = source.width
+    values = col.values
+    in_addr = col.address
+    in_width = col.width
     out_addr = out.address
     keys = []
-    for row in range(source.n):
+    for row in range(col.n):
         fused(in_addr, used_bytes)
         value = values[row]
         keys.append(recover(row, value) if recover is not None else value)
@@ -263,8 +256,7 @@ def _insertion_sort_v(fused, values, base: int, width: int,
 # ----------------------------------------------------------------------
 
 def fill_table_v(db: Database, table: SimHashTable, col: Column) -> None:
-    """The build loop of :meth:`SimHashTable.build
-    <repro.db.SimHashTable.build>` over an existing table: sequential
+    """Vectorized :func:`repro.db.hashtable.fill_table`: sequential
     input reads with the insert probe chains inlined into one fused
     accessor (double-hash chains jump randomly, nothing coalesces)."""
     mem = db.mem
@@ -296,14 +288,6 @@ def fill_table_v(db: Database, table: SimHashTable, col: Column) -> None:
                 break
             slot = (slot + step) & mask
     table.entries = entries
-
-
-def build_table_v(db: Database, col: Column, max_load: float = 0.5,
-                  name: str = "H", cls=SimHashTable) -> SimHashTable:
-    """Vectorized :meth:`SimHashTable.build <repro.db.SimHashTable.build>`."""
-    table = cls(db, n=max(1, col.n), max_load=max_load, name=name)
-    fill_table_v(db, table, col)
-    return table
 
 
 def probe_join_v(db: Database, outer: Column, table: SimHashTable,
@@ -351,18 +335,6 @@ def probe_join_v(db: Database, outer: Column, table: SimHashTable,
             count += 1
     out.values = pairs
     return out
-
-
-def hash_join_v(db: Database, outer: Column, inner: Column,
-                output_name: str = "W",
-                output_capacity: int | None = None,
-                max_load: float = 0.5) -> tuple[Column, SimHashTable]:
-    """Vectorized :func:`repro.db.hash_join`: build + probe."""
-    table = build_table_v(db, inner, max_load=max_load,
-                          name=f"H({inner.name})")
-    out = probe_join_v(db, outer, table, output_name=output_name,
-                       output_capacity=output_capacity)
-    return out, table
 
 
 # ----------------------------------------------------------------------
@@ -697,34 +669,16 @@ def partition_v(db: Database, col: Column, m: int,
 
 
 # ----------------------------------------------------------------------
-# spilling operators (spill.py twins)
+# spilling operators (spill.py twin)
 # ----------------------------------------------------------------------
 
-def external_merge_sort_v(db: Database, col: Column, memory_budget: int,
-                          output_name: str | None = None) -> Column:
-    """Vectorized :func:`repro.db.external_merge_sort`: vectorized run
-    sorts, fused k-way merge (the merge cursor hops between run heads,
-    so the merge itself does not coalesce)."""
-    region = col.region()
-    r = spill_run_count(region, memory_budget)
-    if r <= 1 or col.n <= 1:
-        quick_sort_v(db, col)
-        return col
-    mem = db.mem
+def merge_runs_v(db: Database, col: Column, bounds: list[tuple[int, int]],
+                 out: Column) -> None:
+    """Vectorized :func:`repro.db.spill.merge_runs`: the k-way merge of
+    an external sort through one fused accessor (the merge cursor hops
+    between run heads, so the merge itself does not coalesce)."""
+    fused = db.mem.batch()
     width = col.width
-    run_items = -(-col.n // r)  # ceil
-    bounds: list[tuple[int, int]] = []
-    for j, start in enumerate(range(0, col.n, run_items)):
-        end = min(col.n, start + run_items)
-        run = Column(f"{col.name}.run{j}", width,
-                     col.item_address(start), col.values[start:end])
-        quick_sort_v(db, run)
-        col.values[start:end] = run.values
-        bounds.append((start, end))
-
-    out = db.allocate_column(output_name or f"sort({col.name})",
-                             n=col.n, width=width)
-    fused = mem.batch()
     values = col.values
     base = col.address
     out_base = out.address
@@ -747,76 +701,3 @@ def external_merge_sort_v(db: Database, col: Column, memory_budget: int,
         else:
             del heads[index]
     out.values = merged
-    return out
-
-
-def _partition_with_retry_v(db: Database, col: Column, m: int,
-                            key_func=None) -> Partitions:
-    slack = 6.0
-    while True:
-        try:
-            return partition_v(db, col, m, slack_sigmas=slack,
-                               key_func=key_func)
-        except RuntimeError:
-            slack *= 2
-
-
-def grace_hash_join_v(db: Database, outer: Column, inner: Column,
-                      memory_budget: int, output_name: str = "W",
-                      max_load: float = DEFAULT_HASH_MAX_LOAD
-                      ) -> GraceJoinResult | tuple[Column, None]:
-    """Vectorized :func:`repro.db.grace_hash_join`."""
-    table_bytes = hash_table_region(inner.region(), ENTRY_WIDTH,
-                                    max_load=max_load).size
-    m = spill_partition_count(table_bytes, memory_budget)
-    m = max(1, min(m, outer.n, inner.n))
-    if m <= 1:
-        out, _ = hash_join_v(db, outer, inner, output_name=output_name,
-                             max_load=max_load)
-        return out, None
-    outer_parts = _partition_with_retry_v(db, outer, m)
-    inner_parts = _partition_with_retry_v(db, inner, m)
-    planned = partition_capacity(inner.n, m)
-    outputs: list[Column] = []
-    for j, (outer_col, inner_col) in enumerate(zip(outer_parts, inner_parts)):
-        table = SimHashTable(db, n=max(planned, inner_col.n),
-                             max_load=max_load, name=f"H[{j}]")
-        fill_table_v(db, table, inner_col)
-        outputs.append(probe_join_v(
-            db, outer_col, table,
-            output_name=f"{output_name}[{j}]",
-            output_capacity=max(outer_col.n, inner_col.n, 1)))
-    return GraceJoinResult(outputs, outer_parts, inner_parts, m)
-
-
-def spilling_hash_aggregate_v(db: Database, col: Column, memory_budget: int,
-                              groups_hint: int | None = None,
-                              output_name: str = "agg",
-                              key_of=None) -> Column:
-    """Vectorized :func:`repro.db.spilling_hash_aggregate`."""
-    hint = groups_hint or max(1, col.n)
-    table_bytes = hash_table_region(
-        DataRegion("G", n=hint, w=ENTRY_WIDTH), ENTRY_WIDTH,
-        max_load=DEFAULT_HASH_MAX_LOAD, name="G").size
-    m = spill_partition_count(table_bytes, memory_budget)
-    m = max(1, min(m, col.n, hint))
-    if m <= 1:
-        return hash_aggregate_v(db, col, groups_hint=hint,
-                                output_name=output_name, key_of=key_of)
-    extract = key_of or (lambda value: value)
-    parts = _partition_with_retry_v(
-        db, col, m,
-        key_func=lambda value, mm: partition_key(extract(value), mm))
-    per_part_hint = -(-hint // m)  # ceil
-    pieces: list[Column] = []
-    for j, part in enumerate(parts):
-        if part.n == 0:
-            continue
-        pieces.append(hash_aggregate_v(db, part,
-                                       groups_hint=per_part_hint,
-                                       output_name=f"{output_name}[{j}]",
-                                       key_of=key_of))
-    values: list = []
-    for piece in pieces:
-        values.extend(piece.values)
-    return db.create_column(output_name, values, width=ENTRY_WIDTH)

@@ -15,7 +15,7 @@ associative and their misses carry no bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 __all__ = ["CacheLevel"]
 
@@ -139,11 +139,13 @@ class CacheLevel:
         return self.rand_miss_latency_ns
 
     def scaled(self, fraction: float) -> "CacheLevel":
-        """A copy of this level with only ``fraction`` of the capacity.
+        """A copy of this level with only ``fraction`` of the capacity,
+        kept a positive multiple of the line size.
 
-        Used by the concurrent-execution rule (Eq. 5.3), which divides the
-        cache among competing patterns proportionally to their footprints.
-        The scaled capacity is kept a positive multiple of the line size.
+        The cost model's concurrent-execution rule (Eq. 5.3) shares a
+        cache the same way but on the derived geometry
+        (:meth:`repro.core.LevelGeometry.scaled`); nothing in the model
+        calls this method.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
@@ -151,16 +153,8 @@ class CacheLevel:
         ways = self.associativity
         if ways != FULLY_ASSOCIATIVE:
             ways = min(ways, lines)
-        return CacheLevel(
-            name=self.name,
-            capacity=lines * self.line_size,
-            line_size=self.line_size,
-            associativity=ways,
-            seq_miss_latency_ns=self.seq_miss_latency_ns,
-            rand_miss_latency_ns=self.rand_miss_latency_ns,
-            is_tlb=self.is_tlb,
-            is_pool=self.is_pool,
-        )
+        return replace(self, capacity=lines * self.line_size,
+                       associativity=ways)
 
     def describe(self) -> dict[str, object]:
         """The characteristic-parameter row of paper Table 1 for this level."""

@@ -131,23 +131,12 @@ class MemoryHierarchy:
             ways = level.associativity
             if ways and ways > lines:
                 ways = lines
-            return CacheLevel(
-                name=level.name,
-                capacity=lines * level.line_size,
-                line_size=level.line_size,
-                associativity=ways,
-                seq_miss_latency_ns=level.seq_miss_latency_ns,
-                rand_miss_latency_ns=level.rand_miss_latency_ns,
-                is_tlb=level.is_tlb,
-                is_pool=level.is_pool,
-            )
+            return replace(level, capacity=lines * level.line_size,
+                           associativity=ways)
 
-        return MemoryHierarchy(
-            name=self.name + name_suffix,
-            levels=tuple(shrink(l) for l in self.levels),
-            tlbs=tuple(shrink(t) for t in self.tlbs),
-            cpu_speed_mhz=self.cpu_speed_mhz,
-        )
+        return replace(self, name=self.name + name_suffix,
+                       levels=tuple(shrink(l) for l in self.levels),
+                       tlbs=tuple(shrink(t) for t in self.tlbs))
 
     def scaled_latencies(self, multipliers: Mapping[str, tuple[float, float]],
                          name_suffix: str = " (recalibrated)"
@@ -188,12 +177,9 @@ class MemoryHierarchy:
                 rand_miss_latency_ns=level.rand_miss_latency_ns * rand_mult,
             )
 
-        return MemoryHierarchy(
-            name=self.name + name_suffix,
-            levels=tuple(reprice(l) for l in self.levels),
-            tlbs=tuple(reprice(t) for t in self.tlbs),
-            cpu_speed_mhz=self.cpu_speed_mhz,
-        )
+        return replace(self, name=self.name + name_suffix,
+                       levels=tuple(reprice(l) for l in self.levels),
+                       tlbs=tuple(reprice(t) for t in self.tlbs))
 
     def describe(self) -> list[dict[str, object]]:
         """Paper Table 1 rendered for this machine: one row per level."""

@@ -14,9 +14,16 @@ depend only on capacity *ratios* — see DESIGN.md, "Substitutions").
 :func:`disk_extended` exercises the paper's Section 7 claim that main
 memory can be viewed as a cache for disk I/O by appending a buffer-pool
 level with seek-dominated random latency.
+
+The two-level machines (both Origin2000s and :func:`tiny_test_machine`)
+are calls of the one constructor, :func:`parametric_profile`, each with
+its departures from the defaults written once.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from typing import Mapping
 
 from .cache_level import CacheLevel
 from .hierarchy import MemoryHierarchy
@@ -28,6 +35,7 @@ __all__ = [
     "disk_extended",
     "disk_extended_scaled",
     "tiny_test_machine",
+    "TINY_MACHINE",
     "parametric_profile",
 ]
 
@@ -44,39 +52,8 @@ def origin2000() -> MemoryHierarchy:
     the calibrated values of Table 3 (8/24 ns for L1 misses, 188/400 ns for
     L2 misses, 228 ns for TLB misses).
     """
-    return MemoryHierarchy(
-        name="SGI Origin2000",
-        levels=(
-            CacheLevel(
-                name="L1",
-                capacity=32 * KB,
-                line_size=32,
-                associativity=2,
-                seq_miss_latency_ns=8.0,
-                rand_miss_latency_ns=24.0,
-            ),
-            CacheLevel(
-                name="L2",
-                capacity=4 * MB,
-                line_size=128,
-                associativity=2,
-                seq_miss_latency_ns=188.0,
-                rand_miss_latency_ns=400.0,
-            ),
-        ),
-        tlbs=(
-            CacheLevel(
-                name="TLB",
-                capacity=64 * 16 * KB,  # 64 entries x 16 KB pages = 1 MB
-                line_size=16 * KB,
-                associativity=0,  # fully associative
-                seq_miss_latency_ns=228.0,
-                rand_miss_latency_ns=228.0,
-                is_tlb=True,
-            ),
-        ),
-        cpu_speed_mhz=250.0,
-    )
+    return parametric_profile(name="SGI Origin2000", l1_kb=32, l2_kb=4096,
+                              tlb_entries=64, page_kb=16)
 
 
 def origin2000_scaled() -> MemoryHierarchy:
@@ -88,39 +65,7 @@ def origin2000_scaled() -> MemoryHierarchy:
     32 KB < 1 MB < 4 MB).  Line sizes and latencies are unchanged, so miss
     counts and times keep the paper's shapes at 1/64 the working-set size.
     """
-    return MemoryHierarchy(
-        name="SGI Origin2000 (scaled 1/64)",
-        levels=(
-            CacheLevel(
-                name="L1",
-                capacity=2 * KB,  # 64 lines
-                line_size=32,
-                associativity=2,
-                seq_miss_latency_ns=8.0,
-                rand_miss_latency_ns=24.0,
-            ),
-            CacheLevel(
-                name="L2",
-                capacity=64 * KB,  # 512 lines
-                line_size=128,
-                associativity=2,
-                seq_miss_latency_ns=188.0,
-                rand_miss_latency_ns=400.0,
-            ),
-        ),
-        tlbs=(
-            CacheLevel(
-                name="TLB",
-                capacity=8 * 4 * KB,  # 8 entries x 4 KB pages = 32 KB
-                line_size=4 * KB,
-                associativity=0,
-                seq_miss_latency_ns=228.0,
-                rand_miss_latency_ns=228.0,
-                is_tlb=True,
-            ),
-        ),
-        cpu_speed_mhz=250.0,
-    )
+    return parametric_profile(name="SGI Origin2000 (scaled 1/64)")
 
 
 def modern_x86() -> MemoryHierarchy:
@@ -168,43 +113,35 @@ def modern_x86() -> MemoryHierarchy:
     )
 
 
+def _buffer_pool(capacity: int, page_size: int, seq_ns: float,
+                 rand_ns: float) -> CacheLevel:
+    """The buffer-pool level of paper Section 7: main memory viewed as
+    a fully associative cache of disk pages, whose line size is the
+    page size, whose sequential miss latency is the page transfer time
+    and whose random miss latency additionally carries the seek."""
+    return CacheLevel(name="BufferPool", capacity=capacity,
+                      line_size=page_size, associativity=0,
+                      seq_miss_latency_ns=seq_ns,
+                      rand_miss_latency_ns=rand_ns, is_pool=True)
+
+
 def disk_extended(base: MemoryHierarchy | None = None,
-                  buffer_pool_bytes: int = 1 * GB,
-                  page_size: int = 8 * KB,
-                  seq_page_latency_us: float = 40.0,
-                  rand_page_latency_ms: float = 5.0) -> MemoryHierarchy:
+                  buffer_pool_bytes: int = 1 * GB) -> MemoryHierarchy:
     """Append a buffer-pool/disk level to a hierarchy (paper Section 7).
 
     The paper argues that viewing main memory (the DBMS buffer pool) as a
     cache for disk pages folds I/O cost models into the same framework: the
-    buffer pool becomes one more :class:`CacheLevel` whose line size is the
-    disk page size, whose sequential miss latency is page transfer time and
-    whose random miss latency additionally carries the seek.
+    buffer pool becomes one more :class:`CacheLevel` — here of 8 KB pages
+    with a 40 us page transfer and a 5 ms seek.
     """
     base = base or modern_x86()
-    disk_level = CacheLevel(
-        name="BufferPool",
-        capacity=buffer_pool_bytes,
-        line_size=page_size,
-        associativity=0,
-        seq_miss_latency_ns=seq_page_latency_us * 1e3,
-        rand_miss_latency_ns=rand_page_latency_ms * 1e6,
-        is_pool=True,
-    )
-    return MemoryHierarchy(
-        name=base.name + " + disk",
-        levels=base.levels + (disk_level,),
-        tlbs=base.tlbs,
-        cpu_speed_mhz=base.cpu_speed_mhz,
-    )
+    pool = _buffer_pool(buffer_pool_bytes, 8 * KB, 40e3, 5e6)
+    return replace(base, name=base.name + " + disk",
+                   levels=base.levels + (pool,))
 
 
 def disk_extended_scaled(base: MemoryHierarchy | None = None,
-                         buffer_pool_bytes: int = 4 * KB,
-                         page_size: int = 128,
-                         seq_page_latency_ns: float = 1_000.0,
-                         rand_page_latency_ns: float = 25_000.0
-                         ) -> MemoryHierarchy:
+                         buffer_pool_bytes: int = 4 * KB) -> MemoryHierarchy:
     """A disk-extended hierarchy small enough for trace-driven simulation.
 
     Appends a buffer pool of 32 pages (4 KB, 128 B pages) to the tiny
@@ -217,21 +154,9 @@ def disk_extended_scaled(base: MemoryHierarchy | None = None,
     sizes Python can replay.
     """
     base = base or tiny_test_machine()
-    pool = CacheLevel(
-        name="BufferPool",
-        capacity=buffer_pool_bytes,
-        line_size=page_size,
-        associativity=0,
-        seq_miss_latency_ns=seq_page_latency_ns,
-        rand_miss_latency_ns=rand_page_latency_ns,
-        is_pool=True,
-    )
-    return MemoryHierarchy(
-        name=base.name + " + disk (scaled)",
-        levels=base.levels + (pool,),
-        tlbs=base.tlbs,
-        cpu_speed_mhz=base.cpu_speed_mhz,
-    )
+    pool = _buffer_pool(buffer_pool_bytes, 128, 1_000.0, 25_000.0)
+    return replace(base, name=base.name + " + disk (scaled)",
+                   levels=base.levels + (pool,))
 
 
 def _capacity(kb: float, line_size: int, what: str) -> int:
@@ -261,13 +186,17 @@ def parametric_profile(*, name: str | None = None,
                        pool_rand_ns: float = 25_000.0,
                        cpu_mhz: float = 250.0) -> MemoryHierarchy:
     """A two-level (+ TLB, + optional buffer pool) hierarchy built from
-    explicit knobs — the constructor behind what-if profile spaces
-    (:mod:`repro.whatif`), so benches and tests stop hand-wiring
-    :class:`CacheLevel` tuples.
+    explicit knobs — the one constructor behind the stock two-level
+    machines (:func:`origin2000`, :func:`origin2000_scaled`,
+    :func:`tiny_test_machine`) and behind what-if profile spaces
+    (:mod:`repro.whatif`), so nothing hand-wires :class:`CacheLevel`
+    tuples.
 
-    The defaults reproduce :func:`origin2000_scaled` level for level,
-    so ``parametric_profile()`` is the simulator-friendly baseline and
-    every knob is a departure from it.  ``mem_ns`` is the *random*
+    The defaults are the scaled Origin2000 (:func:`origin2000_scaled`
+    is this call under its stock name; the latencies are the calibrated
+    values of paper Table 3), so ``parametric_profile()`` is the
+    simulator-friendly baseline and every knob is a departure from it.
+    ``mem_ns`` is the *random*
     L2-miss latency (the paper's Table 3 headline number); the
     sequential miss latency defaults to ``mem_ns`` scaled by the
     calibrated Origin2000 seq/rand ratio (188/400), so turning the one
@@ -307,15 +236,8 @@ def parametric_profile(*, name: str | None = None,
     if pool_pages is not None:
         if pool_pages < 1:
             raise ValueError("pool_pages must be positive")
-        levels.append(CacheLevel(
-            name="BufferPool",
-            capacity=pool_pages * page_size,
-            line_size=page_size,
-            associativity=0,
-            seq_miss_latency_ns=pool_seq_ns,
-            rand_miss_latency_ns=pool_rand_ns,
-            is_pool=True,
-        ))
+        levels.append(_buffer_pool(pool_pages * page_size, page_size,
+                                   pool_seq_ns, pool_rand_ns))
     page_bytes = _capacity(page_kb, 1, "page_kb")
     if name is None:
         pool = (f", pool {pool_pages}p" if pool_pages is not None else "")
@@ -339,6 +261,14 @@ def parametric_profile(*, name: str | None = None,
     )
 
 
+#: The :func:`parametric_profile` knobs of :func:`tiny_test_machine`.
+TINY_MACHINE: Mapping[str, object] = {
+    "l1_kb": 0.25, "l1_line": 16, "l1_seq_ns": 2.0, "l1_rand_ns": 6.0,
+    "l2_kb": 1.0, "l2_line": 32, "mem_ns": 50.0, "mem_seq_ns": 20.0,
+    "tlb_entries": 4, "page_kb": 0.125, "tlb_ns": 30.0, "cpu_mhz": 100.0,
+}
+
+
 def tiny_test_machine() -> MemoryHierarchy:
     """A deliberately tiny two-level machine for fast unit tests.
 
@@ -346,36 +276,4 @@ def tiny_test_machine() -> MemoryHierarchy:
     (32 lines); TLB: 4 entries of 128 B pages.  Small enough that tests can
     enumerate expected behaviour by hand.
     """
-    return MemoryHierarchy(
-        name="tiny test machine",
-        levels=(
-            CacheLevel(
-                name="L1",
-                capacity=256,
-                line_size=16,
-                associativity=2,
-                seq_miss_latency_ns=2.0,
-                rand_miss_latency_ns=6.0,
-            ),
-            CacheLevel(
-                name="L2",
-                capacity=1024,
-                line_size=32,
-                associativity=2,
-                seq_miss_latency_ns=20.0,
-                rand_miss_latency_ns=50.0,
-            ),
-        ),
-        tlbs=(
-            CacheLevel(
-                name="TLB",
-                capacity=4 * 128,
-                line_size=128,
-                associativity=0,
-                seq_miss_latency_ns=30.0,
-                rand_miss_latency_ns=30.0,
-                is_tlb=True,
-            ),
-        ),
-        cpu_speed_mhz=100.0,
-    )
+    return parametric_profile(name="tiny test machine", **TINY_MACHINE)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from .cache_level import CacheLevel
@@ -23,19 +24,6 @@ __all__ = [
 ]
 
 _SCHEMA_VERSION = 1
-
-
-def _level_to_dict(level: CacheLevel) -> dict:
-    return {
-        "name": level.name,
-        "capacity": level.capacity,
-        "line_size": level.line_size,
-        "associativity": level.associativity,
-        "seq_miss_latency_ns": level.seq_miss_latency_ns,
-        "rand_miss_latency_ns": level.rand_miss_latency_ns,
-        "is_tlb": level.is_tlb,
-        "is_pool": level.is_pool,
-    }
 
 
 def _level_from_dict(data: dict) -> CacheLevel:
@@ -60,8 +48,8 @@ def hierarchy_to_dict(hierarchy: MemoryHierarchy) -> dict:
         "schema_version": _SCHEMA_VERSION,
         "name": hierarchy.name,
         "cpu_speed_mhz": hierarchy.cpu_speed_mhz,
-        "levels": [_level_to_dict(l) for l in hierarchy.levels],
-        "tlbs": [_level_to_dict(t) for t in hierarchy.tlbs],
+        "levels": [asdict(l) for l in hierarchy.levels],
+        "tlbs": [asdict(t) for t in hierarchy.tlbs],
     }
 
 

@@ -347,15 +347,6 @@ class OperatorMeasurement:
         """Measured memory-access time of this operator alone."""
         return self.counters.elapsed_ns
 
-    def predicted_misses(self, name: str) -> float:
-        for lv in self.predicted_levels:
-            if lv.name == name:
-                return lv.total
-        raise KeyError(f"no level named {name!r}")
-
-    def measured_misses(self, name: str) -> int:
-        return self.counters.misses(name)
-
     def to_json(self) -> dict:
         return {
             "operator": self.operator,

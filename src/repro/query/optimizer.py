@@ -65,23 +65,23 @@ __all__ = [
 ]
 
 
+#: ``optimize(method="auto")`` uses exhaustive whole-plan costing up to
+#: this many base relations and the subset DP beyond.  Candidate counts
+#: grow ~30x per relation (3 relations ≈ 100 plans, 4 ≈ 3000), and each
+#: is costed with a full pattern derivation; ``method="exhaustive"`` is
+#: the override for small inputs.
+MAX_EXHAUSTIVE_RELATIONS = 3
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
     """Enumeration knobs.
 
-    ``pipeline`` selects pipeline-aware (``⊙``) whole-plan costing;
-    ``max_exhaustive_relations`` bounds exhaustive join-order
-    enumeration (beyond it, ``optimize`` switches to the subset DP).
+    ``pipeline`` selects pipeline-aware (``⊙``) whole-plan costing.
     """
 
     include_nested_loop: bool = False
     pipeline: bool = True
-    #: "auto" uses exhaustive whole-plan costing up to this many base
-    #: relations and the subset DP beyond.  Candidate counts grow ~30x
-    #: per relation (3 relations ≈ 100 plans, 4 ≈ 3000), and each is
-    #: costed with a full pattern derivation, so raise this only for
-    #: small inputs (or call optimize(..., method="exhaustive")).
-    max_exhaustive_relations: int = 3
     #: Working-memory bound per operator in bytes (sort area, hash
     #: table, group table), or ``None`` for unbounded.  With a budget,
     #: in-memory implementations whose working structures exceed it are
@@ -261,8 +261,7 @@ class Optimizer:
                 1 for _ in _walk_logical(logical) if isinstance(_, Relation)
             )
             method = ("exhaustive"
-                      if n_relations <= self.config.max_exhaustive_relations
-                      else "dp")
+                      if n_relations <= MAX_EXHAUSTIVE_RELATIONS else "dp")
         return method
 
     def cache_key(self, logical: LogicalOp,
@@ -283,7 +282,7 @@ class Optimizer:
         ``method`` is ``"exhaustive"`` (every join order costed as a
         whole plan), ``"dp"`` (dynamic programming over relation
         subsets), or ``"auto"`` (exhaustive up to
-        ``config.max_exhaustive_relations`` base relations).
+        :data:`MAX_EXHAUSTIVE_RELATIONS` base relations).
 
         ``cache`` is an optional plan cache (anything with
         ``get(key) -> PlannedQuery | None`` and ``put(key, value)``,
@@ -304,10 +303,6 @@ class Optimizer:
     def _enumerate(self, logical: LogicalOp, method: str) -> PlannedQuery:
         roots = self._alternatives(logical, use_dp=(method == "dp"))
         return PlannedQuery([self._candidate(root) for root in roots])
-
-    def enumerate_plans(self, logical: LogicalOp) -> list[PlanNode]:
-        """All physical alternatives for ``logical`` (exhaustive)."""
-        return self._alternatives(logical, use_dp=False)
 
     def _candidate(self, root: PlanNode) -> PlanCandidate:
         plan = QueryPlan(root)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from ..calibrator.autotune import LatencyGrid, Recalibration, Recalibrator
+from ..calibrator.autotune import Recalibration, Recalibrator
 from ..hardware.hierarchy import MemoryHierarchy
 from ..hardware.profiles import origin2000_scaled
 from ..obs import Tracer
@@ -62,7 +62,7 @@ from ..service.interference import InterferenceModel
 from ..service.metrics import BatchMetrics, RunReport
 from ..service.workload import WorkloadQuery
 from .admission import AdmissionController
-from .slo import DEFAULT_WINDOW_NS, SloTarget, SloTracker
+from .slo import SloTarget, SloTracker
 from .tenant import Tenant, TenantQuota
 
 __all__ = ["ServerResponse", "ServingReport", "QueryServer",
@@ -317,7 +317,7 @@ class QueryServer:
     quantum:
         Interleaved-replay time slice (accesses per co-runner per
         turn).
-    slo / tenant_slos / slo_window_ns:
+    slo / tenant_slos:
         Objectives for the :class:`~repro.server.slo.SloTracker`.
     config:
         Planner config handed to every tenant session.
@@ -339,11 +339,6 @@ class QueryServer:
         and stamping subsequent responses with the new fingerprint.
         All decisions happen on the dispatcher's simulated clock, so
         runs stay deterministic in (workload, seeds, policy).
-    recalibration_grid / recalibration_min_samples / recalibration_dir:
-        The recalibrators' search grid
-        (:class:`~repro.calibrator.LatencyGrid`), minimum replay-sample
-        depth before a response runs, and (optional) directory where
-        published profiles and their sidecar manifests are written.
 
     Who owns what (nothing else is locked): the *event-loop thread*
     owns the response futures, ``_outstanding`` and ``_idle``; the
@@ -372,13 +367,9 @@ class QueryServer:
                  quantum: int = DEFAULT_QUANTUM,
                  slo: SloTarget | None = None,
                  tenant_slos: dict[str, SloTarget] | None = None,
-                 slo_window_ns: float = DEFAULT_WINDOW_NS,
                  config: PlannerConfig | None = None,
                  tracer: Tracer | None = None,
-                 recalibration: bool = False,
-                 recalibration_grid: "LatencyGrid | None" = None,
-                 recalibration_min_samples: int = 1,
-                 recalibration_dir=None) -> None:
+                 recalibration: bool = False) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be positive")
         if recalibration and tracer is None:
@@ -391,17 +382,13 @@ class QueryServer:
         self.admission = AdmissionController(
             self.interference, mode=mode, max_queue=max_queue,
             max_batch=max_batch, slack=slack, lookahead=lookahead)
-        self.slo = SloTracker(target=slo, tenant_targets=tenant_slos,
-                              window_ns=slo_window_ns)
+        self.slo = SloTracker(target=slo, tenant_targets=tenant_slos)
         self.max_workers = max_workers
         self.quantum = quantum
         self.config = config
         self.tenants: dict[str, Tenant] = {}
         # online recalibration (opt-in; populated per tenant)
         self.recalibration = recalibration
-        self._recal_grid = recalibration_grid
-        self._recal_min_samples = recalibration_min_samples
-        self._recal_dir = recalibration_dir
         self._recalibrators: dict[str, Recalibrator] = {}
         #: Every recalibration the dispatcher ran, in order.
         self.recalibrations: list[Recalibration] = []
@@ -463,10 +450,7 @@ class QueryServer:
             # Samples and events arrive via ingest() from the
             # dispatcher (the tracer's monitor is the one detector —
             # the recalibrator's own stays idle).
-            self._recalibrators[name] = Recalibrator(
-                tenant.session, grid=self._recal_grid,
-                min_samples=self._recal_min_samples,
-                manifest_dir=self._recal_dir)
+            self._recalibrators[name] = Recalibrator(tenant.session)
         return tenant
 
     def tenant(self, name: str) -> Tenant:

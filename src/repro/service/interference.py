@@ -77,11 +77,6 @@ class CoRunPrediction:
         return max(self.batch_memory_ns,
                    max(c + m for c, m in zip(self.cpu_ns, self.memory_ns)))
 
-    @property
-    def serial_makespan_ns(self) -> float:
-        """Completion time if the members ran serially (Eq. 6.1 each)."""
-        return self.serial_memory_ns + sum(self.cpu_ns)
-
 
 #: Entries each pricing memo of an :class:`InterferenceModel` holds
 #: before it drops its oldest — a long-lived server prices an unbounded

@@ -49,7 +49,30 @@ def _size_label(size: int) -> str:
     return f"{size}B"
 
 
-# ----------------------------------------------------------------------
+def _sweep(result: ExperimentResult, hierarchy: MemoryHierarchy | None,
+           points, prepare) -> ExperimentResult:
+    """The loop every Figure 7 experiment runs, once.
+
+    Per point of the sweep: ``prepare(db, point)`` builds the operands
+    on a fresh :class:`Database` over ``hierarchy`` (default: the
+    scaled Origin2000), unmeasured, and returns ``run``; ``run()``
+    executes the operator from cold caches — the only measured part —
+    and returns the point's x label and the pattern describing what it
+    executed, whose cost estimate is compared with the measured
+    counters as one row of ``result``.
+    """
+    hierarchy = hierarchy or origin2000_scaled()
+    model = CostModel(hierarchy)
+    for point in points:
+        db = Database(hierarchy)
+        run = prepare(db, point)
+        db.reset()
+        with db.measure() as res:
+            label, pattern = run()
+        result.rows.append(ExperimentRow.from_comparison(
+            label, res[0], model.estimate(pattern)))
+    return result
+
 
 def figure7a_quicksort(hierarchy: MemoryHierarchy | None = None,
                        sizes_kb: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256),
@@ -59,49 +82,41 @@ def figure7a_quicksort(hierarchy: MemoryHierarchy | None = None,
     The paper sweeps 128 KB - 128 MB across C2 = 4 MB; scaled, the sweep
     crosses the scaled C2 = 64 KB at the same ratio.
     """
-    hierarchy = hierarchy or origin2000_scaled()
-    model = CostModel(hierarchy)
-    stop = min(l.capacity for l in hierarchy.all_levels)
-    result = ExperimentResult(
-        experiment_id="F7a", title="Quick-Sort", x_name="||U||",
-    )
-    for size_kb in sizes_kb:
+    def prepare(db, size_kb):
         n = size_kb * KB // width
-        db = Database(hierarchy)
         col = db.create_column("U", uniform_ints(n, seed=seed), width=width)
-        db.reset()
-        with db.measure() as res:
+        stop = min(l.capacity for l in db.hierarchy.all_levels)
+
+        def run():
             quick_sort(db, col)
-        pattern = quick_sort_pattern(col.region(), stop_bytes=stop)
-        estimate = model.estimate(pattern)
-        result.rows.append(ExperimentRow.from_comparison(
-            _size_label(size_kb * KB), res[0], estimate))
-    return result
+            return (_size_label(size_kb * KB),
+                    quick_sort_pattern(col.region(), stop_bytes=stop))
+        return run
+
+    return _sweep(ExperimentResult(
+        experiment_id="F7a", title="Quick-Sort", x_name="||U||",
+    ), hierarchy, sizes_kb, prepare)
 
 
 def figure7b_mergejoin(hierarchy: MemoryHierarchy | None = None,
                        sizes_kb: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256),
                        width: int = 8) -> ExperimentResult:
     """Merge-join of sorted 1:1 operands vs operand size (Figure 7b)."""
-    hierarchy = hierarchy or origin2000_scaled()
-    model = CostModel(hierarchy)
-    result = ExperimentResult(
-        experiment_id="F7b", title="Merge-Join", x_name="||U||=||V||",
-    )
-    for size_kb in sizes_kb:
+    def prepare(db, size_kb):
         n = size_kb * KB // width
-        db = Database(hierarchy)
         left = db.create_column("U", sorted_ints(n), width=width)
         right = db.create_column("V", sorted_ints(n), width=width)
-        db.reset()
-        with db.measure() as res:
+
+        def run():
             out = merge_join(db, left, right)
-        W = DataRegion("W", n=max(1, len(out.values)), w=OUTPUT_WIDTH)
-        pattern = merge_join_pattern(left.region(), right.region(), W)
-        estimate = model.estimate(pattern)
-        result.rows.append(ExperimentRow.from_comparison(
-            _size_label(size_kb * KB), res[0], estimate))
-    return result
+            W = DataRegion("W", n=max(1, len(out.values)), w=OUTPUT_WIDTH)
+            return (_size_label(size_kb * KB),
+                    merge_join_pattern(left.region(), right.region(), W))
+        return run
+
+    return _sweep(ExperimentResult(
+        experiment_id="F7b", title="Merge-Join", x_name="||U||=||V||",
+    ), hierarchy, sizes_kb, prepare)
 
 
 def figure7c_hashjoin(hierarchy: MemoryHierarchy | None = None,
@@ -114,26 +129,22 @@ def figure7c_hashjoin(hierarchy: MemoryHierarchy | None = None,
     C2 = 64 KB).  The model is evaluated with the hash-table region the
     implementation actually allocated (capacity, not cardinality).
     """
-    hierarchy = hierarchy or origin2000_scaled()
-    model = CostModel(hierarchy)
-    result = ExperimentResult(
-        experiment_id="F7c", title="Hash-Join", x_name="||U||=||V||",
-    )
-    for size_kb in sizes_kb:
+    def prepare(db, size_kb):
         n = size_kb * KB // width
-        db = Database(hierarchy)
         outer = db.create_column("U", random_permutation(n, seed=seed), width=width)
         inner = db.create_column("V", random_permutation(n, seed=seed + 1), width=width)
-        db.reset()
-        with db.measure() as res:
+
+        def run():
             out, table = hash_join(db, outer, inner)
-        W = DataRegion("W", n=max(1, len(out.values)), w=OUTPUT_WIDTH)
-        pattern = hash_join_pattern(outer.region(), inner.region(), W,
-                                    H=table.region())
-        estimate = model.estimate(pattern)
-        result.rows.append(ExperimentRow.from_comparison(
-            _size_label(size_kb * KB), res[0], estimate))
-    return result
+            W = DataRegion("W", n=max(1, len(out.values)), w=OUTPUT_WIDTH)
+            return (_size_label(size_kb * KB),
+                    hash_join_pattern(outer.region(), inner.region(), W,
+                                      H=table.region()))
+        return run
+
+    return _sweep(ExperimentResult(
+        experiment_id="F7c", title="Hash-Join", x_name="||U||=||V||",
+    ), hierarchy, sizes_kb, prepare)
 
 
 def figure7d_partition(hierarchy: MemoryHierarchy | None = None,
@@ -147,25 +158,21 @@ def figure7d_partition(hierarchy: MemoryHierarchy | None = None,
     exceed a level's line count (scaled: 8 TLB entries, 64 L1 lines,
     512 L2 lines — the paper's ``m = #`` markers).
     """
-    hierarchy = hierarchy or origin2000_scaled()
-    model = CostModel(hierarchy)
     n = total_kb * KB // width
-    result = ExperimentResult(
+
+    def prepare(db, m):
+        col = db.create_column("U", uniform_ints(n, seed=seed), width=width)
+
+        def run():
+            parts = partition(db, col, m)
+            return str(m), partition_pattern(col.region(), parts.region, m)
+        return run
+
+    return _sweep(ExperimentResult(
         experiment_id="F7d",
         title=f"Partitioning (||U|| = {total_kb}kB)",
         x_name="partitions m",
-    )
-    for m in m_values:
-        db = Database(hierarchy)
-        col = db.create_column("U", uniform_ints(n, seed=seed), width=width)
-        db.reset()
-        with db.measure() as res:
-            parts = partition(db, col, m)
-        pattern = partition_pattern(col.region(), parts.region, m)
-        estimate = model.estimate(pattern)
-        result.rows.append(ExperimentRow.from_comparison(
-            str(m), res[0], estimate))
-    return result
+    ), hierarchy, m_values, prepare)
 
 
 def figure7e_partitioned_hashjoin(
@@ -179,36 +186,31 @@ def figure7e_partitioned_hashjoin(
     table ``||H_j||`` across (scaled) C2, C3 and C1.  Only the join
     phase is measured (partitioning itself is Figure 7d).
     """
-    hierarchy = hierarchy or origin2000_scaled()
-    model = CostModel(hierarchy)
     n = total_kb * KB // width
-    result = ExperimentResult(
+
+    def prepare(db, m):
+        outer = db.create_column("U", random_permutation(n, seed=seed), width=width)
+        inner = db.create_column("V", random_permutation(n, seed=seed), width=width)
+        outer_parts = partition(db, outer, m)
+        inner_parts = partition(db, inner, m)
+
+        def run():
+            outputs, tables = join_partitions(db, outer_parts, inner_parts)
+            W_regions = tuple(
+                DataRegion(f"W[{j}]", n=max(1, len(o.values)), w=OUTPUT_WIDTH)
+                for j, o in enumerate(outputs)
+            )
+            pattern = partitioned_hash_join_pattern(
+                tuple(c.region() for c in outer_parts),
+                tuple(c.region() for c in inner_parts), W_regions,
+                H_regions=tuple(t.region() for t in tables),
+            )
+            table_bytes = tables[0].size if tables else 0
+            return f"{_size_label(table_bytes)} (m={m})", pattern
+        return run
+
+    return _sweep(ExperimentResult(
         experiment_id="F7e",
         title=f"Partitioned Hash-Join (||U||=||V|| = {total_kb}kB)",
         x_name="||Hj||",
-    )
-    for m in m_values:
-        db = Database(hierarchy)
-        outer = db.create_column("U", random_permutation(n, seed=seed), width=width)
-        inner = db.create_column("V", random_permutation(n, seed=seed), width=width)
-        db.reset()
-        outer_parts = partition(db, outer, m)
-        inner_parts = partition(db, inner, m)
-        db.mem.reset()  # measure the join phase from cold caches
-        with db.measure() as res:
-            outputs, tables = join_partitions(db, outer_parts, inner_parts)
-        U_regions = tuple(c.region() for c in outer_parts)
-        V_regions = tuple(c.region() for c in inner_parts)
-        W_regions = tuple(
-            DataRegion(f"W[{j}]", n=max(1, len(o.values)), w=OUTPUT_WIDTH)
-            for j, o in enumerate(outputs)
-        )
-        H_regions = tuple(t.region() for t in tables)
-        pattern = partitioned_hash_join_pattern(
-            U_regions, V_regions, W_regions, H_regions=H_regions
-        )
-        estimate = model.estimate(pattern)
-        table_bytes = tables[0].size if tables else 0
-        result.rows.append(ExperimentRow.from_comparison(
-            f"{_size_label(table_bytes)} (m={m})", res[0], estimate))
-    return result
+    ), hierarchy, m_values, prepare)

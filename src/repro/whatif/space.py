@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..hardware.hierarchy import MemoryHierarchy
-from ..hardware.profiles import parametric_profile
+from ..hardware.profiles import TINY_MACHINE, parametric_profile
 
 __all__ = ["Candidate", "SpaceExpansion", "ProfileSpace", "cost_proxy",
            "PROFILE_AXES", "CONFIG_AXES", "TINY_POOL_BASE"]
@@ -48,12 +48,7 @@ CONFIG_AXES: tuple[str, ...] = ("memory_budget", "cores")
 #: with a 32-page buffer pool (:func:`~repro.hardware.disk_extended_scaled`)
 #: — the starting point for pool/budget sweeps, where the data caches
 #: must sit *below* the pool being swept.
-TINY_POOL_BASE: Mapping[str, object] = {
-    "l1_kb": 0.25, "l1_line": 16, "l1_seq_ns": 2.0, "l1_rand_ns": 6.0,
-    "l2_kb": 1.0, "l2_line": 32, "mem_ns": 50.0, "mem_seq_ns": 20.0,
-    "tlb_entries": 4, "page_kb": 0.125, "tlb_ns": 30.0,
-    "cpu_mhz": 100.0, "pool_pages": 32,
-}
+TINY_POOL_BASE: Mapping[str, object] = {**TINY_MACHINE, "pool_pages": 32}
 
 
 def cost_proxy(hierarchy: MemoryHierarchy, cores: int = 1) -> float:
@@ -92,9 +87,6 @@ class Candidate:
     @property
     def cost_proxy(self) -> float:
         return cost_proxy(self.hierarchy, self.cores)
-
-    def params_dict(self) -> dict:
-        return dict(self.params)
 
 
 @dataclass(frozen=True)

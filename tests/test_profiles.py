@@ -1,14 +1,22 @@
 """The machine profiles, in particular the paper's Table 3 values."""
 
+import json
+import os
+import pathlib
+
 import pytest
 
 from repro.hardware import (
     disk_extended,
+    disk_extended_scaled,
+    hierarchy_to_dict,
     modern_x86,
     origin2000,
     origin2000_scaled,
+    parametric_profile,
     tiny_test_machine,
 )
+from repro.whatif import TINY_POOL_BASE
 
 
 class TestOrigin2000Table3:
@@ -117,3 +125,42 @@ class TestOtherProfiles:
         assert hw.level("L1").num_lines == 16
         assert hw.level("L2").num_lines == 32
         assert hw.level("TLB").num_lines == 4
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "machine_profiles.json"
+
+MACHINES = {
+    "origin2000": origin2000,
+    "origin2000_scaled": origin2000_scaled,
+    "modern_x86": modern_x86,
+    "disk_extended": disk_extended,
+    "disk_extended_scaled": disk_extended_scaled,
+    "tiny_test_machine": tiny_test_machine,
+    "parametric_profile": parametric_profile,
+    "parametric_tiny_pool": lambda: parametric_profile(**TINY_POOL_BASE),
+}
+
+
+def _pinned(machine) -> dict:
+    return {"fingerprint": machine.fingerprint(),
+            "profile": hierarchy_to_dict(machine)}
+
+
+class TestPinnedMachines:
+    """Every stock machine and the two parametric baselines, field by
+    field (``tests/golden/machine_profiles.json``, generated before the
+    stock profiles became calls of :func:`parametric_profile`).  A
+    change here re-prices every plan and retires every cached one;
+    regenerate with ``REPRO_UPDATE_GOLDEN=1`` only when that is meant.
+    """
+
+    def test_golden_is_complete(self):
+        if os.environ.get("REPRO_UPDATE_GOLDEN"):
+            GOLDEN.write_text(json.dumps(
+                {name: _pinned(build()) for name, build in MACHINES.items()},
+                indent=1, sort_keys=True) + "\n")
+        assert sorted(json.loads(GOLDEN.read_text())) == sorted(MACHINES)
+
+    @pytest.mark.parametrize("name", sorted(MACHINES))
+    def test_profile_and_fingerprint(self, name):
+        assert _pinned(MACHINES[name]()) == json.loads(GOLDEN.read_text())[name]

@@ -9,6 +9,9 @@ stream, never the stream itself.  These tests pin that contract:
 
 * operator-by-operator differentials (spilling operators included) on
   the tiny and scaled profiles;
+* the composed kernels of that table held, in both modes, to a golden
+  recorded before the compositions lost their ``_v`` copies (scalar ==
+  vectorized alone would not notice both drifting together);
 * the seeded template sweep through full sessions on both the in-memory
   and disk-extended profiles;
 * golden-explain byte-identity across modes;
@@ -18,7 +21,13 @@ stream, never the stream itself.  These tests pin that contract:
   identically to scalar traces at every quantum.
 """
 
+import importlib
+import inspect
+import json
+import os
+import pathlib
 import random
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -56,7 +65,7 @@ from repro.hardware import (
     origin2000_scaled,
     tiny_test_machine,
 )
-from repro.query import PlannerConfig
+from repro.query import PartitionedHashJoinNode, PlannerConfig, ScanNode
 from repro.service.executor import (
     BatchReplay,
     TraceRecorder,
@@ -116,6 +125,7 @@ def run_both(hierarchy_factory, operation):
 VALUES = seeded_values()
 SORTED_A = sorted(seeded_values(400, 500, seed=12))
 SORTED_B = sorted(seeded_values(200, 500, seed=13))
+PERMUTATION = random_permutation(256, seed=5)
 
 OPERATIONS = {
     "scan": lambda db: scan(db, db.create_column("U", VALUES)),
@@ -153,11 +163,33 @@ OPERATIONS = {
         db, db.create_column("U", [1] * 64), 4),
     "external_sort": lambda db: external_merge_sort(
         db, db.create_column("U", VALUES), 1024),
+    "external_sort_fits": lambda db: external_merge_sort(
+        db, db.create_column("U", VALUES), 1 << 20),
     "grace_join": lambda db: grace_hash_join(
         db, db.create_column("U", VALUES),
         db.create_column("V", VALUES[:200]), 2048),
+    # duplicate keys overflow the join output above (error parity);
+    # unique keys run the same kernels to the end
+    "hash_join_unique": lambda db: hash_join(
+        db, db.create_column("U", PERMUTATION),
+        db.create_column("V", PERMUTATION[::2])),
+    "grace_join_unique": lambda db: grace_hash_join(
+        db, db.create_column("U", PERMUTATION),
+        db.create_column("V", PERMUTATION[::2]), 1024),
+    "grace_join_fits": lambda db: grace_hash_join(
+        db, db.create_column("U", PERMUTATION),
+        db.create_column("V", PERMUTATION[::2]), 1 << 20),
     "spilling_aggregate": lambda db: spilling_hash_aggregate(
         db, db.create_column("U", VALUES), 1024),
+    # seven keys over sixteen partitions: the skew retry runs too
+    "spilling_aggregate_key": lambda db: spilling_hash_aggregate(
+        db, db.create_column("U", VALUES), 1024, key_of=lambda v: v % 7),
+    "spilling_aggregate_fits": lambda db: spilling_hash_aggregate(
+        db, db.create_column("U", VALUES), 1 << 20),
+    "partitioned_plan": lambda db: PartitionedHashJoinNode(
+        ScanNode(column=db.create_column("U", PERMUTATION)),
+        ScanNode(column=db.create_column("V", PERMUTATION[::2])),
+        partitions=4).execute(db),
     "aggregate_pairs": lambda db: hash_aggregate(
         db, hash_join(db, db.create_column("U", VALUES),
                       db.create_column("V", VALUES[:200]))[0],
@@ -179,6 +211,68 @@ class TestOperatorDifferential:
     def test_scalar_vs_vectorized(self, profile, op):
         scalar, vectorized = run_both(PROFILES[profile], OPERATIONS[op])
         assert scalar == vectorized
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "composed_kernels.json"
+
+#: The kernels that are compositions of other kernels (plus the two
+#: sort-then-pass ones), degenerate no-spill cases included.
+COMPOSED = [
+    "external_sort", "external_sort_fits", "grace_join_fits",
+    "grace_join_unique", "hash_join_unique", "partitioned_plan",
+    "sort_aggregate", "sort_distinct", "spilling_aggregate",
+    "spilling_aggregate_fits", "spilling_aggregate_key"]
+
+
+def _columns(out):
+    if isinstance(out, Column):
+        return [out]
+    if isinstance(out, GraceJoinResult):
+        return out.outputs
+    if isinstance(out, tuple):
+        return [col for part in out for col in _columns(part)]
+    return []
+
+
+#: ``profile/operation`` — one golden record each.
+PINNED = [f"{profile}/{op}" for profile in ("scaled", "disk")
+          for op in COMPOSED]
+
+
+def observe_composed(case, mode):
+    """One composed kernel on a fresh engine: what it returned, what the
+    simulator counted, and where it left the allocator (later operators'
+    addresses, hence their misses, depend on it)."""
+    profile, op = case.split("/")
+    db = Database(PROFILES[profile]())
+    with db.execution_scope(mode):
+        out = OPERATIONS[op](db)
+    return {
+        "rows": sum(col.n for col in _columns(out)),
+        "checksum": zlib.crc32(repr(normalize(out)).encode()),
+        "counters": db.mem.snapshot().as_dict(),
+        "elapsed_ns": db.mem.elapsed_ns,
+        "next_address": db.allocator.next_address,
+    }
+
+
+class TestComposedKernelsPinned:
+    """Both modes equal the recorded parent, not merely each other.
+    Regenerate (``REPRO_UPDATE_GOLDEN=1``) only for a change that means
+    to move a simulated number."""
+
+    def test_golden_is_complete(self):
+        if os.environ.get("REPRO_UPDATE_GOLDEN"):
+            GOLDEN.write_text(json.dumps(
+                {case: observe_composed(case, "scalar") for case in PINNED},
+                indent=1, sort_keys=True) + "\n")
+        assert sorted(json.loads(GOLDEN.read_text())) == sorted(PINNED)
+
+    @pytest.mark.parametrize("mode", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("case", PINNED)
+    def test_equals_the_recorded_run(self, case, mode):
+        expected = json.loads(GOLDEN.read_text())[case]
+        assert observe_composed(case, mode) == expected
 
 
 class TestStorage:
@@ -271,6 +365,24 @@ class TestTemplateSweepDifferential:
 
 
 class TestModePlumbing:
+    def test_every_twin_keeps_its_scalar_signature(self):
+        """The one switch (``leaf_kernel``) forwards ``*args, **kwargs``
+        untouched, so a twin must accept exactly what its scalar does."""
+        from repro.db import vectorized
+        scalars = {}
+        for module in ("aggregate", "hashtable", "join", "partition", "scan",
+                       "sort", "spill"):
+            scalars.update(vars(importlib.import_module(f"repro.db.{module}")))
+
+        def accepts(function):
+            return [(p.name, p.kind, p.default)
+                    for p in inspect.signature(function).parameters.values()]
+
+        for twin_name in vectorized.__all__:
+            scalar = scalars[twin_name[:-len("_v")]]
+            assert accepts(scalar) == accepts(getattr(vectorized, twin_name))
+            assert scalar.__wrapped__ is not scalar  # it is switched
+
     def test_execution_mode_defaults_to_vectorized(self):
         assert PlannerConfig().execution == "vectorized"
         assert Session(hierarchy=tiny_test_machine()).config.execution \

@@ -8,7 +8,13 @@ import json
 
 import pytest
 
-from repro.hardware import origin2000_scaled, parametric_profile
+from repro.hardware import (
+    disk_extended_scaled,
+    origin2000,
+    origin2000_scaled,
+    parametric_profile,
+    tiny_test_machine,
+)
 from repro.obs import validate_whatif_report, validate_whatif_report_file
 from repro.whatif import (
     CONFIG_AXES,
@@ -38,6 +44,19 @@ class TestParametricProfile:
     def test_defaults_reproduce_origin2000_scaled(self):
         assert parametric_profile().fingerprint() == \
             origin2000_scaled().fingerprint()
+
+    def test_paper_scale_knobs_reproduce_origin2000(self):
+        machine = parametric_profile(l1_kb=32, l2_kb=4096, tlb_entries=64,
+                                     page_kb=16)
+        assert machine.fingerprint() == origin2000().fingerprint()
+
+    def test_tiny_pool_base_reproduces_the_tiny_machines(self):
+        assert parametric_profile(**TINY_POOL_BASE).fingerprint() == \
+            disk_extended_scaled().fingerprint()
+        without_pool = {knob: value for knob, value in TINY_POOL_BASE.items()
+                        if knob != "pool_pages"}
+        assert parametric_profile(**without_pool).fingerprint() == \
+            tiny_test_machine().fingerprint()
 
     def test_pool_level_appended(self):
         machine = parametric_profile(**TINY_POOL_BASE)
