@@ -29,7 +29,7 @@ class Allocator:
         if base < 0:
             raise ValueError("base must be non-negative")
         self._next = base
-        self.allocations: list[tuple[int, int]] = []
+        self._bytes_allocated = 0
 
     def allocate(self, nbytes: int, alignment: int | None = None) -> int:
         """Reserve ``nbytes`` and return the start address."""
@@ -40,13 +40,13 @@ class Allocator:
             raise ValueError("alignment must be positive")
         addr = -(-self._next // align) * align
         self._next = addr + nbytes
-        self.allocations.append((addr, nbytes))
+        self._bytes_allocated += nbytes
         return addr
 
     @property
     def bytes_allocated(self) -> int:
-        """Total bytes reserved so far (including alignment padding)."""
-        return sum(n for _, n in self.allocations)
+        """Total bytes reserved so far (alignment padding excluded)."""
+        return self._bytes_allocated
 
     @property
     def next_address(self) -> int:

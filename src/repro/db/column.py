@@ -108,6 +108,16 @@ class Column:
             # Non-integer payloads (pairs) or out-of-64-bit values.
             self._values = list(new_values)
 
+    def copy_values(self):
+        """A copy of the backing storage, of its own kind — what a
+        snapshot holds and hands back to the setter.  An integer column
+        is one buffer copy (and the setter takes an :class:`IntVector`
+        back as it is); ``list(values)`` would box every item and the
+        restore re-pack them."""
+        values = self._values
+        return (IntVector(values) if type(values) is IntVector
+                else list(values))
+
     @property
     def n(self) -> int:
         return len(self._values)

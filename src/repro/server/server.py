@@ -8,18 +8,28 @@ compiled on a bounded worker pool through per-tenant plan caches
 wait in the admission controller's bounded queue, and execute as
 ⊙-guided co-run batches on the one simulated machine.
 
-Two clocks run at once.  *Wall clock*: compiles genuinely run in
-parallel on the pool, and the dispatcher is one function,
-:meth:`QueryServer._run`, that a pool worker runs *until it is
-blocked*: it forms a batch, executes it, settles it, and goes on to the
-next for as long as the simulated clock can advance, so the event loop
-pays one hand-off per decidable run, not one per batch.  Each batch's
-responses are posted back to the loop thread as soon as the batch is
-accounted (``call_soon_threadsafe``), so clients wake batch by batch
-while the run continues; the run returns — it never waits inside the
-worker — when a query due by its decision time is still compiling or
-nothing is staged or queued, and the next finished compile starts the
-next run.  *Simulated clock*: the machine's time, advanced batch by
+Two clocks run at once.  *Wall clock*: the event-loop thread and the
+worker pool meet at a boundary that is expensive to cross (a pipe
+write and an interpreter hand-over each time), so both directions
+cross it in runs.  In: accepted queries wait in a queue and *compile
+runs* on the pool — up to one per worker, so compiles genuinely
+overtake each other — take them oldest first, compile, and stage the
+result themselves; a compile run tells the loop thread once, as it
+ends.  The dispatcher is one function, :meth:`QueryServer._run`, that
+a pool worker runs *until it is blocked*: it forms a batch, executes
+it, settles it, and goes on to the next for as long as the simulated
+clock can advance, so the event loop pays one hand-off per decidable
+run, not one per batch.  Out: the run hands resolved responses to the
+loop thread after its first batch, when it returns, and in between at
+most once per interpreter switch interval (the granularity at which
+threads alternate anyway), so a client wakes within one switch
+interval of its batch, and at once when it is alone on the server.
+The run returns — it never waits inside the worker — when a query due
+by its decision time is still compiling or nothing is staged or
+queued, and the compile run that stages that query starts the next
+run.
+
+*Simulated clock*: the machine's time, advanced batch by
 batch — a batch starts at ``max(machine-free, seed arrival)``, lasts
 its replayed makespan, and a query's reported latency is simulated
 ``finish − arrival``.  All scheduling decisions are functions of the
@@ -34,18 +44,21 @@ Compiling, batch formation, and settlement are the serving core's
 (:mod:`repro.service.core`) and execution is
 :func:`~repro.service.executor.execute_batch` — the same pieces the
 closed-loop executor drives: each member's access trace is recorded
-against its tenant's engine, shifted into the tenant's private slice
-of the address space (tenants do not share tables), and the batch
-replays round-robin-interleaved through one cold
-:class:`~repro.simulator.MemorySystem` — the measured counterpart of
-the ⊙ prediction the admission controller trusted.
+against its tenant's engine, shifted as it is recorded into the
+tenant's private slice of the address space (tenants do not share
+tables), and the batch replays round-robin-interleaved through the
+server's one :class:`~repro.simulator.MemorySystem`, reset cold —
+the measured counterpart of the ⊙ prediction the admission controller
+trusted.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -61,6 +74,7 @@ from ..service.executor import DEFAULT_QUANTUM, BatchReplay, execute_batch
 from ..service.interference import InterferenceModel
 from ..service.metrics import BatchMetrics, RunReport
 from ..service.workload import WorkloadQuery
+from ..simulator.memory import MemorySystem
 from .admission import AdmissionController
 from .slo import SloTarget, SloTracker
 from .tenant import Tenant, TenantQuota
@@ -311,7 +325,9 @@ class QueryServer:
         admission, the default), ``"max-parallel"``, or
         ``"fifo-serial"`` (the benchmark baselines).
     max_workers:
-        Worker-pool width for compiles and batch execution.
+        Worker-pool width, shared by the compile runs (up to
+        ``max_workers`` of them at once) and the dispatch run; they
+        take turns at one worker too.
     max_batch / max_queue / slack / lookahead:
         Admission-controller knobs (:class:`AdmissionController`).
     quantum:
@@ -344,9 +360,18 @@ class QueryServer:
     owns the response futures, ``_outstanding`` and ``_idle``; the
     *run* (:meth:`_run`, one at a time, on a pool worker) owns the
     simulated clock, the run queue, ``_responses``, ``_batches``, the
-    tenants' served/shed counters, the SLO tracker and the tracer, and
-    hands resolved futures to the loop thread; the staged heap and the
-    compiling set are shared between the two under ``_stage_lock``.
+    tenants' served/shed counters, the SLO tracker, the tracer and the
+    replay machine.  Shared under ``_stage_lock``: the accepted queue
+    (:meth:`submit_nowait` appends on the loop thread, compile runs pop),
+    the count of compile runs (``submit_nowait`` starts one while there
+    are fewer than workers, a run ends itself or queues its successor),
+    the compiling set (``submit_nowait`` adds, compile runs remove)
+    and the staged heap (compile runs push, the run pops);
+    :meth:`stop` raises ``_stopping`` under it too, so no compile run
+    queues a successor into a pool that is shutting down.
+    Undelivered posts — ``(future, response or exception)`` pairs —
+    belong to the worker that accumulates them until it hands the whole
+    list to :meth:`_deliver` on the loop thread and starts a new one.
     Read :meth:`report` after :meth:`drain`, when no run is in flight.
 
     One door out: a served or shed query is accounted by
@@ -354,8 +379,8 @@ class QueryServer:
     windows, per-response metrics, the post to its future.  Two exits
     still bypass it, *unaccounted*: a batch whose execution raised
     (:meth:`_serve_batch` posts the exception to its members) and a
-    query whose compile raised (:meth:`submit_nowait` fails the future
-    from the loop thread) leave no :class:`ServerResponse`, balance no
+    query whose compile raised (:meth:`_compile_run` posts the
+    exception to its future) leave no :class:`ServerResponse`, balance no
     tenant's ``submitted`` and bump no metric — the ``outcome="error"``
     responses of ROADMAP item 2 go through the same door.
     """
@@ -398,6 +423,8 @@ class QueryServer:
         self._clock = 0.0
         self._next_qid = 0
         self._batch_index = 0
+        #: The run's machine: every batch replays on it, reset cold.
+        self._machine = MemorySystem(self.hierarchy)
         # runtime state (created by start())
         self._pool: ThreadPoolExecutor | None = None
         self._dispatcher: asyncio.Task | None = None
@@ -409,10 +436,16 @@ class QueryServer:
         self._stage_lock = threading.Lock()
         #: Heap of ``(arrival_ns, qid, task)``: compiled, not admitted.
         self._staged: list[tuple[float, int, Task]] = []
-        #: qids whose compile is in flight, and a heap of their
-        #: ``(arrival_ns, qid)`` that finished compiles leave lazily.
+        #: qids accepted and not yet staged (or failed), and a heap of
+        #: their ``(arrival_ns, qid)`` that finished compiles leave
+        #: lazily.
         self._compiling: set[int] = set()
         self._compiling_order: list[tuple[float, int]] = []
+        #: ``(tenant, query, future)`` accepted and not yet taken by a
+        #: compile run, and how many compile runs the pool holds.
+        self._accepted: deque[tuple[Tenant, WorkloadQuery,
+                                    asyncio.Future]] = deque()
+        self._compile_runs = 0
         # observability (all no-ops when tracer is None)
         self.tracer = tracer
         if tracer is not None:
@@ -478,10 +511,12 @@ class QueryServer:
 
     async def stop(self) -> None:
         """Stop dispatching and release the pool: a run in flight
-        returns at its next batch boundary (pending queries keep their
+        returns at its next batch boundary, a compile run after the
+        compile it is in (pending queries, compiled or not, keep their
         futures unresolved; call :meth:`drain` first for a clean
         shutdown)."""
-        self._stopping = True
+        with self._stage_lock:  # compile runs queue successors under it
+            self._stopping = True
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             try:
@@ -517,7 +552,10 @@ class QueryServer:
         :class:`ServerResponse`.  ``arrival_ns`` places it on the
         simulated clock (defaults to the machine's current simulated
         time — "it arrived just now", which with a run in flight is
-        whichever batch boundary the run has reached)."""
+        whichever batch boundary the run has reached by now: a client
+        reacting to a response sees it up to a switch interval after
+        its batch, so possibly a few batches on).  The query joins the
+        accepted queue; a compile run picks it up."""
         if self._pool is None or self._wake is None:
             raise RuntimeError("server not started (use `async with "
                                "QueryServer(...)` or await start())")
@@ -530,32 +568,17 @@ class QueryServer:
         response: asyncio.Future = loop.create_future()
         self._outstanding += 1
         self._idle.clear()
+        query = WorkloadQuery(qid=qid, client=owner.index, kind=kind,
+                              text=text, arrival_ns=arrival)
         with self._stage_lock:
             self._compiling.add(qid)
             heappush(self._compiling_order, (arrival, qid))
-        compile_future = loop.run_in_executor(
-            self._pool, self._compile, owner,
-            WorkloadQuery(qid=qid, client=owner.index, kind=kind,
-                          text=text, arrival_ns=arrival))
-
-        def _compiled(done: asyncio.Future) -> None:
-            try:
-                task = done.result()
-            except BaseException as exc:  # bad query text, planner error
-                task = None
-                self._deliver([(response, exc)])
-            with self._stage_lock:
-                self._compiling.remove(qid)
-                if task is not None:
-                    # Stage only: the admission (quota/shedding)
-                    # decision is the run's, made on the simulated
-                    # clock — queue state must not depend on how
-                    # compile threads raced.
-                    task.handle = response
-                    heappush(self._staged, (arrival, qid, task))
-            self._wake.set()
-
-        compile_future.add_done_callback(_compiled)
+            self._accepted.append((owner, query, response))
+            start = self._compile_runs < self.max_workers
+            if start:
+                self._compile_runs += 1
+        if start:
+            self._pool.submit(self._compile_run, loop)
         return response
 
     async def submit(self, tenant: str, text: str, kind: str = "adhoc",
@@ -588,6 +611,46 @@ class QueryServer:
         return compile_task(tenant.worker_session(), self.interference,
                             query, tenant=tenant.name)
 
+    def _compile_run(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Pool worker: compile accepted queries, oldest first, and
+        stage each as it finishes — the admission (quota/shedding)
+        decision is the dispatch run's, made on the simulated clock, so
+        queue state never depends on how compile runs raced.  A compile
+        that raises (bad query text, planner error) fails its own
+        future.  Ends when nothing is left, the server is stopping, or
+        its slice is used up with more accepted — then it queues its
+        successor *behind* whatever the pool already holds, so a
+        one-worker pool under continuous submission still alternates
+        with the dispatch run.  One crossing to the loop thread per
+        run: the failures, and the dispatcher's wake-up."""
+        posts: list = []
+        deadline = time.monotonic() + sys.getswitchinterval()
+        taken = 0
+        while True:
+            with self._stage_lock:
+                if not self._accepted or self._stopping:
+                    self._compile_runs -= 1
+                    break
+                # at least one query per run, however short the slice
+                if taken and time.monotonic() >= deadline:
+                    self._pool.submit(self._compile_run, loop)
+                    break
+                tenant, query, response = self._accepted.popleft()
+                taken += 1
+            try:
+                task = self._compile(tenant, query)
+            except Exception as exc:
+                task = None
+                posts.append((response, exc))
+            with self._stage_lock:
+                self._compiling.remove(query.qid)
+                if task is not None:
+                    task.handle = response
+                    heappush(self._staged,
+                             (query.arrival_ns, query.qid, task))
+        if taken:
+            loop.call_soon_threadsafe(self._compiled, posts)
+
     def _execute_batch(self, batch: Batch):
         """The run: measure the batch on the server's machine,
         each member recorded against its tenant's engine and shifted
@@ -604,15 +667,23 @@ class QueryServer:
             tenant = self.tenants[task.tenant]
             members.append((tenant.session, task.plan,
                             tenant.address_offset))
+        # recalibration swaps tenants' model profiles, never the machine
+        assert self._machine.hierarchy is self.hierarchy
         replay, rows, measured = execute_batch(
-            members, self.hierarchy, self.quantum,
+            members, self._machine, self.quantum,
             attribute=self.tracer is not None)
         return replay, rows, measured, wall_start, time.perf_counter_ns()
 
     # -- dispatcher ----------------------------------------------------
+    def _compiled(self, posts: list) -> None:
+        """Loop thread, as a compile run ends: fail the futures whose
+        compile raised and wake the dispatcher for what was staged."""
+        self._deliver(posts)
+        self._wake.set()
+
     def _deliver(self, posts: list) -> None:
         """Loop thread: resolve ``(future, response or exception)``
-        pairs — what the run posts after every batch."""
+        pairs — what a run hands over."""
         for handle, outcome in posts:
             if not handle.done():
                 if isinstance(outcome, BaseException):
@@ -821,11 +892,16 @@ class QueryServer:
     def _run(self, loop: asyncio.AbstractEventLoop) -> None:
         """Pool worker: decide, form, execute and account batch after
         batch until the simulated clock cannot advance (see
-        :meth:`_take_due`) or the server is stopping, posting every
-        batch's resolved futures to the loop thread on the way.  Never
-        waits: a run blocked on a compile returns, and that compile's
-        completion starts the next one."""
+        :meth:`_take_due`) or the server is stopping.  Resolved futures
+        are handed to the loop thread after the first batch (a client
+        alone on the server waits for nothing else), when the run
+        returns, and in between at most once per interpreter switch
+        interval — the loop thread cannot take over from this one more
+        often than that anyway.  Never waits: a run blocked on a
+        compile returns, and the compile run that stages it starts the
+        next one."""
         posts: list = []
+        hand_over = 0.0  # time.monotonic() after which posts cross
         while not self._stopping:
             decision = self._take_due()
             if decision is None:
@@ -836,9 +912,12 @@ class QueryServer:
             if batch:
                 self._serve_batch(batch, now, posts)
             # else: everything due was shed; jump to the next arrival
-            if posts:
+            if posts and (wall := time.monotonic()) >= hand_over:
                 loop.call_soon_threadsafe(self._deliver, posts)
                 posts = []
+                hand_over = wall + sys.getswitchinterval()
+        if posts:
+            loop.call_soon_threadsafe(self._deliver, posts)
 
     def _serve_batch(self, batch: Batch, now: float, posts: list) -> None:
         """Execute ``batch`` at simulated time ``now`` and account it:

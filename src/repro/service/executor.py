@@ -55,27 +55,30 @@ class TraceRecorder:
     coalesced ``("range", addr, nbytes, stride, count)`` run standing
     for ``count`` accesses; replay expands ranges access-for-access, so
     a trace recorded under vectorized execution replays to the same
-    counters as its scalar recording."""
+    counters as its scalar recording.  Every recorded address is
+    shifted by ``offset`` (a tenant's private slice of the address
+    space) as it is appended."""
 
-    __slots__ = ("trace",)
+    __slots__ = ("trace", "offset")
 
-    def __init__(self) -> None:
+    def __init__(self, offset: int = 0) -> None:
         self.trace: list[tuple] = []
+        self.offset = offset
 
     def access(self, addr: int, nbytes: int = 1, write: bool = False) -> None:
-        self.trace.append((addr, nbytes))
+        self.trace.append((addr + self.offset, nbytes))
 
     def access_range(self, addr: int, nbytes: int, stride: int | None = None,
                      count: int = 1, write: bool = False) -> None:
         if count > 0:
-            self.trace.append(("range", addr, nbytes,
+            self.trace.append(("range", addr + self.offset, nbytes,
                                nbytes if stride is None else stride, count))
 
     def batch(self):
-        trace = self.trace
+        trace, offset = self.trace, self.offset
 
         def fused(addr: int, nbytes: int = 8, write: bool = False) -> None:
-            trace.append((addr, nbytes))
+            trace.append((addr + offset, nbytes))
 
         return fused
 
@@ -115,15 +118,10 @@ def record_trace(session: Session, plan: QueryPlan,
     ``offset`` (a tenant's private slice of the address space), and
     the result cardinality.  Every batch member records against the
     same base state."""
-    recorder = TraceRecorder()
+    recorder = TraceRecorder(offset)
     with _engine_on(session, recorder) as db:
         rows = len(plan.execute(db).values)
-    trace = recorder.trace
-    if offset:
-        trace = [("range", e[1] + offset, e[2], e[3], e[4])
-                 if e[0] == "range" else (e[0] + offset, e[1])
-                 for e in trace]
-    return trace, rows
+    return recorder.trace, rows
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,12 @@ def replay_interleaved(hierarchy: MemoryHierarchy,
     (:meth:`MemorySystem.replay_interleaved
     <repro.simulator.MemorySystem.replay_interleaved>`).
     """
-    mem = MemorySystem(hierarchy)
+    return _replay_cold(MemorySystem(hierarchy), traces, quantum)
+
+
+def _replay_cold(mem: MemorySystem, traces: Sequence[Sequence[tuple]],
+                 quantum: int) -> BatchReplay:
+    """:func:`replay_interleaved` on ``mem``, which must be cold."""
     memory, finish = mem.replay_interleaved(traces, quantum)
     return BatchReplay(total_ns=mem.elapsed_ns,
                        memory_ns=tuple(memory),
@@ -178,29 +181,29 @@ def replay_interleaved(hierarchy: MemoryHierarchy,
 
 
 def measure_solo(session: Session, plan: QueryPlan,
-                 hierarchy: MemoryHierarchy) -> MeasuredResult:
+                 mem: MemorySystem) -> MeasuredResult:
     """One plan's cold typed measurement over ``session``'s engine, on
-    a fresh memory system for the machine ``hierarchy`` — the one a
-    co-run batch is replayed on, which after a recalibration is *not*
-    the session's model profile (predictions come from
-    ``session.model``; the measurement must not).  The solo-batch path
-    both the offline executor and the query server use."""
-    with _engine_on(session, MemorySystem(hierarchy)) as db:
+    ``mem`` (reset first) — a machine for the hierarchy a co-run batch
+    is replayed on, which after a recalibration is *not* the session's
+    model profile (predictions come from ``session.model``; the
+    measurement must not).  The solo-batch path both the offline
+    executor and the query server use."""
+    with _engine_on(session, mem) as db:
         return measure_plan(db, plan, session.model,
                             pipeline=session.config.pipeline,
-                            cold=False,  # the fresh system is cold
                             signature=plan.signature)
 
 
 def execute_batch(members: Sequence[tuple[Session, QueryPlan, int]],
-                  hierarchy: MemoryHierarchy, quantum: int, *,
-                  attribute: bool
+                  mem: MemorySystem, quantum: int, *, attribute: bool
                   ) -> tuple[BatchReplay, list[int], MeasuredResult | None]:
     """Measure one co-run batch of ``(session, plan, address offset)``
-    members on ``hierarchy``: record every member's trace, replay them
-    interleaved through one cold memory system.  Returns the replay,
-    the members' result cardinalities, and — for a solo batch when
-    ``attribute`` is set — the typed measurement.
+    members on the machine ``mem`` simulates: record every member's
+    trace, replay them interleaved through ``mem``, reset cold first —
+    a driver keeps one machine for all its batches rather than building
+    one per batch.  Returns the replay, the members' result
+    cardinalities, and — for a solo batch when ``attribute`` is set —
+    the typed measurement.
 
     A solo member needs no interleaving, so with ``attribute`` it runs
     through :func:`measure_solo` instead, which yields the identical
@@ -209,15 +212,15 @@ def execute_batch(members: Sequence[tuple[Session, QueryPlan, int]],
     predicted-vs-measured attribution."""
     if attribute and len(members) == 1:
         session, plan, _ = members[0]
-        measured = measure_solo(session, plan, hierarchy)
+        measured = measure_solo(session, plan, mem)
         elapsed = measured.measured_ns
         return (BatchReplay(total_ns=elapsed, memory_ns=(elapsed,),
                             finish_ns=(elapsed,),
                             counters=measured.counters),
                 [len(measured.column.values)], measured)
     recorded = [record_trace(*member) for member in members]
-    replay = replay_interleaved(hierarchy, [trace for trace, _ in recorded],
-                                quantum=quantum)
+    mem.reset()
+    replay = _replay_cold(mem, [trace for trace, _ in recorded], quantum)
     return replay, [rows for _, rows in recorded], None
 
 
@@ -267,11 +270,12 @@ class ServiceExecutor:
         tasks = [compile_task(self._client_session(q.client),
                               former.interference, q) for q in queries]
         clock = 0.0
+        mem = MemorySystem(hierarchy)
         query_metrics: list[QueryMetrics] = []
         batch_metrics: list[BatchMetrics] = []
         for index, batch in enumerate(former.drain(tasks)):
             replay, _, measured = execute_batch(
-                [(self.session, t.plan, 0) for t in batch], hierarchy,
+                [(self.session, t.plan, 0) for t in batch], mem,
                 self.quantum, attribute=True)
             finishes, metrics = settle(index, batch, replay)
             operators = None if measured is None else measured.operators

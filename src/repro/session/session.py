@@ -354,7 +354,7 @@ class Session:
         codebase: trace recording and solo measurement
         (:mod:`repro.service.executor`) hold it too, and a raising
         kernel still restores."""
-        saved = ({column: list(column.values)
+        saved = ({column: column.copy_values()
                   for column in self.db.catalog.values()} if restore else {})
         try:
             yield

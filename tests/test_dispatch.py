@@ -8,9 +8,11 @@ yields the same report for every pool width; with a tracer attached
 the span order and the point where an online recalibration swaps the
 profile repeat exactly.  (These first three classes passed unchanged
 on the per-batch dispatcher they were written against.)  Then the
-run-until-blocked dispatcher's own guarantees: a raising batch fails
-its members and nothing else, responses reach clients batch by batch,
-``stop()`` ends a run at a batch boundary.
+run-until-blocked dispatcher's own guarantees: a raising batch or
+compile fails its members and nothing else, responses reach clients
+while the run goes on and a closed-loop client at once, the thread
+boundary is crossed per run and not per query, ``stop()`` ends a run at
+a batch boundary and a compile run at a query boundary.
 """
 
 import asyncio
@@ -22,6 +24,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.hardware import parametric_profile
 from repro.server import PoissonArrivals, QueryServer, TenantQuota
 from repro.service import WorkloadGenerator
 
@@ -48,9 +51,10 @@ def _serve(queries, *, delays=None, scale=64, quota=None,
     a query to its tenant) and drain.  ``delays`` (qid -> seconds)
     holds each compile back on the wall clock, so completions reach
     the dispatcher in a chosen order.  Returns the server, the
-    responses, and every ``(arrival_ns, qid)`` offered to the
-    admission controller, in offer order."""
-    offers = []
+    responses, every ``(arrival_ns, qid)`` offered to the admission
+    controller, in offer order, and — beside it — the same pairs in the
+    order their compiles finished (the order they were staged in)."""
+    offers, compiled = [], []
 
     async def main():
         server = QueryServer(**server_kw)
@@ -64,21 +68,23 @@ def _serve(queries, *, delays=None, scale=64, quota=None,
             return offer(task, task_quota)
 
         server.admission.offer = logged_offer
-        if delays is not None:
-            compile_ = server._compile
+        compile_ = server._compile
 
-            def held_back(tenant, query):
+        def logged_compile(tenant, query):
+            if delays is not None:
                 time.sleep(delays[query.qid])
-                return compile_(tenant, query)
+            task = compile_(tenant, query)
+            compiled.append((query.arrival_ns, query.qid))
+            return task
 
-            server._compile = held_back
+        server._compile = logged_compile
         async with server:
             responses = await server.serve(queries, tenant_for)
             await server.drain()
         return server, responses
 
     server, responses = asyncio.run(main())
-    return server, responses, offers
+    return server, responses, offers, compiled
 
 
 def simulated(server) -> dict:
@@ -115,9 +121,14 @@ class TestStagedOutOfArrivalOrder:
         # later arrivals compile first, earlier ones trickle in
         delays = {q.qid: 0.002 * (self.N - q.qid) / self.N
                   + rng.uniform(0.0, 0.004) for q in stream}
-        calm, _, calm_offers = _serve(stream, **self.KW)
-        shuffled, _, offers = _serve(stream, delays=delays, **self.KW)
-        # admitted in (arrival, qid) order, whatever order they staged
+        calm, _, calm_offers, _ = _serve(stream, **self.KW)
+        shuffled, _, offers, compiled = _serve(stream, delays=delays,
+                                               **self.KW)
+        # the compiles really overtook each other (one compile at a
+        # time, in submission order, would pass the rest vacuously) ...
+        assert sorted(compiled) == sorted(offers)
+        assert compiled != sorted(compiled)
+        # ... and were admitted in (arrival, qid) order all the same
         assert offers == sorted(offers)
         assert offers == calm_offers
         assert len(offers) == self.N
@@ -127,7 +138,7 @@ class TestStagedOutOfArrivalOrder:
         """The shed set of the stream above, and who was refused on
         arrival versus displaced later — fifo-serial, so it depends on
         the queue rules and the simulator only, not on ⊙ pricing."""
-        server, responses, _ = _serve(self._stream(), **self.KW)
+        server, responses, _, _ = _serve(self._stream(), **self.KW)
         shed = [r for r in responses if not r.ok]
         refused = sorted(r.qid for r in shed
                          if r.start_ns == r.arrival_ns)
@@ -233,6 +244,7 @@ def _solo_server(**server_kw):
 
 
 GOOD, BAD = "filter(t, small, sel=0.2)", "filter(t, boom, sel=0.2)"
+GARBLED = "filter(t small"
 
 
 class TestFailingBatch:
@@ -273,6 +285,24 @@ class TestFailingBatch:
         assert len(server.report().responses) == 5
 
 
+    def test_a_swapped_machine_is_not_replayed_stale(self):
+        """The run replays every batch on one machine built for
+        ``server.hierarchy``; were that ever replaced, the batch fails
+        instead of being measured on the machine that is gone."""
+
+        async def main():
+            async with _solo_server(max_workers=1) as server:
+                before = await asyncio.wait_for(
+                    server.submit("solo", GOOD), timeout=30)
+                server.hierarchy = parametric_profile(mem_ns=800.0)
+                with pytest.raises(AssertionError):
+                    await asyncio.wait_for(server.submit("solo", GOOD),
+                                           timeout=30)
+            return before
+
+        assert asyncio.run(main()).ok
+
+
 class TestRunUntilBlocked:
     N = 400
 
@@ -297,6 +327,61 @@ class TestRunUntilBlocked:
         assert first.batch_index == 0
         assert pending > 0
         assert [r.batch_index for r in responses] == list(range(self.N))
+
+    def test_one_worker_starves_neither_side(self):
+        """Compile runs and the dispatch run share the one worker: a
+        client submitting without pause — faster than queries compile,
+        so the accepted queue never empties — is still answered while
+        it goes on submitting."""
+        limit = 20_000
+
+        async def main():
+            async with _solo_server(max_workers=1) as server:
+                # (stamped apart: a decision waits for every compile
+                # whose query has arrived, on any pool)
+                futures = [server.submit_nowait("solo", GOOD,
+                                                arrival_ns=0.0)]
+                while not futures[0].done() and len(futures) < limit:
+                    futures.append(server.submit_nowait(
+                        "solo", GOOD, arrival_ns=100.0 * len(futures)))
+                    await asyncio.sleep(0)
+                submitted = len(futures)
+                responses = await asyncio.wait_for(
+                    asyncio.gather(*futures), timeout=60)
+                await asyncio.wait_for(server.drain(), timeout=60)
+            return submitted, responses
+
+        submitted, responses = asyncio.run(main())
+        assert submitted < limit, "no answer while submissions went on"
+        assert sorted(r.batch_index for r in responses) \
+            == list(range(submitted))
+
+    def test_the_thread_boundary_is_crossed_in_runs(self):
+        """Compiles go in as runs and responses come out in slices:
+        the whole stream costs fewer hand-offs to the loop thread than
+        it has queries (a hop per compile and a post per batch made it
+        two per query; a few dozen now, the bound leaves a slow host
+        room)."""
+        crossings = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            threadsafe = loop.call_soon_threadsafe
+
+            def counted(callback, *args, **kwargs):
+                crossings.append(callback)
+                return threadsafe(callback, *args, **kwargs)
+
+            loop.call_soon_threadsafe = counted
+            async with _solo_server(max_workers=2) as server:
+                responses = await asyncio.wait_for(
+                    asyncio.gather(*self._submit_all(server)), timeout=60)
+                await asyncio.wait_for(server.drain(), timeout=60)
+            return responses
+
+        responses = asyncio.run(main())
+        assert [r.batch_index for r in responses] == list(range(self.N))
+        assert 0 < len(crossings) < self.N
 
     def test_stress_more_workers_than_cores(self):
         """Compile callbacks, the run and the loop thread interleave
@@ -343,6 +428,81 @@ class TestRunUntilBlocked:
         assert 1 <= served < self.N
         assert resolved == served
 
+    def test_stop_leaves_uncompiled_queries_unresolved(self):
+        """``stop()`` with accepted queries still waiting for a compile
+        returns without compiling its way through them, and — as its
+        docstring says — leaves their futures unresolved."""
+        compiled = []
+
+        async def main():
+            server = _solo_server(max_workers=2)
+            compile_ = server._compile
+
+            def slow(tenant, query):
+                time.sleep(0.005)
+                compiled.append(query.qid)
+                return compile_(tenant, query)
+
+            server._compile = slow
+            await server.start()
+            futures = self._submit_all(server)
+            await asyncio.wait_for(server.stop(), timeout=30)
+            await asyncio.sleep(0)
+            resolved = sum(future.done() for future in futures)
+            for future in futures:
+                future.cancel()
+            return resolved
+
+        assert asyncio.run(main()) == 0
+        # (the per-query compile hops this replaced were all queued in
+        # the pool already, and stop() sat through every one of them)
+        assert len(compiled) < self.N
+
+    def test_a_closed_loop_client_is_answered_run_by_run(self):
+        """Each response is handed over when its run ends, not a slice
+        later: a client that submits only after its previous answer
+        gets through 200 queries, one batch each."""
+
+        async def main():
+            async with _solo_server(max_workers=2) as server:
+                responses = [
+                    await asyncio.wait_for(server.submit("solo", GOOD),
+                                           timeout=30)
+                    for _ in range(200)]
+                await asyncio.wait_for(server.drain(), timeout=30)
+                assert server._outstanding == 0
+                assert not server._staged and not server._compiling
+            return responses
+
+        responses = asyncio.run(main())
+        assert [r.batch_index for r in responses] == list(range(200))
+        for earlier, later in zip(responses, responses[1:]):
+            assert later.arrival_ns == later.start_ns == earlier.finish_ns
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_a_raising_compile_fails_only_its_own_query(self, max_workers):
+        """One unparsable query in a stream: its future raises, every
+        other query is served, ``drain()`` returns."""
+        texts = [GOOD] * 25 + [GARBLED] + [GOOD] * 25
+
+        async def main():
+            async with _solo_server(max_workers=max_workers) as server:
+                results = await asyncio.wait_for(asyncio.gather(*(
+                    server.submit_nowait("solo", text,
+                                         arrival_ns=100.0 * i)
+                    for i, text in enumerate(texts)),
+                    return_exceptions=True), timeout=30)
+                await asyncio.wait_for(server.drain(), timeout=30)
+                assert not server._staged and not server._compiling
+            return server, results
+
+        server, results = asyncio.run(main())
+        assert isinstance(results[25], Exception)
+        served = results[:25] + results[26:]
+        assert all(r.ok and r.rows == 10 for r in served)
+        assert [r.batch_index for r in served] == list(range(50))
+        assert len(server.report().responses) == 50
+
 
 class TestComputedOnce:
     def test_cache_hits_share_one_signature_string(self):
@@ -360,7 +520,7 @@ class TestComputedOnce:
         assert all(r.signature is first for r in responses)
 
     def test_report_rows_carry_no_instance_dict(self):
-        server, _, _ = _serve(_queries(4), mode="fifo-serial")
+        server, _, _, _ = _serve(_queries(4), mode="fifo-serial")
         report = server.report()
         for row in report.responses + report.batches:
             assert not hasattr(row, "__dict__")

@@ -20,7 +20,13 @@ from repro.service import (
     percentile,
 )
 from repro.whatif import ProfileSpace
-from repro.service.executor import record_trace, replay_interleaved
+from repro.service.executor import (
+    DEFAULT_QUANTUM,
+    execute_batch,
+    record_trace,
+    replay_interleaved,
+)
+from repro.simulator import MemorySystem
 from repro.service.workload import (
     WorkloadQuery,
     poisson_gaps,
@@ -436,6 +442,30 @@ class TestExecutor:
         session, _ = small_service
         with pytest.raises(ValueError, match="quantum"):
             replay_interleaved(session.hierarchy, [[(0, 8)]], quantum=0)
+
+    def test_execute_batch_resets_the_machine_it_is_given(self):
+        """One machine for all of a driver's batches: whatever an
+        earlier batch left in it, a batch measures what it would on a
+        machine built for it."""
+        def members():
+            # a fresh engine each time: scratch addresses depend on
+            # what the allocator handed out before
+            session = Session()
+            WorkloadGenerator(session, scale=128, seed=3)
+            return [(session, session.compile(text).plan, offset)
+                    for text, offset in (("join(orders, customers)", 0),
+                                         ("sort(parts)", 1 << 32))]
+
+        hierarchy = Session().hierarchy
+        fresh = replay_interleaved(
+            hierarchy, [record_trace(*member)[0] for member in members()])
+        mem = MemorySystem(hierarchy)
+        mem.replay([(address, 8) for address in range(0, 1 << 16, 32)])
+        for _ in range(2):
+            replay, rows, measured = execute_batch(
+                members(), mem, DEFAULT_QUANTUM, attribute=False)
+            assert replay == fresh and measured is None
+            assert rows == [128, 128]
 
     def test_end_to_end_report(self, small_service):
         session, gen = small_service

@@ -10,7 +10,7 @@ change silently retires cached plans.
 
 import pytest
 
-from repro.db import Database, random_permutation
+from repro.db import Column, Database, IntVector, random_permutation
 from repro.hardware import (
     origin2000_scaled,
     profile_fingerprint,
@@ -352,6 +352,41 @@ class TestRestoreSurvivesARaisingKernel:
             getattr(target, method)(*args, restore=True)
         assert {name: list(column.values)
                 for name, column in s.db.catalog.items()} == before
+
+
+class TestRestoreKeepsTheStorageKind:
+    """The snapshot copies each column's storage as what it is — an
+    integer column buffer to buffer, a pair column item by item — and
+    an in-place sort of either is undone."""
+
+    @pytest.mark.parametrize("execution", ["scalar", "vectorized"])
+    def test_in_place_sorts_are_undone_in_kind(self, scaled, execution):
+        s = Session(scaled, execution=execution)
+        s.create_table("t", random_permutation(64, seed=3))
+        s.create_table("pairs", [(v, -v) for v in
+                                 random_permutation(16, seed=4)], width=16)
+        kinds = {"t": IntVector, "pairs": list}
+        before = {name: list(column.values)
+                  for name, column in s.db.catalog.items()}
+        for name, kind in kinds.items():
+            assert type(s.db.column(name).values) is kind
+            assert before[name] != sorted(before[name])
+            s.execute(f"sort({name})")  # sorts the base in place
+            assert s.db.column(name).values == sorted(before[name])
+            s.db.column(name).values = before[name]
+            s.execute(f"sort({name})", restore=True)
+        for name, kind in kinds.items():
+            assert type(s.db.column(name).values) is kind
+            assert s.db.column(name).values == before[name]
+
+    def test_the_snapshot_is_a_copy(self):
+        column = Column("c", 8, 4096, [3, 1, 2])
+        copy = column.copy_values()
+        assert type(copy) is IntVector and copy is not column.values
+        copy[0] = 9
+        assert column.values == [3, 1, 2]
+        column.values = copy
+        assert column.values is copy  # taken back without re-packing
 
 
 class TestPlanCache:

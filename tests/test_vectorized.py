@@ -662,6 +662,36 @@ class TestServiceTraces:
         assert recorder.trace == [("range", 64, 8, 8, 3), (8, 8), (16, 8)]
         assert trace_length(recorder.trace) == 5
 
+    def test_recorder_shifts_every_entry_kind_as_it_appends(self):
+        recorder = TraceRecorder(offset=1 << 20)
+        recorder.access_range(64, 8, None, 3)
+        recorder.access(8, 8)
+        recorder.write(24, 4)
+        recorder.batch()(16, 8, True)
+        base = 1 << 20
+        assert recorder.trace == [("range", base + 64, 8, 8, 3),
+                                  (base + 8, 8), (base + 24, 4),
+                                  (base + 16, 8)]
+
+    @pytest.mark.parametrize("mode", ["scalar", "vectorized"])
+    def test_record_trace_offset_is_a_pure_shift(self, mode):
+        def recorded(offset):
+            # a fresh engine each time: scratch addresses depend on
+            # what the allocator handed out before
+            session = Session(execution=mode)
+            session.create_table("a", random_permutation(96, seed=1))
+            session.create_table("b", random_permutation(96, seed=2))
+            plan = session.compile("aggregate(join(a, b), groups=96)").plan
+            return record_trace(session, plan, offset)
+
+        offset = 1 << 32
+        plain, rows = recorded(0)
+        shifted, shifted_rows = recorded(offset)
+        assert shifted_rows == rows and len(plain) > 100
+        assert shifted == [
+            ("range", e[1] + offset, *e[2:]) if e[0] == "range"
+            else (e[0] + offset, e[1]) for e in plain]
+
     def test_replay_splits_range_at_quantum_boundary(self):
         trace = [("range", 0, 8, 8, 50)]
         whole = replay_interleaved(origin2000_scaled(), [trace], quantum=1000)
