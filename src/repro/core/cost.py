@@ -11,20 +11,57 @@ Given a (compound) access pattern and a machine profile, the
    to the parts' footprints (Eq. 5.3), and
 4. scoring misses with their latencies and summing over levels
    (Eq. 3.1), optionally adding calibrated pure CPU time (Eq. 6.1).
+
+Eq. 3.1, ``T_mem = Σ_i M_i · l_i``, keeps what a pattern *misses* apart
+from what a miss *costs*, and so does this module.  Steps 1 - 3 are one
+pure function of ``(pattern, LevelGeometry, CacheState)`` —
+:func:`_evaluate`, which reads no latency and no hierarchy — and its
+answers are remembered in **one process-wide miss memo**; step 4 is
+:attr:`LevelCost.time_ns`, done afresh per machine.  Every
+:class:`CostModel` on every machine of equal geometry therefore shares
+the counted misses: a what-if sweep's candidates that differ in
+latency or cores, a server's tenants with equal catalogs, a profile
+republished after a latency-only recalibration.
+
+The memo
+--------
+*Key*: the compound pattern an entry point was asked about (its tree in
+part order — that fixes the float summation order — and every region's
+``(name, n, w)`` **along its whole parent chain**, which
+``DataRegion.__eq__`` leaves out and the state rules walk), the level
+geometry after any ⊙ scale-down, and the incoming cache state (its
+regions' parent chains included).  *Value*: the ``(MissPair,
+CacheState)`` the evaluation returned — never a latency, a hierarchy,
+a plan or a session.  *Where*: at the entry points only — what
+``estimate`` / ``level_misses`` / ``sequential_estimates`` /
+``concurrent_estimates`` ask per level and part — not at the nodes
+below them, and never for a basic pattern (cheaper to evaluate than to
+look up).  *Lifetime*: the process, or until :func:`miss_memo_clear`;
+:func:`miss_memo_info` says what it did.  *Bound*:
+:data:`MISS_MEMO_ENTRIES`, oldest entry out first (:func:`remember`).
+*Threads*: a hit is a lock-free ``dict.get``; every insert and eviction
+holds the memo's lock; two threads that miss on one key both evaluate
+and store equal values.  Compound nodes keep their structural hash (and
+their footprint per line size) once computed, so a lookup hashes in
+O(1) and a tree nobody looks up pays nothing.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..hardware.cache_level import CacheLevel
 from ..hardware.hierarchy import MemoryHierarchy
 from .misses import LevelGeometry, MissPair, basic_pattern_misses
 from .patterns import BasicPattern, Conc, Pattern, RTrav, Seq, STrav
+from .regions import DataRegion
 from .state import CacheState
 
 __all__ = ["CostModel", "CostEstimate", "LevelCost", "footprint_lines",
-           "cache_shares"]
+           "cache_shares", "remember", "MISS_MEMO_ENTRIES",
+           "MissMemoInfo", "miss_memo_info", "miss_memo_clear"]
 
 
 def footprint_lines(pattern: Pattern, line_size: int) -> float:
@@ -46,11 +83,19 @@ def footprint_lines(pattern: Pattern, line_size: int) -> float:
         return float(pattern.region.lines(line_size))
     if isinstance(pattern, BasicPattern):
         return float(pattern.region.lines(line_size))
-    if isinstance(pattern, Seq):
-        return max(footprint_lines(p, line_size) for p in pattern.parts)
-    if isinstance(pattern, Conc):
-        return sum(footprint_lines(p, line_size) for p in pattern.parts)
-    raise TypeError(f"not a pattern: {pattern!r}")
+    if not isinstance(pattern, (Seq, Conc)):
+        raise TypeError(f"not a pattern: {pattern!r}")
+    # A compound's footprint is asked once per level per ⊙ division it
+    # takes part in; it is kept on the (immutable) node per line size.
+    known = pattern._footprints
+    if known is None:
+        known = pattern._footprints = {}
+    lines = known.get(line_size)
+    if lines is None:
+        combine = max if isinstance(pattern, Seq) else sum
+        lines = known[line_size] = combine(
+            footprint_lines(p, line_size) for p in pattern.parts)
+    return lines
 
 
 def cache_shares(parts: "list[Pattern] | tuple[Pattern, ...]",
@@ -130,6 +175,12 @@ class CostEstimate:
 class CostModel:
     """Derives cost functions from pattern descriptions automatically.
 
+    A model holds nothing but its machine: the misses it counts come
+    from (and go to) the module's miss memo, shared by every model in
+    the process whose levels have the same geometry, and only the
+    scoring with ``hierarchy``'s latencies is this model's own (see the
+    module docstring).
+
     Parameters
     ----------
     hierarchy:
@@ -157,8 +208,8 @@ class CostModel:
     def level_misses(self, pattern: Pattern, level: CacheLevel,
                      state: CacheState | None = None) -> MissPair:
         """Predicted misses of ``pattern`` on one level (Eq. 4.1 pair)."""
-        pair, _ = self._evaluate(pattern, LevelGeometry.of(level),
-                                 state or CacheState.empty())
+        pair, _ = _evaluate(pattern, LevelGeometry.of(level),
+                            state or CacheState.empty())
         return pair
 
     def misses(self, pattern: Pattern) -> dict[str, MissPair]:
@@ -190,7 +241,7 @@ class CostModel:
                 if part is None:
                     pair = MissPair()
                 else:
-                    pair, state = self._evaluate(part, geo, state)
+                    pair, state = _evaluate(part, geo, state)
                 per_part_levels[i].append(LevelCost(level=level, misses=pair))
         return tuple(CostEstimate(levels=tuple(levels))
                      for levels in per_part_levels)
@@ -208,38 +259,190 @@ class CostModel:
         standalone, cost)."""
         per_part_levels: list[list[LevelCost]] = [[] for _ in parts]
         for level in self.hierarchy.all_levels:
-            shared = self._evaluate_shared(parts, LevelGeometry.of(level),
-                                           CacheState.empty())
-            for levels, (pair, _) in zip(per_part_levels, shared):
+            state = CacheState.empty()
+            shared = _shared(parts, LevelGeometry.of(level))
+            for levels, part, geo in zip(per_part_levels, parts, shared):
+                pair, _ = _evaluate(part, geo, state)
                 levels.append(LevelCost(level=level, misses=pair))
         return tuple(CostEstimate(levels=tuple(levels))
                      for levels in per_part_levels)
 
-    # ------------------------------------------------------------------
-    def _evaluate(self, pattern: Pattern, geo: LevelGeometry,
-                  state: CacheState) -> tuple[MissPair, CacheState]:
-        """Recursive evaluator returning (misses, resulting cache state).
 
-        ``geo`` already reflects any ⊙ cache-sharing scale-down.
-        """
-        if isinstance(pattern, BasicPattern):
-            return self._evaluate_basic(pattern, geo, state)
-        if isinstance(pattern, Seq):
-            # Eq. 5.2: thread the state left by each part into the next.
-            total = MissPair()
-            current = state
-            for part in pattern.parts:
-                pair, current = self._evaluate(part, geo, current)
-                total = total + pair
-            return total, current
-        if isinstance(pattern, Conc):
-            return self._evaluate_concurrent(pattern, geo, state)
-        raise TypeError(f"not a pattern: {pattern!r}")
+# ----------------------------------------------------------------------
+# Miss evaluation: a pure function of (pattern, geometry, incoming
+# state), remembered in one process-wide memo.
+# ----------------------------------------------------------------------
 
-    def _evaluate_basic(self, pattern: BasicPattern, geo: LevelGeometry,
-                        state: CacheState) -> tuple[MissPair, CacheState]:
-        """Eq. 5.1: initial-state benefit, then the Section 4 formulas."""
-        rho = state.cached_fraction(pattern.region)
+def remember(memo: dict, key, value, cap: int) -> None:
+    """Insert into a bounded memo, dropping its oldest entry when full.
+
+    The repo's one bounded-memo rule (this module's miss memo and both
+    pricing memos of :class:`~repro.service.InterferenceModel`): hits
+    are plain lock-free ``dict.get`` calls, every insert happens with
+    the memo's lock held — an unlocked ``del memo[next(iter(memo))]``
+    can raise "dictionary changed size during iteration" — and ``cap``
+    is read by the caller at call time."""
+    if len(memo) >= cap:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
+#: Entries the miss memo holds before it drops its oldest: four times
+#: the largest working set measured (520 entries — one 64-query stream
+#: priced on nine machines; a 48-query serving run keeps 274, 96 session
+#: queries 316).  A key keeps its pattern tree alive, measured at
+#: 2.0 - 7.1 KB per entry, so a full memo holds ≈ 4 - 15 MB.
+MISS_MEMO_ENTRIES = 2048
+
+
+class MissMemoInfo(NamedTuple):
+    """:func:`miss_memo_info`'s answer (``functools.lru_cache`` style)."""
+
+    hits: int
+    misses: int
+    entries: int
+
+
+_memo: "dict[_MemoKey, tuple[MissPair, CacheState]]" = {}
+_memo_lock = threading.Lock()
+_hits = 0
+_misses = 0
+
+
+def miss_memo_info() -> MissMemoInfo:
+    """Lookups served from / added to the miss memo since the last
+    :func:`miss_memo_clear`, and the entries it holds now.  Misses are
+    counted under the memo's lock; hits are not, so threads pricing
+    concurrently may under-count them."""
+    return MissMemoInfo(_hits, _misses, len(_memo))
+
+
+def miss_memo_clear() -> None:
+    """Forget every remembered evaluation and zero the counters."""
+    global _hits, _misses
+    with _memo_lock:
+        _memo.clear()
+        _hits = _misses = 0
+
+
+def _same_region(a: DataRegion | None, b: DataRegion | None) -> bool:
+    """Equal by value along the whole parent chain (``DataRegion.__eq__``
+    leaves ``parent`` out; the state rules walk it)."""
+    while a is not b:
+        if a is None or b is None or a != b:
+            return False
+        a, b = a.parent, b.parent
+    return True
+
+
+def _same_pattern(p: Pattern, q: Pattern) -> bool:
+    """``p == q`` and every region hangs under an equal parent chain."""
+    if p is q:
+        return True
+    if isinstance(p, BasicPattern):
+        return p == q and _same_region(p.region.parent, q.region.parent)
+    return (type(p) is type(q) and len(p.parts) == len(q.parts)
+            and all(map(_same_pattern, p.parts, q.parts)))
+
+
+def _congruent(fresh: Pattern, kept: Pattern) -> bool:
+    """:func:`_same_pattern` for the two compound roots of a memo
+    lookup — ``fresh`` being asked about, ``kept`` in a stored key —
+    with a positive verdict left on ``fresh``: a server's tenants and a
+    sweep's candidates build equal trees afresh and look each up many
+    times, and only the first lookup should walk them.  The pointer
+    only ever leads to a tree the memo holds (or held), never from one
+    to a tree that would otherwise die with its session."""
+    if fresh is kept:
+        return True
+    known = kept._twin or kept
+    if (fresh._twin or fresh) is known:
+        return True
+    if not _same_pattern(fresh, kept):
+        return False
+    if fresh._twin is None:
+        fresh._twin = known
+    return True
+
+
+class _MemoKey:
+    """Everything one evaluation reads — the pattern tree (part order
+    included: it fixes the float summation order), every region's
+    parent chain, the level geometry and the incoming state — and
+    nothing it does not: no latency, no hierarchy."""
+
+    __slots__ = ("pattern", "geo", "state", "kept", "_hash")
+
+    def __init__(self, pattern: Pattern, geo: LevelGeometry,
+                 state: CacheState) -> None:
+        self.pattern = pattern
+        self.geo = geo
+        self.state = state
+        self.kept = False  # set as the key goes into the memo
+        self._hash = hash((pattern, geo, state))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: "_MemoKey") -> bool:
+        fresh, kept = (other, self) if self.kept else (self, other)
+        mine, theirs = fresh.state.entries, kept.state.entries
+        return (fresh.geo == kept.geo and len(mine) == len(theirs)
+                and all(rho == other_rho and _same_region(region, other_region)
+                        for (region, rho), (other_region, other_rho)
+                        in zip(mine, theirs))
+                and _congruent(fresh.pattern, kept.pattern))
+
+
+def _evaluate(pattern: Pattern, geo: LevelGeometry, state: CacheState
+              ) -> tuple[MissPair, CacheState]:
+    """Misses of ``pattern`` on a level of geometry ``geo`` (any ⊙
+    scale-down already applied) entered in ``state``, and the state it
+    leaves: what every public method of :class:`CostModel` asks, served
+    from the miss memo when a congruent question was answered before.
+
+    Only these entry points are looked up, not the nodes the walk below
+    them visits, and a basic pattern is cheaper to evaluate than to look
+    up.  Measured on a cold 576-query sweep of nine machines: 5.45 M
+    Python calls without a memo, 1.26 M with entry points looked up
+    (5 589 lookups, 91 % hit, 520 entries kept), 1.22 M with every
+    compound node looked up (8 942 lookups, 67 % hit, 2 967 entries) —
+    the nodes below buy 3 % and cost six times the memory; and on a
+    475 000-node quick-sort tree whose halves are uniquely named, where
+    nothing can hit, looking up the root's children as well took 23 %
+    longer than no memo at all."""
+    if isinstance(pattern, BasicPattern):
+        return _walk(pattern, geo, state)
+    global _hits, _misses
+    key = _MemoKey(pattern, geo, state)
+    found = _memo.get(key)
+    if found is not None:
+        _hits += 1
+        return found
+    result = _walk(pattern, geo, state)
+    key.kept = True
+    with _memo_lock:
+        _misses += 1
+        remember(_memo, key, result, MISS_MEMO_ENTRIES)
+    return result
+
+
+def _shared(parts: "list[Pattern] | tuple[Pattern, ...]",
+            geo: LevelGeometry) -> list[LevelGeometry]:
+    """Eq. 5.3: the geometry each concurrent part sees — its footprint's
+    share of ``geo``."""
+    return [geo.scaled(max(fraction, 1e-9))
+            for fraction in cache_shares(parts, geo.line_size)]
+
+
+def _walk(pattern: Pattern, geo: LevelGeometry, state: CacheState
+          ) -> tuple[MissPair, CacheState]:
+    """The recursive evaluation itself (Eqs. 5.1 - 5.3), one frame per
+    pattern node."""
+    if isinstance(pattern, BasicPattern):
+        # Eq. 5.1: initial-state benefit, then the Section 4 formulas.
+        region = pattern.region
+        rho = state.cached_fraction(region)
         if rho >= 1.0:
             pair = MissPair()
         else:
@@ -248,23 +451,22 @@ class CostModel:
                 # Random patterns benefit from a partially resident region
                 # proportionally; sequential ones only from full residency.
                 pair = pair.scaled(1.0 - rho)
-        return pair, CacheState.after_pattern(pattern.region, geo.capacity)
-
-    def _evaluate_shared(self, parts, geo: LevelGeometry, state: CacheState):
-        """Eq. 5.3: every part evaluated on its footprint's share of
-        the cache, all from the same initial ``state``."""
-        shares = cache_shares(parts, geo.line_size)
-        for part, fraction in zip(parts, shares):
-            yield self._evaluate(part, geo.scaled(max(fraction, 1e-9)), state)
-
-    def _evaluate_concurrent(self, pattern: Conc, geo: LevelGeometry,
-                             state: CacheState) -> tuple[MissPair, CacheState]:
-        """The ⊙ compound: the shared parts' misses add up, their
-        resulting states merge."""
-        total = MissPair()
-        result_state = CacheState.empty()
-        for pair, part_state in self._evaluate_shared(pattern.parts, geo,
-                                                      state):
+        return pair, CacheState.after_pattern(region, geo.capacity)
+    total = MissPair()
+    if isinstance(pattern, Seq):
+        # Eq. 5.2: thread the state left by each part into the next.
+        for part in pattern.parts:
+            pair, state = _walk(part, geo, state)
             total = total + pair
-            result_state = result_state.merged(part_state)
-        return total, result_state
+        return total, state
+    if isinstance(pattern, Conc):
+        # Eq. 5.3: every part evaluated on its footprint's share of the
+        # cache, all from the same initial state; the parts' misses add
+        # up, their resulting states merge.
+        left = CacheState.empty()
+        for part, share in zip(pattern.parts, _shared(pattern.parts, geo)):
+            pair, part_state = _walk(part, share, state)
+            total = total + pair
+            left = left.merged(part_state)
+        return total, left
+    raise TypeError(f"not a pattern: {pattern!r}")

@@ -282,6 +282,13 @@ class _Compound(Pattern):
     """Shared behaviour of ``Seq`` and ``Conc``."""
 
     _symbol = "?"
+    #: Lazily filled per instance, each by its first asker: the
+    #: structural hash, the footprint per line size
+    #: (:func:`repro.core.cost.footprint_lines`), and a node the cost
+    #: evaluator's memo has compared this one with and found congruent.
+    _hash: int | None = None
+    _footprints: "dict[int, float] | None" = None
+    _twin: "_Compound | None" = None
 
     def __init__(self, parts: Iterable[Pattern]) -> None:
         parts = tuple(parts)
@@ -329,10 +336,20 @@ class _Compound(Pattern):
         return inner
 
     def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and self.parts == other.parts  # type: ignore[attr-defined]
+        if self is other:
+            return True
+        if type(self) is not type(other) or hash(self) != hash(other):
+            return False
+        return self.parts == other.parts  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.parts))
+        # Structural, computed on first use and kept: a compound is
+        # immutable, the cost evaluator's memo hashes the same node once
+        # per lookup, and a tree nobody ever hashes pays nothing.
+        cached = self._hash
+        if cached is None:
+            cached = self._hash = hash((type(self).__name__, self.parts))
+        return cached
 
 
 class Seq(_Compound):

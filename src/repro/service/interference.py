@@ -30,7 +30,7 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.cost import CostModel
+from ..core.cost import CostModel, remember
 from ..hardware.hierarchy import MemoryHierarchy
 from ..query.physical import QueryPlan
 
@@ -86,14 +86,6 @@ class CoRunPrediction:
 MEMO_ENTRIES = 4096
 
 
-def _remember(memo: dict, key, value) -> None:
-    """Insert into a pricing memo, dropping its oldest entry when full
-    (call with the model's lock held)."""
-    if len(memo) >= MEMO_ENTRIES:
-        del memo[next(iter(memo))]
-    memo[key] = value
-
-
 class InterferenceModel:
     """Prices co-run batches of physical plans by external ⊙
     composition.
@@ -143,7 +135,7 @@ class InterferenceModel:
             memory = (0.0 if pattern is None
                       else self.model.estimate(pattern).memory_ns)
             cpu = self.cpu_time_ns(plan)
-            _remember(self._solo, key, (plan, memory, cpu))
+            remember(self._solo, key, (plan, memory, cpu), MEMO_ENTRIES)
         return memory, cpu
 
     def co_run(self, plans: Sequence[QueryPlan]) -> CoRunPrediction:
@@ -157,7 +149,8 @@ class InterferenceModel:
             return cached[1]
         prediction = self._compose(plans)
         with self._memo_lock:
-            _remember(self._co_runs, key, (tuple(plans), prediction))
+            remember(self._co_runs, key, (tuple(plans), prediction),
+                     MEMO_ENTRIES)
         return prediction
 
     def _compose(self, plans: Sequence[QueryPlan]) -> CoRunPrediction:

@@ -27,6 +27,7 @@ from repro.whatif import (
     cost_proxy,
     derive_admission_slack,
 )
+from test_trace_golden import check_golden
 
 
 def small_workload(**overrides):
@@ -276,6 +277,30 @@ class TestCapturedWorkload:
         session, _ = generated.realize(baseline)
         with pytest.raises(ValueError, match="at least one"):
             CapturedWorkload.from_session(session, [])
+
+
+class TestGoldenSweep:
+    """Every priced number of every candidate of one small sweep, byte
+    for byte (``tests/golden/whatif_report.json``, generated on commit
+    240e5f0 — before miss evaluation was memoized).  To prove an
+    evaluator change moved nothing, copy this test and the golden into
+    a clone of the parent and run it there too; regenerate with
+    ``REPRO_UPDATE_GOLDEN=1`` only for a change that means to re-price.
+    """
+
+    def test_captured_sweep_report_is_pinned(self):
+        from repro.service import WorkloadGenerator
+        from repro.session import Session
+
+        session = Session()
+        generator = WorkloadGenerator.contention_heavy(
+            session=session, seed=7, scale=256)
+        workload = CapturedWorkload.from_session(
+            session, generator.generate(16, clients=8), clients=8)
+        space = ProfileSpace({"mem_ns": [100, 400], "cores": [2, 4]})
+        report = WhatIfSweep(space, workload).run(slo_p95_ns=5e6)
+        check_golden("whatif_report", json.dumps(
+            report.to_json(), indent=1, sort_keys=True))
 
 
 # ----------------------------------------------------------------------
