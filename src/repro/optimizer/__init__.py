@@ -2,14 +2,12 @@
 
 from .advisor import (
     CPU_CYCLES_PER_ITEM,
-    AdvisorRegistry,
     AggregateAdvisor,
     JoinAdvisor,
     JoinSpec,
     OperatorAdvisor,
     OperatorChoice,
     SortAdvisor,
-    default_registry,
 )
 
 __all__ = [
@@ -19,7 +17,5 @@ __all__ = [
     "JoinSpec",
     "SortAdvisor",
     "AggregateAdvisor",
-    "AdvisorRegistry",
-    "default_registry",
     "CPU_CYCLES_PER_ITEM",
 ]

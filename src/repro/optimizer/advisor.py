@@ -4,17 +4,17 @@
 algorithm and/or implementation for each operator" (Section 1).  An
 *operator advisor* enumerates the implementations of one operator kind,
 derives each one's cost with the automatically combined cost functions,
-and returns the ranking; the :class:`AdvisorRegistry` collects one
-advisor per operator kind (join, sort, aggregate) for the plan
-enumerator (:mod:`repro.query.optimizer`) to look up.  Each kind has
-its own consultation surface — the enumerator calls
+and returns the ranking.  There is one advisor per operator kind (join,
+sort, aggregate), each holding the one admissibility rule of its kind:
+which variants the engine could run under a memory budget.  The plan
+enumerator (:class:`repro.query.Optimizer`) builds all three from its
+planner config, on ``PlannerConfig.memory_budget``, and asks them
 ``JoinAdvisor.candidate_specs(U, V, ...)``,
-``SortAdvisor.stop_bytes()`` and
-``AggregateAdvisor.candidate_specs(composite_input=...)`` — so a
-replacement advisor registered for a kind must match that kind's
-signatures.  The logical component (cardinalities) is assumed perfect,
-as in the paper ("we assume a perfect oracle to predict the data
-volumes").
+``SortAdvisor.needs_external(U)`` / ``stop_bytes()`` and
+``AggregateAdvisor.candidate_specs(composite_input=...)``; built
+standalone, an advisor ranks implementations under its own budget.
+The logical component (cardinalities) is assumed perfect, as in the
+paper ("we assume a perfect oracle to predict the data volumes").
 
 Every implementation is scored by reading its entry in the operator
 catalog (:class:`repro.core.Algorithm`): the entry's phases give the
@@ -60,8 +60,6 @@ __all__ = [
     "JoinAdvisor",
     "SortAdvisor",
     "AggregateAdvisor",
-    "AdvisorRegistry",
-    "default_registry",
     "CPU_CYCLES_PER_ITEM",
 ]
 
@@ -105,7 +103,7 @@ class OperatorAdvisor:
         when footprints exceed the budget.
     """
 
-    #: Operator kind this advisor covers (registry key).
+    #: Operator kind this advisor covers (:attr:`OperatorChoice.operator`).
     operator: str = "?"
 
     def __init__(self, hierarchy: MemoryHierarchy,
@@ -122,14 +120,13 @@ class OperatorAdvisor:
     def _exceeds_budget(self, nbytes: int) -> bool:
         return self.memory_budget is not None and nbytes > self.memory_budget
 
-    def _budget(self, memory_budget: int | None) -> int:
-        """The budget a spilling variant is scored under: the explicit
-        one, else the advisor's (which must then be set)."""
-        budget = self.memory_budget if memory_budget is None else memory_budget
-        if budget is None:
+    def _budget(self) -> int:
+        """The budget a spilling variant is scored under: the
+        advisor's, which must then be set."""
+        if self.memory_budget is None:
             raise ValueError(
                 "a spilling implementation needs a memory budget")
-        return budget
+        return self.memory_budget
 
     def _choice(self, algorithm: Algorithm, *operands) -> OperatorChoice:
         """``algorithm`` scored on ``operands`` by its catalog entry."""
@@ -188,13 +185,10 @@ class JoinAdvisor(OperatorAdvisor):
         return self._choice(NESTED_LOOP_JOIN, U, V, W)
 
     def grace_hash_join_choice(self, U: DataRegion, V: DataRegion,
-                               W: DataRegion,
-                               memory_budget: int | None = None
-                               ) -> OperatorChoice:
-        """The spilling partitioned hash join under ``memory_budget``
-        (defaults to the advisor's budget, which must then be set)."""
-        return self._choice(GRACE_HASH_JOIN, U, V, W,
-                            self._budget(memory_budget))
+                               W: DataRegion) -> OperatorChoice:
+        """The spilling partitioned hash join under the advisor's
+        budget (which must be set)."""
+        return self._choice(GRACE_HASH_JOIN, U, V, W, self._budget())
 
     # ------------------------------------------------------------------
     def recommend_partitions(self, V: DataRegion,
@@ -297,12 +291,12 @@ class SortAdvisor(OperatorAdvisor):
     def quick_sort_choice(self, U: DataRegion) -> OperatorChoice:
         return self._choice(QUICK_SORT, U, self.stop_bytes())
 
-    def external_sort_choice(self, U: DataRegion,
-                             memory_budget: int | None = None
-                             ) -> OperatorChoice:
+    def external_sort_choice(self, U: DataRegion) -> OperatorChoice:
+        """External merge sort under the advisor's budget (which must
+        be set)."""
         W = DataRegion(f"sort({U.name})", n=U.n, w=U.w)
-        return self._choice(EXTERNAL_MERGE_SORT, U, W,
-                            self._budget(memory_budget), self.stop_bytes())
+        return self._choice(EXTERNAL_MERGE_SORT, U, W, self._budget(),
+                            self.stop_bytes())
 
     def rank(self, U: DataRegion) -> list[OperatorChoice]:
         if self.needs_external(U):
@@ -329,13 +323,12 @@ class AggregateAdvisor(OperatorAdvisor):
         return self._choice(SORT_AGGREGATE, U, self._output_region(groups),
                             self._min_cache_bytes())
 
-    def spilling_choice(self, U: DataRegion, groups: int,
-                        memory_budget: int | None = None) -> OperatorChoice:
-        """The partitioned (spilling) hash aggregate under
-        ``memory_budget`` (defaults to the advisor's budget)."""
+    def spilling_choice(self, U: DataRegion, groups: int) -> OperatorChoice:
+        """The partitioned (spilling) hash aggregate under the
+        advisor's budget (which must be set)."""
         return self._choice(SPILLING_HASH_AGGREGATE, U,
                             self._output_region(groups), groups,
-                            self._budget(memory_budget))
+                            self._budget())
 
     def _admissibility(self, U: DataRegion | None, groups: int | None,
                        composite_input: bool) -> tuple[bool, bool]:
@@ -377,48 +370,3 @@ class AggregateAdvisor(OperatorAdvisor):
              composite_input: bool = False) -> OperatorChoice:
         return self.rank(U, groups, composite_input)[0]
 
-
-class AdvisorRegistry:
-    """Per-operator-kind advisor lookup, consulted by the plan
-    enumerator for implementation candidates and their parameters."""
-
-    def __init__(self, advisors: tuple[OperatorAdvisor, ...] = ()) -> None:
-        self._by_operator: dict[str, OperatorAdvisor] = {}
-        for advisor in advisors:
-            self.register(advisor)
-
-    def register(self, advisor: OperatorAdvisor) -> "AdvisorRegistry":
-        self._by_operator[advisor.operator] = advisor
-        return self
-
-    def advisor(self, operator: str) -> OperatorAdvisor:
-        try:
-            return self._by_operator[operator]
-        except KeyError:
-            raise KeyError(
-                f"no advisor registered for operator {operator!r} "
-                f"(have: {sorted(self._by_operator)})"
-            ) from None
-
-    def operators(self) -> list[str]:
-        return sorted(self._by_operator)
-
-    def __contains__(self, operator: str) -> bool:
-        return operator in self._by_operator
-
-
-def default_registry(hierarchy: MemoryHierarchy,
-                     inputs_sorted: bool = False,
-                     memory_budget: int | None = None) -> AdvisorRegistry:
-    """The standard advisor set: join, sort and aggregate.
-
-    ``memory_budget`` (bytes of working memory per operator, ``None``
-    for unbounded) makes every advisor rule out in-memory variants
-    whose working structures cannot be held, offering the spilling
-    implementations instead."""
-    return AdvisorRegistry((
-        JoinAdvisor(hierarchy, inputs_sorted=inputs_sorted,
-                    memory_budget=memory_budget),
-        SortAdvisor(hierarchy, memory_budget=memory_budget),
-        AggregateAdvisor(hierarchy, memory_budget=memory_budget),
-    ))

@@ -8,17 +8,20 @@ operator".  Given a logical tree (:mod:`repro.query.logical`), it
 * enumerates **join orders** (all binary association trees over the
   flattened n-way join — exhaustively for small queries, by dynamic
   programming over relation subsets beyond that),
-* selects an **implementation per operator** by consulting the
-  :class:`~repro.optimizer.AdvisorRegistry` (merge vs. hash vs.
-  partitioned hash vs. nested-loop join; hash vs. sort aggregation),
+* selects an **implementation per operator** by asking its three
+  advisors (:mod:`repro.optimizer`: join, sort, aggregate — built from
+  the planner config) which variants are admissible (merge vs. hash vs.
+  partitioned hash vs. nested-loop join; hash vs. sort aggregation;
+  the spilling variant wherever a working structure exceeds the
+  config's memory budget),
 * places **sort-ahead** operators where a merge join needs order it
   does not have, injects **partition counts** for partitioned hash
   joins, and inserts key **projections** between joins,
 
 and ranks every candidate by :meth:`CostModel.estimate
 <repro.core.CostModel.estimate>` applied to the candidate's whole-plan
-access pattern — pipeline-aware (``⊙`` across pipelined edges) by
-default — plus the shared per-operator CPU calibration.
+access pattern — pipeline-aware (``⊙`` across pipelined edges) — plus
+the shared per-operator CPU calibration.
 
 The dynamic program keeps, per relation subset, the cheapest sub-plan
 for each *interesting order* (sorted / unsorted output), pricing
@@ -36,13 +39,7 @@ from itertools import combinations
 from ..core.cost import CostEstimate, CostModel
 from ..hardware.hierarchy import MemoryHierarchy
 from .observe import Explanation
-from ..optimizer.advisor import (
-    AdvisorRegistry,
-    AggregateAdvisor,
-    JoinAdvisor,
-    SortAdvisor,
-    default_registry,
-)
+from ..optimizer.advisor import AggregateAdvisor, JoinAdvisor, SortAdvisor
 from .logical import Aggregate, Filter, Join, LogicalOp, Relation, Sort
 from .physical import (
     AggregateNode,
@@ -75,20 +72,23 @@ MAX_EXHAUSTIVE_RELATIONS = 3
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    """Enumeration knobs.
+    """Enumeration knobs, checked on construction.
 
-    ``pipeline`` selects pipeline-aware (``⊙``) whole-plan costing.
+    The config is the planner's only input besides the machine profile:
+    its frozen ``repr`` is part of every plan-cache key, so a plan never
+    leaks across configs.
     """
 
+    #: Whether nested-loop joins are enumerated too.
     include_nested_loop: bool = False
-    pipeline: bool = True
     #: Working-memory bound per operator in bytes (sort area, hash
-    #: table, group table), or ``None`` for unbounded.  With a budget,
+    #: table, group table), or ``None`` for unbounded — the one budget
+    #: of a plan: the enumerator's advisors decide admissibility under
+    #: it and every spilling node is built with it.  With a budget,
     #: in-memory implementations whose working structures exceed it are
     #: inadmissible and the enumerator builds their spilling variants
     #: (external merge sort, grace hash join, spilling aggregate)
-    #: instead.  Part of this frozen config's ``repr`` and therefore of
-    #: every plan-cache key: cached plans never leak across budgets.
+    #: instead.
     memory_budget: int | None = None
     #: Execution mode plans run under: ``"vectorized"`` (chunked
     #: kernels over contiguous columns with range-coalesced simulator
@@ -99,6 +99,14 @@ class PlannerConfig:
     #: ``repr`` and therefore of every plan-cache key, like every other
     #: planner knob.
     execution: str = "vectorized"
+
+    def __post_init__(self) -> None:
+        if self.memory_budget is not None and self.memory_budget < 1:
+            raise ValueError("memory_budget must be positive (or None)")
+        if self.execution not in ("scalar", "vectorized"):
+            raise ValueError(
+                "execution mode must be 'scalar' or 'vectorized', "
+                f"got {self.execution!r}")
 
 
 @dataclass(frozen=True)
@@ -156,13 +164,13 @@ class PlannedQuery:
     def __iter__(self):
         return iter(self.candidates)
 
-    def explanation(self, model: CostModel, pipeline: bool = True,
+    def explanation(self, model: CostModel,
                     cache_hit: bool | None = None) -> Explanation:
-        """The chosen plan's typed :class:`~repro.query.Explanation`,
-        stamped with this compilation's plan signature (and, when the
-        caller knows it, the compile's plan-cache provenance)."""
-        return self.plan.explanation(model, pipeline=pipeline,
-                                     signature=self.best.signature,
+        """The chosen plan's typed :class:`~repro.query.Explanation`
+        (pipeline-aware, as the plan was ranked), stamped with this
+        compilation's plan signature (and, when the caller knows it,
+        the compile's plan-cache provenance)."""
+        return self.plan.explanation(model, signature=self.best.signature,
                                      cache_hit=cache_hit)
 
     def summary(self, limit: int = 8) -> str:
@@ -188,68 +196,42 @@ class Optimizer:
     hierarchy:
         Machine profile the plans are costed against.
     config:
-        Enumeration knobs (:class:`PlannerConfig`).
-    registry:
-        Operator advisors; defaults to
-        :func:`repro.optimizer.default_registry`.
+        Enumeration knobs (:class:`PlannerConfig`).  The optimizer
+        builds its join, sort and aggregate advisors from it, on
+        ``config.memory_budget``; that budget is also the one every
+        spilling node is built with.
 
     Optimizers are **re-entrant**: :meth:`optimize` touches no mutable
     instance state (enumeration memos are call-local), so one instance
     may serve several sessions — or interleaved calls — concurrently.
-    Any plan cache is passed per call, never stored on the optimizer.
+    Plan caching is the caller's: :meth:`cache_key` is the key a
+    :class:`repro.session.PlanCache` stores :meth:`optimize`'s result
+    under.
     """
 
     def __init__(self, hierarchy: MemoryHierarchy,
-                 config: PlannerConfig | None = None,
-                 registry: AdvisorRegistry | None = None) -> None:
+                 config: PlannerConfig | None = None) -> None:
         self.hierarchy = hierarchy
         self.model = CostModel(hierarchy)
         self.config = config or PlannerConfig()
-        self.registry = registry or default_registry(
-            hierarchy, memory_budget=self.config.memory_budget)
         self.fingerprint = hierarchy.fingerprint()
-        # Cache-key component for the advisor registry: all default
-        # registries on one profile are interchangeable; a custom
-        # registry keys by identity so optimizers sharing a cache never
-        # serve plans enumerated under someone else's advisors.
-        self._registry_token = (
-            "default" if registry is None
-            else f"{type(registry).__name__}@{id(registry):x}")
+        budget = self.config.memory_budget
+        self.join_advisor = JoinAdvisor(hierarchy, memory_budget=budget)
+        self.sort_advisor = SortAdvisor(hierarchy, memory_budget=budget)
+        self.aggregate_advisor = AggregateAdvisor(hierarchy,
+                                                  memory_budget=budget)
 
     # ------------------------------------------------------------------
-    @property
-    def _join_advisor(self) -> JoinAdvisor:
-        return self.registry.advisor("join")
-
-    @property
-    def _sort_advisor(self) -> SortAdvisor:
-        return self.registry.advisor("sort")
-
-    @property
-    def _aggregate_advisor(self) -> AggregateAdvisor:
-        return self.registry.advisor("aggregate")
-
     def _stop_bytes(self) -> int:
-        return self._sort_advisor.stop_bytes()
-
-    def _effective_budget(self, advisor) -> int | None:
-        """The budget a spilling node is built with: the planner
-        config's, or — for a custom registry carrying its own budget
-        under a budget-less config — the deciding advisor's.  The
-        advisor that ruled the in-memory variant inadmissible always
-        has one."""
-        if self.config.memory_budget is not None:
-            return self.config.memory_budget
-        return advisor.memory_budget
+        return self.sort_advisor.stop_bytes()
 
     def _sort_node(self, child: PlanNode) -> PlanNode:
         """The admissible sort of ``child``'s output: in-place
         quick-sort, or external merge sort once the input exceeds the
         memory budget (the sort advisor's call)."""
-        if self._sort_advisor.needs_external(child.output_region()):
-            return ExternalSortNode(
-                child, self._effective_budget(self._sort_advisor),
-                stop_bytes=self._stop_bytes())
+        if self.sort_advisor.needs_external(child.output_region()):
+            return ExternalSortNode(child, self.config.memory_budget,
+                                    stop_bytes=self._stop_bytes())
         return SortNode(child, stop_bytes=self._stop_bytes())
 
     # ------------------------------------------------------------------
@@ -265,49 +247,30 @@ class Optimizer:
         return method
 
     def cache_key(self, logical: LogicalOp,
-                  method: str = "auto") -> tuple[str, str, str, str, str]:
+                  method: str = "auto") -> tuple[str, str, str, str]:
         """The plan-cache key for ``logical`` under this optimizer:
-        (profile fingerprint, planner config, advisor registry,
-        resolved enumeration method, canonical logical tree).
-        ``"auto"`` is resolved first, so it shares entries with the
-        equivalent explicit method."""
-        return (self.fingerprint, repr(self.config), self._registry_token,
+        (profile fingerprint, planner config, resolved enumeration
+        method, canonical logical tree).  ``"auto"`` is resolved first,
+        so it shares entries with the equivalent explicit method."""
+        return (self.fingerprint, repr(self.config),
                 self._resolve_method(logical, method),
                 logical.canonical_key())
 
-    def optimize(self, logical: LogicalOp, method: str = "auto",
-                 cache=None) -> PlannedQuery:
+    def optimize(self, logical: LogicalOp,
+                 method: str = "auto") -> PlannedQuery:
         """Enumerate, cost, and rank plans for ``logical``.
 
         ``method`` is ``"exhaustive"`` (every join order costed as a
         whole plan), ``"dp"`` (dynamic programming over relation
         subsets), or ``"auto"`` (exhaustive up to
-        :data:`MAX_EXHAUSTIVE_RELATIONS` base relations).
-
-        ``cache`` is an optional plan cache (anything with
-        ``get(key) -> PlannedQuery | None`` and ``put(key, value)``,
-        e.g. :class:`repro.session.PlanCache`): a hit under
-        :meth:`cache_key` returns the previously enumerated
-        :class:`PlannedQuery` without re-running enumeration; a miss
-        enumerates and stores."""
+        :data:`MAX_EXHAUSTIVE_RELATIONS` base relations)."""
         method = self._resolve_method(logical, method)
-        if cache is None:
-            return self._enumerate(logical, method)
-        key = self.cache_key(logical, method)
-        planned = cache.get(key)
-        if planned is None:
-            planned = self._enumerate(logical, method)
-            cache.put(key, planned)
-        return planned
-
-    def _enumerate(self, logical: LogicalOp, method: str) -> PlannedQuery:
         roots = self._alternatives(logical, use_dp=(method == "dp"))
         return PlannedQuery([self._candidate(root) for root in roots])
 
     def _candidate(self, root: PlanNode) -> PlanCandidate:
         plan = QueryPlan(root)
-        return PlanCandidate(plan=plan, estimate=plan.estimate(
-            self.model, pipeline=self.config.pipeline))
+        return PlanCandidate(plan=plan, estimate=plan.estimate(self.model))
 
     # ------------------------------------------------------------------
     def _alternatives(self, op: LogicalOp, use_dp: bool) -> list[PlanNode]:
@@ -332,12 +295,11 @@ class Optimizer:
                 return [AggregateNode(self._canonical(op.child),
                                       groups=op.groups, key_of=op.key_of)]
             out: list[PlanNode] = []
-            specs = self._aggregate_advisor.candidate_specs
+            specs = self.aggregate_advisor.candidate_specs
             params = dict(
                 groups=op.groups, key_of=op.key_of,
                 stop_bytes=self._stop_bytes(),
-                memory_budget=self._effective_budget(
-                    self._aggregate_advisor))
+                memory_budget=self.config.memory_budget)
             for alt in self._alternatives(op.child, use_dp):
                 if op.key_of is None and alt.produces_pairs:
                     # Group by the join key: narrow the pair output to
@@ -476,8 +438,7 @@ class Optimizer:
         return [node for _, node in best[indices].values()]
 
     def _standalone_cost(self, node: PlanNode) -> float:
-        return QueryPlan(node).estimate(
-            self.model, pipeline=self.config.pipeline).total_ns
+        return QueryPlan(node).estimate(self.model).total_ns
 
     # -- per-join implementation selection ------------------------------
     def _key_input(self, node: PlanNode) -> PlanNode:
@@ -496,9 +457,8 @@ class Optimizer:
         left = self._key_input(left)
         right = self._key_input(right)
         U, V = left.output_region(), right.output_region()
-        budget = self._effective_budget(self._join_advisor)
         impls: list[PlanNode] = []
-        for spec in self._join_advisor.candidate_specs(
+        for spec in self.join_advisor.candidate_specs(
                 U, V, include_nested_loop=self.config.include_nested_loop):
             m = spec.partitions
             if m is not None:
@@ -510,7 +470,7 @@ class Optimizer:
             impls.append(implementation(
                 spec.algorithm, (left, right), self._sorted_input,
                 match_fraction=match_fraction, partitions=m,
-                memory_budget=budget))
+                memory_budget=self.config.memory_budget))
         return impls
 
 

@@ -190,7 +190,6 @@ def measure_solo(session: Session, plan: QueryPlan,
     executor and the query server use."""
     with _engine_on(session, mem) as db:
         return measure_plan(db, plan, session.model,
-                            pipeline=session.config.pipeline,
                             signature=plan.signature)
 
 

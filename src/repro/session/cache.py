@@ -76,44 +76,14 @@ class PlanCache:
         for observer in self._observers:
             observer(event, count)
 
-    def get(self, key: Hashable) -> PlannedQuery | None:
-        """The cached plan for ``key``, or ``None`` (counts a miss)."""
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                self.misses += 1
-                value = None
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-        self._notify("hit" if value is not None else "miss")
-        return value
-
-    def put(self, key: Hashable, value: PlannedQuery) -> None:
-        """Store a compiled plan, evicting the least recently used
-        entry beyond ``max_entries``."""
-        with self._lock:
-            retired = self._put_locked(key, value)
-        if retired:
-            self._notify("retire", retired)
-
-    def _put_locked(self, key: Hashable, value: PlannedQuery) -> int:
-        """Insert under the held lock; returns how many LRU entries
-        were retired to make room (callers notify outside the lock)."""
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        retired = 0
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            retired += 1
-        return retired
-
     def get_or_compute(self, key: Hashable,
                        compute: Callable[[], PlannedQuery]
                        ) -> tuple[PlannedQuery, bool]:
         """The cached plan for ``key``, compiling it via ``compute``
-        on a miss; returns ``(plan, was_hit)``.
+        on a miss; returns ``(plan, was_hit)``.  The cache's one
+        lookup: a hit refreshes the entry, a miss stores the compiled
+        plan and evicts the least recently used entries beyond
+        ``max_entries``.
 
         Concurrency contract: for each key at most one thread runs
         ``compute`` at a time — contenders block on the owner's gate
@@ -151,7 +121,11 @@ class PlanCache:
                 raise
             with self._lock:
                 self.misses += 1
-                retired = self._put_locked(key, value)
+                self._entries[key] = value
+                retired = 0
+                while len(self._entries) > self.max_entries:
+                    self._entries.popitem(last=False)
+                    retired += 1
                 del self._inflight[key]
             gate.set()
             self._notify("miss")

@@ -124,10 +124,6 @@ class Session:
                     f"{memory_budget}")
             self.config = replace(self.config, memory_budget=memory_budget)
         if execution is not None:
-            if execution not in ("scalar", "vectorized"):
-                raise ValueError(
-                    "execution mode must be 'scalar' or 'vectorized', "
-                    f"got {execution!r}")
             self.config = replace(self.config, execution=execution)
         # `cache or ...` would drop a shared cache that is still empty
         # (PlanCache defines __len__, so an empty cache is falsy)
@@ -314,8 +310,6 @@ class Session:
         wall_start = time.perf_counter_ns()
         self._sync_profile()
         logical = self.as_logical(q)
-        # One key derivation per compile: get_or_compute here instead
-        # of passing the cache into optimize (which would re-derive it).
         key = self.optimizer.cache_key(logical)
         optimizer = self.optimizer  # pinned: a sibling's profile
         #                             switch must not retarget mid-call
@@ -383,7 +377,6 @@ class Session:
         execution time."""
         planned = self.compile(q)
         explanation = planned.explanation(self.model,
-                                          pipeline=self.config.pipeline,
                                           cache_hit=self.last_compile_cached)
         with self.db.execution_scope(self.config.execution):
             return execute_result(self.db, planned.plan, explanation,
@@ -400,9 +393,7 @@ class Session:
         """
         planned = self.compile(q)
         cache_hit = self.last_compile_cached
-        explanation = planned.explanation(self.model,
-                                          pipeline=self.config.pipeline,
-                                          cache_hit=cache_hit)
+        explanation = planned.explanation(self.model, cache_hit=cache_hit)
         # ``cold=True`` resets the engine clock to zero before running,
         # so the execute span starts at 0; warm runs start at the
         # engine's current simulated time.
@@ -427,7 +418,6 @@ class Session:
         rendered breakdown."""
         planned = self.compile(q)
         return planned.explanation(self.model,
-                                   pipeline=self.config.pipeline,
                                    cache_hit=self.last_compile_cached)
 
     # ------------------------------------------------------------------

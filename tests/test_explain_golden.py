@@ -56,7 +56,7 @@ def make_session(hierarchy, memory_budget=None) -> Session:
 
 def rendered_plan(session: Session, query: str) -> str:
     plan = session.compile(query).plan
-    return plan.explain(session.model, pipeline=session.config.pipeline)
+    return plan.explain(session.model)
 
 
 QUERIES = {

@@ -111,8 +111,7 @@ class TestGoldenByteParity:
                                 ("disk", disk_session)):
             golden = (GOLDEN_DIR / f"{prefix}_{name}.txt").read_text()
             planned = session.compile(QUERIES[name])
-            explanation = planned.explanation(
-                session.model, pipeline=session.config.pipeline)
+            explanation = planned.explanation(session.model)
             assert explanation.to_text() == golden.rstrip("\n")
 
     def test_session_explain_query_appends_provenance(self, mem_session):

@@ -5,13 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core import CostModel, DataRegion
 from repro.hardware import origin2000, origin2000_scaled
-from repro.optimizer import (
-    AdvisorRegistry,
-    AggregateAdvisor,
-    JoinAdvisor,
-    SortAdvisor,
-    default_registry,
-)
+from repro.optimizer import AggregateAdvisor, JoinAdvisor, SortAdvisor
 from repro.query import (
     AggregateNode,
     ExternalSortNode,
@@ -140,23 +134,19 @@ class TestCandidateSpecs:
 
 
 class TestRegistry:
-    def test_default_registry_covers_operator_kinds(self, origin):
-        registry = default_registry(origin)
-        assert registry.operators() == ["aggregate", "join", "sort"]
-        assert isinstance(registry.advisor("join"), JoinAdvisor)
-        assert isinstance(registry.advisor("sort"), SortAdvisor)
-        assert isinstance(registry.advisor("aggregate"), AggregateAdvisor)
-
-    def test_unknown_operator_raises(self, origin):
-        with pytest.raises(KeyError):
-            default_registry(origin).advisor("window")
-
-    def test_registration_overrides(self, origin):
-        registry = AdvisorRegistry()
-        advisor = SortAdvisor(origin)
-        registry.register(advisor)
-        assert "sort" in registry
-        assert registry.advisor("sort") is advisor
+    def test_optimizer_advisors_cover_operator_kinds(self, origin):
+        """The enumerator builds one advisor per operator kind from its
+        planner config, on the config's one memory budget."""
+        from repro.query import Optimizer, PlannerConfig
+        for budget in (None, 4096):
+            opt = Optimizer(origin, PlannerConfig(memory_budget=budget))
+            advisors = (opt.join_advisor, opt.sort_advisor,
+                        opt.aggregate_advisor)
+            assert [type(a) for a in advisors] == [
+                JoinAdvisor, SortAdvisor, AggregateAdvisor]
+            assert [a.operator for a in advisors] == [
+                "join", "sort", "aggregate"]
+            assert all(a.memory_budget == budget for a in advisors)
 
     def test_cpu_calibration_shared_with_core(self):
         from repro.core.cpu import CPU_CYCLES_PER_ITEM as core_table

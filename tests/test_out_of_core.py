@@ -43,7 +43,7 @@ from repro.hardware import (
     disk_extended_scaled,
     modern_x86,
 )
-from repro.optimizer.advisor import default_registry
+from repro.optimizer import AggregateAdvisor, JoinAdvisor, SortAdvisor
 from repro.query import PlannerConfig
 from repro.query.physical import (
     ExternalSortNode,
@@ -343,8 +343,7 @@ class TestSpillingOperators:
 
 class TestBudgetAwarePlanning:
     def test_join_advisor_swaps_to_grace_over_budget(self, disk):
-        registry = default_registry(disk, memory_budget=2048)
-        advisor = registry.advisor("join")
+        advisor = JoinAdvisor(disk, memory_budget=2048)
         U = DataRegion("U", n=1024, w=8)
         V = DataRegion("V", n=1024, w=8)
         names = [s.algorithm for s in advisor.candidate_specs(U, V)]
@@ -357,16 +356,14 @@ class TestBudgetAwarePlanning:
         assert "hash_join" in names and "grace_hash_join" not in names
 
     def test_sort_advisor_needs_external(self, disk):
-        registry = default_registry(disk, memory_budget=2048)
-        advisor = registry.advisor("sort")
+        advisor = SortAdvisor(disk, memory_budget=2048)
         assert advisor.needs_external(DataRegion("U", n=1024, w=8))
         assert not advisor.needs_external(DataRegion("U", n=64, w=8))
         choice = advisor.best(DataRegion("U", n=1024, w=8))
         assert choice.algorithm == "external_merge_sort"
 
     def test_aggregate_advisor_spills_on_group_table(self, disk):
-        registry = default_registry(disk, memory_budget=1024)
-        advisor = registry.advisor("aggregate")
+        advisor = AggregateAdvisor(disk, memory_budget=1024)
         specs = advisor.candidate_specs(groups=1024,
                                         U=DataRegion("U", n=4096, w=8))
         assert specs == ["spilling_hash_aggregate"]
@@ -646,19 +643,18 @@ class TestReviewRegressions:
         assert pair.total == pytest.approx(level.misses, rel=BAND)
 
     def test_custom_budgeted_registry_with_default_config(self, disk):
-        """A registry carrying its own budget under a budget-less
-        planner config must still build valid spilling nodes (taking
-        the budget from the deciding advisor)."""
+        """The planner config's budget is the one budget: every
+        spilling node of every candidate is built with it."""
         from repro.query import Optimizer
         from repro.query.logical import Aggregate, Join, Relation
         db = Database(disk)
         a = db.create_column("A", random_permutation(512, seed=1), width=8)
         b = db.create_column("B", random_permutation(512, seed=2), width=8)
-        registry = default_registry(disk, memory_budget=1024)
-        opt = Optimizer(disk, registry=registry)
+        opt = Optimizer(disk, PlannerConfig(memory_budget=1024))
         planned = opt.optimize(Aggregate(
             Join(Relation.of_column(a), Relation.of_column(b)), groups=512))
-        spillers = [n for n in planned.plan.root.walk() if n.spills]
+        spillers = [n for cand in planned for n in cand.plan.root.walk()
+                    if n.spills]
         assert spillers
         for node in spillers:
             assert node.memory_budget == 1024
@@ -693,8 +689,7 @@ class TestReviewRegressions:
     def test_join_advisor_rank_mirrors_candidate_specs(self, disk):
         """When the spill fan-out clamps to 1 (single-row input), rank
         must not offer a grace choice that candidate_specs excludes."""
-        registry = default_registry(disk, memory_budget=1024)
-        advisor = registry.advisor("join")
+        advisor = JoinAdvisor(disk, memory_budget=1024)
         U = DataRegion("U", n=1, w=8)
         V = DataRegion("V", n=4096, w=8)
         W = DataRegion("W", n=1, w=16)
@@ -703,9 +698,9 @@ class TestReviewRegressions:
         assert rank_names == spec_names == {"merge_join"}
 
     def test_zero_budget_override_rejected(self, disk):
-        """An explicit memory_budget=0 override is invalid everywhere —
-        it must not silently fall back to the advisor's budget."""
-        registry = default_registry(disk, memory_budget=4096)
-        U = DataRegion("U", n=1024, w=8)
-        with pytest.raises(ValueError):
-            registry.advisor("sort").external_sort_choice(U, memory_budget=0)
+        """A zero budget is rejected where it is set — by the planner
+        config, before any session compiles (and caches) a plan."""
+        with pytest.raises(ValueError, match="memory_budget"):
+            PlannerConfig(memory_budget=0)
+        with pytest.raises(ValueError, match="memory_budget"):
+            Session(hierarchy=disk, memory_budget=0)

@@ -389,13 +389,21 @@ class TestRestoreKeepsTheStorageKind:
         assert column.values is copy  # taken back without re-packing
 
 
+def compiled(cache, optimizer, logical):
+    """``optimizer``'s plans for ``logical`` through ``cache``'s one
+    door, as :meth:`Session.compile` goes through it."""
+    planned, _ = cache.get_or_compute(optimizer.cache_key(logical),
+                                      lambda: optimizer.optimize(logical))
+    return planned
+
+
 class TestPlanCache:
     def test_lru_eviction(self):
         cache = PlanCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refreshes a
-        cache.put("c", 3)           # evicts b
+        cache.get_or_compute("a", lambda: 1)
+        cache.get_or_compute("b", lambda: 2)
+        assert cache.get_or_compute("a", lambda: 9) == (1, True)  # refresh
+        cache.get_or_compute("c", lambda: 3)                      # evicts b
         assert "b" not in cache and "a" in cache and "c" in cache
         assert len(cache) == 2
 
@@ -405,9 +413,10 @@ class TestPlanCache:
 
     def test_clear(self):
         cache = PlanCache()
-        cache.put("a", 1)
-        cache.clear()
+        cache.get_or_compute("a", lambda: 1)
+        assert cache.clear() == 1
         assert len(cache) == 0
+        assert cache.get_or_compute("a", lambda: 2) == (2, False)
 
     def test_shared_cache_across_sessions(self, scaled):
         """Sessions on one profile may share a cache; keys embed the
@@ -461,27 +470,25 @@ class TestSessionLifecycle:
         opt = Optimizer(scaled, PlannerConfig())
         logical = builder_query(session).logical()
         cache_a, cache_b = PlanCache(), PlanCache()
-        first_a = opt.optimize(logical, cache=cache_a)
-        first_b = opt.optimize(logical, cache=cache_b)
+        first_a = compiled(cache_a, opt, logical)
+        first_b = compiled(cache_b, opt, logical)
         assert first_a is not first_b
-        assert opt.optimize(logical, cache=cache_a) is first_a
-        assert opt.optimize(logical, cache=cache_b) is first_b
+        assert compiled(cache_a, opt, logical) is first_a
+        assert compiled(cache_b, opt, logical) is first_b
         assert cache_a.stats() == cache_b.stats() == {
             "entries": 1, "hits": 1, "misses": 1}
 
     def test_custom_registry_keys_separately(self, session, scaled):
-        """A shared cache never serves plans enumerated under someone
-        else's advisor registry."""
-        from repro.optimizer import default_registry
+        """A shared cache never serves plans enumerated under another
+        memory budget; optimizers with equal configs share entries."""
         logical = builder_query(session).logical()
         cache = PlanCache()
-        Optimizer(scaled).optimize(logical, cache=cache)
-        Optimizer(scaled,
-                  registry=default_registry(scaled)).optimize(logical,
-                                                              cache=cache)
+        for budget in (None, 4096):
+            compiled(cache, Optimizer(scaled, PlannerConfig(
+                memory_budget=budget)), logical)
         assert cache.stats()["misses"] == 2 and cache.stats()["hits"] == 0
-        # two default-registry optimizers on one profile do share
-        Optimizer(scaled).optimize(logical, cache=cache)
+        compiled(cache, Optimizer(scaled, PlannerConfig(memory_budget=4096)),
+                 logical)
         assert cache.stats()["hits"] == 1
 
     def test_execute_restore_puts_base_columns_back(self, session):

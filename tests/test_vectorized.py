@@ -392,6 +392,15 @@ class TestModePlumbing:
         with pytest.raises(ValueError, match="execution mode"):
             Session(hierarchy=tiny_test_machine(), execution="turbo")
 
+    def test_config_rejects_unknown_mode(self):
+        """The config checks itself: an unknown mode fails where it is
+        written, not at the first execution of a plan already cached
+        under it."""
+        with pytest.raises(ValueError, match="execution mode"):
+            PlannerConfig(execution="bogus")
+        with pytest.raises(ValueError, match="execution mode"):
+            replace(PlannerConfig(), execution="simd")
+
     def test_execution_override_wins_over_config(self):
         session = Session(hierarchy=tiny_test_machine(),
                           config=PlannerConfig(execution="vectorized"),
