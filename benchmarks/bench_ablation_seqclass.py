@@ -1,7 +1,7 @@
 """Ablation: sequential/random miss discrimination.
 
-DESIGN.md calls out the simulator's EDO miss classifier as a design
-choice.  This ablation re-runs merge join on a machine whose sequential
+The simulator's EDO miss classifier (``repro.simulator.cache``) is a
+design choice.  This ablation re-runs merge join on a machine whose sequential
 latencies are forced to the random values (i.e. no EDO/prefetch) and
 shows the elapsed time rising by the latency ratio — quantifying how
 much of the model's accuracy depends on distinguishing the two miss

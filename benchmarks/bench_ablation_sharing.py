@@ -1,11 +1,11 @@
 """Ablation: footprint-proportional cache sharing (Eq. 5.3).
 
-DESIGN.md calls out the ⊙ cache-division rule as a design choice.  The
-cleanest stress for it: two concurrent random-access patterns whose
-regions each *almost* fit the cache alone but cannot fit together.  A
-no-sharing model (each part evaluated with the full cache) predicts
-compulsory misses only; the Eq. 5.3 rule halves each part's cache and
-predicts the thrashing the simulator actually measures.
+The ⊙ cache-division rule (PAPER.md, "Pattern algebra") is a design
+choice.  The cleanest stress for it: two concurrent random-access
+patterns whose regions each *almost* fit the cache alone but cannot fit
+together.  A no-sharing model (each part evaluated with the full cache)
+predicts compulsory misses only; the Eq. 5.3 rule halves each part's
+cache and predicts the thrashing the simulator actually measures.
 """
 
 import random

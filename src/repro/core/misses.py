@@ -9,9 +9,10 @@ why they are passed explicitly rather than taken from a
 :class:`~repro.hardware.CacheLevel`.
 
 The equations were reconstructed from the paper's prose (the report scan
-is unreadable inside equation blocks); DESIGN.md section "Reconstructed
-equations" records each reconstruction and its justification.  The test
-suite checks all the invariants the paper states in Section 4.4.
+is unreadable inside equation blocks); each reconstruction is justified
+where it is made, and PAPER.md, "Data regions and basic access patterns
+(Section 5.1)", summarises the patterns they count.  The test suite
+checks all the invariants the paper states in Section 4.4.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def rtrav_count(region: DataRegion, u: int, geo: LevelGeometry) -> float:
         # C/||R||, so each revisit re-misses with 1 - C/||R||.  (The
         # paper's prose counts warm-up in items, C/R.w; we count it in
         # lines, which coincides for w ~ Z and stays correct for many
-        # items per line — see DESIGN.md.)
+        # items per line.)
         revisits = max(0.0, region.n - base)
         base += revisits * (1.0 - geo.capacity / region.size)
     return base
@@ -253,7 +254,7 @@ def racc_count(region: DataRegion, u: int, geo: LevelGeometry, r: int) -> float:
     touched lines, which under LRU survived with probability ``#/l``:
     the ``r - l`` revisits each re-miss with probability ``1 - #/l``
     (the repetitive-traversal analogy of Section 4.5 the paper invokes,
-    expressed per access — see DESIGN.md on this reconstruction).
+    expressed per access).
     """
     distinct, lines = racc_distinct_lines(region, u, geo, r)
     if lines <= geo.num_lines:

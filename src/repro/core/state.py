@@ -19,8 +19,8 @@ its ancestors or descendants are.  When a pattern's region fits entirely,
 the state records the *highest ancestor that also fits* as resident —
 under LRU, a recursive algorithm (quick-sort) whose working set stays
 inside a cache-sized ancestor keeps that whole ancestor resident.  This
-is the reconstruction that produces the paper's Figure 7a step (see
-DESIGN.md).
+is the reconstruction that produces the paper's Figure 7a step
+(PAPER.md, "Validation (Section 7)").
 """
 
 from __future__ import annotations

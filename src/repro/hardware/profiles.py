@@ -8,7 +8,7 @@ paper's original scale.
 keeping line sizes, page size ratios and latencies; it is the profile the
 trace-driven simulator executes against (simulating 128 MB traversals
 event-by-event in Python is infeasible, and all of the paper's crossovers
-depend only on capacity *ratios* — see DESIGN.md, "Substitutions").
+depend only on capacity *ratios*).
 
 :func:`modern_x86` is a three-level profile for examples, and
 :func:`disk_extended` exercises the paper's Section 7 claim that main

@@ -1,14 +1,20 @@
 """Set-associative LRU cache simulation.
 
 This is the measurement substrate that replaces the MIPS R10000 hardware
-event counters of the paper's experimental setup (see DESIGN.md): every
-data access of the database engine is pushed through a cascade of these
-caches, and the per-level miss counters play the role of the paper's
-measured L1 / L2 / TLB miss counts.
+event counters of the paper's experimental setup (PAPER.md, "Unified
+hardware description"): every data access of the database engine is
+pushed through a cascade of these caches, and the per-level miss
+counters play the role of the paper's measured L1 / L2 / TLB miss
+counts.
 
-A cache is an array of associativity sets; each set is an LRU list of line
-tags, implemented as an insertion-ordered ``dict`` (re-inserting a tag
-moves it to the MRU end; the LRU victim is the first key).
+A cache is an array of associativity sets; each set is a list of
+exactly ``ways`` line tags, most recently used first, padded at the LRU
+end with ``-1`` — a tag no line can have (line addresses are
+non-negative).  A probe of the MRU way is one comparison; a hit on
+another way moves its tag to the front (a swap from way 1, ``remove``
++ ``insert`` from deeper); a miss drops the last way — the LRU line,
+or padding while the set is not yet full — and inserts the new tag in
+front.  A set is empty exactly when its MRU way holds the padding.
 
 Misses are classified *sequential* or *random* with the EDO model of paper
 Section 2.2: a miss whose line directly succeeds the line of a recent miss
@@ -48,6 +54,13 @@ class CacheSim:
         The :class:`~repro.hardware.CacheLevel` describing geometry and
         latencies.  ``level.is_tlb`` levels work identically; their "line"
         is a memory page.
+
+    A probe that misses the MRU way scans its set, so it costs
+    O(ways): at most 64 on the stock simulated machines (2- to 16-way
+    data caches, TLBs of 4 to 64 entries, the 32-page pool of
+    :func:`~repro.hardware.disk_extended_scaled`).  The 131 072-page
+    pool of :func:`~repro.hardware.disk_extended` is priced by the cost
+    model and never simulated.
     """
 
     __slots__ = (
@@ -61,7 +74,10 @@ class CacheSim:
         self._line_size = level.line_size
         self._ways = level.effective_associativity
         self._num_sets = level.num_sets
-        self._sets: list[dict[int, None]] = [dict() for _ in range(self._num_sets)]
+        # MRU-first tags, ``-1``-padded (see the module docstring).
+        empty = [-1] * self._ways
+        self._sets: list[list[int]] = [empty.copy()
+                                       for _ in range(self._num_sets)]
         self.hits = 0
         self.seq_misses = 0
         self.rand_misses = 0
@@ -80,9 +96,16 @@ class CacheSim:
         return self.hits + self.misses
 
     def reset(self) -> None:
-        """Drop all cached lines and zero the counters."""
+        """Drop all cached lines and zero the counters.
+
+        The sets are cleared in place — accessors from
+        :meth:`MemorySystem.batch <repro.simulator.MemorySystem.batch>`
+        and the replay loop bind them — and only the ones holding a
+        line are touched."""
+        empty = [-1] * self._ways
         for s in self._sets:
-            s.clear()
+            if s[0] != -1:
+                s[:] = empty
         self.hits = 0
         self.seq_misses = 0
         self.rand_misses = 0
@@ -105,44 +128,51 @@ class CacheSim:
         :meth:`_note_write` hook, which buffer-pool levels use to track
         dirty pages (:class:`~repro.simulator.BufferPoolSim`).
         """
+        if line < 0:
+            raise ValueError(f"line addresses are non-negative, got {line}")
         s = self._sets[line % self._num_sets]
-        if line in s:
-            # LRU update: move to the MRU end of the insertion order.
-            del s[line]
-            s[line] = None
-            self.hits += 1
-            if write:
-                self._note_write(line)
-            return HIT
-        if len(s) >= self._ways:
-            victim = next(iter(s))
-            del s[victim]
-            self._note_evict(victim)
-        s[line] = None
+        if s[0] != line:
+            if line not in s:
+                # A miss: drop the LRU way (padding while the set has
+                # room) and allocate the line in the MRU way.
+                victim = s.pop()
+                if victim != -1:
+                    self._note_evict(victim)
+                s.insert(0, line)
+                if write:
+                    self._note_write(line)
+                recent = self._recent_miss_lines
+                if line - 1 in recent:
+                    # Continuation of an ascending stream: replace the
+                    # predecessor so the stream keeps exactly one
+                    # window slot.
+                    del recent[line - 1]
+                    recent[line] = None
+                    self.seq_misses += 1
+                    return SEQ_MISS
+                if line + 1 in recent:
+                    # Descending stream (e.g. a backward-walking sort
+                    # cursor): equally prefetch-friendly.
+                    del recent[line + 1]
+                    recent[line] = None
+                    self.seq_misses += 1
+                    return SEQ_MISS
+                if len(recent) >= STREAM_WINDOW:
+                    del recent[next(iter(recent))]
+                recent[line] = None
+                self.rand_misses += 1
+                return RAND_MISS
+            # A hit on another way: move it to the MRU way (a swap
+            # when it sat in way 1).
+            if s[1] == line:
+                s[0], s[1] = line, s[0]
+            else:
+                s.remove(line)
+                s.insert(0, line)
+        self.hits += 1
         if write:
             self._note_write(line)
-        recent = self._recent_miss_lines
-        if line - 1 in recent:
-            # Continuation of an ascending stream: replace the
-            # predecessor so the stream keeps exactly one window slot.
-            del recent[line - 1]
-            recent[line] = None
-            self.seq_misses += 1
-            result = SEQ_MISS
-        elif line + 1 in recent:
-            # Descending stream (e.g. a backward-walking sort cursor):
-            # equally prefetch-friendly.
-            del recent[line + 1]
-            recent[line] = None
-            self.seq_misses += 1
-            result = SEQ_MISS
-        else:
-            if len(recent) >= STREAM_WINDOW:
-                del recent[next(iter(recent))]
-            recent[line] = None
-            self.rand_misses += 1
-            result = RAND_MISS
-        return result
+        return HIT
 
     # -- subclass hooks (no-ops for plain CPU caches) -------------------
     def _note_write(self, line: int) -> None:
@@ -153,11 +183,11 @@ class CacheSim:
 
     def contains(self, line: int) -> bool:
         """Whether a line is currently resident (no LRU side effect)."""
-        return line in self._sets[line % self._num_sets]
+        return line >= 0 and line in self._sets[line % self._num_sets]
 
     def resident_lines(self) -> int:
         """Number of lines currently cached."""
-        return sum(len(s) for s in self._sets)
+        return sum(self._ways - s.count(-1) for s in self._sets)
 
     def lines_of(self, addr: int, nbytes: int) -> range:
         """The line addresses spanned by the byte range ``[addr, addr+nbytes)``."""

@@ -14,7 +14,7 @@ levels in parallel, exactly mirroring the paper's unified hardware model:
   by event).
 
 The simulator is the reproduction's stand-in for hardware performance
-counters (see DESIGN.md).
+counters (PAPER.md, "Unified hardware description").
 """
 
 from __future__ import annotations
@@ -245,9 +245,9 @@ class MemorySystem:
 
         Granule boundaries then coincide with line and page boundaries,
         so only the first item of each granule can change any cache
-        state; it probes the L1 line and TLB page *only when they
-        differ from the previous granule's* (otherwise they are MRU —
-        a pure hit).  Everything is inlined: this loop replaces one
+        state; it probes the L1 line, and the TLB page *only when it
+        differs from the previous granule's* (otherwise it is MRU — a
+        pure hit).  The L1 probe is inlined: this loop replaces one
         Python-level event cascade per item with one per cache line.
         """
         chain = self._level_chain
@@ -255,20 +255,14 @@ class MemorySystem:
         outer = chain[1:]
         l1_sets = l1_sim._sets
         l1_nsets = l1_sim._num_sets
-        l1_ways = l1_sim._ways
         l1_recent = l1_sim._recent_miss_lines
         l1_pool = isinstance(l1_sim, BufferPoolSim)
         window = STREAM_WINDOW
         tlbs = self.tlbs
         if tlbs:
             tlb = tlbs[0]
-            page = tlb._line_size
-            t_sets = tlb._sets
-            t_nsets = tlb._num_sets
-            t_ways = tlb._ways
-            t_recent = tlb._recent_miss_lines
             t_rand = tlb.level.rand_miss_latency_ns
-            lines_per_page = page // l1_line
+            lines_per_page = tlb._line_size // l1_line
             to_page = 0  # groups until the next real TLB probe (0 = now)
         else:
             tlb = None
@@ -288,48 +282,34 @@ class MemorySystem:
             l1_hits += take
             elapsed = 0.0
             if tlb is not None:
-                t_hits += take
                 if to_page == 0:
+                    # A new page, once per page: the probe counts itself.
                     p = line // lines_per_page
                     to_page = lines_per_page - line % lines_per_page
-                    s = t_sets[p % t_nsets]
-                    if p in s:
-                        del s[p]
-                        s[p] = None
-                    else:
-                        t_hits -= 1
-                        if len(s) >= t_ways:
-                            del s[next(iter(s))]
-                        s[p] = None
-                        if p - 1 in t_recent:
-                            del t_recent[p - 1]
-                            t_recent[p] = None
-                            tlb.seq_misses += 1
-                        elif p + 1 in t_recent:
-                            del t_recent[p + 1]
-                            t_recent[p] = None
-                            tlb.seq_misses += 1
-                        else:
-                            if len(t_recent) >= window:
-                                del t_recent[next(iter(t_recent))]
-                            t_recent[p] = None
-                            tlb.rand_misses += 1
+                    t_hits += take - 1
+                    if tlb.probe(p) != HIT:
                         elapsed += t_rand
+                else:
+                    t_hits += take
                 to_page -= 1
             s = l1_sets[line % l1_nsets]
-            if line in s:
-                del s[line]
-                s[line] = None
+            if s[0] == line:
+                if write and l1_pool:
+                    l1_sim._note_write(line)
+            elif line in s:
+                if s[1] == line:
+                    s[0], s[1] = line, s[0]
+                else:
+                    s.remove(line)
+                    s.insert(0, line)
                 if write and l1_pool:
                     l1_sim._note_write(line)
             else:
                 l1_hits -= 1
-                if len(s) >= l1_ways:
-                    victim = next(iter(s))
-                    del s[victim]
-                    if l1_pool:
-                        l1_sim._note_evict(victim)
-                s[line] = None
+                victim = s.pop()
+                if l1_pool and victim != -1:
+                    l1_sim._note_evict(victim)
+                s.insert(0, line)
                 if write and l1_pool:
                     l1_sim._note_write(line)
                 if line - 1 in l1_recent:
@@ -379,8 +359,10 @@ class MemorySystem:
         sweeps use :meth:`access_range` instead.
 
         The closure binds the *current* level simulators: take a fresh
-        one after :meth:`~repro.db.Database.set_hierarchy` (plain
-        :meth:`reset` keeps the bound structures valid).
+        one after :meth:`~repro.db.Database.set_hierarchy`.
+        :meth:`reset` clears the sets and miss windows it binds in
+        place, so a closure taken before a reset drives the cold
+        machine after it.
         """
         mem = self
         access_one = self._access_one
@@ -399,16 +381,15 @@ class MemorySystem:
 
         l1_sets = l1_sim._sets
         l1_nsets = l1_sim._num_sets
-        l1_ways = l1_sim._ways
         l1_recent = l1_sim._recent_miss_lines
         l1_pool = isinstance(l1_sim, BufferPoolSim)
         window = STREAM_WINDOW
         if tlbs:
             tlb = tlbs[0]
             page = tlb._line_size
-            t_sets = tlb._sets
-            t_nsets = tlb._num_sets
-            t_ways = tlb._ways
+            # A TLB is fully associative (CacheLevel enforces it): one
+            # set, whose MRU way is the page the last probe touched.
+            t_set, = tlb._sets
             t_recent = tlb._recent_miss_lines
             t_rand = tlb.level.rand_miss_latency_ns
         else:
@@ -425,7 +406,7 @@ class MemorySystem:
                 raise ValueError("nbytes must be positive")
             line = addr // l1_line
             n = mem.accesses
-            if addr + nbytes > (line + 1) * l1_line:
+            if addr % l1_line + nbytes > l1_line:
                 # Line-spanning access: full engine (cascade dedup).
                 last_line = -1
                 mem.accesses = n + 1
@@ -454,15 +435,18 @@ class MemorySystem:
                 # TLB is always a plain CacheSim, so the write hooks
                 # are no-ops and eviction needs no notification.
                 p = addr // page
-                s = t_sets[p % t_nsets]
-                if p in s:
-                    del s[p]
-                    s[p] = None
+                if t_set[0] == p:
+                    tlb.hits += 1
+                elif p in t_set:
+                    if t_set[1] == p:
+                        t_set[0], t_set[1] = p, t_set[0]
+                    else:
+                        t_set.remove(p)
+                        t_set.insert(0, p)
                     tlb.hits += 1
                 else:
-                    if len(s) >= t_ways:
-                        del s[next(iter(s))]
-                    s[p] = None
+                    t_set.pop()
+                    t_set.insert(0, p)
                     if p - 1 in t_recent:
                         del t_recent[p - 1]
                         t_recent[p] = None
@@ -481,19 +465,24 @@ class MemorySystem:
                     elapsed += t_rand
             # Inlined CacheSim.probe for the one spanned L1 line.
             s = l1_sets[line % l1_nsets]
-            if line in s:
-                del s[line]
-                s[line] = None
+            if s[0] == line:
+                l1_sim.hits += 1
+                if write and l1_pool:
+                    l1_sim._note_write(line)
+            elif line in s:
+                if s[1] == line:
+                    s[0], s[1] = line, s[0]
+                else:
+                    s.remove(line)
+                    s.insert(0, line)
                 l1_sim.hits += 1
                 if write and l1_pool:
                     l1_sim._note_write(line)
             else:
-                if len(s) >= l1_ways:
-                    victim = next(iter(s))
-                    del s[victim]
-                    if l1_pool:
-                        l1_sim._note_evict(victim)
-                s[line] = None
+                victim = s.pop()
+                if l1_pool and victim != -1:
+                    l1_sim._note_evict(victim)
+                s.insert(0, line)
                 if write and l1_pool:
                     l1_sim._note_write(line)
                 if line - 1 in l1_recent:
@@ -574,10 +563,11 @@ class MemorySystem:
         — every counter and ``elapsed_ns`` bit for bit, the same
         ``ValueError`` for a bad entry — but an entry confined to one L1
         line (nearly all of a recorded trace) runs through the cascade
-        inlined here, with hits counted in locals and flushed once per
-        turn.  Each access still adds its latencies TLB → L1 → outwards
-        into its own sum before one addition to the clock: summing a
-        turn first would change the float result.
+        inlined here, with the TLB's and L1's hits and misses counted in
+        locals and flushed once per turn.  Each access still adds its
+        latencies TLB → L1 → outwards into its own sum before one
+        addition to the clock: summing a turn first would change the
+        float result.
         """
         if quantum < 1:
             raise ValueError("quantum must be positive")
@@ -590,13 +580,11 @@ class MemorySystem:
         inner_size = l1_line
         for sim, line_size, seq_lat, rand_lat in self._level_chain[1:]:
             outer.append((sim, line_size // inner_size, seq_lat, rand_lat,
-                          sim._sets, sim._num_sets, sim._ways,
-                          sim._recent_miss_lines,
+                          sim._sets, sim._num_sets, sim._recent_miss_lines,
                           isinstance(sim, BufferPoolSim)))
             inner_size = line_size
         l1_sets = l1_sim._sets
         l1_nsets = l1_sim._num_sets
-        l1_ways = l1_sim._ways
         l1_recent = l1_sim._recent_miss_lines
         l1_pool = isinstance(l1_sim, BufferPoolSim)
         window = STREAM_WINDOW
@@ -604,9 +592,7 @@ class MemorySystem:
         tlb = tlbs[0] if tlbs else None
         if tlb is not None:
             page = tlb._line_size
-            t_sets = tlb._sets
-            t_nsets = tlb._num_sets
-            t_ways = tlb._ways
+            t_set, = tlb._sets  # fully associative: one set
             t_recent = tlb._recent_miss_lines
             t_rand = tlb.level.rand_miss_latency_ns
         # Several TLBs, or pages smaller than an L1 line: a one-line
@@ -623,13 +609,17 @@ class MemorySystem:
                 length = len(trace)
                 budget = quantum
                 before = clock
-                l1_hits = t_hits = 0
+                # This turn's L1 and TLB counts, flushed at its end:
+                # ``same`` counts accesses to the line the previous one
+                # left MRU (a hit on both levels).
+                same = l1_hits = l1_seq_n = l1_rand_n = 0
+                t_hits = t_seq_n = t_rand_n = 0
                 while budget > 0 and index < length:
                     # A run of plain entries, up to the next range entry.
                     # Within it the previous one-line access leaves its
                     # line and page the MRU entries of their sets, so
                     # touching them again changes no LRU or EDO state.
-                    last_line = last_page = -1
+                    last_line = -1
                     start = index
                     for entry in trace[index:index + budget]:
                         if len(entry) == 2:
@@ -645,17 +635,16 @@ class MemorySystem:
                         if nbytes <= 0:
                             raise ValueError("nbytes must be positive")
                         line = addr // l1_line
-                        if general or addr + nbytes > (line + 1) * l1_line:
+                        if addr % l1_line + nbytes > l1_line or general:
                             # Line-spanning access: full engine (cascade
                             # dedup), on the system's own clock.
                             self.elapsed_ns = clock
                             access_one(addr, nbytes, write)
                             clock = self.elapsed_ns
-                            last_line = last_page = -1
+                            last_line = -1
                             continue
                         if line == last_line:
-                            l1_hits += 1
-                            t_hits += 1
+                            same += 1
                             if write and l1_pool:
                                 l1_sim._note_write(line)
                             continue
@@ -665,105 +654,112 @@ class MemorySystem:
                             # Inlined CacheSim.probe for the one page (a
                             # TLB is a plain CacheSim: no write hooks).
                             p = addr // page
-                            if p == last_page:
+                            if t_set[0] == p:
+                                t_hits += 1
+                            elif p in t_set:
+                                if t_set[1] == p:
+                                    t_set[0], t_set[1] = p, t_set[0]
+                                else:
+                                    t_set.remove(p)
+                                    t_set.insert(0, p)
                                 t_hits += 1
                             else:
-                                last_page = p
-                                s = t_sets[p % t_nsets]
-                                if p in s:
-                                    del s[p]
-                                    s[p] = None
-                                    t_hits += 1
+                                t_set.pop()
+                                t_set.insert(0, p)
+                                if p - 1 in t_recent:
+                                    del t_recent[p - 1]
+                                    t_recent[p] = None
+                                    t_seq_n += 1
+                                elif p + 1 in t_recent:
+                                    del t_recent[p + 1]
+                                    t_recent[p] = None
+                                    t_seq_n += 1
                                 else:
-                                    if len(s) >= t_ways:
-                                        del s[next(iter(s))]
-                                    s[p] = None
-                                    if p - 1 in t_recent:
-                                        del t_recent[p - 1]
-                                        t_recent[p] = None
-                                        tlb.seq_misses += 1
-                                    elif p + 1 in t_recent:
-                                        del t_recent[p + 1]
-                                        t_recent[p] = None
-                                        tlb.seq_misses += 1
-                                    else:
-                                        if len(t_recent) >= window:
-                                            del t_recent[next(iter(t_recent))]
-                                        t_recent[p] = None
-                                        tlb.rand_misses += 1
-                                    # Every TLB miss pays the random (walk)
-                                    # latency; seq/rand only classifies.
-                                    elapsed += t_rand
+                                    if len(t_recent) >= window:
+                                        del t_recent[next(iter(t_recent))]
+                                    t_recent[p] = None
+                                    t_rand_n += 1
+                                # Every TLB miss pays the random (walk)
+                                # latency; seq/rand only classifies.
+                                elapsed += t_rand
                         # Inlined CacheSim.probe for the one L1 line.
                         s = l1_sets[line % l1_nsets]
-                        if line in s:
-                            del s[line]
-                            s[line] = None
+                        if s[0] == line:
+                            l1_hits += 1
+                            if write and l1_pool:
+                                l1_sim._note_write(line)
+                        elif line in s:
+                            if s[1] == line:
+                                s[0], s[1] = line, s[0]
+                            else:
+                                s.remove(line)
+                                s.insert(0, line)
                             l1_hits += 1
                             if write and l1_pool:
                                 l1_sim._note_write(line)
                         else:
-                            if len(s) >= l1_ways:
-                                victim = next(iter(s))
-                                del s[victim]
-                                if l1_pool:
-                                    l1_sim._note_evict(victim)
-                            s[line] = None
+                            victim = s.pop()
+                            if l1_pool and victim != -1:
+                                l1_sim._note_evict(victim)
+                            s.insert(0, line)
                             if write and l1_pool:
                                 l1_sim._note_write(line)
                             if line - 1 in l1_recent:
                                 del l1_recent[line - 1]
                                 l1_recent[line] = None
-                                l1_sim.seq_misses += 1
+                                l1_seq_n += 1
                                 elapsed += l1_seq
                             elif line + 1 in l1_recent:
                                 del l1_recent[line + 1]
                                 l1_recent[line] = None
-                                l1_sim.seq_misses += 1
+                                l1_seq_n += 1
                                 elapsed += l1_seq
                             else:
                                 if len(l1_recent) >= window:
                                     del l1_recent[next(iter(l1_recent))]
                                 l1_recent[line] = None
-                                l1_sim.rand_misses += 1
+                                l1_rand_n += 1
                                 elapsed += l1_rand
                             # Cascade the missed line outwards (a single
                             # line: no dedup needed).
                             for (sim, ratio, seq_lat, rand_lat, sets, nsets,
-                                 ways, recent, pool) in outer:
+                                 recent, pool) in outer:
                                 line //= ratio
                                 s = sets[line % nsets]
-                                if line in s:
-                                    del s[line]
-                                    s[line] = None
-                                    sim.hits += 1
-                                    if write and pool:
-                                        sim._note_write(line)
-                                    break
-                                if len(s) >= ways:
-                                    victim = next(iter(s))
-                                    del s[victim]
-                                    if pool:
-                                        sim._note_evict(victim)
-                                s[line] = None
+                                if s[0] != line:
+                                    if line not in s:
+                                        victim = s.pop()
+                                        if pool and victim != -1:
+                                            sim._note_evict(victim)
+                                        s.insert(0, line)
+                                        if write and pool:
+                                            sim._note_write(line)
+                                        if line - 1 in recent:
+                                            del recent[line - 1]
+                                            recent[line] = None
+                                            sim.seq_misses += 1
+                                            elapsed += seq_lat
+                                        elif line + 1 in recent:
+                                            del recent[line + 1]
+                                            recent[line] = None
+                                            sim.seq_misses += 1
+                                            elapsed += seq_lat
+                                        else:
+                                            if len(recent) >= window:
+                                                del recent[next(iter(recent))]
+                                            recent[line] = None
+                                            sim.rand_misses += 1
+                                            elapsed += rand_lat
+                                        continue
+                                    if s[1] == line:
+                                        s[0], s[1] = line, s[0]
+                                    else:
+                                        s.remove(line)
+                                        s.insert(0, line)
+                                sim.hits += 1
                                 if write and pool:
                                     sim._note_write(line)
-                                if line - 1 in recent:
-                                    del recent[line - 1]
-                                    recent[line] = None
-                                    sim.seq_misses += 1
-                                    elapsed += seq_lat
-                                elif line + 1 in recent:
-                                    del recent[line + 1]
-                                    recent[line] = None
-                                    sim.seq_misses += 1
-                                    elapsed += seq_lat
-                                else:
-                                    if len(recent) >= window:
-                                        del recent[next(iter(recent))]
-                                    recent[line] = None
-                                    sim.rand_misses += 1
-                                    elapsed += rand_lat
+                                break
                         if elapsed:
                             clock += elapsed
                     budget -= index - start
@@ -786,9 +782,13 @@ class MemorySystem:
                         if done == count:
                             index += 1
                             done = 0
-                l1_sim.hits += l1_hits
+                l1_sim.hits += l1_hits + same
+                l1_sim.seq_misses += l1_seq_n
+                l1_sim.rand_misses += l1_rand_n
                 if tlb is not None:
-                    tlb.hits += t_hits
+                    tlb.hits += t_hits + same
+                    tlb.seq_misses += t_seq_n
+                    tlb.rand_misses += t_rand_n
                 memory[i] += clock - before
                 if index < length:
                     unfinished.append((i, trace, index, done))

@@ -5,7 +5,8 @@ item alignment on the misses of single sequential and random traversals;
 Figure 6 the impact of item width ``R.w`` and region size ``||R||``.
 The "measured" side issues raw traversal traces into the simulator; the
 "predicted" side evaluates Eqs. 4.2-4.5.  All sizes are expressed on the
-scaled Origin2000 profile (see DESIGN.md on scaling).
+scaled Origin2000 profile (:func:`~repro.hardware.origin2000_scaled` says
+why scaling keeps the paper's crossovers).
 """
 
 from __future__ import annotations

@@ -1,11 +1,16 @@
 """Unit tests for the set-associative LRU cache simulation."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware import CacheLevel
-from repro.simulator.cache import HIT, RAND_MISS, SEQ_MISS, CacheSim
+from repro.hardware import CacheLevel, disk_extended_scaled, tiny_test_machine
+from repro.simulator import BufferPoolSim, MemorySystem
+from repro.simulator.cache import (
+    HIT, RAND_MISS, SEQ_MISS, STREAM_WINDOW, CacheSim,
+)
 
 
 def make_sim(capacity=256, line=16, assoc=2, seq=2.0, rand=6.0):
@@ -198,3 +203,160 @@ def test_property_miss_count_equals_distinct_lines_when_fitting(lines):
     for ln in lines:
         sim.probe(ln)
     assert sim.misses == len(set(lines))
+
+
+# ----------------------------------------------------------------------
+# The simulator against a textbook LRU written here, independently of
+# it: every other simulator property compares one entry point with
+# another, and all of them end in ``CacheSim.probe``.
+# ----------------------------------------------------------------------
+
+class TextbookLRU:
+    """One ``OrderedDict`` per set (LRU first, MRU last), the EDO
+    window as a FIFO of recent miss lines, and a dirty set whose
+    evictions count write-backs."""
+
+    def __init__(self, num_sets, ways):
+        self.num_sets = num_sets
+        self.ways = ways
+        self.sets = [OrderedDict() for _ in range(num_sets)]
+        self.recent = OrderedDict()
+        self.dirty = set()
+        self.hits = self.seq_misses = self.rand_misses = 0
+        self.write_backs = 0
+
+    def probe(self, line, write):
+        s = self.sets[line % self.num_sets]
+        if line in s:
+            s.move_to_end(line)
+            self.hits += 1
+            outcome = HIT
+        else:
+            if len(s) == self.ways:
+                victim, _ = s.popitem(last=False)
+                if victim in self.dirty:
+                    self.dirty.remove(victim)
+                    self.write_backs += 1
+            s[line] = None
+            neighbour = next((n for n in (line - 1, line + 1)
+                              if n in self.recent), None)
+            if neighbour is not None:
+                del self.recent[neighbour]
+                self.seq_misses += 1
+                outcome = SEQ_MISS
+            else:
+                if len(self.recent) == STREAM_WINDOW:
+                    self.recent.popitem(last=False)
+                self.rand_misses += 1
+                outcome = RAND_MISS
+            self.recent[line] = None
+        if write:
+            self.dirty.add(line)
+        return outcome
+
+    def contains(self, line):
+        return line in self.sets[line % self.num_sets]
+
+    def resident_lines(self):
+        return sum(len(s) for s in self.sets)
+
+
+#: Associativities drawn; 0 is fully associative.
+WAYS = [1, 2, 3, 4, 8, 0]
+
+
+@st.composite
+def lru_cases(draw):
+    """A geometry (ways, set count, plain cache or buffer pool) and a
+    stream of ``(line, write)`` probes over a span a few times the
+    capacity, so sets fill, evict and re-hit their non-MRU ways."""
+    ways = draw(st.sampled_from(WAYS))
+    if ways:
+        num_sets = draw(st.sampled_from([1, 2, 3, 4, 8]))
+        lines = num_sets * ways
+    else:
+        num_sets = 1
+        lines = draw(st.integers(min_value=1, max_value=24))
+    level = CacheLevel(name="C", capacity=lines * 16, line_size=16,
+                       associativity=ways, seq_miss_latency_ns=2.0,
+                       rand_miss_latency_ns=6.0)
+    pool = draw(st.booleans())
+    span = draw(st.integers(min_value=1, max_value=4 * lines + 4))
+    stream = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=span), st.booleans()),
+        max_size=250))
+    return level, pool, num_sets, stream
+
+
+def assert_same_state(sim, ref, span):
+    assert (sim.hits, sim.seq_misses, sim.rand_misses) == \
+        (ref.hits, ref.seq_misses, ref.rand_misses)
+    assert sim.resident_lines() == ref.resident_lines()
+    assert [sim.contains(ln) for ln in range(span + 2)] == \
+        [ref.contains(ln) for ln in range(span + 2)]
+    if isinstance(sim, BufferPoolSim):
+        assert (sim.write_backs, sim.dirty_pages) == \
+            (ref.write_backs, len(ref.dirty))
+
+
+class TestTextbookLRU:
+    @settings(max_examples=200)
+    @given(case=lru_cases())
+    def test_probe_equals_textbook_lru(self, case):
+        level, pool, num_sets, stream = case
+        sim = (BufferPoolSim if pool else CacheSim)(level)
+        ref = TextbookLRU(num_sets, level.effective_associativity)
+        span = max((ln for ln, _ in stream), default=0)
+        for line, write in stream:
+            assert sim.probe(line, write) == ref.probe(line, write)
+        assert_same_state(sim, ref, span)
+
+    def test_negative_line_is_rejected(self):
+        """``-1`` pads the ways of a set that is not full, so no line
+        may take it (or any negative tag)."""
+        sim = make_sim(capacity=64, line=16, assoc=2)
+        for line in (-1, -5):
+            with pytest.raises(ValueError):
+                sim.probe(line)
+            assert not sim.contains(line)
+        assert (sim.accesses, sim.resident_lines()) == (0, 0)
+
+    @given(case=lru_cases(), cut=st.integers(min_value=0, max_value=250))
+    def test_reset_after_partial_fill(self, case, cut):
+        level, pool, num_sets, stream = case
+        sim = (BufferPoolSim if pool else CacheSim)(level)
+        ref = TextbookLRU(num_sets, level.effective_associativity)
+        span = max((ln for ln, _ in stream), default=0)
+        for line, write in stream[:cut]:
+            sim.probe(line, write)
+        sim.reset()
+        assert_same_state(sim, ref, span)
+        for line, write in stream[cut:]:
+            assert sim.probe(line, write) == ref.probe(line, write)
+        assert_same_state(sim, ref, span)
+
+    @given(steps=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=1 << 11),
+                  st.integers(min_value=1, max_value=24), st.booleans()),
+        min_size=1, max_size=60),
+        cut=st.integers(min_value=0, max_value=60))
+    def test_batch_closure_taken_before_reset_stays_exact(self, steps, cut):
+        """``reset()`` clears the sets in place: an accessor bound to
+        them before the reset still drives the live cache after it."""
+        for machine in (tiny_test_machine(), disk_extended_scaled()):
+            batched = MemorySystem(machine)
+            fused = batched.batch()
+            for addr, nbytes, write in steps[:cut]:
+                fused(addr, nbytes, write)
+            batched.reset()
+            reference = MemorySystem(machine)
+            for addr, nbytes, write in steps[cut:]:
+                fused(addr, nbytes, write)
+                reference.access(addr, nbytes, write=write)
+            assert repr(batched.snapshot()) == repr(reference.snapshot())
+            assert batched.elapsed_ns == reference.elapsed_ns
+            assert (batched.pool is None) or \
+                (batched.pool.write_backs, batched.pool.dirty_pages) == \
+                (reference.pool.write_backs, reference.pool.dirty_pages)
+            assert [sim.resident_lines() for sim in batched.caches] == \
+                [sim.resident_lines() for sim in reference.caches]

@@ -63,8 +63,10 @@ from repro.hardware import (
     CacheLevel,
     disk_extended_scaled,
     origin2000_scaled,
+    parametric_profile,
     tiny_test_machine,
 )
+from repro.hardware.profiles import TINY_MACHINE
 from repro.query import PartitionedHashJoinNode, PlannerConfig, ScanNode
 from repro.service.executor import (
     BatchReplay,
@@ -435,7 +437,9 @@ def _replay_geometries():
     """The machines the replay engine must be exact on: its inlined
     lane (one TLB or none, with and without a pool level, a pool as the
     only level) and the general lane (two TLBs; pages smaller than an
-    L1 line)."""
+    L1 line), over sets of one way (where every probe that misses the
+    MRU way is a miss), two ways (where every other hit is on way 1)
+    and more (hits deeper in the set)."""
     tiny = tiny_test_machine()
     pool = disk_extended_scaled()
     return [
@@ -451,6 +455,10 @@ def _replay_geometries():
         # additions shows in the last bits
         tiny.scaled_latencies({"L1": (0.1, 0.3), "L2": (1 / 3, 1 / 7),
                                "TLB": (1 / 9, 1 / 9)}),
+        parametric_profile(name="direct-mapped L1",
+                           **{**TINY_MACHINE, "l1_assoc": 1}),
+        parametric_profile(name="4-way L1, 8-way L2",
+                           **{**TINY_MACHINE, "l1_assoc": 4, "l2_assoc": 8}),
     ]
 
 
