@@ -28,9 +28,11 @@ The memo
 *Key*: the compound pattern an entry point was asked about (its tree in
 part order — that fixes the float summation order — and every region's
 ``(name, n, w)`` **along its whole parent chain**, which
-``DataRegion.__eq__`` leaves out and the state rules walk), the level
-geometry after any ⊙ scale-down, and the incoming cache state (its
-regions' parent chains included).  *Value*: the ``(MissPair,
+``DataRegion.__eq__`` leaves out and the state rules walk; a
+:class:`~repro.core.patterns.QuickSort` counts by its input's chain
+and ``stop_bytes``, which fix its passes), the level geometry after
+any ⊙ scale-down, and the incoming cache state (its regions' parent
+chains included).  *Value*: the ``(MissPair,
 CacheState)`` the evaluation returned — never a latency, a hierarchy,
 a plan or a session.  *Where*: at the entry points only — what
 ``estimate`` / ``level_misses`` / ``sequential_estimates`` /
@@ -55,7 +57,7 @@ from typing import NamedTuple
 from ..hardware.cache_level import CacheLevel
 from ..hardware.hierarchy import MemoryHierarchy
 from .misses import LevelGeometry, MissPair, basic_pattern_misses
-from .patterns import BasicPattern, Conc, Pattern, RTrav, Seq, STrav
+from .patterns import BasicPattern, Conc, Pattern, QuickSort, RTrav, Seq, STrav
 from .regions import DataRegion
 from .state import CacheState
 
@@ -83,6 +85,9 @@ def footprint_lines(pattern: Pattern, line_size: int) -> float:
         return float(pattern.region.lines(line_size))
     if isinstance(pattern, BasicPattern):
         return float(pattern.region.lines(line_size))
+    if isinstance(pattern, QuickSort):
+        # a ⊕ of passes that are all the same two sequential cursors
+        return footprint_lines(pattern.first_pass(), line_size)
     if not isinstance(pattern, (Seq, Conc)):
         raise TypeError(f"not a pattern: {pattern!r}")
     # A compound's footprint is asked once per level per ⊙ division it
@@ -290,8 +295,12 @@ def remember(memo: dict, key, value, cap: int) -> None:
 #: Entries the miss memo holds before it drops its oldest: four times
 #: the largest working set measured (520 entries — one 64-query stream
 #: priced on nine machines; a 48-query serving run keeps 274, 96 session
-#: queries 316).  A key keeps its pattern tree alive, measured at
-#: 2.0 - 7.1 KB per entry, so a full memo holds ≈ 4 - 15 MB.
+#: queries 316).  A key keeps its pattern tree alive, measured (with
+#: ``tracemalloc``, what clearing the memo frees after one seed-7 rep of
+#: ``benchmarks/perf``) at 1.2 KB per entry for the sweep, 1.2 KB for
+#: the serving run and 2.7 KB for the session queries — a quick-sort
+#: being one node, not one per sub-table (2.0, 2.6 and 7.1 KB before) —
+#: so a full memo holds ≈ 2.5 - 5.5 MB.
 MISS_MEMO_ENTRIES = 2048
 
 
@@ -341,12 +350,14 @@ def _same_pattern(p: Pattern, q: Pattern) -> bool:
         return True
     if isinstance(p, BasicPattern):
         return p == q and _same_region(p.region.parent, q.region.parent)
+    if isinstance(p, QuickSort):
+        return p == q  # compares the input's whole parent chain
     return (type(p) is type(q) and len(p.parts) == len(q.parts)
             and all(map(_same_pattern, p.parts, q.parts)))
 
 
 def _congruent(fresh: Pattern, kept: Pattern) -> bool:
-    """:func:`_same_pattern` for the two compound roots of a memo
+    """:func:`_same_pattern` for the two non-basic roots of a memo
     lookup — ``fresh`` being asked about, ``kept`` in a stored key —
     with a positive verdict left on ``fresh``: a server's tenants and a
     sweep's candidates build equal trees afresh and look each up many
@@ -403,14 +414,18 @@ def _evaluate(pattern: Pattern, geo: LevelGeometry, state: CacheState
 
     Only these entry points are looked up, not the nodes the walk below
     them visits, and a basic pattern is cheaper to evaluate than to look
-    up.  Measured on a cold 576-query sweep of nine machines: 5.45 M
-    Python calls without a memo, 1.26 M with entry points looked up
-    (5 589 lookups, 91 % hit, 520 entries kept), 1.22 M with every
-    compound node looked up (8 942 lookups, 67 % hit, 2 967 entries) —
-    the nodes below buy 3 % and cost six times the memory; and on a
-    475 000-node quick-sort tree whose halves are uniquely named, where
-    nothing can hit, looking up the root's children as well took 23 %
-    longer than no memo at all."""
+    up.  Measured when the memo came in, on a cold 576-query sweep of
+    nine machines: 5.45 M Python calls without a memo, 1.26 M with
+    entry points looked up (5 589 lookups, 91 % hit, 520 entries kept),
+    1.22 M with every compound node looked up (8 942 lookups, 67 % hit,
+    2 967 entries) — the nodes below buy 3 % and cost six times the
+    memory.  Re-measured once a quick-sort became one node whose passes
+    :func:`_fold` adds up, rather than one uniquely named node per
+    sub-table that no lookup could ever hit: the same sweep (seed 7)
+    makes 0.82 M calls with the memo and 2.86 M without (1.18 M and
+    4.56 M with one node per sub-table), and
+    ``examples/disk_spill_planning.py``, whose eight sorts at n up to
+    2·10⁸ were ≈ 475 000 such nodes, runs in 0.3 s instead of 87 s."""
     if isinstance(pattern, BasicPattern):
         return _walk(pattern, geo, state)
     global _hits, _misses
@@ -452,13 +467,22 @@ def _walk(pattern: Pattern, geo: LevelGeometry, state: CacheState
                 # proportionally; sequential ones only from full residency.
                 pair = pair.scaled(1.0 - rho)
         return pair, CacheState.after_pattern(region, geo.capacity)
-    total = MissPair()
     if isinstance(pattern, Seq):
-        # Eq. 5.2: thread the state left by each part into the next.
+        # Eq. 5.2: thread the state left by each part into the next; a
+        # quick-sort adds its passes one by one, as its ⊕ of them would.
+        seq = rand = 0.0
         for part in pattern.parts:
-            pair, state = _walk(part, geo, state)
-            total = total + pair
-        return total, state
+            if isinstance(part, QuickSort):
+                seq, rand, state = _fold(part, geo, state, seq, rand)
+            else:
+                pair, state = _walk(part, geo, state)
+                seq += pair.seq
+                rand += pair.rand
+        return MissPair(seq, rand), state
+    if isinstance(pattern, QuickSort):
+        seq, rand, state = _fold(pattern, geo, state, 0.0, 0.0)
+        return MissPair(seq, rand), state
+    total = MissPair()
     if isinstance(pattern, Conc):
         # Eq. 5.3: every part evaluated on its footprint's share of the
         # cache, all from the same initial state; the parts' misses add
@@ -470,3 +494,69 @@ def _walk(pattern: Pattern, geo: LevelGeometry, state: CacheState
             left = left.merged(part_state)
         return total, left
     raise TypeError(f"not a pattern: {pattern!r}")
+
+
+def _fold(sort: QuickSort, geo: LevelGeometry, state: CacheState,
+          seq: float, rand: float) -> tuple[float, float, CacheState]:
+    """Add ``sort``'s passes, in pre-order, to the running ``⊕`` total
+    ``(seq, rand)``: the new total, and the state the last pass leaves.
+
+    Only the first pass meets ``state``; it is walked on its real
+    regions.  A pass is a ``⊙`` whose state is its two halves' entries
+    and nothing else, so every later pass sees only what the previous
+    pass left, and its price follows from sizes alone:
+
+    * both cursors have one-line footprints, so every pass runs on the
+      same half share of ``geo`` (capacity ``room``);
+    * a half no larger than ``room`` is left fully resident, promoted to
+      its largest ancestor that fits as well.  So the pass over a left
+      half ``X.L`` (run right after ``X``'s) finds its data resident iff
+      ``X.L`` fits, and the pass over ``X.R`` (run after all of ``X.L``'s
+      subtree) iff ``X`` fits;
+    * a resident pass misses nothing and leaves its sub-table resident,
+      so its whole subtree is free and skipped — adding zeros would not
+      change the total;
+    * any other pass misses in full on both halves (sequential cursors
+      gain nothing from partial residency): a function of the halves'
+      item counts, priced once per sub-table size and call.
+
+    Real regions are built only for the first pass and the last one
+    (along the rightmost path), whose state the sort leaves behind.
+    """
+    first = sort.first_pass()
+    pair, left_behind = _walk(first, geo, state)
+    seq += pair.seq
+    rand += pair.rand
+    n = sort.region.n
+    if not sort.splits(n):
+        return seq, rand, left_behind
+    w = sort.region.w
+    room = _shared(first.parts, geo)[0].capacity
+    splits = sort.splits
+    priced: dict[int, MissPair] = {}
+
+    def price(n: int) -> None:
+        # the pass over a non-resident sub-table of n items, then its
+        # subtree
+        nonlocal seq, rand
+        pair = priced.get(n)
+        if pair is None:
+            step = QuickSort.pass_of(DataRegion(sort.region.name, n, w))
+            pair = priced[n] = _walk(step, geo, CacheState.empty())[0]
+        seq += pair.seq
+        rand += pair.rand
+        if splits(n):
+            below(n)
+
+    def below(n: int) -> None:
+        # "fits" is `size <= room`, the promotion rule's test; the
+        # residency rule's `room / size >= 1.0` agrees with it for every
+        # size below 2**53
+        left = n // 2
+        if left * w > room:
+            price(left)
+        if n * w > room:
+            price(n - left)
+
+    below(n)
+    return seq, rand, _walk(sort.last_pass(), geo, CacheState.empty())[1]

@@ -20,12 +20,16 @@ execution ``⊕`` (:class:`Seq`) or concurrent execution ``⊙``
 (:class:`Conc`).  Python operators mirror the paper's precedence (``⊙``
 binds tighter than ``⊕``): ``a * b`` is concurrent, ``a + b`` is
 sequential, and ``*`` binds tighter than ``+`` in Python.
+
+:class:`QuickSort` is the one recursive description: the ``⊕`` of
+quick-sort's partitioning passes (Section 6.2), stored as its input
+region and recursion bound rather than as one node per sub-table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 from .regions import DataRegion
 
@@ -40,6 +44,7 @@ __all__ = [
     "Nest",
     "Seq",
     "Conc",
+    "QuickSort",
     "seq",
     "conc",
     "UNI",
@@ -329,11 +334,18 @@ class _Compound(Pattern):
         return out
 
     def notation(self) -> str:
-        inner = f" {self._symbol} ".join(
-            f"({p.notation()})" if isinstance(p, _Compound) else p.notation()
-            for p in self.parts
-        )
-        return inner
+        return f" {self._symbol} ".join(map(self._render, self.parts))
+
+    def _render(self, part: Pattern) -> str:
+        """A part's notation inside this compound: parenthesized when
+        the part is itself compound — except a quick-sort inside ``⊕``,
+        whose passes read as this ``⊕``'s own parts (the ``⊕`` of
+        passes that it stands for would have been flattened in)."""
+        if isinstance(part, QuickSort) and isinstance(self, Seq):
+            return part.notation()
+        if isinstance(part, (_Compound, QuickSort)):
+            return f"({part.notation()})"
+        return part.notation()
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -366,6 +378,101 @@ class Conc(_Compound):
     footprints (Section 5.2)."""
 
     _symbol = "⊙"
+
+
+class QuickSort(Pattern):
+    """In-place quick-sort of ``region`` (Section 6.2), as one node.
+
+    A sub-table is partitioned by one pass of two cursors running
+    towards each other, one over each half
+    (``s_trav+(sub.L) ⊙ s_trav+(sub.R)``); the recursion then descends
+    depth first into both halves, as long as each half keeps at least
+    two items and the sub-table exceeds ``stop_bytes``.  The node
+    stands for the ``⊕`` of those passes in that pre-order —
+    :meth:`passes` lists them, the halves named ``<sub>.L@<depth>`` and
+    ``<sub>.R@<depth>`` and parented to their sub-table — but stores
+    only ``(region, stop_bytes)``: it costs O(1) to build, hash and
+    compare, however deep the recursion.  :meth:`notation` and
+    :meth:`regions` are generated from the passes when asked, and equal
+    those of the ``⊕`` of the passes.
+
+    **The fold.**  The cost evaluator (:func:`repro.core.cost._fold`)
+    never lists the passes.  It adds their misses, in pre-order, to the
+    running total of the *enclosing* ``⊕`` — the float additions of
+    the ``⊕`` of passes, in its order, so the estimate is that tree's
+    to the bit.  ``Seq.of`` therefore keeps the node whole, and inside
+    a ``⊕`` it renders without parentheses.
+
+    Equality and hash cover what the evaluator reads: ``stop_bytes``
+    and ``region``'s ``(name, n, w)`` along its whole parent chain.
+    Build one with :func:`~repro.core.algorithms.quick_sort_pattern`,
+    which returns the single pass of a table that does not recurse.
+    """
+
+    #: A node the cost evaluator's memo compared this one with and
+    #: found congruent (:func:`repro.core.cost._congruent`).
+    _twin: "QuickSort | None" = None
+
+    def __init__(self, region: DataRegion,
+                 stop_bytes: int | None = None) -> None:
+        self.region = region
+        self.stop_bytes = stop_bytes
+
+    def splits(self, n: int) -> bool:
+        """Whether a sub-table of ``n`` items recurses into its halves:
+        both keep at least two items (``n >= 4``) and it exceeds
+        ``stop_bytes``."""
+        return n >= 4 and n * self.region.w > (self.stop_bytes or 0)
+
+    @staticmethod
+    def pass_of(sub: DataRegion, depth: int = 0) -> Conc:
+        """The partitioning pass over ``sub`` at recursion ``depth``."""
+        left, right = sub.halves(suffix=f"@{depth}")
+        return Conc((STrav(left), STrav(right)))
+
+    def first_pass(self) -> Conc:
+        """The pass over the whole input."""
+        return self.pass_of(self.region)
+
+    def last_pass(self) -> Conc:
+        """The pass over the rightmost sub-table — the one whose cache
+        state the sort leaves behind."""
+        sub, depth = self.region, 0
+        while self.splits(sub.n):
+            sub = sub.halves(suffix=f"@{depth}")[1]
+            depth += 1
+        return self.pass_of(sub, depth)
+
+    def passes(self) -> Iterator[Conc]:
+        """The partitioning passes, in execution (pre-)order."""
+        stack = [(self.region, 0)]
+        while stack:
+            sub, depth = stack.pop()
+            step = self.pass_of(sub, depth)
+            yield step
+            if self.splits(sub.n):
+                left, right = (cursor.region for cursor in step.parts)
+                stack.append((right, depth + 1))
+                stack.append((left, depth + 1))
+
+    def regions(self) -> list[DataRegion]:
+        return [region for step in self.passes() for region in step.regions()]
+
+    def notation(self) -> str:
+        return " ⊕ ".join(f"({step.notation()})" for step in self.passes())
+
+    def _chain(self) -> tuple[tuple[str, int, int], ...]:
+        return tuple((r.name, r.n, r.w) for r in self.region.ancestors())
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        return (type(other) is type(self)
+                and self.stop_bytes == other.stop_bytes  # type: ignore[attr-defined]
+                and self._chain() == other._chain())  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.stop_bytes, self._chain()))
 
 
 def seq(*parts: Pattern | None) -> Pattern | None:

@@ -278,8 +278,10 @@ class SortAdvisor(OperatorAdvisor):
     operator = "sort"
 
     def stop_bytes(self) -> int:
-        """Sub-tables at or below this size are fully cache-resident on
-        the smallest cache; deeper quick-sort passes are free."""
+        """Where quick-sort patterns stop recursing: the smallest cache
+        capacity.  An approximation that lowers the estimate — deeper
+        passes fit that cache but still miss on their ``⊙`` half share
+        of it (see :func:`~repro.core.quick_sort_pattern`)."""
         return self._min_cache_bytes()
 
     def needs_external(self, U: DataRegion) -> bool:

@@ -41,7 +41,7 @@ class MemorySystem:
     """
 
     __slots__ = ("hierarchy", "caches", "tlbs", "elapsed_ns", "accesses",
-                 "_l1_line", "_level_chain", "_hit_gran")
+                 "_resets", "_l1_line", "_level_chain", "_hit_gran")
 
     def __init__(self, hierarchy: MemoryHierarchy) -> None:
         self.hierarchy = hierarchy
@@ -52,6 +52,9 @@ class MemorySystem:
         self.tlbs = tuple(CacheSim(lvl) for lvl in hierarchy.tlbs)
         self.elapsed_ns = 0.0
         self.accesses = 0
+        # Bumped by reset(), which rewinds ``accesses``: the fused
+        # accessors of batch() read the count as a clock.
+        self._resets = 0
         self._l1_line = hierarchy.levels[0].line_size
         # (cache, line_size, seq_latency, rand_latency) per data level,
         # pre-extracted for the hot loop.
@@ -104,7 +107,6 @@ class MemorySystem:
         first = addr // l1
         last = (addr + nbytes - 1) // l1
         pending = range(first, last + 1)  # line addrs at L1 granularity
-        byte_addrs = None
         for depth, (sim, line_size, seq_lat, rand_lat) in enumerate(chain):
             if depth == 0:
                 lines = pending
@@ -362,7 +364,9 @@ class MemorySystem:
         one after :meth:`~repro.db.Database.set_hierarchy`.
         :meth:`reset` clears the sets and miss windows it binds in
         place, so a closure taken before a reset drives the cold
-        machine after it.
+        machine after it; its same-line shortcut, which reads the
+        access count that a reset rewinds, checks the reset count
+        first.
         """
         mem = self
         access_one = self._access_one
@@ -397,9 +401,10 @@ class MemorySystem:
 
         last_line = -1
         last_count = -1
+        resets = self._resets
 
         def fused(addr: int, nbytes: int = 8, write: bool = False) -> None:
-            nonlocal last_line, last_count
+            nonlocal last_line, last_count, resets
             if addr < 0:
                 raise ValueError("negative address")
             if nbytes <= 0:
@@ -413,19 +418,24 @@ class MemorySystem:
                 access_one(addr, nbytes, write)
                 return
             if line == last_line and n == last_count:
-                # The immediately preceding access (verified via the
-                # global access count — any interleaved access through
-                # another path bumps it) stayed wholly inside this very
-                # line, so line and page are the MRU entries of their
-                # sets: a pure hit, no LRU/EDO state change.
-                mem.accesses = n + 1
-                last_count = n + 1
-                l1_sim.hits += 1
-                if tlb is not None:
-                    tlb.hits += 1
-                if write and l1_pool:
-                    l1_sim._note_write(line)
-                return
+                if mem._resets == resets:
+                    # The immediately preceding access (verified via the
+                    # global access count — any interleaved access
+                    # through another path bumps it) stayed wholly
+                    # inside this very line, so line and page are the
+                    # MRU entries of their sets: a pure hit, no LRU/EDO
+                    # state change.
+                    mem.accesses = n + 1
+                    last_count = n + 1
+                    l1_sim.hits += 1
+                    if tlb is not None:
+                        tlb.hits += 1
+                    if write and l1_pool:
+                        l1_sim._note_write(line)
+                    return
+                # A reset() since this closure last looked rewound the
+                # count: the match proves nothing.  Take the full path.
+                resets = mem._resets
             last_line = line
             last_count = n + 1
             mem.accesses = n + 1
@@ -805,6 +815,7 @@ class MemorySystem:
             sim.reset()
         self.elapsed_ns = 0.0
         self.accesses = 0
+        self._resets += 1
 
     def snapshot(self) -> CounterSnapshot:
         """Freeze all counters (subtract two snapshots to measure a span)."""

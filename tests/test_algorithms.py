@@ -6,6 +6,7 @@ from repro.core import (
     Conc,
     DataRegion,
     Nest,
+    QuickSort,
     RAcc,
     RSTrav,
     RTrav,
@@ -59,34 +60,37 @@ class TestUnary:
 
 
 class TestQuickSort:
+    """The sort is one node; its passes are enumerated on demand."""
+
     def test_top_pass_two_concurrent_halves(self, regions):
         U, _, _ = regions
         pattern = quick_sort_pattern(U, stop_bytes=U.size)
-        assert isinstance(pattern, Conc)
+        assert isinstance(pattern, Conc)  # no recursion: the pass itself
         left, right = pattern.parts
         assert left.region.n + right.region.n == U.n
+        sort = quick_sort_pattern(U, stop_bytes=U.size // 4)
+        assert isinstance(sort, QuickSort)
+        assert next(sort.passes()) == pattern == sort.first_pass()
 
     def test_recursion_depth_bounded_by_log(self, regions):
         U, _, _ = regions
         pattern = quick_sort_pattern(U, stop_bytes=1)
 
-        def depth(p):
-            if isinstance(p, Seq):
-                return 1 + max(depth(q) for q in p.parts)
-            return 0
+        def depth(step):
+            # the halves of a depth-d pass carry d + 1 "@" suffixes
+            return step.parts[0].region.name.count("@")
 
         import math
-        assert depth(pattern) <= math.ceil(math.log2(U.n)) + 1
+        deepest = max(depth(step) for step in pattern.passes())
+        assert deepest <= math.ceil(math.log2(U.n)) + 1
 
     def test_stop_bytes_prunes(self, regions):
         U, _, _ = regions
         deep = quick_sort_pattern(U, stop_bytes=U.size // 64)
         shallow = quick_sort_pattern(U, stop_bytes=U.size // 4)
 
-        def count(p):
-            if isinstance(p, (Seq, Conc)):
-                return sum(count(q) for q in p.parts)
-            return 1
+        def count(sort):
+            return sum(len(step.parts) for step in sort.passes())
 
         assert count(shallow) < count(deep)
 
@@ -95,6 +99,8 @@ class TestQuickSort:
         pattern = quick_sort_pattern(U, stop_bytes=U.size // 4)
         for region in pattern.regions():
             assert region.root() is U
+        assert pattern.regions() == [
+            cursor.region for step in pattern.passes() for cursor in step.parts]
 
 
 class TestHashPatterns:

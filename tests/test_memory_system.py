@@ -107,6 +107,26 @@ class TestSnapshots:
         assert mem.accesses == 0
         assert mem.cache("L1").misses == 0
 
+    def test_batch_closure_counts_no_stale_hit_after_reset(self, scaled):
+        """``reset()`` rewinds ``accesses``, so a fused accessor taken
+        before it must not read an equal count as "my line is still
+        MRU": here the reset and the access to another page evicted
+        it, and a fresh machine misses on every level."""
+        mem = MemorySystem(scaled)
+        fused = mem.batch()
+        fused(4096)
+        mem.reset()
+        mem.access(1 << 20)
+        fused(4096)
+        fresh = MemorySystem(scaled)
+        fresh.access(1 << 20)
+        fresh.access(4096)
+        assert mem.snapshot() == fresh.snapshot()
+        # and the shortcut still serves the closure's own next access
+        fused(4096 + 8)
+        fresh.access(4096 + 8)
+        assert mem.snapshot() == fresh.snapshot()
+
     def test_unknown_level_raises(self, mem):
         with pytest.raises(KeyError):
             mem.cache("L7")

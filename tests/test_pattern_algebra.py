@@ -22,6 +22,7 @@ from repro.core import (
     DataRegion,
     Nest,
     Pattern,
+    QuickSort,
     RAcc,
     RRTrav,
     RSTrav,
@@ -64,9 +65,11 @@ def random_tree(rng, regions, depth=3):
 
 
 def leaves_in_order(pattern):
-    if isinstance(pattern, (Seq, Conc)):
+    if isinstance(pattern, (Seq, Conc, QuickSort)):
+        parts = (pattern.passes() if isinstance(pattern, QuickSort)
+                 else pattern.parts)
         out = []
-        for part in pattern.parts:
+        for part in parts:
             out.extend(leaves_in_order(part))
         return out
     return [pattern]
