@@ -17,7 +17,12 @@ Run:  python examples/whatif.py
 import asyncio
 
 from repro.obs import validate_whatif_report
-from repro.whatif import GeneratedWorkload, ProfileSpace, WhatIfSweep
+from repro.whatif import (
+    GeneratedWorkload,
+    ProfileSpace,
+    WhatIfSweep,
+    capacity_plan,
+)
 
 
 def main() -> None:
@@ -72,9 +77,8 @@ def main() -> None:
     server = asyncio.run(serve())
     print(f"\nserver served {len(server.report().completed)} queries; "
           f"planning capacity from that recorded mix...")
-    plan = server.capacity_plan(space, clients=4,
-                                slo_p95_ns=2 * baseline.p95_ns,
-                                apply_slack=True)
+    plan = capacity_plan(server, space, clients=4,
+                         slo_p95_ns=2 * baseline.p95_ns, apply_slack=True)
     live = plan.recommendation
     print(f"  capacity plan recommends '{live.label}', admission slack "
           f"{live.admission_slack} installed "

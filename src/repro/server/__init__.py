@@ -6,12 +6,15 @@ through per-tenant sessions and plan caches (:class:`Tenant`), a
 bounded ⊙-guided admission controller (:class:`AdmissionController`)
 forms co-run batches, and sliding-window SLOs (:class:`SloTracker`)
 watch the tail.  Everything runs on the simulated clock, so serving
-experiments are deterministic and replayable.
+experiments are deterministic and replayable: the server is a thread
+hand-off around a :class:`Dispatcher`, which makes every decision and
+can be stepped without threads.
 """
 
-from .admission import AdmissionController
+from ..service.admission import AdmissionController
 from .arrivals import ArrivalProcess, BurstArrivals, PoissonArrivals
-from .server import QueryServer, ServerResponse, ServingReport
+from .dispatcher import Dispatcher, ServerResponse, ServingReport
+from .server import QueryServer
 from .slo import (
     DEFAULT_WINDOW_NS,
     SlidingWindow,
@@ -23,6 +26,7 @@ from .tenant import TENANT_ADDRESS_STRIDE, Tenant, TenantQuota
 
 __all__ = [
     "QueryServer",
+    "Dispatcher",
     "ServerResponse",
     "ServingReport",
     "Tenant",

@@ -30,7 +30,6 @@ import threading
 from dataclasses import dataclass
 
 from ..hardware.hierarchy import MemoryHierarchy
-from ..query.optimizer import PlannerConfig
 from ..session import PlanCache, Session
 
 __all__ = ["TenantQuota", "Tenant", "TENANT_ADDRESS_STRIDE"]
@@ -65,8 +64,7 @@ class Tenant:
 
     def __init__(self, name: str, index: int,
                  hierarchy: MemoryHierarchy,
-                 quota: TenantQuota | None = None,
-                 config: PlannerConfig | None = None) -> None:
+                 quota: TenantQuota | None = None) -> None:
         if not name:
             raise ValueError("tenant name must be non-empty")
         if index < 0:
@@ -75,7 +73,7 @@ class Tenant:
         self.index = index
         self.quota = quota if quota is not None else TenantQuota()
         self.session = Session(
-            hierarchy=hierarchy, config=config,
+            hierarchy=hierarchy,
             cache=PlanCache(max_entries=self.quota.plan_cache_entries))
         self._workers: dict[int, Session] = {}
         self._workers_lock = threading.Lock()

@@ -15,7 +15,10 @@ which queries may share the machine.
   (:class:`InterferenceModel`, :class:`CoRunPrediction`),
 * :mod:`repro.service.core` — the serving core every driver shares:
   the :class:`Task` type, :func:`compile_task`, the ⊙ admission rule
-  (:class:`BatchFormer`, one of :data:`MODES`), and :func:`settle`,
+  (:class:`BatchFormer`, one of :data:`MODES`), the clock-only
+  :class:`Stepper` that decides every batch, and :func:`settle`,
+* :mod:`repro.service.admission` — the run queue the stepper asks
+  (:class:`AdmissionController`: bounded, tenant-fair, shedding),
 * :mod:`repro.service.executor` — the measured side (record each
   plan's access trace, replay co-run batches interleaved through one
   shared memory system) and the closed-loop :class:`ServiceExecutor`,
@@ -23,7 +26,17 @@ which queries may share the machine.
   rendered :class:`WorkloadReport`.
 """
 
-from .core import MODES, Batch, BatchFormer, Task, compile_task, settle
+from .admission import AdmissionController
+from .core import (
+    MODES,
+    Batch,
+    BatchFormer,
+    Step,
+    Stepper,
+    Task,
+    compile_task,
+    settle,
+)
 from .executor import ServiceExecutor, TraceRecorder, replay_interleaved
 from .interference import CoRunPrediction, InterferenceModel
 from .metrics import BatchMetrics, QueryMetrics, WorkloadReport, percentile
@@ -46,6 +59,9 @@ __all__ = [
     "compile_task",
     "Batch",
     "BatchFormer",
+    "AdmissionController",
+    "Step",
+    "Stepper",
     "settle",
     "ServiceExecutor",
     "TraceRecorder",

@@ -1,7 +1,7 @@
 """Admission control: bounded queueing, load shedding, ⊙-guided
 batches.
 
-The controller owns the server's run queue and answers two questions.
+The controller owns a run queue and answers two questions.
 
 **May this query wait here?**  The queue is bounded (overload must
 surface as explicit shedding, not unbounded simulated latency), and
@@ -11,22 +11,27 @@ queued query of the *heaviest* tenant instead of being shed — one
 tenant flooding the server cannot starve the others out of the queue.
 
 **What runs next?**  Batch formation is the serving core's one rule
-(:class:`~repro.service.BatchFormer` — the very former the closed-loop
-executor and the what-if sweep run); the controller supplies what is
-the server's own.  Only queries that have *arrived* by the decision
-time are candidates (open-loop semantics: the scheduler cannot see the
-future), and ⊙-guided batches seed round-robin over tenants so no
-tenant waits forever behind a chattier one; the two baseline modes
-stay tenant-blind (arrival order only).
+(:class:`~repro.service.BatchFormer`); the controller supplies the
+queue.  Only queries that have *arrived* by the decision time are
+candidates (open-loop semantics: the scheduler cannot see the future),
+and ⊙-guided batches seed round-robin over tenants so no tenant waits
+forever behind a chattier one; the two baseline modes stay
+tenant-blind (arrival order only).
+
+Every serving loop's queue is one of these, asked by the one
+:class:`~repro.service.Stepper`: the server's is bounded and
+tenant-fair; a closed loop's (:class:`~repro.service.ServiceExecutor`,
+:class:`~repro.whatif.WhatIfSweep`) is built afresh for each run, with
+``max_queue=math.inf``, no quotas and one tenant, so each batch seeds
+with the queue head.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from ..service.core import Batch, BatchFormer, Task
-from ..service.interference import InterferenceModel
-from .tenant import TenantQuota
+from .core import Batch, BatchFormer, Task
+from .interference import InterferenceModel
 
 __all__ = ["AdmissionController"]
 
@@ -35,9 +40,9 @@ class AdmissionController(BatchFormer):
     """The batch former behind a bounded, tenant-fair run queue."""
 
     def __init__(self, interference: InterferenceModel,
-                 mode: str = "interference-aware", max_queue: int = 64,
-                 max_batch: int = 4, slack: float = 1.0,
-                 lookahead: int = 8) -> None:
+                 mode: str = "interference-aware",
+                 max_queue: float = 64, max_batch: int = 4,
+                 slack: float = 1.0, lookahead: int = 8) -> None:
         super().__init__(interference, mode=mode, max_batch=max_batch,
                          slack=slack, lookahead=lookahead)
         if max_queue < 1:
@@ -56,14 +61,16 @@ class AdmissionController(BatchFormer):
     def occupancy(self, tenant: str) -> int:
         return self._occupancy[tenant]
 
-    def offer(self, task: Task, quota: TenantQuota) -> list[Task]:
-        """Try to queue ``task``; returns the tasks shed by the
-        attempt — ``[task]`` itself when it was refused, ``[victim]``
-        when it displaced a heavier tenant's entry, ``[]`` when it
-        simply fit."""
+    def offer(self, task: Task, quota=None) -> list[Task]:
+        """Try to queue ``task`` under its tenant's ``quota`` (a
+        :class:`~repro.server.TenantQuota`; ``None``: no per-tenant
+        cap); returns the tasks shed by the attempt — ``[task]`` itself
+        when it was refused, ``[victim]`` when it displaced a heavier
+        tenant's entry, ``[]`` when it simply fit."""
         if task.tenant not in self._rr:
             self._rr.append(task.tenant)
-        if self.occupancy(task.tenant) >= quota.max_queued:
+        if quota is not None \
+                and self.occupancy(task.tenant) >= quota.max_queued:
             return [task]  # over its own quota: shed, nobody displaced
         if len(self.queue) < self.max_queue:
             self.queue.append(task)
@@ -92,9 +99,6 @@ class AdmissionController(BatchFormer):
         if not self.queue:
             return None
         return min(t.arrival_ns for t in self.queue)
-
-    def __len__(self) -> int:
-        return len(self.queue)
 
     # -- batch side ----------------------------------------------------
     def _seed(self, arrived: list[Task]) -> Task:

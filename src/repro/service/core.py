@@ -1,12 +1,20 @@
 """The serving core: one task type, one compile-and-price step, one
-⊙ admission rule, one settlement.
+⊙ admission rule, one clock-only stepper, one settlement.
 
 Everything that serves queries — the closed-loop
 :class:`~repro.service.ServiceExecutor`, the open-loop
 :class:`~repro.server.QueryServer`, and the execution-free
-:class:`~repro.whatif.WhatIfSweep` — is a driver over these four
-pieces, so a what-if row prices exactly the batches the server would
-form and the executor would measure.
+:class:`~repro.whatif.WhatIfSweep` — is built on these pieces:
+each stages compiled tasks into a :class:`Stepper`, asks it for the
+next decision, executes (or prices) the batch it names, and tells it
+how long the batch took.  So a what-if row prices exactly the batches
+the server would form and the executor would measure.
+
+The stepper decides on the simulated clock alone.  It holds no
+thread, event loop or future: a decision at simulated time *t* is a
+function of the tasks staged so far and of the one thing a caller
+with threads must tell it — the earliest arrival still compiling, at
+or before which it does not decide.
 
 Batches, not a continuous stream, keep the simulated-time semantics
 exact: within a batch the members' access traces interleave on the
@@ -35,7 +43,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from ..query.physical import QueryPlan
 from ..session import Session
@@ -44,10 +53,11 @@ from .metrics import BatchMetrics
 from .workload import WorkloadQuery
 
 if TYPE_CHECKING:
+    from .admission import AdmissionController
     from .executor import BatchReplay
 
 __all__ = ["MODES", "Task", "compile_task", "Batch", "BatchFormer",
-           "settle"]
+           "Step", "Stepper", "settle"]
 
 #: Recognized batch-formation modes.
 MODES = ("interference-aware", "max-parallel", "fifo-serial")
@@ -182,17 +192,104 @@ class BatchFormer:
             batch.append(candidates.pop(index))
         return Batch(batch, prediction)
 
-    def drain(self, tasks: Sequence[Task]) -> list[Batch]:
-        """Closed loop: every task is present from the start, and each
-        batch seeds with the queue head, so no task is starved."""
-        queue = list(tasks)
-        batches: list[Batch] = []
-        while queue:
-            batch = self.form(queue[0], queue[1:])
-            taken = {id(task) for task in batch}
-            queue = [task for task in queue if id(task) not in taken]
-            batches.append(batch)
-        return batches
+
+class Step(NamedTuple):
+    """One decision of a :class:`Stepper`."""
+
+    #: The simulated time it was made at: the clock, or the earliest
+    #: waiting arrival when the machine is idle.
+    now_ns: float
+    #: Every task offered to the run queue, in ``(arrival_ns, qid)``
+    #: order, each with the tasks its offer shed (itself when refused,
+    #: a displaced victim, or none).
+    offers: list[tuple[Task, list[Task]]]
+    #: The batch to run at ``now_ns``; empty when everything due was
+    #: shed (the next step jumps to the next arrival).
+    batch: Batch
+
+
+class Stepper:
+    """The clock-only decision loop every serving loop runs.
+
+    A caller :meth:`stage`\\ s compiled tasks in any order and calls
+    :meth:`step`; each step picks its simulated time — the clock, or
+    the earliest waiting arrival when the machine is idle — offers the
+    staged tasks that have arrived by then to ``admission`` in
+    ``(arrival_ns, qid)`` order, and asks it for the next batch.  The
+    caller runs the batch and reports its makespan to :meth:`advance`.
+    ``quota_of`` looks up a tenant's quota by name where the caller
+    keeps it (default: no tenant has a cap).
+
+    A batch never includes a query that had not arrived when it
+    started, and, given ``blocked_from`` (the earliest arrival of a
+    query not staged yet), no decision is made at or after a time a
+    missing query could still claim — so what a serving run decides is
+    a function of the workload, never of the order its tasks were
+    staged in.
+    """
+
+    def __init__(self, admission: "AdmissionController",
+                 quota_of: Callable[[str], object] | None = None) -> None:
+        self.admission = admission
+        self.quota_of = quota_of
+        #: The machine's simulated clock: when the last batch ended.
+        self.clock_ns = 0.0
+        #: Batches advanced past so far — the next batch's index.
+        self.batch_count = 0
+        #: Heap of ``(arrival_ns, qid, task)``: staged, not offered.
+        self._staged: list[tuple[float, int, Task]] = []
+
+    @classmethod
+    def closed_loop(cls, admission: "AdmissionController",
+                    tasks: Sequence[Task]) -> "Stepper":
+        """A stepper over ``tasks`` all queued, in their given order,
+        at simulated time zero (their arrival stamps reset), so each
+        batch seeds with the queue head and no task is starved.
+        ``admission`` must take them all (``max_queue=math.inf``)."""
+        for task in tasks:
+            task.arrival_ns = 0.0
+            if admission.offer(task):
+                raise ValueError("a closed loop's queue must be unbounded")
+        return cls(admission)
+
+    def stage(self, task: Task) -> None:
+        """Hand over a compiled task (any order)."""
+        heappush(self._staged, (task.arrival_ns, task.qid, task))
+
+    def step(self, blocked_from: float | None = None) -> Step | None:
+        """The next decision, or ``None`` when the clock cannot
+        advance: nothing is staged or queued, or ``blocked_from`` is at
+        or before the time the decision would be made at."""
+        admission, staged = self.admission, self._staged
+        earliest = admission.earliest_arrival()
+        if staged and (earliest is None or staged[0][0] < earliest):
+            earliest = staged[0][0]
+        if earliest is None:
+            return None
+        now = max(self.clock_ns, earliest)
+        if blocked_from is not None and blocked_from <= now:
+            return None
+        offers = []
+        quota_of = self.quota_of
+        while staged and staged[0][0] <= now:
+            task = heappop(staged)[2]
+            offers.append((task, admission.offer(
+                task, None if quota_of is None else quota_of(task.tenant))))
+        return Step(now, offers, admission.next_batch(now))
+
+    def advance(self, step: Step, makespan_ns: float) -> None:
+        """``step``'s batch ran for ``makespan_ns``: the machine is
+        free again at ``step.now_ns + makespan_ns``.  A batch that
+        failed is never advanced past — it takes no index and no
+        simulated time."""
+        self.clock_ns = step.now_ns + makespan_ns
+        self.batch_count += 1
+
+    def __iter__(self):
+        """Every decision until the clock cannot advance (a closed
+        loop's batches)."""
+        while (step := self.step()) is not None:
+            yield step
 
 
 def settle(index: int, batch: Batch, replay: "BatchReplay"

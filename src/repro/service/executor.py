@@ -25,6 +25,7 @@ queries' stalls.  Batches execute in sequence on a simulated clock.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,7 +36,8 @@ from ..query.physical import QueryPlan
 from ..session import Session
 from ..simulator.counters import CounterSnapshot
 from ..simulator.memory import MemorySystem
-from .core import BatchFormer, compile_task, settle
+from .admission import AdmissionController
+from .core import Stepper, compile_task, settle
 from .interference import InterferenceModel
 from .metrics import BatchMetrics, QueryMetrics, WorkloadReport
 from .workload import WorkloadQuery
@@ -225,8 +227,9 @@ def execute_batch(members: Sequence[tuple[Session, QueryPlan, int]],
 
 class ServiceExecutor:
     """The closed-loop driver over the serving core: every query is
-    present at simulated time zero; compile → form batches (seeding
-    with the queue head) → measure each batch → settle.
+    present at simulated time zero; compile → let the
+    :class:`~repro.service.Stepper` decide each batch (seeding with the
+    queue head) → measure it → settle.
 
     Parameters
     ----------
@@ -235,23 +238,26 @@ class ServiceExecutor:
         cache.  Each client gets its own :meth:`~Session.spawn`-ed
         session over the same engine and cache, so compile provenance
         (hit/miss) is tracked per client while plans are shared.
-    mode / max_batch / slack / lookahead:
-        Batch-formation knobs (:class:`~repro.service.BatchFormer`).
-    quantum:
-        Time-slice length of the interleaved replay (accesses per
-        co-runner per turn; see :data:`DEFAULT_QUANTUM`).
+    mode / max_batch / slack:
+        Batch-formation knobs (:class:`~repro.service.BatchFormer`);
+        the queue is unbounded and batches replay with the
+        :data:`DEFAULT_QUANTUM` time slice.
     """
 
     def __init__(self, session: Session, *,
                  mode: str = "interference-aware", max_batch: int = 4,
-                 slack: float = 1.0, lookahead: int = 8,
-                 quantum: int = DEFAULT_QUANTUM) -> None:
+                 slack: float = 1.0) -> None:
         self.session = session
-        self.quantum = quantum
-        self.former = BatchFormer(
-            InterferenceModel(session.hierarchy), mode=mode,
-            max_batch=max_batch, slack=slack, lookahead=lookahead)
+        self.interference = InterferenceModel(session.hierarchy)
+        self._knobs = dict(mode=mode, max_batch=max_batch, slack=slack)
+        self._run_queue()  # reject bad knobs here, not at the first run
         self._clients: dict[int, Session] = {}
+
+    def _run_queue(self) -> AdmissionController:
+        """A fresh unbounded run queue: each run starts with nothing
+        queued, whatever a run that raised left behind."""
+        return AdmissionController(self.interference, max_queue=math.inf,
+                                   **self._knobs)
 
     def _client_session(self, client: int) -> Session:
         if client not in self._clients:
@@ -261,32 +267,33 @@ class ServiceExecutor:
     def run(self, queries: Sequence[WorkloadQuery]) -> WorkloadReport:
         """Compile, batch, and execute ``queries``; returns the full
         simulated-time report."""
-        former = self.former
         hierarchy = self.session.hierarchy
-        if former.interference.hierarchy is not hierarchy:
+        if self.interference.hierarchy is not hierarchy:
             # the shared engine's profile changed since the last run
-            former.interference = InterferenceModel(hierarchy)
-        tasks = [compile_task(self._client_session(q.client),
-                              former.interference, q) for q in queries]
-        clock = 0.0
+            self.interference = InterferenceModel(hierarchy)
+        admission = self._run_queue()
+        stepper = Stepper.closed_loop(admission, [
+            compile_task(self._client_session(q.client),
+                         self.interference, q) for q in queries])
         mem = MemorySystem(hierarchy)
         query_metrics: list[QueryMetrics] = []
         batch_metrics: list[BatchMetrics] = []
-        for index, batch in enumerate(former.drain(tasks)):
+        for step in stepper:
+            batch, clock = step.batch, step.now_ns
             replay, _, measured = execute_batch(
                 [(self.session, t.plan, 0) for t in batch], mem,
-                self.quantum, attribute=True)
-            finishes, metrics = settle(index, batch, replay)
+                DEFAULT_QUANTUM, attribute=True)
+            finishes, metrics = settle(stepper.batch_count, batch, replay)
             operators = None if measured is None else measured.operators
             for t, mem_ns, finish in zip(batch, replay.memory_ns, finishes):
                 query_metrics.append(QueryMetrics(
                     qid=t.qid, client=t.client, kind=t.kind,
-                    signature=t.signature, batch_index=index,
+                    signature=t.signature, batch_index=metrics.index,
                     cache_hit=t.cache_hit, start_ns=clock,
                     finish_ns=clock + finish, memory_ns=mem_ns,
                     cpu_ns=t.cpu_ns, operators=operators))
             batch_metrics.append(metrics)
-            clock += metrics.measured_makespan_ns
+            stepper.advance(step, metrics.measured_makespan_ns)
         query_metrics.sort(key=lambda m: m.qid)
-        return WorkloadReport(former.mode, query_metrics, batch_metrics,
+        return WorkloadReport(admission.mode, query_metrics, batch_metrics,
                               fingerprint=self.session.fingerprint)

@@ -11,9 +11,9 @@ meeting p95 ≤ X at N clients") with baseline deltas, a Pareto
 frontier, and optional trace-driven simulator spot checks on the
 interesting rows.
 
-Also runnable as ``python -m repro.whatif``; a live
-:class:`~repro.server.QueryServer` exposes the same machinery through
-:meth:`~repro.server.QueryServer.capacity_plan`.
+Also runnable as ``python -m repro.whatif``; :func:`capacity_plan`
+drives the same machinery over a live
+:class:`~repro.server.QueryServer`'s recorded mix.
 """
 
 from .report import Recommendation, WhatIfReport, derive_admission_slack
@@ -33,6 +33,7 @@ from .sweep import (
     GeneratedWorkload,
     SpotCheck,
     WhatIfSweep,
+    capacity_plan,
 )
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "CONFIG_AXES",
     "TINY_POOL_BASE",
     "WhatIfSweep",
+    "capacity_plan",
     "GeneratedWorkload",
     "CapturedWorkload",
     "CandidateOutcome",

@@ -8,8 +8,8 @@ candidate hardware — a bigger cache can change the chosen join), and
 prices the stream purely with the cost model:
 
 * standalone cost per query from the whole-plan pattern (Eq. 6.1),
-* co-run batches formed by the very :class:`~repro.service.BatchFormer`
-  the server's admission controller runs,
+* co-run batches decided by the very :class:`~repro.service.Stepper`
+  and admission rule the server runs,
 * each batch priced by
   :meth:`~repro.core.CostModel.concurrent_estimates` through
   :meth:`~repro.service.InterferenceModel.co_run` (Eq. 5.3), with
@@ -28,17 +28,19 @@ Workloads come in two shapes: :class:`GeneratedWorkload` re-creates a
 seeded :class:`~repro.service.WorkloadGenerator` stream per candidate
 (templates over deterministic tables), and :class:`CapturedWorkload`
 snapshots a live session's catalog and an observed ``(kind, text)``
-stream — how a :class:`~repro.server.QueryServer` answers capacity
-questions from its own recorded mix.
+stream — how :func:`capacity_plan` answers capacity questions from a
+:class:`~repro.server.QueryServer`'s own recorded mix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
-from ..service.core import BatchFormer, compile_task
-from ..service.executor import DEFAULT_QUANTUM, ServiceExecutor
+from ..service.admission import AdmissionController
+from ..service.core import Stepper, compile_task
+from ..service.executor import ServiceExecutor
 from ..service.interference import InterferenceModel
 from ..service.metrics import percentile
 from ..service.workload import (
@@ -53,7 +55,7 @@ from .report import WhatIfReport
 from .space import Candidate, ProfileSpace
 
 __all__ = ["GeneratedWorkload", "CapturedWorkload", "CandidateOutcome",
-           "SpotCheck", "WhatIfSweep", "MIXES"]
+           "SpotCheck", "WhatIfSweep", "capacity_plan", "MIXES"]
 
 #: Named mixes the CLI and generated workloads accept.
 MIXES: Mapping[str, Mapping[str, float]] = {
@@ -280,24 +282,19 @@ class WhatIfSweep:
         The :class:`~repro.whatif.ProfileSpace` to expand.
     workload:
         A :class:`GeneratedWorkload` or :class:`CapturedWorkload`.
-    mode / slack / lookahead:
+    mode / slack:
         Batch-formation knobs (:class:`~repro.service.BatchFormer`,
         the server's defaults, validated by the former when the first
         candidate is priced); a candidate's ``cores`` is the batch cap.
-    quantum:
-        Interleaved-replay time slice for spot checks.
     """
 
     def __init__(self, space: ProfileSpace, workload, *,
-                 mode: str = "interference-aware", slack: float = 1.0,
-                 lookahead: int = 8,
-                 quantum: int = DEFAULT_QUANTUM) -> None:
+                 mode: str = "interference-aware",
+                 slack: float = 1.0) -> None:
         self.space = space
         self.workload = workload
         self.mode = mode
         self.slack = slack
-        self.lookahead = lookahead
-        self.quantum = quantum
         #: label → Candidate for every priced candidate (filled by
         #: :meth:`run`; lets callers spot-check after the fact).
         self.candidates: dict[str, Candidate] = {}
@@ -305,23 +302,22 @@ class WhatIfSweep:
     # ------------------------------------------------------------------
     def _admission(self, cores: int) -> dict:
         """The batch-formation knobs on a ``cores``-wide candidate."""
-        return dict(mode=self.mode, max_batch=cores, slack=self.slack,
-                    lookahead=self.lookahead)
+        return dict(mode=self.mode, max_batch=cores, slack=self.slack)
 
     def price(self, candidate: Candidate) -> CandidateOutcome:
         """Predict the workload's serving behaviour on ``candidate``
         with pure model arithmetic (no execution, no simulator)."""
         session, queries = self.workload.realize(candidate)
         interference = InterferenceModel(session.hierarchy)
-        former = BatchFormer(interference,
-                             **self._admission(candidate.cores))
-        batches = former.drain(
+        stepper = Stepper.closed_loop(
+            AdmissionController(interference, max_queue=math.inf,
+                                **self._admission(candidate.cores)),
             [compile_task(session, interference, q) for q in queries])
-        clock = 0.0
         latencies: list[float] = []
         inflation = 0.0
         co_run = 0
-        for batch in batches:
+        for step in stepper:
+            batch, clock = step.batch, step.now_ns
             makespan = batch.prediction.makespan_ns
             if len(batch) > 1:
                 plans = [t.plan for t in batch]
@@ -338,7 +334,8 @@ class WhatIfSweep:
             # member's predicted completion is the batch makespan plus
             # the queueing delay behind earlier batches.
             latencies.extend(clock + makespan for _ in batch)
-            clock += makespan
+            stepper.advance(step, makespan)
+        clock = stepper.clock_ns
         throughput = (len(latencies) / (clock / 1e9) if clock > 0
                       else float("inf"))
         self.candidates[candidate.label] = candidate
@@ -351,7 +348,7 @@ class WhatIfSweep:
             p50_ns=percentile(latencies, 50.0),
             p95_ns=percentile(latencies, 95.0),
             throughput_qps=throughput,
-            batches=len(batches), co_run_batches=co_run,
+            batches=stepper.batch_count, co_run_batches=co_run,
             max_admission_inflation=inflation)
 
     def spot_check(self, candidate: Candidate,
@@ -361,9 +358,8 @@ class WhatIfSweep:
         the measured counterpart of the ⊙ prediction) and compare the
         headline numbers."""
         session, queries = self.workload.realize(candidate)
-        executor = ServiceExecutor(
-            session, **self._admission(candidate.cores),
-            quantum=self.quantum)
+        executor = ServiceExecutor(session,
+                                   **self._admission(candidate.cores))
         report = executor.run(queries)
         measured_makespan = report.makespan_ns
         measured_p95 = report.p95_latency_ns
@@ -414,3 +410,49 @@ class WhatIfSweep:
                 check = self.spot_check(self.candidates[label], outcome)
                 report.attach_spot_check(label, check)
         return report
+
+
+def capacity_plan(server, space: ProfileSpace, *, tenant: str | None = None,
+                  slo_p95_ns: float | None = None,
+                  clients: int | None = None, spot_check: str = "none",
+                  apply_slack: bool = False) -> WhatIfReport:
+    """Answer a capacity question from a serving run's own recorded
+    mix: re-price everything ``server`` (a
+    :class:`~repro.server.QueryServer` or any
+    :class:`~repro.server.Dispatcher`) served so far — one tenant's
+    stream, or all tenants' — on every candidate of ``space``.
+
+    The served queries and the owning tenant's catalog are captured by
+    value (:class:`CapturedWorkload`), then priced under the server's
+    *own* admission configuration (mode and slack; lookahead and replay
+    quantum are the one default everywhere) so the what-if batches are
+    the ones this server would actually form.  With
+    ``apply_slack=True`` and an SLO target, the recommendation's
+    derived admission slack is installed on the server's live
+    admission controller — the planning loop closed.
+    """
+    served = server.report().completed
+    if tenant is not None:
+        owner = server.tenant(tenant)
+        served = [r for r in served if r.tenant == tenant]
+    else:
+        owners = sorted(server.tenants.values(), key=lambda t: t.index)
+        if not owners:
+            raise RuntimeError("no tenants registered")
+        # All tenants share generator-built catalogs in practice;
+        # capture the first tenant's tables as the representative.
+        owner = owners[0]
+    if not served:
+        raise RuntimeError("nothing served yet — a capacity plan "
+                           "needs a recorded mix")
+    workload = CapturedWorkload.from_session(
+        owner.session, [(r.kind, r.text) for r in served],
+        clients=clients if clients is not None
+        else max(1, len(server.tenants)))
+    admission = server.admission
+    sweep = WhatIfSweep(space, workload, mode=admission.mode,
+                        slack=admission.slack)
+    report = sweep.run(slo_p95_ns=slo_p95_ns, spot_check=spot_check)
+    if apply_slack and report.recommendation is not None:
+        admission.slack = report.recommendation.admission_slack
+    return report

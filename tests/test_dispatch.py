@@ -1,31 +1,46 @@
-"""The dispatcher's contract: what a serving run decides is a function
-of the workload on the simulated clock, never of how compile threads
-and the dispatcher race on the wall clock.
+"""The dispatcher's contract, then the hand-off's.
 
-Queries are staged in whatever order their compiles finish and
-admitted in ``(arrival_ns, qid)`` order; the same stamped stream
-yields the same report for every pool width; with a tracer attached
-the span order and the point where an online recalibration swaps the
-profile repeat exactly.  (These first three classes passed unchanged
-on the per-batch dispatcher they were written against.)  Then the
-run-until-blocked dispatcher's own guarantees: a raising batch or
-compile fails its members and nothing else, responses reach clients
-while the run goes on and a closed-loop client at once, the thread
-boundary is crossed per run and not per query, ``stop()`` ends a run at
-a batch boundary and a compile run at a query boundary.
+What a serving run decides is a function of the workload on the
+simulated clock, never of how compile threads and the dispatch run
+race on the wall clock.  The first part holds the
+:class:`~repro.server.Dispatcher` to that with no thread at all: tasks
+are handed to :meth:`~repro.server.Dispatcher.step` in any chosen
+compile-completion order, each step told the earliest arrival still
+"compiling" — exactly what ``QueryServer._run`` passes — and must be
+admitted in ``(arrival_ns, qid)`` order, shed and displaced exactly,
+and served at the clock when stamped in its past.
+
+The second part is about the thread hand-off itself, the part of
+:class:`~repro.server.QueryServer` that is not the dispatcher: the
+same stream yields the same report for every pool width and the
+dispatcher's own, a compile held back inside a running server keeps
+every decision waiting for it (the run computes ``blocked_from``
+itself), span order and the recalibration point repeat, a
+raising batch or compile fails its members and nothing else, responses
+reach clients while the run goes on and a closed-loop client at once,
+the thread boundary is crossed per run and not per query, ``stop()``
+ends a run at a batch boundary and a compile run at a query boundary.
+Where an assertion would depend on how far a worker got on the wall
+clock, a gate (a :class:`threading.Event` a kernel or compile waits
+on) holds the worker at a known point instead.
 """
 
 import asyncio
 import json
 import random
 import sys
-import time
+import threading
 from dataclasses import replace
 
 import pytest
 
 from repro.hardware import parametric_profile
-from repro.server import PoissonArrivals, QueryServer, TenantQuota
+from repro.server import (
+    Dispatcher,
+    PoissonArrivals,
+    QueryServer,
+    TenantQuota,
+)
 from repro.service import WorkloadGenerator
 
 from test_autotune import _recalibrating_run
@@ -37,54 +52,75 @@ TENANTS = ("acme", "globex")
 def _queries(n, scale=64, mix=None):
     """``n`` generator queries (deterministic) over a throwaway
     catalog; every server below populates the same one."""
-    server = QueryServer()
+    server = Dispatcher()
     tenant = server.add_tenant("probe")
     generator = WorkloadGenerator(tenant.session, scale=scale, seed=7,
                                   **({"mix": mix} if mix else {}))
     return generator.generate(n, clients=4)
 
 
-def _serve(queries, *, delays=None, scale=64, quota=None,
-           tenant_for=None, **server_kw):
-    """Serve the stamped ``queries`` on a fresh two-tenant server
-    (clients dealt round-robin over tenants unless ``tenant_for`` maps
-    a query to its tenant) and drain.  ``delays`` (qid -> seconds)
-    holds each compile back on the wall clock, so completions reach
-    the dispatcher in a chosen order.  Returns the server, the
-    responses, every ``(arrival_ns, qid)`` offered to the admission
-    controller, in offer order, and — beside it — the same pairs in the
-    order their compiles finished (the order they were staged in)."""
-    offers, compiled = [], []
+def _populate(server, *, scale=64, quota=None):
+    for name in TENANTS:
+        tenant = server.add_tenant(name, quota)
+        WorkloadGenerator(tenant.session, scale=scale, seed=7)
+    return server
+
+
+def _round_robin(query):
+    return TENANTS[query.client % len(TENANTS)]
+
+
+def _step_through(queries, *, order=None, scale=64, quota=None,
+                  tenant_for=_round_robin, **dispatcher_kw):
+    """Serve the stamped ``queries`` on a fresh two-tenant
+    :class:`Dispatcher`, no threads: accept every query, compile it,
+    and hand the tasks over one at a time in ``order`` (qids, the
+    order compiles "finish"; default: submission order), stepping as
+    far as the clock can advance after each — blocked from the
+    earliest arrival not handed over yet.  Returns the dispatcher and
+    every ``(arrival_ns, qid)`` offered to the admission controller,
+    in offer order."""
+    dispatcher = _populate(Dispatcher(**dispatcher_kw), scale=scale,
+                           quota=quota)
+    offers = []
+    offer = dispatcher.admission.offer
+
+    def logged_offer(task, task_quota):
+        offers.append((task.arrival_ns, task.qid))
+        return offer(task, task_quota)
+
+    dispatcher.admission.offer = logged_offer
+    tasks = {}
+    for query in queries:
+        owner, accepted = dispatcher.accept(
+            tenant_for(query), query.text, query.kind, query.arrival_ns)
+        tasks[accepted.qid] = dispatcher._compile(owner, accepted)
+    order = list(tasks) if order is None else order
+    for i, qid in enumerate(order):
+        blocked_from = min((tasks[later].arrival_ns
+                            for later in order[i + 1:]), default=None)
+        compiled = [tasks[qid]]
+        while dispatcher.step(compiled, blocked_from) is not None:
+            compiled = ()
+    return dispatcher, offers
+
+
+def _serve(queries, *, scale=64, quota=None, tenant_for=None,
+           **server_kw):
+    """Serve the stamped ``queries`` on a fresh two-tenant
+    :class:`QueryServer` (clients dealt round-robin over tenants unless
+    ``tenant_for`` maps a query to its tenant) and drain.  Returns the
+    server and the responses."""
 
     async def main():
-        server = QueryServer(**server_kw)
-        for name in TENANTS:
-            tenant = server.add_tenant(name, quota)
-            WorkloadGenerator(tenant.session, scale=scale, seed=7)
-        offer = server.admission.offer
-
-        def logged_offer(task, task_quota):
-            offers.append((task.arrival_ns, task.qid))
-            return offer(task, task_quota)
-
-        server.admission.offer = logged_offer
-        compile_ = server._compile
-
-        def logged_compile(tenant, query):
-            if delays is not None:
-                time.sleep(delays[query.qid])
-            task = compile_(tenant, query)
-            compiled.append((query.arrival_ns, query.qid))
-            return task
-
-        server._compile = logged_compile
+        server = _populate(QueryServer(**server_kw), scale=scale,
+                           quota=quota)
         async with server:
             responses = await server.serve(queries, tenant_for)
             await server.drain()
         return server, responses
 
-    server, responses = asyncio.run(main())
-    return server, responses, offers, compiled
+    return asyncio.run(main())
 
 
 def simulated(server) -> dict:
@@ -98,12 +134,16 @@ def simulated(server) -> dict:
     return payload
 
 
+# ---------------------------------------------------------------------
+# the dispatcher: every decision, on the simulated clock only
+# ---------------------------------------------------------------------
+
 class TestStagedOutOfArrivalOrder:
     #: Three queries share every arrival stamp and three in four are
     #: acme's; the queue holds four, so a burst refuses acme's excess
     #: on arrival and globex displaces acme's newest.
     N = 24
-    KW = dict(mode="fifo-serial", max_workers=4, max_queue=4,
+    KW = dict(mode="fifo-serial", max_queue=4,
               quota=TenantQuota(max_queued=4),
               tenant_for=lambda query: TENANTS[query.qid % 4 == 3])
 
@@ -119,15 +159,13 @@ class TestStagedOutOfArrivalOrder:
         stream = self._stream()
         rng = random.Random(5)
         # later arrivals compile first, earlier ones trickle in
-        delays = {q.qid: 0.002 * (self.N - q.qid) / self.N
+        finish = {q.qid: 0.002 * (self.N - q.qid) / self.N
                   + rng.uniform(0.0, 0.004) for q in stream}
-        calm, _, calm_offers, _ = _serve(stream, **self.KW)
-        shuffled, _, offers, compiled = _serve(stream, delays=delays,
-                                               **self.KW)
-        # the compiles really overtook each other (one compile at a
-        # time, in submission order, would pass the rest vacuously) ...
-        assert sorted(compiled) == sorted(offers)
-        assert compiled != sorted(compiled)
+        order = sorted(finish, key=finish.get)
+        calm, calm_offers = _step_through(stream, **self.KW)
+        shuffled, offers = _step_through(stream, order=order, **self.KW)
+        # the compiles really overtook each other ...
+        assert order != sorted(order)
         # ... and were admitted in (arrival, qid) order all the same
         assert offers == sorted(offers)
         assert offers == calm_offers
@@ -138,63 +176,72 @@ class TestStagedOutOfArrivalOrder:
         """The shed set of the stream above, and who was refused on
         arrival versus displaced later — fifo-serial, so it depends on
         the queue rules and the simulator only, not on ⊙ pricing."""
-        server, responses, _, _ = _serve(self._stream(), **self.KW)
-        shed = [r for r in responses if not r.ok]
-        refused = sorted(r.qid for r in shed
+        dispatcher, _ = _step_through(self._stream(), **self.KW)
+        report = dispatcher.report()
+        refused = sorted(r.qid for r in report.shed
                          if r.start_ns == r.arrival_ns)
-        displaced = sorted(r.qid for r in shed
+        displaced = sorted(r.qid for r in report.shed
                            if r.start_ns > r.arrival_ns)
         assert (refused, displaced) == (self.REFUSED, self.DISPLACED)
-        for r in shed:
+        for r in report.shed:
             assert r.latency_ns == r.start_ns - r.arrival_ns
-        stats = {t["name"]: t for t in server.report().tenants}
-        for name in TENANTS:
-            assert stats[name]["submitted"] == \
-                stats[name]["completed"] + stats[name]["shed"]
+        for stats in report.tenants:
+            assert stats["submitted"] == \
+                stats["completed"] + stats["shed"]
 
     def test_live_submit_older_than_the_clock(self):
         """An arrival stamp in the machine's past is served at the
         clock, ahead of a later arrival, whichever compiles first."""
+        assert self._stale_and_later(stale_first=True) \
+            == self._stale_and_later(stale_first=False)
 
-        async def main(delay_late):
-            server = QueryServer(mode="fifo-serial", max_workers=2)
-            tenant = server.add_tenant("solo")
-            tenant.session.create_table("t", list(range(64)))
-            tenant.session.predicate("small", lambda v: v < 10)
-            compile_ = server._compile
+    @staticmethod
+    def _stale_and_later(stale_first):
+        dispatcher = Dispatcher(mode="fifo-serial")
+        tenant = dispatcher.add_tenant("solo")
+        tenant.session.create_table("t", list(range(64)))
+        tenant.session.predicate("small", lambda v: v < 10)
+        text = "filter(t, small, sel=0.2)"
 
-            def held_back(tenant, query):
-                if query.qid == delay_late:
-                    time.sleep(0.01)
-                return compile_(tenant, query)
+        def submit(arrival_ns):
+            return dispatcher._compile(
+                *dispatcher.accept("solo", text, arrival_ns=arrival_ns))
 
-            server._compile = held_back
-            text = "filter(t, small, sel=0.2)"
-            async with server:
-                first = await server.submit("solo", text, arrival_ns=0.0)
-                clock = server.clock_ns
-                assert clock == first.finish_ns > 0.0
-                late = server.submit_nowait(
-                    "solo", text, arrival_ns=clock / 2)
-                later = server.submit_nowait(
-                    "solo", text, arrival_ns=clock + 1.0)
-                late, later = await asyncio.gather(late, later)
-                await server.drain()
-            assert late.start_ns == first.finish_ns
-            assert late.wait_ns == clock / 2
-            assert (late.batch_index, later.batch_index) == (1, 2)
-            assert later.start_ns == late.finish_ns
-            return [r.to_json() | {"compile_ns": None}
-                    for r in (first, late, later)]
+        [(_, first)] = dispatcher.step([submit(0.0)])
+        assert dispatcher.step() is None
+        clock = dispatcher.clock_ns
+        assert clock == first.finish_ns > 0.0
+        late, later = submit(clock / 2), submit(clock + 1.0)
+        if stale_first:
+            [(_, served_late)] = dispatcher.step([late], later.arrival_ns)
+            assert dispatcher.step() is None  # later is not staged yet
+            [(_, served_later)] = dispatcher.step([later])
+        else:
+            # nothing is decided while the stale arrival compiles
+            assert dispatcher.step([later], late.arrival_ns) is None
+            [(_, served_late)] = dispatcher.step([late])
+            [(_, served_later)] = dispatcher.step()
+        assert served_late.start_ns == first.finish_ns
+        assert served_late.wait_ns == clock / 2
+        assert (served_late.batch_index, served_later.batch_index) \
+            == (1, 2)
+        assert served_later.start_ns == served_late.finish_ns
+        assert dispatcher.step() is None
+        return [r.to_json() | {"compile_ns": None}
+                for r in (first, served_late, served_later)]
 
-        # the stale arrival compiles last / the later arrival does
-        assert asyncio.run(main(1)) == asyncio.run(main(2))
 
+# ---------------------------------------------------------------------
+# the hand-off: threads move work and results, never a decision
+# ---------------------------------------------------------------------
 
 class TestPoolWidthIsInvisible:
-    def test_same_report_for_every_max_workers_and_twice(self):
-        stream = PoissonArrivals(60000.0, seed=3).stamp(
+    def _stream(self):
+        return PoissonArrivals(60000.0, seed=3).stamp(
             _queries(24, scale=128))
+
+    def test_same_report_for_every_max_workers_and_twice(self):
+        stream = self._stream()
         reports = [simulated(_serve(stream, scale=128,
                                     max_workers=workers)[0])
                    for workers in (1, 2, 4, 2)]
@@ -203,6 +250,15 @@ class TestPoolWidthIsInvisible:
         assert reports[0]["completed"] == 24
         for other in reports[1:]:
             assert other == reports[0]
+
+    def test_the_server_decides_what_the_dispatcher_decides(self):
+        """The threaded server and the dispatcher stepped by hand, in
+        the reverse of submission order, produce one report."""
+        stream = self._stream()
+        served = simulated(_serve(stream, scale=128, max_workers=4)[0])
+        stepped, _ = _step_through(stream, scale=128,
+                                   order=[q.qid for q in stream][::-1])
+        assert simulated(stepped) == served
 
 
 class TestTracedRecalibrationOrder:
@@ -224,27 +280,172 @@ class TestTracedRecalibrationOrder:
         assert [r.batch_index for r in responses] == [0, 1, 2, 3, 4]
 
 
-# ---------------------------------------------------------------------
-# the run-until-blocked dispatcher's own guarantees
-# ---------------------------------------------------------------------
-
-def _solo_server(**server_kw):
+def _solo_server(max_queue=1024, **server_kw):
     """One tenant, fifo-serial, queue and quota wide enough that
-    nothing is shed."""
-    server = QueryServer(mode="fifo-serial", max_queue=1024, **server_kw)
-    tenant = server.add_tenant("solo", TenantQuota(max_queued=1024))
+    nothing is shed; ``gate`` is a predicate whose kernel waits for
+    ``server.gate`` to be set."""
+    server = QueryServer(mode="fifo-serial", max_queue=max_queue,
+                         **server_kw)
+    tenant = server.add_tenant("solo", TenantQuota(max_queued=max_queue))
     tenant.session.create_table("t", list(range(64)))
     tenant.session.predicate("small", lambda v: v < 10)
 
     def boom(value):
         raise RuntimeError("kernel exploded")
 
+    gate = server.gate = threading.Event()
+
+    def gated(value):
+        assert gate.wait(timeout=30), "the test never opened the gate"
+        return value < 10
+
     tenant.session.predicate("boom", boom)
+    tenant.session.predicate("gate", gated)
     return server
 
 
 GOOD, BAD = "filter(t, small, sel=0.2)", "filter(t, boom, sel=0.2)"
+GATED = "filter(t, gate, sel=0.2)"
 GARBLED = "filter(t small"
+
+
+async def _stop_with_the_gate_open(server):
+    """Call ``stop()`` and only then open the gate: a worker held at
+    it sees ``_stopping`` set as soon as it goes on."""
+    stopping = asyncio.ensure_future(server.stop())
+    while not server._stopping:
+        await asyncio.sleep(0)
+    server.gate.set()
+    await asyncio.wait_for(stopping, timeout=30)
+    await asyncio.sleep(0)  # posted responses land
+
+
+def _settled(server) -> bool:
+    """Nothing accepted, compiling, staged or queued is left."""
+    return (server._outstanding == 0 and not server._accepted
+            and not server._compiling and not server._inbox
+            and not server.stepper._staged and not server.admission.queue)
+
+
+def _hold_compile(server, qid):
+    """Hold query ``qid``'s compile at ``server.gate``."""
+    compile_ = server._compile
+
+    def held(tenant, query):
+        if query.qid == qid:
+            assert server.gate.wait(timeout=30), "the gate never opened"
+        return compile_(tenant, query)
+
+    server._compile = held
+
+
+def _log_steps(server):
+    """Record every dispatcher step the server's runs take, once it
+    has returned: how many compiled tasks it staged, and what it
+    returned."""
+    steps = []
+    step = server.step
+
+    def logged(compiled=(), blocked_from=None):
+        compiled = list(compiled)
+        resolved = step(compiled, blocked_from)
+        steps.append((len(compiled), resolved))
+        return resolved
+
+    server.step = logged
+    return steps
+
+
+async def _until(condition, timeout=30):
+    """Yield to the loop until ``condition()`` holds."""
+    async def poll():
+        while not condition():
+            await asyncio.sleep(0.001)
+
+    await asyncio.wait_for(poll(), timeout)
+
+
+class TestHeldCompile:
+    """A compile held at the gate inside a running server, while later
+    arrivals compile and reach the dispatcher: the run passes the
+    earliest arrival still compiling as ``blocked_from``, so it decides
+    nothing until that compile is in, and then exactly what the
+    dispatcher stepped by hand decides."""
+
+    def test_an_earlier_arrival_holds_every_decision(self):
+        case = TestStagedOutOfArrivalOrder
+        stream = case()._stream()
+        knobs = dict(case.KW)
+        quota, tenant_for = knobs.pop("quota"), knobs.pop("tenant_for")
+        offers = []
+
+        async def main():
+            server = _populate(QueryServer(max_workers=2, **knobs),
+                               quota=quota)
+            server.gate = threading.Event()
+            _hold_compile(server, 0)
+            steps = _log_steps(server)
+            offer = server.admission.offer
+
+            def logged_offer(task, task_quota):
+                offers.append((task.arrival_ns, task.qid))
+                return offer(task, task_quota)
+
+            server.admission.offer = logged_offer
+            async with server:
+                futures = [server.submit_nowait(tenant_for(q), q.text,
+                                                q.kind, q.arrival_ns)
+                           for q in stream]
+                # every later arrival compiled and staged by a run
+                await _until(lambda: sum(n for n, _ in steps)
+                             == len(stream) - 1)
+                undecided = [resolved for _, resolved in steps]
+                pending = sum(not future.done() for future in futures)
+                server.gate.set()
+                await asyncio.wait_for(asyncio.gather(*futures),
+                                       timeout=30)
+                await asyncio.wait_for(server.drain(), timeout=30)
+            return server, undecided, pending
+
+        server, undecided, pending = asyncio.run(main())
+        assert undecided and all(r is None for r in undecided)
+        assert pending == len(stream)
+        stepped, stepped_offers = _step_through(stream, **case.KW)
+        assert offers == sorted(offers) == stepped_offers
+        assert simulated(server) == simulated(stepped)
+
+    def test_a_stale_arrival_holds_a_later_one(self):
+        """The stale arrival's compile is held until the later arrival
+        has compiled and reached the dispatcher; the run serves neither
+        until it is in, and then the stale one first, at the clock."""
+
+        async def main():
+            server = _solo_server(max_workers=2)
+            steps = _log_steps(server)
+            async with server:
+                first = await asyncio.wait_for(
+                    server.submit("solo", GOOD, arrival_ns=0.0), timeout=30)
+                clock = server.clock_ns
+                assert clock == first.finish_ns > 0.0
+                mark = len(steps)
+                _hold_compile(server, 1)
+                late = server.submit_nowait("solo", GOOD,
+                                            arrival_ns=clock / 2)
+                later = server.submit_nowait("solo", GOOD,
+                                             arrival_ns=clock + 1.0)
+                await _until(lambda: sum(n for n, _ in steps[mark:]) == 1)
+                undecided = [resolved for _, resolved in steps[mark:]]
+                server.gate.set()
+                late, later = await asyncio.wait_for(
+                    asyncio.gather(late, later), timeout=30)
+                await asyncio.wait_for(server.drain(), timeout=30)
+            return first, late, later, undecided
+
+        first, late, later, undecided = asyncio.run(main())
+        assert all(r is None for r in undecided)
+        assert [r.to_json() | {"compile_ns": None}
+                for r in (first, late, later)] \
+            == TestStagedOutOfArrivalOrder._stale_and_later(stale_first=False)
 
 
 class TestFailingBatch:
@@ -284,7 +485,6 @@ class TestFailingBatch:
         assert after.start_ns == served[-1].finish_ns
         assert len(server.report().responses) == 5
 
-
     def test_a_swapped_machine_is_not_replayed_stale(self):
         """The run replays every batch on one machine built for
         ``server.hierarchy``; were that ever replaced, the batch fails
@@ -306,44 +506,56 @@ class TestFailingBatch:
 class TestRunUntilBlocked:
     N = 400
 
-    def _submit_all(self, server):
-        return [server.submit_nowait("solo", GOOD, arrival_ns=100.0 * i)
-                for i in range(self.N)]
+    def _submit_all(self, server, texts=()):
+        """``N`` queries 100 ns apart; ``texts`` replaces the first
+        few texts."""
+        texts = list(texts) + [GOOD] * (self.N - len(texts))
+        return [server.submit_nowait("solo", text, arrival_ns=100.0 * i)
+                for i, text in enumerate(texts)]
 
     def test_responses_arrive_batch_by_batch(self):
-        """The whole stream is one run; its first client wakes while
-        later batches are still outstanding."""
+        """The first client wakes while the run is still going: the
+        run is held in the second batch's kernel until the first
+        response has arrived."""
 
         async def main():
             async with _solo_server(max_workers=2) as server:
-                futures = self._submit_all(server)
-                first = await futures[0]
+                futures = self._submit_all(server, [GOOD, GATED])
+                first = await asyncio.wait_for(futures[0], timeout=30)
                 pending = sum(not future.done() for future in futures)
-                responses = await asyncio.gather(*futures)
+                server.gate.set()
+                responses = await asyncio.wait_for(
+                    asyncio.gather(*futures), timeout=60)
                 await server.drain()
             return first, pending, responses
 
         first, pending, responses = asyncio.run(main())
         assert first.batch_index == 0
-        assert pending > 0
+        assert pending == self.N - 1
         assert [r.batch_index for r in responses] == list(range(self.N))
 
     def test_one_worker_starves_neither_side(self):
         """Compile runs and the dispatch run share the one worker: a
-        client submitting without pause — faster than queries compile,
-        so the accepted queue never empties — is still answered while
-        it goes on submitting."""
+        client that keeps the accepted queue from ever emptying — so
+        every compile run ends with a successor queued — is still
+        answered while it goes on submitting.  (It tops the queue up
+        rather than submitting flat out, so how many queries it has
+        submitted by its first answer counts compiles, not how fast
+        the host runs the event loop.)"""
         limit = 20_000
 
         async def main():
-            async with _solo_server(max_workers=1) as server:
+            async with _solo_server(max_queue=limit,
+                                    max_workers=1) as server:
                 # (stamped apart: a decision waits for every compile
                 # whose query has arrived, on any pool)
                 futures = [server.submit_nowait("solo", GOOD,
                                                 arrival_ns=0.0)]
                 while not futures[0].done() and len(futures) < limit:
-                    futures.append(server.submit_nowait(
-                        "solo", GOOD, arrival_ns=100.0 * len(futures)))
+                    if len(server._accepted) < 50:
+                        futures.append(server.submit_nowait(
+                            "solo", GOOD,
+                            arrival_ns=100.0 * len(futures)))
                     await asyncio.sleep(0)
                 submitted = len(futures)
                 responses = await asyncio.wait_for(
@@ -386,9 +598,9 @@ class TestRunUntilBlocked:
     def test_stress_more_workers_than_cores(self):
         """Compile callbacks, the run and the loop thread interleave
         as finely as the interpreter allows: every future still
-        resolves exactly once and nothing is left staged, compiling or
-        outstanding (a lost update to the shared heaps would hang
-        ``drain`` or drop a query)."""
+        resolves exactly once and nothing is left accepted, compiling,
+        staged or outstanding (a lost update to the shared state would
+        hang ``drain`` or drop a query)."""
 
         async def main():
             async with _solo_server(max_workers=8) as server:
@@ -396,8 +608,7 @@ class TestRunUntilBlocked:
                 responses = await asyncio.wait_for(
                     asyncio.gather(*futures), timeout=60)
                 await asyncio.wait_for(server.drain(), timeout=60)
-                assert server._outstanding == 0
-                assert not server._staged and not server._compiling
+                assert _settled(server)
             return server, responses
 
         interval = sys.getswitchinterval()
@@ -411,52 +622,56 @@ class TestRunUntilBlocked:
         assert len(server.report().responses) == self.N
 
     def test_stop_returns_at_the_next_batch_boundary(self):
+        """``stop()`` while the run is held in the second batch's
+        kernel: the run finishes that batch and returns, whatever is
+        still queued behind it."""
+
         async def main():
             server = _solo_server(max_workers=2)
             await server.start()
-            futures = self._submit_all(server)
-            await futures[0]
-            await asyncio.wait_for(server.stop(), timeout=30)
+            futures = self._submit_all(server, [GOOD, GATED])
+            await asyncio.wait_for(futures[0], timeout=30)
+            await _stop_with_the_gate_open(server)
             served = len(server.report().responses)
-            await asyncio.sleep(0)  # posted responses land
             resolved = sum(future.done() for future in futures)
             for future in futures:
                 future.cancel()
             return served, resolved
 
         served, resolved = asyncio.run(main())
-        assert 1 <= served < self.N
+        # (1 when the run had returned, blocked on the gated query's
+        # compile, before stop() was called)
+        assert served in (1, 2)
         assert resolved == served
 
     def test_stop_leaves_uncompiled_queries_unresolved(self):
         """``stop()`` with accepted queries still waiting for a compile
         returns without compiling its way through them, and — as its
-        docstring says — leaves their futures unresolved."""
+        docstring says — leaves their futures unresolved.  Every
+        compile is held at the gate until ``stop()`` has begun."""
         compiled = []
 
         async def main():
             server = _solo_server(max_workers=2)
             compile_ = server._compile
 
-            def slow(tenant, query):
-                time.sleep(0.005)
+            def held(tenant, query):
+                assert server.gate.wait(timeout=30)
                 compiled.append(query.qid)
                 return compile_(tenant, query)
 
-            server._compile = slow
+            server._compile = held
             await server.start()
             futures = self._submit_all(server)
-            await asyncio.wait_for(server.stop(), timeout=30)
-            await asyncio.sleep(0)
+            await _stop_with_the_gate_open(server)
             resolved = sum(future.done() for future in futures)
             for future in futures:
                 future.cancel()
             return resolved
 
         assert asyncio.run(main()) == 0
-        # (the per-query compile hops this replaced were all queued in
-        # the pool already, and stop() sat through every one of them)
-        assert len(compiled) < self.N
+        # one compile per compile run, the one each was held in
+        assert 1 <= len(compiled) <= 2
 
     def test_a_closed_loop_client_is_answered_run_by_run(self):
         """Each response is handed over when its run ends, not a slice
@@ -470,8 +685,7 @@ class TestRunUntilBlocked:
                                            timeout=30)
                     for _ in range(200)]
                 await asyncio.wait_for(server.drain(), timeout=30)
-                assert server._outstanding == 0
-                assert not server._staged and not server._compiling
+                assert _settled(server)
             return responses
 
         responses = asyncio.run(main())
@@ -493,7 +707,7 @@ class TestRunUntilBlocked:
                     for i, text in enumerate(texts)),
                     return_exceptions=True), timeout=30)
                 await asyncio.wait_for(server.drain(), timeout=30)
-                assert not server._staged and not server._compiling
+                assert _settled(server)
             return server, results
 
         server, results = asyncio.run(main())
@@ -520,7 +734,8 @@ class TestComputedOnce:
         assert all(r.signature is first for r in responses)
 
     def test_report_rows_carry_no_instance_dict(self):
-        server, _, _, _ = _serve(_queries(4), mode="fifo-serial")
-        report = server.report()
+        dispatcher, _ = _step_through(_queries(4), mode="fifo-serial")
+        report = dispatcher.report()
+        assert len(report.responses) == 4
         for row in report.responses + report.batches:
             assert not hasattr(row, "__dict__")

@@ -24,7 +24,7 @@ from repro.obs import (
     validate_metrics_json,
 )
 from repro.server import PoissonArrivals, QueryServer, TenantQuota
-from repro.server.server import METRIC_FAMILIES
+from repro.server.dispatcher import METRIC_FAMILIES
 from repro.service import WorkloadGenerator
 from repro.service.metrics import percentile
 from repro.session import Session

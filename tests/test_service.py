@@ -3,6 +3,7 @@ batch former, executor, metrics — plus the session hooks it rides on
 (spawned client sessions, plan-cache provenance)."""
 
 import asyncio
+import math
 
 import pytest
 
@@ -12,14 +13,16 @@ from repro.hardware import parametric_profile
 from repro.server import QueryServer, TenantQuota
 from repro.service import (
     MODES,
+    AdmissionController,
     BatchFormer,
     InterferenceModel,
     ServiceExecutor,
+    Stepper,
     WorkloadGenerator,
     compile_task,
     percentile,
 )
-from repro.whatif import ProfileSpace
+from repro.whatif import ProfileSpace, capacity_plan
 from repro.service.executor import (
     DEFAULT_QUANTUM,
     execute_batch,
@@ -278,6 +281,14 @@ class TestInterferenceModel:
         assert len(shared._co_runs) <= 3 and len(shared._solo) <= 3
 
 
+def _closed(model, tasks, **knobs):
+    """The batches a closed loop's stepper decides over ``tasks``, in
+    order."""
+    admission = AdmissionController(model, max_queue=math.inf, **knobs)
+    return [step.batch
+            for step in Stepper.closed_loop(admission, list(tasks))]
+
+
 class TestSchedulers:
     @pytest.fixture(scope="class")
     def tasks(self, small_service):
@@ -288,14 +299,13 @@ class TestSchedulers:
 
     def test_fifo_serial_is_singletons(self, tasks):
         model, ts = tasks
-        batches = BatchFormer(model, mode="fifo-serial").drain(ts)
+        batches = _closed(model, ts, mode="fifo-serial")
         assert [len(b) for b in batches] == [1] * len(ts)
         assert [b[0].qid for b in batches] == list(range(len(ts)))
 
     def test_max_parallel_chunks_arrival_order(self, tasks):
         model, ts = tasks
-        batches = BatchFormer(model, mode="max-parallel",
-                              max_batch=4).drain(ts)
+        batches = _closed(model, ts, mode="max-parallel", max_batch=4)
         assert [len(b) for b in batches] == [4, 4, 2]
         flat = [t.qid for b in batches for t in b]
         assert flat == list(range(len(ts)))
@@ -306,7 +316,7 @@ class TestSchedulers:
         batch's own ⊙ price."""
         model, ts = tasks
         for mode in MODES:
-            batches = BatchFormer(model, mode=mode, max_batch=4).drain(ts)
+            batches = _closed(model, ts, mode=mode, max_batch=4)
             scheduled = sorted(t.qid for b in batches for t in b)
             assert scheduled == list(range(len(ts)))
             assert all(1 <= len(b) <= 4 for b in batches)
@@ -320,8 +330,7 @@ class TestSchedulers:
         times (slack=1): co-scheduling never *predictably* loses to
         FIFO-serial."""
         model, ts = tasks
-        former = BatchFormer(model, max_batch=4, slack=1.0)
-        for batch in former.drain(ts):
+        for batch in _closed(model, ts, max_batch=4, slack=1.0):
             serial = sum(t.solo_total_ns for t in batch)
             assert batch.prediction.makespan_ns <= serial * (1 + 1e-9)
 
@@ -336,8 +345,8 @@ class TestSchedulers:
                 build(mode="max-parallel", max_batch=0)
             with pytest.raises(ValueError, match="slack"):
                 build(slack=0.0)
-            with pytest.raises(ValueError, match="lookahead"):
-                build(lookahead=0)
+        with pytest.raises(ValueError, match="lookahead"):
+            BatchFormer(model, lookahead=0)
 
 
 def _serve_closed(stream, mode, seed, scale):
@@ -395,7 +404,7 @@ class TestOneServingCore:
         served = server.report()
         # capacity_plan = WhatIfSweep.price under the server's own knobs;
         # the baseline row is the live profile
-        live = server.capacity_plan(ProfileSpace({"cores": [4]})).baseline
+        live = capacity_plan(server, ProfileSpace({"cores": [4]})).baseline
         assert live.fingerprint == served.fingerprint
         assert live.batches == len(served.batches)
         assert live.co_run_batches == sum(b.size > 1
@@ -425,6 +434,30 @@ class TestOneServingCore:
                 == [b.size for b in fresh.batches])
         assert ([b.predicted_makespan_ns for b in after_switch.batches]
                 == [b.predicted_makespan_ns for b in fresh.batches])
+
+    def test_a_run_that_raises_leaves_nothing_queued(self):
+        """A batch whose kernel raises ends its run with later queries
+        still queued; the executor's next run serves its own queries
+        and nothing the failed run left behind."""
+        def boom(value):
+            raise RuntimeError("kernel exploded")
+
+        session = Session()
+        session.create_table("t", list(range(64)))
+        session.predicate("small", lambda v: v < 10)
+        session.predicate("boom", boom)
+        executor = ServiceExecutor(session, mode="fifo-serial")
+
+        def queries(*named):
+            return [WorkloadQuery(qid=qid, client=0, kind="adhoc",
+                                  text=f"filter(t, {predicate}, sel=0.2)")
+                    for qid, predicate in named]
+
+        with pytest.raises(RuntimeError, match="kernel exploded"):
+            executor.run(queries((0, "small"), (1, "boom"), (2, "small")))
+        report = executor.run(queries((3, "small")))
+        assert [q.qid for q in report.queries] == [3]
+        assert [b.index for b in report.batches] == [0]
 
 
 class TestExecutor:

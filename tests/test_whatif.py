@@ -24,6 +24,7 @@ from repro.whatif import (
     GeneratedWorkload,
     ProfileSpace,
     WhatIfSweep,
+    capacity_plan,
     cost_proxy,
     derive_admission_slack,
 )
@@ -455,7 +456,7 @@ class TestServerCapacityPlan:
     def test_plan_from_recorded_mix(self):
         server = self._served_server()
         space = ProfileSpace({"mem_ns": [200.0, 800.0]})
-        report = server.capacity_plan(space, clients=4)
+        report = capacity_plan(server, space, clients=4)
         assert report.workload["source"] == "captured"
         assert report.workload["queries"] == 8
         assert len(report.outcomes()) == 2
@@ -465,8 +466,8 @@ class TestServerCapacityPlan:
         server = self._served_server()
         before = server.admission.slack
         space = ProfileSpace({"mem_ns": [200.0, 800.0]})
-        report = server.capacity_plan(
-            space, slo_p95_ns=1e9, apply_slack=True)
+        report = capacity_plan(server, space, slo_p95_ns=1e9,
+                               apply_slack=True)
         assert report.recommendation is not None
         assert server.admission.slack == \
             report.recommendation.admission_slack
@@ -477,7 +478,7 @@ class TestServerCapacityPlan:
         server = QueryServer()
         server.add_tenant("acme", TenantQuota())
         with pytest.raises(RuntimeError, match="nothing served"):
-            server.capacity_plan(ProfileSpace({"cores": [2]}))
+            capacity_plan(server, ProfileSpace({"cores": [2]}))
 
     def test_serving_report_carries_fingerprint(self):
         server = self._served_server()
@@ -502,5 +503,5 @@ class TestServerCapacityPlan:
         # server's own machine carries the serving report's fingerprint
         server = self._served_server()
         space = ProfileSpace({"mem_ns": [200.0, 800.0]})
-        plan = server.capacity_plan(space, clients=4)
+        plan = capacity_plan(server, space, clients=4)
         assert plan.baseline.fingerprint == server.report().fingerprint
