@@ -160,7 +160,7 @@ class Explanation:
     """A physical plan's predicted cost breakdown, as a typed tree.
 
     ``levels``/``memory_ns`` are the pipeline-aware whole-plan totals
-    (``⊙`` across pipelined edges when ``pipeline`` is true);
+    (``⊙`` across pipelined edges, ``⊕`` across materialized ones);
     ``cpu_ns`` is the calibrated pure-CPU term (Eq. 6.1).
     ``cache_hit`` records the compile's plan-cache provenance when the
     explaining caller knows it (``None`` otherwise — e.g. a bare
@@ -171,14 +171,13 @@ class Explanation:
     memory_ns: float
     cpu_ns: float
     levels: tuple[LevelPrediction, ...]
-    pipeline: bool = True
     signature: str | None = None
     cache_hit: bool | None = None
 
     # ------------------------------------------------------------------
     @classmethod
     def from_plan(cls, plan: "QueryPlan", model: CostModel,
-                  pipeline: bool = True, signature: str | None = None,
+                  signature: str | None = None,
                   cache_hit: bool | None = None) -> "Explanation":
         """Explain ``plan`` under ``model``.
 
@@ -219,13 +218,12 @@ class Explanation:
                 children=children,
             )
 
-        total = plan.estimate(model, cpu_ns=0.0, pipeline=pipeline)
+        total = plan.estimate(model, cpu_ns=0.0)
         return cls(
             root=build(plan.root),
             memory_ns=total.memory_ns,
             cpu_ns=model.hierarchy.nanoseconds(plan.cpu_cycles()),
             levels=_levels_of(total),
-            pipeline=pipeline,
             signature=signature,
             cache_hit=cache_hit,
         )
@@ -287,7 +285,6 @@ class Explanation:
         """A JSON-serializable dict; :meth:`from_json` inverts it."""
         return {
             "kind": "explanation",
-            "pipeline": self.pipeline,
             "signature": self.signature,
             "cache_hit": self.cache_hit,
             "memory_ns": self.memory_ns,
@@ -307,7 +304,6 @@ class Explanation:
             cpu_ns=data["cpu_ns"],
             levels=tuple(LevelPrediction.from_json(lv)
                          for lv in data["levels"]),
-            pipeline=data["pipeline"],
             signature=data["signature"],
             cache_hit=data["cache_hit"],
         )
@@ -605,13 +601,11 @@ def capture_measured(db: Database, plan: "QueryPlan",
 
 
 def measure_plan(db: Database, plan: "QueryPlan", model: CostModel,
-                 pipeline: bool = True, cold: bool = True,
-                 signature: str | None = None,
+                 cold: bool = True, signature: str | None = None,
                  cache_hit: bool | None = None) -> MeasuredResult:
     """Explain and execute ``plan`` in one measured pass — the
     session-less entry point (benches, the workload service) to the
     same typed result the session façade returns."""
-    explanation = Explanation.from_plan(plan, model, pipeline=pipeline,
-                                        signature=signature,
+    explanation = Explanation.from_plan(plan, model, signature=signature,
                                         cache_hit=cache_hit)
     return capture_measured(db, plan, explanation, cold=cold)

@@ -63,7 +63,7 @@ from ..core.algorithms import (
     spilling_aggregate_partition_count,
 )
 from ..core.cost import CostEstimate, CostModel
-from ..core.patterns import Conc, Pattern, STrav, Seq, conc, seq
+from ..core.patterns import Conc, Pattern, STrav, conc, seq
 from ..core.regions import DataRegion
 from ..db.aggregate import hash_aggregate, sort_aggregate
 from ..db.column import Column
@@ -253,7 +253,7 @@ class PlanNode:
         yield self
 
     # -- pattern composition -------------------------------------------
-    def compose(self, pipeline: bool = True) -> tuple[Pattern | None, Pattern | None]:
+    def compose(self) -> tuple[Pattern | None, Pattern | None]:
         """This sub-plan's pattern, split as ``(prefix, stream)``.
 
         ``prefix`` must complete before the first output item appears;
@@ -265,37 +265,27 @@ class PlanNode:
         child streaming into a phase that drains it contributes its
         prefix before the phase and its stream ``⊙``-merged into it;
         any other child completes as a whole before the phase.  The
-        last phase is the stream iff the operator pipelines.  With
-        ``pipeline=False`` every edge is treated as materialized and
-        the operator as one phase, reproducing pure-``⊕`` composition.
+        last phase is the stream iff the operator pipelines.
         """
         children, streamed = self.children(), self.pipelined_inputs()
-        phases = self._phases() if pipeline else (self.pattern(),)
+        phases = self._phases()
         feeds = (self.algorithm.feeds if len(phases) > 1
                  else (range(len(children)),))
         parts: list[Pattern | None] = []
         for phase, feed in zip(phases, feeds, strict=True):
             for i in feed:
                 child = children[i]
-                c_prefix, c_stream = child.compose(pipeline)
-                if pipeline and streamed[i] and child.is_pipelined:
+                c_prefix, c_stream = child.compose()
+                if streamed[i] and child.is_pipelined:
                     parts.append(c_prefix)
                     phase = _merge_stream(c_stream, phase,
                                           child.output_region())
                 else:
                     parts.append(seq(c_prefix, c_stream))
             parts.append(phase)
-        if pipeline and self.is_pipelined:
+        if self.is_pipelined:
             return seq(*parts[:-1]), parts[-1]
         return seq(*parts), None
-
-    def full_pattern(self, pipeline: bool = True) -> Pattern | None:
-        """The whole sub-plan's pattern: pipelined producer/consumer
-        edges are ``⊙``-combined (Section 3.3), materialized edges
-        ``⊕``-combined.  ``pipeline=False`` models every edge as
-        materialization (the previous, conservative behaviour).
-        ``None`` for access-free sub-plans (bare scans)."""
-        return seq(*self.compose(pipeline))
 
 
 def _check_budget(memory_budget: int) -> None:
@@ -944,7 +934,6 @@ class QueryPlan:
 
     def __init__(self, root: PlanNode) -> None:
         self.root = root
-        self._patterns: dict[bool, Pattern | None] = {}
 
     @cached_property
     def signature(self) -> str:
@@ -953,75 +942,51 @@ class QueryPlan:
         serves thousands of queries that all report this string."""
         return plan_signature(self.root)
 
-    def pattern(self, pipeline: bool = True) -> Pattern:
-        """The whole plan's access pattern.  ``pipeline=True`` combines
-        pipelined producer/consumer edges with ``⊙`` (Section 3.3);
-        ``pipeline=False`` models every edge as materialization.
+    @cached_property
+    def access_pattern(self) -> Pattern | None:
+        """The whole plan's access pattern, derived once: pipelined
+        producer/consumer edges are ``⊙``-combined, materialized edges
+        ``⊕``-combined (Section 3.3).  ``None`` for an access-free plan
+        (a bare scan)."""
+        return seq(*self.root.compose())
 
-        Raises for an access-free plan (a bare scan)."""
-        pattern = self._full_pattern(pipeline)
-        if pattern is None:
+    def pattern(self) -> Pattern:
+        """:attr:`access_pattern`; raises for an access-free plan (a
+        bare scan)."""
+        if self.access_pattern is None:
             raise ValueError("the plan performs no data access (bare scan)")
-        return pattern
-
-    def _full_pattern(self, pipeline: bool) -> Pattern | None:
-        """The root's full pattern, derived once per mode (plan trees
-        are not mutated after construction — the enumerator estimates
-        many candidates); ``None`` for an access-free plan."""
-        if pipeline not in self._patterns:
-            self._patterns[pipeline] = self.root.full_pattern(pipeline)
-        return self._patterns[pipeline]
-
-    def pipeline_stages(self, pipeline: bool = True) -> tuple[Pattern, ...]:
-        """The plan's pattern as its top-level ``⊕`` stages, in
-        execution order.
-
-        Each stage is one barrier-separated phase of the plan — a
-        pipeline of ``⊙``-overlapped operators, or a single blocking
-        operator's pass.  One stage at a time occupies the cache, which
-        is why a plan's footprint under external ``⊙`` composition is
-        its *maximum* stage footprint, not the sum: this is the
-        extraction hook the concurrent workload service composes co-run
-        candidates from."""
-        pattern = self.pattern(pipeline)
-        if isinstance(pattern, Seq):
-            return pattern.parts
-        return (pattern,)
+        return self.access_pattern
 
     def cpu_cycles(self) -> float:
         """Whole-plan calibrated CPU cycles (shared Eq. 6.1 constants)."""
         return sum(node.cpu_cycles() for node in self.root.walk())
 
-    def estimate(self, model: CostModel, cpu_ns: float | None = None,
-                 pipeline: bool = True) -> CostEstimate:
+    def estimate(self, model: CostModel,
+                 cpu_ns: float | None = None) -> CostEstimate:
         """Whole-plan cost.  ``cpu_ns=None`` derives the CPU term from
         the shared per-operator calibration; pass an explicit value (or
         ``0.0`` for memory cost only) to override.  An access-free
         plan (a bare scan) costs no memory time on any level."""
         if cpu_ns is None:
             cpu_ns = model.hierarchy.nanoseconds(self.cpu_cycles())
-        pattern = self._full_pattern(pipeline)
-        if pattern is None:
+        if self.access_pattern is None:
             return CostEstimate(levels=(), cpu_ns=cpu_ns)
-        return model.estimate(pattern, cpu_ns=cpu_ns)
+        return model.estimate(self.access_pattern, cpu_ns=cpu_ns)
 
     def execute(self, db: Database) -> Column:
         return self.root.execute(db)
 
-    def explanation(self, model: CostModel, pipeline: bool = True,
-                    signature: str | None = None,
+    def explanation(self, model: CostModel, signature: str | None = None,
                     cache_hit: bool | None = None) -> "Explanation":
         """This plan's typed :class:`~repro.query.Explanation`: the
         operator tree with per-node pattern notation, spill flags, and
         per-cache-level predictions (standalone and state-threaded),
         plus the pipeline-aware whole-plan totals."""
         from .observe import Explanation
-        return Explanation.from_plan(self, model, pipeline=pipeline,
-                                     signature=signature,
+        return Explanation.from_plan(self, model, signature=signature,
                                      cache_hit=cache_hit)
 
-    def explain(self, model: CostModel, pipeline: bool = True,
-                notation_width: int = 48) -> str:
+    def explain(self, model: CostModel, notation_width: int = 48) -> str:
         """Per-operator predicted memory cost and pattern notation,
         post-order, plus the pipeline-aware whole-plan total broken
         down per cache level (including a buffer pool, if the profile
@@ -1029,5 +994,5 @@ class QueryPlan:
 
         Rendered via :meth:`explanation` — prefer that for anything
         machine-readable; this is its ``to_text()``."""
-        return self.explanation(model, pipeline=pipeline).to_text(
+        return self.explanation(model).to_text(
             notation_width=notation_width)

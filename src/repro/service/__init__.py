@@ -6,7 +6,7 @@ proportionally to the patterns' footprints.  PR 1 applied it *within*
 one query (pipelined producer/consumer edges); this subsystem applies
 it *between* queries: composing the whole-plan patterns of queries that
 are to run concurrently under one ``⊙`` predicts the batch's contention
-slowdown — and a batch former that trusts the prediction can decide
+slowdown — and an admission rule that trusts the prediction can decide
 which queries may share the machine.
 
 * :mod:`repro.service.workload` — deterministic seeded multi-client
@@ -14,10 +14,11 @@ which queries may share the machine.
 * :mod:`repro.service.interference` — the ⊙ co-run cost model
   (:class:`InterferenceModel`, :class:`CoRunPrediction`),
 * :mod:`repro.service.core` — the serving core every driver shares:
-  the :class:`Task` type, :func:`compile_task`, the ⊙ admission rule
-  (:class:`BatchFormer`, one of :data:`MODES`), the clock-only
-  :class:`Stepper` that decides every batch, and :func:`settle`,
-* :mod:`repro.service.admission` — the run queue the stepper asks
+  the :class:`Task` type, :func:`compile_task`, the batch-formation
+  :data:`MODES`, the clock-only :class:`Stepper` that decides every
+  batch, and :func:`settle`,
+* :mod:`repro.service.admission` — the run queue the stepper asks and
+  the ⊙ admission rule that forms its batches
   (:class:`AdmissionController`: bounded, tenant-fair, shedding),
 * :mod:`repro.service.executor` — the measured side (record each
   plan's access trace, replay co-run batches interleaved through one
@@ -30,7 +31,6 @@ from .admission import AdmissionController
 from .core import (
     MODES,
     Batch,
-    BatchFormer,
     Step,
     Stepper,
     Task,
@@ -58,7 +58,6 @@ __all__ = [
     "Task",
     "compile_task",
     "Batch",
-    "BatchFormer",
     "AdmissionController",
     "Step",
     "Stepper",

@@ -11,8 +11,9 @@ queued query of the *heaviest* tenant instead of being shed — one
 tenant flooding the server cannot starve the others out of the queue.
 
 **What runs next?**  Batch formation is the serving core's one rule
-(:class:`~repro.service.BatchFormer`); the controller supplies the
-queue.  Only queries that have *arrived* by the decision time are
+(:meth:`AdmissionController.form`, in one of the
+:data:`~repro.service.MODES` the core's docstring describes).  Only
+queries that have *arrived* by the decision time are
 candidates (open-loop semantics: the scheduler cannot see the future),
 and ⊙-guided batches seed round-robin over tenants so no tenant waits
 forever behind a chattier one; the two baseline modes stay
@@ -29,24 +30,39 @@ with the queue head.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Sequence
 
-from .core import Batch, BatchFormer, Task
+from .core import MODES, Batch, Task
 from .interference import InterferenceModel
 
 __all__ = ["AdmissionController"]
 
+#: Candidate positions one batch formation scans, so forming a batch
+#: stays ``O(max_batch · LOOKAHEAD)`` co-run predictions.
+LOOKAHEAD = 8
 
-class AdmissionController(BatchFormer):
-    """The batch former behind a bounded, tenant-fair run queue."""
+
+class AdmissionController:
+    """The one batch-formation rule behind a bounded, tenant-fair run
+    queue."""
 
     def __init__(self, interference: InterferenceModel,
                  mode: str = "interference-aware",
                  max_queue: float = 64, max_batch: int = 4,
-                 slack: float = 1.0, lookahead: int = 8) -> None:
-        super().__init__(interference, mode=mode, max_batch=max_batch,
-                         slack=slack, lookahead=lookahead)
+                 slack: float = 1.0) -> None:
+        if mode not in MODES:
+            raise ValueError(f"unknown admission mode {mode!r} "
+                             f"(expected one of {MODES})")
+        if max_batch < 1:
+            raise ValueError("max_batch must be positive")
+        if slack <= 0:
+            raise ValueError("slack must be positive")
         if max_queue < 1:
             raise ValueError("max_queue must be positive")
+        self.interference = interference
+        self.mode = mode
+        self.max_batch = max_batch
+        self.slack = slack
         self.max_queue = max_queue
         #: Arrival-ordered run queue.
         self.queue: list[Task] = []
@@ -111,6 +127,40 @@ class AdmissionController(BatchFormer):
                     self._rr.append(name)
                     return task
         return arrived[0]
+
+    def form(self, seed: Task, candidates: Sequence[Task]) -> Batch:
+        """The batch that starts with ``seed`` and may grow with
+        ``candidates`` (in their waiting order).
+
+        :meth:`next_batch` picks the seed (the queue head, or the
+        tenant round-robin of :meth:`_seed`); this rule decides who
+        joins.  The scan looks at the first :data:`LOOKAHEAD`
+        candidates, and unpicked candidates keep their order."""
+        co_run = self.interference.co_run
+        batch = [seed]
+        if self.mode == "max-parallel":
+            batch += candidates[:self.max_batch - 1]
+        prediction = co_run([t.plan for t in batch])
+        if self.mode != "interference-aware":
+            return Batch(batch, prediction)
+        candidates = list(candidates)
+        current = prediction.makespan_ns
+        while len(batch) < self.max_batch and candidates:
+            plans = [t.plan for t in batch]
+            best = None
+            for i, candidate in enumerate(candidates[:LOOKAHEAD]):
+                grown = co_run(plans + [candidate.plan])
+                predicted = grown.makespan_ns
+                limit = current + self.slack * candidate.solo_total_ns
+                if predicted > limit:
+                    continue  # rejected: queueing it is cheaper
+                if best is None or predicted < best[1]:
+                    best = (i, predicted, grown)
+            if best is None:
+                break
+            index, current, prediction = best
+            batch.append(candidates.pop(index))
+        return Batch(batch, prediction)
 
     def next_batch(self, now_ns: float) -> Batch:
         """Form (and dequeue) the next co-run batch among the queries

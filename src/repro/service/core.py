@@ -1,5 +1,7 @@
 """The serving core: one task type, one compile-and-price step, one
-⊙ admission rule, one clock-only stepper, one settlement.
+clock-only stepper, one settlement — and the modes of the one ⊙
+admission rule (:meth:`AdmissionController.form
+<repro.service.AdmissionController.form>`).
 
 Everything that serves queries — the closed-loop
 :class:`~repro.service.ServiceExecutor`, the open-loop
@@ -56,8 +58,8 @@ if TYPE_CHECKING:
     from .admission import AdmissionController
     from .executor import BatchReplay
 
-__all__ = ["MODES", "Task", "compile_task", "Batch", "BatchFormer",
-           "Step", "Stepper", "settle"]
+__all__ = ["MODES", "Task", "compile_task", "Batch", "Step", "Stepper",
+           "settle"]
 
 #: Recognized batch-formation modes.
 MODES = ("interference-aware", "max-parallel", "fifo-serial")
@@ -132,65 +134,6 @@ class Batch(list):
                  prediction: CoRunPrediction | None = None) -> None:
         super().__init__(tasks)
         self.prediction = prediction
-
-
-class BatchFormer:
-    """The one batch-formation rule (see the module docstring).
-
-    The *caller* picks each batch's seed — the queue head in a closed
-    loop, a tenant round-robin in the server — and the candidates it
-    may grow with; the former decides who joins.  The candidate scan is
-    bounded by ``lookahead`` positions so forming a batch stays
-    ``O(max_batch · lookahead)`` co-run predictions, and unpicked
-    candidates keep their order.
-    """
-
-    def __init__(self, interference: InterferenceModel,
-                 mode: str = "interference-aware", max_batch: int = 4,
-                 slack: float = 1.0, lookahead: int = 8) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown admission mode {mode!r} "
-                             f"(expected one of {MODES})")
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
-        if slack <= 0:
-            raise ValueError("slack must be positive")
-        if lookahead < 1:
-            raise ValueError("lookahead must be positive")
-        self.interference = interference
-        self.mode = mode
-        self.max_batch = max_batch
-        self.slack = slack
-        self.lookahead = lookahead
-
-    def form(self, seed: Task, candidates: Sequence[Task]) -> Batch:
-        """The batch that starts with ``seed`` and may grow with
-        ``candidates`` (in their waiting order)."""
-        co_run = self.interference.co_run
-        batch = [seed]
-        if self.mode == "max-parallel":
-            batch += candidates[:self.max_batch - 1]
-        prediction = co_run([t.plan for t in batch])
-        if self.mode != "interference-aware":
-            return Batch(batch, prediction)
-        candidates = list(candidates)
-        current = prediction.makespan_ns
-        while len(batch) < self.max_batch and candidates:
-            plans = [t.plan for t in batch]
-            best = None
-            for i, candidate in enumerate(candidates[:self.lookahead]):
-                grown = co_run(plans + [candidate.plan])
-                predicted = grown.makespan_ns
-                limit = current + self.slack * candidate.solo_total_ns
-                if predicted > limit:
-                    continue  # rejected: queueing it is cheaper
-                if best is None or predicted < best[1]:
-                    best = (i, predicted, grown)
-            if best is None:
-                break
-            index, current, prediction = best
-            batch.append(candidates.pop(index))
-        return Batch(batch, prediction)
 
 
 class Step(NamedTuple):

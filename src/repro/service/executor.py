@@ -239,7 +239,7 @@ class ServiceExecutor:
         session over the same engine and cache, so compile provenance
         (hit/miss) is tracked per client while plans are shared.
     mode / max_batch / slack:
-        Batch-formation knobs (:class:`~repro.service.BatchFormer`);
+        Batch-formation knobs (:class:`~repro.service.AdmissionController`);
         the queue is unbounded and batches replay with the
         :data:`DEFAULT_QUANTUM` time slice.
     """

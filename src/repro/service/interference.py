@@ -91,20 +91,20 @@ class InterferenceModel:
     composition.
 
     Plans contribute their pipeline-aware whole-plan patterns
-    (:meth:`~repro.query.QueryPlan.pattern`); access-free plans (bare
+    (:attr:`~repro.query.QueryPlan.access_pattern`); access-free plans (bare
     scans) contribute nothing to contention but still carry CPU time.
     """
 
     def __init__(self, hierarchy: MemoryHierarchy) -> None:
         self.hierarchy = hierarchy
         self.model = CostModel(hierarchy)
-        # Both prices are memoized: the batch former prices
-        # O(queue · batch · lookahead) candidate batches over the same
-        # few plans, and neither a plan's solo cost nor a composition's
-        # ⊙ cost ever changes.  Keys are plan ids — for a composition
-        # the *ordered* tuple, since member order fixes both the result
-        # tuples and the float summation order — and every value holds
-        # its plans so the ids stay unambiguous.  A server's compile
+        # Both prices are memoized: batch formation prices
+        # O(queue · batch · admission.LOOKAHEAD) candidate batches over
+        # the same few plans, and neither a plan's solo cost nor a
+        # composition's ⊙ cost ever changes.  Keys are plan ids — for a
+        # composition the *ordered* tuple, since member order fixes both
+        # the result tuples and the float summation order — and every
+        # value holds its plans so the ids stay unambiguous.  A server's compile
         # workers price concurrently with its dispatcher, so the memos
         # change only under the lock; hits stay lock-free.
         self._solo: dict[int, tuple[QueryPlan, float, float]] = {}
@@ -113,12 +113,6 @@ class InterferenceModel:
         self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def _pattern(self, plan: QueryPlan):
-        try:
-            return plan.pattern(pipeline=True)
-        except ValueError:  # access-free plan (bare scan)
-            return None
-
     def cpu_time_ns(self, plan: QueryPlan) -> float:
         """Calibrated pure-CPU time of ``plan`` (Eq. 6.1)."""
         return self.hierarchy.nanoseconds(plan.cpu_cycles())
@@ -131,7 +125,7 @@ class InterferenceModel:
         if cached is not None:
             return cached[1], cached[2]
         with self._memo_lock:
-            pattern = self._pattern(plan)
+            pattern = plan.access_pattern
             memory = (0.0 if pattern is None
                       else self.model.estimate(pattern).memory_ns)
             cpu = self.cpu_time_ns(plan)
@@ -154,7 +148,7 @@ class InterferenceModel:
         return prediction
 
     def _compose(self, plans: Sequence[QueryPlan]) -> CoRunPrediction:
-        patterns = [self._pattern(p) for p in plans]
+        patterns = [p.access_pattern for p in plans]
         standalone = [self.standalone(p) for p in plans]
         cpu = tuple(c for _, c in standalone)
         solo = tuple(m for m, _ in standalone)

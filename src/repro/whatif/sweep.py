@@ -283,9 +283,10 @@ class WhatIfSweep:
     workload:
         A :class:`GeneratedWorkload` or :class:`CapturedWorkload`.
     mode / slack:
-        Batch-formation knobs (:class:`~repro.service.BatchFormer`,
-        the server's defaults, validated by the former when the first
-        candidate is priced); a candidate's ``cores`` is the batch cap.
+        Batch-formation knobs (:class:`~repro.service.AdmissionController`,
+        the server's defaults, validated by the controller when the
+        first candidate is priced); a candidate's ``cores`` is the
+        batch cap.
     """
 
     def __init__(self, space: ProfileSpace, workload, *,
@@ -424,8 +425,8 @@ def capacity_plan(server, space: ProfileSpace, *, tenant: str | None = None,
 
     The served queries and the owning tenant's catalog are captured by
     value (:class:`CapturedWorkload`), then priced under the server's
-    *own* admission configuration (mode and slack; lookahead and replay
-    quantum are the one default everywhere) so the what-if batches are
+    *own* admission configuration (mode and slack; the replay quantum
+    is the one default everywhere) so the what-if batches are
     the ones this server would actually form.  With
     ``apply_slack=True`` and an SLO target, the recommendation's
     derived admission slack is installed on the server's live

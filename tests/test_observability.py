@@ -93,6 +93,9 @@ class TestJsonRoundTrip:
             restored = Explanation.from_json(payload)
             assert restored == explanation
             assert restored.to_text() == explanation.to_text()
+            # payloads written while plans carried a pipeline flag
+            assert Explanation.from_json(
+                {**payload, "pipeline": True}) == explanation
 
     def test_rejects_foreign_payloads(self):
         with pytest.raises(ValueError, match="not an explanation"):

@@ -202,9 +202,9 @@ PROFILES = {"origin2000": origin2000(), "scaled": origin2000_scaled()}
 
 
 def plan_estimate(hierarchy, node):
-    """The node's cost with every edge materialized — over bare scans
-    that is the operator alone, which is what an advisor scores."""
-    return QueryPlan(node).estimate(CostModel(hierarchy), pipeline=False)
+    """The node's cost over bare scans: the operator alone, which is
+    what an advisor scores."""
+    return QueryPlan(node).estimate(CostModel(hierarchy))
 
 
 class TestAdvisorAndPlanNodesAgree:

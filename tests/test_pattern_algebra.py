@@ -265,7 +265,7 @@ class TestComovingCoalescing:
             SelectNode(ScanNode(left), lambda v: True, selectivity=0.5),
             ScanNode(right),
         ))
-        pattern = plan.pattern(pipeline=True)
+        pattern = plan.pattern()
         assert isinstance(pattern, Seq)
         for part in pattern.parts:
             if isinstance(part, Conc):
@@ -282,7 +282,7 @@ class TestComovingCoalescing:
         col = db.create_column("U", list(range(256)), width=8)
         plan = QueryPlan(MergeJoinNode(ScanNode(col, sorted=True),
                                        ScanNode(col, sorted=True)))
-        names = [r.name for r in plan.pattern(pipeline=True).regions()]
+        names = [r.name for r in plan.pattern().regions()]
         assert names.count("U") == 2
 
     def test_coalescing_is_per_edge_not_value_equality(self, scaled):
@@ -300,7 +300,7 @@ class TestComovingCoalescing:
             SelectNode(ScanNode(base, sorted=True), lambda v: v % 3 == 0,
                        selectivity=0.5),
         ))
-        merged = plan.pattern(pipeline=True)
+        merged = plan.pattern()
         assert isinstance(merged, Conc)
         names = [r.name for r in merged.regions()]
         # both independent sweeps of the base column remain ...

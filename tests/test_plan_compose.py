@@ -1,8 +1,10 @@
 """Pinned ``(prefix, stream)`` composition of every physical operator.
 
-One row per node class × child kind × ``pipeline`` flag: the notation
-of ``compose()``'s prefix and stream, of the node's own ``pattern()``,
-and its ``cpu_cycles()``.  The expected table
+One row per node class × child kind: the notation of ``compose()``'s
+prefix and stream, of the node's own ``pattern()``, and its
+``cpu_cycles()``.  The ``materialized`` column is the reference with
+every edge materialized (Eq. 5.2 over every edge): the post-order
+``⊕`` of each node's own pattern.  The expected table
 (``tests/data/plan_compose.json``) was generated from the hand-written
 per-node ``compose`` overrides before they were folded into the one
 ``PlanNode.compose``; the rows keep that rewrite (and the next one)
@@ -25,7 +27,7 @@ import pathlib
 
 import pytest
 
-from repro.core import DataRegion
+from repro.core import DataRegion, seq
 from repro.query import (
     AggregateNode,
     ExternalSortNode,
@@ -111,14 +113,18 @@ def _notation(pattern):
     return None if pattern is None else pattern.notation()
 
 
+def materialized(node):
+    """``node``'s sub-plan with every edge materialized: the post-order
+    ``⊕`` of each node's own pattern."""
+    return seq(*(n.pattern() for n in node.walk()))
+
+
 def _row(node) -> dict:
-    row = {"pattern": _notation(node.pattern()),
-           "cpu_cycles": node.cpu_cycles()}
-    for pipeline in (True, False):
-        prefix, stream = node.compose(pipeline)
-        row["pipelined" if pipeline else "materialized"] = [
-            _notation(prefix), _notation(stream)]
-    return row
+    prefix, stream = node.compose()
+    return {"pattern": _notation(node.pattern()),
+            "cpu_cycles": node.cpu_cycles(),
+            "pipelined": [_notation(prefix), _notation(stream)],
+            "materialized": [_notation(materialized(node)), None]}
 
 
 CASES = _cases()

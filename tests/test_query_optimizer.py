@@ -3,7 +3,7 @@ implementation selection, and end-to-end validation on the simulator."""
 
 import pytest
 
-from repro.core import Conc, CostModel, DataRegion, Seq
+from repro.core import Conc, CostModel, DataRegion, Seq, seq
 from repro.db import Database, random_permutation
 from repro.query import (
     Aggregate,
@@ -297,6 +297,12 @@ class TestEndToEnd:
                    for c in pq)
 
 
+def materialized(plan):
+    """``plan`` with every edge materialized (Eq. 5.2 over every edge):
+    the post-order ``⊕`` of each node's own pattern."""
+    return seq(*(n.pattern() for n in plan.root.walk()))
+
+
 class TestPipelineAwareness:
     def test_pipelined_estimate_below_materialized(self, db, scaled):
         """Acceptance: select -> join pipeline costs less with ``⊙``
@@ -309,9 +315,8 @@ class TestPipelineAwareness:
             SelectNode(ScanNode(left), lambda v: v % 2 == 0, selectivity=0.5),
             ScanNode(right),
         ))
-        piped = plan.estimate(model, cpu_ns=0.0, pipeline=True).memory_ns
-        materialized = plan.estimate(model, cpu_ns=0.0, pipeline=False).memory_ns
-        assert piped < materialized
+        piped = plan.estimate(model, cpu_ns=0.0).memory_ns
+        assert piped < model.estimate(materialized(plan), cpu_ns=0.0).memory_ns
 
     def test_pipelined_edge_uses_conc(self, db, scaled):
         """The probe phase ``⊙``-combines with the select's stream: one
@@ -323,7 +328,7 @@ class TestPipelineAwareness:
             SelectNode(ScanNode(left), lambda v: True, selectivity=0.5),
             ScanNode(right),
         ))
-        piped = plan.pattern(pipeline=True)
+        piped = plan.pattern()
         assert isinstance(piped, Seq)
         conc_groups = [p for p in piped.parts if isinstance(p, Conc)]
         merged = [
@@ -332,8 +337,7 @@ class TestPipelineAwareness:
         ]
         assert merged, "probe phase should run concurrently with the select"
         # with materialization, no concurrent group spans select + probe
-        materialized = plan.pattern(pipeline=False)
-        for part in materialized.parts:
+        for part in materialized(plan).parts:
             if isinstance(part, Conc):
                 names = {r.name for r in part.regions()}
                 assert not {"U", "H(V)"} <= names
@@ -347,7 +351,7 @@ class TestPipelineAwareness:
             SortNode(ScanNode(left)),
             ScanNode(right, sorted=True),
         ))
-        piped = plan.pattern(pipeline=True)
+        piped = plan.pattern()
         assert isinstance(piped, Seq)
         # the sort runs to completion before the merge's concurrent sweeps
         *prefix, merge = piped.parts

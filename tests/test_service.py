@@ -14,7 +14,6 @@ from repro.server import QueryServer, TenantQuota
 from repro.service import (
     MODES,
     AdmissionController,
-    BatchFormer,
     InterferenceModel,
     ServiceExecutor,
     Stepper,
@@ -146,10 +145,9 @@ class TestSessionHooks:
         session, _ = small_service
         plan = session.compile("aggregate(join(orders, customers), "
                                "groups=256)").plan
-        stages = plan.pipeline_stages()
-        pattern = plan.pattern(pipeline=True)
+        pattern = plan.pattern()
         assert isinstance(pattern, Seq)
-        assert stages == pattern.parts
+        stages = pattern.parts
         # one stage at a time runs: the plan's competitive footprint is
         # its *max* stage footprint (what ⊙ composition divides by)
         line = session.hierarchy.levels[0].line_size
@@ -179,7 +177,7 @@ class TestInterferenceModel:
         session, ps = plans
         model = InterferenceModel(session.hierarchy)
         pred = model.co_run(ps)
-        patterns = [p.pattern(pipeline=True) for p in ps]
+        patterns = [p.pattern() for p in ps]
         expected = model.model.estimate(Conc.of(*patterns)).memory_ns
         assert pred.batch_memory_ns == pytest.approx(expected)
 
@@ -337,7 +335,7 @@ class TestSchedulers:
     def test_parameter_validation(self, tasks, small_service):
         model, _ = tasks
         session, _ = small_service
-        for build in (lambda **kw: BatchFormer(model, **kw),
+        for build in (lambda **kw: AdmissionController(model, **kw),
                       lambda **kw: ServiceExecutor(session, **kw)):
             with pytest.raises(ValueError, match="unknown admission mode"):
                 build(mode="yolo")
@@ -345,8 +343,6 @@ class TestSchedulers:
                 build(mode="max-parallel", max_batch=0)
             with pytest.raises(ValueError, match="slack"):
                 build(slack=0.0)
-        with pytest.raises(ValueError, match="lookahead"):
-            BatchFormer(model, lookahead=0)
 
 
 def _serve_closed(stream, mode, seed, scale):
