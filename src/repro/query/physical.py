@@ -934,6 +934,11 @@ class QueryPlan:
 
     def __init__(self, root: PlanNode) -> None:
         self.root = root
+        #: This plan's recorded access traces, one per (engine, address
+        #: offset, execution mode), owned by
+        #: :func:`repro.service.executor.record_trace`: kept beside the
+        #: plan, so evicting or retiring the plan drops them too.
+        self.traces: dict = {}
 
     @cached_property
     def signature(self) -> str:

@@ -541,8 +541,10 @@ class MemorySystem:
         ``trace`` yields ``(addr, nbytes)`` or ``(addr, nbytes, write)``
         tuples, or range-coalesced ``("range", addr, nbytes, stride,
         count)`` / ``("range", addr, nbytes, stride, count, write)``
-        entries — the forms without ``write`` (a read) are what
-        :class:`repro.service.TraceRecorder` produces.  Replaying a
+        entries — a form without ``write`` is a read.
+        :class:`repro.service.TraceRecorder` produces all four (a write
+        as the ``write`` form with ``True``), so a replayed trace dirties
+        and writes back the pool pages direct execution does.  Replaying a
         plan's trace against a
         :func:`~repro.hardware.disk_extended` hierarchy is how the
         out-of-core tests measure real pool misses for accesses that

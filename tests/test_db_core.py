@@ -36,6 +36,27 @@ class TestAllocator:
         alloc.allocate(28)
         assert alloc.bytes_allocated == 128
 
+    def test_a_watched_run_relocates_by_its_alignments(self):
+        """What the trace cache relies on: a run started a multiple of
+        its alignments higher hands out the same addresses shifted, and
+        ``advance`` leaves the allocator where the run does."""
+        def run(alloc):
+            return [alloc.allocate(n, alignment=a)
+                    for n, a in ((5, None), (24, 16), (3, 1))]
+
+        first = Allocator(base=100)
+        with first.watch() as alignments:
+            addresses = run(first)
+        assert alignments == {8, 16, 1}
+        span = first.next_address - 100
+        for shift in (16, 48):
+            again = Allocator(base=100 + shift)
+            assert run(again) == [a + shift for a in addresses]
+            skipped = Allocator(base=100 + shift)
+            skipped.advance(span, first.bytes_allocated)
+            assert (skipped.next_address, skipped.bytes_allocated) == \
+                (again.next_address, again.bytes_allocated)
+
 
 class TestColumn:
     def test_item_address(self):

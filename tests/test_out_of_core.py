@@ -50,7 +50,11 @@ from repro.query.physical import (
     GraceHashJoinNode,
     SpillingAggregateNode,
 )
-from repro.service.executor import record_trace, replay_interleaved
+from repro.service.executor import (
+    measure_solo,
+    record_trace,
+    replay_interleaved,
+)
 from repro.simulator import BufferPoolSim, MemorySystem
 
 #: The repo's established model-vs-simulator relative tolerance.
@@ -508,6 +512,30 @@ class TestOutOfCoreAcceptance:
             direct.misses("BufferPool"), rel=0.05)
         assert replayed.elapsed_ns == pytest.approx(
             direct.elapsed_ns, rel=0.10)
+
+    @pytest.mark.parametrize("query", [
+        "join(orders, customers)", QUERY])
+    def test_recorded_writes_replay_as_direct_execution(self, disk, query):
+        """A recorded trace keeps the write flag: replayed through a
+        cold pool, it dirties and writes back exactly the pages the
+        direct execution does, on an identically built engine at the
+        same allocator position."""
+        def engine():
+            s = Session(hierarchy=disk, memory_budget=self.BUDGET)
+            s.create_table("orders", random_permutation(1024, seed=1))
+            s.create_table("customers", random_permutation(1024, seed=2))
+            return s, s.compile(query).plan
+
+        (session, plan), (twin, twin_plan) = engine(), engine()
+        assert session.db.allocator.next_address == \
+            twin.db.allocator.next_address
+        replayer = MemorySystem(disk)
+        replayed = replayer.replay(record_trace(session, plan)[0])
+        direct = MemorySystem(disk)
+        measured = measure_solo(twin, twin_plan, direct)
+        assert replayed == measured.counters
+        assert direct.pool.write_backs > 0
+        assert replayer.pool.write_backs == direct.pool.write_backs
 
     def test_grace_join_beats_spilled_hash_table_on_disk(self, session, disk):
         """The decision the budget encodes, measured: a plain hash join

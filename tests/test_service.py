@@ -3,14 +3,17 @@ batch former, executor, metrics — plus the session hooks it rides on
 (spawned client sessions, plan-cache provenance)."""
 
 import asyncio
+import collections
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.query.physical import QueryPlan
 from repro.core import Conc, Seq, footprint_lines
 from repro.hardware import parametric_profile
-from repro.server import QueryServer, TenantQuota
+from repro.db import random_permutation
+from repro.server import TENANT_ADDRESS_STRIDE, QueryServer, TenantQuota
 from repro.service import (
     MODES,
     AdmissionController,
@@ -24,6 +27,7 @@ from repro.service import (
 from repro.whatif import ProfileSpace, capacity_plan
 from repro.service.executor import (
     DEFAULT_QUANTUM,
+    TraceRecorder,
     execute_batch,
     record_trace,
     replay_interleaved,
@@ -528,6 +532,171 @@ class TestExecutor:
         assert aware.makespan_ns < naive.makespan_ns
         assert naive.mean_contention_error < 0.35
         assert aware.mean_contention_error < 0.35
+
+
+#: (query, the tables its scans read) of the trace-cache tests.
+CACHE_TEMPLATES = (("filter(a, even, sel=0.5)", "a"), ("sort(b)", "b"),
+                   ("join(a, b)", "ab"),
+                   ("aggregate(join(a, b), groups=48)", "ab"))
+#: One address offset per tenant of the trace-cache tests.
+CACHE_OFFSETS = (0, TENANT_ADDRESS_STRIDE)
+
+_CACHE_RECORD = st.tuples(st.just("record"), st.integers(0, 1),
+                          st.integers(0, len(CACHE_TEMPLATES) - 1))
+_CACHE_MUTATE = st.tuples(st.just("mutate"), st.integers(0, 1),
+                          st.sampled_from("ab"), st.integers(0, 47),
+                          st.integers(1, 47))
+CACHE_STEPS = st.lists(st.one_of(
+    # a step kind listed more than once is drawn more often
+    _CACHE_RECORD, _CACHE_RECORD, _CACHE_RECORD,
+    # an allocation between recordings: odd sizes and alignments make
+    # some later starts incongruent with the recorded one
+    st.tuples(st.just("bump"), st.integers(0, 1), st.integers(1, 96),
+              st.sampled_from((1, 8, 16, 64))),
+    # an in-place swap of two values of a base column
+    _CACHE_MUTATE, _CACHE_MUTATE), min_size=1, max_size=24)
+
+
+def _cache_tenant(mode, predicate=lambda v: v % 2 == 0):
+    """A small engine and its compiled templates (``even`` is
+    ``predicate``); two calls build identical engines."""
+    session = Session(execution=mode)
+    session.create_table("a", random_permutation(48, seed=1))
+    session.create_table("b", random_permutation(48, seed=2))
+    session.predicate("even", predicate)
+    return session, [session.compile(text).plan
+                     for text, _ in CACHE_TEMPLATES]
+
+
+def _bare_record(session, plan, offset):
+    """What ``record_trace`` returns when it executes: ``plan`` run on
+    ``session``'s engine under a bare ``TraceRecorder``, base columns
+    restored."""
+    db = session.db
+    recorder = TraceRecorder(offset)
+    real, db.mem = db.mem, recorder
+    try:
+        with session._restoring(True), \
+                db.execution_scope(session.config.execution):
+            rows = len(plan.execute(db).values)
+    finally:
+        db.mem = real
+    return recorder.trace, rows
+
+
+def _allocator_state(session):
+    allocator = session.db.allocator
+    return allocator.next_address, allocator.bytes_allocated
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """Every plan ``QueryPlan.execute`` ran, in order."""
+    ran = []
+    execute = QueryPlan.execute
+
+    def counting(plan, db):
+        ran.append(plan)
+        return execute(plan, db)
+
+    monkeypatch.setattr(QueryPlan, "execute", counting)
+    return ran
+
+
+class TestTraceCache:
+    """``record_trace`` records a plan once per (engine, address
+    offset, execution mode) and relocates that recording after: every
+    call returns what a bare recording on an identically built twin
+    engine returns, and leaves the allocator where it leaves it."""
+
+    @pytest.mark.parametrize("mode", ["scalar", "vectorized"])
+    def test_every_call_equals_a_bare_recording(self, mode, executions):
+        seen = collections.Counter()
+
+        @given(steps=CACHE_STEPS)
+        def check(steps):
+            cached = [_cache_tenant(mode) for _ in CACHE_OFFSETS]
+            twins = [_cache_tenant(mode) for _ in CACHE_OFFSETS]
+            versions = [dict.fromkeys("ab", 0) for _ in CACHE_OFFSETS]
+            # (tenant, template) -> (start address, input versions) of
+            # the latest call that executed
+            recorded = {}
+            for kind, t, *args in steps:
+                sessions = (cached[t][0], twins[t][0])
+                if kind == "bump":
+                    for session in sessions:
+                        session.db.allocator.allocate(*args)
+                elif kind == "mutate":
+                    name, i, k = args
+                    for session in sessions:
+                        values = session.db.column(name).values
+                        j = (i + k) % len(values)
+                        values[i], values[j] = values[j], values[i]
+                    versions[t][name] += 1
+                else:
+                    template, = args
+                    session, plans = cached[t]
+                    start = session.db.allocator.next_address
+                    before = len(executions)
+                    got = record_trace(session, plans[template],
+                                       CACHE_OFFSETS[t])
+                    ran = len(executions) > before
+                    twin, twin_plans = twins[t]
+                    assert got == _bare_record(twin, twin_plans[template],
+                                               CACHE_OFFSETS[t])
+                    assert _allocator_state(session) == \
+                        _allocator_state(twin)
+                    inputs = tuple(versions[t][name]
+                                   for name in CACHE_TEMPLATES[template][1])
+                    last = recorded.get((t, template))
+                    if not ran:
+                        assert last is not None and last[1] == inputs
+                        seen["hit"] += 1
+                        continue
+                    if last is not None:
+                        if last[1] != inputs:
+                            seen["mutated"] += 1
+                        else:
+                            # every scratch alignment divides 16
+                            assert (start - last[0]) % 16, \
+                                "a congruent start re-executed"
+                            seen["incongruent"] += 1
+                    recorded[(t, template)] = (start, inputs)
+
+        check()
+        assert seen["hit"] and seen["incongruent"] and seen["mutated"], seen
+
+    def test_a_raising_recording_stores_nothing(self, executions):
+        fail = []
+
+        def flaky(v):
+            if fail:
+                raise RuntimeError("kernel exploded")
+            return v % 2 == 0
+
+        (session, plans), (twin, twin_plans) = (
+            _cache_tenant("vectorized", flaky) for _ in range(2))
+
+        def call(expect_execution):
+            before = len(executions)
+            got = record_trace(session, plans[0])
+            assert (len(executions) > before) == expect_execution
+            assert got == _bare_record(twin, twin_plans[0], 0)
+            assert _allocator_state(session) == _allocator_state(twin)
+
+        call(expect_execution=True)
+        for engine in (session, twin):
+            engine.db.allocator.allocate(1, alignment=1)  # incongruent
+        fail.append(True)
+        for run in (lambda: record_trace(session, plans[0]),
+                    lambda: _bare_record(twin, twin_plans[0], 0)):
+            with pytest.raises(RuntimeError, match="kernel exploded"):
+                run()
+        assert plans[0].traces == {}
+        assert _allocator_state(session) == _allocator_state(twin)
+        fail.clear()
+        call(expect_execution=True)
+        call(expect_execution=False)
 
 
 class TestMetrics:

@@ -676,19 +676,22 @@ class TestServiceTraces:
         recorder.access(8, 8)
         fused = recorder.batch()
         fused(16, 8, True)
-        assert recorder.trace == [("range", 64, 8, 8, 3), (8, 8), (16, 8)]
+        assert recorder.trace == [("range", 64, 8, 8, 3), (8, 8),
+                                  (16, 8, True)]
         assert trace_length(recorder.trace) == 5
 
     def test_recorder_shifts_every_entry_kind_as_it_appends(self):
         recorder = TraceRecorder(offset=1 << 20)
         recorder.access_range(64, 8, None, 3)
+        recorder.access_range(64, 8, None, 3, write=True)
         recorder.access(8, 8)
         recorder.write(24, 4)
         recorder.batch()(16, 8, True)
         base = 1 << 20
         assert recorder.trace == [("range", base + 64, 8, 8, 3),
-                                  (base + 8, 8), (base + 24, 4),
-                                  (base + 16, 8)]
+                                  ("range", base + 64, 8, 8, 3, True),
+                                  (base + 8, 8), (base + 24, 4, True),
+                                  (base + 16, 8, True)]
 
     @pytest.mark.parametrize("mode", ["scalar", "vectorized"])
     def test_record_trace_offset_is_a_pure_shift(self, mode):
@@ -707,7 +710,7 @@ class TestServiceTraces:
         assert shifted_rows == rows and len(plain) > 100
         assert shifted == [
             ("range", e[1] + offset, *e[2:]) if e[0] == "range"
-            else (e[0] + offset, e[1]) for e in plain]
+            else (e[0] + offset, *e[1:]) for e in plain]
 
     def test_replay_splits_range_at_quantum_boundary(self):
         trace = [("range", 0, 8, 8, 50)]
