@@ -571,8 +571,20 @@ def capture_measured(db: Database, plan: "QueryPlan",
     with db.operator_measurement() as records:
         with db.measure() as result:
             column = plan.execute(db)
-    wall = time.perf_counter() - start
-    counters = result[0]
+    return measured_result(column, explanation,
+                           time.perf_counter() - start, result[0], records)
+
+
+def measured_result(column: Column, explanation: Explanation,
+                    wall_seconds: float, counters: CounterSnapshot,
+                    records) -> MeasuredResult:
+    """The :class:`MeasuredResult` of one measured execution: the
+    whole-plan ``counters`` and, from the operator probe's ``(node,
+    inclusive delta)`` ``records``, each operator's exclusive delta
+    paired with the matching node of ``explanation`` (built from the
+    same plan) — the assembly :func:`capture_measured` and the
+    record-and-replay measured path
+    (:func:`repro.service.executor.measure`) share."""
     exclusives = _exclusive_deltas(records)
     explained_nodes = list(explanation.nodes())
     if len(exclusives) != len(explained_nodes):
@@ -594,7 +606,7 @@ def capture_measured(db: Database, plan: "QueryPlan",
         column=column,
         explanation=explanation,
         cache_hit=explanation.cache_hit,
-        wall_seconds=wall,
+        wall_seconds=wall_seconds,
         counters=counters,
         operators=tuple(operators),
     )

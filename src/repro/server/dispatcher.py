@@ -43,7 +43,12 @@ from ..hardware.profiles import origin2000_scaled
 from ..obs import Tracer
 from ..service.admission import AdmissionController
 from ..service.core import Batch, Step, Stepper, Task, compile_task, settle
-from ..service.executor import DEFAULT_QUANTUM, BatchReplay, execute_batch
+from ..service.executor import (
+    DEFAULT_QUANTUM,
+    BatchReplay,
+    execute_batch,
+    measure,
+)
 from ..service.interference import InterferenceModel
 from ..service.metrics import BatchMetrics, RunReport
 from ..service.workload import WorkloadQuery
@@ -515,9 +520,11 @@ class Dispatcher:
         into the tenant's address slice.
 
         With a tracer attached, a *solo* batch takes the typed
-        measured path, which adds per-operator attribution for
-        operator spans and drift monitoring.  Responses are identical
-        either way; only the observability gains detail.
+        measured path (:func:`~repro.service.executor.measure`: the
+        same cached recording, replayed cut at its operator marks),
+        which adds per-operator attribution for operator spans and
+        drift monitoring.  Responses are identical either way; only the
+        observability gains detail.
         """
         wall_start = time.perf_counter_ns()
         members = []
@@ -527,9 +534,14 @@ class Dispatcher:
                             tenant.address_offset))
         # recalibration swaps tenants' model profiles, never the machine
         assert self._machine.hierarchy is self.hierarchy
-        replay, rows, measured = execute_batch(
-            members, self._machine, self.quantum,
-            attribute=self.tracer is not None)
+        measured = None
+        if self.tracer is not None and len(members) == 1:
+            session, plan, offset = members[0]
+            measured = measure(session, plan, self._machine, offset=offset)
+            replay, rows = BatchReplay.alone(measured), [len(measured)]
+        else:
+            replay, rows = execute_batch(members, self._machine,
+                                         self.quantum)
         return replay, rows, measured, wall_start, time.perf_counter_ns()
 
     def _resolve(self, task: Task, response: ServerResponse,

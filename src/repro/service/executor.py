@@ -17,13 +17,24 @@ must observe the same base state — concurrent execution over one
 snapshot.
 
 A plan is recorded **once** per (engine, address offset, execution
-mode) and relocated after (:func:`record_trace`).  This rests on one
-assumption, stated here because nothing checks it: *a plan is a pure
-function of its input columns* — its kernels are deterministic and its
-predicates have no side effects, so a run over the same input values
-issues the same accesses, except that its scratch allocations land
+mode) and the recording is replayed after (:func:`record_trace`): the
+engine walks its compact columns in place, shifting the scratch
+addresses to where the allocator stands now; nothing is relocated into
+a new trace.  This rests on one assumption, stated here because
+nothing checks it: *a plan is a pure function of its input columns* —
+its kernels are deterministic and its predicates have no side effects,
+so a run over the same input values makes the same accesses and
+returns the same result, except that its scratch allocations land
 wherever the bump allocator stands.  A cache hit re-runs no kernel and
 no predicate.
+
+The recording also keeps the operators' enter/exit marks, so one
+measured path serves every typed measurement (:func:`measure`):
+record (cached) → replay cut at the marks → per-operator counters
+identical to executing the plan directly under the operator probe
+(:func:`repro.query.capture_measured`, kept as the test oracle).
+``Session.execute_measured`` and a traced server's solo batches take
+it.
 
 Timing follows :mod:`repro.service.interference`: per batch,
 ``makespan = max(Σ mem_i, max_i (cpu_i + mem_i))`` with ``mem_i``
@@ -35,17 +46,18 @@ queries' stalls.  Batches execute in sequence on a simulated clock.
 from __future__ import annotations
 
 import math
-from array import array
-from contextlib import contextmanager
+import sys
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..db.column import Column
 from ..hardware.hierarchy import MemoryHierarchy
-from ..query.observe import MeasuredResult, measure_plan
+from ..query.observe import Explanation, MeasuredResult, measured_result
 from ..query.physical import QueryPlan, ScanNode
 from ..session import Session
 from ..simulator.counters import CounterSnapshot
-from ..simulator.memory import MemorySystem
+from ..simulator.memory import CompactTrace, MemorySystem, Segment
 from .admission import AdmissionController
 from .core import Stepper, compile_task, settle
 from .interference import InterferenceModel
@@ -53,8 +65,22 @@ from .metrics import BatchMetrics, QueryMetrics, WorkloadReport
 from .workload import WorkloadQuery
 
 __all__ = ["TraceRecorder", "record_trace", "replay_interleaved",
-           "trace_length", "measure_solo", "execute_batch", "BatchReplay",
+           "trace_length", "measure", "execute_batch", "BatchReplay",
            "ServiceExecutor"]
+
+
+class _Mark:
+    """A recorder's position as the operator probe sees it: two marks'
+    difference ``after - before`` is the ``(enter, exit)`` span of
+    trace entries between them."""
+
+    __slots__ = ("position",)
+
+    def __init__(self, position: int) -> None:
+        self.position = position
+
+    def __sub__(self, before: "_Mark") -> tuple[int, int]:
+        return before.position, self.position
 
 
 class TraceRecorder:
@@ -63,42 +89,60 @@ class TraceRecorder:
     ever call :meth:`access`/:meth:`read`/:meth:`write` — or, since the
     vectorized engine, :meth:`access_range` and :meth:`batch`).
 
-    Trace entries are either a plain ``(addr, nbytes)`` read or
-    ``(addr, nbytes, True)`` write, or a coalesced ``("range", addr,
-    nbytes, stride, count)`` run standing for ``count`` reads
-    (``("range", addr, nbytes, stride, count, True)``: writes) — the
-    forms :meth:`MemorySystem.replay
-    <repro.simulator.MemorySystem.replay>` takes.  Replay expands ranges
-    access-for-access, so a trace recorded under vectorized execution
-    replays to the same counters as its scalar recording, and keeping
-    writes makes a buffer pool's dirty pages and write-backs match
-    direct execution too.  Every recorded address is shifted by
-    ``offset`` (a tenant's private slice of the address space) as it is
-    appended."""
+    Entries go straight into :attr:`compact`, the
+    :class:`~repro.simulator.memory.CompactTrace` columns the replay
+    engine walks; :attr:`trace` decodes them to the tuple forms
+    :meth:`MemorySystem.replay <repro.simulator.MemorySystem.replay>`
+    takes: a plain ``(addr, nbytes)`` read or ``(addr, nbytes, True)``
+    write, or a coalesced ``("range", addr, nbytes, stride, count)``
+    run standing for ``count`` reads (``("range", addr, nbytes, stride,
+    count, True)``: writes).  Replay expands ranges access-for-access,
+    so a trace recorded under vectorized execution replays to the same
+    counters as its scalar recording, and keeping writes makes a buffer
+    pool's dirty pages and write-backs match direct execution too.
+    Every recorded address is shifted by ``offset`` (a tenant's private
+    slice of the address space) as it is appended.
 
-    __slots__ = ("trace", "offset")
+    :meth:`snapshot` answers the database's operator probe
+    (:meth:`~repro.db.Database.operator_measurement`) with the
+    recorder's position, so a plan run under the probe reports each
+    operator's ``(enter, exit)`` entry span instead of a counter
+    delta."""
+
+    __slots__ = ("compact", "offset")
 
     def __init__(self, offset: int = 0) -> None:
-        self.trace: list[tuple] = []
+        self.compact = CompactTrace()
         self.offset = offset
 
+    @property
+    def trace(self) -> list[tuple]:
+        """The recorded entries as tuples (a decoded copy)."""
+        return self.compact.entries()
+
     def access(self, addr: int, nbytes: int = 1, write: bool = False) -> None:
-        self.trace.append((addr + self.offset, nbytes, True) if write
-                          else (addr + self.offset, nbytes))
+        compact = self.compact
+        compact.addresses.append(addr + self.offset)
+        compact.sizes.append(2 * nbytes + write)
 
     def access_range(self, addr: int, nbytes: int, stride: int | None = None,
                      count: int = 1, write: bool = False) -> None:
         if count > 0:
-            entry = ("range", addr + self.offset, nbytes,
-                     nbytes if stride is None else stride, count)
-            self.trace.append(entry + (True,) if write else entry)
+            compact = self.compact
+            compact.ranges[len(compact.sizes)] = (
+                nbytes, nbytes if stride is None else stride, count,
+                bool(write))
+            compact.addresses.append(addr + self.offset)
+            compact.sizes.append(-1)
 
     def batch(self):
-        trace, offset = self.trace, self.offset
+        addresses = self.compact.addresses.append
+        sizes = self.compact.sizes.append
+        offset = self.offset
 
         def fused(addr: int, nbytes: int = 8, write: bool = False) -> None:
-            trace.append((addr + offset, nbytes, True) if write
-                         else (addr + offset, nbytes))
+            addresses(addr + offset)
+            sizes(2 * nbytes + write)
 
         return fused
 
@@ -108,6 +152,9 @@ class TraceRecorder:
     def write(self, addr: int, nbytes: int = 1) -> None:
         self.access(addr, nbytes, write=True)
 
+    def snapshot(self) -> _Mark:
+        return _Mark(len(self.compact.sizes))
+
 
 def trace_length(trace: Sequence[tuple]) -> int:
     """The number of simulated accesses a trace stands for (coalesced
@@ -115,56 +162,42 @@ def trace_length(trace: Sequence[tuple]) -> int:
     return sum(entry[4] if entry[0] == "range" else 1 for entry in trace)
 
 
-@contextmanager
-def _engine_on(session: Session, mem):
-    """``session``'s engine with ``mem`` standing in for its memory
-    system (whose clock and cache state stay untouched), under the
-    session's execution mode; base columns are restored afterwards
-    (in-place sorts must not leak into the next run)."""
-    db = session.db
-    real, db.mem = db.mem, mem
-    try:
-        with session._restoring(True), \
-                db.execution_scope(session.config.execution):
-            yield db
-    finally:
-        db.mem = real
-
-
 class _Recording:
     """One execution of a plan, kept beside it
     (:attr:`QueryPlan.traces <repro.query.physical.QueryPlan.traces>`)
-    to stand in for the next ones: the trace, stored compactly, and
-    what the execution depended on and did to the allocator.
+    to stand in for the next ones: the compact trace and its operator
+    marks, the result, and what the execution depended on and did to
+    the allocator and to its input columns."""
 
-    The trace is two ``array('q')`` columns, one row per entry: the
-    address, and ``2 * nbytes + write`` for a plain entry or ``-1`` for
-    a range entry, which is kept as recorded in :attr:`ranges`."""
+    __slots__ = ("trace", "marks", "result", "inputs", "effects", "start",
+                 "floor", "alignment", "span", "nbytes")
 
-    __slots__ = ("start", "alignment", "span", "nbytes", "rows", "inputs",
-                 "addresses", "sizes", "ranges")
-
-    def __init__(self, trace: list[tuple], rows: int, inputs: tuple,
-                 start: int, alignment: int, span: int,
-                 nbytes: int) -> None:
-        #: allocator address the execution started at, the lcm of the
-        #: alignments it requested, the span it advanced the allocator
-        #: by and the bytes it allocated there
-        self.start, self.alignment = start, alignment
-        self.span, self.nbytes = span, nbytes
-        self.rows = rows
+    def __init__(self, trace: CompactTrace, marks: list, result: Column,
+                 inputs: tuple, effects: tuple, start: int, offset: int,
+                 alignment: int, span: int, nbytes: int) -> None:
+        self.trace = trace
+        #: ``(node, (enter, exit))`` per operator execution, post-order
+        #: (as the operator probe reported them)
+        self.marks = marks
+        #: the result column as the execution returned it (an input
+        #: column itself when the plan sorts one in place)
+        self.result = result
         #: ``(column, address, values)`` of every scanned column
         self.inputs = inputs
-        self.addresses, self.sizes = array("q"), array("q")
-        self.ranges: list[tuple] = []
-        for entry in trace:
-            if entry[0] == "range":
-                self.addresses.append(entry[1])
-                self.sizes.append(-1)
-                self.ranges.append(entry)
-            else:
-                self.addresses.append(entry[0])
-                self.sizes.append(2 * entry[1] + (len(entry) == 3))
+        #: ``(column, values after the run)`` of every input the run
+        #: changed (the restore put each back)
+        self.effects = effects
+        #: allocator address the execution started at; trace entries at
+        #: or above ``floor`` (the start plus the tenant offset) are
+        #: scratch and move with it
+        self.start, self.floor = start, start + offset
+        #: the lcm of the alignments the execution requested, the span
+        #: it advanced the allocator by and the bytes it allocated there
+        self.alignment, self.span, self.nbytes = alignment, span, nbytes
+
+    @property
+    def rows(self) -> int:
+        return len(self.result.values)
 
     def matches(self, start: int) -> bool:
         """Whether an execution starting at allocator address ``start``
@@ -175,49 +208,73 @@ class _Recording:
                 and all(column.address == address and column.values == values
                         for column, address, values in self.inputs))
 
-    def relocate(self, shift: int, floor: int) -> list[tuple]:
-        """The trace with every address at or above ``floor`` (the
-        scratch allocations, tenant offset included) ``shift`` higher."""
-        ranges = iter([entry if entry[1] < floor
-                       else ("range", entry[1] + shift, *entry[2:])
-                       for entry in self.ranges])
-        return [next(ranges) if n < 0
-                else (a + shift if a >= floor else a, n >> 1) if not n & 1
-                else (a + shift if a >= floor else a, n >> 1, True)
-                for a, n in zip(self.addresses, self.sizes)]
+    def segment(self, shift: int) -> Segment:
+        """The whole trace, scratch addresses ``shift`` higher."""
+        return Segment(self.trace, shift, self.floor)
+
+    def column(self, shift: int) -> Column:
+        """The result an execution ``shift`` bytes higher returns: the
+        input column itself, or a copy of the recorded one at its
+        shifted address."""
+        result = self.result
+        if any(result is column for column, _, _ in self.inputs):
+            return result
+        return Column(result.name, result.width, result.address + shift,
+                      result.copy_values())
+
+    def replay_marked(self, mem: MemorySystem, shift: int
+                      ) -> tuple[CounterSnapshot, list]:
+        """Replay the trace ``shift`` higher on ``mem``, cut at the
+        operator marks; returns the whole-trace counter delta and
+        ``(node, inclusive delta)`` per operator execution — what the
+        operator probe reports when the plan executes on ``mem``."""
+        cuts = sorted({0, len(self.trace),
+                       *(position for _, span in self.marks
+                         for position in span)})
+        at = {0: mem.snapshot()}
+        for begin, end in zip(cuts, cuts[1:]):
+            mem.replay_interleaved(
+                [Segment(self.trace, shift, self.floor, begin, end)],
+                sys.maxsize)
+            at[end] = mem.snapshot()
+        return (at[cuts[-1]] - at[0],
+                [(node, at[exit] - at[enter])
+                 for node, (enter, exit) in self.marks])
 
 
 def record_trace(session: Session, plan: QueryPlan,
-                 offset: int = 0) -> tuple[list[tuple], int]:
-    """Execute ``plan`` on ``session``'s engine with a recording memory
-    system; returns its access trace, every address shifted by
-    ``offset`` (a tenant's private slice of the address space), and
-    the result cardinality.  Every batch member records against the
-    same base state.
+                 offset: int = 0) -> tuple[_Recording, int]:
+    """The recording of ``plan`` on ``session``'s engine, every address
+    shifted by ``offset`` (a tenant's private slice of the address
+    space), and the shift that puts its scratch accesses where this
+    call's allocations land: replay it as ``recording.segment(shift)``.
+    Base columns are left as found, so every batch member records
+    against the same base state (``recording.effects`` holds what the
+    run changed in them).
 
     The first call per (engine, ``offset``, execution mode) executes
-    and keeps the recording beside the plan; a later call *relocates*
-    it instead.  The bump allocator makes that exact: a run that starts
+    the plan under a :class:`TraceRecorder` and the operator probe and
+    keeps the recording beside the plan; a later call *reuses* it
+    instead.  The bump allocator makes that exact: a run that starts
     ``d`` bytes higher, ``d`` a multiple of every alignment the
     recording requested, allocates every scratch region exactly ``d``
     higher.  So when ``d`` is such a multiple and every scanned column
-    is at the same address with the same values, the call shifts the
-    recorded scratch accesses by ``d``, advances the allocator as the
-    recording did, and returns the recorded cardinality — no kernel,
-    recorder or snapshot/restore runs.  Anything else executes afresh
-    and replaces the recording (a run that raises leaves none).  The
-    one assumption is that the plan is a pure function of its input
-    columns (see the module docstring): predicates are not re-run on a
-    hit."""
-    allocator = session.db.allocator
-    key = (session.db, offset, session.config.execution)
+    is at the same address with the same values, the call advances the
+    allocator as the recording did and returns the recording with shift
+    ``d`` — no kernel, recorder or snapshot/restore runs.  Anything
+    else executes afresh and replaces the recording (a run that raises
+    leaves none, and neither does one that changed a scanned column the
+    session's restore does not cover).  The one assumption is that the
+    plan is a pure function of its input columns (see the module
+    docstring): predicates are not re-run on a hit."""
+    db = session.db
+    allocator = db.allocator
+    key = (db, offset, session.config.execution)
     start = allocator.next_address
     recording = plan.traces.get(key)
     if recording is not None and recording.matches(start):
         allocator.advance(recording.span, recording.nbytes)
-        return (recording.relocate(start - recording.start,
-                                   recording.start + offset),
-                recording.rows)
+        return recording, start - recording.start
     plan.traces.pop(key, None)
     inputs = tuple((node.column, node.column.address,
                     node.column.copy_values())
@@ -225,14 +282,24 @@ def record_trace(session: Session, plan: QueryPlan,
                    if isinstance(node, ScanNode) and node.column is not None)
     allocated = allocator.bytes_allocated
     recorder = TraceRecorder(offset)
-    with allocator.watch() as alignments, \
-            _engine_on(session, recorder) as db:
-        rows = len(plan.execute(db).values)
-    plan.traces[key] = _Recording(
-        recorder.trace, rows, inputs, start, math.lcm(*alignments),
-        allocator.next_address - start,
+    real, db.mem = db.mem, recorder
+    try:
+        with allocator.watch() as alignments, session._restoring(True), \
+                db.execution_scope(session.config.execution), \
+                db.operator_measurement() as marks:
+            result = plan.execute(db)
+            effects = tuple((column, column.values)
+                            for column, _, values in inputs
+                            if column.values != values)
+    finally:
+        db.mem = real
+    recording = _Recording(
+        recorder.compact, marks, result, inputs, effects, start, offset,
+        math.lcm(*alignments), allocator.next_address - start,
         allocator.bytes_allocated - allocated)
-    return recorder.trace, rows
+    if all(column.values is not values for column, values in effects):
+        plan.traces[key] = recording
+    return recording, 0
 
 
 @dataclass(frozen=True)
@@ -249,6 +316,13 @@ class BatchReplay:
     #: the whole batch drained — the sample the metrics registry takes
     #: at batch boundaries.
     counters: CounterSnapshot | None = None
+
+    @classmethod
+    def alone(cls, measured: MeasuredResult) -> "BatchReplay":
+        """A solo batch measured on its own (:func:`measure`)."""
+        elapsed = measured.measured_ns
+        return cls(total_ns=elapsed, memory_ns=(elapsed,),
+                   finish_ns=(elapsed,), counters=measured.counters)
 
 
 #: Default time-slice length (accesses per turn) of the interleaved
@@ -274,14 +348,16 @@ def replay_interleaved(hierarchy: MemoryHierarchy,
     co-runner advances at the same access rate while all compete for
     the same caches.  Shorter traces drop out as they finish, leaving
     the remainder more of the cache — the same asymmetry the footprint
-    division models.  The loop itself is the simulator's
+    division models.  ``traces`` are tuple lists (the forms
+    :meth:`MemorySystem.replay <repro.simulator.MemorySystem.replay>`
+    takes), compacted on entry: the loop itself is the simulator's
     (:meth:`MemorySystem.replay_interleaved
     <repro.simulator.MemorySystem.replay_interleaved>`).
     """
     return _replay_cold(MemorySystem(hierarchy), traces, quantum)
 
 
-def _replay_cold(mem: MemorySystem, traces: Sequence[Sequence[tuple]],
+def _replay_cold(mem: MemorySystem, traces: Sequence,
                  quantum: int) -> BatchReplay:
     """:func:`replay_interleaved` on ``mem``, which must be cold."""
     memory, finish = mem.replay_interleaved(traces, quantum)
@@ -291,47 +367,55 @@ def _replay_cold(mem: MemorySystem, traces: Sequence[Sequence[tuple]],
                        counters=mem.snapshot())
 
 
-def measure_solo(session: Session, plan: QueryPlan,
-                 mem: MemorySystem) -> MeasuredResult:
-    """One plan's cold typed measurement over ``session``'s engine, on
-    ``mem`` (reset first) — a machine for the hierarchy a co-run batch
-    is replayed on, which after a recalibration is *not* the session's
-    model profile (predictions come from ``session.model``; the
-    measurement must not).  The solo-batch path both the offline
-    executor and the query server use."""
-    with _engine_on(session, mem) as db:
-        return measure_plan(db, plan, session.model,
-                            signature=plan.signature)
+def measure(session: Session, plan: QueryPlan, mem: MemorySystem,
+            explanation: Explanation | None = None, offset: int = 0, *,
+            cold: bool = True, restore: bool = True) -> MeasuredResult:
+    """One plan's typed measurement over ``session``'s engine, on
+    ``mem`` — the one measured path: :func:`record_trace` (cached),
+    ``mem.reset()`` when ``cold``, then the recording replayed on
+    ``mem`` cut at its operator marks.  The counters, per-operator
+    exclusive counters included, are those of executing ``plan``
+    directly on ``mem`` under the operator probe
+    (:func:`repro.query.capture_measured`); the result column is a
+    copy of the one the recording kept (for a plan that sorts a scanned
+    column in place, that column itself).
+
+    ``mem`` is the session's own memory system for
+    ``Session.execute_measured`` and a server's machine for its solo
+    batches (after a recalibration *not* the session's model profile:
+    predictions come from ``explanation``, by default the plan's under
+    ``session.model``; the measurement must not).  ``restore=False``
+    leaves the scanned columns as the execution left them (a sort of a
+    base table sorts it in place) instead of as found."""
+    if explanation is None:
+        explanation = plan.explanation(session.model,
+                                       signature=plan.signature)
+    start = time.perf_counter()
+    recording, shift = record_trace(session, plan, offset)
+    if cold:
+        mem.reset()
+    counters, records = recording.replay_marked(mem, shift)
+    if not restore:
+        for column, values in recording.effects:
+            column.values = list(values)
+    return measured_result(recording.column(shift), explanation,
+                           time.perf_counter() - start, counters, records)
 
 
 def execute_batch(members: Sequence[tuple[Session, QueryPlan, int]],
-                  mem: MemorySystem, quantum: int, *, attribute: bool
-                  ) -> tuple[BatchReplay, list[int], MeasuredResult | None]:
+                  mem: MemorySystem, quantum: int
+                  ) -> tuple[BatchReplay, list[int]]:
     """Measure one co-run batch of ``(session, plan, address offset)``
     members on the machine ``mem`` simulates: record every member's
-    trace, replay them interleaved through ``mem``, reset cold first —
-    a driver keeps one machine for all its batches rather than building
-    one per batch.  Returns the replay, the members' result
-    cardinalities, and — for a solo batch when ``attribute`` is set —
-    the typed measurement.
-
-    A solo member needs no interleaving, so with ``attribute`` it runs
-    through :func:`measure_solo` instead, which yields the identical
-    cold-cache counters a single-trace replay would (the out-of-core
-    suite proves replay == execution) *plus* per-operator
-    predicted-vs-measured attribution."""
-    if attribute and len(members) == 1:
-        session, plan, _ = members[0]
-        measured = measure_solo(session, plan, mem)
-        elapsed = measured.measured_ns
-        return (BatchReplay(total_ns=elapsed, memory_ns=(elapsed,),
-                            finish_ns=(elapsed,),
-                            counters=measured.counters),
-                [len(measured.column.values)], measured)
+    trace (cached, :func:`record_trace`), replay them interleaved
+    through ``mem``, reset cold first — a driver keeps one machine for
+    all its batches rather than building one per batch.  Returns the
+    replay and the members' result cardinalities."""
     recorded = [record_trace(*member) for member in members]
     mem.reset()
-    replay = _replay_cold(mem, [trace for trace, _ in recorded], quantum)
-    return replay, [rows for _, rows in recorded], None
+    replay = _replay_cold(mem, [recording.segment(shift)
+                                for recording, shift in recorded], quantum)
+    return replay, [recording.rows for recording, _ in recorded]
 
 
 class ServiceExecutor:
@@ -389,11 +473,18 @@ class ServiceExecutor:
         batch_metrics: list[BatchMetrics] = []
         for step in stepper:
             batch, clock = step.batch, step.now_ns
-            replay, _, measured = execute_batch(
-                [(self.session, t.plan, 0) for t in batch], mem,
-                DEFAULT_QUANTUM, attribute=True)
+            operators = None
+            if len(batch) == 1:
+                # nobody to interleave with: the typed measurement,
+                # per-operator attribution included
+                measured = measure(self.session, batch[0].plan, mem)
+                replay, operators = (BatchReplay.alone(measured),
+                                     measured.operators)
+            else:
+                replay, _ = execute_batch(
+                    [(self.session, t.plan, 0) for t in batch], mem,
+                    DEFAULT_QUANTUM)
             finishes, metrics = settle(stepper.batch_count, batch, replay)
-            operators = None if measured is None else measured.operators
             for t, mem_ns, finish in zip(batch, replay.memory_ns, finishes):
                 query_metrics.append(QueryMetrics(
                     qid=t.qid, client=t.client, kind=t.kind,

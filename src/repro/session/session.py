@@ -36,7 +36,6 @@ from ..query.observe import (
     Explanation,
     MeasuredResult,
     QueryResult,
-    capture_measured,
     execute_result,
 )
 from ..query.optimizer import Optimizer, PlannedQuery, PlannerConfig
@@ -345,8 +344,9 @@ class Session:
         *result* aliases a base column (a bare sort of a table), the
         restored values win — restore is meant for queries producing
         derived output columns.  The one snapshot/restore in the
-        codebase: trace recording and solo measurement
-        (:mod:`repro.service.executor`) hold it too, and a raising
+        codebase: trace recording
+        (:func:`repro.service.executor.record_trace`, behind
+        :meth:`execute_measured` too) holds it as well, and a raising
         kernel still restores."""
         saved = ({column: column.copy_values()
                   for column in self.db.catalog.values()} if restore else {})
@@ -390,7 +390,24 @@ class Session:
         column, the whole-plan counter delta, and per-operator measured
         attribution next to the model's per-operator predictions —
         every query is a paper-style model-vs-measured experiment.
+
+        The run takes the one measured path
+        (:func:`repro.service.executor.measure`): the plan's recording
+        on this engine (executed once, then reused), replayed on the
+        engine's own memory system — reset first when ``cold`` — cut
+        at its operator marks.  Counters and the state left behind
+        (allocator, base columns, cache state) equal executing the plan
+        directly under the operator probe
+        (:func:`~repro.query.capture_measured`).  That rests on the
+        serving path's one assumption, which covers sessions as well: a
+        plan is a pure function of its input columns — its predicates
+        have no side effects and are not re-run when the recording is
+        reused, and the result column is then a copy of the one the
+        recording kept.
         """
+        # imported here: the service layer builds on sessions
+        from ..service.executor import measure
+
         planned = self.compile(q)
         cache_hit = self.last_compile_cached
         explanation = planned.explanation(self.model, cache_hit=cache_hit)
@@ -398,10 +415,8 @@ class Session:
         # so the execute span starts at 0; warm runs start at the
         # engine's current simulated time.
         start = 0.0 if cold else getattr(self.db.mem, "elapsed_ns", 0.0)
-        with self._restoring(restore), \
-                self.db.execution_scope(self.config.execution):
-            result = capture_measured(self.db, planned.plan, explanation,
-                                      cold=cold)
+        result = measure(self, planned.plan, self.db.mem, explanation,
+                         cold=cold, restore=restore)
         if self.tracer is not None:
             self.tracer.record_measured(result, track="session",
                                         sim_start_ns=start,

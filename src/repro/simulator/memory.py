@@ -20,7 +20,8 @@ counters (PAPER.md, "Unified hardware description").
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Sequence
+from array import array
+from typing import Iterable, NamedTuple, Sequence
 
 from ..hardware.hierarchy import MemoryHierarchy
 from .bufferpool import BufferPoolSim
@@ -28,6 +29,73 @@ from .cache import HIT, RAND_MISS, STREAM_WINDOW, CacheSim
 from .counters import CounterSnapshot, LevelCounters
 
 __all__ = ["MemorySystem"]
+
+
+class CompactTrace:
+    """An access trace in the form the replay engine walks.
+
+    Two parallel columns hold one row per entry: the address
+    (``array('q')``), and ``2 * nbytes + write`` for a plain access or
+    ``-1`` for a coalesced range (``array('i')``: an access is under
+    1 GiB), whose ``(nbytes, stride, count, write)`` are kept aside in
+    :attr:`ranges` under the entry's index.  Built
+    from the tuple entries :meth:`MemorySystem.replay` documents, or
+    appended to in place by a recorder
+    (:class:`repro.service.TraceRecorder`); :meth:`entries` decodes it
+    back to those tuples."""
+
+    __slots__ = ("addresses", "sizes", "ranges")
+
+    def __init__(self, entries: Iterable[tuple] = ()) -> None:
+        self.addresses = array("q")
+        self.sizes = array("i")
+        self.ranges: dict[int, tuple] = {}
+        addresses, sizes = self.addresses.append, self.sizes.append
+        for entry in entries:
+            if entry[0] == "range":
+                _, addr, nbytes, stride, count, *write = entry
+                self.ranges[len(self.sizes)] = (
+                    nbytes, stride, count, bool(write and write[0]))
+                addresses(addr)
+                sizes(-1)
+            elif 2 <= len(entry) <= 3:
+                addresses(entry[0])
+                sizes(2 * entry[1] + (len(entry) == 3 and bool(entry[2])))
+            else:
+                raise ValueError(f"not a trace entry: {entry!r}")
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def entries(self) -> list[tuple]:
+        """The trace as tuples: ``(addr, nbytes)`` reads,
+        ``(addr, nbytes, True)`` writes and ``("range", addr, nbytes,
+        stride, count)`` runs (``..., True)`` for writes)."""
+        ranges = self.ranges
+        out = []
+        for index, (addr, code) in enumerate(zip(self.addresses,
+                                                 self.sizes)):
+            if code < 0 and index in ranges:
+                nbytes, stride, count, write = ranges[index]
+                entry = ("range", addr, nbytes, stride, count)
+                out.append(entry + (True,) if write else entry)
+            else:
+                out.append((addr, code >> 1, True) if code & 1
+                           else (addr, code >> 1))
+        return out
+
+
+class Segment(NamedTuple):
+    """Entries ``[begin, end)`` of ``trace`` (``end=None``: to its
+    end) as :meth:`MemorySystem.replay_interleaved` replays them,
+    every address at or above ``floor`` moved ``shift`` higher — how a
+    recording made at one allocator position replays at another."""
+
+    trace: CompactTrace
+    shift: int = 0
+    floor: int = 0
+    begin: int = 0
+    end: int | None = None
 
 
 class MemorySystem:
@@ -535,34 +603,42 @@ class MemorySystem:
         last = self.caches[-1]
         return last if isinstance(last, BufferPoolSim) else None
 
-    def replay(self, trace: Iterable[tuple]) -> CounterSnapshot:
+    def replay(self, trace: Iterable[tuple] | Segment) -> CounterSnapshot:
         """Replay a recorded access trace and return the counter delta.
 
-        ``trace`` yields ``(addr, nbytes)`` or ``(addr, nbytes, write)``
-        tuples, or range-coalesced ``("range", addr, nbytes, stride,
-        count)`` / ``("range", addr, nbytes, stride, count, write)``
-        entries — a form without ``write`` is a read.
-        :class:`repro.service.TraceRecorder` produces all four (a write
-        as the ``write`` form with ``True``), so a replayed trace dirties
-        and writes back the pool pages direct execution does.  Replaying a
-        plan's trace against a
+        ``trace`` is in the engine's compact form (a :class:`Segment`,
+        see :meth:`replay_interleaved`), or yields ``(addr, nbytes)`` or
+        ``(addr, nbytes, write)`` tuples, or
+        range-coalesced ``("range", addr, nbytes, stride, count)`` /
+        ``("range", addr, nbytes, stride, count, write)`` entries — a
+        form without ``write`` is a read.  Tuples are compacted on entry
+        (the engine walks the compact form only).
+        :class:`repro.service.TraceRecorder` records every form (a
+        write as the ``write`` form with ``True``), so a replayed trace
+        dirties and writes back the pool pages direct execution does.
+        Replaying a plan's trace against a
         :func:`~repro.hardware.disk_extended` hierarchy is how the
         out-of-core tests measure real pool misses for accesses that
         were recorded once, profile-independently.
         """
         before = self.snapshot()
-        if not isinstance(trace, (list, tuple)):
-            trace = list(trace)
         # One trace has nobody to alternate with: a single unbounded turn.
         self.replay_interleaved([trace], sys.maxsize)
         return self.snapshot() - before
 
-    def replay_interleaved(self, traces: Sequence[Sequence[tuple]],
-                           quantum: int) -> tuple[list[float], list[float]]:
+    def replay_interleaved(self, traces: Sequence, quantum: int
+                           ) -> tuple[list[float], list[float]]:
         """Replay ``traces`` round-robin, ``quantum`` accesses per trace
         per turn, on top of the current cache state — the one replay
-        engine (:meth:`replay` and
-        :func:`repro.service.replay_interleaved` are its callers).
+        engine (:meth:`replay`, :func:`repro.service.replay_interleaved`
+        and the measured paths of :mod:`repro.service.executor` are its
+        callers).
+
+        The engine's input is the compact form: each trace is a
+        :class:`Segment` of a :class:`CompactTrace`, walked by index
+        with its shift added to every address at or above its floor; a
+        sequence of tuple entries (the forms :meth:`replay` lists) is
+        compacted on entry and replayed whole.
 
         Returns ``(memory_ns, finish_ns)`` per trace: the latency its
         own accesses were charged, and the elapsed time on this system's
@@ -612,13 +688,23 @@ class MemorySystem:
         general = len(tlbs) > 1 or (tlb is not None
                                     and (page < l1_line or page % l1_line))
         clock = self.elapsed_ns
-        # (trace number, trace, next entry, accesses done of a range entry)
-        cursors = [(i, trace, 0, 0) for i, trace in enumerate(traces)
-                   if len(trace)]
+        # (trace number, its columns, shift, floor, next entry, end,
+        # accesses done of a range entry)
+        cursors = []
+        for i, trace in enumerate(traces):
+            if not isinstance(trace, Segment):
+                trace = Segment(CompactTrace(trace))
+            compact, shift, floor, begin, end = trace
+            if end is None:
+                end = len(compact)
+            if begin < end:
+                cursors.append((i, compact.addresses, compact.sizes,
+                                compact.ranges, shift, floor, begin, end,
+                                0))
         while cursors:
             unfinished = []
-            for i, trace, index, done in cursors:
-                length = len(trace)
+            for (i, addresses, sizes, ranges, shift, floor, index, end,
+                 done) in cursors:
                 budget = quantum
                 before = clock
                 # This turn's L1 and TLB counts, flushed at its end:
@@ -626,38 +712,40 @@ class MemorySystem:
                 # left MRU (a hit on both levels).
                 same = l1_hits = l1_seq_n = l1_rand_n = 0
                 t_hits = t_seq_n = t_rand_n = 0
-                while budget > 0 and index < length:
+                while budget > 0 and index < end:
                     # A run of plain entries, up to the next range entry.
                     # Within it the previous one-line access leaves its
                     # line and page the MRU entries of their sets, so
                     # touching them again changes no LRU or EDO state.
                     last_line = -1
                     start = index
-                    for entry in trace[index:index + budget]:
-                        if len(entry) == 2:
-                            addr, nbytes = entry
-                            write = False
-                        elif len(entry) == 3:
-                            addr, nbytes, write = entry
-                        else:
-                            break
+                    stop = index + budget
+                    if stop > end:
+                        stop = end
+                    # ``code`` is ``2 * nbytes + write``; ``write`` is
+                    # only decoded where a pool level needs it.
+                    for addr, code in zip(addresses[index:stop],
+                                          sizes[index:stop]):
+                        if code < 2:
+                            break  # a range entry (or a bad size)
                         index += 1
-                        if addr < 0:
+                        if addr >= floor:
+                            addr += shift
+                        elif addr < 0:
                             raise ValueError("negative address")
-                        if nbytes <= 0:
-                            raise ValueError("nbytes must be positive")
                         line = addr // l1_line
-                        if addr % l1_line + nbytes > l1_line or general:
+                        if addr % l1_line + (code >> 1) > l1_line \
+                                or general:
                             # Line-spanning access: full engine (cascade
                             # dedup), on the system's own clock.
                             self.elapsed_ns = clock
-                            access_one(addr, nbytes, write)
+                            access_one(addr, code >> 1, code & 1)
                             clock = self.elapsed_ns
                             last_line = -1
                             continue
                         if line == last_line:
                             same += 1
-                            if write and l1_pool:
+                            if l1_pool and code & 1:
                                 l1_sim._note_write(line)
                             continue
                         last_line = line
@@ -698,7 +786,7 @@ class MemorySystem:
                         s = l1_sets[line % l1_nsets]
                         if s[0] == line:
                             l1_hits += 1
-                            if write and l1_pool:
+                            if l1_pool and code & 1:
                                 l1_sim._note_write(line)
                         elif line in s:
                             if s[1] == line:
@@ -707,14 +795,14 @@ class MemorySystem:
                                 s.remove(line)
                                 s.insert(0, line)
                             l1_hits += 1
-                            if write and l1_pool:
+                            if l1_pool and code & 1:
                                 l1_sim._note_write(line)
                         else:
                             victim = s.pop()
                             if l1_pool and victim != -1:
                                 l1_sim._note_evict(victim)
                             s.insert(0, line)
-                            if write and l1_pool:
+                            if l1_pool and code & 1:
                                 l1_sim._note_write(line)
                             if line - 1 in l1_recent:
                                 del l1_recent[line - 1]
@@ -744,7 +832,7 @@ class MemorySystem:
                                         if pool and victim != -1:
                                             sim._note_evict(victim)
                                         s.insert(0, line)
-                                        if write and pool:
+                                        if pool and code & 1:
                                             sim._note_write(line)
                                         if line - 1 in recent:
                                             del recent[line - 1]
@@ -769,21 +857,22 @@ class MemorySystem:
                                         s.remove(line)
                                         s.insert(0, line)
                                 sim.hits += 1
-                                if write and pool:
+                                if pool and code & 1:
                                     sim._note_write(line)
                                 break
                         if elapsed:
                             clock += elapsed
                     budget -= index - start
                     self.accesses += index - start
-                    if budget > 0 and index < length:
-                        # The run stopped at a range entry.
-                        entry = trace[index]
-                        if len(entry) == 5:
-                            _, addr, nbytes, stride, count = entry
-                            write = False
-                        else:
-                            _, addr, nbytes, stride, count, write = entry
+                    if budget > 0 and index < end:
+                        # The run stopped at a range entry (or at a
+                        # size code that is none: nbytes below one).
+                        if index not in ranges:
+                            raise ValueError("nbytes must be positive")
+                        nbytes, stride, count, write = ranges[index]
+                        addr = addresses[index]
+                        if addr >= floor:
+                            addr += shift
                         take = min(count - done, budget)
                         self.elapsed_ns = clock
                         access_range(addr + done * stride, nbytes, stride,
@@ -802,8 +891,9 @@ class MemorySystem:
                     tlb.seq_misses += t_seq_n
                     tlb.rand_misses += t_rand_n
                 memory[i] += clock - before
-                if index < length:
-                    unfinished.append((i, trace, index, done))
+                if index < end:
+                    unfinished.append((i, addresses, sizes, ranges, shift,
+                                       floor, index, end, done))
                 else:
                     finish[i] = clock
             cursors = unfinished

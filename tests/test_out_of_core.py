@@ -44,17 +44,13 @@ from repro.hardware import (
     modern_x86,
 )
 from repro.optimizer import AggregateAdvisor, JoinAdvisor, SortAdvisor
-from repro.query import PlannerConfig
+from repro.query import PlannerConfig, capture_measured
 from repro.query.physical import (
     ExternalSortNode,
     GraceHashJoinNode,
     SpillingAggregateNode,
 )
-from repro.service.executor import (
-    measure_solo,
-    record_trace,
-    replay_interleaved,
-)
+from repro.service.executor import record_trace, replay_interleaved
 from repro.simulator import BufferPoolSim, MemorySystem
 
 #: The repo's established model-vs-simulator relative tolerance.
@@ -505,8 +501,8 @@ class TestOutOfCoreAcceptance:
         addresses, hence slightly different line/page alignments), so
         the comparison is close, not bit-exact."""
         plan = session.compile(self.QUERY).plan
-        trace, _ = record_trace(session, plan)
-        replayed = MemorySystem(disk).replay(trace)
+        recording, shift = record_trace(session, plan)
+        replayed = MemorySystem(disk).replay(recording.segment(shift))
         direct = session.execute_measured(self.QUERY, restore=True).counters
         assert replayed.misses("BufferPool") == pytest.approx(
             direct.misses("BufferPool"), rel=0.05)
@@ -530,9 +526,13 @@ class TestOutOfCoreAcceptance:
         assert session.db.allocator.next_address == \
             twin.db.allocator.next_address
         replayer = MemorySystem(disk)
-        replayed = replayer.replay(record_trace(session, plan)[0])
-        direct = MemorySystem(disk)
-        measured = measure_solo(twin, twin_plan, direct)
+        recording, shift = record_trace(session, plan)
+        replayed = replayer.replay(recording.segment(shift))
+        with twin._restoring(True), \
+                twin.db.execution_scope(twin.config.execution):
+            measured = capture_measured(
+                twin.db, twin_plan, twin_plan.explanation(twin.model))
+        direct = twin.db.mem
         assert replayed == measured.counters
         assert direct.pool.write_backs > 0
         assert replayer.pool.write_backs == direct.pool.write_backs
@@ -551,10 +551,12 @@ class TestOutOfCoreAcceptance:
         grace = QueryPlan(GraceHashJoinNode(ScanNode(orders),
                                             ScanNode(customers),
                                             memory_budget=self.BUDGET))
-        t_plain = MemorySystem(disk).replay(
-            record_trace(session, plain)[0]).elapsed_ns
-        t_grace = MemorySystem(disk).replay(
-            record_trace(session, grace)[0]).elapsed_ns
+        def replayed_ns(plan):
+            recording, shift = record_trace(session, plan)
+            return MemorySystem(disk).replay(
+                recording.segment(shift)).elapsed_ns
+
+        t_plain, t_grace = replayed_ns(plain), replayed_ns(grace)
         assert t_grace < t_plain
         # and the model predicts the same ordering
         model = CostModel(disk)

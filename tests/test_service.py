@@ -41,6 +41,18 @@ from repro.service.workload import (
 from repro.session import Session
 
 
+def recorded_trace(recorded):
+    """What a ``record_trace`` result stands for, as tuples: the
+    recording's entries with every address at or above its floor moved
+    by the returned shift (range entries by their start address)."""
+    recording, shift = recorded
+    floor = recording.floor
+    return [("range", e[1] + shift, *e[2:]) if e[0] == "range"
+            and e[1] >= floor
+            else (e[0] + shift, *e[1:]) if e[0] != "range" and e[0] >= floor
+            else e for e in recording.trace.entries()]
+
+
 @pytest.fixture(scope="module")
 def small_service():
     """One shared session + a small balanced workload (module-scoped:
@@ -465,8 +477,9 @@ class TestExecutor:
         session, _ = small_service
         plan = session.compile("sort(orders)").plan
         before = list(session.db.column("orders").values)
-        trace, rows = record_trace(session, plan)
-        assert len(trace) > 0 and rows == len(before)
+        recording, shift = record_trace(session, plan)
+        assert len(recording.trace) > 0 and recording.rows == len(before)
+        assert shift == 0
         assert session.db.column("orders").values == before
         # and the real memory system is back in place
         assert session.db.mem.__class__.__name__ == "MemorySystem"
@@ -491,13 +504,13 @@ class TestExecutor:
 
         hierarchy = Session().hierarchy
         fresh = replay_interleaved(
-            hierarchy, [record_trace(*member)[0] for member in members()])
+            hierarchy, [recorded_trace(record_trace(*member))
+                        for member in members()])
         mem = MemorySystem(hierarchy)
         mem.replay([(address, 8) for address in range(0, 1 << 16, 32)])
         for _ in range(2):
-            replay, rows, measured = execute_batch(
-                members(), mem, DEFAULT_QUANTUM, attribute=False)
-            assert replay == fresh and measured is None
+            replay, rows = execute_batch(members(), mem, DEFAULT_QUANTUM)
+            assert replay == fresh
             assert rows == [128, 128]
 
     def test_end_to_end_report(self, small_service):
@@ -605,9 +618,9 @@ def executions(monkeypatch):
 
 class TestTraceCache:
     """``record_trace`` records a plan once per (engine, address
-    offset, execution mode) and relocates that recording after: every
-    call returns what a bare recording on an identically built twin
-    engine returns, and leaves the allocator where it leaves it."""
+    offset, execution mode) and reuses that recording after, shifted:
+    every call stands for what a bare recording on an identically built
+    twin engine returns, and leaves the allocator where it leaves it."""
 
     @pytest.mark.parametrize("mode", ["scalar", "vectorized"])
     def test_every_call_equals_a_bare_recording(self, mode, executions):
@@ -642,8 +655,13 @@ class TestTraceCache:
                                        CACHE_OFFSETS[t])
                     ran = len(executions) > before
                     twin, twin_plans = twins[t]
-                    assert got == _bare_record(twin, twin_plans[template],
-                                               CACHE_OFFSETS[t])
+                    bare = _bare_record(twin, twin_plans[template],
+                                        CACHE_OFFSETS[t])
+                    assert (recorded_trace(got), got[0].rows) == bare
+                    # and the engine shifts the recording as decoded
+                    assert MemorySystem(session.hierarchy).replay(
+                        got[0].segment(got[1])) == \
+                        MemorySystem(session.hierarchy).replay(bare[0])
                     assert _allocator_state(session) == \
                         _allocator_state(twin)
                     inputs = tuple(versions[t][name]
@@ -681,7 +699,8 @@ class TestTraceCache:
             before = len(executions)
             got = record_trace(session, plans[0])
             assert (len(executions) > before) == expect_execution
-            assert got == _bare_record(twin, twin_plans[0], 0)
+            assert (recorded_trace(got), got[0].rows) == \
+                _bare_record(twin, twin_plans[0], 0)
             assert _allocator_state(session) == _allocator_state(twin)
 
         call(expect_execution=True)

@@ -76,6 +76,7 @@ from repro.service.executor import (
     trace_length,
 )
 from repro.simulator.memory import MemorySystem
+from test_service import recorded_trace
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -654,9 +655,11 @@ class TestServiceTraces:
         plan_s = self._plan(scalar_session, "filter(orders, even, sel=0.5)")
         plan_v = self._plan(vector_session, "filter(orders, even, sel=0.5)")
         db = scalar_session.db
-        trace_scalar, rows_scalar = record_trace(scalar_session, plan_s)
-        trace_vector, rows_vector = record_trace(vector_session, plan_v)
-        assert rows_vector == rows_scalar > 0
+        recorded_s = record_trace(scalar_session, plan_s)
+        recorded_v = record_trace(vector_session, plan_v)
+        trace_scalar = recorded_trace(recorded_s)
+        trace_vector = recorded_trace(recorded_v)
+        assert recorded_v[0].rows == recorded_s[0].rows > 0
         assert len(trace_vector) < len(trace_scalar)  # genuinely coalesced
         assert trace_length(trace_vector) == trace_length(trace_scalar)
         assert any(entry[0] == "range" for entry in trace_vector)
@@ -702,7 +705,8 @@ class TestServiceTraces:
             session.create_table("a", random_permutation(96, seed=1))
             session.create_table("b", random_permutation(96, seed=2))
             plan = session.compile("aggregate(join(a, b), groups=96)").plan
-            return record_trace(session, plan, offset)
+            recorded = record_trace(session, plan, offset)
+            return recorded_trace(recorded), recorded[0].rows
 
         offset = 1 << 32
         plain, rows = recorded(0)
