@@ -36,6 +36,36 @@ identical to executing the plan directly under the operator probe
 ``Session.execute_measured`` and a traced server's solo batches take
 it.
 
+A *cold solo* replay — one recording alone on a reset machine, an
+untraced server's solo batch (:func:`execute_batch`) — is remembered on
+the recording (:meth:`_Recording.replay_cold`) under (machine profile
+fingerprint, quantum, shift class), because it depends on the shift
+only through its class.  A level sees an address only through its line
+(or page) number, that number modulo its sets, and whether it is one
+off a line in its recent-miss window; a turn's accesses add their
+latencies to the clock in trace order.  Take two shifts ``s`` and
+``t`` at or above the recording's threshold (``mem.reach``, twice the
+largest line or page, plus the recording's
+:attr:`~_Recording.overhang`, normally 0) that differ by a multiple of
+``mem.period`` (the lcm over every data level, TLB and pool of sets ×
+line size), and map the lines of the replay at ``s`` to those of the
+replay at ``t``: a line an entry below the floor touches (those are
+not shifted) to itself, a scratch line to the one ``(t - s) / line
+size`` higher.  The map keeps offsets within lines and pages (so
+accesses span lines and pages alike), set indices, and equality and ±1
+adjacency among scratch lines and among unshifted ones.  Between the
+two kinds there is none to keep: at either shift every scratch byte
+lies ``mem.reach`` or more above every unshifted one (the overhang
+sees to that), so on every level the scratch lines start two or more
+lines above the unshifted ones.  Every probe therefore finds the same
+ways and the same recent-miss window, up to the map, and takes the
+same hit, eviction, sequential or random miss, write-back and latency,
+in the same order: counters, ``elapsed_ns``, ``memory_ns``,
+``finish_ns`` and the pool's write-backs are equal to the bit.  Below
+the threshold the class is the shift itself: at shift 0 a recording's
+scratch may share a page (or neighbour a line) with the base column
+allocated just before it, and at shift ``period`` it does not.
+
 Timing follows :mod:`repro.service.interference`: per batch,
 ``makespan = max(Σ mem_i, max_i (cpu_i + mem_i))`` with ``mem_i``
 query ``i``'s share of the replayed (contended) memory time — memory
@@ -47,10 +77,12 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..core.cost import remember
 from ..db.column import Column
 from ..hardware.hierarchy import MemoryHierarchy
 from ..query.observe import Explanation, MeasuredResult, measured_result
@@ -170,7 +202,8 @@ class _Recording:
     the allocator and to its input columns."""
 
     __slots__ = ("trace", "marks", "result", "inputs", "effects", "start",
-                 "floor", "alignment", "span", "nbytes")
+                 "floor", "alignment", "span", "nbytes", "cold_replays",
+                 "_overhang")
 
     def __init__(self, trace: CompactTrace, marks: list, result: Column,
                  inputs: tuple, effects: tuple, start: int, offset: int,
@@ -194,6 +227,10 @@ class _Recording:
         #: the lcm of the alignments the execution requested, the span
         #: it advanced the allocator by and the bytes it allocated there
         self.alignment, self.span, self.nbytes = alignment, span, nbytes
+        #: cold solo replays by (profile fingerprint, quantum, shift
+        #: class) — :meth:`replay_cold`
+        self.cold_replays: dict[tuple, BatchReplay] = {}
+        self._overhang: int | None = None
 
     @property
     def rows(self) -> int:
@@ -222,6 +259,56 @@ class _Recording:
         return Column(result.name, result.width, result.address + shift,
                       result.copy_values())
 
+    @property
+    def overhang(self) -> int:
+        """How far, at most, the bytes the entries below the floor
+        touch reach up past the lowest byte an entry at or above it
+        touches (0 when they stay below it, as base columns allocated
+        before the run do); measured once, from the columns."""
+        if self._overhang is None:
+            trace, floor = self.trace, self.floor
+            addresses = trace.addresses
+            # a plain entry touches [addr, addr + nbytes): bound every
+            # one by the widest
+            widest = max(trace.sizes, default=0) // 2
+            below = max(filter(floor.__gt__, addresses), default=None)
+            high = -1 if below is None else below + widest - 1
+            low = min(filter(floor.__le__, addresses), default=sys.maxsize)
+            for index, (nbytes, stride, count, _) in trace.ranges.items():
+                first = addresses[index]
+                last = first + (count - 1) * stride
+                if first < floor:
+                    high = max(high, first + nbytes - 1,
+                               last + nbytes - 1)
+                else:
+                    low = min(low, last)
+            self._overhang = max(0, high - low)
+        return self._overhang
+
+    def shift_class(self, mem: MemorySystem, shift: int) -> int:
+        """The least shift whose cold replay on ``mem`` is provably
+        ``shift``'s (see the module docstring): ``shift`` itself below
+        the threshold ``mem.reach + overhang``, else the least shift at
+        or above it congruent to ``shift`` modulo ``mem.period``."""
+        threshold = mem.reach + self.overhang
+        if shift < threshold:
+            return shift
+        return threshold + (shift - threshold) % mem.period
+
+    def replay_cold(self, mem: MemorySystem, shift: int,
+                    quantum: int) -> BatchReplay:
+        """The trace alone, ``shift`` higher, replayed on ``mem`` reset
+        cold — remembered per shift class (:meth:`shift_class`), so a
+        repeat replays nothing and leaves ``mem`` reset."""
+        key = (mem.fingerprint, quantum, self.shift_class(mem, shift))
+        replay = self.cold_replays.get(key)
+        mem.reset()
+        if replay is None:
+            replay = _replay_cold(mem, [self.segment(shift)], quantum)
+            with _cold_lock:
+                remember(self.cold_replays, key, replay, COLD_REPLAY_ENTRIES)
+        return replay
+
     def replay_marked(self, mem: MemorySystem, shift: int
                       ) -> tuple[CounterSnapshot, list]:
         """Replay the trace ``shift`` higher on ``mem``, cut at the
@@ -240,6 +327,16 @@ class _Recording:
         return (at[cuts[-1]] - at[0],
                 [(node, at[exit] - at[enter])
                  for node, (enter, exit) in self.marks])
+
+
+#: Cold solo replays one recording remembers
+#: (:meth:`_Recording.replay_cold`) before it drops its oldest: over
+#: three times the most shift classes one recording met in a
+#: hand-stepped ``benchmarks/perf`` rep (``serve_small_hot``: 72 on seed
+#: 7, 70 on seed 11, 542 over its 8 recordings; ``serve_contention``:
+#: 5).  An entry, a ``BatchReplay`` and its key, is about 0.7 kB.
+COLD_REPLAY_ENTRIES = 256
+_cold_lock = threading.Lock()
 
 
 def record_trace(session: Session, plan: QueryPlan,
@@ -405,16 +502,28 @@ def measure(session: Session, plan: QueryPlan, mem: MemorySystem,
 def execute_batch(members: Sequence[tuple[Session, QueryPlan, int]],
                   mem: MemorySystem, quantum: int
                   ) -> tuple[BatchReplay, list[int]]:
-    """Measure one co-run batch of ``(session, plan, address offset)``
-    members on the machine ``mem`` simulates: record every member's
-    trace (cached, :func:`record_trace`), replay them interleaved
-    through ``mem``, reset cold first — a driver keeps one machine for
-    all its batches rather than building one per batch.  Returns the
-    replay and the members' result cardinalities."""
+    """Measure one batch of ``(session, plan, address offset)`` members
+    on the machine ``mem`` simulates: record every member's trace
+    (cached, :func:`record_trace`) and replay them interleaved, cold —
+    what a machine built for the batch would measure.  Returns the
+    replay and the members' result cardinalities.
+
+    ``mem`` is the caller's private per-batch machine (a driver keeps
+    one for all its batches): it is reset, and what it holds afterwards
+    is unspecified.  A one-member batch is served from the recording's
+    memo of cold solo replays when its shift class repeats
+    (:meth:`_Recording.replay_cold`), leaving ``mem`` reset with nothing
+    replayed; a co-run always replays, because its members' relative
+    shifts matter too."""
     recorded = [record_trace(*member) for member in members]
-    mem.reset()
-    replay = _replay_cold(mem, [recording.segment(shift)
-                                for recording, shift in recorded], quantum)
+    if len(recorded) == 1:
+        (recording, shift), = recorded
+        replay = recording.replay_cold(mem, shift, quantum)
+    else:
+        mem.reset()
+        replay = _replay_cold(mem, [recording.segment(shift)
+                                    for recording, shift in recorded],
+                              quantum)
     return replay, [recording.rows for recording, _ in recorded]
 
 

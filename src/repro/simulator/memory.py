@@ -19,6 +19,7 @@ counters (PAPER.md, "Unified hardware description").
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from typing import Iterable, NamedTuple, Sequence
@@ -109,7 +110,8 @@ class MemorySystem:
     """
 
     __slots__ = ("hierarchy", "caches", "tlbs", "elapsed_ns", "accesses",
-                 "_resets", "_l1_line", "_level_chain", "_hit_gran")
+                 "_resets", "_l1_line", "_level_chain", "_hit_gran",
+                 "period", "reach", "_fingerprint")
 
     def __init__(self, hierarchy: MemoryHierarchy) -> None:
         self.hierarchy = hierarchy
@@ -137,6 +139,17 @@ class MemorySystem:
         sizes = [self._l1_line] + [tlb._line_size for tlb in self.tlbs]
         gran = min(sizes)
         self._hit_gran = gran if all(s % gran == 0 for s in sizes) else 0
+        # A level sees an address only through its line (page) number,
+        # that number modulo its sets, and whether it is one off a
+        # recent miss.  Moving addresses by a multiple of ``period``
+        # (sets x line size, lcm over every level) keeps each one's
+        # offset in its line and its set on every level; addresses
+        # ``reach`` or more apart never share or neighbour a line.
+        sims = self.caches + self.tlbs
+        self.period = math.lcm(*(sim._num_sets * sim._line_size
+                                 for sim in sims))
+        self.reach = 2 * max(sim._line_size for sim in sims)
+        self._fingerprint = None
 
     # ------------------------------------------------------------------
     def access(self, addr: int, nbytes: int = 1, write: bool = False) -> None:
@@ -596,6 +609,16 @@ class MemorySystem:
         return fused
 
     # ------------------------------------------------------------------
+    @property
+    def fingerprint(self) -> str:
+        """The simulated profile's fingerprint
+        (:meth:`MemoryHierarchy.fingerprint
+        <repro.hardware.MemoryHierarchy.fingerprint>`: every level's
+        geometry, latencies and name), computed once."""
+        if self._fingerprint is None:
+            self._fingerprint = self.hierarchy.fingerprint()
+        return self._fingerprint
+
     @property
     def pool(self) -> BufferPoolSim | None:
         """The buffer-pool level's simulator (``None`` on pure-memory
