@@ -252,9 +252,22 @@ class Optimizer:
         (profile fingerprint, planner config, resolved enumeration
         method, canonical logical tree).  ``"auto"`` is resolved first,
         so it shares entries with the equivalent explicit method."""
-        return (self.fingerprint, repr(self.config),
-                self._resolve_method(logical, method),
+        return self.keyed(self.tree_key(logical, method))
+
+    def tree_key(self, logical: LogicalOp,
+                 method: str = "auto") -> tuple[str, str]:
+        """The tree's part of :meth:`cache_key`: (resolved enumeration
+        method, canonical logical tree).  It depends on the tree alone,
+        not on this optimizer, so a caller that keeps the tree (and
+        with it the objects its canonical key names) may keep this."""
+        return (self._resolve_method(logical, method),
                 logical.canonical_key())
+
+    def keyed(self, tree_key: tuple[str, str]) -> tuple[str, str, str, str]:
+        """The plan-cache key of a :meth:`tree_key` under this
+        optimizer: the live profile fingerprint and planner config in
+        front of it."""
+        return (self.fingerprint, repr(self.config)) + tree_key
 
     def optimize(self, logical: LogicalOp,
                  method: str = "auto") -> PlannedQuery:

@@ -26,9 +26,12 @@ Operator signatures mirror the logical algebra's oracle hints:
 * ``join(left, right [, match=M])`` — oracle match fraction (default 1).
 * ``sort(child)`` — request a sorted result (ORDER BY).
 * ``aggregate(child [, groups=G] [, key=K])`` — group-count with oracle
-  group count ``G`` (default 64); ``key`` names a registered key
-  extractor (positional grouping, see
+  group count ``G`` (a whole number, default 64); ``key`` names a
+  registered key extractor (positional grouping, see
   :class:`repro.query.logical.Aggregate`).
+
+A keyword may be given once, under one of its spellings: ``sel`` and
+``selectivity`` (or ``match`` and ``match_fraction``) name one argument.
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ class _QueryParser(TokenStream):
         super().__init__(text, _TOKEN, QuerySyntaxError)
         self.tables = tables
         self.functions = functions
+        #: Every table and predicate/key name the parse resolved.
+        self.table_names: set[str] = set()
+        self.function_names: set[str] = set()
 
     # ------------------------------------------------------------------
     def expr(self) -> LogicalOp:
@@ -100,29 +106,34 @@ class _QueryParser(TokenStream):
         child = self.expr()
         self.take("comma")
         predicate = self.function(self.take("word"))
-        kwargs = self.keywords({"sel", "selectivity"})
-        sel = kwargs.get("sel", kwargs.get("selectivity", "0.5"))
-        return Filter(child, predicate, selectivity=self.number(sel, "sel"))
+        kwargs = self.keywords({"sel": "sel", "selectivity": "sel"})
+        sel = self.number(kwargs.get("sel", "0.5"), "sel")
+        return Filter(child, predicate, selectivity=sel)
 
     def _join(self) -> LogicalOp:
         left = self.expr()
         self.take("comma")
         right = self.expr()
-        kwargs = self.keywords({"match", "match_fraction"})
-        match = kwargs.get("match", kwargs.get("match_fraction", "1.0"))
-        return Join(left, right,
-                    match_fraction=self.number(match, "match"))
+        kwargs = self.keywords({"match": "match", "match_fraction": "match"})
+        match = self.number(kwargs.get("match", "1.0"), "match")
+        return Join(left, right, match_fraction=match)
 
     def _aggregate(self) -> LogicalOp:
         child = self.expr()
-        kwargs = self.keywords({"groups", "key"})
-        groups = int(self.number(kwargs.get("groups", "64"), "groups"))
+        kwargs = self.keywords({"groups": "groups", "key": "key"})
+        groups = self.number(kwargs.get("groups", "64"), "groups")
+        if groups != int(groups):
+            raise QuerySyntaxError(
+                f"expected a whole number for groups, found "
+                f"{kwargs['groups']!r}")
         key_of = self.function(kwargs["key"]) if "key" in kwargs else None
-        return Aggregate(child, groups=groups, key_of=key_of)
+        return Aggregate(child, groups=int(groups), key_of=key_of)
 
     # ------------------------------------------------------------------
-    def keywords(self, allowed: set[str]) -> dict[str, str]:
-        """Trailing ``name=value`` arguments (values stay raw text)."""
+    def keywords(self, allowed: Mapping[str, str]) -> dict[str, str]:
+        """Trailing ``name=value`` arguments (values stay raw text),
+        keyed by the canonical name ``allowed`` maps each spelling to;
+        one argument given twice, under any spelling, is an error."""
         kwargs: dict[str, str] = {}
         while self.peek()[0] == "comma":
             self.take("comma")
@@ -131,12 +142,17 @@ class _QueryParser(TokenStream):
                 raise QuerySyntaxError(
                     f"unknown keyword {name!r} (expected one of "
                     f"{', '.join(sorted(allowed))})")
+            canonical = allowed[name]
+            if canonical in kwargs:
+                raise QuerySyntaxError(
+                    f"duplicate keyword {name!r} ({canonical} is already "
+                    f"given)")
             self.take("equals")
             kind, value = self.peek()
             if kind not in ("number", "word"):
                 raise QuerySyntaxError(
                     f"expected a value for {name}=, found {value!r}")
-            kwargs[name] = self.take(kind)
+            kwargs[canonical] = self.take(kind)
         return kwargs
 
     def number(self, token: str, what: str) -> float:
@@ -155,17 +171,30 @@ class _QueryParser(TokenStream):
                 f"unknown {what} {name!r} (known: {known})") from None
 
     def table(self, name: str) -> LogicalOp:
-        return self._lookup(self.tables, name, "table")
+        node = self._lookup(self.tables, name, "table")
+        self.table_names.add(name)
+        return node
 
     def function(self, name: str) -> Callable:
-        return self._lookup(self.functions, name, "predicate/key function")
+        fn = self._lookup(self.functions, name, "predicate/key function")
+        self.function_names.add(name)
+        return fn
+
+
+def parse_names(text: str, tables: Mapping[str, LogicalOp],
+                functions: Mapping[str, Callable] | None = None
+                ) -> tuple[LogicalOp, set[str], set[str]]:
+    """:func:`parse_query`, plus the table names and the predicate/key
+    names the parse resolved — what a remembered parse depends on."""
+    if not text.strip():
+        raise QuerySyntaxError("empty query")
+    parser = _QueryParser(text, tables, functions or {})
+    logical = parser.parse(parser.expr)
+    return logical, parser.table_names, parser.function_names
 
 
 def parse_query(text: str, tables: Mapping[str, LogicalOp],
                 functions: Mapping[str, Callable] | None = None) -> LogicalOp:
     """Parse query text into a logical tree against named tables and
     predicate/key functions."""
-    if not text.strip():
-        raise QuerySyntaxError("empty query")
-    parser = _QueryParser(text, tables, functions or {})
-    return parser.parse(parser.expr)
+    return parse_names(text, tables, functions)[0]

@@ -19,12 +19,13 @@ identical physical plans and share plan-cache entries.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from ..core.cost import CostModel
+from ..core.cost import CostModel, remember
 from ..core.regions import DataRegion
 from ..db.column import Column
 from ..db.context import Database
@@ -41,9 +42,55 @@ from ..query.observe import (
 from ..query.optimizer import Optimizer, PlannedQuery, PlannerConfig
 from .builder import QueryBuilder
 from .cache import PlanCache, PreparedStatement
-from .frontend import parse_query
+from .frontend import parse_names, parse_query
 
 __all__ = ["Session"]
+
+#: Query texts one session remembers the parse of
+#: (:meth:`Session.as_logical`) before it drops its oldest: over six
+#: times the most distinct texts one session meets in a
+#: ``benchmarks/perf`` rep (10 on ``serve_contention``,
+#: ``session_mixed`` and ``plan_whatif`` — the workload generator's two
+#: templates for each of its five kinds — and 4 on ``serve_small_hot``,
+#: seeds 7 and 11).  An entry (the tree, its bindings and its key) is
+#: about 1.1 kB, so a full memo holds ≈ 70 kB per session.
+STATEMENT_ENTRIES = 64
+_statement_lock = threading.Lock()
+_UNBOUND = object()
+
+
+class _Statement:
+    """A remembered parse of one query text: the logical tree, every
+    name the parse resolved with the object (and ``sorted`` flag) it
+    resolved to, and the tree's part of the plan-cache key
+    (:meth:`~repro.query.Optimizer.tree_key`).  Holding the objects
+    keeps them alive, so no ``id()`` in the key can be reused while the
+    entry exists."""
+
+    __slots__ = ("logical", "tables", "functions", "tree_key")
+
+    def __init__(self, logical: LogicalOp,
+                 tables: tuple[tuple[str, Column, bool], ...],
+                 functions: tuple[tuple[str, Callable], ...],
+                 tree_key: tuple[str, str]) -> None:
+        self.logical = logical
+        self.tables = tables
+        self.functions = functions
+        self.tree_key = tree_key
+
+    def holds(self, catalog: dict, sorted_flags: dict,
+              functions: dict) -> bool:
+        """Whether every name still resolves to the identical object,
+        with an equal ``sorted`` flag, in these live registries — so a
+        fresh parse of the text would build this very tree."""
+        for name, column, flag in self.tables:
+            if (catalog.get(name, _UNBOUND) is not column
+                    or sorted_flags.get(name, False) != flag):
+                return False
+        for name, fn in self.functions:
+            if functions.get(name, _UNBOUND) is not fn:
+                return False
+        return True
 
 
 class Session:
@@ -135,6 +182,8 @@ class Session:
         self._measurement_observers: list[Callable] = []
         self._functions: dict[str, Callable] = {}
         self._sorted: dict[str, bool] = {}
+        #: Query text -> its remembered parse (:meth:`as_logical`).
+        self._statements: dict[str, _Statement] = {}
         #: Whether the most recent :meth:`compile` was served from the
         #: plan cache (per-query provenance for shared-cache clients;
         #: :meth:`PlanCache.stats` only counts globally).
@@ -253,28 +302,67 @@ class Session:
         return QueryBuilder(self, Relation.of_region(
             DataRegion(name, n=n, w=width), sorted=sorted))
 
-    def query(self, text: str) -> QueryBuilder:
-        """Parse query text (the small query language of
-        :mod:`repro.session.frontend`) against the session catalog."""
-        tables = {
+    def _tables(self) -> dict[str, Relation]:
+        """The catalog as the text frontend resolves it: every table
+        name to a relation over its column, with its ``sorted`` flag."""
+        return {
             name: Relation.of_column(column,
                                      sorted=self._sorted.get(name, False))
             for name, column in self.db.catalog.items()
         }
-        return QueryBuilder(self, parse_query(text, tables=tables,
+
+    def query(self, text: str) -> QueryBuilder:
+        """Parse query text (the small query language of
+        :mod:`repro.session.frontend`) against the session catalog.
+        Every call parses afresh (:meth:`as_logical` is the remembered
+        path)."""
+        return QueryBuilder(self, parse_query(text, tables=self._tables(),
                                               functions=self._functions))
 
     def as_logical(self, q) -> LogicalOp:
-        """Lower any accepted query form to its logical tree."""
+        """Lower any accepted query form to its logical tree.
+
+        Query text goes through a per-session memo (at most
+        :data:`STATEMENT_ENTRIES` texts): a text parsed before returns
+        the remembered tree, without running the frontend, as long as
+        every name that parse resolved still resolves to the *identical*
+        object in the live registries — each table name to the same
+        catalog column (the catalog is shared with spawned siblings)
+        with an equal ``sorted`` flag, each predicate/key name to the
+        same function.  Otherwise the text is parsed again and its
+        entry replaced; a parse that raises leaves nothing behind.  The
+        memo is this session's own, read without a lock: like the
+        compile provenance, it assumes the one-session-per-thread
+        discipline of :meth:`spawn`."""
         if isinstance(q, QueryBuilder):
             return q.logical()
         if isinstance(q, LogicalOp):
             return q
         if isinstance(q, str):
-            return self.query(q).logical()
+            return self._statement(q).logical
         raise TypeError(
             f"not a query: {q!r} (expected a QueryBuilder, a LogicalOp, "
             "or query text)")
+
+    def _statement(self, text: str) -> _Statement:
+        """The remembered parse of ``text``, parsed (and remembered)
+        again unless every binding still holds."""
+        statement = self._statements.get(text)
+        if statement is not None and statement.holds(
+                self.db.catalog, self._sorted, self._functions):
+            return statement
+        tables = self._tables()
+        logical, table_names, function_names = parse_names(
+            text, tables, self._functions)
+        statement = _Statement(
+            logical,
+            tuple((name, tables[name].column, tables[name].sorted)
+                  for name in table_names),
+            tuple((name, self._functions[name]) for name in function_names),
+            self.optimizer.tree_key(logical))
+        with _statement_lock:
+            remember(self._statements, text, statement, STATEMENT_ENTRIES)
+        return statement
 
     # -- compile & run -------------------------------------------------
     def _sync_profile(self) -> None:
@@ -296,22 +384,35 @@ class Session:
         ``run`` / ``explain_query`` entry point serves a prepared
         statement.
 
+        Query text is lowered by :meth:`as_logical`, so a repeated text
+        skips the frontend while every name it resolved still resolves
+        to the identical object (the name-identity rule documented
+        there), and its remembered tree key spares the tree walk; the
+        key still takes the live profile fingerprint and planner config,
+        and the plan-cache lookup, its counters and its provenance are
+        the same as for a freshly parsed text.
+
         Safe to call from concurrent spawned sessions sharing one
         :class:`PlanCache`: the cache's per-key compile gating
         (:meth:`PlanCache.get_or_compute`) guarantees a key is
         enumerated by exactly one thread, with contenders served the
         published plan.  Per-session state (provenance flag, hit/miss
-        counters) is only ever touched by the session's own thread —
-        the one-session-per-client spawn discipline."""
+        counters, the statement memo) is only ever touched by the
+        session's own thread — the one-session-per-client spawn
+        discipline."""
         if isinstance(q, PreparedStatement):
             planned, self.last_compile_cached = q.revalidate()
             return planned
         wall_start = time.perf_counter_ns()
         self._sync_profile()
-        logical = self.as_logical(q)
-        key = self.optimizer.cache_key(logical)
         optimizer = self.optimizer  # pinned: a sibling's profile
         #                             switch must not retarget mid-call
+        logical = self.as_logical(q)
+        statement = self._statements.get(q) if isinstance(q, str) else None
+        key = optimizer.keyed(
+            statement.tree_key
+            if statement is not None and statement.logical is logical
+            else optimizer.tree_key(logical))
         planned, hit = self.plan_cache.get_or_compute(
             key, lambda: optimizer.optimize(logical))
         self.last_compile_cached = hit

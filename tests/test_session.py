@@ -37,6 +37,25 @@ from repro.session import (
 N = 512
 GROUPS = 256
 
+#: Text the frontend rejects, and what its error says.
+ERRORS = [
+    ("", "empty query"),
+    ("missing", "unknown table"),
+    ("filter(orders, odd)", "unknown predicate"),
+    ("frobnicate(orders)", "unknown operator"),
+    ("join(orders customers)", "expected"),
+    ("filter(orders, even) trailing", "trailing input"),
+    ("filter(orders, even, wat=1)", "unknown keyword"),
+    ("filter(orders, even, sel=even)", "expected a number"),
+    ("join(orders, customers, match=0.5) ?", "unexpected character"),
+    ("filter(orders, even, sel=0.5, sel=0.25)", "duplicate keyword 'sel'"),
+    ("filter(orders, even, sel=0.5, selectivity=0.25)",
+     "duplicate keyword 'selectivity'"),
+    ("join(orders, customers, match=0.5, match_fraction=0.25)",
+     "duplicate keyword 'match_fraction'"),
+    ("aggregate(orders, groups=2.7)", "whole number for groups"),
+]
+
 QUERY_TEXT = ("aggregate(join(filter(orders, even, sel=0.5), customers), "
               f"groups={GROUPS})")
 
@@ -194,20 +213,31 @@ class TestTextFrontend:
         logical = session.query("agg(orders, groups=4, key=even)").logical()
         assert logical.key_of is session.function("even")
 
-    @pytest.mark.parametrize("text, message", [
-        ("", "empty query"),
-        ("missing", "unknown table"),
-        ("filter(orders, odd)", "unknown predicate"),
-        ("frobnicate(orders)", "unknown operator"),
-        ("join(orders customers)", "expected"),
-        ("filter(orders, even) trailing", "trailing input"),
-        ("filter(orders, even, wat=1)", "unknown keyword"),
-        ("filter(orders, even, sel=even)", "expected a number"),
-        ("join(orders, customers, match=0.5) ?", "unexpected character"),
-    ])
+    @pytest.mark.parametrize("text, message", ERRORS)
     def test_errors(self, session, text, message):
         with pytest.raises(QuerySyntaxError, match=message):
             session.query(text)
+
+    @pytest.mark.parametrize("text, message", ERRORS)
+    def test_errors_are_never_memoized(self, session, text, message):
+        """``compile(text)`` takes the statement memo; a text that
+        fails to parse raises the same error every time."""
+        raised = []
+        for _ in range(2):
+            with pytest.raises(QuerySyntaxError, match=message) as error:
+                session.compile(text)
+            raised.append(str(error.value))
+        assert raised[0] == raised[1]
+
+    def test_a_failed_name_compiles_once_registered(self, session):
+        for text in ("missing", "filter(orders, odd)"):
+            with pytest.raises(QuerySyntaxError, match="unknown"):
+                session.compile(text)
+        session.create_table("missing", random_permutation(64, seed=5))
+        session.predicate("odd", lambda v: v % 2 == 1)
+        for text in ("missing", "filter(orders, odd)"):
+            session.compile(text)
+            assert not session.last_compile_cached
 
     def test_parse_query_standalone(self, scaled):
         """The parser works against explicit registries (no session)."""
