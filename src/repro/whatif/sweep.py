@@ -1,11 +1,11 @@
 """The deterministic what-if sweep driver: price, don't execute.
 
 For every candidate of a :class:`~repro.whatif.ProfileSpace` the sweep
-builds a fresh :class:`~repro.session.Session` on the candidate
-machine, compiles the *same* fixed workload through the real
-:class:`~repro.query.Optimizer` (so plan choice reacts to the
-candidate hardware — a bigger cache can change the chosen join), and
-prices the stream purely with the cost model:
+compiles the *same* fixed workload through the real
+:class:`~repro.query.Optimizer` in a :class:`~repro.session.Session`
+on the candidate machine (so plan choice reacts to the candidate
+hardware — a bigger cache can change the chosen join), and prices the
+stream purely with the cost model:
 
 * standalone cost per query from the whole-plan pattern (Eq. 6.1),
 * co-run batches decided by the very :class:`~repro.service.Stepper`
@@ -15,6 +15,24 @@ prices the stream purely with the cost model:
   :meth:`~repro.service.InterferenceModel.co_run` (Eq. 5.3), with
   ``makespan = max(Σ mem_i, max_i (cpu_i + mem_i))``.
 
+Candidates that differ only in ``cores`` are one machine: a sweep
+keeps one priced *stack* per distinct ``(candidate.fingerprint,
+candidate.memory_budget)`` — the realized session (catalog, plan
+cache, statement memo), the query stream and one
+:class:`~repro.service.InterferenceModel` — built on first use and
+reused for every candidate with that key; only the
+:class:`~repro.service.AdmissionController` and
+:class:`~repro.service.Stepper`, which carry ``cores``, are per
+candidate.  Sharing is exact, for three reasons:
+
+* :func:`~repro.hardware.profile_fingerprint` hashes every priced
+  parameter of the hierarchy and leaves out only its display name, and
+  the budget is in the key, so two candidates with one key compile
+  and price on the same machine;
+* a plan-cache hit returns the plan a cold compile would;
+* the ⊙ memo (:meth:`~repro.service.InterferenceModel.co_run`) returns
+  what its composition would compute.
+
 Nothing executes: a sweep over machines that don't exist costs only
 model arithmetic.  Because batches complete as units on the simulated
 clock, a member's *predicted* completion is its batch's makespan plus
@@ -22,11 +40,12 @@ the queueing delay behind earlier batches — the model-side counterpart
 of the executor's timing, and the definition behind predicted
 p50/p95.  Optional **spot checks** replay chosen candidates through
 the trace-driven simulator (:class:`~repro.service.ServiceExecutor`)
-to verify the prediction stays inside the validation band.
+to verify the prediction stays inside the validation band; a spot
+check executes, so it realizes a fresh session of its own.
 
 Workloads come in two shapes: :class:`GeneratedWorkload` re-creates a
-seeded :class:`~repro.service.WorkloadGenerator` stream per candidate
-(templates over deterministic tables), and :class:`CapturedWorkload`
+seeded :class:`~repro.service.WorkloadGenerator` stream per realized
+machine (templates over deterministic tables), and :class:`CapturedWorkload`
 snapshots a live session's catalog and an observed ``(kind, text)``
 stream — how :func:`capacity_plan` answers capacity questions from a
 :class:`~repro.server.QueryServer`'s own recorded mix.
@@ -66,11 +85,15 @@ MIXES: Mapping[str, Mapping[str, float]] = {
 
 
 class GeneratedWorkload:
-    """A seeded template workload, re-created per candidate.
+    """A seeded template workload, re-created per realized machine.
 
     Deterministic in ``(seed, scale, mix, n_queries, clients)`` — the
     same definition every candidate prices, so differences between
-    rows are the hardware, never the workload.
+    rows are the hardware, never the workload.  A sweep realizes it
+    once per distinct ``(fingerprint, memory_budget)`` and prices
+    every candidate with that key on the one session: those
+    candidates differ only in ``cores``, which only batch formation
+    reads (exact, see the module docstring).
     """
 
     def __init__(self, *, seed: int = 0, scale: int = 512,
@@ -120,8 +143,10 @@ class GeneratedWorkload:
 
 class CapturedWorkload:
     """A workload captured from a live session: its catalog values and
-    an observed query stream, re-materialized on each candidate
-    machine.
+    an observed query stream, re-materialized on each distinct
+    candidate machine: like :class:`GeneratedWorkload`, once per
+    ``(fingerprint, memory_budget)`` of a sweep, shared by the
+    candidates that differ only in ``cores``.
 
     The snapshot is by *value* (column contents, sortedness flags,
     predicate registry), so re-pricing needs no knowledge of how the
@@ -299,6 +324,11 @@ class WhatIfSweep:
         #: label → Candidate for every priced candidate (filled by
         #: :meth:`run`; lets callers spot-check after the fact).
         self.candidates: dict[str, Candidate] = {}
+        #: (fingerprint, memory budget) → the priced stack of that
+        #: machine: realized session, query stream, interference model.
+        self._stacks: dict[tuple[str, int | None],
+                           tuple[Session, list[WorkloadQuery],
+                                 InterferenceModel]] = {}
 
     # ------------------------------------------------------------------
     def _admission(self, cores: int) -> dict:
@@ -307,9 +337,22 @@ class WhatIfSweep:
 
     def price(self, candidate: Candidate) -> CandidateOutcome:
         """Predict the workload's serving behaviour on ``candidate``
-        with pure model arithmetic (no execution, no simulator)."""
-        session, queries = self.workload.realize(candidate)
-        interference = InterferenceModel(session.hierarchy)
+        with pure model arithmetic (no execution, no simulator).
+
+        The session, query stream and interference model come from the
+        stack of ``candidate``'s ``(fingerprint, memory_budget)``,
+        realized on the first candidate with that key; a later one
+        compiles through the warm plan cache and prices through the
+        warm ⊙ memo, which return what a cold stack would (module
+        docstring).  Tasks, admission and stepper are the candidate's
+        own."""
+        key = (candidate.fingerprint, candidate.memory_budget)
+        stack = self._stacks.get(key)
+        if stack is None:
+            session, queries = self.workload.realize(candidate)
+            stack = self._stacks[key] = (
+                session, queries, InterferenceModel(session.hierarchy))
+        session, queries, interference = stack
         stepper = Stepper.closed_loop(
             AdmissionController(interference, max_queue=math.inf,
                                 **self._admission(candidate.cores)),

@@ -249,19 +249,24 @@ class TestSweep:
 class TestCapturedWorkload:
     def test_roundtrip_matches_generated(self):
         # capturing a generated workload's session + stream must price
-        # identically to the generated workload itself
-        generated = small_workload()
+        # identically to the generated workload itself — bit-equal, not
+        # approximately equal: both paths share stacks across
+        # candidates, and a tolerance would hide a divergence
         space = ProfileSpace({"mem_ns": [200.0, 800.0]})
         baseline = space.expand().baseline
-        session, queries = generated.realize(baseline)
-        captured = CapturedWorkload.from_session(
-            session, queries, clients=generated.clients)
-        priced_g = WhatIfSweep(space, generated).run()
-        priced_c = WhatIfSweep(space, captured).run()
-        for g, c in zip([priced_g.baseline, *priced_g.outcomes()],
-                        [priced_c.baseline, *priced_c.outcomes()]):
-            assert g.makespan_ns == pytest.approx(c.makespan_ns)
-            assert g.p95_ns == pytest.approx(c.p95_ns)
+        for seed in (7, 11, 0):
+            generated = small_workload(seed=seed)
+            session, queries = generated.realize(baseline)
+            captured = CapturedWorkload.from_session(
+                session, queries, clients=generated.clients)
+            priced_g = WhatIfSweep(space, generated).run()
+            priced_c = WhatIfSweep(space, captured).run()
+            rows_g = [priced_g.baseline, *priced_g.outcomes()]
+            rows_c = [priced_c.baseline, *priced_c.outcomes()]
+            assert len(rows_g) == len(rows_c) == 3
+            for g, c in zip(rows_g, rows_c):
+                assert json.dumps(g.to_json(), sort_keys=True) == \
+                    json.dumps(c.to_json(), sort_keys=True)
 
     def test_accepts_bare_pairs(self):
         generated = small_workload()
@@ -278,6 +283,141 @@ class TestCapturedWorkload:
         session, _ = generated.realize(baseline)
         with pytest.raises(ValueError, match="at least one"):
             CapturedWorkload.from_session(session, [])
+
+
+class TestSharedStacks:
+    """Candidates of one (fingerprint, memory budget) share one priced
+    stack.  Every outcome of one :meth:`WhatIfSweep.run` must equal,
+    ``to_json()`` byte for byte, the same candidate priced by a fresh
+    sweep of its own — whatever stacks the run shared."""
+
+    SPACES = {
+        "latency-x-cores": (dict(), {"mem_ns": [200.0, 800.0],
+                                     "cores": [2, 4]}),
+        "budget-x-cores": (dict(base=TINY_POOL_BASE),
+                           {"memory_budget": [None, 256, 1024],
+                            "cores": [2, 4]}),
+        "latency-x-budget": (dict(base=TINY_POOL_BASE),
+                             {"mem_ns": [400.0, 1600.0],
+                              "memory_budget": [None, 256]}),
+    }
+
+    @staticmethod
+    def _workload(source, mix):
+        generated = small_workload(mix=mix)
+        if source == "generated":
+            return generated
+        baseline = ProfileSpace({"cores": [2]}).expand().baseline
+        session, queries = generated.realize(baseline)
+        return CapturedWorkload.from_session(session, queries,
+                                             clients=generated.clients)
+
+    @staticmethod
+    def _space(name):
+        kwargs, axes = TestSharedStacks.SPACES[name]
+        return ProfileSpace(axes, **kwargs)
+
+    @pytest.mark.parametrize("source", ["generated", "captured"])
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_run_equals_candidates_priced_alone(self, name, source):
+        mix = "contention-heavy" if name == "latency-x-cores" \
+            else "out-of-core"
+        workload = self._workload(source, mix)
+        space = self._space(name)
+        report = WhatIfSweep(space, workload).run()
+        expansion = space.expand()
+        rows = [report.baseline, *report.outcomes()]
+        assert len(rows) == 1 + len(expansion.candidates)
+        for outcome, candidate in zip(
+                rows, [expansion.baseline, *expansion.candidates]):
+            alone = WhatIfSweep(space, workload).price(candidate)
+            assert json.dumps(outcome.to_json(), sort_keys=True) == \
+                json.dumps(alone.to_json(), sort_keys=True)
+
+    @pytest.mark.parametrize("source", ["generated", "captured"])
+    def test_price_order_does_not_matter(self, source):
+        # the same candidates priced backwards through one sweep price
+        # exactly what each prices through a sweep of its own
+        workload = self._workload(source, "contention-heavy")
+        space = self._space("latency-x-cores")
+        expansion = space.expand()
+        sweep = WhatIfSweep(space, workload)
+        for candidate in reversed(
+                [expansion.baseline, *expansion.candidates]):
+            shared = sweep.price(candidate)
+            alone = WhatIfSweep(space, workload).price(candidate)
+            assert json.dumps(shared.to_json(), sort_keys=True) == \
+                json.dumps(alone.to_json(), sort_keys=True)
+
+    @staticmethod
+    def _count_realize(monkeypatch, workload):
+        """Wrap ``workload.realize``; returns the ``(key, session)`` of
+        every call, in order."""
+        calls = []
+        realize = workload.realize
+
+        def counted(candidate):
+            session, queries = realize(candidate)
+            calls.append(((candidate.fingerprint, candidate.memory_budget),
+                          session))
+            return session, queries
+
+        monkeypatch.setattr(workload, "realize", counted)
+        return calls
+
+    @pytest.mark.parametrize("source", ["generated", "captured"])
+    @pytest.mark.parametrize("name, machines", [
+        ("latency-x-cores", 3), ("budget-x-cores", 3),
+        ("latency-x-budget", 5)])
+    def test_realizes_once_per_distinct_machine(self, monkeypatch, name,
+                                                machines, source):
+        workload = self._workload(source, "out-of-core")
+        space = self._space(name)
+        calls = self._count_realize(monkeypatch, workload)
+        WhatIfSweep(space, workload).run()
+        expansion = space.expand()
+        keys = {(c.fingerprint, c.memory_budget)
+                for c in [expansion.baseline, *expansion.candidates]}
+        assert len(keys) == machines
+        assert len(calls) == machines
+        assert {key for key, _ in calls} == keys
+
+    def test_budgets_never_share_a_session(self, monkeypatch):
+        # every candidate of this space is one hierarchy; only the
+        # budget tells the stacks apart
+        workload = self._workload("generated", "out-of-core")
+        space = self._space("budget-x-cores")
+        calls = self._count_realize(monkeypatch, workload)
+        WhatIfSweep(space, workload).run()
+        assert len({fingerprint for (fingerprint, _), _ in calls}) == 1
+        assert len(calls) == 3
+        assert {budget for (_, budget), _ in calls} == {None, 256, 1024}
+        assert len({id(session) for _, session in calls}) == 3
+        for (_, budget), session in calls:
+            assert session.config.memory_budget == budget
+
+    def test_spot_check_executes_on_a_session_of_its_own(self,
+                                                         monkeypatch):
+        import repro.whatif.sweep as sweep_module
+
+        workload = self._workload("generated", "contention-heavy")
+        space = self._space("latency-x-cores")
+        calls = self._count_realize(monkeypatch, workload)
+        executed = []
+        executor = sweep_module.ServiceExecutor
+
+        def recording(session, **kwargs):
+            executed.append(session)
+            return executor(session, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "ServiceExecutor", recording)
+        report = WhatIfSweep(space, workload).run(spot_check="all")
+        rows = [report.baseline, *report.outcomes()]
+        assert len(executed) == len(rows)
+        assert len(calls) == 3 + len(rows)
+        stacks = {id(session) for _, session in calls[:3]}
+        assert len({id(s) for s in executed}) == len(executed)
+        assert not stacks & {id(s) for s in executed}
 
 
 class TestGoldenSweep:
