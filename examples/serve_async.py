@@ -70,7 +70,7 @@ async def main() -> None:
               f"latency {late.latency_ns / 1e6:.2f} ms (simulated)")
 
     done = [r for r in responses if r.ok]
-    shed = [r for r in responses if not r.ok]
+    shed = [r for r in responses if r.outcome == "shed"]
     co_run = [b for b in report.batches if b.size > 1]
     print(f"\n{len(done)} served / {len(shed)} shed; "
           f"{len(co_run)} co-run batches; "

@@ -34,6 +34,7 @@ trusted.
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,6 +49,7 @@ from ..service.executor import (
     BatchReplay,
     execute_batch,
     measure,
+    record_trace,
 )
 from ..service.interference import InterferenceModel
 from ..service.metrics import BatchMetrics, RunReport
@@ -60,6 +62,21 @@ __all__ = ["ServerResponse", "ServingReport", "Dispatcher",
            "MetricFamily", "METRIC_FAMILIES"]
 
 
+def _planless(tenant: str, query: WorkloadQuery) -> Task:
+    """A task for ``query`` that never compiled (no plan, no price)."""
+    return Task(qid=query.qid, kind=query.kind, text=query.text,
+                plan=None, solo_memory_ns=0.0, cpu_ns=0.0,
+                cache_hit=False, client=query.client, tenant=tenant,
+                arrival_ns=query.arrival_ns)
+
+
+def _while_recording(exc: Exception) -> bool:
+    """Whether ``exc`` was raised while a plan ran under the recorder
+    (:func:`~repro.service.executor.record_trace`): a kernel's."""
+    return any(frame.f_code is record_trace.__code__
+               for frame, _ in traceback.walk_tb(exc.__traceback__))
+
+
 @dataclass(frozen=True, slots=True)
 class ServerResponse:
     """One query's serving outcome on the simulated clock."""
@@ -68,14 +85,15 @@ class ServerResponse:
     tenant: str
     kind: str
     text: str
-    #: ``"ok"`` or ``"shed"`` (refused by admission control).
+    #: ``"ok"``, ``"shed"`` (refused by admission control) or
+    #: ``"error"`` (failed at ``stage``).
     outcome: str
     arrival_ns: float
     start_ns: float
     finish_ns: float
-    #: Result cardinality (``None`` when shed).
+    #: Result cardinality (``None`` unless served).
     rows: int | None = None
-    #: Plan-cache provenance of the compile (``None`` when shed).
+    #: Plan-cache provenance of the compile (``None`` unless served).
     cache_hit: bool | None = None
     batch_index: int | None = None
     batch_size: int | None = None
@@ -89,13 +107,23 @@ class ServerResponse:
     #: before compiling finished mattering).  Compiles are free on the
     #: simulated clock — the machine's time never advances for them.
     compile_wall_ns: int | None = None
+    #: Where an error response failed: ``"compile"``, ``"admit"`` (its
+    #: offer or its batch's formation raised), ``"kernel"`` (raised
+    #: while recording), ``"replay"``, ``"settle"`` (anything after the
+    #: replay: settlement, spans, recalibration) or ``"stopped"``
+    #: (pending when the server stopped); ``None`` unless an error.
+    stage: str | None = None
+    #: The failure's exception type name and message (errors only).
+    error_type: str | None = None
+    error_message: str | None = None
 
     @classmethod
     def of(cls, task: Task, outcome: str, start_ns: float,
            finish_ns: float, **served) -> "ServerResponse":
         """``task``'s response — the one place a task's fields are
-        copied out.  ``served`` is what only an executed query has:
-        ``rows``, ``batch_index``, ``batch_size``."""
+        copied out.  ``served`` is what only some outcomes have:
+        ``rows``, ``batch_index`` and ``batch_size`` an executed query,
+        ``stage``, ``error_type`` and ``error_message`` a failed one."""
         return cls(qid=task.qid, tenant=task.tenant, kind=task.kind,
                    text=task.text, outcome=outcome,
                    arrival_ns=task.arrival_ns, start_ns=start_ns,
@@ -110,8 +138,8 @@ class ServerResponse:
 
     @property
     def latency_ns(self) -> float:
-        """Simulated completion latency (0 for shed queries, which are
-        refused immediately)."""
+        """Simulated completion latency (0 for queries refused or
+        failed at their arrival)."""
         return self.finish_ns - self.arrival_ns
 
     @property
@@ -120,7 +148,7 @@ class ServerResponse:
         return self.start_ns - self.arrival_ns
 
     def to_json(self) -> dict:
-        return {
+        payload = {
             "qid": self.qid, "tenant": self.tenant, "kind": self.kind,
             "text": self.text, "outcome": self.outcome,
             "arrival_ns": self.arrival_ns, "start_ns": self.start_ns,
@@ -138,12 +166,18 @@ class ServerResponse:
             "compile_ns": {"wall_ns": self.compile_wall_ns,
                            "simulated_ns": 0.0},
         }
+        if self.stage is not None:
+            payload["error"] = {"stage": self.stage,
+                                "type": self.error_type,
+                                "message": self.error_message}
+        return payload
 
 
 class ServingReport(RunReport):
     """A serving run's full accounting: every response, every batch's
     ⊙ prediction next to its replay measurement, the SLO windows, and
-    per-tenant counters."""
+    per-tenant counters.  A tenant's failed queries are its
+    ``submitted − completed − shed``; :attr:`errored` lists them."""
 
     def __init__(self, policy: str, responses: list[ServerResponse],
                  batches: list[BatchMetrics], slo: dict,
@@ -162,7 +196,11 @@ class ServingReport(RunReport):
 
     @property
     def shed(self) -> list[ServerResponse]:
-        return [r for r in self.responses if not r.ok]
+        return [r for r in self.responses if r.outcome == "shed"]
+
+    @property
+    def errored(self) -> list[ServerResponse]:
+        return [r for r in self.responses if r.outcome == "error"]
 
     def latencies(self) -> list[float]:
         return [r.latency_ns for r in self.completed]
@@ -207,7 +245,8 @@ class ServingReport(RunReport):
 
         lines = [
             f"policy {self.policy}: {len(self.completed)} served, "
-            f"{len(self.shed)} shed, {len(self.batches)} batches",
+            f"{len(self.shed)} shed, {len(self.errored)} errored, "
+            f"{len(self.batches)} batches",
             f"  makespan   {self.makespan_ns / 1e6:>10.2f} ms   "
             f"sustained {self.sustained_qps:>8.1f} q/s",
             f"  latency    p50 {_ms(self.p50_latency_ns)} ms   "
@@ -327,15 +366,20 @@ class Dispatcher:
         All decisions happen on the dispatcher's simulated clock, so
         runs stay deterministic in (workload, seeds, policy).
 
-    One door out: a served or shed query is accounted by
-    :meth:`_resolve` and nowhere else — tenant counter, report, SLO
-    windows, per-response metrics, the resolution handed back.  One
-    exit still bypasses it, *unaccounted*: a batch whose execution
-    raised (:meth:`_serve_batch` resolves its members with the
-    exception) leaves no :class:`ServerResponse`, balances no tenant's
-    ``submitted`` and bumps no metric — nor does a query whose compile
-    raised, which never reaches the dispatcher; the ``outcome="error"``
-    responses of ROADMAP item 2 go through the same door.
+    One door out: every accepted query leaves through :meth:`_resolve`
+    and nowhere else — tenant counter, report, SLO windows,
+    per-response metrics, the resolution handed back — as exactly one
+    :class:`ServerResponse`, ``"ok"``, ``"shed"`` or ``"error"``; per
+    tenant, ``submitted == completed + shed + errored``.  Nothing
+    raised while a step decides, executes, settles, traces or
+    recalibrates escapes :meth:`step`.  A failed compile is a task the
+    stepper refuses at its arrival (stage ``"compile"``), in
+    ``(arrival_ns, qid)`` order with the other offers; a failed batch
+    fails only its members (``"admit"``, ``"kernel"``, ``"replay"`` or
+    ``"settle"``), takes no batch index, no simulated time and no
+    address space, and a response is resolved only once its batch has
+    settled, so none already served is lost.  :meth:`_stop` fails whatever is still
+    pending (``"stopped"``).
     """
 
     #: Interleaved-replay time slice (accesses per co-runner per turn)
@@ -442,20 +486,30 @@ class Dispatcher:
     def _compile(self, tenant: Tenant, query: WorkloadQuery) -> Task:
         """Compile through the tenant's (thread-safe) plan cache and
         price the standalone run — any thread; the caller stages the
-        task with its next :meth:`step`."""
-        return compile_task(tenant.worker_session(), self.interference,
-                            query, tenant=tenant.name)
+        task with its next :meth:`step`.  Never raises: a compile that
+        raises makes a plan-less task carrying the ``error``."""
+        wall_start = time.perf_counter_ns()
+        try:
+            return compile_task(tenant.worker_session(), self.interference,
+                                query, tenant=tenant.name)
+        except Exception as exc:
+            task = _planless(tenant.name, query)
+            task.error = exc
+            task.compile_wall_start_ns = wall_start
+            task.compile_wall_end_ns = time.perf_counter_ns()
+            return task
 
     # -- the decision loop ---------------------------------------------
     def step(self, compiled=(), blocked_from: float | None = None
              ) -> list[tuple[Task, object]] | None:
         """Stage the ``compiled`` tasks, then decide, execute and
-        account one batch; returns its resolutions — ``(task, response
-        or exception)`` pairs, shed queries first — or ``None`` when
-        the simulated clock cannot advance: nothing is staged or
-        queued, or ``blocked_from`` (the earliest arrival of a query
-        still compiling) is at or before the decision time (deciding
-        without it would depend on compile timing)."""
+        account one batch; returns its resolutions — ``(task,
+        response)`` pairs, the offers' first — or ``None`` when the
+        simulated clock cannot advance: nothing is staged or queued, or
+        ``blocked_from`` (the earliest arrival of a query still
+        compiling) is at or before the decision time (deciding without
+        it would depend on compile timing).  Never raises (see the
+        class docstring)."""
         stepper = self.stepper
         for task in compiled:
             stepper.stage(task)
@@ -473,8 +527,15 @@ class Dispatcher:
         """Account ``step``'s offers to the run queue, in the order the
         stepper made them: the admission metrics, and a shed response
         for every query refused (at its own arrival) or displaced (at
-        the decision time)."""
+        the decision time) — an error response, at its arrival, for a
+        task the stepper refused for its ``error``."""
         for task, victims in step.offers:
+            if task.error is not None:
+                # no plan: its compile raised; else its offer did
+                self._refuse(task, task.arrival_ns, resolved,
+                             "compile" if task.plan is None else "admit",
+                             task.error)
+                continue
             if self.tracer is not None:
                 decided = self._m["server_admission_total"]
                 refused = any(victim is task for victim in victims)
@@ -485,34 +546,51 @@ class Dispatcher:
                         decided.inc(tenant=victim.tenant,
                                     decision="displaced")
             for victim in victims:
-                self._shed(victim, victim.arrival_ns if victim is task
-                           else step.now_ns, resolved)
+                self._refuse(victim, victim.arrival_ns if victim is task
+                             else step.now_ns, resolved)
 
     def _serve_batch(self, step: Step, resolved: list) -> None:
-        """Execute ``step``'s batch at its simulated time and account
-        it: responses, SLO windows, the clock, then spans and the
-        recalibration hook."""
+        """Execute ``step``'s batch at its simulated time and settle
+        it — timing, spans and the recalibration hook — then account
+        it: responses, SLO windows, the clock.  A batch that raised
+        before it was accounted fails its members at the decision time;
+        the machine's clock stays where it was, and its members'
+        allocators where they were, so every later batch measures what
+        it would have measured had the failed queries never come."""
         batch, now = step.batch, step.now_ns
-        try:
-            replay, rows, measured, wall0, wall1 = \
-                self._execute_batch(batch)
-        except Exception as exc:
-            # a failed batch fails its members, not the server; the
-            # machine's clock stays where it was
-            resolved.extend((task, exc) for task in batch)
+        if batch.error is not None:
+            for task in batch:
+                self._refuse(task, now, resolved, "admit", batch.error)
             return
         index = self.stepper.batch_count
-        finishes, metrics = settle(index, batch, replay)
-        makespan = metrics.measured_makespan_ns
+        allocators = [(allocator, allocator.next_address,
+                       allocator.bytes_allocated)
+                      for allocator in {self.tenants[task.tenant].db.allocator
+                                        for task in batch}]
+        stage = "replay"
+        try:
+            replay, rows, measured, wall0, wall1 = self._execute_batch(batch)
+            stage = "settle"
+            finishes, metrics = settle(index, batch, replay)
+            makespan = metrics.measured_makespan_ns
+            if self.tracer is not None:
+                self._trace_batch(batch, now, index, finishes, makespan,
+                                  replay, measured, wall0, wall1)
+        except Exception as exc:
+            if stage == "replay" and _while_recording(exc):
+                stage = "kernel"
+            for allocator, address, nbytes in allocators:
+                allocator.advance(address - allocator.next_address,
+                                  nbytes - allocator.bytes_allocated)
+            for task in batch:
+                self._refuse(task, now, resolved, stage, exc)
+            return
         for task, finish, nrows in zip(batch, finishes, rows):
             self._resolve(task, ServerResponse.of(
                 task, "ok", now, now + finish, rows=nrows,
                 batch_index=index, batch_size=len(batch)), resolved)
         self._batches.append(metrics)
         self.stepper.advance(step, makespan)
-        if self.tracer is not None:
-            self._trace_batch(batch, now, index, finishes, makespan,
-                              replay, measured, wall0, wall1)
 
     def _execute_batch(self, batch: Batch):
         """Measure the batch on the dispatcher's machine,
@@ -547,7 +625,7 @@ class Dispatcher:
     def _resolve(self, task: Task, response: ServerResponse,
                  resolved: list) -> None:
         """The one door out (see the class docstring): account
-        ``response`` — served or shed — and hand it back for
+        ``response`` — served, shed or failed — and hand it back for
         ``task``."""
         tenant = self.tenants[task.tenant]
         served = response.ok
@@ -555,7 +633,7 @@ class Dispatcher:
             tenant.completed += 1
             self.slo.observe(task.tenant, response.finish_ns,
                              response.latency_ns)
-        else:
+        elif response.outcome == "shed":
             tenant.shed += 1
         self._responses.append(response)
         if self.tracer is not None:
@@ -572,25 +650,46 @@ class Dispatcher:
                                                   tenant=task.tenant)
         resolved.append((task, response))
 
-    def _shed(self, task: Task, at_ns: float, resolved: list) -> None:
-        """Refuse ``task`` at simulated time ``at_ns`` (its own arrival
-        when it never got in, the displacement time for a victim)."""
+    def _refuse(self, task: Task, at_ns: float, resolved: list,
+                stage: str | None = None,
+                error: Exception | None = None) -> None:
+        """Resolve ``task`` unserved at simulated time ``at_ns``: shed
+        (at its own arrival when it never got in, the displacement time
+        for a victim) or, given a ``stage``, failed there with
+        ``error``.  No simulated time passes for it."""
+        outcome, failed = "shed", {}
+        if stage is not None:
+            outcome, failed = "error", {"stage": stage}
         if self.tracer is not None:
             self.tracer.span(
                 "query", track=f"tenant:{task.tenant}",
                 category="query", qid=task.qid,
                 sim_start_ns=task.arrival_ns, sim_end_ns=at_ns,
-                kind=task.kind, outcome="shed",
-                signature=task.signature)
-        self._resolve(task, ServerResponse.of(task, "shed", at_ns, at_ns),
-                      resolved)
+                kind=task.kind, outcome=outcome,
+                signature=task.signature, **failed)
+        if stage is not None:
+            failed.update(error_type=type(error).__name__,
+                          error_message=str(error))
+        self._resolve(task, ServerResponse.of(task, outcome, at_ns, at_ns,
+                                              **failed), resolved)
+
+    def _stop(self, tasks=()) -> list[tuple[Task, ServerResponse]]:
+        """Fail ``tasks`` (never staged) and every task staged or
+        queued with stage ``"stopped"``, each at its arrival, in
+        ``(arrival_ns, qid)`` order; returns the resolutions."""
+        resolved: list = []
+        error = RuntimeError("the server stopped before serving the query")
+        for task in sorted([*tasks, *self.stepper.drop()],
+                           key=lambda task: (task.arrival_ns, task.qid)):
+            self._refuse(task, task.arrival_ns, resolved, "stopped", error)
+        return resolved
 
     def _trace_batch(self, batch: list[Task], now: float,
                      index: int, finishes: list[float],
                      makespan: float, replay: BatchReplay, measured,
                      wall0: int, wall1: int) -> None:
         """Record one executed batch's spans and metrics.  Called from
-        :meth:`_serve_batch` only, after the simulated clock advanced —
+        :meth:`_serve_batch` only, before the batch is accounted —
         recording order (and therefore the simulated-clock export) is
         a function of the workload, never of thread timing."""
         tracer = self.tracer
@@ -652,7 +751,7 @@ class Dispatcher:
         m = self._m
         m["server_batches_total"].inc(policy=self.admission.mode)
         m["server_batch_size"].observe(float(len(batch)))
-        m["server_clock_ns"].set(self.stepper.clock_ns)
+        m["server_clock_ns"].set(now + makespan)
         m["server_queue_depth"].set(float(len(self.admission.queue)))
         if replay.counters is not None:
             for level in replay.counters.levels:
@@ -668,7 +767,7 @@ class Dispatcher:
         measurement into the tenant's recalibrator and run it when
         drift is pending.  Called from :meth:`_trace_batch` only — the
         single simulated-clock decision point, before the batch's
-        responses are handed back — so the profile swap lands
+        responses are accounted — so the profile swap lands
         deterministically *between* batches, and every compile a
         response triggers prices (and fingerprints) against the new
         profile."""

@@ -33,6 +33,13 @@ when a query due by its decision time is still compiling or nothing is
 staged or queued, and the compile run that stages that query starts
 the next run.  Which batches form never depends on any of this
 timing: that is the dispatcher's contract.
+
+Every future the server hands out resolves to a
+:class:`~repro.server.ServerResponse` — ``"ok"``, ``"shed"`` or
+``"error"`` — and only ever from a run or from :meth:`QueryServer.stop`:
+a compile that raises makes a task the dispatcher refuses at its
+arrival, a step never raises, and ``stop()`` fails whatever is still
+pending, so no failure can strand :meth:`QueryServer.drain`.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from ..hardware.hierarchy import MemoryHierarchy
 from ..obs import Tracer
 from ..service.core import Task
 from ..service.workload import WorkloadQuery
-from .dispatcher import Dispatcher, ServerResponse
+from .dispatcher import Dispatcher, ServerResponse, _planless
 from .slo import SloTarget
 from .tenant import Tenant
 
@@ -81,12 +88,10 @@ class QueryServer(Dispatcher):
     compiled tasks (compile runs append, the run empties it into the
     dispatcher); :meth:`stop` raises ``_stopping`` under it too, so no
     compile run queues a successor into a pool that is shutting down.
-    Undelivered posts — ``(future, response or exception)`` pairs —
-    belong to the worker that accumulates them until it hands the whole
-    list to :meth:`_deliver` on the loop thread and starts a new one.
-    A query whose compile raised is failed from here, as a post of its
-    exception, and never reaches the dispatcher.  Read :meth:`report`
-    after :meth:`drain`, when no run is in flight.
+    Undelivered posts — ``(future, response)`` pairs — belong to the
+    run that accumulates them until it hands the whole list to
+    :meth:`_deliver` on the loop thread and starts a new one.  Read
+    :meth:`report` after :meth:`drain`, when no run is in flight.
     """
 
     def __init__(self, hierarchy: MemoryHierarchy | None = None, *,
@@ -143,9 +148,11 @@ class QueryServer(Dispatcher):
     async def stop(self) -> None:
         """Stop dispatching and release the pool: a run in flight
         returns at its next batch boundary, a compile run after the
-        compile it is in (pending queries, compiled or not, keep their
-        futures unresolved; call :meth:`drain` first for a clean
-        shutdown)."""
+        compile it is in.  Then every query still accepted, compiling,
+        staged or queued resolves as an error with stage
+        ``"stopped"``, and :meth:`drain` returns once the runs' last
+        posts have landed (call :meth:`drain` first to serve them
+        all)."""
         with self._stage_lock:  # compile runs queue successors under it
             self._stopping = True
         if self._dispatch_task is not None:
@@ -155,9 +162,22 @@ class QueryServer(Dispatcher):
             except asyncio.CancelledError:
                 pass
             self._dispatch_task = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        if self._pool is None:
+            return
+        self._pool.shutdown(wait=True)
+        self._pool = None
+        # no worker is left: the loop thread owns the dispatcher now
+        accepted = []
+        for tenant, query, response in self._accepted:
+            task = _planless(tenant.name, query)
+            task.handle = response
+            accepted.append(task)
+        self._accepted.clear()
+        self._compiling.clear()
+        self._compiling_order.clear()
+        pending, self._inbox = accepted + self._inbox, []
+        self._deliver([(task.handle, response)
+                       for task, response in self._stop(pending)])
 
     async def __aenter__(self) -> "QueryServer":
         return await self.start()
@@ -233,15 +253,14 @@ class QueryServer(Dispatcher):
         put each in the inbox as it finishes — the admission
         (quota/shedding) decision is the dispatcher's, made on the
         simulated clock, so queue state never depends on how compile
-        runs raced.  A compile that raises (bad query text, planner
-        error) fails its own future.  Ends when nothing is left, the
-        server is stopping, or its slice is used up with more
-        accepted — then it queues its successor *behind* whatever the
-        pool already holds, so a one-worker pool under continuous
-        submission still alternates
-        with the dispatch run.  One crossing to the loop thread per
-        run: the failures, and the dispatcher's wake-up."""
-        posts: list = []
+        runs raced; a compile that raises (bad query text, planner
+        error) is a task the dispatcher fails at its arrival.  Ends
+        when nothing is left, the server is stopping, or its slice is
+        used up with more accepted — then it queues its successor
+        *behind* whatever the pool already holds, so a one-worker pool
+        under continuous submission still alternates with the dispatch
+        run.  One crossing to the loop thread per run: the dispatcher's
+        wake-up."""
         deadline = time.monotonic() + sys.getswitchinterval()
         taken = 0
         while True:
@@ -255,35 +274,21 @@ class QueryServer(Dispatcher):
                     break
                 tenant, query, response = self._accepted.popleft()
                 taken += 1
-            try:
-                task = self._compile(tenant, query)
-            except Exception as exc:
-                task = None
-                posts.append((response, exc))
+            task = self._compile(tenant, query)
+            task.handle = response
             with self._stage_lock:
                 self._compiling.remove(query.qid)
-                if task is not None:
-                    task.handle = response
-                    self._inbox.append(task)
+                self._inbox.append(task)
         if taken:
-            loop.call_soon_threadsafe(self._compiled, posts)
+            loop.call_soon_threadsafe(self._wake.set)
 
     # -- loop side ----------------------------------------------------
-    def _compiled(self, posts: list) -> None:
-        """Loop thread, as a compile run ends: fail the futures whose
-        compile raised and wake the dispatch run for what compiled."""
-        self._deliver(posts)
-        self._wake.set()
-
     def _deliver(self, posts: list) -> None:
-        """Loop thread: resolve ``(future, response or exception)``
-        pairs — what a run hands over."""
-        for handle, outcome in posts:
+        """Loop thread: resolve ``(future, response)`` pairs — what a
+        run or :meth:`stop` hands over."""
+        for handle, response in posts:
             if not handle.done():
-                if isinstance(outcome, BaseException):
-                    handle.set_exception(outcome)
-                else:
-                    handle.set_result(outcome)
+                handle.set_result(response)
             self._outstanding -= 1
         if self._outstanding == 0:
             self._idle.set()

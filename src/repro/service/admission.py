@@ -170,11 +170,15 @@ class AdmissionController:
             return Batch()
         seed = (self._seed(arrived) if self.mode == "interference-aware"
                 else arrived[0])
-        batch = self.form(seed, [t for t in arrived if t is not seed])
-        for task in batch:
+        return self.dequeue(
+            self.form(seed, [t for t in arrived if t is not seed]))
+
+    def dequeue(self, tasks: list[Task]) -> list[Task]:
+        """Take ``tasks`` (all queued) off the run queue; returns them."""
+        for task in tasks:
             self.queue.remove(task)
             self._occupancy[task.tenant] -= 1
-        return batch
+        return tasks
 
     def __repr__(self) -> str:
         return (f"AdmissionController(mode={self.mode!r}, "

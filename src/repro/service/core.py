@@ -96,6 +96,11 @@ class Task:
     #: Resolution slot the server attaches (an asyncio future-like);
     #: nothing in the core touches it.
     handle: object = field(default=None, repr=False, compare=False)
+    #: Why the task cannot run: a server's failed compile (then
+    #: ``plan`` is ``None``) or a failed offer.  The stepper refuses
+    #: such a task at its arrival without offering it.
+    error: Exception | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @property
     def solo_total_ns(self) -> float:
@@ -134,6 +139,9 @@ class Batch(list):
                  prediction: CoRunPrediction | None = None) -> None:
         super().__init__(tasks)
         self.prediction = prediction
+        #: What forming the batch raised (then it holds every task that
+        #: was due, dequeued, and has no prediction).
+        self.error: Exception | None = None
 
 
 class Step(NamedTuple):
@@ -169,6 +177,12 @@ class Stepper:
     missing query could still claim — so what a serving run decides is
     a function of the workload, never of the order its tasks were
     staged in.
+
+    A step does not raise.  A task carrying an ``error`` (a server's
+    failed compile) is refused at its arrival without being offered,
+    and so is one whose offer raises; a batch that cannot be formed
+    comes back holding every task that was due, with its ``error``
+    (iterating a closed loop raises it).
     """
 
     def __init__(self, admission: "AdmissionController",
@@ -213,12 +227,29 @@ class Stepper:
         if blocked_from is not None and blocked_from <= now:
             return None
         offers = []
-        quota_of = self.quota_of
         while staged and staged[0][0] <= now:
             task = heappop(staged)[2]
-            offers.append((task, admission.offer(
-                task, None if quota_of is None else quota_of(task.tenant))))
-        return Step(now, offers, admission.next_batch(now))
+            offers.append((task, self._offer(task)))
+        try:
+            batch = admission.next_batch(now)
+        except Exception as exc:
+            batch = Batch(admission.dequeue(
+                [t for t in admission.queue if t.arrival_ns <= now]))
+            batch.error = exc
+        return Step(now, offers, batch)
+
+    def _offer(self, task: Task) -> list[Task]:
+        """Offer ``task`` to the run queue; what the offer shed.  A task
+        with an ``error``, or whose offer raises (then that becomes its
+        ``error``), is refused."""
+        quota_of = self.quota_of
+        if task.error is None:
+            try:
+                return self.admission.offer(
+                    task, None if quota_of is None else quota_of(task.tenant))
+            except Exception as exc:
+                task.error = exc
+        return [task]
 
     def advance(self, step: Step, makespan_ns: float) -> None:
         """``step``'s batch ran for ``makespan_ns``: the machine is
@@ -228,10 +259,19 @@ class Stepper:
         self.clock_ns = step.now_ns + makespan_ns
         self.batch_count += 1
 
+    def drop(self) -> list[Task]:
+        """Empty the stepper: every task staged or queued."""
+        tasks = [entry[2] for entry in self._staged]
+        self._staged.clear()
+        return tasks + self.admission.dequeue(list(self.admission.queue))
+
     def __iter__(self):
         """Every decision until the clock cannot advance (a closed
-        loop's batches)."""
+        loop's batches); a batch that could not be formed raises its
+        error here."""
         while (step := self.step()) is not None:
+            if step.batch.error is not None:
+                raise step.batch.error
             yield step
 
 

@@ -8,40 +8,51 @@ are handed to :meth:`~repro.server.Dispatcher.step` in any chosen
 compile-completion order, each step told the earliest arrival still
 "compiling" — exactly what ``QueryServer._run`` passes — and must be
 admitted in ``(arrival_ns, qid)`` order, shed and displaced exactly,
-and served at the clock when stamped in its past.
+and served at the clock when stamped in its past; a fault injected into
+any stage of a step fails that step's queries, as ``outcome="error"``
+responses, and nothing else.
 
 The second part is about the thread hand-off itself, the part of
 :class:`~repro.server.QueryServer` that is not the dispatcher: the
 same stream yields the same report for every pool width and the
 dispatcher's own, a compile held back inside a running server keeps
 every decision waiting for it (the run computes ``blocked_from``
-itself), span order and the recalibration point repeat, a
-raising batch or compile fails its members and nothing else, responses
-reach clients while the run goes on and a closed-loop client at once,
-the thread boundary is crossed per run and not per query, ``stop()``
-ends a run at a batch boundary and a compile run at a query boundary.
+itself), span order and the recalibration point repeat, a raising
+batch, compile or settle resolves its members as errors and nothing
+else, responses reach clients while the run goes on and a closed-loop
+client at once, the thread boundary is crossed per run and not per
+query, ``stop()`` ends a run at a batch boundary and a compile run at
+a query boundary and resolves everything still pending.
 Where an assertion would depend on how far a worker got on the wall
 clock, a gate (a :class:`threading.Event` a kernel or compile waits
 on) holds the worker at a known point instead.
 """
 
 import asyncio
+import itertools
 import json
 import random
 import sys
 import threading
+from contextlib import nullcontext
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
 from repro.hardware import parametric_profile
+from repro.obs import Tracer
 from repro.server import (
     Dispatcher,
     PoissonArrivals,
     QueryServer,
     TenantQuota,
 )
-from repro.service import WorkloadGenerator
+from repro.server.dispatcher import settle
+from repro.service import ServiceExecutor, WorkloadGenerator
+from repro.service.admission import AdmissionController
+from repro.session import Session
+from repro.simulator import MemorySystem
 
 from test_autotune import _recalibrating_run
 from test_trace_golden import check_golden
@@ -229,6 +240,166 @@ class TestStagedOutOfArrivalOrder:
         assert dispatcher.step() is None
         return [r.to_json() | {"compile_ns": None}
                 for r in (first, served_late, served_later)]
+
+
+# ---------------------------------------------------------------------
+# failures: every query leaves through the one door, by hand
+# ---------------------------------------------------------------------
+
+def _populate_solo(tenant):
+    """Table ``t`` and the predicates every solo stream below uses."""
+    tenant.session.create_table("t", list(range(64)))
+    tenant.session.predicate("small", lambda v: v < 10)
+    tenant.session.predicate("big", lambda v: v > 10)
+
+    def boom(value):
+        raise RuntimeError("kernel exploded")
+
+    tenant.session.predicate("boom", boom)
+
+
+def _failing_once(real, n=3):
+    """``real``, except that its ``n``-th call raises."""
+    calls = itertools.count(1)
+
+    def flaky(*args, **kwargs):
+        if next(calls) == n:
+            raise RuntimeError("injected fault")
+        return real(*args, **kwargs)
+
+    return flaky
+
+
+def _without_identity(response) -> dict:
+    """A response's JSON without its qid and what thread timing moves."""
+    payload = response.to_json()
+    del payload["qid"], payload["compile_ns"], payload["cache_hit"]
+    return payload
+
+
+class TestFaultsStepByHand:
+    """A fault injected into a dispatcher stepped by hand, no threads:
+    every query resolves exactly once, the failed ones with the stage
+    that failed, the clock never goes back, ``submitted == completed +
+    shed + errored``, and every survivor's response is what a run
+    without the failed queries gives it — a failed batch takes no
+    batch index, no simulated time and no address space."""
+
+    STREAM = ["filter(t, small, sel=0.2)", "filter(t, big, sel=0.8)"] * 5
+
+    @staticmethod
+    def _run(texts, *, traced=False, drop=(), fault=None):
+        """Serve ``texts`` 1 µs apart on a fresh fifo-serial dispatcher
+        (the queue builds up: batches start at the clock), leaving out
+        the indices in ``drop``; ``fault(dispatcher)`` is a context the
+        run steps inside.  Returns the dispatcher, every resolution and
+        the clock after each step."""
+        dispatcher = Dispatcher(mode="fifo-serial",
+                                tracer=Tracer() if traced else None)
+        _populate_solo(dispatcher.add_tenant("solo",
+                                             TenantQuota(max_queued=64)))
+        tasks = [dispatcher._compile(*dispatcher.accept(
+                     "solo", text, arrival_ns=1000.0 * i))
+                 for i, text in enumerate(texts) if i not in drop]
+        resolved, clocks = [], [dispatcher.clock_ns]
+        with nullcontext() if fault is None else fault(dispatcher):
+            while (out := dispatcher.step(tasks)) is not None:
+                tasks = ()
+                resolved += out
+                clocks.append(dispatcher.clock_ns)
+        return dispatcher, resolved, clocks
+
+    def _check(self, stage, texts=STREAM, traced=False, fault=None):
+        """Run ``texts`` under ``fault`` and hold the run to the class
+        docstring; returns the failed responses."""
+        dispatcher, resolved, clocks = self._run(texts, traced=traced,
+                                                 fault=fault)
+        assert sorted(task.qid for task, _ in resolved) == \
+            list(range(len(texts)))
+        assert all(task.qid == response.qid for task, response in resolved)
+        failed = [r for _, r in resolved if r.outcome == "error"]
+        assert failed and {r.stage for r in failed} == {stage}
+        assert clocks == sorted(clocks)
+        report = dispatcher.report()
+        assert report.responses == sorted((r for _, r in resolved),
+                                          key=lambda r: r.qid)
+        [stats] = report.tenants
+        assert stats["submitted"] == len(texts) == \
+            stats["completed"] + stats["shed"] + len(report.errored)
+        twin, _, _ = self._run(texts, traced=traced,
+                               drop={r.qid for r in failed})
+        assert [_without_identity(r) for r in report.responses
+                if not r.stage] == \
+            [_without_identity(r) for r in twin.report().responses]
+        return failed
+
+    def test_a_raising_kernel(self):
+        texts = list(self.STREAM)
+        texts[3] = texts[7] = "filter(t, boom, sel=0.2)"
+        failed = self._check("kernel", texts)
+        assert [(r.qid, r.error_type, r.error_message) for r in failed] \
+            == [(3, "RuntimeError", "kernel exploded"),
+                (7, "RuntimeError", "kernel exploded")]
+
+    def test_a_replay_that_raises_once(self):
+        def fault(_):
+            return mock.patch.object(
+                MemorySystem, "replay_interleaved",
+                _failing_once(MemorySystem.replay_interleaved))
+
+        [failed] = self._check("replay", fault=fault)
+        assert failed.error_message == "injected fault"
+
+    def test_a_raising_settle(self):
+        self._check("settle", fault=lambda _: mock.patch(
+            "repro.server.dispatcher.settle", _failing_once(settle)))
+
+    def test_a_raising_trace_batch(self):
+        def fault(dispatcher):
+            return mock.patch.object(dispatcher, "_trace_batch",
+                                     _failing_once(dispatcher._trace_batch))
+
+        self._check("settle", traced=True, fault=fault)
+
+    def test_an_unparsable_text(self):
+        texts = list(self.STREAM)
+        texts[4] = "filter(t small"
+        [failed] = self._check("compile", texts)
+        assert (failed.qid, failed.error_type, failed.signature) == \
+            (4, "QuerySyntaxError", "")
+        assert failed.start_ns == failed.finish_ns == failed.arrival_ns
+
+    def test_a_raising_offer(self):
+        def fault(dispatcher):
+            admission = dispatcher.admission
+            return mock.patch.object(admission, "offer",
+                                     _failing_once(admission.offer))
+
+        [failed] = self._check("admit", fault=fault)
+        assert failed.qid == 2
+
+    def test_a_batch_that_cannot_be_formed(self):
+        """Forming a batch raises: every query due then fails, and the
+        next decision goes on without them."""
+        def fault(dispatcher):
+            admission = dispatcher.admission
+            return mock.patch.object(admission, "form",
+                                     _failing_once(admission.form))
+
+        failed = self._check("admit", fault=fault)
+        assert len(failed) > 1
+        assert len({r.start_ns for r in failed}) == 1
+
+    def test_a_closed_loop_still_raises(self):
+        """The stepper hands a batch that cannot be formed back with
+        its error; iterating a closed loop raises it, as before."""
+        session = Session()
+        queries = WorkloadGenerator(session, scale=64,
+                                    seed=7).generate(4, clients=2)
+        with mock.patch.object(AdmissionController, "form",
+                               side_effect=RuntimeError("injected fault")):
+            with pytest.raises(RuntimeError, match="injected fault"):
+                ServiceExecutor(session).run(queries)
 
 
 # ---------------------------------------------------------------------
@@ -459,8 +630,7 @@ class TestFailingBatch:
                 results = await asyncio.wait_for(asyncio.gather(*(
                     server.submit_nowait("solo", text,
                                          arrival_ns=1000.0 * i)
-                    for i, text in enumerate(texts)),
-                    return_exceptions=True), timeout=30)
+                    for i, text in enumerate(texts))), timeout=30)
                 await asyncio.wait_for(server.drain(), timeout=30)
                 # the server still serves after the failures
                 after = await asyncio.wait_for(
@@ -470,11 +640,14 @@ class TestFailingBatch:
         server, results, after = asyncio.run(main())
         for text, result in zip(texts, results):
             if text is BAD:
-                assert isinstance(result, RuntimeError)
-                assert "kernel exploded" in str(result)
+                assert (result.outcome, result.stage, result.error_type,
+                        result.error_message) == (
+                    "error", "kernel", "RuntimeError", "kernel exploded")
+                assert result.start_ns == result.finish_ns
+                assert result.batch_index is None
             else:
                 assert result.ok and result.rows == 10
-        served = [r for r in results if not isinstance(r, Exception)]
+        served = [r for r in results if r.ok]
         # a failed batch takes no batch index and no simulated time:
         # the machine goes straight on to the next query
         assert [r.batch_index for r in served] == [0, 1, 2, 3]
@@ -483,7 +656,12 @@ class TestFailingBatch:
                                          later.arrival_ns)
         assert after.batch_index == 4
         assert after.start_ns == served[-1].finish_ns
-        assert len(server.report().responses) == 5
+        report = server.report()
+        assert len(report.responses) == 7
+        assert [r.qid for r in report.errored] == [2, 4]
+        [stats] = report.tenants
+        assert stats["submitted"] == 7 == \
+            stats["completed"] + stats["shed"] + len(report.errored)
 
     def test_a_swapped_machine_is_not_replayed_stale(self):
         """The run replays every batch on one machine built for
@@ -495,12 +673,43 @@ class TestFailingBatch:
                 before = await asyncio.wait_for(
                     server.submit("solo", GOOD), timeout=30)
                 server.hierarchy = parametric_profile(mem_ns=800.0)
-                with pytest.raises(AssertionError):
-                    await asyncio.wait_for(server.submit("solo", GOOD),
-                                           timeout=30)
-            return before
+                after = await asyncio.wait_for(
+                    server.submit("solo", GOOD), timeout=30)
+            return before, after
 
-        assert asyncio.run(main()).ok
+        before, after = asyncio.run(main())
+        assert before.ok
+        assert (after.outcome, after.stage, after.error_type) == \
+            ("error", "replay", "AssertionError")
+
+
+class TestFaultsThreaded:
+    def test_a_settle_raising_on_its_third_call(self):
+        """The threaded twin of the hand-stepped faults: a ``settle``
+        that raises once fails one query, the dispatch run lives on,
+        every future holds a response and ``drain()`` returns."""
+
+        async def main():
+            async with _solo_server(max_workers=2) as server:
+                futures = [server.submit_nowait("solo", GOOD,
+                                                arrival_ns=1000.0 * i)
+                           for i in range(8)]
+                await asyncio.wait_for(server.drain(), timeout=30)
+                assert _settled(server)
+            return server, [future.result() for future in futures]
+
+        with mock.patch("repro.server.dispatcher.settle",
+                        _failing_once(settle)):
+            server, responses = asyncio.run(main())
+        assert [r.qid for r in responses] == list(range(8))
+        [failed] = [r for r in responses if not r.ok]
+        assert (failed.qid, failed.stage) == (2, "settle")
+        report = server.report()
+        assert report.responses == responses
+        assert [r.batch_index for r in report.completed] == list(range(7))
+        [stats] = report.tenants
+        assert stats["submitted"] == 8 == \
+            stats["completed"] + stats["shed"] + len(report.errored)
 
 
 class TestRunUntilBlocked:
@@ -632,23 +841,25 @@ class TestRunUntilBlocked:
             futures = self._submit_all(server, [GOOD, GATED])
             await asyncio.wait_for(futures[0], timeout=30)
             await _stop_with_the_gate_open(server)
-            served = len(server.report().responses)
-            resolved = sum(future.done() for future in futures)
-            for future in futures:
-                future.cancel()
-            return served, resolved
+            await asyncio.wait_for(server.drain(), timeout=30)
+            assert _settled(server)
+            return [future.result() for future in futures]
 
-        served, resolved = asyncio.run(main())
+        responses = asyncio.run(main())
+        served = [r for r in responses if r.ok]
         # (1 when the run had returned, blocked on the gated query's
         # compile, before stop() was called)
-        assert served in (1, 2)
-        assert resolved == served
+        assert len(served) in (1, 2)
+        assert responses[:len(served)] == served
+        assert {(r.outcome, r.stage) for r in responses[len(served):]} \
+            == {("error", "stopped")}
 
-    def test_stop_leaves_uncompiled_queries_unresolved(self):
+    def test_stop_fails_uncompiled_queries_as_stopped(self):
         """``stop()`` with accepted queries still waiting for a compile
-        returns without compiling its way through them, and — as its
-        docstring says — leaves their futures unresolved.  Every
-        compile is held at the gate until ``stop()`` has begun."""
+        returns without compiling its way through them, and resolves
+        every one — compiled on the way out or not — as stopped; then
+        ``drain()`` returns.  Every compile is held at the gate until
+        ``stop()`` has begun."""
         compiled = []
 
         async def main():
@@ -664,12 +875,15 @@ class TestRunUntilBlocked:
             await server.start()
             futures = self._submit_all(server)
             await _stop_with_the_gate_open(server)
-            resolved = sum(future.done() for future in futures)
-            for future in futures:
-                future.cancel()
-            return resolved
+            await asyncio.wait_for(server.drain(), timeout=30)
+            assert _settled(server)
+            return server, [future.result() for future in futures]
 
-        assert asyncio.run(main()) == 0
+        server, responses = asyncio.run(main())
+        assert [r.qid for r in responses] == list(range(self.N))
+        assert {(r.outcome, r.stage, r.start_ns - r.arrival_ns)
+                for r in responses} == {("error", "stopped", 0.0)}
+        assert len(server.report().errored) == self.N
         # one compile per compile run, the one each was held in
         assert 1 <= len(compiled) <= 2
 
@@ -695,8 +909,9 @@ class TestRunUntilBlocked:
 
     @pytest.mark.parametrize("max_workers", [1, 2])
     def test_a_raising_compile_fails_only_its_own_query(self, max_workers):
-        """One unparsable query in a stream: its future raises, every
-        other query is served, ``drain()`` returns."""
+        """One unparsable query in a stream: its response is a compile
+        error at its arrival, every other query is served,
+        ``drain()`` returns."""
         texts = [GOOD] * 25 + [GARBLED] + [GOOD] * 25
 
         async def main():
@@ -704,18 +919,20 @@ class TestRunUntilBlocked:
                 results = await asyncio.wait_for(asyncio.gather(*(
                     server.submit_nowait("solo", text,
                                          arrival_ns=100.0 * i)
-                    for i, text in enumerate(texts)),
-                    return_exceptions=True), timeout=30)
+                    for i, text in enumerate(texts))), timeout=30)
                 await asyncio.wait_for(server.drain(), timeout=30)
                 assert _settled(server)
             return server, results
 
         server, results = asyncio.run(main())
-        assert isinstance(results[25], Exception)
+        garbled = results[25]
+        assert (garbled.outcome, garbled.stage, garbled.error_type) == \
+            ("error", "compile", "QuerySyntaxError")
+        assert garbled.start_ns == garbled.finish_ns == garbled.arrival_ns
         served = results[:25] + results[26:]
         assert all(r.ok and r.rows == 10 for r in served)
         assert [r.batch_index for r in served] == list(range(50))
-        assert len(server.report().responses) == 50
+        assert len(server.report().responses) == 51
 
 
 class TestComputedOnce:

@@ -501,8 +501,12 @@ class TestQueryServer:
                 ok = await server.submit(
                     "solo", "filter(t, small, sel=0.2)")
                 assert ok.ok and ok.rows == 10
-                with pytest.raises(Exception):
-                    await server.submit("solo", "filter(nada, nope)")
+                bad = await server.submit("solo", "filter(nada, nope)")
+                assert (bad.outcome, bad.stage) == ("error", "compile")
+                assert bad.to_json()["error"] == {
+                    "stage": "compile", "type": bad.error_type,
+                    "message": bad.error_message}
+                assert "error" not in ok.to_json()
                 await server.drain()
             with pytest.raises(KeyError, match="no tenant"):
                 server.tenant("ghost")
