@@ -46,6 +46,24 @@ holds the memo's lock; two threads that miss on one key both evaluate
 and store equal values.  Compound nodes keep their structural hash (and
 their footprint per line size) once computed, so a lookup hashes in
 O(1) and a tree nobody looks up pays nothing.
+
+*What a hit costs*: the memo is asked with plain values — the pattern,
+the level's ``(line_size, capacity, num_lines)`` after any ⊙
+scale-down (:func:`~repro.core.misses.scaled_dims`, the one expression
+:meth:`LevelGeometry.scaled` uses too) and the incoming state — and a
+:class:`LevelGeometry` is built, and validated, only when the memo must
+evaluate: a hit builds no object but its key.  A repeated question
+compares two tuples of numbers and then takes identity shortcuts (the
+same state object, a region against itself, the tree that asked or its
+remembered twin), so it walks no pattern tree and no parent chain.  A
+co-run price is then what Eq. 3.1 says it is, remembered miss pairs
+times latencies (:meth:`CostModel.concurrent_memory_ns`, which builds
+no :class:`LevelCost` or :class:`CostEstimate` either).  A warm
+seed-7 ``plan_whatif`` rep asks 4 485 questions, every one a hit;
+timed with ``timeit`` on a 2-vCPU Xeon host, a ``level_misses`` hit
+went from 5 - 6 µs to 1.2 - 1.7 µs, and a 3-member composition of
+that rep from 75 - 90 µs (``concurrent_estimates``, nine validated
+geometries and nine ``LevelCost`` objects) to 28 - 39 µs.
 """
 
 from __future__ import annotations
@@ -56,7 +74,13 @@ from typing import NamedTuple
 
 from ..hardware.cache_level import CacheLevel
 from ..hardware.hierarchy import MemoryHierarchy
-from .misses import LevelGeometry, MissPair, basic_pattern_misses
+from .misses import (
+    LevelGeometry,
+    MissPair,
+    basic_pattern_misses,
+    level_dims,
+    scaled_dims,
+)
 from .patterns import BasicPattern, Conc, Pattern, QuickSort, RTrav, Seq, STrav
 from .regions import DataRegion
 from .state import CacheState
@@ -77,6 +101,20 @@ def footprint_lines(pattern: Pattern, line_size: int) -> float:
     compounds occupy the maximum of their parts (one part runs at a
     time); concurrent compounds the sum (all parts compete at once).
     """
+    if isinstance(pattern, (Seq, Conc)):
+        # A compound's footprint is asked once per level per ⊙ division
+        # it takes part in (a co-run's members are compounds, so this
+        # branch comes first); it is kept on the (immutable) node per
+        # line size.
+        known = pattern._footprints
+        if known is None:
+            known = pattern._footprints = {}
+        lines = known.get(line_size)
+        if lines is None:
+            combine = max if isinstance(pattern, Seq) else sum
+            lines = known[line_size] = combine(
+                footprint_lines(p, line_size) for p in pattern.parts)
+        return lines
     if isinstance(pattern, STrav):
         return 1.0
     if isinstance(pattern, RTrav):
@@ -88,19 +126,7 @@ def footprint_lines(pattern: Pattern, line_size: int) -> float:
     if isinstance(pattern, QuickSort):
         # a ⊕ of passes that are all the same two sequential cursors
         return footprint_lines(pattern.first_pass(), line_size)
-    if not isinstance(pattern, (Seq, Conc)):
-        raise TypeError(f"not a pattern: {pattern!r}")
-    # A compound's footprint is asked once per level per ⊙ division it
-    # takes part in; it is kept on the (immutable) node per line size.
-    known = pattern._footprints
-    if known is None:
-        known = pattern._footprints = {}
-    lines = known.get(line_size)
-    if lines is None:
-        combine = max if isinstance(pattern, Seq) else sum
-        lines = known[line_size] = combine(
-            footprint_lines(p, line_size) for p in pattern.parts)
-    return lines
+    raise TypeError(f"not a pattern: {pattern!r}")
 
 
 def cache_shares(parts: "list[Pattern] | tuple[Pattern, ...]",
@@ -177,6 +203,11 @@ class CostEstimate:
         return out
 
 
+#: The empty cache every entry point starts from; one object, so a key
+#: made with it compares its state by identity.
+_EMPTY = CacheState.empty()
+
+
 class CostModel:
     """Derives cost functions from pattern descriptions automatically.
 
@@ -213,8 +244,7 @@ class CostModel:
     def level_misses(self, pattern: Pattern, level: CacheLevel,
                      state: CacheState | None = None) -> MissPair:
         """Predicted misses of ``pattern`` on one level (Eq. 4.1 pair)."""
-        pair, _ = _evaluate(pattern, LevelGeometry.of(level),
-                            state or CacheState.empty())
+        pair, _ = _recall(pattern, level_dims(level), state or _EMPTY)
         return pair
 
     def misses(self, pattern: Pattern) -> dict[str, MissPair]:
@@ -240,13 +270,13 @@ class CostModel:
         co-runners, this threads one cache through successors."""
         per_part_levels: list[list[LevelCost]] = [[] for _ in parts]
         for level in self.hierarchy.all_levels:
-            geo = LevelGeometry.of(level)
-            state = CacheState.empty()
+            dims = level_dims(level)
+            state = _EMPTY
             for i, part in enumerate(parts):
                 if part is None:
                     pair = MissPair()
                 else:
-                    pair, state = _evaluate(part, geo, state)
+                    pair, state = _recall(part, dims, state)
                 per_part_levels[i].append(LevelCost(level=level, misses=pair))
         return tuple(CostEstimate(levels=tuple(levels))
                      for levels in per_part_levels)
@@ -257,20 +287,43 @@ class CostModel:
 
         Each part is priced against its Eq. 5.3 share of every level —
         exactly the division :meth:`estimate` applies to
-        ``Conc.of(*parts)``, so the per-part memory times sum to the
-        compound's total.  This is the attribution the workload service
-        needs: the compound estimate says what a co-run *batch* costs,
-        these say what each *member* contributes (its inflated, not
-        standalone, cost)."""
+        ``Conc.of(*parts)``, so the per-part memory times add up to the
+        compound's total up to float summation order (the compound adds
+        its parts' misses per level before scoring them, these score
+        each part's and add per part).  This is the attribution the
+        workload service needs: the compound estimate says what a
+        co-run *batch* costs, these say what each *member* contributes
+        (its inflated, not standalone, cost)."""
         per_part_levels: list[list[LevelCost]] = [[] for _ in parts]
-        for level in self.hierarchy.all_levels:
-            state = CacheState.empty()
-            shared = _shared(parts, LevelGeometry.of(level))
-            for levels, part, geo in zip(per_part_levels, parts, shared):
-                pair, _ = _evaluate(part, geo, state)
+        for level, pairs in self._concurrent_pairs(parts):
+            for levels, pair in zip(per_part_levels, pairs):
                 levels.append(LevelCost(level=level, misses=pair))
         return tuple(CostEstimate(levels=tuple(levels))
                      for levels in per_part_levels)
+
+    def concurrent_memory_ns(self, parts: "list[Pattern] | tuple[Pattern, ...]"
+                             ) -> tuple[float, ...]:
+        """Each part's ``memory_ns`` of :meth:`concurrent_estimates`,
+        to the bit, without building the estimates: Eq. 3.1 summed
+        level by level in the hierarchy's order, straight from the miss
+        pairs.  This is all a co-run price reads
+        (:class:`~repro.service.InterferenceModel`)."""
+        per_part_times: list[list[float]] = [[] for _ in parts]
+        for level, pairs in self._concurrent_pairs(parts):
+            seq_ns = level.seq_miss_latency_ns
+            rand_ns = level.rand_miss_latency_ns
+            for times, pair in zip(per_part_times, pairs):
+                times.append(pair.time_ns(seq_ns, rand_ns))
+        return tuple(map(sum, per_part_times))
+
+    def _concurrent_pairs(self, parts: "list[Pattern] | tuple[Pattern, ...]"):
+        """Per level, in the hierarchy's order: the level and each
+        part's misses on its Eq. 5.3 share of it, from an empty cache —
+        the one loop :meth:`concurrent_estimates` and
+        :meth:`concurrent_memory_ns` read."""
+        for level in self.hierarchy.all_levels:
+            yield level, [_recall(part, dims, _EMPTY)[0] for part, dims
+                          in zip(parts, _share_dims(parts, level_dims(level)))]
 
 
 # ----------------------------------------------------------------------
@@ -376,41 +429,62 @@ def _congruent(fresh: Pattern, kept: Pattern) -> bool:
     return True
 
 
+def _same_state(a: CacheState, b: CacheState) -> bool:
+    """Equal entries in order, each region along its whole parent
+    chain (a region against itself is not walked)."""
+    return len(a.entries) == len(b.entries) and all(
+        rho == other_rho and (region is other_region
+                              or _same_region(region, other_region))
+        for (region, rho), (other_region, other_rho)
+        in zip(a.entries, b.entries))
+
+
 class _MemoKey:
     """Everything one evaluation reads — the pattern tree (part order
     included: it fixes the float summation order), every region's
-    parent chain, the level geometry and the incoming state — and
-    nothing it does not: no latency, no hierarchy."""
+    parent chain, the level geometry as ``(line_size, capacity,
+    num_lines)`` and the incoming state — and nothing it does not: no
+    latency, no hierarchy."""
 
-    __slots__ = ("pattern", "geo", "state", "kept", "_hash")
+    __slots__ = ("pattern", "dims", "state", "kept", "_hash")
 
-    def __init__(self, pattern: Pattern, geo: LevelGeometry,
+    def __init__(self, pattern: Pattern, dims: tuple[int, float, float],
                  state: CacheState) -> None:
         self.pattern = pattern
-        self.geo = geo
+        self.dims = dims
         self.state = state
         self.kept = False  # set as the key goes into the memo
-        self._hash = hash((pattern, geo, state))
+        # equal states have equal entries; hashing the tuple skips the
+        # dataclass's own __hash__
+        self._hash = hash((pattern, dims, state.entries))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other: "_MemoKey") -> bool:
         fresh, kept = (other, self) if self.kept else (self, other)
-        mine, theirs = fresh.state.entries, kept.state.entries
-        return (fresh.geo == kept.geo and len(mine) == len(theirs)
-                and all(rho == other_rho and _same_region(region, other_region)
-                        for (region, rho), (other_region, other_rho)
-                        in zip(mine, theirs))
+        return (fresh.dims == kept.dims
+                and (fresh.state is kept.state
+                     or _same_state(fresh.state, kept.state))
                 and _congruent(fresh.pattern, kept.pattern))
 
 
 def _evaluate(pattern: Pattern, geo: LevelGeometry, state: CacheState
               ) -> tuple[MissPair, CacheState]:
-    """Misses of ``pattern`` on a level of geometry ``geo`` (any ⊙
-    scale-down already applied) entered in ``state``, and the state it
-    leaves: what every public method of :class:`CostModel` asks, served
-    from the miss memo when a congruent question was answered before.
+    """:func:`_recall` asked with a built geometry."""
+    return _recall(pattern, (geo.line_size, geo.capacity, geo.num_lines),
+                   state)
+
+
+def _recall(pattern: Pattern, dims: tuple[int, float, float],
+            state: CacheState) -> tuple[MissPair, CacheState]:
+    """Misses of ``pattern`` on a level of geometry ``dims`` =
+    ``(line_size, capacity, num_lines)`` (any ⊙ scale-down already
+    applied) entered in ``state``, and the state it leaves: what every
+    public method of :class:`CostModel` asks, served from the miss memo
+    when a congruent question was answered before.  The
+    :class:`LevelGeometry` the evaluation reads is built only when it
+    runs.
 
     Only these entry points are looked up, not the nodes the walk below
     them visits, and a basic pattern is cheaper to evaluate than to look
@@ -427,14 +501,14 @@ def _evaluate(pattern: Pattern, geo: LevelGeometry, state: CacheState
     ``examples/disk_spill_planning.py``, whose eight sorts at n up to
     2·10⁸ were ≈ 475 000 such nodes, runs in 0.3 s instead of 87 s."""
     if isinstance(pattern, BasicPattern):
-        return _walk(pattern, geo, state)
+        return _walk(pattern, LevelGeometry(*dims), state)
     global _hits, _misses
-    key = _MemoKey(pattern, geo, state)
+    key = _MemoKey(pattern, dims, state)
     found = _memo.get(key)
     if found is not None:
         _hits += 1
         return found
-    result = _walk(pattern, geo, state)
+    result = _walk(pattern, LevelGeometry(*dims), state)
     key.kept = True
     with _memo_lock:
         _misses += 1
@@ -442,12 +516,21 @@ def _evaluate(pattern: Pattern, geo: LevelGeometry, state: CacheState
     return result
 
 
+def _share_dims(parts: "list[Pattern] | tuple[Pattern, ...]",
+                dims: tuple[int, float, float]
+                ) -> list[tuple[int, float, float]]:
+    """Eq. 5.3: the geometry each concurrent part sees — its footprint's
+    share of ``dims`` — as ``(line_size, capacity, num_lines)``."""
+    line_size, capacity, num_lines = dims
+    return [scaled_dims(line_size, capacity, num_lines, max(fraction, 1e-9))
+            for fraction in cache_shares(parts, line_size)]
+
+
 def _shared(parts: "list[Pattern] | tuple[Pattern, ...]",
             geo: LevelGeometry) -> list[LevelGeometry]:
-    """Eq. 5.3: the geometry each concurrent part sees — its footprint's
-    share of ``geo``."""
-    return [geo.scaled(max(fraction, 1e-9))
-            for fraction in cache_shares(parts, geo.line_size)]
+    """:func:`_share_dims` as built geometries, for the walk."""
+    return [LevelGeometry(*dims) for dims in _share_dims(
+        parts, (geo.line_size, geo.capacity, geo.num_lines))]
 
 
 def _walk(pattern: Pattern, geo: LevelGeometry, state: CacheState

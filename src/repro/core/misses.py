@@ -105,19 +105,32 @@ class LevelGeometry:
     @classmethod
     def of(cls, level) -> "LevelGeometry":
         """The whole, undivided geometry of a cache ``level``."""
-        return cls(level.line_size, float(level.capacity),
-                   float(level.num_lines))
+        return cls(*level_dims(level))
 
     def scaled(self, fraction: float) -> "LevelGeometry":
         """This geometry with only ``fraction`` of capacity and lines
         (the ⊙ cache-sharing rule, Eq. 5.3)."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        return LevelGeometry(
-            line_size=self.line_size,
-            capacity=max(float(self.line_size), self.capacity * fraction),
-            num_lines=max(1.0, self.num_lines * fraction),
-        )
+        return LevelGeometry(*scaled_dims(
+            self.line_size, self.capacity, self.num_lines, fraction))
+
+
+def level_dims(level) -> tuple[int, float, float]:
+    """``(line_size, capacity, num_lines)`` of a whole cache ``level``:
+    the plain values of :meth:`LevelGeometry.of`."""
+    return level.line_size, float(level.capacity), float(level.num_lines)
+
+
+def scaled_dims(line_size: int, capacity: float, num_lines: float,
+                fraction: float) -> tuple[int, float, float]:
+    """``(line_size, capacity, num_lines)`` of ``fraction`` of a level
+    (Eq. 5.3): never less than one line.  :meth:`LevelGeometry.scaled`
+    and the ⊙ pricing path of :mod:`repro.core.cost`, which asks the
+    miss memo with these plain values and builds a geometry only when
+    the memo must evaluate, both scale with this one expression."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    return (line_size, max(float(line_size), capacity * fraction),
+            max(1.0, num_lines * fraction))
 
 
 # ----------------------------------------------------------------------

@@ -963,7 +963,13 @@ class QueryPlan:
         return self.access_pattern
 
     def cpu_cycles(self) -> float:
-        """Whole-plan calibrated CPU cycles (shared Eq. 6.1 constants)."""
+        """Whole-plan calibrated CPU cycles (shared Eq. 6.1 constants),
+        summed once like :attr:`access_pattern`: a cached plan is priced
+        by every model that admits or sweeps it."""
+        return self._cpu_cycles
+
+    @cached_property
+    def _cpu_cycles(self) -> float:
         return sum(node.cpu_cycles() for node in self.root.walk())
 
     def estimate(self, model: CostModel,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from ..core.cost import CostModel, remember
@@ -39,7 +40,11 @@ __all__ = ["CoRunPrediction", "InterferenceModel"]
 
 @dataclass(frozen=True)
 class CoRunPrediction:
-    """The ⊙ model's verdict on one co-run batch."""
+    """The ⊙ model's verdict on one co-run batch.
+
+    Immutable, so each total below is derived on its first read and
+    kept: admission reads a candidate batch's makespan at every
+    comparison, and the ⊙ memo hands the same prediction out again."""
 
     #: Per-member memory time under the ⊙ cache division (inflated).
     memory_ns: tuple[float, ...]
@@ -48,26 +53,28 @@ class CoRunPrediction:
     #: Per-member *standalone* memory time (whole cache to itself).
     solo_memory_ns: tuple[float, ...]
 
-    @property
+    @cached_property
     def batch_memory_ns(self) -> float:
-        """Total memory time of the batch under ⊙ — identical to
-        ``estimate(Conc.of(*patterns)).memory_ns``."""
+        """Total memory time of the batch under ⊙: equal to
+        ``estimate(Conc.of(*patterns)).memory_ns`` up to float summation
+        order (this adds per member what the compound adds per level),
+        so the two may differ in the last bit."""
         return sum(self.memory_ns)
 
-    @property
+    @cached_property
     def serial_memory_ns(self) -> float:
         """Total memory time if the members ran one after another, each
         from a cold cache."""
         return sum(self.solo_memory_ns)
 
-    @property
+    @cached_property
     def slowdown(self) -> float:
         """Predicted contention factor: ⊙ memory time over serial
         memory time (≥ 1 up to model noise; 1 means no interference)."""
         serial = self.serial_memory_ns
         return self.batch_memory_ns / serial if serial > 0 else 1.0
 
-    @property
+    @cached_property
     def makespan_ns(self) -> float:
         """Predicted completion time of the batch (see module
         docstring): shared-hierarchy memory time serializes, CPU
@@ -106,7 +113,13 @@ class InterferenceModel:
         # the result tuples and the float summation order — and every
         # value holds its plans so the ids stay unambiguous.  A server's compile
         # workers price concurrently with its dispatcher, so the memos
-        # change only under the lock; hits stay lock-free.
+        # change only under the lock; hits stay lock-free.  Below these,
+        # a composition this model has not priced yet is still
+        # arithmetic on remembered misses: the members' miss pairs come
+        # from the process-wide miss memo of repro.core.cost, asked with
+        # plain geometry values, and CostModel.concurrent_memory_ns
+        # scores them with this machine's latencies without building a
+        # per-level estimate.
         self._solo: dict[int, tuple[QueryPlan, float, float]] = {}
         self._co_runs: dict[tuple[int, ...],
                             tuple[tuple[QueryPlan, ...], CoRunPrediction]] = {}
@@ -157,8 +170,7 @@ class InterferenceModel:
             # No competition: at most one member touches memory.
             return CoRunPrediction(memory_ns=solo, cpu_ns=cpu,
                                    solo_memory_ns=solo)
-        shared = self.model.concurrent_estimates(present)
-        times = iter(e.memory_ns for e in shared)
+        times = iter(self.model.concurrent_memory_ns(present))
         memory = tuple(0.0 if pat is None else next(times)
                        for pat in patterns)
         return CoRunPrediction(memory_ns=memory, cpu_ns=cpu,

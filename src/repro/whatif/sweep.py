@@ -10,9 +10,11 @@ stream purely with the cost model:
 * standalone cost per query from the whole-plan pattern (Eq. 6.1),
 * co-run batches decided by the very :class:`~repro.service.Stepper`
   and admission rule the server runs,
-* each batch priced by
-  :meth:`~repro.core.CostModel.concurrent_estimates` through
-  :meth:`~repro.service.InterferenceModel.co_run` (Eq. 5.3), with
+* each batch priced through
+  :meth:`~repro.service.InterferenceModel.co_run` (Eq. 5.3) by
+  :meth:`~repro.core.CostModel.concurrent_memory_ns` — each member's
+  ``concurrent_estimates`` memory time, summed straight from the miss
+  memo's pairs without building the estimates — with
   ``makespan = max(Σ mem_i, max_i (cpu_i + mem_i))``.
 
 Candidates that differ only in ``cores`` are one machine: a sweep

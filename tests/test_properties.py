@@ -8,8 +8,8 @@ with hypothesis-driven properties under the pinned ``repro`` profile
   ``None``-absorbing,
 * ``cache_shares`` is a probability distribution proportional to
   footprints, and the per-part ⊙ attribution of
-  ``CostModel.concurrent_estimates`` sums exactly to the compound
-  ``Conc`` estimate (Eq. 5.3 conserves total cost),
+  ``CostModel.concurrent_estimates`` sums to the compound ``Conc``
+  estimate up to float summation order (Eq. 5.3 conserves total cost),
 * ``canonical_key`` is a pure function of the logical tree's *content*
   — rebuilding a tree from the same spec yields the same key, changing
   any oracle hint changes it,
@@ -153,8 +153,11 @@ class TestConcDivision:
                               pattern_tree_st(depth=1)),
                     min_size=2, max_size=4))
     def test_per_part_attribution_sums_to_compound(self, parts):
-        """The workload service's contract: per-member ⊙ costs sum
-        exactly to the co-run batch's compound estimate."""
+        """The workload service's contract: per-member ⊙ costs sum to
+        the co-run batch's compound estimate, equal up to float
+        summation order (the compound adds its parts' misses per level
+        before scoring them, the members are scored one by one and
+        added), so the last bit may differ."""
         # a top-level Conc part would flatten inside Conc.of and change
         # the division's arity — the attribution API takes the parts as
         # the batch members, so feed it non-Conc members
