@@ -49,8 +49,7 @@ def _serve(mode, clients, n_queries, scale, rate_qps):
     shedding so policy makespans are comparable like for like."""
 
     async def main():
-        server = QueryServer(mode=mode, max_workers=4, max_batch=4,
-                             max_queue=512)
+        server = QueryServer(mode=mode, max_batch=4, max_queue=512)
         for name in TENANTS:
             tenant = server.add_tenant(
                 name, TenantQuota(max_queued=256))

@@ -55,8 +55,8 @@ def _serve(tracer, n_queries, scale):
     returns ``(report, responses)``."""
 
     async def main():
-        server = QueryServer(mode="interference-aware", max_workers=4,
-                             max_batch=4, max_queue=512, tracer=tracer)
+        server = QueryServer(mode="interference-aware", max_batch=4,
+                             max_queue=512, tracer=tracer)
         for name in TENANTS:
             tenant = server.add_tenant(name,
                                        TenantQuota(max_queued=256))
@@ -78,8 +78,7 @@ def _drift_run():
     tracer = Tracer()
 
     async def main():
-        server = QueryServer(mode="fifo-serial", max_workers=2,
-                             tracer=tracer)
+        server = QueryServer(mode="fifo-serial", tracer=tracer)
         tenant = server.add_tenant("acme")
         tenant.session.create_table(
             "orders", random_permutation(1024, seed=1))

@@ -25,7 +25,7 @@ from repro.service import WorkloadGenerator
 
 async def main() -> None:
     server = QueryServer(
-        mode="interference-aware", max_workers=4, max_batch=4,
+        mode="interference-aware", max_batch=4,
         slo=SloTarget(p95_ns=5e6),          # hold p95 under 5 ms
         tenant_slos={"acme": SloTarget(p99_ns=8e6)})
 

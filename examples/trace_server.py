@@ -34,8 +34,8 @@ OUT_DIR = pathlib.Path(__file__).parent / "trace_out"
 
 async def serve_traced(tracer: Tracer) -> None:
     """A contention-heavy two-tenant stream through the traced server."""
-    server = QueryServer(mode="interference-aware", max_workers=4,
-                         max_batch=4, max_queue=512, tracer=tracer)
+    server = QueryServer(mode="interference-aware", max_batch=4,
+                         max_queue=512, tracer=tracer)
     for name in ("acme", "globex"):
         tenant = server.add_tenant(name, TenantQuota(max_queued=256))
         gen = WorkloadGenerator.contention_heavy(
@@ -55,7 +55,7 @@ async def provoke_drift(tracer: Tracer) -> None:
     every operator's predicted-vs-measured error reaches the drift
     monitor — including the pinned small-n permutation-join overshoot
     (the model underpredicts hash_join by ~0.42 at n = 1024)."""
-    server = QueryServer(mode="fifo-serial", max_workers=2, tracer=tracer)
+    server = QueryServer(mode="fifo-serial", tracer=tracer)
     tenant = server.add_tenant("acme")
     tenant.session.create_table("orders", random_permutation(1024, seed=1))
     tenant.session.create_table("customers",

@@ -62,8 +62,8 @@ def main() -> None:
     from repro.service import WorkloadGenerator
 
     async def serve():
-        server = QueryServer(mode="interference-aware", max_workers=4,
-                             max_batch=4, max_queue=256)
+        server = QueryServer(mode="interference-aware", max_batch=4,
+                             max_queue=256)
         tenant = server.add_tenant("acme", TenantQuota(max_queued=128))
         gen = WorkloadGenerator.contention_heavy(session=tenant.session,
                                                  seed=7, scale=256)

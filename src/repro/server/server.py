@@ -4,35 +4,35 @@ the :class:`~repro.server.dispatcher.Dispatcher`.
 :class:`QueryServer` turns the offline cost-model stack into a
 long-lived service: text-frontend queries arrive (open-loop, stamped
 by an arrival process or live via :meth:`~QueryServer.submit`), are
-compiled on a bounded worker pool through per-tenant plan caches
-(thread-safe since :meth:`~repro.session.PlanCache.get_or_compute`),
-wait in the admission controller's bounded queue, and execute as
-⊙-guided co-run batches on the one simulated machine.  Everything on
-the simulated clock — every decision, execution and account — is the
-dispatcher's; this module only moves work and results between the
-event-loop thread and the pool.
+compiled through per-tenant plan caches, wait in the admission
+controller's bounded queue, and execute as ⊙-guided co-run batches on
+the one simulated machine.  Everything on the simulated clock — every
+decision, execution and account — is the dispatcher's; this module
+only moves work and results between the event-loop thread and one
+worker thread (compiles and batches are pure Python, so under the
+interpreter lock a second worker would only take turns with the
+first).
 
-The event-loop thread and the worker pool meet at a boundary that is
-expensive to cross (a pipe write and an interpreter hand-over each
-time), so both directions cross it in runs.  In: accepted queries wait
-in a queue and *compile runs* on the pool — up to one per worker, so
-compiles genuinely overtake each other — take them oldest first,
-compile, and hand each result to an inbox themselves; a compile run
-tells the loop thread once, as it ends.  The dispatch run is one
-function, :meth:`QueryServer._run`, that a pool worker runs *until it
-is blocked*: it steps the dispatcher for as long as the simulated
-clock can advance, telling it each time which staged queries are new
-and the earliest arrival still compiling, so the event loop pays one
-hand-off per decidable run, not one per batch.  Out: the run hands
-resolved responses to the loop thread after its first batch, when it
-returns, and in between at most once per interpreter switch interval
-(the granularity at which threads alternate anyway), so a client wakes
-within one switch interval of its batch, and at once when it is alone
-on the server.  The run returns — it never waits inside the worker —
-when a query due by its decision time is still compiling or nothing is
-staged or queued, and the compile run that stages that query starts
-the next run.  Which batches form never depends on any of this
-timing: that is the dispatcher's contract.
+The two threads meet at a boundary that is expensive to cross (a pipe
+write and an interpreter hand-over each time), so both directions
+cross it in runs.  In: :meth:`~QueryServer.submit_nowait` puts each
+accepted query on a heap ordered by ``(arrival_ns, qid)`` and wakes
+the worker — on the loop thread, so accepting crosses nothing.  A run,
+:meth:`QueryServer._run`, compiles every accepted query, oldest first,
+and steps the dispatcher for as long as the simulated clock can
+advance, passing the earliest arrival still accepted as
+``blocked_from``: a query accepted while the run steps holds every
+decision at or after its arrival until the same run has compiled it.
+So the event loop pays one hand-off per decidable run, not one per
+query or batch.  Out: the run hands resolved responses to the loop
+thread after its first batch, when it returns, and in between at most
+once per interpreter switch interval (the granularity at which threads
+alternate anyway), so a client wakes within one switch interval of its
+batch, and at once when it is alone on the server.  The run returns —
+it never waits inside the worker — when nothing is accepted, staged or
+queued; the next submission starts the next run.  Which batches form
+never depends on any of this timing: that is the dispatcher's
+contract.
 
 Every future the server hands out resolves to a
 :class:`~repro.server.ServerResponse` — ``"ok"``, ``"shed"`` or
@@ -48,13 +48,11 @@ import asyncio
 import sys
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from heapq import heappop, heappush
 
 from ..hardware.hierarchy import MemoryHierarchy
 from ..obs import Tracer
-from ..service.core import Task
 from ..service.workload import WorkloadQuery
 from .dispatcher import Dispatcher, ServerResponse, _planless
 from .slo import SloTarget
@@ -66,32 +64,30 @@ __all__ = ["QueryServer"]
 class QueryServer(Dispatcher):
     """An asyncio query server over per-tenant session stacks: a
     :class:`~repro.server.dispatcher.Dispatcher` (every parameter but
-    one is its) stepped by a worker pool.
+    one is its) stepped by one worker thread.
 
     Parameters
     ----------
     max_workers:
-        Worker-pool width, shared by the compile runs (up to
-        ``max_workers`` of them at once) and the dispatch run; they
-        take turns at one worker too.
+        Has no effect: the server runs one worker thread, whatever the
+        value (values below 1 are still rejected).  It stays in the
+        signature only because the host-performance benchmark under
+        ``benchmarks/perf`` still passes it, and that directory changes
+        only with the next change to the benchmark itself (ROADMAP
+        item 7), which drops the keyword there and here together.
 
-    Who owns what (nothing else is locked): the *event-loop thread*
-    owns the response futures, ``_outstanding`` and ``_idle``; the
-    *run* (:meth:`_run`, one at a time, on a pool worker) owns the
-    dispatcher — the simulated clock, the run queue, the accounting,
-    the tracer and the replay machine.  Shared under ``_stage_lock``:
-    the accepted queue (:meth:`submit_nowait` appends on the loop
-    thread, compile runs pop), the count of compile runs
-    (``submit_nowait`` starts one while there are fewer than workers, a
-    run ends itself or queues its successor), the compiling set
-    (``submit_nowait`` adds, compile runs remove) and the inbox of
-    compiled tasks (compile runs append, the run empties it into the
-    dispatcher); :meth:`stop` raises ``_stopping`` under it too, so no
-    compile run queues a successor into a pool that is shutting down.
-    Undelivered posts — ``(future, response)`` pairs — belong to the
-    run that accumulates them until it hands the whole list to
-    :meth:`_deliver` on the loop thread and starts a new one.  Read
-    :meth:`report` after :meth:`drain`, when no run is in flight.
+    Who owns what: the *event-loop thread* owns the response futures,
+    ``_outstanding``, ``_idle`` and ``_wake``; the *run* (:meth:`_run`,
+    on the worker) owns the dispatcher — the simulated clock, the
+    stepper, the run queue, the accounting, the tracer and the replay
+    machine.  The one thing shared is the accepted heap, under
+    ``_lock``: :meth:`submit_nowait` pushes, the run pops.
+    :meth:`stop` raises ``_stopping``, which the run reads at every
+    batch and compile boundary.  Undelivered posts — ``(future,
+    response)`` pairs — belong to the run that accumulates them until
+    it hands the whole list to :meth:`_deliver` on the loop thread and
+    starts a new one.  Read :meth:`report` after :meth:`drain`, when no
+    run is in flight.
     """
 
     def __init__(self, hierarchy: MemoryHierarchy | None = None, *,
@@ -107,37 +103,26 @@ class QueryServer(Dispatcher):
                          max_queue=max_queue, slo=slo,
                          tenant_slos=tenant_slos, tracer=tracer,
                          recalibration=recalibration)
-        self.max_workers = max_workers
         # runtime state (created by start())
-        self._pool: ThreadPoolExecutor | None = None
+        self._worker: ThreadPoolExecutor | None = None
         self._dispatch_task: asyncio.Task | None = None
         self._wake: asyncio.Event | None = None
         self._idle: asyncio.Event | None = None
         self._stopping = False
         self._outstanding = 0
-        # shared between the loop thread and the run, under the lock:
-        self._stage_lock = threading.Lock()
-        #: Compiled tasks the run has not handed to the dispatcher yet.
-        self._inbox: list[Task] = []
-        #: qids accepted and not yet compiled (or failed), and a heap of
-        #: their ``(arrival_ns, qid)`` that finished compiles leave
-        #: lazily.
-        self._compiling: set[int] = set()
-        self._compiling_order: list[tuple[float, int]] = []
-        #: ``(tenant, query, future)`` accepted and not yet taken by a
-        #: compile run, and how many compile runs the pool holds.
-        self._accepted: deque[tuple[Tenant, WorkloadQuery,
-                                    asyncio.Future]] = deque()
-        self._compile_runs = 0
+        #: A heap of ``(arrival_ns, qid, tenant, query, future)``
+        #: accepted and not yet compiled, shared under ``_lock``.
+        self._lock = threading.Lock()
+        self._accepted: list[tuple[float, int, Tenant, WorkloadQuery,
+                                   asyncio.Future]] = []
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> "QueryServer":
-        """Create the worker pool and the dispatcher; idempotent."""
+        """Create the worker thread and the dispatch loop; idempotent."""
         if self._dispatch_task is not None:
             return self
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.max_workers,
-            thread_name_prefix="repro-server")
+        self._worker = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-server")
         self._wake = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
@@ -146,15 +131,13 @@ class QueryServer(Dispatcher):
         return self
 
     async def stop(self) -> None:
-        """Stop dispatching and release the pool: a run in flight
-        returns at its next batch boundary, a compile run after the
-        compile it is in.  Then every query still accepted, compiling,
-        staged or queued resolves as an error with stage
-        ``"stopped"``, and :meth:`drain` returns once the runs' last
-        posts have landed (call :meth:`drain` first to serve them
-        all)."""
-        with self._stage_lock:  # compile runs queue successors under it
-            self._stopping = True
+        """Stop dispatching and release the worker: a run in flight
+        returns at its next batch or compile boundary.  Then every
+        query still accepted, staged or queued resolves as an error
+        with stage ``"stopped"``, and :meth:`drain` returns once the
+        run's last posts have landed (call :meth:`drain` first to serve
+        them all)."""
+        self._stopping = True
         if self._dispatch_task is not None:
             self._dispatch_task.cancel()
             try:
@@ -162,22 +145,19 @@ class QueryServer(Dispatcher):
             except asyncio.CancelledError:
                 pass
             self._dispatch_task = None
-        if self._pool is None:
+        if self._worker is None:
             return
-        self._pool.shutdown(wait=True)
-        self._pool = None
-        # no worker is left: the loop thread owns the dispatcher now
+        self._worker.shutdown(wait=True)
+        self._worker = None
+        # no run is left: the loop thread owns the dispatcher now
         accepted = []
-        for tenant, query, response in self._accepted:
+        for _, _, tenant, query, response in self._accepted:
             task = _planless(tenant.name, query)
             task.handle = response
             accepted.append(task)
         self._accepted.clear()
-        self._compiling.clear()
-        self._compiling_order.clear()
-        pending, self._inbox = accepted + self._inbox, []
         self._deliver([(task.handle, response)
-                       for task, response in self._stop(pending)])
+                       for task, response in self._stop(accepted)])
 
     async def __aenter__(self) -> "QueryServer":
         return await self.start()
@@ -187,7 +167,7 @@ class QueryServer(Dispatcher):
 
     async def drain(self) -> None:
         """Wait until every submitted query has been resolved (served,
-        shed or failed) — then nothing is compiling, staged or queued
+        shed or failed) — then nothing is accepted, staged or queued
         either, for each of those holds an unresolved future."""
         assert self._idle is not None, "server not started"
         await self._idle.wait()
@@ -203,25 +183,19 @@ class QueryServer(Dispatcher):
         whichever batch boundary the run has reached by now: a client
         reacting to a response sees it up to a switch interval after
         its batch, so possibly a few batches on).  The query joins the
-        accepted queue; a compile run picks it up."""
-        if self._pool is None or self._wake is None:
+        accepted heap; the run in flight, or the next one, compiles
+        it."""
+        if self._worker is None or self._wake is None:
             raise RuntimeError("server not started (use `async with "
                                "QueryServer(...)` or await start())")
         owner, query = self.accept(tenant, text, kind, arrival_ns)
-        loop = asyncio.get_running_loop()
-        response: asyncio.Future = loop.create_future()
+        response = asyncio.get_running_loop().create_future()
         self._outstanding += 1
         self._idle.clear()
-        with self._stage_lock:
-            self._compiling.add(query.qid)
-            heappush(self._compiling_order,
-                     (query.arrival_ns, query.qid))
-            self._accepted.append((owner, query, response))
-            start = self._compile_runs < self.max_workers
-            if start:
-                self._compile_runs += 1
-        if start:
-            self._pool.submit(self._compile_run, loop)
+        with self._lock:
+            heappush(self._accepted,
+                     (query.arrival_ns, query.qid, owner, query, response))
+        self._wake.set()
         return response
 
     async def submit(self, tenant: str, text: str, kind: str = "adhoc",
@@ -248,39 +222,60 @@ class QueryServer(Dispatcher):
         return sorted(responses, key=lambda r: r.qid)
 
     # -- worker side -------------------------------------------------
-    def _compile_run(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Pool worker: compile accepted queries, oldest first, and
-        put each in the inbox as it finishes — the admission
-        (quota/shedding) decision is the dispatcher's, made on the
-        simulated clock, so queue state never depends on how compile
-        runs raced; a compile that raises (bad query text, planner
-        error) is a task the dispatcher fails at its arrival.  Ends
-        when nothing is left, the server is stopping, or its slice is
-        used up with more accepted — then it queues its successor
-        *behind* whatever the pool already holds, so a one-worker pool
-        under continuous submission still alternates with the dispatch
-        run.  One crossing to the loop thread per run: the dispatcher's
-        wake-up."""
-        deadline = time.monotonic() + sys.getswitchinterval()
-        taken = 0
-        while True:
-            with self._stage_lock:
-                if not self._accepted or self._stopping:
-                    self._compile_runs -= 1
-                    break
-                # at least one query per run, however short the slice
-                if taken and time.monotonic() >= deadline:
-                    self._pool.submit(self._compile_run, loop)
-                    break
-                tenant, query, response = self._accepted.popleft()
-                taken += 1
+    def _compile_accepted(self) -> None:
+        """Worker: take every accepted query under the lock, compile
+        them oldest first and stage each with the dispatcher — a query
+        accepted meanwhile waits for the next take, so a client that
+        keeps submitting cannot hold the run in compiles.  A compile
+        that raises (bad query text, planner error) is a task the
+        dispatcher fails at its arrival.  Once the server is stopping,
+        what is left uncompiled goes back to the heap for :meth:`stop`
+        to fail."""
+        with self._lock:
+            taken, self._accepted = self._accepted, []
+        while taken:
+            if self._stopping:
+                with self._lock:
+                    for entry in taken:
+                        heappush(self._accepted, entry)
+                return
+            _, _, tenant, query, response = heappop(taken)
             task = self._compile(tenant, query)
             task.handle = response
-            with self._stage_lock:
-                self._compiling.remove(query.qid)
-                self._inbox.append(task)
-        if taken:
-            loop.call_soon_threadsafe(self._wake.set)
+            self.stepper.stage(task)
+
+    def _run(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Worker: step the dispatcher — decide, form, execute and
+        account batch after batch — until the simulated clock cannot
+        advance (see :meth:`~Dispatcher.step`) with nothing accepted,
+        or the server is stopping.  Each step is blocked from the
+        earliest arrival still accepted; when it is, the run compiles
+        what was accepted and steps again.  Resolved futures are handed
+        to the loop thread after the first batch (a client alone on
+        the server waits for nothing else), when the run returns, and
+        in between at most once per interpreter switch interval — the
+        loop thread cannot take over from this one more often than
+        that anyway."""
+        posts: list = []
+        hand_over = 0.0  # time.monotonic() after which posts cross
+        while not self._stopping:
+            with self._lock:
+                accepted = self._accepted
+                blocked_from = accepted[0][0] if accepted else None
+            resolved = self.step((), blocked_from)
+            if resolved is None:
+                if blocked_from is None:
+                    break
+                self._compile_accepted()
+                continue
+            posts.extend((task.handle, outcome)
+                         for task, outcome in resolved)
+            if posts and (wall := time.monotonic()) >= hand_over:
+                loop.call_soon_threadsafe(self._deliver, posts)
+                posts = []
+                hand_over = wall + sys.getswitchinterval()
+        if posts:
+            loop.call_soon_threadsafe(self._deliver, posts)
 
     # -- loop side ----------------------------------------------------
     def _deliver(self, posts: list) -> None:
@@ -293,41 +288,11 @@ class QueryServer(Dispatcher):
         if self._outstanding == 0:
             self._idle.set()
 
-    def _run(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Pool worker: step the dispatcher — decide, form, execute and
-        account batch after batch — until the simulated clock cannot
-        advance (see :meth:`~Dispatcher.step`) or the server is
-        stopping.  Resolved futures are handed to the loop thread after
-        the first batch (a client alone on the server waits for nothing
-        else), when the run returns, and in between at most once per
-        interpreter switch interval — the loop thread cannot take over
-        from this one more often than that anyway.  Never waits: a run
-        blocked on a compile returns, and the compile run that stages
-        it starts the next one."""
-        posts: list = []
-        hand_over = 0.0  # time.monotonic() after which posts cross
-        compiling = self._compiling_order
-        while not self._stopping:
-            with self._stage_lock:
-                compiled, self._inbox = self._inbox, []
-                while compiling and compiling[0][1] not in self._compiling:
-                    heappop(compiling)
-                blocked_from = compiling[0][0] if compiling else None
-            resolved = self.step(compiled, blocked_from)
-            if resolved is None:
-                break
-            posts.extend((task.handle, outcome)
-                         for task, outcome in resolved)
-            if posts and (wall := time.monotonic()) >= hand_over:
-                loop.call_soon_threadsafe(self._deliver, posts)
-                posts = []
-                hand_over = wall + sys.getswitchinterval()
-        if posts:
-            loop.call_soon_threadsafe(self._deliver, posts)
-
     async def _dispatch_loop(self) -> None:
+        """Loop thread: start a run on the worker whenever a submission
+        has come in since the last one started."""
         loop = asyncio.get_running_loop()
         while True:
             await self._wake.wait()
             self._wake.clear()
-            await loop.run_in_executor(self._pool, self._run, loop)
+            await loop.run_in_executor(self._worker, self._run, loop)

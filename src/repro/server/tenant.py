@@ -1,4 +1,4 @@
-"""Per-tenant state: catalog, plan cache, quotas, worker sessions.
+"""Per-tenant state: catalog, plan cache, quotas, the worker session.
 
 A tenant is a *hard isolation* unit: it owns a root
 :class:`~repro.session.Session` with its own
@@ -10,9 +10,10 @@ machine (the server's :class:`~repro.hardware.MemoryHierarchy`), which
 is exactly the multi-tenant bargain: isolated state, contended
 hardware.
 
-Worker threads get per-thread :meth:`~repro.session.Session.spawn`-ed
-client sessions over the tenant's engine and cache, keeping compile
-provenance (hit/miss) per worker while plans are shared tenant-wide.
+The server's one worker thread compiles through a
+:meth:`~repro.session.Session.spawn`-ed client session over the
+tenant's engine and cache, so compile provenance (hit/miss) is the
+worker's own while plans are shared tenant-wide.
 
 Because every :class:`~repro.db.Database` allocates from the same base
 address, different tenants' traces would alias in a co-run replay —
@@ -26,7 +27,6 @@ sharing.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from ..hardware.hierarchy import MemoryHierarchy
@@ -75,8 +75,7 @@ class Tenant:
         self.session = Session(
             hierarchy=hierarchy,
             cache=PlanCache(max_entries=self.quota.plan_cache_entries))
-        self._workers: dict[int, Session] = {}
-        self._workers_lock = threading.Lock()
+        self._worker: Session | None = None
         # serving counters (maintained by the server)
         self.submitted = 0
         self.completed = 0
@@ -101,15 +100,13 @@ class Tenant:
         return self.index * TENANT_ADDRESS_STRIDE
 
     def worker_session(self) -> Session:
-        """The calling worker thread's spawned client session over this
-        tenant's engine and plan cache (created on first use; compile
-        provenance stays per thread)."""
-        ident = threading.get_ident()
-        with self._workers_lock:
-            session = self._workers.get(ident)
-            if session is None:
-                session = self._workers[ident] = self.session.spawn()
-            return session
+        """The spawned client session every compile of this tenant's
+        queries goes through, over its engine and plan cache — spawned
+        on first use, so it copies the predicates registered by then,
+        and never again (one thread compiles, so nothing is locked)."""
+        if self._worker is None:
+            self._worker = self.session.spawn()
+        return self._worker
 
     def set_hierarchy(self, hierarchy: MemoryHierarchy) -> None:
         """Switch *this tenant's* machine profile (e.g. after a

@@ -111,15 +111,15 @@ class InterferenceModel:
         # composition's ⊙ cost ever changes.  Keys are plan ids — for a
         # composition the *ordered* tuple, since member order fixes both
         # the result tuples and the float summation order — and every
-        # value holds its plans so the ids stay unambiguous.  A server's compile
-        # workers price concurrently with its dispatcher, so the memos
-        # change only under the lock; hits stay lock-free.  Below these,
-        # a composition this model has not priced yet is still
-        # arithmetic on remembered misses: the members' miss pairs come
-        # from the process-wide miss memo of repro.core.cost, asked with
-        # plain geometry values, and CostModel.concurrent_memory_ns
-        # scores them with this machine's latencies without building a
-        # per-level estimate.
+        # value holds its plans so the ids stay unambiguous.  Client
+        # threads with spawned sessions may price through one model at
+        # once, so the memos change only under the lock; hits stay
+        # lock-free.  Below these, a composition this model has not
+        # priced yet is still arithmetic on remembered misses: the
+        # members' miss pairs come from the process-wide miss memo of
+        # repro.core.cost, asked with plain geometry values, and
+        # CostModel.concurrent_memory_ns scores them with this machine's
+        # latencies without building a per-level estimate.
         self._solo: dict[int, tuple[QueryPlan, float, float]] = {}
         self._co_runs: dict[tuple[int, ...],
                             tuple[tuple[QueryPlan, ...], CoRunPrediction]] = {}

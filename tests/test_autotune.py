@@ -426,8 +426,8 @@ def _recalibrating_run(n=1024, queries=5, traced=True):
 
     async def main():
         tracer = Tracer() if traced else None
-        server = QueryServer(mode="fifo-serial", max_workers=1,
-                             tracer=tracer, recalibration=traced)
+        server = QueryServer(mode="fifo-serial", tracer=tracer,
+                             recalibration=traced)
         tenant = server.add_tenant("acme")
         tenant.session.create_table("orders",
                                     random_permutation(n, seed=1))

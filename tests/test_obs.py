@@ -251,8 +251,8 @@ def _traced_run(tracer, n=8, scale=256, mode="interference-aware",
     """One seeded two-tenant serving run, optionally traced."""
 
     async def main():
-        server = QueryServer(mode=mode, max_workers=4, max_batch=4,
-                             max_queue=512, tracer=tracer)
+        server = QueryServer(mode=mode, max_batch=4, max_queue=512,
+                             tracer=tracer)
         for name in ("acme", "globex"):
             tenant = server.add_tenant(name, TenantQuota(max_queued=256))
             gen = WorkloadGenerator(tenant.session, scale=scale, seed=7)

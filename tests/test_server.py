@@ -318,18 +318,20 @@ class TestTenant:
         for level in machine.levels:
             assert TENANT_ADDRESS_STRIDE % level.line_size == 0
 
-    def test_worker_sessions_are_per_thread(self):
+    def test_one_worker_session_for_every_thread(self):
         tenant = Tenant("a", 0, tiny_test_machine())
+        tenant.session.predicate("small", lambda v: v < 10)
         main = tenant.worker_session()
-        assert tenant.worker_session() is main  # same thread: same one
         seen = []
         thread = threading.Thread(
             target=lambda: seen.append(tenant.worker_session()))
         thread.start()
         thread.join()
-        assert seen[0] is not main
-        assert seen[0].db is tenant.db  # but over the same engine
-        assert seen[0].plan_cache is tenant.plan_cache
+        assert seen == [main]  # spawned once, whichever thread asks
+        assert main is not tenant.session
+        assert main.db is tenant.db  # but over the same engine
+        assert main.plan_cache is tenant.plan_cache
+        assert "small" in main._functions  # what was registered by then
 
 
 class TestTenantIsolation:
@@ -398,8 +400,7 @@ def _serving_run(mode="interference-aware", n=16, rate_qps=12000.0,
     quotas = quotas or {}
 
     async def main():
-        server = QueryServer(mode=mode, max_workers=4, slo=slo,
-                             **server_kw)
+        server = QueryServer(mode=mode, slo=slo, **server_kw)
         for name in tenants:
             tenant = server.add_tenant(name, quotas.get(name))
             gen = WorkloadGenerator(tenant.session, scale=scale, seed=7)
@@ -493,7 +494,7 @@ class TestQueryServer:
 
     def test_live_submit_and_error_path(self):
         async def main():
-            server = QueryServer(max_workers=2)
+            server = QueryServer()
             tenant = server.add_tenant("solo")
             tenant.session.create_table("t", list(range(64)))
             tenant.session.predicate("small", lambda v: v < 10)

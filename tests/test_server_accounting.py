@@ -65,15 +65,15 @@ def _stream():
 
 
 def _overload_run():
-    """Serve :func:`_stream` traced, on one worker (compiles finish in
-    submission order, so plan-cache provenance is pinned too).
+    """Serve :func:`_stream` traced (the server's one worker compiles
+    in arrival order, so plan-cache provenance is pinned too).
     Returns the server, the tracer and every future's response, in
     submission order."""
     tracer = Tracer()
 
     async def main():
-        server = QueryServer(mode="interference-aware", max_workers=1,
-                             max_queue=4, tracer=tracer)
+        server = QueryServer(mode="interference-aware", max_queue=4,
+                             tracer=tracer)
         for name in TENANTS:
             tenant = server.add_tenant(name, TenantQuota(max_queued=3))
             WorkloadGenerator(tenant.session, scale=SCALE, seed=7)

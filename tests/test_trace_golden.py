@@ -51,8 +51,7 @@ def _traced_trace() -> Tracer:
     tracer = Tracer()
 
     async def main():
-        server = QueryServer(mode="fifo-serial", max_workers=2,
-                             tracer=tracer)
+        server = QueryServer(mode="fifo-serial", tracer=tracer)
         tenant = server.add_tenant("acme")
         tenant.session.create_table("t", list(range(64)))
         tenant.session.predicate("even", lambda v: v % 2 == 0)

@@ -578,8 +578,7 @@ class TestServerCapacityPlan:
 
         async def main():
             server = QueryServer(mode="interference-aware",
-                                 max_workers=4, max_batch=4,
-                                 max_queue=256)
+                                 max_batch=4, max_queue=256)
             tenant = server.add_tenant("acme",
                                        TenantQuota(max_queued=128))
             gen = WorkloadGenerator.contention_heavy(
