@@ -461,11 +461,12 @@ class TestTracedRecalibrationOrder:
         assert [r.batch_index for r in responses] == [0, 1, 2, 3, 4]
 
 
-def _solo_server(max_queue=1024):
+def _solo_server(max_queue=1024, **server_kw):
     """One tenant, fifo-serial, queue and quota wide enough that
     nothing is shed; ``gate`` is a predicate whose kernel sets
     ``server.held`` and waits for ``server.gate`` to be set."""
-    return _solo(QueryServer(mode="fifo-serial", max_queue=max_queue),
+    return _solo(QueryServer(mode="fifo-serial", max_queue=max_queue,
+                             **server_kw),
                  max_queue)
 
 
@@ -514,6 +515,36 @@ def _settled(server) -> bool:
             and not server.stepper._staged and not server.admission.queue)
 
 
+def _hold_compile(server, qid):
+    """Hold query ``qid``'s compile at ``server.gate``, setting
+    ``server.held`` once it is there."""
+    compile_ = server._compile
+
+    def held(tenant, query):
+        if query.qid == qid:
+            server.held.set()
+            assert server.gate.wait(timeout=30), "the gate never opened"
+        return compile_(tenant, query)
+
+    server._compile = held
+
+
+def _log_steps(server):
+    """Record every dispatcher step the server's runs take, once it
+    has returned: the ``blocked_from`` it was passed, and what it
+    returned."""
+    steps = []
+    step = server.step
+
+    def logged(compiled=(), blocked_from=None):
+        resolved = step(compiled, blocked_from)
+        steps.append((blocked_from, resolved))
+        return resolved
+
+    server.step = logged
+    return steps
+
+
 async def _until(condition, timeout=30):
     """Yield to the loop until ``condition()`` holds."""
     async def poll():
@@ -555,15 +586,24 @@ class TestOneWorker:
         assert threads["step"] == {worker}
         assert worker != loop_thread
 
-    def test_a_query_accepted_mid_batch_is_compiled_before_it_is_passed(
-            self):
+
+
+class TestHeldCompile:
+    """A compile held back inside a running server while a later
+    arrival is already staged — the one worker busy in a batch, or
+    held at a gate in the compile itself: the run passes the earliest
+    arrival still accepted as ``blocked_from``, so it decides nothing
+    until that compile is in, and then exactly what the dispatcher
+    stepped by hand decides."""
+
+    def test_an_earlier_arrival_holds_every_decision(self):
         """The worker is held in the first batch's kernel while the
         loop submits a stale arrival (before that batch ends) and one
-        due before the far arrival already staged.  The run passes
-        the earliest arrival still accepted as ``blocked_from``, so it
-        compiles both before it decides anything after the held batch:
-        every offer and the report are those of the dispatcher stepped
-        by hand."""
+        due before the far arrival already staged.  Every step taken
+        while either is still accepted decides nothing; the run
+        compiles both before it decides anything after the held batch,
+        and every offer and the report are those of the dispatcher
+        stepped by hand."""
         far = 1e12
         early = [(GATED, 0.0), (GOOD, far)]
         late = [(GOOD, 1.0), (GOOD, far / 2)]
@@ -574,11 +614,13 @@ class TestOneWorker:
         async def main():
             server = _solo_server()
             offers = _log_offers(server)
+            steps = _log_steps(server)
             async with server:
                 futures = [server.submit_nowait("solo", text,
                                                 arrival_ns=arrival)
                            for text, arrival in early]
                 await _until(server.held.is_set)
+                mark = len(steps)
                 futures += [server.submit_nowait("solo", text,
                                                  arrival_ns=arrival)
                             for text, arrival in late]
@@ -587,10 +629,14 @@ class TestOneWorker:
                 responses = await asyncio.wait_for(
                     asyncio.gather(*futures), timeout=30)
                 await asyncio.wait_for(server.drain(), timeout=30)
-            return server, offers, pending, responses
+            return server, offers, pending, responses, steps[mark:]
 
-        server, offers, pending, responses = asyncio.run(main())
+        server, offers, pending, responses, steps = asyncio.run(main())
         assert pending == len(stream)
+        held = [resolved for blocked_from, resolved in steps
+                if blocked_from is not None]
+        assert held and all(resolved is None for resolved in held)
+        assert offers == sorted(offers)
         assert [r.batch_index for r in responses] == [0, 3, 1, 2]
         assert responses[2].start_ns == responses[0].finish_ns
 
@@ -603,13 +649,55 @@ class TestOneWorker:
         assert offers == stepped_offers
         assert simulated(server) == simulated(stepped)
 
-
-class TestFailingBatch:
-    def test_a_raising_kernel_fails_only_its_own_batch(self):
-        texts = [GOOD, GOOD, BAD, GOOD, BAD, GOOD]
+    def test_a_stale_arrival_holds_a_later_one(self):
+        """The later arrival's compile is held at the gate while the
+        stale one (stamped before the clock) is accepted; the run
+        stages the later one, decides nothing while the stale one is
+        still accepted, then serves the stale one first, at the clock
+        — what the dispatcher stepped by hand serves."""
 
         async def main():
             server = _solo_server()
+            steps = _log_steps(server)
+            async with server:
+                first = await asyncio.wait_for(
+                    server.submit("solo", GOOD, arrival_ns=0.0), timeout=30)
+                clock = server.clock_ns
+                assert clock == first.finish_ns > 0.0
+                mark = len(steps)
+                _hold_compile(server, first.qid + 1)
+                later = server.submit_nowait("solo", GOOD,
+                                             arrival_ns=clock + 1.0)
+                await _until(server.held.is_set)
+                late = server.submit_nowait("solo", GOOD,
+                                            arrival_ns=clock / 2)
+                server.gate.set()
+                late, later = await asyncio.wait_for(
+                    asyncio.gather(late, later), timeout=30)
+                await asyncio.wait_for(server.drain(), timeout=30)
+            return first, late, later, clock, steps[mark:]
+
+        first, late, later, clock, steps = asyncio.run(main())
+        held = [resolved for blocked_from, resolved in steps
+                if blocked_from == clock / 2]
+        assert held and all(resolved is None for resolved in held)
+        assert late.batch_index < later.batch_index
+        assert [_without_identity(r) for r in (first, late, later)] \
+            == [{k: v for k, v in payload.items()
+                 if k not in ("qid", "compile_ns", "cache_hit")}
+                for payload in TestStagedOutOfArrivalOrder
+                ._stale_and_later(stale_first=False)]
+
+
+class TestFailingBatch:
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_a_raising_kernel_fails_only_its_own_batch(self, max_workers):
+        """(``max_workers`` has no effect: one worker serves either
+        way.)"""
+        texts = [GOOD, GOOD, BAD, GOOD, BAD, GOOD]
+
+        async def main():
+            server = _solo_server(max_workers=max_workers)
             async with server:
                 results = await asyncio.wait_for(asyncio.gather(*(
                     server.submit_nowait("solo", text,
@@ -888,14 +976,16 @@ class TestRunUntilBlocked:
         for earlier, later in zip(responses, responses[1:]):
             assert later.arrival_ns == later.start_ns == earlier.finish_ns
 
-    def test_a_raising_compile_fails_only_its_own_query(self):
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_a_raising_compile_fails_only_its_own_query(self, max_workers):
         """One unparsable query in a stream: its response is a compile
         error at its arrival, every other query is served,
-        ``drain()`` returns."""
+        ``drain()`` returns — whatever ``max_workers`` says (it has no
+        effect: one worker serves either way)."""
         texts = [GOOD] * 25 + [GARBLED] + [GOOD] * 25
 
         async def main():
-            async with _solo_server() as server:
+            async with _solo_server(max_workers=max_workers) as server:
                 results = await asyncio.wait_for(asyncio.gather(*(
                     server.submit_nowait("solo", text,
                                          arrival_ns=100.0 * i)
