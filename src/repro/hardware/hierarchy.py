@@ -106,6 +106,18 @@ class MemoryHierarchy:
         from .serialization import profile_fingerprint
         return profile_fingerprint(self)
 
+    def geometry_key(self) -> tuple:
+        """What the machine's miss *counts* depend on: per level (data
+        caches, then TLBs) its capacity, line or page size,
+        associativity and TLB / buffer-pool flags.  Latencies, the
+        clock and the display name are left out, so machines that
+        differ only in prices share the key (the exhaustive plan space
+        is a function of it, see
+        :meth:`repro.query.Optimizer.enumeration_key`)."""
+        return tuple((level.capacity, level.line_size, level.associativity,
+                      level.is_tlb, level.is_pool)
+                     for level in self.all_levels)
+
     def cycles(self, nanoseconds: float) -> float:
         """Convert a duration in nanoseconds to CPU cycles."""
         return nanoseconds * self.cpu_speed_mhz / 1e3

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from ..core.cost import CostEstimate, CostModel
 from ..hardware.hierarchy import MemoryHierarchy
@@ -143,6 +144,10 @@ class PlannedQuery:
     def __init__(self, candidates: list[PlanCandidate]) -> None:
         if not candidates:
             raise ValueError("no candidate plans were enumerated")
+        #: Every plan in enumeration order — what
+        #: :meth:`Optimizer.rank` sorts again on another machine of
+        #: this geometry (the sort is stable, so ties keep this order).
+        self.plans = tuple(c.plan for c in candidates)
         self.candidates = sorted(candidates, key=lambda c: c.total_ns)
 
     @property
@@ -206,7 +211,8 @@ class Optimizer:
     may serve several sessions — or interleaved calls — concurrently.
     Plan caching is the caller's: :meth:`cache_key` is the key a
     :class:`repro.session.PlanCache` stores :meth:`optimize`'s result
-    under.
+    under, and :meth:`enumeration_key` the key it keeps the enumerated
+    plans under, which :meth:`rank` prices again on another machine.
     """
 
     def __init__(self, hierarchy: MemoryHierarchy,
@@ -215,6 +221,7 @@ class Optimizer:
         self.model = CostModel(hierarchy)
         self.config = config or PlannerConfig()
         self.fingerprint = hierarchy.fingerprint()
+        self.geometry = hierarchy.geometry_key()
         budget = self.config.memory_budget
         self.join_advisor = JoinAdvisor(hierarchy, memory_budget=budget)
         self.sort_advisor = SortAdvisor(hierarchy, memory_budget=budget)
@@ -269,6 +276,20 @@ class Optimizer:
         front of it."""
         return (self.fingerprint, repr(self.config)) + tree_key
 
+    def enumeration_key(self, tree_key: tuple[str, str]) -> tuple:
+        """The key of a :meth:`tree_key`'s enumerated plans under this
+        optimizer: the machine's geometry
+        (:meth:`~repro.hardware.MemoryHierarchy.geometry_key`) and the
+        planner config in front of it.  The exhaustive enumeration
+        reads capacities, line counts and the budget, never a latency
+        or the clock, so every machine of one geometry enumerates the
+        same plans in the same order.  The dynamic program prunes
+        sub-plans by cost, so a ``"dp"`` tree keeps the full profile
+        fingerprint instead."""
+        machine = (self.geometry if tree_key[0] == "exhaustive"
+                   else self.fingerprint)
+        return (machine, repr(self.config)) + tree_key
+
     def optimize(self, logical: LogicalOp,
                  method: str = "auto") -> PlannedQuery:
         """Enumerate, cost, and rank plans for ``logical``.
@@ -279,10 +300,19 @@ class Optimizer:
         :data:`MAX_EXHAUSTIVE_RELATIONS` base relations)."""
         method = self._resolve_method(logical, method)
         roots = self._alternatives(logical, use_dp=(method == "dp"))
-        return PlannedQuery([self._candidate(root) for root in roots])
+        return self.rank(QueryPlan(root) for root in roots)
 
-    def _candidate(self, root: PlanNode) -> PlanCandidate:
-        plan = QueryPlan(root)
+    def rank(self, plans: Iterable[QueryPlan]) -> PlannedQuery:
+        """Cost ``plans`` (an enumeration, in its order) on this
+        machine and rank them, cheapest first — what :meth:`optimize`
+        does after enumerating.  Given a :attr:`PlannedQuery.plans` of
+        a machine with this one's :meth:`enumeration_key`, the result
+        is this optimizer's own :meth:`optimize` of the tree: every
+        candidate is costed under this model and the stable sort sees
+        them in the same order."""
+        return PlannedQuery([self._candidate(plan) for plan in plans])
+
+    def _candidate(self, plan: QueryPlan) -> PlanCandidate:
         return PlanCandidate(plan=plan, estimate=plan.estimate(self.model))
 
     # ------------------------------------------------------------------

@@ -937,7 +937,11 @@ class QueryPlan:
         #: This plan's recorded access traces, one per (engine, address
         #: offset, execution mode), owned by
         #: :func:`repro.service.executor.record_trace`: kept beside the
-        #: plan, so evicting or retiring the plan drops them too.
+        #: plan, which lives while any plan-cache entry holds it — a
+        #: ranked entry of any profile, or the enumeration its machine
+        #: geometry shares (:meth:`repro.session.PlanCache.enumeration`)
+        #: — so the traces go when the last such entry is evicted or
+        #: retired.
         self.traces: dict = {}
 
     @cached_property

@@ -13,7 +13,10 @@ hardware.
 The server's one worker thread compiles through a
 :meth:`~repro.session.Session.spawn`-ed client session over the
 tenant's engine and cache, so compile provenance (hit/miss) is the
-worker's own while plans are shared tenant-wide.
+worker's own while plans are shared tenant-wide.  The worker reads the
+tenant session's predicate registry and ``sorted`` flags themselves,
+not copies, so whatever is registered on :attr:`Tenant.session` is
+what the server compiles against.
 
 Because every :class:`~repro.db.Database` allocates from the same base
 address, different tenants' traces would alias in a co-run replay —
@@ -102,10 +105,16 @@ class Tenant:
     def worker_session(self) -> Session:
         """The spawned client session every compile of this tenant's
         queries goes through, over its engine and plan cache — spawned
-        on first use, so it copies the predicates registered by then,
-        and never again (one thread compiles, so nothing is locked)."""
+        on first use and never again (one thread compiles, so nothing
+        is locked).  It shares the tenant session's predicate registry
+        and ``sorted`` flags instead of copying them at spawn, so a
+        predicate or table registered on :attr:`session` later is
+        compiled against too."""
         if self._worker is None:
-            self._worker = self.session.spawn()
+            worker = self.session.spawn()
+            worker._functions = self.session._functions
+            worker._sorted = self.session._sorted
+            self._worker = worker
         return self._worker
 
     def set_hierarchy(self, hierarchy: MemoryHierarchy) -> None:

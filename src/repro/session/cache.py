@@ -9,6 +9,14 @@ plan.  That determinism is exactly what makes plans cacheable, keyed by
 (profile fingerprint, planner configuration, canonicalized logical
 tree).  Recalibrating the machine changes the fingerprint, which retires
 every cached plan without any explicit invalidation walk.
+
+Of the two halves of a compile, only ranking reads the prices.  The
+exhaustive enumeration reads capacities, line counts and the budget —
+the miss counts' side of ``T_mem = Σ_i M_i · l_i`` — so the cache also
+keeps each tree's enumerated plans under (machine geometry, planner
+configuration, tree), and a recalibration that moves only latencies
+re-ranks them instead of enumerating again.  The dynamic program
+prunes by cost, so its trees keep the fingerprint in that key too.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from ..db.column import Column
 from ..query.logical import LogicalOp
 from ..query.observe import Explanation, MeasuredResult, QueryResult
 from ..query.optimizer import PlannedQuery
+from ..query.physical import QueryPlan
 
 if TYPE_CHECKING:
     from .session import Session
@@ -30,20 +39,31 @@ __all__ = ["PlanCache", "PreparedStatement"]
 
 class PlanCache:
     """An LRU cache of compiled :class:`~repro.query.PlannedQuery`
-    objects.
+    objects, and of the enumerations they were ranked from.
 
     Entries hold the compiled plans, which in turn keep every referenced
     column and predicate callable alive — so the ``id()``-based tokens
     inside canonical keys (:func:`repro.query.logical.callable_key`)
     stay unambiguous for exactly as long as their entry lives.
 
+    Beside the ranked entries (keyed by profile fingerprint) the cache
+    keeps each tree's *enumeration* — its plans in enumeration order,
+    :attr:`PlannedQuery.plans <repro.query.PlannedQuery.plans>` — under
+    :meth:`Optimizer.enumeration_key
+    <repro.query.Optimizer.enumeration_key>` (the machine's geometry for
+    an exhaustive tree).  A ranked miss on a machine whose geometry was
+    seen re-ranks the stored plans instead of enumerating again, and is
+    still counted as a miss.  The enumerations have their own LRU order
+    under the same ``max_entries`` bound and send no events.
+
     The cache is thread-safe: spawned client sessions
     (:meth:`~repro.session.Session.spawn`) share one instance across
     worker threads, so every entry/counter mutation happens under one
-    lock, and :meth:`get_or_compute` additionally gates compilation
-    per key — when several threads miss the same key at once, exactly
-    one runs the compile while the rest wait for its result, so
-    concurrent clients never duplicate (or lose) a compilation.
+    lock, and :meth:`get_or_compute` and :meth:`enumeration`
+    additionally gate computation per key — when several threads miss
+    the same key at once, exactly one runs the compile while the rest
+    wait for its result, so concurrent clients never duplicate (or
+    lose) a compilation.
     """
 
     def __init__(self, max_entries: int = 128) -> None:
@@ -51,10 +71,16 @@ class PlanCache:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self._entries: OrderedDict[Hashable, PlannedQuery] = OrderedDict()
+        #: Enumeration key -> the tree's plans in enumeration order.
+        self._enumerations: OrderedDict[Hashable, tuple[QueryPlan, ...]] \
+            = OrderedDict()
         self._lock = threading.Lock()
-        #: Per-key in-flight compile gates (key -> Event set when the
-        #: owning thread has published its result).
+        #: Per-key in-flight compile gates, one dict per store (key ->
+        #: Event set when the owning thread has published its result).
+        #: A ``dp`` tree's enumeration key equals its ranked key, and a
+        #: ranked compile waits on the enumeration's gate.
         self._inflight: dict[Hashable, threading.Event] = {}
+        self._enumerating: dict[Hashable, threading.Event] = {}
         self.hits = 0
         self.misses = 0
         #: Event callbacks ``fn(event, count)`` with event one of
@@ -92,20 +118,47 @@ class PlanCache:
         ``compute`` raises, its waiters retry, so a failed compile
         never wedges the key.
         """
+        value, hit, retired = self._fetch(self._entries, self._inflight,
+                                          key, compute, counted=True)
+        if hit:
+            self._notify("hit")
+            return value, True
+        self._notify("miss")
+        if retired:
+            self._notify("retire", retired)
+        return value, False
+
+    def enumeration(self, key: Hashable,
+                    compute: Callable[[], tuple[QueryPlan, ...]]
+                    ) -> tuple[QueryPlan, ...]:
+        """The stored enumeration for ``key``, computed via ``compute``
+        when there is none — gated, refreshed and bounded like
+        :meth:`get_or_compute`, but neither counted nor observed: a
+        ranked compile that re-ranks it is a plan-cache miss all the
+        same."""
+        return self._fetch(self._enumerations, self._enumerating, key,
+                           compute, counted=False)[0]
+
+    def _fetch(self, entries: OrderedDict, inflight: dict, key: Hashable,
+               compute: Callable, counted: bool) -> tuple[object, bool, int]:
+        """The one gated LRU lookup of both stores: ``(value, was_hit,
+        entries evicted)``; ``counted`` bumps :attr:`hits` /
+        :attr:`misses` under the lock."""
         while True:
             with self._lock:
                 try:
-                    value = self._entries[key]
-                    self._entries.move_to_end(key)
-                    self.hits += 1
+                    value = entries[key]
+                    entries.move_to_end(key)
                 except KeyError:
                     pass
                 else:
-                    break  # hit: notify after releasing the lock
-                gate = self._inflight.get(key)
+                    if counted:
+                        self.hits += 1
+                    return value, True, 0
+                gate = inflight.get(key)
                 if gate is None:
                     gate = threading.Event()
-                    self._inflight[key] = gate
+                    inflight[key] = gate
                     owner = True
                 else:
                     owner = False
@@ -116,30 +169,29 @@ class PlanCache:
                 value = compute()
             except BaseException:
                 with self._lock:
-                    del self._inflight[key]
+                    del inflight[key]
                 gate.set()
                 raise
             with self._lock:
-                self.misses += 1
-                self._entries[key] = value
+                if counted:
+                    self.misses += 1
+                entries[key] = value
                 retired = 0
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
+                while len(entries) > self.max_entries:
+                    entries.popitem(last=False)
                     retired += 1
-                del self._inflight[key]
+                del inflight[key]
             gate.set()
-            self._notify("miss")
-            if retired:
-                self._notify("retire", retired)
-            return value, False
-        self._notify("hit")
-        return value, True
+            return value, False, retired
 
     def clear(self) -> int:
-        """Drop every entry, returning how many were retired.
+        """Drop every ranked entry, returning how many were retired.
         Observers see one ``"retire"`` event with the count — the
         explicit retirement a profile swap performs, as opposed to the
-        silent key mismatch that merely strands old-profile entries."""
+        silent key mismatch that merely strands old-profile entries.
+        Enumerations stay: they name no latency, so after a swap to a
+        machine of the same geometry (a recalibration) compiles re-rank
+        them."""
         with self._lock:
             retired = len(self._entries)
             self._entries.clear()

@@ -237,7 +237,12 @@ class Session:
         """Switch the session to a new (e.g. re-calibrated) machine
         profile.  Tables survive; cached plans for the old profile stop
         matching (keys carry the fingerprint), and prepared statements
-        recompile transparently on their next use."""
+        recompile transparently on their next use.  A recompile on a
+        machine of the old one's geometry (only latencies or the clock
+        moved) re-ranks the plan cache's stored enumeration of an
+        exhaustive tree instead of enumerating it again
+        (:meth:`PlanCache.enumeration`); the plans it returns are the
+        ones a cold compile would."""
         self.db.set_hierarchy(hierarchy)
         self._rebind(hierarchy)
 
@@ -409,12 +414,12 @@ class Session:
         #                             switch must not retarget mid-call
         logical = self.as_logical(q)
         statement = self._statements.get(q) if isinstance(q, str) else None
-        key = optimizer.keyed(
-            statement.tree_key
-            if statement is not None and statement.logical is logical
-            else optimizer.tree_key(logical))
+        tree_key = (statement.tree_key
+                    if statement is not None and statement.logical is logical
+                    else optimizer.tree_key(logical))
         planned, hit = self.plan_cache.get_or_compute(
-            key, lambda: optimizer.optimize(logical))
+            optimizer.keyed(tree_key),
+            lambda: self._rank(optimizer, logical, tree_key))
         self.last_compile_cached = hit
         if hit:
             self.compile_hits += 1
@@ -431,6 +436,23 @@ class Session:
                 wall_end_ns=time.perf_counter_ns(),
                 cache_hit=hit, signature=planned.best.signature)
         return planned
+
+    def _rank(self, optimizer: Optimizer, logical: LogicalOp,
+              tree_key: tuple[str, str]) -> PlannedQuery:
+        """A plan-cache miss: ``optimizer`` re-ranks the tree's stored
+        enumeration at its machine's geometry, or optimizes the tree
+        cold — and the cold run's plans become the stored enumeration
+        (:meth:`PlanCache.enumeration`)."""
+        cold = None
+
+        def enumerate_plans():
+            nonlocal cold
+            cold = optimizer.optimize(logical)
+            return cold.plans
+
+        plans = self.plan_cache.enumeration(
+            optimizer.enumeration_key(tree_key), enumerate_plans)
+        return cold if cold is not None else optimizer.rank(plans)
 
     def prepare(self, q) -> PreparedStatement:
         """Compile ``q`` into a reusable prepared statement."""

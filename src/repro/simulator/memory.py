@@ -110,8 +110,8 @@ class MemorySystem:
     """
 
     __slots__ = ("hierarchy", "caches", "tlbs", "elapsed_ns", "accesses",
-                 "_resets", "_l1_line", "_level_chain", "_hit_gran",
-                 "period", "reach", "_fingerprint")
+                 "_resets", "_replayed", "_l1_line", "_level_chain",
+                 "_hit_gran", "period", "reach", "_fingerprint")
 
     def __init__(self, hierarchy: MemoryHierarchy) -> None:
         self.hierarchy = hierarchy
@@ -125,6 +125,11 @@ class MemorySystem:
         # Bumped by reset(), which rewinds ``accesses``: the fused
         # accessors of batch() read the count as a clock.
         self._resets = 0
+        # Whether a replay has started since the last reset (it counts
+        # its accesses per run, so a bad entry can stop it after it
+        # touched a level and before it counted): with ``accesses``,
+        # what tells reset() whether anything touched the machine.
+        self._replayed = False
         self._l1_line = hierarchy.levels[0].line_size
         # (cache, line_size, seq_latency, rand_latency) per data level,
         # pre-extracted for the hot loop.
@@ -682,6 +687,7 @@ class MemorySystem:
         """
         if quantum < 1:
             raise ValueError("quantum must be positive")
+        self._replayed = True
         memory = [0.0] * len(traces)
         finish = [0.0] * len(traces)
         access_one = self._access_one
@@ -925,11 +931,19 @@ class MemorySystem:
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Cold caches and zeroed counters."""
+        """Cold caches and zeroed counters.
+
+        A machine nothing touched since it was built or last reset is
+        already that, and is left as it is: every access path counts
+        ``accesses`` before it returns, and a replay notes that it
+        started, so a machine with neither is untouched."""
+        if not self.accesses and not self._replayed:
+            return
         for sim in self.caches + self.tlbs:
             sim.reset()
         self.elapsed_ns = 0.0
         self.accesses = 0
+        self._replayed = False
         self._resets += 1
 
     def snapshot(self) -> CounterSnapshot:

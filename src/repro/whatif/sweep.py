@@ -17,21 +17,30 @@ stream purely with the cost model:
   memo's pairs without building the estimates — with
   ``makespan = max(Σ mem_i, max_i (cpu_i + mem_i))``.
 
-Candidates that differ only in ``cores`` are one machine: a sweep
-keeps one priced *stack* per distinct ``(candidate.fingerprint,
-candidate.memory_budget)`` — the realized session (catalog, plan
-cache, statement memo), the query stream and one
-:class:`~repro.service.InterferenceModel` — built on first use and
-reused for every candidate with that key; only the
+Candidates that differ only in prices share one catalog: a sweep keeps
+one *stack* per distinct ``(geometry, candidate.memory_budget)``
+(:meth:`~repro.hardware.MemoryHierarchy.geometry_key`: every level's
+capacity, line size, associativity and flags, no latency, no clock) —
+the realized session (catalog, plan cache, statement memo), the query
+stream, and one :class:`~repro.service.InterferenceModel` per
+candidate fingerprint — built on first use.  A candidate switches the
+stack's session to its machine with
+:meth:`~repro.session.Session.set_hierarchy`; only the
 :class:`~repro.service.AdmissionController` and
 :class:`~repro.service.Stepper`, which carry ``cores``, are per
-candidate.  Sharing is exact, for three reasons:
+candidate.  Sharing is exact, for four reasons:
 
+* the realized catalog and stream are a function of the workload, the
+  geometry and the budget, and the budget is in the key;
 * :func:`~repro.hardware.profile_fingerprint` hashes every priced
-  parameter of the hierarchy and leaves out only its display name, and
-  the budget is in the key, so two candidates with one key compile
-  and price on the same machine;
-* a plan-cache hit returns the plan a cold compile would;
+  parameter of the hierarchy and leaves out only its display name, so
+  two candidates of one fingerprint compile and price on the same
+  machine, and the plan cache and the interference models are keyed
+  by it;
+* the exhaustive enumeration is a function of geometry
+  (:meth:`~repro.query.Optimizer.enumeration_key`), so a compile that
+  re-ranks the stack's stored enumeration on another fingerprint
+  returns the plan a cold compile would, and a plan-cache hit does too;
 * the ⊙ memo (:meth:`~repro.service.InterferenceModel.co_run`) returns
   what its composition would compute.
 
@@ -92,10 +101,9 @@ class GeneratedWorkload:
     Deterministic in ``(seed, scale, mix, n_queries, clients)`` — the
     same definition every candidate prices, so differences between
     rows are the hardware, never the workload.  A sweep realizes it
-    once per distinct ``(fingerprint, memory_budget)`` and prices
-    every candidate with that key on the one session: those
-    candidates differ only in ``cores``, which only batch formation
-    reads (exact, see the module docstring).
+    once per distinct ``(geometry, memory_budget)`` and prices every
+    candidate with that key on the one session, switched to the
+    candidate's machine (exact, see the module docstring).
     """
 
     def __init__(self, *, seed: int = 0, scale: int = 512,
@@ -145,10 +153,10 @@ class GeneratedWorkload:
 
 class CapturedWorkload:
     """A workload captured from a live session: its catalog values and
-    an observed query stream, re-materialized on each distinct
-    candidate machine: like :class:`GeneratedWorkload`, once per
-    ``(fingerprint, memory_budget)`` of a sweep, shared by the
-    candidates that differ only in ``cores``.
+    an observed query stream, re-materialized per candidate geometry:
+    like :class:`GeneratedWorkload`, once per ``(geometry,
+    memory_budget)`` of a sweep, shared by the candidates that differ
+    only in prices or ``cores``.
 
     The snapshot is by *value* (column contents, sortedness flags,
     predicate registry), so re-pricing needs no knowledge of how the
@@ -326,11 +334,12 @@ class WhatIfSweep:
         #: label → Candidate for every priced candidate (filled by
         #: :meth:`run`; lets callers spot-check after the fact).
         self.candidates: dict[str, Candidate] = {}
-        #: (fingerprint, memory budget) → the priced stack of that
-        #: machine: realized session, query stream, interference model.
-        self._stacks: dict[tuple[str, int | None],
+        #: (geometry key, memory budget) → the priced stack of that
+        #: geometry: realized session, query stream, and an
+        #: interference model per candidate fingerprint.
+        self._stacks: dict[tuple[tuple, int | None],
                            tuple[Session, list[WorkloadQuery],
-                                 InterferenceModel]] = {}
+                                 dict[str, InterferenceModel]]] = {}
 
     # ------------------------------------------------------------------
     def _admission(self, cores: int) -> dict:
@@ -341,20 +350,28 @@ class WhatIfSweep:
         """Predict the workload's serving behaviour on ``candidate``
         with pure model arithmetic (no execution, no simulator).
 
-        The session, query stream and interference model come from the
-        stack of ``candidate``'s ``(fingerprint, memory_budget)``,
-        realized on the first candidate with that key; a later one
-        compiles through the warm plan cache and prices through the
-        warm ⊙ memo, which return what a cold stack would (module
-        docstring).  Tasks, admission and stepper are the candidate's
-        own."""
-        key = (candidate.fingerprint, candidate.memory_budget)
+        The session and query stream come from the stack of
+        ``candidate``'s ``(geometry, memory_budget)``, realized on the
+        first candidate with that key and switched to ``candidate``'s
+        machine; the interference model is the stack's one for
+        ``candidate``'s fingerprint.  A later candidate compiles
+        through the warm plan cache (re-ranking stored enumerations on
+        a new fingerprint) and prices through the warm ⊙ memo, which
+        return what a cold stack would (module docstring).  Tasks,
+        admission and stepper are the candidate's own."""
+        key = (candidate.hierarchy.geometry_key(), candidate.memory_budget)
         stack = self._stacks.get(key)
         if stack is None:
             session, queries = self.workload.realize(candidate)
-            stack = self._stacks[key] = (
-                session, queries, InterferenceModel(session.hierarchy))
-        session, queries, interference = stack
+            stack = self._stacks[key] = (session, queries, {})
+        session, queries, models = stack
+        fingerprint = candidate.fingerprint
+        if session.fingerprint != fingerprint:
+            session.set_hierarchy(candidate.hierarchy)
+        interference = models.get(fingerprint)
+        if interference is None:
+            interference = models[fingerprint] = \
+                InterferenceModel(session.hierarchy)
         stepper = Stepper.closed_loop(
             AdmissionController(interference, max_queue=math.inf,
                                 **self._admission(candidate.cores)),
@@ -387,7 +404,7 @@ class WhatIfSweep:
         self.candidates[candidate.label] = candidate
         return CandidateOutcome(
             index=candidate.index, label=candidate.label,
-            params=candidate.params, fingerprint=candidate.fingerprint,
+            params=candidate.params, fingerprint=fingerprint,
             cost_proxy=candidate.cost_proxy, cores=candidate.cores,
             memory_budget=candidate.memory_budget,
             makespan_ns=clock,

@@ -107,6 +107,41 @@ class TestSnapshots:
         assert mem.accesses == 0
         assert mem.cache("L1").misses == 0
 
+    @pytest.mark.parametrize("touch", [
+        lambda m: None,
+        lambda m: m.access(0, 1),
+        lambda m: m.access_range(0, 8, count=64),
+        lambda m: m.batch()(96),
+        lambda m: m.replay([(0, 8), (4096, 8, True)]),
+        lambda m: m.replay([(0, 8), (-8, 8)]),  # stops at a bad entry
+    ])
+    def test_reset_walks_the_levels_only_of_a_touched_machine(
+            self, disk_scaled, monkeypatch, touch):
+        from repro.simulator.cache import CacheSim
+
+        mem = MemorySystem(disk_scaled)
+        try:
+            touch(mem)
+        except ValueError:
+            pass
+        touched = mem.snapshot() != MemorySystem(disk_scaled).snapshot() \
+            or any(s[0] != -1 for sim in mem.caches + mem.tlbs
+                   for s in sim._sets)
+        walked = []
+        reset = CacheSim.reset
+        monkeypatch.setattr(CacheSim, "reset",
+                            lambda sim: walked.append(sim) or reset(sim))
+        mem.reset()
+        assert bool(walked) == touched
+        fresh = MemorySystem(disk_scaled)
+        assert mem.snapshot() == fresh.snapshot()
+        assert [sim._sets for sim in mem.caches + mem.tlbs] \
+            == [sim._sets for sim in fresh.caches + fresh.tlbs]
+        assert mem.pool.dirty_pages == 0
+        walked.clear()
+        mem.reset()  # nothing touched it since
+        assert walked == []
+
     def test_batch_closure_counts_no_stale_hit_after_reset(self, scaled):
         """``reset()`` rewinds ``accesses``, so a fused accessor taken
         before it must not read an equal count as "my line is still

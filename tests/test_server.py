@@ -514,6 +514,34 @@ class TestQueryServer:
 
         asyncio.run(main())
 
+    def test_later_registrations_reach_the_server(self):
+        # a predicate and a sorted table registered on the tenant's
+        # session after the server has compiled for it are both seen
+        async def main():
+            server = QueryServer()
+            tenant = server.add_tenant("solo")
+            tenant.session.create_table("t", list(range(64)))
+            tenant.session.predicate("small", lambda v: v < 10)
+            async with server:
+                first = await server.submit(
+                    "solo", "filter(t, small, sel=0.125)")
+                assert first.ok and first.rows == 10
+                tenant.session.predicate("big", lambda v: v >= 10)
+                second = await server.submit("solo",
+                                             "filter(t, big, sel=0.8)")
+                assert (second.outcome, second.stage,
+                        second.error_message) == ("ok", None, None)
+                assert second.rows == 54
+                tenant.session.create_table("s", list(range(64)),
+                                            sorted=True)
+                ordered = await server.submit("solo", "sort(s)")
+                await server.drain()
+            expected = tenant.session.compile("sort(s)").plan.signature
+            assert ordered.ok and ordered.signature == expected
+            assert "sort" not in expected  # the flag spared the sort
+
+        asyncio.run(main())
+
     def test_duplicate_tenant_and_unstarted_submit(self):
         server = QueryServer()
         server.add_tenant("a")

@@ -286,8 +286,9 @@ class TestCapturedWorkload:
 
 
 class TestSharedStacks:
-    """Candidates of one (fingerprint, memory budget) share one priced
-    stack.  Every outcome of one :meth:`WhatIfSweep.run` must equal,
+    """Candidates of one (geometry, memory budget) share one priced
+    stack: one realized session, switched between their machines.
+    Every outcome of one :meth:`WhatIfSweep.run` must equal,
     ``to_json()`` byte for byte, the same candidate priced by a fresh
     sweep of its own — whatever stacks the run shared."""
 
@@ -365,22 +366,33 @@ class TestSharedStacks:
         monkeypatch.setattr(workload, "realize", counted)
         return calls
 
+    #: Distinct (geometry, memory budget) per space: the realizations.
+    GEOMETRIES = {"latency-x-cores": 1, "budget-x-cores": 3,
+                  "latency-x-budget": 2}
+
     @pytest.mark.parametrize("source", ["generated", "captured"])
     @pytest.mark.parametrize("name, machines", [
         ("latency-x-cores", 3), ("budget-x-cores", 3),
         ("latency-x-budget", 5)])
     def test_realizes_once_per_distinct_machine(self, monkeypatch, name,
                                                 machines, source):
+        # ``machines`` distinct (fingerprint, budget) keys, priced on one
+        # realized stack per (geometry, budget): machines that differ
+        # only in latencies share a catalog
         workload = self._workload(source, "out-of-core")
         space = self._space(name)
         calls = self._count_realize(monkeypatch, workload)
         WhatIfSweep(space, workload).run()
         expansion = space.expand()
-        keys = {(c.fingerprint, c.memory_budget)
-                for c in [expansion.baseline, *expansion.candidates]}
+        candidates = [expansion.baseline, *expansion.candidates]
+        keys = {(c.fingerprint, c.memory_budget) for c in candidates}
         assert len(keys) == machines
-        assert len(calls) == machines
-        assert {key for key, _ in calls} == keys
+        stacks = {(c.hierarchy.geometry_key(), c.memory_budget)
+                  for c in candidates}
+        assert len(stacks) == self.GEOMETRIES[name]
+        assert len(calls) == len(stacks)
+        assert {key for key, _ in calls} <= keys
+        assert len({budget for (_, budget), _ in calls}) == len(calls)
 
     def test_budgets_never_share_a_session(self, monkeypatch):
         # every candidate of this space is one hierarchy; only the
@@ -414,8 +426,10 @@ class TestSharedStacks:
         report = WhatIfSweep(space, workload).run(spot_check="all")
         rows = [report.baseline, *report.outcomes()]
         assert len(executed) == len(rows)
-        assert len(calls) == 3 + len(rows)
-        stacks = {id(session) for _, session in calls[:3]}
+        # one stack for the space's one geometry, then one realization
+        # per spot check
+        assert len(calls) == 1 + len(rows)
+        stacks = {id(session) for _, session in calls[:1]}
         assert len({id(s) for s in executed}) == len(executed)
         assert not stacks & {id(s) for s in executed}
 
