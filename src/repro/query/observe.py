@@ -33,7 +33,6 @@ passed in by callers that know them.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -54,7 +53,6 @@ __all__ = [
     "MeasuredResult",
     "measure_plan",
     "capture_measured",
-    "execute_result",
 ]
 
 
@@ -527,28 +525,6 @@ def _exclusive_deltas(records) -> list[tuple[object, CounterSnapshot]]:
             "per-operator measurement incomplete: "
             f"{len(stack)} unconsumed operator records")
     return out
-
-
-def execute_result(db: Database, plan: "QueryPlan",
-                   explanation: Explanation,
-                   restoring=None) -> QueryResult:
-    """Execute ``plan`` and wrap it as a :class:`QueryResult` with
-    wall/simulated timing — the assembly behind ``Session.run``, which
-    prepared statements go through too (provenance rides on
-    ``explanation``).
-    ``restoring`` is an optional context manager held around the
-    execution (column snapshot/restore)."""
-    start = time.perf_counter()
-    before_ns = db.mem.elapsed_ns
-    with (restoring if restoring is not None else nullcontext()):
-        column = db.execute(plan)
-    return QueryResult(
-        column=column,
-        explanation=explanation,
-        cache_hit=explanation.cache_hit,
-        wall_seconds=time.perf_counter() - start,
-        simulated_ns=db.mem.elapsed_ns - before_ns,
-    )
 
 
 def capture_measured(db: Database, plan: "QueryPlan",

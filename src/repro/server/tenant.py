@@ -104,17 +104,12 @@ class Tenant:
 
     def worker_session(self) -> Session:
         """The spawned client session every compile of this tenant's
-        queries goes through, over its engine and plan cache — spawned
-        on first use and never again (one thread compiles, so nothing
-        is locked).  It shares the tenant session's predicate registry
-        and ``sorted`` flags instead of copying them at spawn, so a
-        predicate or table registered on :attr:`session` later is
-        compiled against too."""
+        queries goes through, over its engine, plan cache and
+        registries (:meth:`Session._spawn_sharing`) — spawned on first
+        use and never again (one thread compiles, so nothing is
+        locked)."""
         if self._worker is None:
-            worker = self.session.spawn()
-            worker._functions = self.session._functions
-            worker._sorted = self.session._sorted
-            self._worker = worker
+            self._worker = self.session._spawn_sharing()
         return self._worker
 
     def set_hierarchy(self, hierarchy: MemoryHierarchy) -> None:

@@ -28,13 +28,13 @@ returns the same result, except that its scratch allocations land
 wherever the bump allocator stands.  A cache hit re-runs no kernel and
 no predicate.
 
-The recording also keeps the operators' enter/exit marks, so one
-measured path serves every typed measurement (:func:`measure`):
-record (cached) → replay cut at the marks → per-operator counters
-identical to executing the plan directly under the operator probe
-(:func:`repro.query.capture_measured`, kept as the test oracle).
-``Session.execute_measured`` and a traced server's solo batches take
-it.
+The recording also keeps the operators' enter/exit marks, so one path
+runs every session query and every measured solo batch
+(:func:`run_recorded`): record (cached) → replay cut at the marks →
+per-operator counters identical to executing the plan directly under
+the operator probe (:func:`repro.query.capture_measured`, kept as the
+test oracle; it, ``Database.execute``, the figure harness and the
+vectorized-kernel benchmark alone run kernels against the simulator).
 
 A *cold solo* replay — one recording alone on a reset machine, an
 untraced server's solo batch (:func:`execute_batch`) — is remembered on
@@ -349,13 +349,14 @@ def record_trace(session: Session, plan: QueryPlan,
     against the same base state (``recording.effects`` holds what the
     run changed in them).
 
-    The first call per (engine, ``offset``, execution mode) executes
-    the plan under a :class:`TraceRecorder` and the operator probe and
-    keeps the recording beside the plan; a later call *reuses* it
-    instead.  The bump allocator makes that exact: a run that starts
-    ``d`` bytes higher, ``d`` a multiple of every alignment the
-    recording requested, allocates every scratch region exactly ``d``
-    higher.  So when ``d`` is such a multiple and every scanned column
+    Every session run (:func:`run_recorded`) and every served batch
+    records here.  The first call per (engine, ``offset``, execution
+    mode) executes the plan under a :class:`TraceRecorder` and the
+    operator probe and keeps the recording beside the plan; a later
+    call *reuses* it instead.  The bump allocator makes that exact: a
+    run that starts ``d`` bytes higher, ``d`` a multiple of every
+    alignment the recording requested, allocates every scratch region
+    exactly ``d`` higher.  So when ``d`` is such a multiple and every scanned column
     is at the same address with the same values, the call advances the
     allocator as the recording did and returns the recording with shift
     ``d`` — no kernel, recorder or snapshot/restore runs.  Anything
@@ -363,7 +364,8 @@ def record_trace(session: Session, plan: QueryPlan,
     leaves none, and neither does one that changed a scanned column the
     session's restore does not cover).  The one assumption is that the
     plan is a pure function of its input columns (see the module
-    docstring): predicates are not re-run on a hit."""
+    docstring): predicates are not re-run on a hit, by
+    ``Session.execute`` as much as by a served batch."""
     db = session.db
     allocator = db.allocator
     key = (db, offset, session.config.execution)
@@ -464,18 +466,35 @@ def _replay_cold(mem: MemorySystem, traces: Sequence,
                        counters=mem.snapshot())
 
 
+def run_recorded(session: Session, plan: QueryPlan, mem: MemorySystem,
+                 offset: int = 0, *, cold: bool, restore: bool
+                 ) -> tuple[Column, CounterSnapshot, list]:
+    """Run ``plan`` over ``session``'s engine on ``mem`` by its
+    recording: :func:`record_trace` (cached), ``mem.reset()`` when
+    ``cold``, the recording replayed on ``mem`` cut at its operator
+    marks and, with ``restore=False``, its ``effects`` given to the
+    scanned columns (a new value list each; the old one is not
+    mutated).  Returns what executing ``plan`` directly on ``mem``
+    under the operator probe would: the result column (a copy of the
+    recording's; for a plan that sorts a scanned column in place, that
+    column itself), the counter delta and ``(node, inclusive delta)``
+    per operator execution."""
+    recording, shift = record_trace(session, plan, offset)
+    if cold:
+        mem.reset()
+    counters, records = recording.replay_marked(mem, shift)
+    if not restore:
+        for column, values in recording.effects:
+            column.values = list(values)
+    return recording.column(shift), counters, records
+
+
 def measure(session: Session, plan: QueryPlan, mem: MemorySystem,
             explanation: Explanation | None = None, offset: int = 0, *,
             cold: bool = True, restore: bool = True) -> MeasuredResult:
     """One plan's typed measurement over ``session``'s engine, on
-    ``mem`` — the one measured path: :func:`record_trace` (cached),
-    ``mem.reset()`` when ``cold``, then the recording replayed on
-    ``mem`` cut at its operator marks.  The counters, per-operator
-    exclusive counters included, are those of executing ``plan``
-    directly on ``mem`` under the operator probe
-    (:func:`repro.query.capture_measured`); the result column is a
-    copy of the one the recording kept (for a plan that sorts a scanned
-    column in place, that column itself).
+    ``mem``: :func:`run_recorded`, its counters paired with
+    ``explanation``.
 
     ``mem`` is the session's own memory system for
     ``Session.execute_measured`` and a server's machine for its solo
@@ -488,14 +507,9 @@ def measure(session: Session, plan: QueryPlan, mem: MemorySystem,
         explanation = plan.explanation(session.model,
                                        signature=plan.signature)
     start = time.perf_counter()
-    recording, shift = record_trace(session, plan, offset)
-    if cold:
-        mem.reset()
-    counters, records = recording.replay_marked(mem, shift)
-    if not restore:
-        for column, values in recording.effects:
-            column.values = list(values)
-    return measured_result(recording.column(shift), explanation,
+    column, counters, records = run_recorded(
+        session, plan, mem, offset, cold=cold, restore=restore)
+    return measured_result(column, explanation,
                            time.perf_counter() - start, counters, records)
 
 
@@ -538,8 +552,9 @@ class ServiceExecutor:
     session:
         The root session owning the shared engine, catalog, and plan
         cache.  Each client gets its own :meth:`~Session.spawn`-ed
-        session over the same engine and cache, so compile provenance
-        (hit/miss) is tracked per client while plans are shared.
+        session over the same engine, cache and registries, so compile
+        provenance (hit/miss) is tracked per client while plans,
+        predicates and ``sorted`` flags are shared.
     mode / max_batch / slack:
         Batch-formation knobs (:class:`~repro.service.AdmissionController`);
         the queue is unbounded and batches replay with the
@@ -562,8 +577,10 @@ class ServiceExecutor:
                                    **self._knobs)
 
     def _client_session(self, client: int) -> Session:
+        """``client``'s session, spawned on first use and kept across
+        runs (:meth:`Session._spawn_sharing`)."""
         if client not in self._clients:
-            self._clients[client] = self.session.spawn()
+            self._clients[client] = self.session._spawn_sharing()
         return self._clients[client]
 
     def run(self, queries: Sequence[WorkloadQuery]) -> WorkloadReport:

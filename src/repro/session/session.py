@@ -33,12 +33,7 @@ from ..hardware.hierarchy import MemoryHierarchy
 from ..hardware.profiles import origin2000_scaled
 from ..obs import Tracer
 from ..query.logical import LogicalOp, Relation
-from ..query.observe import (
-    Explanation,
-    MeasuredResult,
-    QueryResult,
-    execute_result,
-)
+from ..query.observe import Explanation, MeasuredResult, QueryResult
 from ..query.optimizer import Optimizer, PlannedQuery, PlannerConfig
 from .builder import QueryBuilder
 from .cache import PlanCache, PreparedStatement
@@ -100,13 +95,20 @@ class Session:
     a bare :class:`~repro.query.logical.LogicalOp` tree, query text, or
     a :class:`~repro.session.PreparedStatement` of this session.
 
+    Every run replays the chosen plan's recording on the engine's
+    memory system (:func:`repro.service.executor.run_recorded`); the
+    plan executes once, under a trace recorder.  A run leaves the
+    counters, caches, allocator and base columns as executing the plan
+    there would, provided the plan is a pure function of its input
+    columns: predicates are not re-run when a recording is reused.
+
     Like the engine it wraps, execution is *in place*: sort-based
     operators in a chosen plan reorder the shared base columns they
     read (Monet-style semantics), so the catalog reflects execution
-    history.  Pass ``restore=True`` to :meth:`execute` /
-    :meth:`execute_measured` to snapshot and put back every registered
-    column's values around the run (a Python-level copy, invisible to
-    the simulated access trace).
+    history — each such column is given a new value list; the old one
+    is not mutated.  Pass ``restore=True`` to leave every registered
+    column's values as found (a Python-level copy, invisible to the
+    simulated access trace).
 
     Parameters
     ----------
@@ -209,6 +211,16 @@ class Session:
                         cache=self.plan_cache, tracer=self.tracer)
         child._functions.update(self._functions)
         child._sorted.update(self._sorted)
+        return child
+
+    def _spawn_sharing(self) -> "Session":
+        """:meth:`spawn`, but sharing this session's predicate registry
+        and ``sorted`` flags instead of copying them, so what is
+        registered here later reaches the client too (a server
+        tenant's worker, a ``ServiceExecutor`` client)."""
+        child = self.spawn()
+        child._functions = self._functions
+        child._sorted = self._sorted
         return child
 
     def _rebind(self, hierarchy: MemoryHierarchy) -> None:
@@ -468,9 +480,9 @@ class Session:
         restored values win — restore is meant for queries producing
         derived output columns.  The one snapshot/restore in the
         codebase: trace recording
-        (:func:`repro.service.executor.record_trace`, behind
-        :meth:`execute_measured` too) holds it as well, and a raising
-        kernel still restores."""
+        (:func:`repro.service.executor.record_trace`, behind every run
+        of this session) holds it around each execution it records,
+        and a raising kernel still restores."""
         saved = ({column: column.copy_values()
                   for column in self.db.catalog.values()} if restore else {})
         try:
@@ -479,31 +491,37 @@ class Session:
             for column, values in saved.items():
                 column.values = values
 
+    def _replay(self, plan, restore: bool):
+        """``plan`` run warm on the engine's own memory system."""
+        # imported here: the service layer builds on sessions
+        from ..service.executor import run_recorded
+
+        return run_recorded(self, plan, self.db.mem, cold=False,
+                            restore=restore)
+
     def execute(self, q, restore: bool = False) -> Column:
-        """Compile (cached) and run the chosen plan.  ``restore=True``
-        puts registered columns' values back afterwards (see the class
-        docstring on in-place execution).
+        """Compile (cached) and run the chosen plan, warm (see the
+        class docstring).  ``restore=True`` puts registered columns'
+        values back afterwards.
 
         The bare-column fast path; :meth:`run` returns the same
         execution as a typed :class:`~repro.query.QueryResult` with
         plan provenance and timing attached."""
-        planned = self.compile(q)
-        with self._restoring(restore), \
-                self.db.execution_scope(self.config.execution):
-            return self.db.execute(planned.plan)
+        return self._replay(self.compile(q).plan, restore)[0]
 
     def run(self, q, restore: bool = False) -> QueryResult:
-        """Compile (cached) and run the chosen plan, returning a typed
-        :class:`~repro.query.QueryResult`: the result column, the
-        plan's :class:`~repro.query.Explanation` (signature included),
-        the compile's plan-cache provenance, and wall/simulated
-        execution time."""
+        """Compile (cached) and run the chosen plan as :meth:`execute`
+        does, returning a typed :class:`~repro.query.QueryResult`: the
+        result column, the plan's :class:`~repro.query.Explanation`
+        (signature included), the compile's plan-cache provenance, and
+        wall/simulated execution time."""
         planned = self.compile(q)
         explanation = planned.explanation(self.model,
                                           cache_hit=self.last_compile_cached)
-        with self.db.execution_scope(self.config.execution):
-            return execute_result(self.db, planned.plan, explanation,
-                                  restoring=self._restoring(restore))
+        start = time.perf_counter()
+        column, counters, _ = self._replay(planned.plan, restore)
+        return QueryResult(column, explanation, explanation.cache_hit,
+                           time.perf_counter() - start, counters.elapsed_ns)
 
     def execute_measured(self, q, cold: bool = True, restore: bool = False
                          ) -> MeasuredResult:
@@ -514,19 +532,10 @@ class Session:
         attribution next to the model's per-operator predictions —
         every query is a paper-style model-vs-measured experiment.
 
-        The run takes the one measured path
-        (:func:`repro.service.executor.measure`): the plan's recording
-        on this engine (executed once, then reused), replayed on the
-        engine's own memory system — reset first when ``cold`` — cut
-        at its operator marks.  Counters and the state left behind
-        (allocator, base columns, cache state) equal executing the plan
-        directly under the operator probe
-        (:func:`~repro.query.capture_measured`).  That rests on the
-        serving path's one assumption, which covers sessions as well: a
-        plan is a pure function of its input columns — its predicates
-        have no side effects and are not re-run when the recording is
-        reused, and the result column is then a copy of the one the
-        recording kept.
+        The run is :meth:`execute`'s, on a memory system reset first
+        when ``cold`` (:func:`repro.service.executor.measure`): it
+        measures what executing the plan directly under the operator
+        probe (:func:`~repro.query.capture_measured`) would.
         """
         # imported here: the service layer builds on sessions
         from ..service.executor import measure

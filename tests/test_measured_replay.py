@@ -189,6 +189,90 @@ class TestTwinEngine:
             assert list(session.db.column("parts").values) == unsorted
 
 
+def _live(session, text, cold, restore):
+    """The live oracle: ``text``'s compiled plan run through
+    ``Database.execute`` against the simulator, the memory system reset
+    first when ``cold``, base columns put back by hand when
+    ``restore``."""
+    db = session.db
+    plan = session.compile(text).plan
+    if cold:
+        db.reset()
+    saved = ({column: list(column.values)
+              for column in db.catalog.values()} if restore else {})
+    try:
+        with db.execution_scope(session.config.execution):
+            return db.execute(plan)
+    finally:
+        for column, values in saved.items():
+            column.values = values
+
+
+def _everything(session):
+    """A session's whole observable state: the memory system's
+    counters, the allocator and every base column's values."""
+    db = session.db
+    return (db.mem.snapshot(), db.allocator.next_address,
+            db.allocator.bytes_allocated,
+            {name: list(column.values)
+             for name, column in db.catalog.items()})
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+class TestTwinSessions:
+    """``Session.execute`` and ``Session.run``, ``execute_measured`` and
+    the plan run live through ``Database.execute`` leave three twin
+    sessions in one state after every call: counters, result,
+    allocator and base columns."""
+
+    @settings(max_examples=100)
+    @given(mode=st.sampled_from(["scalar", "vectorized"]),
+           calls=st.lists(st.tuples(
+               st.integers(0, len(TEMPLATES) - 1), st.booleans(),
+               st.booleans(), st.booleans()), min_size=1, max_size=6))
+    def test_execute_and_run_equal_measured_and_live_execution(
+            self, mode, calls):
+        plain, measured, live = (_engine("inmem", mode) for _ in range(3))
+        for template, cold, restore, typed in calls:
+            text = TEMPLATES[template]
+            if cold:
+                plain.db.reset()
+            before = plain.db.mem.elapsed_ns
+            if typed:
+                result = plain.run(text, restore=restore)
+                column = result.column
+                assert result.simulated_ns == \
+                    plain.db.mem.elapsed_ns - before
+            else:
+                column = plain.execute(text, restore=restore)
+            got = measured.execute_measured(text, cold=cold,
+                                            restore=restore)
+            expected = _live(live, text, cold, restore)
+            assert list(column.values) == list(got.column.values) \
+                == list(expected.values)
+            assert column.address == got.column.address == expected.address
+            assert _everything(plain) == _everything(measured) \
+                == _everything(live)
+
+    def test_a_repeated_execute_runs_no_kernel(self, monkeypatch):
+        """The second ``execute`` of a text reuses the first one's
+        recording: no kernel runs on the session's engine."""
+        session = _engine("inmem", "vectorized")
+        ran = []
+        execute = QueryPlan.execute
+
+        def counting(plan, db):
+            ran.append(db)
+            return execute(plan, db)
+
+        monkeypatch.setattr(QueryPlan, "execute", counting)
+        text = "aggregate(join(orders, parts), groups=96)"
+        first = session.execute(text, restore=True)
+        again = session.execute(text, restore=True)
+        assert ran.count(session.db) == 1
+        assert list(again.values) == list(first.values)
+
+
 #: ``(engine, template)`` of the recorded-trace pins.
 RECORDED = (("inmem", "filter(orders, quarter, sel=0.25)"),
             ("inmem", "join(orders, customers)"),

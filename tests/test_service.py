@@ -25,6 +25,7 @@ from repro.service import (
     percentile,
 )
 from repro.whatif import ProfileSpace, capacity_plan
+from repro.service import executor as executor_module
 from repro.service.executor import (
     DEFAULT_QUANTUM,
     TraceRecorder,
@@ -512,6 +513,42 @@ class TestExecutor:
             replay, rows = execute_batch(members(), mem, DEFAULT_QUANTUM)
             assert replay == fresh
             assert rows == [128, 128]
+
+    def test_a_later_predicate_reaches_the_clients(self, monkeypatch):
+        """A predicate registered on the root session after a client's
+        first run is seen by that client's later runs."""
+        rows = []
+        measure = executor_module.measure
+
+        def counting_rows(*args, **kwargs):
+            result = measure(*args, **kwargs)
+            rows.append(len(result.values))
+            return result
+
+        monkeypatch.setattr(executor_module, "measure", counting_rows)
+        session = Session()
+        session.create_table("t", list(range(64)))
+        session.predicate("small", lambda v: v < 10)
+        executor = ServiceExecutor(session)
+        executor.run([WorkloadQuery(0, 0, "scan",
+                                    "filter(t, small, sel=0.125)")])
+        session.predicate("big", lambda v: v >= 10)
+        executor.run([WorkloadQuery(0, 0, "scan",
+                                    "filter(t, big, sel=0.8)")])
+        assert rows == [10, 54]
+
+    def test_a_later_sorted_table_reaches_the_clients(self):
+        """A ``sorted=True`` table created on the root session after a
+        client's first run plans without a sort for that client."""
+        session = Session()
+        session.create_table("t", list(range(64)))
+        executor = ServiceExecutor(session)
+        executor.run([WorkloadQuery(0, 0, "scan", "sort(t)")])
+        session.create_table("s", list(range(64)), sorted=True)
+        report = executor.run([WorkloadQuery(0, 0, "scan", "sort(s)")])
+        expected = session.compile("sort(s)").plan.signature
+        assert report.queries[0].signature == expected
+        assert "sort" not in expected  # the flag spared the sort
 
     def test_end_to_end_report(self, small_service):
         session, gen = small_service
