@@ -2,13 +2,15 @@
 
 Building a physical cost function for an operator "boils down to
 describing the algorithm's data access in a pattern language"
-(Section 7).  This module is that pattern library: one factory per
-operator, returning the compound pattern whose cost function the
-:class:`~repro.core.cost.CostModel` then derives automatically.
+(Section 7).  This module is that pattern library: factories for the
+Table 2 shapes and for each operator's phases, returning the compound
+patterns whose cost functions the :class:`~repro.core.cost.CostModel`
+then derives automatically.
 
 It is also the **operator catalog** (bottom of the file): one
 :class:`Algorithm` entry per implementation the engine can run, holding
-its ordered phases *and* its Eq. 6.1 CPU cycle count side by side.  The
+its ordered phases *and* its Eq. 6.1 CPU cycle count side by side.  An
+operator's whole pattern is its entry's ``.pattern(...)``.  The
 advisors (:mod:`repro.optimizer`) and the plan nodes
 (:mod:`repro.query.physical`) both price an operator by reading its
 entry, so neither restates a formula.
@@ -30,9 +32,7 @@ from typing import Callable
 from .cost import CostEstimate, CostModel
 from .cpu import cpu_cycles, sort_depth
 from .patterns import (
-    BI,
     RANDOM,
-    SEQUENTIAL,
     UNI,
     Conc,
     Nest,
@@ -67,18 +67,14 @@ __all__ = [
     "hash_aggregate_pattern",
     "hash_aggregate_phases",
     "duplicate_elimination_pattern",
-    "merge_union_pattern",
     "spill_run_count",
     "spill_partition_count",
     "grace_partition_count",
     "spilling_aggregate_partition_count",
     "partition_capacity",
     "external_merge_sort_phases",
-    "external_merge_sort_pattern",
     "grace_hash_join_phases",
-    "grace_hash_join_pattern",
     "spilling_hash_aggregate_phases",
-    "spilling_hash_aggregate_pattern",
     "TABLE2",
     "Table2Row",
     "DEFAULT_HASH_MAX_LOAD",
@@ -315,7 +311,9 @@ def partitioned_hash_join_phases(U: DataRegion, V: DataRegion,
 # merge sort, grace hash join, partitioned aggregation.  Their patterns
 # compose from exactly the same basic vocabulary — runs are sequential
 # traversals of sub-regions, spilled tables are RAcc over per-partition
-# regions small enough to stay pool-resident.
+# regions small enough to stay pool-resident.  A variant's whole pattern
+# is its catalog entry's ``.pattern(...)``: ``EXTERNAL_MERGE_SORT``,
+# ``GRACE_HASH_JOIN``, ``SPILLING_HASH_AGGREGATE``.
 # ----------------------------------------------------------------------
 
 def spill_run_count(U: DataRegion, memory_budget: int) -> int:
@@ -389,32 +387,22 @@ def _output_parts(W: DataRegion, m: int) -> tuple[DataRegion, ...]:
 def external_merge_sort_phases(
         U: DataRegion, W: DataRegion, memory_budget: int,
         stop_bytes: int | None = None) -> tuple[tuple[Pattern, ...], Pattern]:
-    """The two phases of external merge sort, separately.
+    """The two phases of external merge sort, separately::
 
-    Phase 1 quick-sorts each budget-sized run of ``U`` in place; phase 2
-    merges the ``r`` sorted runs into ``W`` with ``r + 1`` concurrent
-    sequential cursors — the :func:`merge_join_pattern` shape
-    generalized to ``r`` inputs, which is why external sort's I/O stays
-    sequential (the classic reason it wins out of core).
+        ext_sort(U,W,M) = ⊕_{j=1..r} quick_sort(U_j) ⊕ (⊙_j s_trav+(U_j) ⊙ s_trav+(W))
+
+    Phase 1 quick-sorts each of the ``r = ceil(||U|| / M)`` runs of
+    ``U`` in place; phase 2 merges the sorted runs into ``W`` with
+    ``r + 1`` concurrent sequential cursors — the
+    :func:`merge_join_pattern` shape generalized to ``r`` inputs, which
+    is why external sort's I/O stays sequential (the classic reason it
+    wins out of core).
     """
     r = spill_run_count(U, memory_budget)
     runs = U.split(r) if r > 1 else (U,)
     run_sorts = tuple(quick_sort_pattern(run, stop_bytes) for run in runs)
     merge = Conc.of(*(STrav(run) for run in runs), STrav(W))
     return run_sorts, merge
-
-
-def external_merge_sort_pattern(U: DataRegion, W: DataRegion,
-                                memory_budget: int,
-                                stop_bytes: int | None = None) -> Pattern:
-    """External merge sort under a sort-area budget::
-
-        ext_sort(U,W,M) = ⊕_{j=1..r} quick_sort(U_j) ⊕ (⊙_j s_trav+(U_j) ⊙ s_trav+(W))
-
-    with ``r = ceil(||U|| / M)`` runs.  Degenerates to plain
-    :func:`quick_sort_pattern` when ``U`` fits the budget.
-    """
-    return EXTERNAL_MERGE_SORT.pattern(U, W, memory_budget, stop_bytes)
 
 
 def grace_hash_join_phases(U: DataRegion, V: DataRegion, W: DataRegion,
@@ -455,18 +443,6 @@ def grace_hash_join_phases(U: DataRegion, V: DataRegion, W: DataRegion,
     return (partition_pattern(U, PU, m), partition_pattern(V, PV, m), joins)
 
 
-def grace_hash_join_pattern(U: DataRegion, V: DataRegion, W: DataRegion,
-                            memory_budget: int) -> Pattern:
-    """Grace (spilling partitioned) hash join under a build-table
-    budget: partition both inputs until each per-partition hash table
-    fits in ``memory_budget``, then hash-join matching partition pairs —
-    structurally :func:`partitioned_hash_join_pattern` with the fan-out
-    chosen by the budget rather than a cache capacity.  Degenerates to
-    plain :func:`hash_join_pattern` when the whole table fits.
-    """
-    return seq(*grace_hash_join_phases(U, V, W, memory_budget))
-
-
 def spilling_hash_aggregate_phases(
         U: DataRegion, W: DataRegion, groups: int,
         memory_budget: int) -> tuple[Pattern, ...]:
@@ -494,20 +470,8 @@ def spilling_hash_aggregate_phases(
     return partition_pattern(U, PU, m), Seq.of(*passes)
 
 
-def spilling_hash_aggregate_pattern(U: DataRegion, W: DataRegion,
-                                    groups: int,
-                                    memory_budget: int) -> Pattern:
-    """Hash aggregation under a group-table budget: partition the input
-    by grouping key until each per-partition group table fits in
-    ``memory_budget``, then hash-aggregate every partition —
-    ``partition(U,P,m) ⊕ ⊕_j hash_aggr(P_j, G_j, W_j)``.  Degenerates
-    to plain :func:`hash_aggregate_pattern` when the table fits.
-    """
-    return seq(*spilling_hash_aggregate_phases(U, W, groups, memory_budget))
-
-
 # ----------------------------------------------------------------------
-# Aggregation / duplicate elimination / set operations.
+# Aggregation / duplicate elimination.
 # ----------------------------------------------------------------------
 
 def sort_aggregate_pattern(U: DataRegion, W: DataRegion,
@@ -542,12 +506,6 @@ def duplicate_elimination_pattern(U: DataRegion, H: DataRegion,
     """Hash-based duplicate elimination (the paper notes aggregation and
     duplicate elimination perform the sorting or hashing patterns)."""
     return STrav(U) * RAcc(H, r=U.n) * STrav(W)
-
-
-def merge_union_pattern(U: DataRegion, V: DataRegion, W: DataRegion) -> Pattern:
-    """Union (and, structurally, intersection/difference) of sorted
-    inputs: derived from merge join, three concurrent sweeps."""
-    return STrav(U) * STrav(V) * STrav(W)
 
 
 # ----------------------------------------------------------------------

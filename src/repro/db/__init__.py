@@ -17,7 +17,6 @@ from .hashtable import ENTRY_WIDTH, SimHashTable
 from .join import OUTPUT_WIDTH, hash_join, merge_join, nested_loop_join, probe_join
 from .partition import Partitions, join_partitions, partition, partition_key
 from .scan import project, scan, select
-from .setops import merge_difference, merge_intersect, merge_union
 from .sort import is_sorted, quick_sort
 from .spill import (
     GraceJoinResult,
@@ -60,9 +59,6 @@ __all__ = [
     "sort_aggregate",
     "hash_distinct",
     "sort_distinct",
-    "merge_union",
-    "merge_intersect",
-    "merge_difference",
     "SimBTree",
     "index_nested_loop_join",
     "btree_lookup_pattern",

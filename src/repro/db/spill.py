@@ -15,10 +15,11 @@ disk-era variant:
   key until every per-partition group table fits the budget, then
   hash-aggregate each partition independently.
 
-Every variant produces exactly the access trace its pattern factory in
-:mod:`repro.core.algorithms` describes (``external_merge_sort_pattern``
-etc.), so the derived cost functions price what the engine really does —
-on a :func:`~repro.hardware.disk_extended` hierarchy, down to buffer-pool
+Every variant produces exactly the access trace its catalog entry in
+:mod:`repro.core.algorithms` describes (its whole pattern is
+``EXTERNAL_MERGE_SORT.pattern(...)`` etc.), so the derived cost
+functions price what the engine really does — on a
+:func:`~repro.hardware.disk_extended` hierarchy, down to buffer-pool
 misses.  The budget → fan-out policy is shared with the model through
 :func:`~repro.core.spill_run_count` / :func:`~repro.core.spill_partition_count`.
 """

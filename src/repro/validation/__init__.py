@@ -10,7 +10,6 @@ from .bench_schema import (
 )
 from .cpu_cost import CpuCostModel, calibrate_cpu_cost
 from .microbench import figure5, figure6, measure_traversal
-from .plotting import ascii_plot
 from .operators import (
     figure7a_quicksort,
     figure7b_mergejoin,
@@ -34,7 +33,6 @@ __all__ = [
     "figure7e_partitioned_hashjoin",
     "CpuCostModel",
     "calibrate_cpu_cost",
-    "ascii_plot",
     "validate_bench_payload",
     "validate_bench_file",
     "validate_results_dir",

@@ -20,7 +20,6 @@ from repro.core import (
     hash_probe_pattern,
     hash_table_region,
     merge_join_pattern,
-    merge_union_pattern,
     nested_loop_join_pattern,
     partition_pattern,
     partitioned_hash_join_pattern,
@@ -204,10 +203,6 @@ class TestAggregates:
         H = hash_table_region(U)
         pattern = duplicate_elimination_pattern(U, H, W)
         assert isinstance(pattern, Conc)
-
-    def test_union_is_merge_shaped(self, regions):
-        U, V, W = regions
-        assert isinstance(merge_union_pattern(U, V, W), Conc)
 
 
 class TestTable2Registry:

@@ -1,4 +1,4 @@
-"""Joins, partitioning, aggregation and set operations vs naive references."""
+"""Joins, partitioning and aggregation vs naive references."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +11,7 @@ from repro.db import (
     hash_distinct,
     hash_join,
     join_partitions,
-    merge_difference,
-    merge_intersect,
     merge_join,
-    merge_union,
     nested_loop_join,
     partition,
     partition_key,
@@ -196,44 +193,3 @@ class TestAggregates:
         c2 = db2.create_column("U", list(values), width=8)
         assert (sorted(hash_distinct(db1, c1).values)
                 == sort_distinct(db2, c2).values == sorted(set(values)))
-
-
-class TestSetOps:
-    def test_union(self, tiny):
-        db = Database(tiny)
-        a = db.create_column("A", [1, 2, 4], width=8)
-        b = db.create_column("B", [2, 3], width=8)
-        assert merge_union(db, a, b).values == [1, 2, 3, 4]
-
-    def test_intersect(self, tiny):
-        db = Database(tiny)
-        a = db.create_column("A", [1, 2, 4, 6], width=8)
-        b = db.create_column("B", [2, 3, 6], width=8)
-        assert merge_intersect(db, a, b).values == [2, 6]
-
-    def test_difference(self, tiny):
-        db = Database(tiny)
-        a = db.create_column("A", [1, 2, 4, 6], width=8)
-        b = db.create_column("B", [2, 3, 6], width=8)
-        assert merge_difference(db, a, b).values == [1, 4]
-
-    @settings(max_examples=25, deadline=None)
-    @given(a=st.lists(st.integers(0, 40), min_size=1, max_size=50),
-           b=st.lists(st.integers(0, 40), min_size=1, max_size=50))
-    def test_property_setops_match_python_sets(self, a, b):
-        sa, sb = sorted(a), sorted(b)
-        db = Database(tiny_test_machine())
-        ca = db.create_column("A", sa, width=8)
-        cb = db.create_column("B", sb, width=8)
-        union = merge_union(db, ca, cb).values
-        assert union == sorted(set(a) | set(b))
-        db2 = Database(tiny_test_machine())
-        ca2 = db2.create_column("A", sa, width=8)
-        cb2 = db2.create_column("B", sb, width=8)
-        isect = merge_intersect(db2, ca2, cb2).values
-        assert isect == sorted(set(a) & set(b))
-        db3 = Database(tiny_test_machine())
-        ca3 = db3.create_column("A", sa, width=8)
-        cb3 = db3.create_column("B", sb, width=8)
-        diff = merge_difference(db3, ca3, cb3).values
-        assert diff == sorted(set(a) - set(b))

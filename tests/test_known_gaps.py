@@ -5,12 +5,14 @@ weaknesses so they cannot silently drift — each is a target for an
 open ROADMAP item, and fixing it should FAIL the corresponding upper
 pin here (at which point the pin is tightened, not deleted).
 
-Gap 1 (ROADMAP item 3, auto-calibration target): the in-memory hash
-join *underpredicts* on permutation joins once the build side outgrows
-L2 — the model prices the build/probe pattern as if the hash table's
-hot lines persisted, while the simulator sees near-miss-per-probe
-behaviour (the 0.42/0.58 join errors recorded in
-``BENCH_ext_vectorized.json`` at n=1024/4096).  At small n the same
+Gap 1 (ROADMAP items 1 and 17, an access-count gap): the in-memory
+hash join *underpredicts* on permutation joins once the build side
+outgrows L2.  The pattern declares fewer touches of the hash table
+``H`` than the kernel makes: at scale 2 048 it declares ``r_trav(H)``
+over 4 096 slots plus 2 048 probes (6 144 touches), while the kernel
+makes 8 194, because ``SimHashTable.lookup`` walks to the first empty
+slot.  Hence the 0.42/0.58 join errors recorded in
+``BENCH_ext_vectorized.json`` at n=1024/4096.  At small n the same
 template sits comfortably inside the validation band.
 """
 
@@ -46,23 +48,25 @@ class TestPermutationJoinOvershoot:
     def test_large_n_gap_is_pinned(self):
         """The known gap: at n=1024 the permutation-join error sits
         around 0.42 (predicted < measured).  The lower pin documents
-        that the gap is real (auto-calibration work must beat it); the
-        upper pin catches regressions that widen it."""
+        that the gap is real (a fix of the declared access counts must
+        beat it); the upper pin catches regressions that widen it."""
         error = _join_error(1024)
         assert 0.30 < error < 0.75, (
             f"permutation-join error {error:.3f} moved outside the "
             "pinned gap window — if it improved past the lower pin, "
-            "ROADMAP item 3 progressed: tighten this pin")
+            "the hash-table access count of ROADMAP items 1 and 17 "
+            "progressed: tighten this pin")
 
     def test_recalibration_closes_the_gap(self):
-        """The response half of ROADMAP item 3: the same uncalibrated
+        """The online response to the gap: the same uncalibrated
         session (whose static gap the pin above freezes) closes the gap
         *online* — repeated measured joins trip the drift monitor, the
         :class:`~repro.calibrator.Recalibrator` republishes a latency
         profile, and the re-measured error lands inside the validation
-        band.  The static pin stays: this loop is the fix the lower pin
-        was waiting for, run at runtime rather than baked into the
-        profile."""
+        band.  The static pin stays.  On the simulator the gap is an
+        access-count error (ROADMAP items 1 and 17), which a latency
+        profile only bends around; ROADMAP item 14(b) will rewrite this
+        test to expect no publish on the unmodified simulator."""
         session = _join_session(1024)
         recalibrator = Recalibrator(session)
         for _ in range(3):  # signed-EWMA excursion needs min_samples

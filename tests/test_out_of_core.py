@@ -18,12 +18,9 @@ from repro import Session
 from repro.core import (
     CostModel,
     DataRegion,
-    external_merge_sort_pattern,
-    grace_hash_join_pattern,
     partition_capacity,
     spill_partition_count,
     spill_run_count,
-    spilling_hash_aggregate_pattern,
 )
 from repro.db import (
     Database,

@@ -329,11 +329,10 @@ class TestSpillPatternAlgebra:
         return leaves_in_order(pattern)
 
     def test_external_sort_degenerates_to_quick_sort(self):
-        from repro.core import external_merge_sort_pattern, quick_sort_pattern
+        from repro.core import EXTERNAL_MERGE_SORT, quick_sort_pattern
         U = DataRegion("U", n=256, w=8)
         W = DataRegion("sort(U)", n=256, w=8)
-        fits = external_merge_sort_pattern(U, W, memory_budget=1 << 20,
-                                           stop_bytes=64)
+        fits = EXTERNAL_MERGE_SORT.pattern(U, W, 1 << 20, 64)
         assert fits == quick_sort_pattern(U, stop_bytes=64)
 
     def test_external_sort_merge_is_concurrent_sequential_cursors(self):
@@ -351,38 +350,37 @@ class TestSpillPatternAlgebra:
             assert part.region.is_within(U) or part.region.parent is U
 
     def test_grace_join_degenerates_to_hash_join(self):
-        from repro.core import grace_hash_join_pattern, hash_join_pattern, \
+        from repro.core import GRACE_HASH_JOIN, hash_join_pattern, \
             hash_table_region, DEFAULT_HASH_MAX_LOAD
         U = DataRegion("U", n=64, w=8)
         V = DataRegion("V", n=64, w=8)
         W = DataRegion("W", n=64, w=16)
         H = hash_table_region(V, max_load=DEFAULT_HASH_MAX_LOAD)
-        assert grace_hash_join_pattern(U, V, W, 1 << 20) == \
+        assert GRACE_HASH_JOIN.pattern(U, V, W, 1 << 20) == \
             hash_join_pattern(U, V, W, H=H)
 
     def test_spilling_aggregate_degenerates_to_hash_aggregate(self):
         from repro.core import (DEFAULT_HASH_MAX_LOAD,
-                                hash_aggregate_pattern, hash_table_region,
-                                spilling_hash_aggregate_pattern)
+                                SPILLING_HASH_AGGREGATE,
+                                hash_aggregate_pattern, hash_table_region)
         U = DataRegion("U", n=256, w=8)
         W = DataRegion("agg", n=16, w=16)
         G = hash_table_region(DataRegion("G", n=16, w=16),
                               max_load=DEFAULT_HASH_MAX_LOAD, name="G")
-        assert spilling_hash_aggregate_pattern(U, W, 16, 1 << 20) == \
+        assert SPILLING_HASH_AGGREGATE.pattern(U, W, 16, 1 << 20) == \
             hash_aggregate_pattern(U, G, W)
 
     def test_spill_patterns_use_only_basic_vocabulary(self):
-        from repro.core import (BasicPattern, external_merge_sort_pattern,
-                                grace_hash_join_pattern,
-                                spilling_hash_aggregate_pattern)
+        from repro.core import (EXTERNAL_MERGE_SORT, GRACE_HASH_JOIN,
+                                SPILLING_HASH_AGGREGATE, BasicPattern)
         U = DataRegion("U", n=1024, w=8)
         V = DataRegion("V", n=1024, w=8)
         W = DataRegion("W", n=1024, w=16)
         A = DataRegion("agg", n=256, w=16)
         for pattern in (
-                external_merge_sort_pattern(U, DataRegion("s", 1024, 8), 1024),
-                grace_hash_join_pattern(U, V, W, 2048),
-                spilling_hash_aggregate_pattern(U, A, 256, 1024)):
+                EXTERNAL_MERGE_SORT.pattern(U, DataRegion("s", 1024, 8), 1024),
+                GRACE_HASH_JOIN.pattern(U, V, W, 2048),
+                SPILLING_HASH_AGGREGATE.pattern(U, A, 256, 1024)):
             for leaf in self._leaves(pattern):
                 assert isinstance(leaf, BasicPattern)
 

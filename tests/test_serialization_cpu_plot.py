@@ -1,4 +1,4 @@
-"""Profile serialization, CPU-cost calibration (Eq. 6.1) and plotting."""
+"""Profile serialization and CPU-cost calibration (Eq. 6.1)."""
 
 import json
 
@@ -12,11 +12,7 @@ from repro.hardware import (
     origin2000,
     save_hierarchy,
 )
-from repro.validation import (
-    ascii_plot,
-    calibrate_cpu_cost,
-    figure7b_mergejoin,
-)
+from repro.validation import calibrate_cpu_cost
 
 
 class TestSerialization:
@@ -83,26 +79,3 @@ class TestCpuCalibration:
     def test_empty_run_rejected(self, origin):
         with pytest.raises(ValueError, match="no accesses"):
             calibrate_cpu_cost(origin, "noop", lambda db, n: None)
-
-
-class TestAsciiPlot:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return figure7b_mergejoin(sizes_kb=(4, 16, 64))
-
-    def test_plot_contains_markers(self, result):
-        text = ascii_plot(result, "L1")
-        assert "*" in text or ("o" in text and "-" in text)
-
-    def test_plot_has_requested_height(self, result):
-        text = ascii_plot(result, "L1", height=10)
-        # header + 10 rows + axis + labels
-        assert len(text.split("\n")) == 13
-
-    def test_linear_scale(self, result):
-        text = ascii_plot(result, "L1", log=False)
-        assert "linear" in text
-
-    def test_unknown_series_rejected(self, result):
-        with pytest.raises(ValueError):
-            ascii_plot(result, "L9")
