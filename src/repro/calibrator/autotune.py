@@ -44,7 +44,7 @@ import json
 import pathlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 from ..hardware.hierarchy import MemoryHierarchy
 from ..hardware.serialization import (

@@ -40,12 +40,11 @@ a plan or a session.  *Where*: at the entry points only — what
 below them, and never for a basic pattern (cheaper to evaluate than to
 look up).  *Lifetime*: the process, or until :func:`miss_memo_clear`;
 :func:`miss_memo_info` says what it did.  *Bound*:
-:data:`MISS_MEMO_ENTRIES`, oldest entry out first (:func:`remember`).
-*Threads*: a hit is a lock-free ``dict.get``; every insert and eviction
-holds the memo's lock; two threads that miss on one key both evaluate
-and store equal values.  Compound nodes keep their structural hash (and
-their footprint per line size) once computed, so a lookup hashes in
-O(1) and a tree nobody looks up pays nothing.
+:data:`MISS_MEMO_ENTRIES`, oldest entry out first (:class:`Memo`).
+*Threads*: lock-free hits, locked inserts (:class:`Memo`).  Compound
+nodes keep their structural hash (and their footprint per line size)
+once computed, so a lookup hashes in O(1) and a tree nobody looks up
+pays nothing.
 
 *What a hit costs*: the memo is asked with plain values — the pattern,
 the level's ``(line_size, capacity, num_lines)`` after any ⊙
@@ -86,7 +85,7 @@ from .regions import DataRegion
 from .state import CacheState
 
 __all__ = ["CostModel", "CostEstimate", "LevelCost", "footprint_lines",
-           "cache_shares", "remember", "MISS_MEMO_ENTRIES",
+           "cache_shares", "Memo", "MISS_MEMO_ENTRIES",
            "MissMemoInfo", "miss_memo_info", "miss_memo_clear"]
 
 
@@ -331,18 +330,46 @@ class CostModel:
 # state), remembered in one process-wide memo.
 # ----------------------------------------------------------------------
 
-def remember(memo: dict, key, value, cap: int) -> None:
-    """Insert into a bounded memo, dropping its oldest entry when full.
+class Memo(dict):
+    """A bounded memo of values that are pure functions of their keys.
 
-    The repo's one bounded-memo rule (this module's miss memo and both
-    pricing memos of :class:`~repro.service.InterferenceModel`): hits
-    are plain lock-free ``dict.get`` calls, every insert happens with
-    the memo's lock held — an unlocked ``del memo[next(iter(memo))]``
-    can raise "dictionary changed size during iteration" — and ``cap``
-    is read by the caller at call time."""
-    if len(memo) >= cap:
-        del memo[next(iter(memo))]
-    memo[key] = value
+    A hit is a lock-free ``dict.get`` (:meth:`recall`), so threads that
+    look up at once may under-count hits.  A caller that misses computes
+    the value outside any lock and hands it to :meth:`store`, which holds
+    the memo's lock while it drops the oldest entry of a full memo — an
+    unlocked ``del memo[next(iter(memo))]`` can raise "dictionary changed
+    size during iteration" — and inserts; two threads that miss on one
+    key store equal values.  ``cap`` is read by the caller at call time,
+    so a cap patched after the memo exists still bounds it."""
+
+    __slots__ = ("_lock", "hits", "misses", "evictions")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.clear()
+
+    def recall(self, key):
+        """The value stored under ``key`` (a hit), or ``None``."""
+        found = self.get(key)
+        if found is not None:
+            self.hits += 1
+        return found
+
+    def store(self, key, value, cap: int) -> None:
+        """Insert ``value`` (a miss), first dropping the oldest entry (an
+        eviction) when the memo holds ``cap``."""
+        with self._lock:
+            self.misses += 1
+            if len(self) >= cap:
+                del self[next(iter(self))]
+                self.evictions += 1
+            self[key] = value
+
+    def clear(self) -> None:
+        """Drop every entry and zero the counts."""
+        with self._lock:
+            super().clear()
+            self.hits = self.misses = self.evictions = 0
 
 
 #: Entries the miss memo holds before it drops its oldest: four times
@@ -365,26 +392,18 @@ class MissMemoInfo(NamedTuple):
     entries: int
 
 
-_memo: "dict[_MemoKey, tuple[MissPair, CacheState]]" = {}
-_memo_lock = threading.Lock()
-_hits = 0
-_misses = 0
+_memo: "Memo[_MemoKey, tuple[MissPair, CacheState]]" = Memo()
 
 
 def miss_memo_info() -> MissMemoInfo:
     """Lookups served from / added to the miss memo since the last
-    :func:`miss_memo_clear`, and the entries it holds now.  Misses are
-    counted under the memo's lock; hits are not, so threads pricing
-    concurrently may under-count them."""
-    return MissMemoInfo(_hits, _misses, len(_memo))
+    :func:`miss_memo_clear`, and the entries it holds now."""
+    return MissMemoInfo(_memo.hits, _memo.misses, len(_memo))
 
 
 def miss_memo_clear() -> None:
     """Forget every remembered evaluation and zero the counters."""
-    global _hits, _misses
-    with _memo_lock:
-        _memo.clear()
-        _hits = _misses = 0
+    _memo.clear()
 
 
 def _same_region(a: DataRegion | None, b: DataRegion | None) -> bool:
@@ -502,17 +521,13 @@ def _recall(pattern: Pattern, dims: tuple[int, float, float],
     2·10⁸ were ≈ 475 000 such nodes, runs in 0.3 s instead of 87 s."""
     if isinstance(pattern, BasicPattern):
         return _walk(pattern, LevelGeometry(*dims), state)
-    global _hits, _misses
     key = _MemoKey(pattern, dims, state)
-    found = _memo.get(key)
+    found = _memo.recall(key)
     if found is not None:
-        _hits += 1
         return found
     result = _walk(pattern, LevelGeometry(*dims), state)
     key.kept = True
-    with _memo_lock:
-        _misses += 1
-        remember(_memo, key, result, MISS_MEMO_ENTRIES)
+    _memo.store(key, result, MISS_MEMO_ENTRIES)
     return result
 
 

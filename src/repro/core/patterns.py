@@ -28,7 +28,7 @@ region and recursion bound rather than as one node per sub-table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
 from .regions import DataRegion

@@ -25,7 +25,7 @@ is the reconstruction that produces the paper's Figure 7a step
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .regions import DataRegion
 

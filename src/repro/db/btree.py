@@ -17,7 +17,6 @@ region whose geometry the cost model can describe.
 from __future__ import annotations
 
 import bisect
-import math
 
 from ..core.patterns import Conc, Pattern, RAcc, STrav
 from ..core.regions import DataRegion

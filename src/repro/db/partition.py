@@ -20,7 +20,7 @@ from ..core.regions import DataRegion
 from .column import Column
 from .context import Database, leaf_kernel
 from .hashtable import SimHashTable
-from .join import OUTPUT_WIDTH, hash_join
+from .join import hash_join
 
 __all__ = ["Partitions", "partition", "join_partitions", "partition_key"]
 

@@ -11,7 +11,7 @@ versa, so we keep the two families separate and iterate over
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .cache_level import CacheLevel

@@ -23,7 +23,7 @@ sizes the trace-driven simulator cannot execute).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..core.regions import DataRegion

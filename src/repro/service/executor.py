@@ -77,12 +77,11 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.cost import remember
+from ..core.cost import Memo
 from ..db.column import Column
 from ..hardware.hierarchy import MemoryHierarchy
 from ..query.observe import Explanation, MeasuredResult, measured_result
@@ -229,7 +228,7 @@ class _Recording:
         self.alignment, self.span, self.nbytes = alignment, span, nbytes
         #: cold solo replays by (profile fingerprint, quantum, shift
         #: class) — :meth:`replay_cold`
-        self.cold_replays: dict[tuple, BatchReplay] = {}
+        self.cold_replays: Memo[tuple, BatchReplay] = Memo()
         self._overhang: int | None = None
 
     @property
@@ -301,12 +300,11 @@ class _Recording:
         cold — remembered per shift class (:meth:`shift_class`), so a
         repeat replays nothing and leaves ``mem`` reset."""
         key = (mem.fingerprint, quantum, self.shift_class(mem, shift))
-        replay = self.cold_replays.get(key)
+        replay = self.cold_replays.recall(key)
         mem.reset()
         if replay is None:
             replay = _replay_cold(mem, [self.segment(shift)], quantum)
-            with _cold_lock:
-                remember(self.cold_replays, key, replay, COLD_REPLAY_ENTRIES)
+            self.cold_replays.store(key, replay, COLD_REPLAY_ENTRIES)
         return replay
 
     def replay_marked(self, mem: MemorySystem, shift: int
@@ -336,7 +334,6 @@ class _Recording:
 #: 7, 70 on seed 11, 542 over its 8 recordings; ``serve_contention``:
 #: 5).  An entry, a ``BatchReplay`` and its key, is about 0.7 kB.
 COLD_REPLAY_ENTRIES = 256
-_cold_lock = threading.Lock()
 
 
 def record_trace(session: Session, plan: QueryPlan,

@@ -26,12 +26,11 @@ wins over serial execution.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from ..core.cost import CostModel, remember
+from ..core.cost import CostModel, Memo
 from ..hardware.hierarchy import MemoryHierarchy
 from ..query.physical import QueryPlan
 
@@ -111,19 +110,16 @@ class InterferenceModel:
         # composition's ⊙ cost ever changes.  Keys are plan ids — for a
         # composition the *ordered* tuple, since member order fixes both
         # the result tuples and the float summation order — and every
-        # value holds its plans so the ids stay unambiguous.  Client
-        # threads with spawned sessions may price through one model at
-        # once, so the memos change only under the lock; hits stay
-        # lock-free.  Below these, a composition this model has not
-        # priced yet is still arithmetic on remembered misses: the
-        # members' miss pairs come from the process-wide miss memo of
-        # repro.core.cost, asked with plain geometry values, and
-        # CostModel.concurrent_memory_ns scores them with this machine's
-        # latencies without building a per-level estimate.
-        self._solo: dict[int, tuple[QueryPlan, float, float]] = {}
-        self._co_runs: dict[tuple[int, ...],
-                            tuple[tuple[QueryPlan, ...], CoRunPrediction]] = {}
-        self._memo_lock = threading.Lock()
+        # value holds its plans so the ids stay unambiguous.  Below
+        # these, a composition this model has not priced yet is still
+        # arithmetic on remembered misses: the members' miss pairs come
+        # from the process-wide miss memo of repro.core.cost, asked with
+        # plain geometry values, and CostModel.concurrent_memory_ns
+        # scores them with this machine's latencies without building a
+        # per-level estimate.
+        self._solo: Memo[int, tuple[QueryPlan, float, float]] = Memo()
+        self._co_runs: Memo[tuple[int, ...], tuple[tuple[QueryPlan, ...],
+                                                   CoRunPrediction]] = Memo()
 
     # ------------------------------------------------------------------
     def cpu_time_ns(self, plan: QueryPlan) -> float:
@@ -134,15 +130,14 @@ class InterferenceModel:
         """``(memory_ns, cpu_ns)`` of ``plan`` running alone on a cold
         machine (memoized per plan)."""
         key = id(plan)
-        cached = self._solo.get(key)
+        cached = self._solo.recall(key)
         if cached is not None:
             return cached[1], cached[2]
-        with self._memo_lock:
-            pattern = plan.access_pattern
-            memory = (0.0 if pattern is None
-                      else self.model.estimate(pattern).memory_ns)
-            cpu = self.cpu_time_ns(plan)
-            remember(self._solo, key, (plan, memory, cpu), MEMO_ENTRIES)
+        pattern = plan.access_pattern
+        memory = (0.0 if pattern is None
+                  else self.model.estimate(pattern).memory_ns)
+        cpu = self.cpu_time_ns(plan)
+        self._solo.store(key, (plan, memory, cpu), MEMO_ENTRIES)
         return memory, cpu
 
     def co_run(self, plans: Sequence[QueryPlan]) -> CoRunPrediction:
@@ -151,13 +146,11 @@ class InterferenceModel:
         if not plans:
             raise ValueError("a co-run batch needs at least one plan")
         key = tuple(map(id, plans))
-        cached = self._co_runs.get(key)
+        cached = self._co_runs.recall(key)
         if cached is not None:
             return cached[1]
         prediction = self._compose(plans)
-        with self._memo_lock:
-            remember(self._co_runs, key, (tuple(plans), prediction),
-                     MEMO_ENTRIES)
+        self._co_runs.store(key, (tuple(plans), prediction), MEMO_ENTRIES)
         return prediction
 
     def _compose(self, plans: Sequence[QueryPlan]) -> CoRunPrediction:

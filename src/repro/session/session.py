@@ -19,13 +19,12 @@ identical physical plans and share plan-cache entries.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from ..core.cost import CostModel, remember
+from ..core.cost import CostModel, Memo
 from ..core.regions import DataRegion
 from ..db.column import Column
 from ..db.context import Database
@@ -50,7 +49,6 @@ __all__ = ["Session"]
 #: seeds 7 and 11).  An entry (the tree, its bindings and its key) is
 #: about 1.1 kB, so a full memo holds ≈ 70 kB per session.
 STATEMENT_ENTRIES = 64
-_statement_lock = threading.Lock()
 _UNBOUND = object()
 
 
@@ -185,7 +183,7 @@ class Session:
         self._functions: dict[str, Callable] = {}
         self._sorted: dict[str, bool] = {}
         #: Query text -> its remembered parse (:meth:`as_logical`).
-        self._statements: dict[str, _Statement] = {}
+        self._statements: Memo[str, _Statement] = Memo()
         #: Whether the most recent :meth:`compile` was served from the
         #: plan cache (per-query provenance for shared-cache clients;
         #: :meth:`PlanCache.stats` only counts globally).
@@ -364,7 +362,7 @@ class Session:
     def _statement(self, text: str) -> _Statement:
         """The remembered parse of ``text``, parsed (and remembered)
         again unless every binding still holds."""
-        statement = self._statements.get(text)
+        statement = self._statements.recall(text)
         if statement is not None and statement.holds(
                 self.db.catalog, self._sorted, self._functions):
             return statement
@@ -377,8 +375,7 @@ class Session:
                   for name in table_names),
             tuple((name, self._functions[name]) for name in function_names),
             self.optimizer.tree_key(logical))
-        with _statement_lock:
-            remember(self._statements, text, statement, STATEMENT_ENTRIES)
+        self._statements.store(text, statement, STATEMENT_ENTRIES)
         return statement
 
     # -- compile & run -------------------------------------------------

@@ -20,7 +20,6 @@ from ..core.algorithms import (
 )
 from ..core.cost import CostModel
 from ..core.regions import DataRegion
-from ..db.column import Column
 from ..db.context import Database
 from ..db.datagen import random_permutation, sorted_ints, uniform_ints
 from ..db.join import OUTPUT_WIDTH, hash_join, merge_join

@@ -315,6 +315,22 @@ def test_the_memo_is_bounded(monkeypatch):
     assert len(recording.cold_replays) == 2
 
 
+def test_the_memo_counts_hits_misses_and_evictions(monkeypatch):
+    recording = RECORDINGS[0]
+    memo = recording.cold_replays
+    memo.clear()
+    mem = MemorySystem(origin2000_scaled())
+    for _ in range(2):
+        recording.replay_cold(mem, 8, DEFAULT_QUANTUM)
+    assert (memo.hits, memo.misses, memo.evictions) == (1, 1, 0)
+    monkeypatch.setattr(executor, "COLD_REPLAY_ENTRIES", 2)
+    recording.replay_cold(mem, 16, DEFAULT_QUANTUM)
+    assert memo.evictions == 0
+    recording.replay_cold(mem, 24, DEFAULT_QUANTUM)  # full: drops 8
+    assert (memo.hits, memo.misses, memo.evictions) == (1, 3, 1)
+    assert [key[2] for key in memo] == [16, 24]
+
+
 def test_threads_share_a_memo_through_its_cap(monkeypatch):
     """Four threads replaying one recording at twelve shifts through a
     cap of 3, so nearly every call inserts and evicts: every answer is

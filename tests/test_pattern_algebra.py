@@ -21,7 +21,6 @@ from repro.core import (
     CostModel,
     DataRegion,
     Nest,
-    Pattern,
     QuickSort,
     RAcc,
     RRTrav,

@@ -4,12 +4,11 @@ import json
 
 import pytest
 
-from repro.db import Database, quick_sort, scan, uniform_ints
+from repro.db import quick_sort, scan, uniform_ints
 from repro.hardware import (
     hierarchy_from_dict,
     hierarchy_to_dict,
     load_hierarchy,
-    origin2000,
     save_hierarchy,
 )
 from repro.validation import calibrate_cpu_cost

@@ -225,6 +225,17 @@ class TestInterferenceModel:
             assert pred.cpu_ns == tuple(solo[id(p)][1] for p in members)
         assert ab.memory_ns != ab.solo_memory_ns  # really contended
 
+    def test_pricing_memos_count_hits_and_misses(self, plans):
+        """A repeated composition is one ``_co_runs`` hit and prices no
+        member again; the first pricing's solo costs are ``_solo``
+        misses."""
+        session, (a, b, _) = plans
+        model = InterferenceModel(session.hierarchy)
+        model.co_run([a, b])
+        model.co_run([a, b])
+        assert (model._co_runs.hits, model._co_runs.misses) == (1, 1)
+        assert (model._solo.hits, model._solo.misses) == (0, 2)
+
     def test_pricing_memos_are_bounded_and_recompute_equal(
             self, plans, monkeypatch):
         from repro.service import interference

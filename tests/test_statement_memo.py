@@ -159,3 +159,19 @@ def test_a_rebound_name_is_parsed_again(op, actor, name, compiler):
     session.compile(text)
     assert not session.last_compile_cached
     side.check_keys([text])
+
+
+def test_the_statement_memo_counts_hits_and_misses():
+    """A text compiled twice is parsed once (the compile's second look
+    at the memo, for the tree key, is not counted); after a rebind the
+    stale entry counts as a hit and its parse as a miss."""
+    text = TEXTS[-2]  # orders, customers and even
+    side = Side(memo=True)
+    session = side.sessions["main"]
+    memo = session._statements
+    session.compile(text)
+    session.compile(text)
+    assert (memo.hits, memo.misses, memo.evictions, len(memo)) == (1, 1, 0, 1)
+    side.rebind("main", "orders")
+    session.compile(text)
+    assert (memo.hits, memo.misses, len(memo)) == (2, 2, 1)
