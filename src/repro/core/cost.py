@@ -14,8 +14,8 @@ Given a (compound) access pattern and a machine profile, the
 
 Eq. 3.1, ``T_mem = Σ_i M_i · l_i``, keeps what a pattern *misses* apart
 from what a miss *costs*, and so does this module.  Steps 1 - 3 are one
-pure function of ``(pattern, LevelGeometry, CacheState)`` —
-:func:`_evaluate`, which reads no latency and no hierarchy — and its
+pure function of ``(pattern, level geometry, CacheState)`` —
+:func:`_recall`, which reads no latency and no hierarchy — and its
 answers are remembered in **one process-wide miss memo**; step 4 is
 :attr:`LevelCost.time_ns`, done afresh per machine.  Every
 :class:`CostModel` on every machine of equal geometry therefore shares
@@ -486,13 +486,6 @@ class _MemoKey:
                 and (fresh.state is kept.state
                      or _same_state(fresh.state, kept.state))
                 and _congruent(fresh.pattern, kept.pattern))
-
-
-def _evaluate(pattern: Pattern, geo: LevelGeometry, state: CacheState
-              ) -> tuple[MissPair, CacheState]:
-    """:func:`_recall` asked with a built geometry."""
-    return _recall(pattern, (geo.line_size, geo.capacity, geo.num_lines),
-                   state)
 
 
 def _recall(pattern: Pattern, dims: tuple[int, float, float],

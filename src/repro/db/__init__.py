@@ -4,7 +4,7 @@
 from .aggregate import hash_aggregate, hash_distinct, sort_aggregate, sort_distinct
 from .allocator import Allocator
 from .btree import SimBTree, btree_lookup_pattern, index_nested_loop_join
-from .column import Column, IntVector, Table
+from .column import Column, IntVector
 from .context import Database
 from .radix import (
     radix_bits,
@@ -29,7 +29,6 @@ __all__ = [
     "Allocator",
     "Column",
     "IntVector",
-    "Table",
     "Database",
     "uniform_ints",
     "random_permutation",

@@ -1,4 +1,4 @@
-"""Columns and tables over the simulated memory.
+"""Columns over the simulated memory.
 
 The engine is column-oriented in the spirit of Monet (the paper's
 experimentation platform): a :class:`Column` is a contiguous array of
@@ -22,12 +22,12 @@ predicted costs are connected.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..core.regions import DataRegion
 from ..simulator.memory import MemorySystem
 
-__all__ = ["Column", "IntVector", "Table"]
+__all__ = ["Column", "IntVector"]
 
 
 class IntVector(array):
@@ -177,37 +177,3 @@ class Column:
 
     def __repr__(self) -> str:
         return f"Column({self.name}, n={self.n}, w={self.width}, @{self.address})"
-
-
-class Table:
-    """A set of equally long columns (a BAT-style binary table when it
-    has exactly ``head`` and ``tail`` columns)."""
-
-    def __init__(self, name: str, columns: Sequence[Column]) -> None:
-        columns = list(columns)
-        if not columns:
-            raise ValueError("a table needs at least one column")
-        cardinality = columns[0].n
-        for col in columns:
-            if col.n != cardinality:
-                raise ValueError(
-                    f"column {col.name} has {col.n} items, expected {cardinality}"
-                )
-        self.name = name
-        self.columns = {col.name: col for col in columns}
-        if len(self.columns) != len(columns):
-            raise ValueError("duplicate column names")
-
-    @property
-    def n(self) -> int:
-        return next(iter(self.columns.values())).n
-
-    def column(self, name: str) -> Column:
-        try:
-            return self.columns[name]
-        except KeyError:
-            raise KeyError(f"table {self.name} has no column {name!r}") from None
-
-    def __repr__(self) -> str:
-        cols = ", ".join(self.columns)
-        return f"Table({self.name}: {cols}; n={self.n})"

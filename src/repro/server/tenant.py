@@ -12,11 +12,11 @@ hardware.
 
 The server's one worker thread compiles through a
 :meth:`~repro.session.Session.spawn`-ed client session over the
-tenant's engine and cache, so compile provenance (hit/miss) is the
-worker's own while plans are shared tenant-wide.  The worker reads the
-tenant session's predicate registry and ``sorted`` flags themselves,
-not copies, so whatever is registered on :attr:`Tenant.session` is
-what the server compiles against.
+tenant's engine, cache and registries, so compile provenance
+(hit/miss) is the worker's own while plans are shared tenant-wide.  A
+spawned session shares its root's predicate registry and ``sorted``
+flags, so whatever is registered on :attr:`Tenant.session` is what the
+server compiles against.
 
 Because every :class:`~repro.db.Database` allocates from the same base
 address, different tenants' traces would alias in a co-run replay —
@@ -103,13 +103,12 @@ class Tenant:
         return self.index * TENANT_ADDRESS_STRIDE
 
     def worker_session(self) -> Session:
-        """The spawned client session every compile of this tenant's
-        queries goes through, over its engine, plan cache and
-        registries (:meth:`Session._spawn_sharing`) — spawned on first
-        use and never again (one thread compiles, so nothing is
-        locked)."""
+        """The :meth:`~repro.session.Session.spawn`-ed client session
+        every compile of this tenant's queries goes through, over its
+        engine, plan cache and registries — spawned on first use and
+        never again (one thread compiles, so nothing is locked)."""
         if self._worker is None:
-            self._worker = self.session._spawn_sharing()
+            self._worker = self.session.spawn()
         return self._worker
 
     def set_hierarchy(self, hierarchy: MemoryHierarchy) -> None:

@@ -547,11 +547,11 @@ class ServiceExecutor:
     Parameters
     ----------
     session:
-        The root session owning the shared engine, catalog, and plan
-        cache.  Each client gets its own :meth:`~Session.spawn`-ed
-        session over the same engine, cache and registries, so compile
-        provenance (hit/miss) is tracked per client while plans,
-        predicates and ``sorted`` flags are shared.
+        The session owning the engine, catalog, registries and plan
+        cache.  Every query compiles through it, whatever its client:
+        one thread compiles and each task reads its compile's
+        provenance (hit/miss) right after it, so the session's own
+        counters see every compile of a run.
     mode / max_batch / slack:
         Batch-formation knobs (:class:`~repro.service.AdmissionController`);
         the queue is unbounded and batches replay with the
@@ -565,20 +565,12 @@ class ServiceExecutor:
         self.interference = InterferenceModel(session.hierarchy)
         self._knobs = dict(mode=mode, max_batch=max_batch, slack=slack)
         self._run_queue()  # reject bad knobs here, not at the first run
-        self._clients: dict[int, Session] = {}
 
     def _run_queue(self) -> AdmissionController:
         """A fresh unbounded run queue: each run starts with nothing
         queued, whatever a run that raised left behind."""
         return AdmissionController(self.interference, max_queue=math.inf,
                                    **self._knobs)
-
-    def _client_session(self, client: int) -> Session:
-        """``client``'s session, spawned on first use and kept across
-        runs (:meth:`Session._spawn_sharing`)."""
-        if client not in self._clients:
-            self._clients[client] = self.session._spawn_sharing()
-        return self._clients[client]
 
     def run(self, queries: Sequence[WorkloadQuery]) -> WorkloadReport:
         """Compile, batch, and execute ``queries``; returns the full
@@ -589,8 +581,8 @@ class ServiceExecutor:
             self.interference = InterferenceModel(hierarchy)
         admission = self._run_queue()
         stepper = Stepper.closed_loop(admission, [
-            compile_task(self._client_session(q.client),
-                         self.interference, q) for q in queries])
+            compile_task(self.session, self.interference, q)
+            for q in queries])
         mem = MemorySystem(hierarchy)
         query_metrics: list[QueryMetrics] = []
         batch_metrics: list[BatchMetrics] = []

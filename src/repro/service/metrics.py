@@ -26,10 +26,11 @@ def percentile(values: Sequence[float], q: float, empty=_RAISE) -> float:
     """The ``q``-th percentile (0–100) with linear interpolation.
 
     Edge cases are explicit: an empty sample raises :class:`ValueError`
-    unless ``empty`` supplies a return value for it (sliding SLO
-    windows pass ``empty=None`` — a window with no completions has no
-    percentile, which is not an error), and a single sample is its own
-    ``q``-th percentile for every ``q`` including 0 and 100."""
+    unless ``empty`` supplies a return value for it
+    (:meth:`RunReport.latency_percentile` passes ``empty=None`` — a run
+    with no completions has no percentile, which is not an error), and
+    a single sample is its own ``q``-th percentile for every ``q``
+    including 0 and 100."""
     if not 0.0 <= q <= 100.0:
         raise ValueError("q must be in [0, 100]")
     if not values:

@@ -200,23 +200,14 @@ class Session:
 
         The spawned session shares this session's :class:`Database`
         (catalog, simulated address space, memory system), its
-        :class:`~repro.session.PlanCache`, and its planner config, and
-        copies the predicate registry and sorted-table flags — the
-        multi-client wiring of the concurrent workload service: many
-        front doors, one engine, one cache.  Compile provenance
-        (:attr:`last_compile_cached`) stays per session."""
+        :class:`~repro.session.PlanCache`, its planner config, and its
+        predicate registry and sorted-table flags themselves, not
+        copies: whatever either registers later, the other compiles
+        against — the multi-client wiring of the concurrent workload
+        service: many front doors, one engine, one cache.  Compile
+        provenance (:attr:`last_compile_cached`) stays per session."""
         child = Session(db=self.db, config=self.config,
                         cache=self.plan_cache, tracer=self.tracer)
-        child._functions.update(self._functions)
-        child._sorted.update(self._sorted)
-        return child
-
-    def _spawn_sharing(self) -> "Session":
-        """:meth:`spawn`, but sharing this session's predicate registry
-        and ``sorted`` flags instead of copying them, so what is
-        registered here later reaches the client too (a server
-        tenant's worker, a ``ServiceExecutor`` client)."""
-        child = self.spawn()
         child._functions = self._functions
         child._sorted = self._sorted
         return child

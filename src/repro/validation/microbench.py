@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import random
 
-from ..core.misses import LevelGeometry, rtrav_count, strav_count
+from ..core.cost import CostModel
+from ..core.patterns import RTrav, STrav
 from ..core.regions import DataRegion
 from ..hardware.hierarchy import MemoryHierarchy
 from ..hardware.profiles import origin2000_scaled
 from ..simulator.memory import MemorySystem
-from .reporting import ExperimentResult, ExperimentRow
+from .reporting import ExperimentResult, ExperimentRow, size_label
 
 __all__ = [
     "measure_traversal",
@@ -62,15 +63,15 @@ def measure_traversal(hierarchy: MemoryHierarchy, n: int, w: int, u: int,
 def _predict_traversal(hierarchy: MemoryHierarchy, n: int, w: int, u: int,
                        randomized: bool) -> dict[str, float]:
     region = DataRegion("R", n=n, w=w)
+    misses = CostModel(hierarchy).misses(
+        (RTrav if randomized else STrav)(region, u))
     out: dict[str, float] = {}
     time_ns = 0.0
     for level in hierarchy.all_levels:
-        geo = LevelGeometry.of(level)
+        count = misses[level.name].total
         if randomized:
-            count = rtrav_count(region, u, geo)
             time_ns += count * level.rand_miss_latency_ns
         else:
-            count = strav_count(region, u, geo)
             # The s_trav+ variant (EDO sequential latency) applies only
             # while misses hit successive lines, i.e. while the
             # untouched gap is below the line size; a line-skipping
@@ -172,18 +173,10 @@ def figure6(hierarchy: MemoryHierarchy | None = None,
                                      randomized=randomized)
             pred = _predict_traversal(hierarchy, n, w, u=w,
                                       randomized=randomized)
-            key = _size_label(size)
+            key = size_label(size)
             measured[key] = meas[level]
             predicted[key] = pred[level]
         result.rows.append(ExperimentRow(
             x_label=str(w), measured=measured, predicted=predicted,
         ))
     return result
-
-
-def _size_label(size: int) -> str:
-    if size >= 1024 * 1024:
-        return f"{size / (1024 * 1024):.0f}MB"
-    if size >= 1024:
-        return f"{size / 1024:.0f}kB"
-    return f"{size}B"

@@ -27,7 +27,7 @@ from ..db.partition import join_partitions, partition
 from ..db.sort import quick_sort
 from ..hardware.hierarchy import MemoryHierarchy
 from ..hardware.profiles import origin2000_scaled
-from .reporting import ExperimentResult, ExperimentRow
+from .reporting import ExperimentResult, ExperimentRow, size_label
 
 __all__ = [
     "figure7a_quicksort",
@@ -38,14 +38,6 @@ __all__ = [
 ]
 
 KB = 1024
-
-
-def _size_label(size: int) -> str:
-    if size >= 1024 * KB:
-        return f"{size / (1024 * KB):.0f}MB"
-    if size >= KB:
-        return f"{size // KB}kB"
-    return f"{size}B"
 
 
 def _sweep(result: ExperimentResult, hierarchy: MemoryHierarchy | None,
@@ -88,7 +80,7 @@ def figure7a_quicksort(hierarchy: MemoryHierarchy | None = None,
 
         def run():
             quick_sort(db, col)
-            return (_size_label(size_kb * KB),
+            return (size_label(size_kb * KB),
                     quick_sort_pattern(col.region(), stop_bytes=stop))
         return run
 
@@ -109,7 +101,7 @@ def figure7b_mergejoin(hierarchy: MemoryHierarchy | None = None,
         def run():
             out = merge_join(db, left, right)
             W = DataRegion("W", n=max(1, len(out.values)), w=OUTPUT_WIDTH)
-            return (_size_label(size_kb * KB),
+            return (size_label(size_kb * KB),
                     merge_join_pattern(left.region(), right.region(), W))
         return run
 
@@ -136,7 +128,7 @@ def figure7c_hashjoin(hierarchy: MemoryHierarchy | None = None,
         def run():
             out, table = hash_join(db, outer, inner)
             W = DataRegion("W", n=max(1, len(out.values)), w=OUTPUT_WIDTH)
-            return (_size_label(size_kb * KB),
+            return (size_label(size_kb * KB),
                     hash_join_pattern(outer.region(), inner.region(), W,
                                       H=table.region()))
         return run
@@ -205,7 +197,7 @@ def figure7e_partitioned_hashjoin(
                 H_regions=tuple(t.region() for t in tables),
             )
             table_bytes = tables[0].size if tables else 0
-            return f"{_size_label(table_bytes)} (m={m})", pattern
+            return f"{size_label(table_bytes)} (m={m})", pattern
         return run
 
     return _sweep(ExperimentResult(

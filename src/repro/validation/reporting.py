@@ -19,6 +19,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ExperimentRow", "ExperimentResult", "geometric_mean_ratio"]
 
 
+def size_label(size: int) -> str:
+    """``size`` bytes as a sweep's x label: in MB or kB from one unit
+    up, with every decimal it needs (1 536 B is ``1.5kB``, 2 048 B is
+    ``2kB``), so two sizes never share a label — dividing by a power of
+    two is exact, and a float's ``str`` tells it from every other."""
+    for unit, scale in (("MB", 1 << 20), ("kB", 1 << 10)):
+        if size >= scale:
+            return f"{str(size / scale).removesuffix('.0')}{unit}"
+    return f"{size}B"
+
+
 @dataclass(frozen=True)
 class ExperimentRow:
     """One x-axis point of an experiment."""

@@ -6,7 +6,6 @@ from repro.db import (
     Allocator,
     Column,
     Database,
-    Table,
     project,
     scan,
     select,
@@ -93,21 +92,6 @@ class TestColumn:
         col = Column("c", width=8, address=0, values=[])
         assert col.n == 0
         assert col.region().n == 1
-
-    def test_table_requires_equal_lengths(self, tiny):
-        db = Database(tiny)
-        a = db.create_column("a", [1, 2], width=8)
-        b = db.create_column("b", [1], width=8)
-        with pytest.raises(ValueError):
-            Table("t", [a, b])
-
-    def test_table_lookup(self, tiny):
-        db = Database(tiny)
-        a = db.create_column("a", [1, 2], width=8)
-        table = Table("t", [a])
-        assert table.column("a") is a
-        with pytest.raises(KeyError):
-            table.column("z")
 
 
 class TestDatabase:

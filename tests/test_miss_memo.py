@@ -22,7 +22,6 @@ from repro.core import (  # noqa: E402
     Conc,
     CostModel,
     DataRegion,
-    LevelGeometry,
     RAcc,
     RTrav,
     Seq,
@@ -31,6 +30,7 @@ from repro.core import (  # noqa: E402
     miss_memo_clear,
     miss_memo_info,
 )
+from repro.core.misses import level_dims  # noqa: E402
 from repro.hardware import (  # noqa: E402
     origin2000_scaled,
     parametric_profile,
@@ -66,13 +66,13 @@ class TestSoundness:
                             max_size=2))
     def test_hit_equals_empty_memo_to_the_bit(self, tree, probe, level,
                                               entries):
-        geo, state = LevelGeometry.of(level), CacheState.of(*entries)
+        dims, state = level_dims(level), CacheState.of(*entries)
 
         def price():
             # the probe is priced in the state the tree's evaluation —
             # on the second call, its memo entry — hands on
-            pair, left = cost._evaluate(tree, geo, state)
-            return pair, repr(left), cost._evaluate(probe, geo, left)[0]
+            pair, left = cost._recall(tree, dims, state)
+            return pair, repr(left), cost._recall(probe, dims, left)[0]
 
         miss_memo_clear()  # the fixture runs once, not per example
         first = price()

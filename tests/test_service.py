@@ -561,6 +561,19 @@ class TestExecutor:
         assert report.queries[0].signature == expected
         assert "sort" not in expected  # the flag spared the sort
 
+    def test_every_query_compiles_through_the_root(self):
+        """The executor compiles each query through the session it was
+        given, so that session's own counters see every compile."""
+        session = Session()
+        gen = WorkloadGenerator(session=session, seed=5, scale=256)
+        workload = gen.generate(8, clients=3)
+        report = ServiceExecutor(session).run(workload)
+        stats = session.stats()
+        assert (stats["session_hits"] + stats["session_misses"]
+                == len(workload))
+        assert (sum(q.cache_hit for q in report.queries)
+                == stats["session_hits"])
+
     def test_end_to_end_report(self, small_service):
         session, gen = small_service
         workload = gen.generate(8, clients=2)

@@ -541,6 +541,24 @@ class TestSessionLifecycle:
         assert len(groups.values) == N
         assert session.db.column("orders").values == before
 
+    def test_spawn_shares_the_registries_both_ways(self, session):
+        """A spawned child reads and writes its root's predicate
+        registry and ``sorted`` flags: what either registers after the
+        spawn, the other compiles against."""
+        child = session.spawn()
+        assert child._functions is session._functions
+        assert child._sorted is session._sorted
+        session.predicate("odd", lambda v: v % 2 == 1)
+        session.create_table("ranks", list(range(64)), sorted=True)
+        child.predicate("small", lambda v: v < 8)
+        child.create_table("steps", list(range(64)), sorted=True)
+        for s, other in ((child, session), (session, child)):
+            assert s.function("odd") is other.function("odd")
+            assert s.function("small") is other.function("small")
+            for name in ("ranks", "steps"):
+                signature = s.compile(f"sort({name})").plan.signature
+                assert "sort" not in signature  # the flag spared the sort
+
     def test_repr_and_stats(self, session):
         assert "Session(" in repr(session)
         stats = session.stats()

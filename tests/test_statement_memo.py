@@ -46,17 +46,16 @@ TEXTS = _texts()
 
 
 class Side:
-    """One session and its spawned sibling, plus the ``sorted`` flag
-    each holds for every table (a sibling copies the flags at spawn
-    and keeps its own from then on)."""
+    """One session and its spawned sibling, plus the ``sorted`` flag of
+    every table (siblings share the flags, as they share the catalog
+    and the predicate registry, so either one's flip is both's)."""
 
     def __init__(self, memo: bool) -> None:
         self.memo = memo
         main = Session(origin2000_scaled())
         WorkloadGenerator(main, seed=3, scale=SCALE)
         self.sessions = {"main": main, "sibling": main.spawn()}
-        self.flags = {actor: dict.fromkeys(TABLES, False)
-                      for actor in ACTORS}
+        self.flags = dict.fromkeys(TABLES, False)
 
     def compile(self, actor: str, text: str):
         session = self.sessions[actor]
@@ -79,12 +78,12 @@ class Side:
         in the catalog every sibling shares."""
         session = self.sessions[actor]
         values = list(session.db.column(table).values)
-        session.create_table(table, values, sorted=self.flags[actor][table])
+        session.create_table(table, values, sorted=self.flags[table])
 
     def flip(self, actor: str, table: str) -> None:
         """Re-register the same column with the other ``sorted`` flag."""
         session = self.sessions[actor]
-        flag = self.flags[actor][table] = not self.flags[actor][table]
+        flag = self.flags[table] = not self.flags[table]
         session.register_table(session.db.column(table), table, sorted=flag)
 
     def rebind_predicate(self, actor: str, name: str) -> None:

@@ -60,6 +60,14 @@ class TestFigure6:
                 assert row.measured[key] == pytest.approx(
                     row.predicted[key], rel=0.05)
 
+    @pytest.mark.parametrize("level", ["L1", "L2"])
+    def test_one_key_per_size(self, level):
+        """Each of the five default sizes keeps its own column (1.5 kB
+        and 2 kB once both printed as 2kB, and the first was lost)."""
+        result = figure6(level=level, widths=(8,))
+        for row in result.rows:
+            assert len(row.measured) == len(row.predicted) == 5
+
     def test_random_l1_within_factor(self):
         result = figure6(level="L1", widths=(4, 16, 64), randomized=True)
         for key in result.rows[0].measured:
