@@ -24,7 +24,8 @@ from repro.core import (
     merge_join_pattern,
 )
 from repro.hardware import disk_extended, disk_extended_scaled, modern_x86
-from repro.simulator import MemorySystem
+from repro.simulator import MemorySystem, canonical_trace
+from repro.simulator.memory import Segment
 
 
 def render_disk_comparison(n: int) -> str:
@@ -78,21 +79,18 @@ def test_pool_simulator_reproduces_model(benchmark, quick):
     """Executed Section 7: replay a sequential and a random trace
     through the buffer-pool simulator; measured pool misses must match
     the model's predictions within the established band."""
-    import random as _random
-
     hw = disk_extended_scaled()
     model = CostModel(hw)
     n = 1024 if quick else 4096
     w = 8
     region = DataRegion("R", n=n, w=w)
+    hits = 4 * n
 
     def run():
-        seq_mem = MemorySystem(hw)
-        seq_mem.replay((i * w, w) for i in range(n))
-        rng = _random.Random(17)
-        hits = 4 * n
-        rnd_mem = MemorySystem(hw)
-        rnd_mem.replay((rng.randrange(n) * w, w) for _ in range(hits))
+        seq_mem, rnd_mem = MemorySystem(hw), MemorySystem(hw)
+        seq_mem.replay(Segment(canonical_trace(STrav(region), 0)))
+        rnd_mem.replay(Segment(canonical_trace(RAcc(region, r=hits), 0,
+                                               seed=17)))
         return (seq_mem.snapshot(), rnd_mem.snapshot(), hits)
 
     seq_snap, rnd_snap, hits = benchmark(run)

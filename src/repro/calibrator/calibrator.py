@@ -7,27 +7,34 @@ issues access patterns and observes *only elapsed time* (never the
 simulator's internal counters), exactly as the real tool can only read
 the wall clock.
 
+Every probe is a basic pattern over a buffer of ``S`` bytes read one
+byte per slot, slots ``s`` bytes apart: ``rs_trav(2, uni)`` (an
+:class:`~repro.core.RSTrav`, timed on its second sweep) or
+``rr_trav`` (an :class:`~repro.core.RRTrav`, timed after its first
+round), replayed as :func:`~repro.simulator.canonical_trace` gives it.
 Experiments, smallest level outwards:
 
-1. **Capacity sweep** — a uni-directional repeated sweep over a buffer of
-   size ``S`` is free on its second pass while ``S`` fits a level; the
-   second-pass time per access steps up each time ``S`` crosses a
-   capacity (data caches *and* the TLB's virtual capacity show up).
-2. **Line-size sweep** — sweeping a buffer sized to miss (mostly) one
-   level with stride ``s`` costs ``min(1, s/Z)`` misses per access; the
-   time per access stops growing at ``s = Z``.
-3. **Latencies** — sequential: a stride-``Z`` sweep; random: the same
-   lines in shuffled order.  Contributions of already-calibrated smaller
-   levels are subtracted, leaving the level's own miss latency.
+1. **Capacity sweep** — the ``rs_trav`` over a buffer of size ``S`` is
+   free on its second pass while ``S`` fits a level; the second-pass
+   time per access steps up each time ``S`` crosses a capacity (data
+   caches *and* the TLB's virtual capacity show up).
+2. **Line-size sweep** — the ``rs_trav`` over a buffer sized to miss
+   (mostly) one level with stride ``s`` costs ``min(1, s/Z)`` misses
+   per access; the time per access stops growing at ``s = Z``.
+3. **Latencies** — sequential: the stride-``Z`` ``rs_trav``; random:
+   the ``rr_trav`` over the same lines.  Contributions of
+   already-calibrated smaller levels are subtracted, leaving the
+   level's own miss latency.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
+from ..core.patterns import BasicPattern, RRTrav, RSTrav
+from ..core.regions import DataRegion
 from ..hardware.hierarchy import MemoryHierarchy
-from ..simulator.memory import MemorySystem
+from ..simulator.memory import MemorySystem, Segment, canonical_trace
 
 __all__ = ["CalibratedLevel", "CalibrationResult", "calibrate"]
 
@@ -54,55 +61,44 @@ class CalibrationResult:
 
 # ----------------------------------------------------------------------
 
-def _fresh(hierarchy: MemoryHierarchy) -> MemorySystem:
-    return MemorySystem(hierarchy)
+#: Where every probe's buffer starts (line- and page-aligned).
+_BASE = 1 << 20
 
 
-def _sweep_time(mem: MemorySystem, size: int, stride: int,
-                repeats: int = 1, offset: int = 1 << 20) -> float:
-    """Time per access of ``repeats`` uni-directional sweeps."""
-    before = mem.elapsed_ns
-    count = 0
-    for _ in range(repeats):
-        for addr in range(offset, offset + size, stride):
-            mem.access(addr, 1)
-            count += 1
-    return (mem.elapsed_ns - before) / count
+def _buffer(size: int, stride: int) -> DataRegion:
+    """The ``ceil(size / stride)`` slots, ``stride`` bytes apart, that a
+    probe over a ``size``-byte buffer touches."""
+    return DataRegion("buffer", n=-(-size // stride), w=stride)
+
+
+def _warm_time(hierarchy: MemoryHierarchy, pattern: BasicPattern,
+               seed: int = 0) -> float:
+    """Time per access of ``pattern``'s canonical trace over a cold
+    buffer, after its first round over the buffer, which warms the
+    caches unmeasured."""
+    trace = canonical_trace(pattern, _BASE, seed)
+    n = pattern.region.n
+    mem = MemorySystem(hierarchy)
+    mem.replay(Segment(trace, end=n))
+    return mem.replay(Segment(trace, begin=n)).elapsed_ns / (len(trace) - n)
 
 
 def _second_pass_time(hierarchy: MemoryHierarchy, size: int,
                       stride: int) -> float:
     """Time per access of the *second* sweep over a cold buffer."""
-    mem = _fresh(hierarchy)
-    offset = 1 << 20
-    for addr in range(offset, offset + size, stride):
-        mem.access(addr, 1)
-    return _sweep_time(mem, size, stride, repeats=1)
+    return _warm_time(hierarchy, RSTrav(_buffer(size, stride), u=1, r=2))
 
 
-def _shuffled_time(hierarchy: MemoryHierarchy, size: int, stride: int,
-                   seed: int = 42, passes: int = 8) -> float:
-    """Time per access over the buffer's lines in random order.
+def _shuffled_time(hierarchy: MemoryHierarchy, size: int,
+                   stride: int) -> float:
+    """Time per access over the buffer's slots in random order.
 
-    One unmeasured warm-up pass, then ``passes`` measured passes, each
-    with a fresh shuffle — averaging keeps the LRU steady-state miss
-    rate close to its expectation even when the buffer spans only a
-    handful of lines (e.g. a dozen pages in a TLB probe)."""
-    mem = _fresh(hierarchy)
-    offset = 1 << 20
-    slots = list(range(offset, offset + size, stride))
-    rng = random.Random(seed)
-    rng.shuffle(slots)
-    for addr in slots:
-        mem.access(addr, 1)
-    before = mem.elapsed_ns
-    count = 0
-    for _ in range(passes):
-        rng.shuffle(slots)
-        for addr in slots:
-            mem.access(addr, 1)
-            count += 1
-    return (mem.elapsed_ns - before) / count
+    One unmeasured warm-up round, then eight measured rounds, each a
+    fresh shuffle — averaging keeps the LRU steady-state miss rate
+    close to its expectation even when the buffer spans only a handful
+    of lines (e.g. a dozen pages in a TLB probe)."""
+    return _warm_time(hierarchy, RRTrav(_buffer(size, stride), u=1, r=9),
+                      seed=42)
 
 
 # ----------------------------------------------------------------------

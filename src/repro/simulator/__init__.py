@@ -10,7 +10,7 @@ experiment.
 from .bufferpool import BufferPoolSim
 from .cache import CacheSim
 from .counters import CounterSnapshot, LevelCounters
-from .memory import MemorySystem
+from .memory import MemorySystem, canonical_trace
 
 __all__ = ["BufferPoolSim", "CacheSim", "CounterSnapshot", "LevelCounters",
-           "MemorySystem"]
+           "MemorySystem", "canonical_trace"]

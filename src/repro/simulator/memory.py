@@ -20,16 +20,19 @@ counters (PAPER.md, "Unified hardware description").
 from __future__ import annotations
 
 import math
+import random
 import sys
 from array import array
 from typing import Iterable, NamedTuple, Sequence
 
+from ..core.patterns import (BI, RANDOM, BasicPattern, Nest, RAcc, RRTrav,
+                             RSTrav, RTrav, STrav)
 from ..hardware.hierarchy import MemoryHierarchy
 from .bufferpool import BufferPoolSim
 from .cache import HIT, RAND_MISS, STREAM_WINDOW, CacheSim
 from .counters import CounterSnapshot, LevelCounters
 
-__all__ = ["MemorySystem"]
+__all__ = ["MemorySystem", "canonical_trace"]
 
 
 class CompactTrace:
@@ -40,8 +43,8 @@ class CompactTrace:
     ``-1`` for a coalesced range (``array('i')``: an access is under
     1 GiB), whose ``(nbytes, stride, count, write)`` are kept aside in
     :attr:`ranges` under the entry's index.  Built
-    from the tuple entries :meth:`MemorySystem.replay` documents, or
-    appended to in place by a recorder
+    from the tuple entries :meth:`MemorySystem.replay` documents, by
+    :func:`canonical_trace`, or appended to in place by a recorder
     (:class:`repro.service.TraceRecorder`); :meth:`entries` decodes it
     back to those tuples."""
 
@@ -97,6 +100,69 @@ class Segment(NamedTuple):
     floor: int = 0
     begin: int = 0
     end: int | None = None
+
+
+def canonical_trace(pattern: BasicPattern, base: int,
+                    seed: int = 0) -> CompactTrace:
+    """The accesses a basic pattern makes (PAPER.md §5.1), as a trace.
+
+    Item ``i`` of the region ``R`` sits at ``base + i * R.w`` and is
+    read for ``pattern.used_bytes``.  With ``rng = Random(seed)``:
+
+    * ``STrav`` visits the items in order;
+    * ``RTrav`` in the order ``rng.shuffle`` gives ``list(range(n))``;
+    * ``RSTrav`` in ``r`` sweeps, all forward (``UNI``) or alternating,
+      the first forward (``BI``);
+    * ``RRTrav`` in ``r`` rounds, each an ``rng.shuffle`` of the
+      previous round's order (``r = 1`` is ``RTrav``);
+    * ``RAcc`` makes ``r`` draws of ``rng.randrange(n)``;
+    * ``Nest(local="s_trav", order=RANDOM)`` runs ``m`` sequential
+      cursors over ``n / m`` items each; ``rng.choice`` picks among the
+      cursors with items left at every step.
+
+    Any other pattern (a compound, a quick-sort, another ``Nest``, or
+    ``m`` not dividing ``n``) raises :class:`ValueError`.  A ``Conc`` of
+    basic patterns is their traces replayed by
+    :meth:`MemorySystem.replay_interleaved` with ``quantum=1``.
+    """
+    if not isinstance(pattern, BasicPattern):
+        raise ValueError(f"no canonical trace for {pattern!r}")
+    n, w = pattern.region.n, pattern.region.w
+    rng = random.Random(seed)
+    if isinstance(pattern, STrav):
+        order: Sequence[int] = range(n)
+    elif isinstance(pattern, (RTrav, RRTrav)):
+        perm = list(range(n))
+        order = []
+        for _ in range(pattern.r if isinstance(pattern, RRTrav) else 1):
+            rng.shuffle(perm)
+            order += perm
+    elif isinstance(pattern, RSTrav):
+        forward, backward = range(n), range(n - 1, -1, -1)
+        order = []
+        for sweep in range(pattern.r):
+            order += (backward if pattern.direction == BI and sweep % 2
+                      else forward)
+    elif isinstance(pattern, RAcc):
+        order = [rng.randrange(n) for _ in range(pattern.r)]
+    elif (isinstance(pattern, Nest) and pattern.local == "s_trav"
+          and pattern.order == RANDOM and n % pattern.m == 0):
+        sub = n // pattern.m
+        fills = [0] * pattern.m
+        active = list(range(pattern.m))  # the cursors with items left
+        order = []
+        for _ in range(n):
+            cursor = rng.choice(active)
+            order.append(cursor * sub + fills[cursor])
+            fills[cursor] += 1
+            if fills[cursor] == sub:
+                active.remove(cursor)
+    else:
+        raise ValueError(f"no canonical trace for {pattern!r}")
+    trace = CompactTrace()
+    trace.addresses = array("q", [base + i * w for i in order])
+    trace.sizes = array("i", [2 * pattern.used_bytes]) * len(order)
+    return trace
 
 
 class MemorySystem:

@@ -3,7 +3,8 @@
 Figure 5 measures the impact of the used-bytes parameter ``u`` and of
 item alignment on the misses of single sequential and random traversals;
 Figure 6 the impact of item width ``R.w`` and region size ``||R||``.
-The "measured" side issues raw traversal traces into the simulator; the
+The "measured" side replays each traversal's canonical trace
+(:func:`~repro.simulator.canonical_trace`) through the simulator; the
 "predicted" side evaluates Eqs. 4.2-4.5.  All sizes are expressed on the
 scaled Origin2000 profile (:func:`~repro.hardware.origin2000_scaled` says
 why scaling keeps the paper's crossovers).
@@ -11,14 +12,12 @@ why scaling keeps the paper's crossovers).
 
 from __future__ import annotations
 
-import random
-
 from ..core.cost import CostModel
 from ..core.patterns import RTrav, STrav
 from ..core.regions import DataRegion
 from ..hardware.hierarchy import MemoryHierarchy
 from ..hardware.profiles import origin2000_scaled
-from ..simulator.memory import MemorySystem
+from ..simulator.memory import MemorySystem, Segment, canonical_trace
 from .reporting import ExperimentResult, ExperimentRow, size_label
 
 __all__ = [
@@ -31,14 +30,14 @@ __all__ = [
 def measure_traversal(hierarchy: MemoryHierarchy, n: int, w: int, u: int,
                       align: int = 0, randomized: bool = False,
                       seed: int = 7) -> dict[str, float]:
-    """Run one (sequential or random) traversal trace; return per-level
-    misses and elapsed time.
+    """Replay the canonical trace of one ``s_trav`` (or, ``randomized``,
+    ``r_trav``) of ``n`` items of ``w`` bytes, ``u`` used; return
+    per-level misses and elapsed time.
 
     ``align`` shifts the region start within a cache line (the paper's
     Figure 4/5 alignment experiments); ``-1`` aligns the first item to
     the last byte of a line.
     """
-    mem = MemorySystem(hierarchy)
     line = hierarchy.levels[0].line_size
     if align == -1:
         offset = line - 1
@@ -46,15 +45,9 @@ def measure_traversal(hierarchy: MemoryHierarchy, n: int, w: int, u: int,
         raise ValueError("align must be >= 0 (or -1 for end-of-line)")
     else:
         offset = align
-    base = (1 << 20) + offset
-    indices = range(n)
-    if randomized:
-        order = list(indices)
-        random.Random(seed).shuffle(order)
-        indices = order
-    for i in indices:
-        mem.access(base + i * w, u)
-    snap = mem.snapshot()
+    pattern = (RTrav if randomized else STrav)(DataRegion("R", n=n, w=w), u)
+    trace = canonical_trace(pattern, (1 << 20) + offset, seed)
+    snap = MemorySystem(hierarchy).replay(Segment(trace))
     out = {lvl.name: float(lvl.misses) for lvl in snap.levels}
     out["time_us"] = snap.elapsed_ns / 1e3
     return out

@@ -273,14 +273,7 @@ class TestManifestValidator:
         assert validate_manifest(_valid_manifest()) == []
 
     @pytest.mark.parametrize("mutate, needle", [
-        (lambda m: m.update(kind="bench"), "kind"),
-        (lambda m: m.update(schema_version=2), "schema_version"),
-        (lambda m: m.update(published="yes"), "published"),
-        (lambda m: m["profile"].pop("after"), "profile.after"),
         (lambda m: m["fingerprint"].update(after=""), "fingerprint"),
-        (lambda m: m["search"].update(grid=[]), "search.grid"),
-        (lambda m: m["search"].update(evaluations=True),
-         "search.evaluations"),
         (lambda m: m["error"].update(before=-1.0), "error.before"),
         (lambda m: m["error"]["samples"].append({"label": "x"}),
          "error.samples"),

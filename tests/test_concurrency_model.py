@@ -9,8 +9,6 @@ traces are replayed truly interleaved (one access per cursor per turn —
 the concurrency ⊙ describes) through the cache simulator.
 """
 
-import random
-
 import pytest
 
 from repro.core import (
@@ -26,22 +24,8 @@ from repro.core import (
     seq,
 )
 from repro.service.executor import replay_interleaved
-from repro.simulator import MemorySystem
-
-
-def strav_trace(base, n, w, u):
-    return [(base + i * w, u) for i in range(n)]
-
-
-def rtrav_trace(base, n, w, u, seed=1):
-    order = list(range(n))
-    random.Random(seed).shuffle(order)
-    return [(base + i * w, u) for i in order]
-
-
-def racc_trace(base, n, w, u, r, seed=2):
-    rng = random.Random(seed)
-    return [(base + rng.randrange(n) * w, u) for _ in range(r)]
+from repro.simulator import MemorySystem, canonical_trace
+from repro.simulator.memory import Segment
 
 
 class TestCacheShares:
@@ -149,26 +133,17 @@ class TestModelVsSimulator:
         B = DataRegion("B", n=nB, w=w)
         C = DataRegion("C", n=nC, w=w)
         patterns = [STrav(A), RTrav(B), RAcc(C, r=2 * nC)]
-        traces = [strav_trace(baseA, nA, w, w),
-                  rtrav_trace(baseB, nB, w, w),
-                  racc_trace(baseC, nC, w, w, 2 * nC)]
+        traces = [Segment(canonical_trace(pattern, base, seed))
+                  for pattern, base, seed in zip(patterns,
+                                                 (baseA, baseB, baseC),
+                                                 (0, 1, 2))]
         return patterns, traces
 
     def test_three_way_misses_all_levels(self, tiny):
         model = CostModel(tiny)
         patterns, traces = self._traces_and_patterns()
         mem = MemorySystem(tiny)
-        positions = [0] * len(traces)
-        active = list(range(len(traces)))
-        while active:  # quantum-1 round-robin: true concurrency
-            remaining = []
-            for i in active:
-                addr, nbytes = traces[i][positions[i]]
-                mem.access(addr, nbytes)
-                positions[i] += 1
-                if positions[i] < len(traces[i]):
-                    remaining.append(i)
-            active = remaining
+        mem.replay_interleaved(traces, 1)  # quantum 1: true concurrency
         snap = mem.snapshot()
         compound = Conc.of(*patterns)
         for level in tiny.all_levels:

@@ -417,12 +417,12 @@ class TestFaultsStepByHand:
 # the hand-off: threads move work and results, never a decision
 # ---------------------------------------------------------------------
 
-class TestPoolWidthIsInvisible:
+class TestServingIsRepeatable:
     def _stream(self):
         return PoissonArrivals(60000.0, seed=3).stamp(
             _queries(24, scale=128))
 
-    def test_same_report_for_every_max_workers_and_twice(self):
+    def test_the_same_stream_served_twice_gives_one_report(self):
         """The same stream served twice gives one report."""
         stream = self._stream()
         first, second = (simulated(_serve(stream, scale=128)[0])
@@ -559,7 +559,7 @@ class TestOneWorker:
     the loop thread does neither."""
 
     def test_every_compile_and_step_runs_on_the_worker(self):
-        stream = TestPoolWidthIsInvisible()._stream()
+        stream = TestServingIsRepeatable()._stream()
         threads = {"compile": set(), "step": set()}
 
         async def main():
@@ -874,7 +874,7 @@ class TestRunUntilBlocked:
         assert [r.batch_index for r in responses] == list(range(self.N))
         assert 0 < len(crossings) < self.N
 
-    def test_stress_more_workers_than_cores(self):
+    def test_stress_the_finest_thread_interleaving(self):
         """The worker and the loop thread interleave as finely as the
         interpreter allows: every future still resolves exactly once
         and nothing is left accepted, staged or outstanding (a lost

@@ -1,7 +1,6 @@
 """Equations 4.8 (random access) and 4.9 (interleaved multi-cursor)."""
 
 import math
-import random
 
 import pytest
 
@@ -24,7 +23,8 @@ from repro.core import (
     strav_count,
 )
 from repro.hardware import tiny_test_machine
-from repro.simulator import MemorySystem
+from repro.simulator import MemorySystem, canonical_trace
+from repro.simulator.memory import Segment
 
 GEO = LevelGeometry(line_size=16, capacity=256.0, num_lines=16.0)
 
@@ -74,9 +74,8 @@ class TestRAccCount:
         hw = tiny_test_machine()
         mem = MemorySystem(hw)
         n, w, hits = 16, 16, 500
-        rng = random.Random(9)
-        for _ in range(hits):
-            mem.access(4096 + rng.randrange(n) * w, w)
+        pattern = RAcc(DataRegion("R", n, w), r=hits)
+        mem.replay(Segment(canonical_trace(pattern, 4096, seed=9)))
         predicted = racc_count(DataRegion("R", n, w), w, GEO, r=hits)
         measured = mem.cache("L1").misses
         # Compulsory only; allow one line of slack for unlucky draws.
@@ -86,11 +85,10 @@ class TestRAccCount:
         hw = tiny_test_machine()
         n, w, hits = 128, 16, 1000   # 2 KB region over 256 B L1
         counts = []
+        pattern = RAcc(DataRegion("R", n, w), r=hits)
         for seed in range(5):
             mem = MemorySystem(hw)
-            rng = random.Random(seed)
-            for _ in range(hits):
-                mem.access(4096 + rng.randrange(n) * w, w)
+            mem.replay(Segment(canonical_trace(pattern, 4096, seed)))
             counts.append(mem.cache("L1").misses)
         measured = sum(counts) / len(counts)
         predicted = racc_count(DataRegion("R", n, w), w, GEO, r=hits)
@@ -174,16 +172,8 @@ class TestNest:
 
         def run(m):
             mem = MemorySystem(hw)
-            n, w = 256, 16
-            sub = n // m
-            fills = [0] * m
-            rng = random.Random(4)
-            for _ in range(n):
-                j = rng.randrange(m)
-                if fills[j] >= sub:
-                    j = fills.index(min(fills))
-                mem.access(4096 + (j * sub + fills[j]) * w, w)
-                fills[j] += 1
+            pattern = Nest(self.region(), m=m, local="s_trav", order=RANDOM)
+            mem.replay(Segment(canonical_trace(pattern, 4096, seed=4)))
             return mem.cache("L1").misses
 
         assert run(32) > run(4) * 0.9  # both at least compulsory

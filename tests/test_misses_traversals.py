@@ -2,7 +2,6 @@
 the trace-driven simulator."""
 
 import math
-import random
 
 import pytest
 
@@ -11,6 +10,9 @@ from repro.core import (
     UNI,
     DataRegion,
     LevelGeometry,
+    RSTrav,
+    RTrav,
+    STrav,
     lines_per_item,
     rrtrav_count,
     rstrav_count,
@@ -18,7 +20,8 @@ from repro.core import (
     strav_count,
 )
 from repro.hardware import tiny_test_machine
-from repro.simulator import MemorySystem
+from repro.simulator import MemorySystem, canonical_trace
+from repro.simulator.memory import Segment
 
 #: L1 of the tiny machine: Z=16, C=256, 16 lines.
 GEO = LevelGeometry(line_size=16, capacity=256.0, num_lines=16.0)
@@ -73,9 +76,9 @@ class TestSTrav:
         hw = tiny_test_machine()
         mem = MemorySystem(hw)
         n, w = 128, 8
-        for i in range(n):
-            mem.access(4096 + i * w, w)
-        predicted = strav_count(DataRegion("R", n=n, w=w), w, GEO)
+        region = DataRegion("R", n=n, w=w)
+        mem.replay(Segment(canonical_trace(STrav(region), 4096)))
+        predicted = strav_count(region, w, GEO)
         assert mem.cache("L1").misses == predicted
 
     def test_matches_simulator_sparse_average(self):
@@ -85,8 +88,8 @@ class TestSTrav:
         total = 0
         for align in range(0, 16, 2):
             mem = MemorySystem(hw)
-            for i in range(n):
-                mem.access(4096 + align + i * w, u)
+            pattern = STrav(DataRegion("R", n=n, w=w), u)
+            mem.replay(Segment(canonical_trace(pattern, 4096 + align)))
             total += mem.cache("L1").misses
         measured = total / 8
         predicted = strav_count(DataRegion("R", n=n, w=w), u, GEO)
@@ -118,11 +121,9 @@ class TestRTrav:
         hw = tiny_test_machine()
         mem = MemorySystem(hw)
         n, w = 16, 16
-        order = list(range(n))
-        random.Random(3).shuffle(order)
-        for i in order:
-            mem.access(4096 + i * w, w)
-        predicted = rtrav_count(DataRegion("R", n=n, w=w), w, GEO)
+        region = DataRegion("R", n=n, w=w)
+        mem.replay(Segment(canonical_trace(RTrav(region), 4096, seed=3)))
+        predicted = rtrav_count(region, w, GEO)
         assert mem.cache("L1").misses == predicted
 
     def test_matches_simulator_when_exceeding_no_sharing(self):
@@ -130,11 +131,9 @@ class TestRTrav:
         hw = tiny_test_machine()
         mem = MemorySystem(hw)
         n, w = 64, 16
-        order = list(range(n))
-        random.Random(3).shuffle(order)
-        for i in order:
-            mem.access(4096 + i * w, w)
-        predicted = rtrav_count(DataRegion("R", n=n, w=w), w, GEO)
+        region = DataRegion("R", n=n, w=w)
+        mem.replay(Segment(canonical_trace(RTrav(region), 4096, seed=3)))
+        predicted = rtrav_count(region, w, GEO)
         assert mem.cache("L1").misses == predicted
 
     def test_matches_simulator_when_exceeding_with_sharing(self):
@@ -142,16 +141,14 @@ class TestRTrav:
         # agreement within 25% averaged over seeds.
         hw = tiny_test_machine()
         n, w = 64, 8
+        region = DataRegion("R", n=n, w=w)
         counts = []
         for seed in range(8):
             mem = MemorySystem(hw)
-            order = list(range(n))
-            random.Random(seed).shuffle(order)
-            for i in order:
-                mem.access(4096 + i * w, w)
+            mem.replay(Segment(canonical_trace(RTrav(region), 4096, seed)))
             counts.append(mem.cache("L1").misses)
         measured = sum(counts) / len(counts)
-        predicted = rtrav_count(DataRegion("R", n=n, w=w), w, GEO)
+        predicted = rtrav_count(region, w, GEO)
         assert measured == pytest.approx(predicted, rel=0.25)
 
 
@@ -183,15 +180,10 @@ class TestRSTrav:
     def test_simulator_confirms_bidirectional_saving(self):
         hw = tiny_test_machine()
         n, w = 64, 16
-        uni = MemorySystem(hw)
-        for _ in range(3):
-            for i in range(n):
-                uni.access(4096 + i * w, w)
-        bi = MemorySystem(hw)
-        for sweep in range(3):
-            order = range(n) if sweep % 2 == 0 else range(n - 1, -1, -1)
-            for i in order:
-                bi.access(4096 + i * w, w)
+        uni, bi = MemorySystem(hw), MemorySystem(hw)
+        for mem, direction in ((uni, UNI), (bi, BI)):
+            pattern = RSTrav(DataRegion("R", n, w), r=3, direction=direction)
+            mem.replay(Segment(canonical_trace(pattern, 4096)))
         assert bi.cache("L1").misses < uni.cache("L1").misses
         predicted_uni = rstrav_count(DataRegion("R", n, w), w, GEO, 3, UNI)
         assert uni.cache("L1").misses == predicted_uni

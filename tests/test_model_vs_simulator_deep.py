@@ -26,24 +26,14 @@ from repro.core import (
     UNI,
 )
 from repro.hardware import disk_extended_scaled, tiny_test_machine
-from repro.simulator import MemorySystem
+from repro.simulator import MemorySystem, canonical_trace
+from repro.simulator.memory import Segment
 
 
-def run_trace(hierarchy, trace):
-    mem = MemorySystem(hierarchy)
-    for addr, nbytes in trace:
-        mem.access(addr, nbytes)
-    return mem.snapshot()
-
-
-def strav_trace(base, n, w, u):
-    return [(base + i * w, u) for i in range(n)]
-
-
-def rtrav_trace(base, n, w, u, seed=1):
-    order = list(range(n))
-    random.Random(seed).shuffle(order)
-    return [(base + i * w, u) for i in order]
+def replay(hierarchy, pattern, seed=0):
+    """Counters of ``pattern``'s canonical trace at 4096, replayed cold."""
+    trace = canonical_trace(pattern, 4096, seed)
+    return MemorySystem(hierarchy).replay(Segment(trace))
 
 
 class TestAllLevels:
@@ -67,20 +57,19 @@ class TestAllLevels:
     def test_strav_all_levels(self, hw, model):
         n, w = 256, 8   # 2 KB: exceeds L1/L2/TLB of the tiny machine
         region = DataRegion("R", n=n, w=w)
-        snap = run_trace(hw, strav_trace(4096, n, w, w))
+        snap = replay(hw, STrav(region))
         self.assert_levels(hw, model, STrav(region), snap, rel=0.05)
 
     def test_rtrav_fitting_all_levels(self, hw, model):
         n, w = 16, 8   # 128 B fits everywhere
         region = DataRegion("R", n=n, w=w)
-        snap = run_trace(hw, rtrav_trace(4096, n, w, w))
+        snap = replay(hw, RTrav(region), seed=1)
         self.assert_levels(hw, model, RTrav(region), snap, rel=0.05)
 
     def test_rtrav_exceeding_all_levels(self, hw, model):
         n, w = 512, 8   # 4 KB: 16x L1, 4x L2, 8x TLB
         region = DataRegion("R", n=n, w=w)
-        snaps = [run_trace(hw, rtrav_trace(4096, n, w, w, seed=s))
-                 for s in range(4)]
+        snaps = [replay(hw, RTrav(region), seed=s) for s in range(4)]
         for level in hw.all_levels:
             measured = sum(s.misses(level.name) for s in snaps) / len(snaps)
             predicted = model.level_misses(RTrav(region), level).total
@@ -90,30 +79,23 @@ class TestAllLevels:
     def test_rstrav_uni_all_levels(self, hw, model):
         n, w, r = 256, 8, 3
         region = DataRegion("R", n=n, w=w)
-        trace = strav_trace(4096, n, w, w) * r
-        snap = run_trace(hw, trace)
         pattern = RSTrav(region, r=r, direction=UNI)
+        snap = replay(hw, pattern)
         self.assert_levels(hw, model, pattern, snap, rel=0.05)
 
     def test_rstrav_bi_all_levels(self, hw, model):
         n, w, r = 256, 8, 3
         region = DataRegion("R", n=n, w=w)
-        trace = []
-        for sweep in range(r):
-            idx = range(n) if sweep % 2 == 0 else range(n - 1, -1, -1)
-            trace.extend((4096 + i * w, w) for i in idx)
-        snap = run_trace(hw, trace)
         pattern = RSTrav(region, r=r, direction=BI)
+        snap = replay(hw, pattern)
         # Bi-directional re-use interacts with associativity; allow 30%.
         self.assert_levels(hw, model, pattern, snap, rel=0.30)
 
     def test_racc_all_levels(self, hw, model):
         n, w, hits = 128, 8, 2000
         region = DataRegion("R", n=n, w=w)
-        rng = random.Random(7)
-        trace = [(4096 + rng.randrange(n) * w, w) for _ in range(hits)]
-        snap = run_trace(hw, trace)
         pattern = RAcc(region, r=hits)
+        snap = replay(hw, pattern, seed=7)
         for level in hw.all_levels:
             predicted = model.level_misses(pattern, level).total
             measured = snap.misses(level.name)
@@ -124,17 +106,8 @@ class TestAllLevels:
         """m interleaved sequential cursors, random global order."""
         n, w, m = 512, 8, 32
         region = DataRegion("R", n=n, w=w)
-        sub = n // m
-        fills = [0] * m
-        rng = random.Random(3)
-        trace = []
-        for _ in range(n):
-            candidates = [j for j in range(m) if fills[j] < sub]
-            j = rng.choice(candidates)
-            trace.append((4096 + (j * sub + fills[j]) * w, w))
-            fills[j] += 1
-        snap = run_trace(hw, trace)
         pattern = Nest(region, m=m, local="s_trav", order=RANDOM)
+        snap = replay(hw, pattern, seed=3)
         for level in hw.all_levels:
             predicted = model.level_misses(pattern, level).total
             measured = snap.misses(level.name)
@@ -153,7 +126,7 @@ class TestTimePredictions:
         model = CostModel(hw)
         n, w = 512, 8
         region = DataRegion("R", n=n, w=w)
-        snap = run_trace(hw, strav_trace(4096, n, w, w))
+        snap = replay(hw, STrav(region))
         predicted = model.estimate(STrav(region)).memory_ns
         assert predicted == pytest.approx(snap.elapsed_ns, rel=0.1)
 
@@ -162,8 +135,7 @@ class TestTimePredictions:
         model = CostModel(hw)
         n, w = 512, 8
         region = DataRegion("R", n=n, w=w)
-        snaps = [run_trace(hw, rtrav_trace(4096, n, w, w, seed=s))
-                 for s in range(4)]
+        snaps = [replay(hw, RTrav(region), seed=s) for s in range(4)]
         measured = sum(s.elapsed_ns for s in snaps) / len(snaps)
         predicted = model.estimate(RTrav(region)).memory_ns
         assert predicted == pytest.approx(measured, rel=0.35)
@@ -173,8 +145,8 @@ class TestTimePredictions:
         model = CostModel(hw)
         n, w = 512, 8
         region = DataRegion("R", n=n, w=w)
-        seq_meas = run_trace(hw, strav_trace(4096, n, w, w)).elapsed_ns
-        rnd_meas = run_trace(hw, rtrav_trace(4096, n, w, w)).elapsed_ns
+        seq_meas = replay(hw, STrav(region)).elapsed_ns
+        rnd_meas = replay(hw, RTrav(region), seed=1).elapsed_ns
         assert rnd_meas > seq_meas
         seq_pred = model.estimate(STrav(region)).memory_ns
         rnd_pred = model.estimate(RTrav(region)).memory_ns
